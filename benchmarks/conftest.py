@@ -11,7 +11,10 @@ Workload scale
 ``REPRO_BENCH_SCALE`` (default ``0.1``) scales the benchmark's
 iteration counts.  The qualitative claims hold from ~0.05 upward; use
 ``REPRO_BENCH_SCALE=1.0`` for the full paper-fidelity run (the numbers
-recorded in EXPERIMENTS.md), which takes tens of minutes.
+recorded in EXPERIMENTS.md).  ``REPRO_BENCH_SCALE=1.0 pytest benchmarks/
+--benchmark-only -s`` took 16 minutes on a shared 2-vCPU VM with
+Python 3.11; EXPERIMENTS.md ("Harness performance") times the paper
+report itself.
 """
 
 from __future__ import annotations

@@ -34,44 +34,21 @@ __all__ = [
 def render_codegen_stats() -> str:
     """Codegen-cache summary for profile footers.
 
-    Reads :func:`repro.core.compiled.fleet_compile_stats` — kernels and
-    per-program dispatch tables compiled so far, their cache hits, and
-    the cumulative codegen time, summed across this process and every
-    pool worker that reported its counters back.  A second line breaks
-    out the persistent artifact store (disk hits and stores) and the
-    worker count whenever either saw traffic.
+    Reads :func:`repro.core.compiled.compile_stats` — kernels and
+    per-program dispatch tables compiled so far in this process, their
+    cache hits, and the cumulative codegen time.
     """
-    from ..core.compiled import fleet_compile_stats
+    from ..core.compiled import compile_stats
 
-    stats = fleet_compile_stats()
-    lines = [
+    stats = compile_stats()
+    return (
         f"codegen: {stats['compiles']} kernel(s) compiled "
         f"({stats['kernel_cache_hits']} cache hit(s)), "
         f"{stats['dispatch_tables']} dispatch table(s) / "
         f"{stats['dispatch_handlers']} handler(s) "
         f"({stats['dispatch_cache_hits']} cache hit(s)), "
         f"{stats['codegen_seconds'] * 1000.0:.1f} ms codegen"
-    ]
-    disk_traffic = (
-        stats["disk_kernel_hits"]
-        + stats["disk_kernel_stores"]
-        + stats["disk_handler_hits"]
-        + stats["disk_handler_stores"]
-        + stats["codegen_quarantined"]
     )
-    if disk_traffic or stats["workers"]:
-        parts = [
-            f"disk store: {stats['disk_kernel_hits']} kernel hit(s) / "
-            f"{stats['disk_kernel_stores']} store(s), "
-            f"{stats['disk_handler_hits']} handler hit(s) / "
-            f"{stats['disk_handler_stores']} store(s)"
-        ]
-        if stats["codegen_quarantined"]:
-            parts.append(f"{stats['codegen_quarantined']} quarantined")
-        if stats["workers"]:
-            parts.append(f"{stats['workers']} worker(s) reporting")
-        lines.append("codegen: " + ", ".join(parts))
-    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ Subcommands::
     repro-sim disasm     disassemble the generated benchmark program
     repro-sim report     run every experiment (the EXPERIMENTS.md content)
     repro-sim cache      manage the on-disk simulation result cache
-    repro-sim serve      run the resilient simulation job service
 
 The ``--scale`` option shrinks the benchmark's iteration counts for
 quick looks (e.g. ``--scale 0.15``); the paper-fidelity run is scale 1.
@@ -50,13 +49,7 @@ from .core import faults
 from .core.config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
 from .core.parallel import parallel_map, resolve_jobs
 from .core.resilience import SweepCheckpoint, SweepSupervisor, ladder_simulate
-from .core.scheduler import (
-    NO_AFFINITY_ENV,
-    NO_COMPILED_ENV,
-    NO_DISK_CODEGEN_ENV,
-    NO_REPLAY_ENV,
-    NO_SKIP_ENV,
-)
+from .core.scheduler import NO_COMPILED_ENV, NO_REPLAY_ENV, NO_SKIP_ENV
 from .core.simcache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, SimulationCache
 from .core.simulator import simulate, simulate_traced
 from .core.trace import TraceMetrics
@@ -201,16 +194,8 @@ def _finish_supervised(
         )
     print(supervisor.report.summary())
     if args.fault_report is not None:
-        from .core.compiled import fleet_compile_stats
-
-        payload = supervisor.report.to_dict()
-        # codegen-cache engagement sits next to the per-rung tallies so
-        # one JSON answers both "which rung served each point" and "what
-        # did the compiled rung actually compile or reuse" — summed
-        # across this process and every pool worker that reported in
-        payload["codegen"] = fleet_compile_stats()
         with open(args.fault_report, "w") as handle:
-            json.dump(payload, handle, indent=2)
+            json.dump(supervisor.report.to_dict(), handle, indent=2)
         print(f"fault report written : {args.fault_report}")
     if args.inject_faults is not None:
         faults.deactivate()
@@ -507,13 +492,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .core.codegen_store import CODEGEN_SUBDIR, CodegenStore
-
     cache = SimulationCache(args.cache_dir)
-    store = CodegenStore(os.path.join(str(cache.root), CODEGEN_SUBDIR))
     if args.action == "stats":
         print(cache.describe())
-        print(store.describe())
     else:  # clear
         if args.quarantine:
             removed = cache.clear_quarantine()
@@ -523,56 +504,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 f"{cache.root / 'quarantine'}"
             )
             return 0
-        clear_sim = not args.codegen_only
-        clear_codegen = not args.sim_only
-        if clear_sim:
-            removed = cache.clear()
-            print(f"removed {removed} cached result(s) from {cache.root}")
-        if clear_codegen:
-            removed = store.clear()
-            print(f"removed {removed} codegen artifact(s) from {store.root}")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .core.service import ServiceConfig, serve
-
-    if args.inject_faults is not None:
-        faults.activate(faults.FaultPlan.parse(args.inject_faults))
-    cache = None if args.no_cache else SimulationCache(args.cache_dir)
-    suite = cached_livermore_suite(scale=args.scale)
-    pool_jobs = 0 if args.jobs == 0 else resolve_jobs(args.jobs)
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        queue_limit=args.queue_limit,
-        tenant_quota=args.tenant_quota,
-        shed_limit=args.shed_limit,
-        pool_jobs=pool_jobs,
-        point_timeout=args.point_timeout,
-        max_retries=args.max_retries,
-        default_deadline=args.deadline,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-    )
-
-    def ready(service) -> None:
-        print(
-            f"repro-sim service on http://{args.host}:{service.port} "
-            f"(pool_jobs={pool_jobs}, queue_limit={args.queue_limit}, "
-            f"cache={'off' if cache is None else cache.root})",
-            flush=True,
-        )
-
-    try:
-        asyncio.run(serve(suite.program, config, cache, ready=ready))
-    except KeyboardInterrupt:
-        print("service stopped")
-    finally:
-        if args.inject_faults is not None:
-            faults.deactivate()
+        removed = cache.clear()
+        print(f"removed {removed} cached result(s) from {cache.root}")
     return 0
 
 
@@ -632,20 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the per-config compiled step kernel and run the "
         "interpreted engines (results are identical; equivalent to "
         "REPRO_NO_COMPILED=1)",
-    )
-    parser.add_argument(
-        "--no-disk-codegen",
-        action="store_true",
-        help="disable the persistent codegen artifact store under "
-        "<cache-dir>/codegen (results are identical; equivalent to "
-        "REPRO_NO_DISK_CODEGEN=1)",
-    )
-    parser.add_argument(
-        "--no-affinity",
-        action="store_true",
-        help="disable config-affinity batched scheduling of sweep "
-        "points; each point travels as its own pool task (results are "
-        "identical; equivalent to REPRO_NO_AFFINITY=1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -764,103 +683,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache directory (default: REPRO_CACHE_DIR or .repro_cache)",
     )
     cache_parser.add_argument(
-        "--codegen-only",
-        action="store_true",
-        help="clear only the codegen artifact store, keep simulation "
-        "results",
-    )
-    cache_parser.add_argument(
-        "--sim-only",
-        action="store_true",
-        help="clear only the simulation results, keep codegen artifacts",
-    )
-    cache_parser.add_argument(
         "--quarantine",
         action="store_true",
         help="clear only the quarantined (corrupt) entries, keep "
         "everything else",
     )
     cache_parser.set_defaults(func=_cmd_cache)
-
-    serve_parser = sub.add_parser(
-        "serve",
-        help="run the resilient simulation job service (HTTP/JSON)",
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port", type=int, default=8750, help="0 picks a free port"
-    )
-    serve_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: REPRO_JOBS or the CPU count; "
-        "0 = in-process threads, test mode)",
-    )
-    serve_parser.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        help="max unfinished jobs before submits get HTTP 429",
-    )
-    serve_parser.add_argument(
-        "--tenant-quota",
-        type=int,
-        default=16,
-        help="max unfinished jobs per tenant",
-    )
-    serve_parser.add_argument(
-        "--shed-limit",
-        type=int,
-        default=32,
-        help="in-flight simulations beyond which cold requests are "
-        "shed with HTTP 503 (warm-cache hits still served)",
-    )
-    serve_parser.add_argument(
-        "--point-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="per-attempt limit before a worker is considered hung",
-    )
-    serve_parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="attempts per point beyond the first",
-    )
-    serve_parser.add_argument(
-        "--deadline",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="default request deadline (requests may carry their own)",
-    )
-    serve_parser.add_argument("--breaker-threshold", type=int, default=3)
-    serve_parser.add_argument(
-        "--breaker-cooldown", type=float, default=30.0, metavar="SECONDS"
-    )
-    serve_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="serve without the on-disk simulation result cache",
-    )
-    serve_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="simulation cache directory "
-        "(default: REPRO_CACHE_DIR or .repro_cache)",
-    )
-    serve_parser.add_argument(
-        "--inject-faults",
-        default=None,
-        metavar="SPEC",
-        help="arm the deterministic fault injectors (worker kills, "
-        "hangs, cache corruption, breaker trips, queue-full "
-        "rejections, slow clients) for chaos rehearsal",
-    )
-    _add_scale(serve_parser)
-    serve_parser.set_defaults(func=_cmd_serve)
 
     fuzz_parser = sub.add_parser(
         "fuzz",
@@ -923,10 +751,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[NO_REPLAY_ENV] = "1"
     if args.no_compiled:
         os.environ[NO_COMPILED_ENV] = "1"
-    if args.no_disk_codegen:
-        os.environ[NO_DISK_CODEGEN_ENV] = "1"
-    if args.no_affinity:
-        os.environ[NO_AFFINITY_ENV] = "1"
     return args.func(args)
 
 

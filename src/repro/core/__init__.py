@@ -13,10 +13,6 @@ _EXPORTS = {
     "FaultPlan": ("repro.core.faults", "FaultPlan"),
     "FaultReport": ("repro.core.resilience", "FaultReport"),
     "FetchStrategy": ("repro.core.config", "FetchStrategy"),
-    "ServiceClient": ("repro.core.service", "ServiceClient"),
-    "ServiceConfig": ("repro.core.service", "ServiceConfig"),
-    "ServiceThread": ("repro.core.service", "ServiceThread"),
-    "SimulationService": ("repro.core.service", "SimulationService"),
     "SweepCheckpoint": ("repro.core.resilience", "SweepCheckpoint"),
     "SweepPointError": ("repro.core.resilience", "SweepPointError"),
     "SweepSupervisor": ("repro.core.resilience", "SweepSupervisor"),

@@ -35,8 +35,9 @@ bound method — so tests that stub out ``frontend.poll_requests`` or
 ``backend.step`` still see their stubs.  Every fold decision is part
 of the :class:`KernelSpec`, which keys the process-wide compile cache:
 one config (plus traced/skip/replay flags and fold profile) compiles
-exactly once per process.  ``docs/COMPILED.md`` documents the contract
-in full.
+exactly once per process.  The caches live in process memory only;
+forked sweep workers inherit whatever the parent had compiled.
+``docs/COMPILED.md`` documents the contract in full.
 
 **Hoisting rule.**  Only objects that are never *rebound* during a run
 may be hoisted into kernel locals: component objects, the queues'
@@ -52,7 +53,6 @@ selects the interpreted engines for differential testing.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -81,7 +81,6 @@ from ..memory.system import MemorySystem
 from .scheduler import (
     ENGINE_REVISION,
     IDLE,
-    disk_codegen_enabled_default,
     inline_frontend_enabled_default,
     specialize_dispatch_enabled_default,
 )
@@ -92,15 +91,10 @@ __all__ = [
     "KernelSpec",
     "clear_compile_cache",
     "compile_stats",
-    "compile_stats_delta",
     "config_fingerprint",
-    "fleet_compile_stats",
-    "flush_codegen_artifacts",
     "generate_source",
     "kernel_for",
     "kernel_spec_for",
-    "prime_codegen_artifacts",
-    "record_worker_stats",
 ]
 
 
@@ -806,26 +800,6 @@ _CODEGEN_SECONDS = 0.0
 #: per-spec state enters through :func:`_kernel_globals` at exec time.
 _SOURCE_CACHE: dict[str, tuple[str, object]] = {}
 _SOURCE_HITS = 0
-_DISK_KERNEL_HITS = 0
-_DISK_KERNEL_STORES = 0
-
-#: The process's handle on the persistent artifact store (or ``None``
-#: before first use / after ``clear_compile_cache``).  The escape hatch
-#: is consulted on every access, so flipping ``REPRO_NO_DISK_CODEGEN``
-#: mid-process takes effect immediately.
-_DISK_STORE = None
-
-
-def _disk_store():
-    """The live :class:`~.codegen_store.CodegenStore`, or ``None`` (off)."""
-    global _DISK_STORE
-    if not disk_codegen_enabled_default():
-        return None
-    if _DISK_STORE is None:
-        from .codegen_store import CodegenStore
-
-        _DISK_STORE = CodegenStore()
-    return _DISK_STORE
 
 
 def _source_key(spec: KernelSpec) -> str:
@@ -856,71 +830,20 @@ def _source_key(spec: KernelSpec) -> str:
 _DISPATCH_CACHE: dict[tuple[str, str], ProgramDispatchTable] = {}
 _DISPATCH_HITS = 0
 
-#: Per-program bundle bookkeeping for the persistent store:
-#: ``program_fingerprint -> handler-entry count believed on disk``.
-#: A program first seen in this process pre-installs its disk bundle
-#: into the dispatch module's shared memo; :func:`flush_codegen_artifacts`
-#: publishes back only when the fleet learned new handlers.
-_BUNDLE_STATE: dict[str, int] = {}
-
 
 def _dispatch_table_for(sim, config_key: str) -> ProgramDispatchTable:
     """The (cached) per-program dispatch table for one kernel run."""
     global _DISPATCH_HITS
-    from ..cpu.dispatch import install_handler_bundle
     from .simcache import program_fingerprint
 
-    program_key = program_fingerprint(sim.program)
-    key = (program_key, config_key)
+    key = (program_fingerprint(sim.program), config_key)
     table = _DISPATCH_CACHE.get(key)
     if table is None:
-        if program_key not in _BUNDLE_STATE:
-            _BUNDLE_STATE[program_key] = 0
-            store = _disk_store()
-            if store is not None:
-                entries = store.load_dispatch(program_key)
-                if entries:
-                    install_handler_bundle(entries)
-                    _BUNDLE_STATE[program_key] = len(entries)
         table = ProgramDispatchTable()
         _DISPATCH_CACHE[key] = table
     else:
         _DISPATCH_HITS += 1
     return table
-
-
-def flush_codegen_artifacts() -> int:
-    """Publish dispatch bundles that grew since their last publish.
-
-    Kernel artifacts publish at compile time; handler bundles are
-    filled lazily during kernel execution, so sweeps call this at
-    natural barriers (end of a worker batch, end of a sweep).  Returns
-    the number of bundles published.  Safe to call anytime: a bundle
-    with nothing new is skipped, and an unwritable store never raises.
-    """
-    from ..cpu.dispatch import record_bundle_store, serialize_handlers
-
-    store = _disk_store()
-    if store is None or not _BUNDLE_STATE:
-        return 0
-    by_program: dict[str, set] = {}
-    for (program_key, _config_key), table in _DISPATCH_CACHE.items():
-        by_program.setdefault(program_key, set()).update(table.handlers)
-    published = 0
-    for program_key, instructions in by_program.items():
-        if len(instructions) <= _BUNDLE_STATE.get(program_key, 0):
-            continue
-        entries = serialize_handlers(instructions)
-        if not entries:
-            continue
-        try:
-            store.store_dispatch(program_key, entries)
-        except OSError:
-            continue
-        record_bundle_store()
-        _BUNDLE_STATE[program_key] = len(entries)
-        published += 1
-    return published
 
 
 def _kernel_globals(spec: KernelSpec) -> dict:
@@ -948,15 +871,12 @@ def _kernel_globals(spec: KernelSpec) -> dict:
 def _compile(spec: KernelSpec) -> CompiledKernel:
     """Source/code for the spec's kernel family, ``exec``'d per spec.
 
-    Resolution order: in-process source cache → disk artifact store
-    (checksum-verified; corrupt entries quarantine and fall through) →
-    full generation + bytecode compilation, published back to both.
-    Only the last path counts as a *compile*; every path pays the
-    per-spec ``exec`` that binds the family's code object to this
+    A family already in the source cache skips generation and bytecode
+    compilation; only that path counts as a *compile*.  Every path pays
+    the per-spec ``exec`` that binds the family's code object to this
     spec's globals.
     """
     global _COMPILE_COUNT, _CODEGEN_SECONDS, _SOURCE_HITS
-    global _DISK_KERNEL_HITS, _DISK_KERNEL_STORES
     started = time.perf_counter()
     skey = _source_key(spec)
     cached = _SOURCE_CACHE.get(skey)
@@ -964,77 +884,14 @@ def _compile(spec: KernelSpec) -> CompiledKernel:
         source, code = cached
         _SOURCE_HITS += 1
     else:
-        store = _disk_store()
-        loaded = store.load_kernel(skey) if store is not None else None
-        if loaded is not None:
-            source, code = loaded
-            _DISK_KERNEL_HITS += 1
-        else:
-            source = generate_source(spec)
-            code = compile(source, f"<repro-kernel-{skey[:12]}>", "exec")
-            _COMPILE_COUNT += 1
-            if store is not None:
-                try:
-                    store.store_kernel(skey, source, code)
-                    _DISK_KERNEL_STORES += 1
-                except OSError:
-                    pass  # unwritable store never blocks a run
+        source = generate_source(spec)
+        code = compile(source, f"<repro-kernel-{skey[:12]}>", "exec")
+        _COMPILE_COUNT += 1
         _SOURCE_CACHE[skey] = (source, code)
     namespace = _kernel_globals(spec)
     exec(code, namespace)  # noqa: S102 — the source is our own codegen
     _CODEGEN_SECONDS += time.perf_counter() - started
     return CompiledKernel(spec, source, namespace["__kernel"])
-
-
-def prime_codegen_artifacts(program, configs) -> int:
-    """Parent-side fleet warmup: publish each family's kernel artifact.
-
-    Sweep drivers call this before fanning a cold sweep out to worker
-    processes: every distinct kernel family in ``configs`` is resolved
-    through the normal compile path (a disk load when the store
-    already holds it, full codegen published back otherwise), so
-    every worker's first point for a family costs a read + ``exec``
-    instead of generation + bytecode compilation.  Without the
-    persistent store this is a no-op — the fleet would have no channel
-    to inherit the parent's warmth — as it is when the compiled engine
-    itself is hatched off.  Returns the number of distinct families
-    resolved.
-    """
-    from .scheduler import compiled_enabled_default
-    from .simulator import Simulator
-
-    store = _disk_store()
-    if store is None or not compiled_enabled_default():
-        return 0
-    seen: set[str] = set()
-    for config in configs:
-        spec = kernel_spec_for(Simulator(config, program))
-        skey = _source_key(spec)
-        if skey in seen:
-            continue
-        seen.add(skey)
-        kernel = _KERNEL_CACHE.get(spec)
-        if kernel is None:
-            _KERNEL_CACHE[spec] = _compile(spec)
-
-    # Handler-bundle warmup: dispatch handlers fill only while a kernel
-    # *runs*, so on a cold store every worker would re-derive the whole
-    # per-program table before the first publish lands.  One parent-side
-    # simulation of the first point fills and publishes the bundle ahead
-    # of the pool; its result is discarded (the worker still owns the
-    # point), and a failure here is never load-bearing — workers just
-    # fall back to compiling their own handlers.
-    from .simcache import program_fingerprint
-
-    if configs and store.load_dispatch(program_fingerprint(program)) is None:
-        from .simulator import simulate
-
-        try:
-            simulate(configs[0], program)
-        except Exception:
-            pass
-        flush_codegen_artifacts()
-    return len(seen)
 
 
 def kernel_for(sim) -> CompiledKernel:
@@ -1055,102 +912,35 @@ def compile_stats() -> dict:
 
     ``codegen_seconds`` sums kernel generation/compilation with the
     per-instruction dispatch-handler compiles (the dispatch module
-    keeps its own cumulative clock).
+    keeps its own cumulative clock).  Counts cover this process only.
     """
     dispatch = dispatch_codegen_stats()
-    disk = _DISK_STORE
     return {
         "kernels": len(_KERNEL_CACHE),
         "compiles": _COMPILE_COUNT,
         "kernel_cache_hits": _KERNEL_HITS,
         "kernel_sources": len(_SOURCE_CACHE),
         "kernel_source_hits": _SOURCE_HITS,
-        "disk_kernel_hits": _DISK_KERNEL_HITS,
-        "disk_kernel_stores": _DISK_KERNEL_STORES,
         "codegen_seconds": _CODEGEN_SECONDS + dispatch["codegen_seconds"],
         "dispatch_tables": len(_DISPATCH_CACHE),
         "dispatch_handlers": sum(len(t) for t in _DISPATCH_CACHE.values()),
         "dispatch_handler_compiles": dispatch["handler_compiles"],
         "dispatch_handler_shared_hits": dispatch["shared_hits"],
         "dispatch_cache_hits": _DISPATCH_HITS,
-        "disk_handler_hits": dispatch["disk_hits"],
-        "disk_handler_stores": dispatch["disk_stores"],
-        "codegen_quarantined": disk.stats.quarantined if disk is not None else 0,
     }
 
 
-#: Numeric deltas reported back by pool workers, accumulated per worker
-#: pid — the parent's own :func:`compile_stats` only ever sees its own
-#: process, so fleet-wide codegen visibility rides the result channel.
-_WORKER_STATS: dict[int, dict] = {}
-
-
-def compile_stats_delta(baseline: dict | None = None) -> dict:
-    """Current :func:`compile_stats` as a delta against ``baseline``.
-
-    Tagged with the reporting process's pid so the parent can both
-    count distinct workers and discard deltas that originated in its
-    own process (the pool's serial fallback runs worker code inline,
-    where the work is already visible to the parent's own counters).
-    """
-    stats = compile_stats()
-    base = baseline or {}
-    delta = {key: value - base.get(key, 0) for key, value in stats.items()}
-    delta["pid"] = os.getpid()
-    return delta
-
-
-def record_worker_stats(delta: dict | None) -> None:
-    """Fold one worker's :func:`compile_stats_delta` into the fleet view."""
-    if not delta:
-        return
-    pid = delta.get("pid")
-    if pid is None or pid == os.getpid():
-        return  # in-process "worker": already counted by compile_stats
-    accumulated = _WORKER_STATS.setdefault(pid, {})
-    for key, value in delta.items():
-        if key == "pid":
-            continue
-        accumulated[key] = accumulated.get(key, 0) + value
-
-
-def fleet_compile_stats() -> dict:
-    """:func:`compile_stats` summed across this process and its workers.
-
-    Gauges (``kernels``, ``dispatch_tables``, ...) sum to fleet-resident
-    totals; counters (``compiles``, ``disk_kernel_hits``, ...) sum to
-    fleet-wide event counts.  ``workers`` counts the distinct worker
-    processes that reported in.
-    """
-    fleet = dict(compile_stats())
-    for accumulated in _WORKER_STATS.values():
-        for key, value in accumulated.items():
-            fleet[key] = fleet.get(key, 0) + value
-    fleet["workers"] = len(_WORKER_STATS)
-    return fleet
-
-
-def clear_compile_cache(disk: bool = False) -> None:
+def clear_compile_cache() -> None:
     """Drop every cached kernel and per-program dispatch table.
 
     All in-process levels clear together — spec-keyed kernels, the
     shared source/code entries, dispatch tables, and the dispatch
     module's shared handler memo — so a stale program kernel cannot
     survive a clear (``tests/test_compiled_engine.py`` pins this).
-    The handle on the persistent store is dropped too (a later compile
-    re-resolves it against the current environment); pass ``disk=True``
-    to also delete the on-disk artifacts themselves.  Fleet-stat
-    accumulators and hit counters are cumulative across clears so
-    tests can assert on deltas.
+    Hit counters are cumulative across clears so tests can assert on
+    deltas.
     """
-    global _DISK_STORE
     _KERNEL_CACHE.clear()
     _SOURCE_CACHE.clear()
     _DISPATCH_CACHE.clear()
-    _BUNDLE_STATE.clear()
     clear_dispatch_cache()
-    if disk:
-        store = _disk_store()
-        if store is not None:
-            store.clear()
-    _DISK_STORE = None

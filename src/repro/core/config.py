@@ -245,7 +245,7 @@ class MachineConfig:
         """Rebuild a config serialized by :meth:`to_dict`.
 
         Missing fields take the dataclass defaults, so hand-written
-        partial dicts (e.g. a service request body of just
+        partial dicts (e.g. just
         ``{"fetch_strategy": "conventional", "icache_size": 128}``)
         build the paper's baseline machine with those overrides; an
         *unknown* key is still an error.

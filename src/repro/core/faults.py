@@ -3,8 +3,7 @@
 Large sweeps only earn trust in their fault handling if the faults can
 be *reproduced*: a retry path that fires once a month is a retry path
 that rots.  This module provides seeded injectors for the failure
-classes the supervisor (:mod:`repro.core.resilience`) and the job
-service (:mod:`repro.core.service`) must survive:
+classes the supervisor (:mod:`repro.core.resilience`) must survive:
 
 ``worker_kill``
     the worker process running a sweep point calls ``os._exit`` —
@@ -17,20 +16,7 @@ service (:mod:`repro.core.service`) must survive:
 ``replay_diverge``
     the steady-state replay engine raises :class:`InjectedFault` at a
     loop backedge, emulating a fast-path bug that escapes the
-    engine's own divergence handling;
-``breaker_trip``
-    an engine rung raises :class:`InjectedFault` *before* simulating,
-    emulating a persistently broken fast path — the repeated failures
-    the service's per-rung circuit breakers exist to notice (the
-    ``reference`` rung is exempt: the ladder's floor must hold);
-``queue_full``
-    the service's admission control reports a full job queue for the
-    firing submission, exercising the structured 429 path without
-    needing a real stampede;
-``slow_client``
-    the service handles the firing request as if its client trickled
-    bytes (an injected delay), exercising per-connection timeouts and
-    proving one slow connection cannot wedge the event loop.
+    engine's own divergence handling.
 
 Whether an injector fires for a given point is a pure function of the
 plan's ``seed``, the injector kind, and the point's content key, so a
@@ -68,27 +54,15 @@ __all__ = [
     "corrupt_stored_entry",
     "maybe_hang_point",
     "maybe_kill_worker",
-    "maybe_trip_rung",
-    "queue_full_rejection",
     "replay_fault_hook",
     "seeded_uniform",
-    "slow_client_delay",
 ]
 
 #: Environment variable carrying the active plan (JSON) to workers.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
-#: The injector kinds, in the order they act on a sweep point (the
-#: service-facing kinds act on a request before it becomes a point).
-FAULT_KINDS = (
-    "worker_kill",
-    "point_hang",
-    "cache_corrupt",
-    "replay_diverge",
-    "breaker_trip",
-    "queue_full",
-    "slow_client",
-)
+#: The injector kinds, in the order they act on a sweep point.
+FAULT_KINDS = ("worker_kill", "point_hang", "cache_corrupt", "replay_diverge")
 
 #: injectors that must fire at most once per point (their effect would
 #: otherwise defeat every retry)
@@ -100,14 +74,8 @@ _SPEC_ALIASES = {
     "hang": "point_hang",
     "corrupt": "cache_corrupt",
     "diverge": "replay_diverge",
-    "trip": "breaker_trip",
-    "qfull": "queue_full",
-    "queue-full": "queue_full",
-    "slow": "slow_client",
     "hang-seconds": "hang_seconds",
     "hang_seconds": "hang_seconds",
-    "slow-seconds": "slow_seconds",
-    "slow_seconds": "slow_seconds",
     "seed": "seed",
 }
 
@@ -146,13 +114,8 @@ class FaultPlan:
     point_hang: float = 0.0
     cache_corrupt: float = 0.0
     replay_diverge: float = 0.0
-    breaker_trip: float = 0.0
-    queue_full: float = 0.0
-    slow_client: float = 0.0
     #: how long a hung point sleeps (keep above the supervisor timeout)
     hang_seconds: float = 5.0
-    #: how long an injected slow client stalls its request handling
-    slow_seconds: float = 0.5
     #: directory for the cross-process once-only markers
     scratch_dir: str | None = None
     #: pid of the supervising process (set by :func:`activate`); the
@@ -170,8 +133,7 @@ class FaultPlan:
         A bare integer (``"42"``) seeds a default campaign that enables
         every injector at a 25% rate; otherwise the spec is
         ``key=value`` pairs separated by commas, e.g.
-        ``"seed=7,kill=0.3,hang=0.1,corrupt=0.5,diverge=0.5"`` or
-        ``"seed=7,trip=0.5,qfull=0.2,slow=0.1,slow-seconds=0.3"``.
+        ``"seed=7,kill=0.3,hang=0.1,corrupt=0.5,diverge=0.5"``.
         """
         spec = spec.strip()
         if not spec:
@@ -330,51 +292,6 @@ def maybe_hang_point(key: str) -> None:
         "point_hang", key
     ):
         time.sleep(plan.hang_seconds)
-
-
-def maybe_trip_rung(rung: str, key: str) -> None:
-    """Fail engine rung ``rung`` for point ``key`` if the plan says so.
-
-    Raised *before* the rung simulates, emulating a persistently broken
-    fast path: unlike the once-only crash injectors this fires on every
-    attempt for a firing ``(rung, key)`` pair, which is exactly the
-    repeated-failure signature a per-rung circuit breaker must notice.
-    The ``reference`` rung is exempt — the ladder's floor produces the
-    ground-truth numbers and must always hold — so every injected trip
-    still ends in a byte-identical result one rung down.
-    """
-    if rung == "reference":
-        return
-    plan = active_plan()
-    if plan is not None and plan.fires("breaker_trip", f"{rung}:{key}"):
-        raise InjectedFault(
-            f"injected engine-rung failure ({rung}) for point {key}"
-        )
-
-
-def queue_full_rejection(key: str) -> bool:
-    """True when admission control must pretend the job queue is full.
-
-    Lets the service's structured 429 path be rehearsed deterministically
-    — per submission key, not per wall-clock load — without needing a
-    real client stampede to fill the queue first.
-    """
-    plan = active_plan()
-    return plan is not None and plan.fires("queue_full", key)
-
-
-def slow_client_delay(key: str) -> float:
-    """Seconds the service should stall handling this request (0 = none).
-
-    Emulates a client that trickles its request in: the service awaits
-    the delay *asynchronously*, so the drill proves a slow connection
-    costs only its own latency, never the event loop (``/healthz`` must
-    keep answering throughout).
-    """
-    plan = active_plan()
-    if plan is not None and plan.fires("slow_client", key):
-        return plan.slow_seconds
-    return 0.0
 
 
 def corrupt_stored_entry(path, key: str) -> bool:

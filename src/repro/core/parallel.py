@@ -1,48 +1,68 @@
-"""Parallel fan-out of independent simulation points.
+"""The sweep executor: independent points fanned out over worker processes.
 
 Every point of a cache-size sweep — and most experiment loops — is an
 independent, deterministic ``simulate(config, program)`` call, so they
 parallelize trivially across a :class:`~concurrent.futures.ProcessPoolExecutor`
 (processes, not threads: the simulator is pure Python and CPU-bound).
 
+:func:`sweep_map` is the one pool loop, and the only place a pool is
+built.  It keeps at most ``jobs`` points in flight, kills a worker whose
+point overruns its timeout, retries failed points a bounded number of
+times, respawns a broken pool, falls back to serial, and reports each
+point through ``on_result`` as it completes.  The entry points are thin
+policies over it:
+
+* :func:`parallel_map` — ``[fn(item) for item in items]``: an item's own
+  exception propagates unchanged, once;
+* :func:`simulate_many` / :func:`simulate_many_traced` — sweep points
+  against one program;
+* :func:`repro.core.resilience.supervised_map` — per-point timeouts,
+  retries and a fault ledger, for long sweeps.
+
 Job-count resolution, in priority order: an explicit ``jobs`` argument
 (the ``--jobs`` CLI flag), the ``REPRO_JOBS`` environment variable,
-``os.cpu_count()``.  ``jobs=1`` — and any platform where worker
-processes cannot be spawned — degrades gracefully to the serial path.
-Results always come back in submission order, so parallel runs are
-bit-identical to serial ones.
+``os.cpu_count()``.  ``jobs=1`` is the serial path.  Only pool trouble —
+workers that cannot be spawned, a function or item that cannot be
+pickled, a broken pool — falls back to serial.  Results always come
+back in submission order, so parallel runs are bit-identical to serial
+ones.
 
 The benchmark program is shipped to each worker once (pool initializer)
 rather than once per point; workers then receive only the small
-:class:`MachineConfig` per task.
+:class:`MachineConfig` per task.  Where workers are forked (Linux),
+they also inherit the parent's in-process codegen caches.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import tempfile
+import time
 import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    wait,
+)
 from pathlib import Path
 from pickle import PicklingError
-from typing import Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..asm.program import Program
 from .config import MachineConfig
 from .results import SimulationResult
-from .scheduler import affinity_enabled_default
 
 __all__ = [
     "JOBS_ENV",
-    "ItemOutcome",
-    "affinity_batches",
-    "config_affinity_key",
+    "POOL_FAILURE_LIMIT",
     "parallel_map",
-    "parallel_map_outcomes",
     "resolve_jobs",
     "simulate_many",
     "simulate_many_traced",
+    "sweep_map",
 ]
 
 T = TypeVar("T")
@@ -50,6 +70,14 @@ R = TypeVar("R")
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
+
+#: consecutive pool deaths (crash or hang) a supervised map tolerates
+#: before it abandons worker processes and finishes serially
+POOL_FAILURE_LIMIT = 4
+
+#: exceptions from building or feeding a pool that mean "no usable
+#: workers here" (sandboxes without fork or semaphores, a broken pool)
+_POOL_ERRORS = (BrokenExecutor, OSError, ImportError, NotImplementedError)
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -65,8 +93,303 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _serial_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    return [fn(item) for item in items]
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a pool down even if its workers are wedged.
+
+    ``shutdown(wait=False)`` alone would leave a hung worker running
+    forever; terminating the processes first (a CPython implementation
+    detail, guarded accordingly) actually frees the machine.
+    """
+    try:
+        for process in list(getattr(pool, "_processes", {}).values()):
+            process.terminate()
+    except Exception:  # noqa: BLE001 — best effort on internals
+        pass
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:  # noqa: BLE001
+        pass
+
+
+def _pickle_error(obj) -> Exception | None:
+    """The exception pickling ``obj`` raises, or ``None`` if it pickles."""
+    try:
+        pickle.dumps(obj)
+    except Exception as exc:  # noqa: BLE001 — any failure means it cannot travel
+        return exc
+    return None
+
+
+def _cannot_travel(exc: BaseException, item) -> bool:
+    """Did ``exc`` come from pickling the task rather than from ``fn``?
+
+    pickle reports an unpicklable object as ``PicklingError``,
+    ``AttributeError`` or ``TypeError`` depending on the object; the
+    last two are also what a buggy ``fn`` raises, so they count as a
+    pickling failure only when the item really does not pickle (``fn``
+    itself is checked before any pool is built).
+    """
+    if isinstance(exc, PicklingError):
+        return True
+    return isinstance(exc, (AttributeError, TypeError)) and (
+        _pickle_error(item) is not None
+    )
+
+
+class _GoSerial(Exception):
+    """Internal: abandon the worker pool and finish the map serially."""
+
+
+def sweep_map(
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    *,
+    jobs: int | None = None,
+    initializer: Callable | None = None,
+    initargs: tuple = (),
+    on_result: Callable[[int, R], None] | None = None,
+    report=None,
+    labels: Sequence[str] | None = None,
+    timeout: float | None = None,
+    max_retries: int = 0,
+    backoff: float = 0.0,
+    no_retry: tuple[type[BaseException], ...] = (),
+) -> tuple[list, dict[int, BaseException]]:
+    """Map ``fn`` over ``items`` on up to ``jobs`` workers (the pool loop).
+
+    Returns ``(values, failed)``: values in input order (``None`` where
+    a point failed) and the failed points' final exceptions by index.
+    ``on_result(index, value)`` fires as each point completes.
+
+    Without a ``report`` the map is *unsupervised*: the first exception
+    ``fn`` raises propagates unchanged, and pool trouble (no workers, an
+    unpicklable task, a broken pool) warns and finishes the remaining
+    points serially.
+
+    With a :class:`~repro.core.resilience.FaultReport` the map is
+    *supervised*, and every recovery is recorded in it against
+    ``labels[index]``:
+
+    * an exception from ``fn`` retries the point up to ``max_retries``
+      times after a :func:`~repro.core.resilience.retry_backoff` delay
+      (``no_retry`` types fail on the first attempt: deterministic
+      outcomes gain nothing from a retry);
+    * a worker crash respawns the pool and requeues every in-flight
+      point, charging an attempt only to the points the crash hit;
+    * a point running past ``timeout`` seconds is charged an attempt
+      and its worker killed with the pool (a running task cannot be
+      cancelled); other in-flight points are requeued for free;
+    * after :data:`POOL_FAILURE_LIMIT` consecutive pool deaths without
+      a completed point in between, the remaining points run serially
+      in this process (where a timeout is unenforceable but every
+      other recovery still applies).
+    """
+    items = list(items)
+    count = len(items)
+    if labels is None:
+        labels = [str(index) for index in range(count)]
+    results: dict[int, object] = {}
+    failed: dict[int, BaseException] = {}
+    attempts = [0] * count
+
+    def settled(index: int) -> bool:
+        return index in results or index in failed
+
+    def deliver(index: int, value) -> None:
+        results[index] = value
+        if on_result is not None:
+            on_result(index, value)
+
+    def charge(index: int, exc: BaseException, kind: str, detail: str) -> bool:
+        """Record a failed attempt; True if the point may retry."""
+        if report is None:
+            raise exc  # unsupervised: the item's own error, unchanged, once
+        attempts[index] += 1
+        report.record(labels[index], kind, detail=detail, attempt=attempts[index])
+        if not isinstance(exc, no_retry) and attempts[index] <= max_retries:
+            return True
+        failed[index] = exc
+        report.record(
+            labels[index],
+            "gave_up",
+            detail=f"{type(exc).__name__}: {exc}",
+            attempt=attempts[index],
+        )
+        return False
+
+    def retry_pause(index: int) -> None:
+        if backoff:
+            from .resilience import retry_backoff
+
+            time.sleep(retry_backoff(backoff, attempts[index], labels[index]))
+
+    def go_serial(reason: str) -> None:
+        if report is None:
+            warnings.warn(
+                f"parallel execution unavailable ({reason}); "
+                "falling back to serial"
+            )
+        else:
+            report.record("pool", "serial_fallback", detail=reason)
+
+    jobs = min(resolve_jobs(jobs), count)
+    problem = _pickle_error(fn) if jobs > 1 else None
+    if problem is not None:
+        go_serial(f"{type(problem).__name__}: {problem}")
+        jobs = 1
+    if jobs > 1:
+        pending: deque[int] = deque(range(count))
+        in_flight: dict = {}  # future -> index
+        deadlines: dict = {}  # future -> monotonic deadline
+        pool: ProcessPoolExecutor | None = None
+        pool_failures = 0
+
+        def respawn(reason: str) -> None:
+            """Kill the pool and requeue in-flight points, or go serial."""
+            nonlocal pool, pool_failures
+            for index in in_flight.values():
+                if not settled(index) and index not in pending:
+                    pending.append(index)
+            in_flight.clear()
+            deadlines.clear()
+            if pool is not None:
+                _kill_pool(pool)
+                pool = None
+            pool_failures += 1
+            if report is None:
+                go_serial(reason)
+                raise _GoSerial
+            if pool_failures >= POOL_FAILURE_LIMIT:
+                go_serial(
+                    f"{pool_failures} pool failures ({reason}); "
+                    "finishing the sweep serially"
+                )
+                raise _GoSerial
+            report.record(
+                "pool", "pool_respawn", detail=reason, attempt=pool_failures
+            )
+
+        try:
+            while pending or in_flight:
+                if pool is None:
+                    try:
+                        pool = ProcessPoolExecutor(
+                            max_workers=jobs,
+                            initializer=initializer,
+                            initargs=initargs,
+                        )
+                    except _POOL_ERRORS as exc:
+                        go_serial(
+                            f"cannot spawn workers ({type(exc).__name__}: {exc})"
+                        )
+                        raise _GoSerial from None
+                # Keep at most `jobs` points in flight so submission
+                # time approximates start time and per-point deadlines
+                # mean what they say.
+                while pending and len(in_flight) < jobs:
+                    index = pending.popleft()
+                    if settled(index):
+                        continue
+                    try:
+                        future = pool.submit(fn, items[index])
+                    except _POOL_ERRORS as exc:
+                        pending.appendleft(index)
+                        respawn(f"submit failed ({type(exc).__name__}: {exc})")
+                        break
+                    in_flight[future] = index
+                    if timeout is not None:
+                        deadlines[future] = time.monotonic() + timeout
+                if not in_flight:
+                    continue
+                wait_for = None
+                if deadlines:
+                    wait_for = max(0.0, min(deadlines.values()) - time.monotonic())
+                done, _ = wait(
+                    set(in_flight), timeout=wait_for, return_when=FIRST_COMPLETED
+                )
+                if not done:
+                    # Deadline expiry: charge the overdue points, then
+                    # kill the pool — a running task cannot be
+                    # cancelled, and a wedged worker never returns.
+                    now = time.monotonic()
+                    expired = [
+                        (future, index)
+                        for future, index in in_flight.items()
+                        if deadlines.get(future, now + 1) <= now
+                    ]
+                    if not expired:
+                        continue  # spurious wakeup
+                    for future, index in expired:
+                        in_flight.pop(future)
+                        deadlines.pop(future, None)
+                        if charge(
+                            index,
+                            TimeoutError(f"no result after {timeout:g}s"),
+                            "timeout",
+                            f"point exceeded --timeout {timeout:g}s",
+                        ):
+                            pending.append(index)
+                    respawn("hung worker killed after point timeout")
+                    continue
+                crash: BaseException | None = None
+                for future in done:
+                    index = in_flight.pop(future)
+                    deadlines.pop(future, None)
+                    try:
+                        value = future.result()
+                    except BrokenExecutor as exc:
+                        crash = exc
+                        if report is not None and charge(
+                            index,
+                            exc,
+                            "worker_crash",
+                            f"worker died ({type(exc).__name__}: {exc})",
+                        ):
+                            pending.append(index)
+                    except Exception as exc:  # noqa: BLE001 — per-point boundary
+                        if _cannot_travel(exc, items[index]):
+                            go_serial(f"{type(exc).__name__}: {exc}")
+                            raise _GoSerial from None
+                        if charge(
+                            index, exc, "retry", f"{type(exc).__name__}: {exc}"
+                        ):
+                            retry_pause(index)
+                            pending.append(index)
+                    else:
+                        deliver(index, value)
+                        # Progress resets the failure budget: the limit
+                        # guards against a pool that *cannot* make
+                        # progress, not against many recoverable deaths
+                        # spread across a long sweep.
+                        pool_failures = 0
+                if crash is not None:
+                    respawn(
+                        f"worker process died mid-point "
+                        f"({type(crash).__name__}: {crash})"
+                    )
+        except _GoSerial:
+            pass
+        finally:
+            if pool is not None:
+                if in_flight:
+                    _kill_pool(pool)
+                else:
+                    pool.shutdown()
+
+    if len(results) + len(failed) < count:
+        # The serial path: jobs=1, or whatever the pool left undone.
+        if initializer is not None:
+            initializer(*initargs)
+        for index in range(count):
+            while not settled(index):
+                try:
+                    value = fn(items[index])
+                except Exception as exc:  # noqa: BLE001 — per-point boundary
+                    if charge(index, exc, "retry", f"{type(exc).__name__}: {exc}"):
+                        retry_pause(index)
+                else:
+                    deliver(index, value)
+    return [results.get(index) for index in range(count)], failed
 
 
 def parallel_map(
@@ -79,186 +402,14 @@ def parallel_map(
     """``[fn(item) for item in items]`` across worker processes.
 
     Deterministic: results are returned in input order regardless of
-    completion order.  Falls back to the serial path when only one job
-    is requested, there is at most one item, or the platform cannot
-    spawn workers (missing fork support, pickling failure, sandboxed
-    environments); exceptions raised by ``fn`` itself propagate
-    unchanged in both modes.
+    completion order.  An exception raised by ``fn`` propagates
+    unchanged, once; only pool trouble falls back to serial (see
+    :func:`sweep_map`).
     """
-    items = list(items)
-    jobs = min(resolve_jobs(jobs), len(items))
-    if jobs <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return _serial_map(fn, items)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=initializer, initargs=initargs
-        ) as pool:
-            return list(pool.map(fn, items))
-    # pickle signals an unpicklable callable as AttributeError/TypeError
-    # depending on the object; a genuine fn error re-raises identically
-    # from the serial retry, so the broad net cannot change semantics.
-    except (
-        BrokenExecutor,
-        PicklingError,
-        OSError,
-        ImportError,
-        AttributeError,
-        TypeError,
-    ) as exc:
-        warnings.warn(
-            f"parallel execution unavailable ({type(exc).__name__}: {exc}); "
-            "falling back to serial"
-        )
-        if initializer is not None:
-            initializer(*initargs)
-        return _serial_map(fn, items)
-
-
-@dataclass
-class ItemOutcome(Generic[R]):
-    """One item's result *or* error from :func:`parallel_map_outcomes`."""
-
-    value: R | None = None
-    error: BaseException | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def unwrap(self) -> R:
-        """The value, re-raising the item's error if it failed."""
-        if self.error is not None:
-            raise self.error
-        return self.value  # type: ignore[return-value]
-
-
-def parallel_map_outcomes(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    jobs: int | None = None,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
-) -> list[ItemOutcome[R]]:
-    """:func:`parallel_map` with per-item error capture.
-
-    One failed item no longer discards its completed siblings: every
-    item gets an :class:`ItemOutcome` (in input order) carrying either
-    its value or the exception it raised — including the
-    ``BrokenProcessPool`` a crashed worker leaves behind, which lands
-    only on the items that were in flight.  The supervisor layer
-    (:mod:`repro.core.resilience`) builds its retry/requeue policy on
-    exactly this contract.
-    """
-    items = list(items)
-    jobs = min(resolve_jobs(jobs), len(items))
-
-    def serial() -> list[ItemOutcome[R]]:
-        outcomes: list[ItemOutcome[R]] = []
-        for item in items:
-            try:
-                outcomes.append(ItemOutcome(value=fn(item)))
-            except Exception as exc:  # noqa: BLE001 — per-item boundary
-                outcomes.append(ItemOutcome(error=exc))
-        return outcomes
-
-    if jobs <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return serial()
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=initializer, initargs=initargs
-        ) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            outcomes = []
-            for future in futures:
-                try:
-                    outcomes.append(ItemOutcome(value=future.result()))
-                except (PicklingError, AttributeError, TypeError):
-                    # An unpicklable fn fails asynchronously, on every
-                    # item alike: that is pool trouble, not an item
-                    # error — retry the whole list serially (a genuine
-                    # fn error re-raises identically there).
-                    raise
-                except Exception as exc:  # noqa: BLE001
-                    outcomes.append(ItemOutcome(error=exc))
-            return outcomes
-    except (PicklingError, OSError, ImportError, AttributeError, TypeError) as exc:
-        # Pool machinery unavailable (sandbox, unpicklable fn): same
-        # degradation as parallel_map, with per-item capture preserved.
-        warnings.warn(
-            f"parallel execution unavailable ({type(exc).__name__}: {exc}); "
-            "falling back to serial"
-        )
-        if initializer is not None:
-            initializer(*initargs)
-        return serial()
-
-
-# ----------------------------------------------------------------------
-# Config-affinity batching: group sweep points by kernel family
-# ----------------------------------------------------------------------
-#: Ceiling on points per IPC batch, whatever the grid size: batches
-#: bound the retry/timeout blast radius (a killed worker forfeits at
-#: most one batch of work) and keep per-point fault injection precise.
-MAX_AFFINITY_BATCH = 8
-
-
-def config_affinity_key(config: MachineConfig) -> str:
-    """The scheduling affinity key of one sweep point: its kernel family.
-
-    Every config field except the ones that never reach the generated
-    kernel text: ``icache_size``, ``memory_access_time``, and
-    ``input_bus_width`` all parameterize runtime state (cache geometry
-    and memory timing enter the kernel through its exec-time globals),
-    so all sizes and memory speeds of one machine shape share codegen
-    warmth — one generated source, one bytecode compile, one set of
-    dispatch handlers.  Sweeps vary exactly these fields, which is what
-    makes the grouping dense.
-    """
-    fields = config.to_dict()
-    for name in ("icache_size", "memory_access_time", "input_bus_width"):
-        fields.pop(name, None)
-    return repr(sorted(fields.items()))
-
-
-def affinity_batches(
-    keys: Sequence[str],
-    jobs: int,
-    max_batch: int = MAX_AFFINITY_BATCH,
-) -> list[list[int]]:
-    """Deterministic point-index batches, one kernel family per batch.
-
-    Indices are grouped by affinity key (first-occurrence order, so the
-    plan is a pure function of the input), each group is chunked to at
-    most ``min(max_batch, ceil(n/jobs))`` points — small enough that
-    every worker gets work even when one family dominates — and chunks
-    are emitted round-robin across families so distinct families run
-    concurrently rather than queueing behind one another.  Order never
-    affects *results*: callers merge per-point outcomes by index.
-    """
-    groups: dict[str, list[int]] = {}
-    for index, key in enumerate(keys):
-        groups.setdefault(key, []).append(index)
-    jobs = max(1, jobs)
-    cap = max(1, min(int(max_batch), -(-len(keys) // jobs)))
-    chunked = [
-        [indices[start : start + cap] for start in range(0, len(indices), cap)]
-        for indices in groups.values()
-    ]
-    batches: list[list[int]] = []
-    depth = 0
-    while True:
-        emitted = False
-        for chunks in chunked:
-            if depth < len(chunks):
-                batches.append(chunks[depth])
-                emitted = True
-        if not emitted:
-            return batches
-        depth += 1
+    values, _failed = sweep_map(
+        fn, items, jobs=jobs, initializer=initializer, initargs=initargs
+    )
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -279,31 +430,6 @@ def _simulate_point(config: MachineConfig) -> SimulationResult:
     return simulate(config, _worker_program)
 
 
-def _simulate_batch(
-    task: Sequence[tuple[int, dict]],
-) -> tuple[list[tuple[int, SimulationResult]], dict]:
-    """Worker body: one affinity batch of ``(index, config fields)``.
-
-    Configs travel as their compact ``to_dict`` descriptors (one small
-    dict per point instead of a pickled object graph per IPC round).
-    Returns the indexed results plus this worker's codegen-stat delta,
-    tagged with its pid, so the parent can aggregate fleet-wide codegen
-    visibility; freshly learned dispatch handlers are flushed to the
-    persistent store at the batch boundary.
-    """
-    from .compiled import compile_stats, compile_stats_delta, flush_codegen_artifacts
-    from .simulator import simulate
-
-    assert _worker_program is not None, "worker initialized without a program"
-    baseline = compile_stats()
-    results = [
-        (index, simulate(MachineConfig.from_dict(fields), _worker_program))
-        for index, fields in task
-    ]
-    flush_codegen_artifacts()
-    return results, compile_stats_delta(baseline)
-
-
 def simulate_many(
     program: Program,
     configs: Sequence[MachineConfig],
@@ -312,82 +438,15 @@ def simulate_many(
     """Simulate every config against ``program``, fanned out over workers.
 
     Results are returned in ``configs`` order and are bit-identical to
-    running the same list serially.  Multi-worker runs ship points in
-    config-affinity batches (:func:`affinity_batches`) unless
-    ``REPRO_NO_AFFINITY`` is set, in which case every point travels as
-    its own pool task exactly as before.
+    running the same list serially.
     """
-    configs = list(configs)
-    jobs = min(resolve_jobs(jobs), len(configs))
-    if jobs <= 1:
-        from .simulator import simulate
-
-        return [simulate(config, program) for config in configs]
-    if not affinity_enabled_default():
-        return parallel_map(
-            _simulate_point,
-            configs,
-            jobs=jobs,
-            initializer=_init_simulation_worker,
-            initargs=(program,),
-        )
-    from .compiled import prime_codegen_artifacts, record_worker_stats
-
-    batches = affinity_batches([config_affinity_key(c) for c in configs], jobs)
-    tasks = [
-        [(index, configs[index].to_dict()) for index in batch]
-        for batch in batches
-    ]
-    # Fleet warmup: publish one kernel artifact per family (first point
-    # of each batch) so no worker pays full codegen for a family the
-    # parent could hand it.  No-op without the persistent store.
-    prime_codegen_artifacts(
-        program, [configs[batch[0]] for batch in batches]
-    )
-    results: list[SimulationResult | None] = [None] * len(configs)
-    for indexed, delta in parallel_map(
-        _simulate_batch,
-        tasks,
+    return parallel_map(
+        _simulate_point,
+        configs,
         jobs=jobs,
         initializer=_init_simulation_worker,
         initargs=(program,),
-    ):
-        record_worker_stats(delta)
-        for index, result in indexed:
-            results[index] = result
-    return results  # type: ignore[return-value] — every index was delivered
-
-
-# ----------------------------------------------------------------------
-# Service fan-out: one job-service point per pool task.
-# ----------------------------------------------------------------------
-def _service_point(task: tuple[str, dict, tuple]):
-    """Worker body for one service point: injectors, then the ladder.
-
-    ``task`` is ``(key, config fields, rungs)`` — the rung tuple is the
-    service's circuit-breaker board's surviving ladder, so a rung whose
-    breaker is open is never attempted in any worker.  Returns
-    ``(result, served rung, fault events)`` exactly like the supervised
-    sweep's worker body, so the parent can feed its breaker board and
-    fault report from the same channel.
-    """
-    from .faults import maybe_hang_point, maybe_kill_worker
-    from .resilience import FaultReport, ladder_simulate
-
-    key, fields, rungs = task
-    maybe_kill_worker(key)
-    maybe_hang_point(key)
-    assert _worker_program is not None, "worker initialized without a program"
-    config = MachineConfig.from_dict(fields)
-    report = FaultReport()
-    result, rung = ladder_simulate(
-        config,
-        _worker_program,
-        report=report,
-        point=key[:12],
-        rungs=tuple(rungs),
     )
-    return result, rung, report.events
 
 
 # ----------------------------------------------------------------------

@@ -16,13 +16,14 @@ reference run would produce:
     it happened to, so a sweep that healed itself says exactly how.
 
 :func:`supervised_map`
-    a worker-pool wrapper with per-point timeouts, bounded
-    retry-with-backoff, and ``BrokenProcessPool`` recovery: the pool is
-    respawned, in-flight points are requeued, and after repeated pool
-    failures the remaining points run serially in-process.  Completed
-    siblings are never discarded; points that stay broken after the
-    whole ladder of recoveries raise :class:`SweepPointError` *after*
-    everything recoverable has finished (and been checkpointed).
+    the sweep executor (:func:`repro.core.parallel.sweep_map`) with its
+    fault policy on: per-point timeouts, bounded retry-with-backoff, and
+    ``BrokenProcessPool`` recovery — the pool is respawned, in-flight
+    points are requeued, and after repeated pool failures the remaining
+    points run serially in-process.  Completed siblings are never
+    discarded; points that stay broken after the whole ladder of
+    recoveries raise :class:`SweepPointError` *after* everything
+    recoverable has finished (and been checkpointed).
 
 :func:`ladder_simulate`
     the engine-degradation ladder: a point that fails under the full
@@ -51,24 +52,18 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from pickle import PicklingError
 from typing import Callable, Sequence
 
 from ..asm.program import Program
 from .config import MachineConfig
+from .parallel import _init_simulation_worker, sweep_map
 from .results import SimulationResult
 from .scheduler import ENGINE_RUNGS, rung_kwargs
 
 __all__ = [
-    "BreakerBoard",
     "CheckpointLockError",
-    "CircuitBreaker",
     "FaultEvent",
     "FaultReport",
     "SweepCheckpoint",
@@ -245,142 +240,6 @@ def retry_backoff(
 
 
 # ----------------------------------------------------------------------
-# Circuit breakers (graceful degradation for the service's engine rungs)
-# ----------------------------------------------------------------------
-class CircuitBreaker:
-    """A count-based breaker: closed → open → half-open → closed.
-
-    ``threshold`` consecutive failures open the breaker; after
-    ``cooldown`` seconds :meth:`allow` admits exactly one half-open
-    probe.  A probe success closes the breaker (failure count reset); a
-    probe failure re-opens it and restarts the cooldown.  A probe whose
-    outcome never arrives (the worker died before reporting) expires
-    after another ``cooldown``, so the breaker cannot wedge half-open.
-
-    The clock is injectable for tests; all methods are synchronous and
-    expected to run on one event loop (no internal locking).
-    """
-
-    def __init__(
-        self,
-        threshold: int = 3,
-        cooldown: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.threshold = max(1, int(threshold))
-        self.cooldown = float(cooldown)
-        self._clock = clock
-        self._failures = 0
-        self._opened_at: float | None = None
-        self._probe_started: float | None = None
-        #: lifetime transition tally (observability)
-        self.opened_count = 0
-
-    @property
-    def state(self) -> str:
-        if self._opened_at is None:
-            return "closed"
-        if self._probe_started is not None:
-            return "half-open"
-        if self._clock() - self._opened_at >= self.cooldown:
-            return "half-open"  # next allow() takes the probe token
-        return "open"
-
-    def allow(self) -> bool:
-        """May the caller run the protected path right now?
-
-        In the half-open window this hands out a single probe token;
-        concurrent callers see ``False`` until the probe settles (or
-        expires after ``cooldown``).
-        """
-        if self._opened_at is None:
-            return True
-        now = self._clock()
-        if self._probe_started is not None:
-            if now - self._probe_started >= self.cooldown:
-                self._probe_started = now  # lost probe: hand out another
-                return True
-            return False
-        if now - self._opened_at >= self.cooldown:
-            self._probe_started = now
-            return True
-        return False
-
-    def record_success(self) -> None:
-        self._failures = 0
-        self._opened_at = None
-        self._probe_started = None
-
-    def record_failure(self) -> None:
-        if self._opened_at is not None:
-            # A failed half-open probe (or a straggler from before the
-            # open): re-open and restart the cooldown.
-            self._opened_at = self._clock()
-            self._probe_started = None
-            return
-        self._failures += 1
-        if self._failures >= self.threshold:
-            self._opened_at = self._clock()
-            self._probe_started = None
-            self.opened_count += 1
-
-    def to_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "consecutive_failures": self._failures,
-            "opened_count": self.opened_count,
-        }
-
-
-class BreakerBoard:
-    """One :class:`CircuitBreaker` per *degradable* engine rung.
-
-    The last rung (the reference loop) has no breaker: it is the floor
-    that produces ground truth and must always be available, so
-    :meth:`effective_rungs` never returns an empty ladder.  Feed the
-    board with :meth:`observe` after each point: ``engine_fault`` events
-    count against their rung, the rung that finally served the point
-    counts as its success (closing a half-open breaker).
-    """
-
-    def __init__(
-        self,
-        rungs: Sequence[str] = ENGINE_RUNGS,
-        threshold: int = 3,
-        cooldown: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.rungs = tuple(rungs)
-        if not self.rungs:
-            raise ValueError("a breaker board needs at least one rung")
-        self.breakers = {
-            rung: CircuitBreaker(threshold, cooldown, clock)
-            for rung in self.rungs[:-1]
-        }
-
-    def effective_rungs(self) -> tuple[str, ...]:
-        """The ladder a new point should run, open breakers skipped."""
-        allowed = [
-            rung for rung in self.rungs[:-1] if self.breakers[rung].allow()
-        ]
-        allowed.append(self.rungs[-1])
-        return tuple(allowed)
-
-    def observe(
-        self, served_rung: str | None, events: Sequence[FaultEvent] = ()
-    ) -> None:
-        """Settle one point's outcome into the per-rung breakers."""
-        for event in events:
-            if event.kind == "engine_fault" and event.rung in self.breakers:
-                self.breakers[event.rung].record_failure()
-        if served_rung in self.breakers:
-            self.breakers[served_rung].record_success()
-
-    def to_dict(self) -> dict:
-        return {rung: breaker.to_dict() for rung, breaker in self.breakers.items()}
-
-
-# ----------------------------------------------------------------------
 # The engine-degradation ladder
 # ----------------------------------------------------------------------
 def ladder_simulate(
@@ -390,19 +249,14 @@ def ladder_simulate(
     point: str = "?",
     traced: bool = False,
     trace_path=None,
-    rungs: Sequence[str] | None = None,
 ) -> tuple[SimulationResult, str]:
     """Simulate one point, degrading engines instead of crashing.
 
-    Tries each rung of ``rungs`` (default: the full
-    :data:`~repro.core.scheduler.ENGINE_RUNGS` ladder) in order; any
-    exception from a fast-path engine moves one rung down and is
-    recorded in ``report``.  Returns ``(result, rung)`` with the rung
-    that produced the result — byte-identical across rungs, so a
-    degraded point is indistinguishable in the numbers.  A restricted
-    ``rungs`` list (the service passes its circuit-breaker board's
-    surviving rungs) must be a subset of the ladder in ladder order;
-    its last entry is the rung whose failure propagates.
+    Tries each rung of :data:`~repro.core.scheduler.ENGINE_RUNGS` in
+    order; any exception from a fast-path engine moves one rung down
+    and is recorded in ``report``.  Returns ``(result, rung)`` with the
+    rung that produced the result — byte-identical across rungs, so a
+    degraded point is indistinguishable in the numbers.
 
     :class:`~repro.core.simulator.DeadlockError` and
     :class:`~repro.core.simulator.SimulationTimeout` are *architectural*
@@ -410,7 +264,6 @@ def ladder_simulate(
     propagate immediately; so does a last-rung failure, which no
     ladder can fix.
     """
-    from .faults import maybe_trip_rung
     from .simulator import (  # late: the simulator is heavy
         DeadlockError,
         SimulationTimeout,
@@ -418,21 +271,10 @@ def ladder_simulate(
         simulate_traced,
     )
 
-    if rungs is None:
-        ladder = ENGINE_RUNGS
-    else:
-        ladder = tuple(rungs)
-        unknown = [rung for rung in ladder if rung not in ENGINE_RUNGS]
-        if not ladder or unknown:
-            raise ValueError(
-                f"invalid engine ladder {ladder!r}; rungs must be a "
-                f"non-empty subset of {ENGINE_RUNGS}"
-            )
     last_exc: BaseException | None = None
-    for index, rung in enumerate(ladder):
+    for index, rung in enumerate(ENGINE_RUNGS):
         kwargs = rung_kwargs(rung)
         try:
-            maybe_trip_rung(rung, point)
             if traced:
                 result = simulate_traced(
                     config, program, trace_path=trace_path, **kwargs
@@ -450,7 +292,7 @@ def ladder_simulate(
                     detail=f"{type(exc).__name__}: {exc}",
                     rung=rung,
                 )
-            if index == len(ladder) - 1:
+            if index == len(ENGINE_RUNGS) - 1:
                 raise  # the last rung itself failed: nothing below it
             continue
         if index > 0 and report is not None:
@@ -468,34 +310,8 @@ def ladder_simulate(
 
 
 # ----------------------------------------------------------------------
-# The supervised worker pool
+# Supervised fan-out: the sweep executor with its fault policy on
 # ----------------------------------------------------------------------
-#: consecutive pool deaths (crash or hang) tolerated before the
-#: supervisor abandons worker processes and finishes serially
-POOL_FAILURE_LIMIT = 4
-
-#: exceptions that mean "the pool is unusable", not "the point failed"
-_POOL_ERRORS = (BrokenExecutor, OSError, ImportError, PicklingError)
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down even if its workers are wedged.
-
-    ``shutdown(wait=False)`` alone would leave a hung worker running
-    forever; terminating the processes first (a CPython implementation
-    detail, guarded accordingly) actually frees the machine.
-    """
-    try:
-        for process in list(getattr(pool, "_processes", {}).values()):
-            process.terminate()
-    except Exception:  # noqa: BLE001 — best effort on internals
-        pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # noqa: BLE001
-        pass
-
-
 def supervised_map(
     fn: Callable,
     items: Sequence,
@@ -515,268 +331,40 @@ def supervised_map(
 
     Like :func:`repro.core.parallel.parallel_map`, results come back in
     input order and the serial path is taken for ``jobs <= 1`` — but
-    failures are *handled* instead of propagated:
-
-    * an exception from ``fn`` retries the point up to ``max_retries``
-      times with decorrelated-jitter backoff (:func:`retry_backoff`:
-      per-point delays, so simultaneous retries after a pool respawn
-      don't stampede the fresh pool in lockstep; ``no_retry`` types
-      fail immediately: deterministic outcomes gain nothing from a
-      retry);
-    * a worker crash (``BrokenProcessPool``) respawns the pool and
-      requeues every in-flight point, charging an attempt only to
-      points the crash interrupted;
-    * a point running past ``timeout`` seconds is charged an attempt
-      and the pool is respawned (a wedged worker cannot be cancelled,
-      only killed); other in-flight points are requeued for free;
-    * after :data:`POOL_FAILURE_LIMIT` consecutive pool deaths without
-      a single completed point in between, the remaining points run
-      serially in this process (where a timeout is unenforceable but
-      every other recovery still applies).
-
-    Every recovery is recorded in ``report``; ``on_result(index,
-    value)`` fires as each point completes (checkpoint hook).  Points
-    still failing after all that raise :class:`SweepPointError` at the
-    end — after every recoverable point has completed.
+    failures are *handled* instead of propagated: retries with
+    decorrelated-jitter backoff (:func:`retry_backoff`), per-point
+    timeouts that kill the hung worker, pool respawns after a crash,
+    and a serial fallback (see :func:`~repro.core.parallel.sweep_map`
+    for the exact policy).  Every recovery is recorded in ``report``;
+    ``on_result(index, value)`` fires as each point completes
+    (checkpoint hook).  Points still failing after all that raise
+    :class:`SweepPointError` at the end — after every recoverable point
+    has completed.
     """
-    from .parallel import resolve_jobs
-
     items = list(items)
-    count = len(items)
     if labels is None:
-        labels = [str(index) for index in range(count)]
-    if report is None:
-        report = FaultReport()
-    results: dict[int, object] = {}
-    failed: dict[int, BaseException] = {}
-    attempts = [0] * count
-
-    def deliver(index: int, value) -> None:
-        results[index] = value
-        if on_result is not None:
-            on_result(index, value)
-
-    def charge(index: int, exc: BaseException, kind: str, detail: str) -> bool:
-        """Record a failed attempt; True if the point may retry."""
-        attempts[index] += 1
-        report.record(
-            labels[index], kind, detail=detail, attempt=attempts[index]
-        )
-        retryable = not isinstance(exc, no_retry)
-        if retryable and attempts[index] <= max_retries:
-            return True
-        failed[index] = exc
-        report.record(
-            labels[index],
-            "gave_up",
-            detail=f"{type(exc).__name__}: {exc}",
-            attempt=attempts[index],
-        )
-        return False
-
-    def run_serial(indices) -> None:
-        for index in indices:
-            if index in results or index in failed:
-                continue
-            while True:
-                try:
-                    value = fn(items[index])
-                except Exception as exc:  # noqa: BLE001 — supervisor boundary
-                    if charge(
-                        index,
-                        exc,
-                        "retry",
-                        f"{type(exc).__name__}: {exc}",
-                    ):
-                        if backoff:
-                            time.sleep(
-                                retry_backoff(
-                                    backoff, attempts[index], labels[index]
-                                )
-                            )
-                        continue
-                    break
-                else:
-                    deliver(index, value)
-                    break
-
-    jobs = min(resolve_jobs(jobs), count)
-    if jobs <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        run_serial(range(count))
-    else:
-        pending: deque[int] = deque(range(count))
-        in_flight: dict = {}  # future -> index
-        deadlines: dict = {}  # future -> monotonic deadline
-        pool: ProcessPoolExecutor | None = None
-        pool_failures = 0
-
-        def serial_fallback() -> None:
-            # So far the initializer has only run inside pool workers;
-            # this process needs it before it can execute points itself.
-            if initializer is not None:
-                initializer(*initargs)
-            run_serial(range(count))
-
-        def respawn(reason: str) -> bool:
-            """Kill the pool, requeue in-flight work; False → go serial."""
-            nonlocal pool, pool_failures
-            for future, index in in_flight.items():
-                if (
-                    index not in results
-                    and index not in failed
-                    and index not in pending
-                ):
-                    pending.append(index)
-            in_flight.clear()
-            deadlines.clear()
-            if pool is not None:
-                _kill_pool(pool)
-                pool = None
-            pool_failures += 1
-            if pool_failures >= POOL_FAILURE_LIMIT:
-                report.record(
-                    "pool",
-                    "serial_fallback",
-                    detail=f"{pool_failures} pool failures ({reason}); "
-                    "finishing the sweep serially",
-                )
-                return False
-            report.record(
-                "pool", "pool_respawn", detail=reason, attempt=pool_failures
-            )
-            return True
-
-        try:
-            while pending or in_flight:
-                if pool is None:
-                    try:
-                        pool = ProcessPoolExecutor(
-                            max_workers=jobs,
-                            initializer=initializer,
-                            initargs=initargs,
-                        )
-                    except _POOL_ERRORS as exc:
-                        report.record(
-                            "pool",
-                            "serial_fallback",
-                            detail=f"cannot spawn workers "
-                            f"({type(exc).__name__}: {exc})",
-                        )
-                        break
-                # Keep at most `jobs` points in flight so submission
-                # time approximates start time and per-point deadlines
-                # mean what they say.
-                while pending and len(in_flight) < jobs:
-                    index = pending.popleft()
-                    if index in results or index in failed:
-                        continue
-                    try:
-                        future = pool.submit(fn, items[index])
-                    except _POOL_ERRORS as exc:
-                        pending.appendleft(index)
-                        if not respawn(
-                            f"submit failed ({type(exc).__name__})"
-                        ):
-                            raise _GoSerial from None
-                        break
-                    in_flight[future] = index
-                    if timeout is not None:
-                        deadlines[future] = time.monotonic() + timeout
-                if pool is None or not in_flight:
-                    continue
-                wait_for = None
-                if deadlines:
-                    wait_for = max(
-                        0.0, min(deadlines.values()) - time.monotonic()
-                    )
-                done, _ = wait(
-                    set(in_flight), timeout=wait_for, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    # Deadline expiry: charge the overdue points, then
-                    # kill the pool — a running task cannot be
-                    # cancelled, and a wedged worker never returns.
-                    now = time.monotonic()
-                    expired = [
-                        (future, index)
-                        for future, index in in_flight.items()
-                        if deadlines.get(future, now + 1) <= now
-                    ]
-                    if not expired:
-                        continue  # spurious wakeup
-                    for future, index in expired:
-                        in_flight.pop(future, None)
-                        deadlines.pop(future, None)
-                        if charge(
-                            index,
-                            TimeoutError(f"no result after {timeout:g}s"),
-                            "timeout",
-                            f"point exceeded --timeout {timeout:g}s",
-                        ):
-                            pending.append(index)
-                    if not respawn("hung worker killed after point timeout"):
-                        raise _GoSerial
-                    continue
-                broken = False
-                for future in done:
-                    index = in_flight.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        value = future.result()
-                    except _POOL_ERRORS as exc:
-                        broken = True
-                        if charge(
-                            index,
-                            exc,
-                            "worker_crash",
-                            f"worker died ({type(exc).__name__}: {exc})",
-                        ):
-                            pending.append(index)
-                    except Exception as exc:  # noqa: BLE001
-                        if charge(
-                            index, exc, "retry", f"{type(exc).__name__}: {exc}"
-                        ):
-                            if backoff:
-                                time.sleep(
-                                    retry_backoff(
-                                        backoff, attempts[index], labels[index]
-                                    )
-                                )
-                            pending.append(index)
-                    else:
-                        deliver(index, value)
-                        # Progress resets the failure budget: the limit
-                        # guards against a pool that *cannot* make
-                        # progress, not against many recoverable deaths
-                        # spread across a long sweep.
-                        pool_failures = 0
-                if broken and not respawn("worker process died mid-point"):
-                    raise _GoSerial
-        except _GoSerial:
-            serial_fallback()
-        finally:
-            if pool is not None:
-                _kill_pool(pool)
-        # Pool path exhausted with a spawn failure: finish serially.
-        if len(results) + len(failed) < count:
-            serial_fallback()
-
+        labels = [str(index) for index in range(len(items))]
+    values, failed = sweep_map(
+        fn,
+        items,
+        jobs=jobs,
+        initializer=initializer,
+        initargs=initargs,
+        on_result=on_result,
+        report=report if report is not None else FaultReport(),
+        labels=labels,
+        timeout=timeout,
+        max_retries=max_retries,
+        backoff=backoff,
+        no_retry=no_retry,
+    )
     if failed:
         raise SweepPointError(
             [(labels[index], exc) for index, exc in sorted(failed.items())]
         )
-    return [results[index] for index in range(count)]
+    return values
 
 
-class _GoSerial(Exception):
-    """Internal: abandon worker pools and finish the map serially."""
-
-
-# ----------------------------------------------------------------------
-# Supervised simulation fan-out (ladder inside every worker)
-# ----------------------------------------------------------------------
 def _supervised_point(task: tuple[str, MachineConfig]):
     """Worker body: injectors first, then the full degradation ladder."""
     from . import parallel
@@ -790,48 +378,6 @@ def _supervised_point(task: tuple[str, MachineConfig]):
     report = FaultReport()
     result, rung = ladder_simulate(config, program, report=report, point=key[:12])
     return result, rung, report.events
-
-
-def _supervised_batch(task: Sequence[tuple[str, dict]]):
-    """Worker body for one affinity batch of ``(key, config fields)``.
-
-    Each point runs injectors + the degradation ladder exactly as
-    :func:`_supervised_point` does, but outcomes are captured *per
-    point*: an in-process exception (a deadlock, a timeout result, a
-    reference-rung bug) becomes that point's outcome entry instead of
-    failing its batch siblings.  Only process-level faults — a kill
-    injector, a hang past the batch deadline, a real crash — surface as
-    batch-level failures, which the supervisor retries as a whole
-    (the once-only injector markers make that converge).  Returns the
-    outcome list plus this worker's pid-tagged codegen-stat delta.
-    """
-    from . import parallel
-    from .compiled import (
-        compile_stats,
-        compile_stats_delta,
-        flush_codegen_artifacts,
-    )
-    from .faults import maybe_hang_point, maybe_kill_worker
-
-    program = parallel._worker_program
-    assert program is not None, "worker initialized without a program"
-    baseline = compile_stats()
-    outcomes = []
-    for key, fields in task:
-        config = MachineConfig.from_dict(fields)
-        maybe_kill_worker(key)
-        maybe_hang_point(key)
-        report = FaultReport()
-        try:
-            result, rung = ladder_simulate(
-                config, program, report=report, point=key[:12]
-            )
-        except Exception as exc:  # noqa: BLE001 — per-point boundary
-            outcomes.append((key, None, None, report.events, exc))
-        else:
-            outcomes.append((key, result, rung, report.events, None))
-    flush_codegen_artifacts()
-    return outcomes, compile_stats_delta(baseline)
 
 
 def supervised_simulate_many(
@@ -853,13 +399,6 @@ def supervised_simulate_many(
     Results come back in ``configs`` order, byte-identical to a clean
     serial reference run.
     """
-    from .parallel import (
-        _init_simulation_worker,
-        affinity_batches,
-        config_affinity_key,
-        resolve_jobs,
-    )
-    from .scheduler import affinity_enabled_default
     from .simcache import sweep_point_keys
     from .simulator import DeadlockError, SimulationTimeout
 
@@ -869,8 +408,6 @@ def supervised_simulate_many(
     if report is None:
         report = FaultReport()
 
-    delivered: dict[int, SimulationResult] = {}
-
     def merge_point(index: int, value) -> None:
         result, rung, events = value
         report.extend(events)
@@ -878,101 +415,24 @@ def supervised_simulate_many(
         # (including the success-path count) is re-recorded here —
         # exactly once per delivered point.
         report.tally_rung(rung)
-        delivered[index] = result
         if on_result is not None:
             on_result(index, result)
 
-    effective_jobs = min(resolve_jobs(jobs), len(configs))
-    if effective_jobs > 1 and len(configs) > 1 and affinity_enabled_default():
-        # Phase 1: affinity batches.  One IPC round carries a batch of
-        # points from one kernel family; per-point outcomes come back
-        # individually (exceptions included), so retry granularity and
-        # the fault ledger stay per-point.  Points a batch could not
-        # deliver — a point that raised, a batch whose worker died past
-        # the retry budget — fall through to the per-point phase below,
-        # which owns the no-retry policy for architectural outcomes.
-        from .compiled import record_worker_stats
-
-        batches = affinity_batches(
-            [config_affinity_key(config) for config in configs],
-            effective_jobs,
-        )
-        tasks = [
-            [(keys[index], configs[index].to_dict()) for index in batch]
-            for batch in batches
-        ]
-        labels = [
-            f"{keys[batch[0]][:12]}[x{len(batch)}]" for batch in batches
-        ]
-        # Fleet warmup: one published kernel artifact per family before
-        # the pool spawns (no-op without the persistent store).
-        from .compiled import prime_codegen_artifacts
-
-        prime_codegen_artifacts(
-            program, [configs[batch[0]] for batch in batches]
-        )
-        batch_timeout = (
-            timeout * max(len(batch) for batch in batches)
-            if timeout is not None
-            else None
-        )
-
-        def merge_batch(position: int, value) -> None:
-            outcomes, delta = value
-            record_worker_stats(delta)
-            for offset, (_key, result, rung, events, exc) in enumerate(outcomes):
-                index = batches[position][offset]
-                report.extend(events)
-                if exc is not None:
-                    continue  # re-resolved by the per-point phase
-                report.tally_rung(rung)
-                delivered[index] = result
-                if on_result is not None:
-                    on_result(index, result)
-
-        try:
-            supervised_map(
-                _supervised_batch,
-                tasks,
-                jobs=jobs,
-                timeout=batch_timeout,
-                max_retries=max_retries,
-                backoff=backoff,
-                report=report,
-                labels=labels,
-                no_retry=(),  # batch failures are process-level: retryable
-                initializer=_init_simulation_worker,
-                initargs=(program,),
-                on_result=merge_batch,
-            )
-        except SweepPointError:
-            # A batch that stayed broken is not a verdict on its points:
-            # each one gets an individual hearing below.
-            pass
-
-    # Phase 2 (and the whole story for serial / affinity-off runs):
-    # every undelivered point as its own supervised task.
-    leftovers = [
-        index for index in range(len(configs)) if index not in delivered
-    ]
-    if leftovers:
-        supervised_map(
-            _supervised_point,
-            [(keys[index], configs[index]) for index in leftovers],
-            jobs=jobs,
-            timeout=timeout,
-            max_retries=max_retries,
-            backoff=backoff,
-            report=report,
-            labels=[keys[index][:12] for index in leftovers],
-            no_retry=(DeadlockError, SimulationTimeout),
-            initializer=_init_simulation_worker,
-            initargs=(program,),
-            on_result=lambda position, value: merge_point(
-                leftovers[position], value
-            ),
-        )
-    return [delivered[index] for index in range(len(configs))]
+    values = supervised_map(
+        _supervised_point,
+        list(zip(keys, configs)),
+        jobs=jobs,
+        timeout=timeout,
+        max_retries=max_retries,
+        backoff=backoff,
+        report=report,
+        labels=[key[:12] for key in keys],
+        no_retry=(DeadlockError, SimulationTimeout),
+        initializer=_init_simulation_worker,
+        initargs=(program,),
+        on_result=merge_point,
+    )
+    return [result for result, _rung, _events in values]
 
 
 # ----------------------------------------------------------------------
@@ -1001,9 +461,9 @@ class SweepCheckpoint:
     with :class:`CheckpointLockError` naming the holder instead of
     corrupting progress.  A lock left by a dead process (the pid inside
     no longer exists) is broken automatically — a crashed sweep must
-    not brick its own resume.  The supervised sweep path and the job
-    service acquire the lock for you; direct users can treat the
-    checkpoint as a context manager.
+    not brick its own resume.  The supervised sweep path acquires the
+    lock for you; direct users can treat the checkpoint as a context
+    manager.
     """
 
     MANIFEST_VERSION = 1
@@ -1138,7 +598,7 @@ class SweepCheckpoint:
         payload = {"version": self.MANIFEST_VERSION, "points": self._points}
         tmp = self.path.with_name(f"{self.path.name}.tmp.{os.getpid()}")
         # Canonical key order: manifests written under different point
-        # scheduling (affinity batches vs singletons vs serial) compare
+        # scheduling (pool completion order vs serial) compare
         # byte-identical once they hold the same completed points.
         tmp.write_text(json.dumps(payload, sort_keys=True))
         os.replace(tmp, self.path)

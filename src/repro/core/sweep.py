@@ -156,14 +156,6 @@ def run_cache_sweep(
                 if cache is not None:
                     cache.store(config, program, result)
 
-    # Publish any dispatch handlers this process learned while filling
-    # misses (workers flush at their own batch boundaries; the serial
-    # path and the parent's share land here).  No-op when the
-    # persistent store is disabled or nothing new was compiled.
-    from .compiled import flush_codegen_artifacts
-
-    flush_codegen_artifacts()
-
     report = supervisor.report if supervisor is not None else None
     series = [
         SweepSeries(

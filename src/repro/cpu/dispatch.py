@@ -48,11 +48,7 @@ __all__ = [
     "clear_dispatch_cache",
     "dispatch_codegen_stats",
     "generate_handler_source",
-    "install_handler_bundle",
-    "instruction_key",
-    "record_bundle_store",
     "reset_dispatch_codegen_stats",
-    "serialize_handlers",
 ]
 
 _MASK = "4294967295"  #: 32-bit wrap mask, folded into handler source
@@ -242,8 +238,6 @@ def generate_handler_source(instruction: Instruction) -> str:
 _HANDLER_COMPILES = 0
 _CODEGEN_SECONDS = 0.0
 _SHARED_HITS = 0
-_DISK_HITS = 0
-_DISK_STORES = 0
 
 #: Process-wide handler memo.  Handlers are pure functions of the
 #: instruction *value* (the module docstring's byte-identity contract
@@ -251,11 +245,6 @@ _DISK_STORES = 0
 #: every per-(program, config) table that reaches the instruction —
 #: previously each table recompiled its own copy.
 _SHARED_HANDLERS: dict[Instruction, object] = {}
-
-#: ``(source, code object)`` behind each shared handler, kept so the
-#: compiled engine can serialize a program's bundle to the persistent
-#: codegen store without regenerating anything.
-_SHARED_ARTIFACTS: dict[Instruction, tuple[str, object]] = {}
 
 
 def _handler_namespace() -> dict:
@@ -278,95 +267,7 @@ def _compile_handler(instruction: Instruction):
     _CODEGEN_SECONDS += time.perf_counter() - started
     handler = namespace["__handler"]
     _SHARED_HANDLERS[instruction] = handler
-    _SHARED_ARTIFACTS[instruction] = (source, code)
     return handler
-
-
-def instruction_key(instruction: Instruction) -> str:
-    """Stable textual key of one instruction value (bundle entry key)."""
-    return (
-        f"{instruction.op.name}:{instruction.a}:{instruction.b}:"
-        f"{instruction.c}:{instruction.imm}"
-    )
-
-
-def serialize_handlers(instructions) -> dict[str, dict]:
-    """Bundle entries for every given instruction with a known artifact.
-
-    Entries carry the instruction's constructor fields (so the reader
-    can rebuild the memo key), the generated source (for humans and
-    round-trip tests), and the marshaled code object (so installing a
-    bundle costs ``exec``, not ``compile``).
-    """
-    from ..core.codegen_store import encode_code
-
-    entries: dict[str, dict] = {}
-    for instruction in instructions:
-        artifact = _SHARED_ARTIFACTS.get(instruction)
-        if artifact is None:
-            continue
-        source, code = artifact
-        entries[instruction_key(instruction)] = {
-            "instruction": {
-                "op": instruction.op.name,
-                "a": instruction.a,
-                "b": instruction.b,
-                "c": instruction.c,
-                "imm": instruction.imm,
-            },
-            "source": source,
-            "code": encode_code(code),
-        }
-    return entries
-
-
-def install_handler_bundle(entries: dict[str, dict]) -> int:
-    """Install one verified disk bundle into the shared memo.
-
-    Returns the number of handlers installed.  Entries for
-    already-memoized instructions are skipped; a malformed entry is
-    skipped too (its handler simply regenerates lazily) — the store
-    checksummed the bundle, so malformation means a writer bug, never
-    silent corruption.
-    """
-    global _DISK_HITS
-    from ..core.codegen_store import decode_code
-
-    installed = 0
-    for entry in entries.values():
-        try:
-            described = entry["instruction"]
-            instruction = Instruction(
-                op=Opcode[described["op"]],
-                a=described["a"],
-                b=described["b"],
-                c=described["c"],
-                imm=described["imm"],
-            )
-            if instruction in _SHARED_HANDLERS:
-                continue
-            source = entry["source"]
-            code = decode_code(entry["code"])
-        except (KeyError, ValueError, TypeError):
-            continue
-        namespace = _handler_namespace()
-        exec(code, namespace)  # noqa: S102 — checksum-verified own codegen
-        _SHARED_HANDLERS[instruction] = namespace["__handler"]
-        _SHARED_ARTIFACTS[instruction] = (source, code)
-        installed += 1
-    _DISK_HITS += installed
-    return installed
-
-
-def shared_handler_count() -> int:
-    """How many handlers the process-wide memo currently holds."""
-    return len(_SHARED_HANDLERS)
-
-
-def record_bundle_store(count: int = 1) -> None:
-    """Note ``count`` bundle publishes (called by the compiled engine)."""
-    global _DISK_STORES
-    _DISK_STORES += count
 
 
 class ProgramDispatchTable:
@@ -407,28 +308,22 @@ def dispatch_codegen_stats() -> dict:
         "handler_compiles": _HANDLER_COMPILES,
         "codegen_seconds": _CODEGEN_SECONDS,
         "shared_hits": _SHARED_HITS,
-        "disk_hits": _DISK_HITS,
-        "disk_stores": _DISK_STORES,
     }
 
 
 def reset_dispatch_codegen_stats() -> None:
     """Zero the cumulative counters (test isolation)."""
     global _HANDLER_COMPILES, _CODEGEN_SECONDS, _SHARED_HITS
-    global _DISK_HITS, _DISK_STORES
     _HANDLER_COMPILES = 0
     _CODEGEN_SECONDS = 0.0
     _SHARED_HITS = 0
-    _DISK_HITS = 0
-    _DISK_STORES = 0
 
 
 def clear_dispatch_cache() -> None:
-    """Drop the shared handler memo and its serializable artifacts.
+    """Drop the shared handler memo.
 
     Counters stay cumulative (tests assert on deltas); the compiled
     engine's ``clear_compile_cache`` calls this so every in-process
     codegen cache level clears together.
     """
     _SHARED_HANDLERS.clear()
-    _SHARED_ARTIFACTS.clear()

@@ -8,14 +8,6 @@ fixtures cheap for every module that needs a program.
 
 from __future__ import annotations
 
-import os
-
-# Hermetic by default: tests must not read or write the persistent
-# codegen artifact store in the developer's working tree (and stale
-# artifacts must never mask codegen regressions).  Store-specific tests
-# re-enable it against a tmp_path cache root.
-os.environ.setdefault("REPRO_NO_DISK_CODEGEN", "1")
-
 import pytest
 
 from repro.kernels.suite import cached_livermore_suite

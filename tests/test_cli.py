@@ -295,72 +295,6 @@ class TestDisasm:
         assert "ld r6, 32" in out  # the FPU result pickup
 
 
-class TestServeCli:
-    def test_serve_subparser_parses(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            [
-                "serve",
-                "--port", "0",
-                "--jobs", "0",
-                "--queue-limit", "9",
-                "--tenant-quota", "3",
-                "--shed-limit", "5",
-                "--point-timeout", "2.5",
-                "--deadline", "12",
-                "--breaker-threshold", "2",
-                "--breaker-cooldown", "1.5",
-                "--no-cache",
-                "--scale", "0.03",
-            ]
-        )
-        assert args.command == "serve"
-        assert args.port == 0 and args.jobs == 0
-        assert args.queue_limit == 9 and args.tenant_quota == 3
-        assert args.shed_limit == 5 and args.point_timeout == 2.5
-        assert args.deadline == 12.0
-        assert args.breaker_threshold == 2 and args.breaker_cooldown == 1.5
-        assert args.no_cache
-
-    def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.host == "127.0.0.1" and args.port == 8750
-        assert args.jobs is None and not args.no_cache
-
-    def test_serve_boots_and_answers(self, tmp_path):
-        import re
-        import signal
-        import subprocess
-        import sys
-
-        from repro.core.service import ServiceClient
-
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli",
-                "serve", "--port", "0", "--jobs", "0",
-                "--scale", "0.03", "--cache-dir", str(tmp_path),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            banner = process.stdout.readline()
-            match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
-            assert match, f"no service banner in: {banner!r}"
-            client = ServiceClient("127.0.0.1", int(match.group(1)), timeout=60)
-            status, payload = client.healthz()
-            assert status == 200 and payload["ok"] is True
-        finally:
-            process.send_signal(signal.SIGINT)
-            try:
-                process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
-
-
 class TestCacheQuarantineCli:
     def test_clear_quarantine_only(self, capsys, tmp_path):
         qdir = tmp_path / "quarantine"

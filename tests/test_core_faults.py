@@ -282,66 +282,3 @@ class TestSeededUniform:
         assert base != faults.seeded_uniform(8, "kind", "key")
         assert base != faults.seeded_uniform(7, "kind", "other")
         assert base != faults.seeded_uniform(7, "other", "key")
-
-
-class TestServiceInjectors:
-    def setup_method(self):
-        faults.deactivate()
-
-    def teardown_method(self):
-        faults.deactivate()
-
-    def test_inert_without_a_plan(self):
-        faults.maybe_trip_rung("compiled", "k")  # no raise
-        assert not faults.queue_full_rejection("k")
-        assert faults.slow_client_delay("k") == 0.0
-
-    def test_trip_fires_per_plan_and_is_repeatable(self):
-        faults.activate(FaultPlan(seed=3, breaker_trip=1.0))
-        with pytest.raises(InjectedFault):
-            faults.maybe_trip_rung("compiled", "k")
-        with pytest.raises(InjectedFault):  # not once-only: every attempt
-            faults.maybe_trip_rung("compiled", "k")
-
-    def test_reference_rung_is_exempt_from_trips(self):
-        faults.activate(FaultPlan(seed=3, breaker_trip=1.0))
-        faults.maybe_trip_rung("reference", "k")  # the floor always holds
-
-    def test_trip_rate_selects_points_by_hash(self):
-        faults.activate(FaultPlan(seed=3, breaker_trip=0.5))
-        outcomes = []
-        for n in range(32):
-            try:
-                faults.maybe_trip_rung("compiled", f"key-{n}")
-                outcomes.append(False)
-            except InjectedFault:
-                outcomes.append(True)
-        assert any(outcomes) and not all(outcomes)
-
-    def test_queue_full_rejection_follows_the_rate(self):
-        faults.activate(FaultPlan(seed=3, queue_full=1.0))
-        assert faults.queue_full_rejection("k")
-        faults.deactivate()
-        faults.activate(FaultPlan(seed=3, queue_full=0.0))
-        assert not faults.queue_full_rejection("k")
-
-    def test_slow_client_delay_uses_the_plan_seconds(self):
-        faults.activate(FaultPlan(seed=3, slow_client=1.0, slow_seconds=0.25))
-        assert faults.slow_client_delay("k") == 0.25
-
-    def test_bare_seed_spec_enables_the_service_injectors_too(self):
-        plan = FaultPlan.parse("42")
-        assert plan.breaker_trip == 0.25
-        assert plan.queue_full == 0.25
-        assert plan.slow_client == 0.25
-
-    def test_spec_keys_for_the_new_injectors(self):
-        plan = FaultPlan.parse("seed=7,trip=0.5,qfull=0.2,slow=0.1,slow-seconds=0.3")
-        assert plan.seed == 7
-        assert plan.breaker_trip == 0.5
-        assert plan.queue_full == 0.2
-        assert plan.slow_client == 0.1
-        assert plan.slow_seconds == 0.3
-
-    def test_new_kinds_are_registered(self):
-        assert {"breaker_trip", "queue_full", "slow_client"} <= set(FAULT_KINDS)

@@ -1,6 +1,7 @@
 """Tests of the parallel simulation fan-out."""
 
 import os
+import tempfile
 import warnings
 
 import pytest
@@ -8,9 +9,7 @@ import pytest
 from repro.core.config import MachineConfig
 from repro.core.parallel import (
     JOBS_ENV,
-    ItemOutcome,
     parallel_map,
-    parallel_map_outcomes,
     resolve_jobs,
     simulate_many,
 )
@@ -21,9 +20,21 @@ def _square(x: int) -> int:
     return x * x
 
 
-def _square_unless_three(x: int) -> int:
+def _logged_square(task) -> int:
+    """Square ``x``, leaving one marker file per call; item 3 raises."""
+    x, directory, error = task
+    fd, _path = tempfile.mkstemp(prefix=f"call-{x}-", dir=directory)
+    os.close(fd)
     if x == 3:
-        raise ValueError("three is right out")
+        raise error(f"item {x} is broken")
+    return x * x
+
+
+def _square_dying_in_worker(task) -> int:
+    """Square ``x``; item 1 kills any process but the one that mapped."""
+    x, parent_pid = task
+    if x == 1 and os.getpid() != parent_pid:
+        os._exit(33)
     return x * x
 
 
@@ -74,49 +85,28 @@ class TestParallelMap:
         with pytest.raises(RuntimeError, match="boom"):
             parallel_map(boom, [1], jobs=1)
 
-
-class TestParallelMapOutcomes:
-    """Regression: one failed item must not discard completed siblings."""
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failed_item_keeps_its_siblings(self, jobs):
-        outcomes = parallel_map_outcomes(
-            _square_unless_three, list(range(6)), jobs=jobs
-        )
-        assert [o.ok for o in outcomes] == [True, True, True, False, True, True]
-        assert [o.value for o in outcomes if o.ok] == [0, 1, 4, 16, 25]
-        assert isinstance(outcomes[3].error, ValueError)
-
-    def test_unwrap_returns_or_reraises(self):
-        good, bad = parallel_map_outcomes(
-            _square_unless_three, [2, 3], jobs=1
-        )
-        assert good.unwrap() == 4
-        with pytest.raises(ValueError, match="three"):
-            bad.unwrap()
-
-    def test_empty_input(self):
-        assert parallel_map_outcomes(_square, [], jobs=4) == []
-
-    def test_all_successes_match_parallel_map(self):
-        items = list(range(10))
-        outcomes = parallel_map_outcomes(_square, items, jobs=2)
-        assert [o.unwrap() for o in outcomes] == parallel_map(
-            _square, items, jobs=2
-        )
-
-    def test_unpicklable_fn_falls_back_with_capture_intact(self):
+    @pytest.mark.parametrize("error", [TypeError, AttributeError])
+    def test_item_error_propagates_once_without_serial_rerun(
+        self, tmp_path, error
+    ):
+        # Regression: an item's own TypeError/AttributeError was taken
+        # for a pickling failure, so the whole map re-ran serially in
+        # the parent and warned "parallel execution unavailable".
+        tasks = [(x, str(tmp_path), error) for x in range(6)]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            outcomes = parallel_map_outcomes(
-                lambda x: 1 // x, [1, 0, 2], jobs=2
-            )
-        assert [o.ok for o in outcomes] == [True, False, True]
-        assert isinstance(outcomes[1].error, ZeroDivisionError)
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="item 3 is broken"):
+                parallel_map(_logged_square, tasks, jobs=2)
+        called = [path.name.split("-")[1] for path in tmp_path.iterdir()]
+        assert called.count("3") == 1
+        assert len(called) == len(set(called))  # no item ran twice
 
-    def test_outcome_defaults(self):
-        outcome = ItemOutcome(value=5)
-        assert outcome.ok and outcome.unwrap() == 5
+    def test_broken_pool_finishes_serially(self):
+        tasks = [(x, os.getpid()) for x in range(4)]
+        with pytest.warns(UserWarning, match="BrokenProcessPool"):
+            assert parallel_map(_square_dying_in_worker, tasks, jobs=2) == [
+                0, 1, 4, 9,
+            ]
 
 
 class TestSimulateMany:
@@ -133,6 +123,20 @@ class TestSimulateMany:
         parallel = simulate_many(tiny_program, configs, jobs=2)
         assert [r.cycles for r in serial] == [r.cycles for r in parallel]
         assert serial == parallel
+
+    def test_pool_matches_serial_across_sizes_and_latencies(self, tiny_program):
+        """PIPE points at several icache sizes share cached kernel source."""
+        memory = {"memory_access_time": 6, "input_bus_width": 8}
+        configs = [
+            MachineConfig.pipe("16-16", 64, **memory),
+            MachineConfig.pipe("16-16", 128, **memory),
+            MachineConfig.conventional(128, **memory),
+            MachineConfig.pipe("16-16", 64, memory_access_time=8, input_bus_width=8),
+            MachineConfig.pipe("16-16", 256, **memory),
+        ]
+        serial = simulate_many(tiny_program, configs, jobs=1)
+        pooled = simulate_many(tiny_program, configs, jobs=2)
+        assert pooled == serial
 
     def test_results_align_with_configs(self, tiny_program):
         configs = [

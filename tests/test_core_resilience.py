@@ -6,12 +6,11 @@ import time
 
 import pytest
 
+from repro.core import faults
 from repro.core.config import MachineConfig
 from repro.core.parallel import simulate_many
 from repro.core.resilience import (
-    BreakerBoard,
     CheckpointLockError,
-    CircuitBreaker,
     FaultReport,
     SweepCheckpoint,
     SweepPointError,
@@ -30,6 +29,17 @@ def _pipe(**overrides) -> MachineConfig:
     return MachineConfig.pipe(
         "16-16", 128, memory_access_time=6, input_bus_width=8, **overrides
     )
+
+
+def _size_latency_matrix() -> list[MachineConfig]:
+    """PIPE 16-16 at three icache sizes and two latencies, plus conventional."""
+    return [
+        _pipe().with_overrides(icache_size=64),
+        _pipe(),
+        MachineConfig.conventional(128, memory_access_time=6, input_bus_width=8),
+        _pipe().with_overrides(icache_size=64, memory_access_time=8),
+        _pipe().with_overrides(icache_size=256),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +252,35 @@ class TestSupervisedSimulateMany:
         assert supervised == plain
         assert report.clean
 
+    def test_pool_matches_serial_across_sizes_and_latencies(self, tiny_program):
+        configs = _size_latency_matrix()
+        serial = simulate_many(tiny_program, configs, jobs=1)
+        report = FaultReport()
+        supervised = supervised_simulate_many(
+            tiny_program, configs, jobs=2, report=report
+        )
+        assert supervised == serial
+        assert report.clean
+
+    def test_worker_kill_converges_byte_identical(
+        self, tiny_program, monkeypatch
+    ):
+        monkeypatch.delenv(faults.FAULT_PLAN_ENV, raising=False)
+        configs = _size_latency_matrix()
+        # worker_kill only fires inside pool workers, so the serial
+        # reference is safe to compute after arming.
+        serial = simulate_many(tiny_program, configs, jobs=1)
+        faults.activate(faults.FaultPlan(seed=11, worker_kill=1.0))
+        try:
+            report = FaultReport()
+            survived = supervised_simulate_many(
+                tiny_program, configs, jobs=2, max_retries=4, report=report
+            )
+        finally:
+            faults.deactivate()
+        assert survived == serial
+        assert report.counts().get("worker_crash", 0) >= 1
+
 
 class TestSweepCheckpoint:
     def test_round_trip(self, tiny_program, tmp_path):
@@ -301,6 +340,36 @@ class TestSupervisedSweep:
         assert len(supervisor.checkpoint) == sum(
             len(s.cycles) for s in supervised
         )
+
+    def test_checkpoint_manifest_bytes_identical_pool_and_serial(
+        self, tiny_program, tmp_path
+    ):
+        strategies = {
+            "PIPE 16-16": lambda size, **o: MachineConfig.pipe("16-16", size, **o),
+            "conventional": lambda size, **o: MachineConfig.conventional(
+                size, **o
+            ),
+        }
+
+        def run(path, jobs):
+            supervisor = SweepSupervisor(
+                jobs=jobs, checkpoint=SweepCheckpoint(path, interval=100)
+            )
+            series = run_cache_sweep(
+                tiny_program,
+                cache_sizes=[64, 128],
+                strategies=strategies,
+                supervisor=supervisor,
+                memory_access_time=6,
+                input_bus_width=8,
+            )
+            supervisor.checkpoint.release()
+            return [s.as_dict() for s in series]
+
+        assert run(tmp_path / "pool.json", 2) == run(tmp_path / "serial.json", 1)
+        assert (tmp_path / "pool.json").read_bytes() == (
+            tmp_path / "serial.json"
+        ).read_bytes()
 
     def test_resume_pre_resolves_from_the_checkpoint(
         self, tiny_program, tmp_path
@@ -376,131 +445,6 @@ class TestRetryBackoff:
             assert armed == retry_backoff(0.25, 2, "k", seed=99)
         finally:
             faults.deactivate()
-
-
-class TestCircuitBreaker:
-    def _breaker(self, threshold=2, cooldown=10.0):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            threshold=threshold, cooldown=cooldown, clock=lambda: clock[0]
-        )
-        return breaker, clock
-
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker, _clock = self._breaker(threshold=3)
-        for _ in range(2):
-            breaker.record_failure()
-            assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.opened_count == 1
-
-    def test_success_resets_the_failure_count(self):
-        breaker, _clock = self._breaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_hands_out_one_probe_token(self):
-        breaker, clock = self._breaker(threshold=1, cooldown=10.0)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock[0] = 11.0
-        assert breaker.state == "half-open"
-        assert breaker.allow()  # the probe
-        assert not breaker.allow()  # concurrent caller: still blocked
-
-    def test_probe_success_closes(self):
-        breaker, clock = self._breaker(threshold=1, cooldown=10.0)
-        breaker.record_failure()
-        clock[0] = 11.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_probe_failure_reopens_and_restarts_cooldown(self):
-        breaker, clock = self._breaker(threshold=1, cooldown=10.0)
-        breaker.record_failure()
-        clock[0] = 11.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock[0] = 20.0  # only 9s since the re-open
-        assert not breaker.allow()
-        clock[0] = 21.5
-        assert breaker.allow()
-
-    def test_lost_probe_expires_after_another_cooldown(self):
-        breaker, clock = self._breaker(threshold=1, cooldown=10.0)
-        breaker.record_failure()
-        clock[0] = 11.0
-        assert breaker.allow()  # probe whose outcome never arrives
-        clock[0] = 22.0
-        assert breaker.allow()  # replacement probe: no wedged half-open
-
-    def test_to_dict_surface(self):
-        breaker, _clock = self._breaker()
-        payload = breaker.to_dict()
-        assert payload["state"] == "closed"
-        assert payload["opened_count"] == 0
-
-
-class TestBreakerBoard:
-    def test_reference_rung_never_has_a_breaker(self):
-        board = BreakerBoard()
-        assert "reference" not in board.breakers
-        assert board.effective_rungs()[-1] == "reference"
-
-    def test_open_breaker_drops_its_rung_from_the_ladder(self):
-        clock = [0.0]
-        board = BreakerBoard(threshold=1, cooldown=100.0, clock=lambda: clock[0])
-        report = FaultReport()
-        report.record("p", "engine_fault", rung="compiled")
-        board.observe("replay", report.events)
-        assert "compiled" not in board.effective_rungs()
-        assert "replay" in board.effective_rungs()
-
-    def test_ladder_never_empties(self):
-        clock = [0.0]
-        board = BreakerBoard(threshold=1, cooldown=100.0, clock=lambda: clock[0])
-        report = FaultReport()
-        for rung in board.rungs[:-1]:
-            report.record("p", "engine_fault", rung=rung)
-        board.observe("reference", report.events)
-        assert board.effective_rungs() == ("reference",)
-
-    def test_served_rung_counts_as_success(self):
-        clock = [0.0]
-        board = BreakerBoard(threshold=2, cooldown=100.0, clock=lambda: clock[0])
-        report = FaultReport()
-        report.record("p", "engine_fault", rung="compiled")
-        board.observe("compiled", report.events)  # failed once, then served
-        board.observe("compiled", [])
-        assert board.breakers["compiled"].state == "closed"
-
-    def test_rejects_empty_rungs(self):
-        with pytest.raises(ValueError):
-            BreakerBoard(rungs=())
-
-
-class TestLadderRungRestriction:
-    def test_restricted_ladder_matches_full_ladder(self, tiny_program):
-        config = _pipe()
-        full, _rung = ladder_simulate(config, tiny_program)
-        restricted, rung = ladder_simulate(
-            config, tiny_program, rungs=("idle-skip", "reference")
-        )
-        assert restricted.checksum() == full.checksum()
-        assert rung == "idle-skip"
-
-    def test_unknown_rung_rejected(self, tiny_program):
-        with pytest.raises(ValueError):
-            ladder_simulate(_pipe(), tiny_program, rungs=("warp-drive",))
-        with pytest.raises(ValueError):
-            ladder_simulate(_pipe(), tiny_program, rungs=())
 
 
 class TestCheckpointLock:

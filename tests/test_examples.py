@@ -47,19 +47,6 @@ class TestExamples:
         assert "fetch policy" in result.stdout
         assert "memory-interface priority" in result.stdout
 
-    def test_service_session(self, tmp_path):
-        result = run_example(
-            "service_session.py",
-            "--scale", "0.03",
-            "--jobs", "2",
-            "--served-out", str(tmp_path / "served.json"),
-            "--reference-out", str(tmp_path / "reference.json"),
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "PASS: every served checksum matches" in result.stdout
-        served = (tmp_path / "served.json").read_text()
-        assert served == (tmp_path / "reference.json").read_text()
-
     def test_all_examples_are_tested(self):
         """Adding an example without a test here should fail loudly."""
         scripts = {path.name for path in EXAMPLES.glob("*.py")}
@@ -69,6 +56,5 @@ class TestExamples:
             "write_your_own_kernel.py",
             "assembly_playground.py",
             "fetch_policies.py",
-            "service_session.py",
         }
         assert scripts == tested
