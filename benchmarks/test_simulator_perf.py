@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.core.config import MachineConfig
+from repro.core.scheduler import ENGINES
 from repro.core.simulator import simulate, simulate_traced
 from repro.core.sweep import run_cache_sweep
 from repro.cpu.functional import run_functional
@@ -21,6 +22,9 @@ CONFIGS = {
     ),
     "conventional": lambda: MachineConfig.conventional(128, memory_access_time=6),
 }
+
+#: engine kwargs by :data:`repro.core.scheduler.ENGINES` row name
+ROW = dict(ENGINES)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -106,21 +110,22 @@ def test_idle_skip_speedup(context, benchmark, results_dir):
     The conventional cache with a slow external memory spends most of
     its cycles waiting on a single outstanding fill — exactly the
     quiescent spans the skip scheduler jumps over.  This benchmark runs
-    the same configurations under both engines (min-of-N wall time),
+    the same configurations on the ``idle-skip`` and ``reference``
+    engine rows (both interpreted; min-of-N wall time),
     checks the cycle counts agree, publishes the per-config table to
     ``benchmarks/results/idle_skip.txt``, and enforces the headline
     claim: >= 3x overall on memory_access_time-dominated configs.
     """
     rounds = 3
 
-    # replay off in both arms: this benchmark isolates the idle-skip
-    # layer (loop replay has its own benchmark below).
-    def timed(config, skip: bool) -> tuple[float, int]:
+    # replay and compiled kernels off in both arms: this benchmark
+    # isolates the idle-skip layer (loop replay has its own below).
+    def timed(config, engine: str) -> tuple[float, int]:
         best = float("inf")
         cycles = 0
         for _ in range(rounds):
             start = time.perf_counter()
-            result = simulate(config, context.program, skip=skip, replay=False)
+            result = simulate(config, context.program, **ROW[engine])
             best = min(best, time.perf_counter() - start)
             assert result.halted
             cycles = result.cycles
@@ -130,8 +135,8 @@ def test_idle_skip_speedup(context, benchmark, results_dir):
     headline_on = headline_off = 0.0
     for name, factory in sorted(_SKIP_CONFIGS.items()):
         config = factory()
-        on_seconds, on_cycles = timed(config, skip=True)
-        off_seconds, off_cycles = timed(config, skip=False)
+        on_seconds, on_cycles = timed(config, "idle-skip")
+        off_seconds, off_cycles = timed(config, "reference")
         assert on_cycles == off_cycles, (
             f"{name}: skip engine simulated {on_cycles} cycles but the "
             f"reference loop simulated {off_cycles}"
@@ -164,7 +169,11 @@ def test_idle_skip_speedup(context, benchmark, results_dir):
     (results_dir / "idle_skip.txt").write_text(text)
 
     result = benchmark.pedantic(
-        lambda: simulate(_SKIP_CONFIGS["conventional-128-mat32"](), context.program),
+        lambda: simulate(
+            _SKIP_CONFIGS["conventional-128-mat32"](),
+            context.program,
+            **ROW["idle-skip"],
+        ),
         rounds=1,
         iterations=1,
     )
@@ -196,19 +205,20 @@ def test_warm_replay_speedup(context, benchmark, results_dir):
     The Livermore loops are loop-dominated by construction: once warm,
     every iteration repeats the same cycle-by-cycle evolution, which is
     exactly what the replay engine memoizes.  This benchmark runs the
-    same configurations with replay on and off (both with idle-skipping
-    on, min-of-N wall time), checks the cycle counts agree, publishes
+    same configurations on the ``skip+replay`` and ``idle-skip`` engine
+    rows (both interpreted; min-of-N wall time), checks the cycle
+    counts agree, publishes
     the per-config table to ``benchmarks/results/warm_replay.txt``, and
     enforces the headline claim: >= 2x on the loop-dominated runs.
     """
     rounds = 3
 
-    def timed(config, replay: bool) -> tuple[float, int]:
+    def timed(config, engine: str) -> tuple[float, int]:
         best = float("inf")
         cycles = 0
         for _ in range(rounds):
             start = time.perf_counter()
-            result = simulate(config, context.program, skip=True, replay=replay)
+            result = simulate(config, context.program, **ROW[engine])
             best = min(best, time.perf_counter() - start)
             assert result.halted
             cycles = result.cycles
@@ -218,8 +228,8 @@ def test_warm_replay_speedup(context, benchmark, results_dir):
     total_on = total_off = 0.0
     for name, factory in sorted(_REPLAY_CONFIGS.items()):
         config = factory()
-        on_seconds, on_cycles = timed(config, replay=True)
-        off_seconds, off_cycles = timed(config, replay=False)
+        on_seconds, on_cycles = timed(config, "skip+replay")
+        off_seconds, off_cycles = timed(config, "idle-skip")
         assert on_cycles == off_cycles, (
             f"{name}: replay engine simulated {on_cycles} cycles but the "
             f"idle-skip engine simulated {off_cycles}"
@@ -253,8 +263,7 @@ def test_warm_replay_speedup(context, benchmark, results_dir):
         lambda: simulate(
             _REPLAY_CONFIGS["pipe-16-16-c128-mat6"](),
             context.program,
-            skip=True,
-            replay=True,
+            **ROW["skip+replay"],
         ),
         rounds=1,
         iterations=1,

@@ -210,7 +210,7 @@ def profile_engine(
     why a loop did or did not engage.
     """
     region_map = _RegionMap(regions)
-    simulator = Simulator(config, program, replay=True)
+    simulator = Simulator(config, program, skip=True, replay=True)
     result = simulator.run()
     controller = simulator.replay_controller
     loops = [

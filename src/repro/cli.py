@@ -23,11 +23,10 @@ content-addressed result cache under ``.repro_cache/`` (bypass with
 They also accept the resilience options (``--supervised``,
 ``--timeout``, ``--max-retries``, ``--resume``, ``--checkpoint``):
 supervised sweeps retry failed points, survive worker crashes and
-hangs, degrade broken fast-path engines per point, checkpoint progress
-for ``--resume``, and print a fault report of every recovery action —
-with numbers byte-identical to a clean run.  ``--inject-faults SPEC``
-arms the deterministic fault injectors (see :mod:`repro.core.faults`)
-to rehearse exactly those recoveries.
+hangs, checkpoint progress for ``--resume``, and print a fault report
+of every recovery action — with numbers byte-identical to a clean run.
+``--inject-faults SPEC`` arms the deterministic fault injectors (see
+:mod:`repro.core.faults`) to rehearse exactly those recoveries.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .analysis.tables import (
 from .core import faults
 from .core.config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
 from .core.parallel import parallel_map, resolve_jobs
-from .core.resilience import SweepCheckpoint, SweepSupervisor, ladder_simulate
+from .core.resilience import SweepCheckpoint, SweepSupervisor
 from .core.scheduler import NO_COMPILED_ENV, NO_REPLAY_ENV, NO_SKIP_ENV
 from .core.simcache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, SimulationCache
 from .core.simulator import simulate, simulate_traced
@@ -91,8 +90,8 @@ def _add_perf(parser: argparse.ArgumentParser) -> None:
         "--supervised",
         action="store_true",
         help="run the sweep under the fault supervisor (retries, crash "
-        "recovery, engine degradation, checkpointing); implied by the "
-        "other resilience options",
+        "recovery, checkpointing); implied by the other resilience "
+        "options",
     )
     parser.add_argument(
         "--timeout",
@@ -128,8 +127,8 @@ def _add_perf(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help="arm the deterministic fault injectors: a bare seed, or "
-        "'seed=7,kill=0.3,hang=0.1,corrupt=0.5,diverge=0.5"
-        ",hang-seconds=2' (implies --supervised)",
+        "'seed=7,kill=0.3,hang=0.1,corrupt=0.5,hang-seconds=2' "
+        "(implies --supervised)",
     )
     parser.add_argument(
         "--fault-report",
@@ -221,30 +220,6 @@ def _machine_config(args: argparse.Namespace, **extra) -> MachineConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     suite = cached_livermore_suite(scale=args.scale)
     config = _machine_config(args)
-    if args.inject_faults is not None:
-        # Fault rehearsal: arm the injectors, run the point down the
-        # engine-degradation ladder, and report which rung delivered.
-        from .core.resilience import FaultReport
-
-        faults.activate(faults.FaultPlan.parse(args.inject_faults))
-        try:
-            report = FaultReport()
-            result, rung = ladder_simulate(
-                config,
-                suite.program,
-                report=report,
-                point=args.strategy,
-                traced=args.trace_out is not None,
-                trace_path=args.trace_out,
-            )
-        finally:
-            faults.deactivate()
-        print(result.summary())
-        print(f"engine rung   : {rung}")
-        print(report.summary())
-        if args.trace_out is not None:
-            print(f"trace written : {args.trace_out}")
-        return 0
     if args.trace_out is not None:
         result = simulate_traced(config, suite.program, trace_path=args.trace_out)
         print(result.summary())
@@ -409,37 +384,31 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print()
     failed = False
     hits = misses = 0
-    if jobs > 1:
+    if jobs > 1 and supervisor is None:
         if cache is not None:
             # Pre-warm the cache with the standard sweeps shared by the
             # figure/headline/ablation experiments, parallelized at the
             # *point* level — so concurrent experiments never re-simulate
-            # a shared point.  With a supervisor this is also where all
-            # the heavy simulation happens fault-tolerantly; experiment
-            # workers then mostly replay the warm cache.
+            # a shared point; experiment workers then mostly replay the
+            # warm cache.
             from .core.sweep import run_cache_sweep
 
             program = cached_livermore_suite(scale=args.scale).program
-            try:
-                for access, bus, pipelined in (
-                    (1, 4, False),
-                    (1, 8, False),
-                    (6, 4, False),
-                    (6, 8, False),
-                    (6, 8, True),
-                ):
-                    run_cache_sweep(
-                        program,
-                        jobs=jobs,
-                        cache=cache,
-                        supervisor=supervisor,
-                        memory_access_time=access,
-                        input_bus_width=bus,
-                        memory_pipelined=pipelined,
-                    )
-            finally:
-                _finish_supervised(args, supervisor)
-            supervisor = None  # consumed by the pre-warm phase
+            for access, bus, pipelined in (
+                (1, 4, False),
+                (1, 8, False),
+                (6, 4, False),
+                (6, 8, False),
+                (6, 8, True),
+            ):
+                run_cache_sweep(
+                    program,
+                    jobs=jobs,
+                    cache=cache,
+                    memory_access_time=access,
+                    input_bus_width=bus,
+                    memory_pipelined=pipelined,
+                )
         # Independent experiments fan out across workers; shared sweep
         # points flow between them through the content-addressed cache.
         tasks = [
@@ -462,6 +431,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             hits += cache.stats.hits
             misses += cache.stats.misses
     else:
+        # Serial, or supervised: the experiments run in this process and
+        # each sweep fans its points out over `jobs` supervised workers.
         context = _make_context(
             args.scale, jobs=jobs, cache=cache, supervisor=supervisor
         )
@@ -478,11 +449,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 failed = failed or not report.all_passed
         finally:
             _finish_supervised(args, supervisor)
-            supervisor = None
         if cache is not None:
             hits, misses = cache.stats.hits, cache.stats.misses
-    if supervisor is not None:  # parallel run without a pre-warm cache
-        _finish_supervised(args, supervisor)
     if cache is not None:
         print(
             f"simulation cache: {hits} hits, {misses} misses "
@@ -548,23 +516,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-skip",
         action="store_true",
-        help="use the reference cycle-by-cycle loop instead of the "
-        "idle-cycle-skipping scheduler (results are identical; "
-        "equivalent to REPRO_NO_SKIP=1)",
+        help="run the reference cycle-by-cycle loop: no idle-cycle "
+        "skipping, and so no loop replay or compiled kernel either "
+        "(results are identical; equivalent to REPRO_NO_SKIP=1)",
     )
     parser.add_argument(
         "--no-replay",
         action="store_true",
-        help="disable steady-state loop replay and simulate every warm "
-        "iteration live (results are identical; equivalent to "
-        "REPRO_NO_REPLAY=1)",
+        help="run the idle-skip engine: no steady-state loop replay, and "
+        "so no compiled kernel either (results are identical; "
+        "equivalent to REPRO_NO_REPLAY=1)",
     )
     parser.add_argument(
         "--no-compiled",
         action="store_true",
-        help="disable the per-config compiled step kernel and run the "
-        "interpreted engines (results are identical; equivalent to "
-        "REPRO_NO_COMPILED=1)",
+        help="run the interpreted skip+replay engine instead of the "
+        "per-config compiled step kernel (results are identical; "
+        "equivalent to REPRO_NO_COMPILED=1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -584,13 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also capture a JSONL event trace to PATH (with summary panel)",
-    )
-    run_parser.add_argument(
-        "--inject-faults",
-        default=None,
-        metavar="SPEC",
-        help="arm the deterministic fault injectors and run the point "
-        "down the engine-degradation ladder (reports the final rung)",
     )
     _add_scale(run_parser)
     run_parser.set_defaults(func=_cmd_run)
@@ -692,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz_parser = sub.add_parser(
         "fuzz",
-        help="differential-fuzz the engine ladder with generated kernels",
+        help="differential-fuzz the four engines with generated kernels",
     )
     fuzz_parser.add_argument(
         "--seed", type=int, default=0, help="first seed of the range"
@@ -714,9 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument(
         "--engines",
         default=None,
-        help="comma-separated engine rungs to pin the ladder to, e.g. "
-        "'compiled' (the reference baseline is always included; "
-        "default: all four rungs)",
+        help="comma-separated engines to compare, from reference, "
+        "idle-skip, skip+replay and compiled (the reference baseline is "
+        "always included; default: all four)",
     )
     fuzz_parser.add_argument(
         "--corpus",

@@ -16,7 +16,6 @@ _EXPORTS = {
     "SweepCheckpoint": ("repro.core.resilience", "SweepCheckpoint"),
     "SweepPointError": ("repro.core.resilience", "SweepPointError"),
     "SweepSupervisor": ("repro.core.resilience", "SweepSupervisor"),
-    "ladder_simulate": ("repro.core.resilience", "ladder_simulate"),
     "supervised_map": ("repro.core.resilience", "supervised_map"),
     "MachineConfig": ("repro.core.config", "MachineConfig"),
     "PAPER_CACHE_SIZES": ("repro.core.config", "PAPER_CACHE_SIZES"),

@@ -3,9 +3,9 @@
 The reference loop in :meth:`repro.core.simulator.Simulator.run` pays
 generic-Python overhead on every *live* cycle: virtual dispatch into
 each component phase, attribute lookups for state that never moves,
-``tracer.enabled`` tests that are false for the whole run, and replay
-bookkeeping that is disabled.  This module generates, per machine
-configuration, a monolithic specialized run function in which
+and ``tracer.enabled`` tests that are false for the whole run.  This
+module generates, per machine configuration, a monolithic specialized
+skip+replay run function in which
 
 * configuration constants (``max_cycles``, the deadlock horizon, queue
   capacities, branch latency, bus/priority knobs) are folded into
@@ -14,9 +14,8 @@ configuration, a monolithic specialized run function in which
   ``engine.update``, ``backend.step``, ``memory.end_cycle``) are
   flattened into straight-line inlined code whenever the component
   opted into emission (see below) and is not monkeypatched;
-* ``tracer.enabled`` branches, replay hooks, and the idle-skip block
-  are specialized *out* of the source when the corresponding feature
-  is disabled for the run;
+* ``tracer.enabled`` branches are specialized *out* of the source
+  when the run is untraced;
 * component objects, bound methods, and queue storage are hoisted into
   locals once per run, outside the hot loop.
 
@@ -34,8 +33,8 @@ instance-level monkeypatching, otherwise it falls back to calling the
 bound method — so tests that stub out ``frontend.poll_requests`` or
 ``backend.step`` still see their stubs.  Every fold decision is part
 of the :class:`KernelSpec`, which keys the process-wide compile cache:
-one config (plus traced/skip/replay flags and fold profile) compiles
-exactly once per process.  The caches live in process memory only;
+one config (plus the traced flag and fold profile) compiles exactly
+once per process.  The caches live in process memory only;
 forked sweep workers inherit whatever the parent had compiled.
 ``docs/COMPILED.md`` documents the contract in full.
 
@@ -46,8 +45,10 @@ stall-counter dict, stats objects.  Attributes the replay engine or
 the components rebind (``external.in_flight``, ``fpu._ops_pending``,
 ``engine._uncommitted_*``) are always read through their owner.
 
-``compiled=False``, ``--no-compiled`` or ``REPRO_NO_COMPILED=1``
-selects the interpreted engines for differential testing.
+The kernel always runs with idle-cycle skipping and loop replay on:
+the engine switches nest (:func:`repro.core.scheduler.resolve_engine`),
+so ``compiled=False``, ``--no-compiled`` or ``REPRO_NO_COMPILED=1``
+selects the interpreted skip+replay engine instead.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from ..cpu.dispatch import (
     clear_dispatch_cache,
     dispatch_codegen_stats,
 )
-from ..cpu.executor import execute, queue_effects
+from ..cpu.executor import queue_effects
 from ..cpu.queues import ArchitecturalQueue
 from ..frontend.base import FetchUnit
 from ..frontend.conventional import ConventionalFetchUnit
@@ -78,12 +79,7 @@ from ..memory.fpu import is_fpu_address
 from ..memory.fpu_timing import TimedFpu
 from ..memory.requests import RequestKind, RequestPriority, acceptance_order
 from ..memory.system import MemorySystem
-from .scheduler import (
-    ENGINE_REVISION,
-    IDLE,
-    inline_frontend_enabled_default,
-    specialize_dispatch_enabled_default,
-)
+from .scheduler import ENGINE_REVISION, IDLE
 
 __all__ = [
     "CompiledKernel",
@@ -131,8 +127,6 @@ class KernelSpec:
 
     config_key: str
     traced: bool
-    skip: bool
-    replay: bool
     max_cycles: int
     deadlock_cycles: int
     snapshot_mask: int
@@ -151,7 +145,6 @@ class KernelSpec:
     inline_end: bool
     poll_guard: bool
     inline_frontend: bool
-    specialize_dispatch: bool
     #: PIPE only: icache line size folded into the IQB-exhaustion guards
     line_size: int | None
     #: PIPE only: IQ byte capacity folded into the transfer loop
@@ -225,11 +218,7 @@ def kernel_spec_for(sim) -> KernelSpec:
     pipe_iq_size = None
     tib_block_size = None
     tib_stream_capacity = None
-    if (
-        inline_frontend_enabled_default()
-        and poll_guard
-        and getattr(type(frontend), "COMPILED_FRONTEND_INLINE", False)
-    ):
+    if poll_guard and getattr(type(frontend), "COMPILED_FRONTEND_INLINE", False):
         if type(frontend) is ConventionalFetchUnit:
             cache = frontend.cache
             inline_frontend = (
@@ -309,8 +298,6 @@ def kernel_spec_for(sim) -> KernelSpec:
     return KernelSpec(
         config_key=config_fingerprint(config),
         traced=sim.tracer.enabled,
-        skip=sim.skip,
-        replay=sim.replay_enabled,
         max_cycles=config.max_cycles,
         deadlock_cycles=sim.DEADLOCK_CYCLES,
         snapshot_mask=sim.SNAPSHOT_MASK,
@@ -339,9 +326,6 @@ def kernel_spec_for(sim) -> KernelSpec:
         ),
         poll_guard=poll_guard,
         inline_frontend=inline_frontend,
-        specialize_dispatch=(
-            specialize_dispatch_enabled_default() and inline_step
-        ),
         line_size=line_size,
         pipe_iq_size=pipe_iq_size,
         tib_block_size=tib_block_size,
@@ -445,7 +429,7 @@ _BINDINGS: dict[str, str] = {
     "frontend_maybe_request": "sim.frontend._maybe_request",
     "frontend_predecode_at": "sim.frontend.predecode.at",
     "frontend_start_fill": "sim.frontend._start_fill",
-    # -- program-specialized dispatch (spec.specialize_dispatch only) --
+    # -- program-specialized dispatch (spec.inline_step only) ---------
     "dispatch_get": "_dispatch_for(sim).handler_for",
 }
 
@@ -617,9 +601,8 @@ def _emit_snapshot_block(ctx: KernelContext) -> None:
             ctx.line("last_progress_at = now")
         with ctx.block(f"elif now - last_progress_at > {spec.deadlock_cycles}:"):
             ctx.line("raise sim._deadlock(now, last_progress_at, False)")
-        if spec.replay:
-            ctx.need("replay_check_runaway")
-            ctx.line("replay_check_runaway()")
+        ctx.need("replay_check_runaway")
+        ctx.line("replay_check_runaway()")
     with ctx.block(f"if now >= {spec.max_cycles}:"):
         ctx.line("raise sim._timeout(now, False)")
 
@@ -740,8 +723,7 @@ def generate_source(spec: KernelSpec) -> str:
         if traced:
             ctx.line("tracer.cycle = now")
         ctx.line("ticks_before = clock.ticks")
-        if spec.skip:
-            ctx.line("conflicts_before = mem_stats.acceptance_conflicts")
+        ctx.line("conflicts_before = mem_stats.acceptance_conflicts")
         _emit_phase_begin(ctx)
         _emit_phase_update(ctx)
         _emit_phase_frontend_update(ctx)
@@ -752,11 +734,9 @@ def generate_source(spec: KernelSpec) -> str:
         _emit_phase_end(ctx)
         ctx.line("now += 1")
         _emit_drain_check(ctx)
-        if spec.replay:
-            _emit_replay_block(ctx)
+        _emit_replay_block(ctx)
         _emit_snapshot_block(ctx)
-        if spec.skip:
-            _emit_skip_block(ctx)
+        _emit_skip_block(ctx)
     ctx.line("return now")
     return ctx.render()
 
@@ -781,8 +761,7 @@ class CompiledKernel:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<CompiledKernel {self.spec.config_key[:12]} "
-            f"traced={self.spec.traced} skip={self.spec.skip} "
-            f"replay={self.spec.replay}>"
+            f"traced={self.spec.traced}>"
         )
 
 
@@ -849,7 +828,6 @@ def _dispatch_table_for(sim, config_key: str) -> ProgramDispatchTable:
 def _kernel_globals(spec: KernelSpec) -> dict:
     return {
         "IDLE": IDLE,
-        "execute": execute,
         "queue_effects": queue_effects,
         "_PendingBranch": _PendingBranch,
         "_is_fpu": is_fpu_address,

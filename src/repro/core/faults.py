@@ -12,19 +12,15 @@ classes the supervisor (:mod:`repro.core.resilience`) must survive:
     a sweep point sleeps past the supervisor's per-point timeout;
 ``cache_corrupt``
     a just-stored simulation-cache entry is truncated in place,
-    emulating a process killed halfway through a (non-atomic) write;
-``replay_diverge``
-    the steady-state replay engine raises :class:`InjectedFault` at a
-    loop backedge, emulating a fast-path bug that escapes the
-    engine's own divergence handling.
+    emulating a process killed halfway through a (non-atomic) write.
 
 Whether an injector fires for a given point is a pure function of the
 plan's ``seed``, the injector kind, and the point's content key, so a
 run with ``--inject-faults seed=7,...`` hits exactly the same points
-every time.  Crash/hang/corrupt injectors additionally fire **once**
-per point, coordinated across processes through marker files in the
-plan's scratch directory — the retry of a killed point must succeed,
-not die again forever.
+every time.  Every injector additionally fires **once** per point,
+coordinated across processes through marker files in the plan's
+scratch directory — the retry of a killed point must succeed, not die
+again forever.
 
 The active plan travels through the ``REPRO_FAULT_PLAN`` environment
 variable (as the CLI's engine switches do), so sweep worker processes
@@ -46,15 +42,12 @@ __all__ = [
     "FAULT_KINDS",
     "FAULT_PLAN_ENV",
     "FaultPlan",
-    "InjectedFault",
     "activate",
     "active_plan",
     "deactivate",
-    "point_key",
     "corrupt_stored_entry",
     "maybe_hang_point",
     "maybe_kill_worker",
-    "replay_fault_hook",
     "seeded_uniform",
 ]
 
@@ -62,18 +55,13 @@ __all__ = [
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: The injector kinds, in the order they act on a sweep point.
-FAULT_KINDS = ("worker_kill", "point_hang", "cache_corrupt", "replay_diverge")
-
-#: injectors that must fire at most once per point (their effect would
-#: otherwise defeat every retry)
-_ONCE_KINDS = frozenset({"worker_kill", "point_hang", "cache_corrupt"})
+FAULT_KINDS = ("worker_kill", "point_hang", "cache_corrupt")
 
 #: ``--inject-faults`` spec aliases → plan field names
 _SPEC_ALIASES = {
     "kill": "worker_kill",
     "hang": "point_hang",
     "corrupt": "cache_corrupt",
-    "diverge": "replay_diverge",
     "hang-seconds": "hang_seconds",
     "hang_seconds": "hang_seconds",
     "seed": "seed",
@@ -94,26 +82,21 @@ def seeded_uniform(seed: int, *parts: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
-class InjectedFault(RuntimeError):
-    """An error raised deliberately by the fault-injection harness."""
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """One seeded fault-injection campaign.
 
-    The ``worker_kill`` / ``point_hang`` / ``cache_corrupt`` /
-    ``replay_diverge`` fields are per-point firing rates in ``[0, 1]``;
-    which points fire is decided by :meth:`fires`, a pure hash of
-    ``(seed, kind, point key)``.  ``scratch_dir`` hosts the cross-process
-    once-markers; without one the once-only injectors stay inert.
+    The ``worker_kill`` / ``point_hang`` / ``cache_corrupt`` fields are
+    per-point firing rates in ``[0, 1]``; which points fire is decided
+    by :meth:`fires`, a pure hash of ``(seed, kind, point key)``.
+    ``scratch_dir`` hosts the cross-process once-markers; without one
+    the injectors stay inert.
     """
 
     seed: int = 0
     worker_kill: float = 0.0
     point_hang: float = 0.0
     cache_corrupt: float = 0.0
-    replay_diverge: float = 0.0
     #: how long a hung point sleeps (keep above the supervisor timeout)
     hang_seconds: float = 5.0
     #: directory for the cross-process once-only markers
@@ -133,7 +116,7 @@ class FaultPlan:
         A bare integer (``"42"``) seeds a default campaign that enables
         every injector at a 25% rate; otherwise the spec is
         ``key=value`` pairs separated by commas, e.g.
-        ``"seed=7,kill=0.3,hang=0.1,corrupt=0.5,diverge=0.5"``.
+        ``"seed=7,kill=0.3,hang=0.1,corrupt=0.5"``.
         """
         spec = spec.strip()
         if not spec:
@@ -191,8 +174,8 @@ class FaultPlan:
         The marker lives in ``scratch_dir`` and is claimed atomically
         (``O_CREAT | O_EXCL``), so exactly one process ever sees
         ``True`` for a given ``(kind, key)``.  Without a scratch
-        directory the once-only injectors never fire — an injector that
-        cannot promise "once" would turn every retry into a new fault.
+        directory the injectors never fire — an injector that cannot
+        promise "once" would turn every retry into a new fault.
         """
         if self.scratch_dir is None or not self.fires(kind, key):
             return False
@@ -217,11 +200,11 @@ _cached: tuple[str | None, FaultPlan | None] = (None, None)
 def activate(plan: FaultPlan) -> FaultPlan:
     """Arm ``plan`` process-wide (and for any workers spawned later).
 
-    If the plan enables a once-only injector but names no scratch
-    directory, a private temporary one is created for it; the
-    (possibly updated) active plan is returned.
+    If the plan enables an injector but names no scratch directory, a
+    private temporary one is created for it; the (possibly updated)
+    active plan is returned.
     """
-    needs_scratch = any(plan.rate(kind) > 0 for kind in _ONCE_KINDS)
+    needs_scratch = any(plan.rate(kind) > 0 for kind in FAULT_KINDS)
     if needs_scratch and plan.scratch_dir is None:
         plan = dataclasses.replace(
             plan, scratch_dir=tempfile.mkdtemp(prefix="repro-faults-")
@@ -256,13 +239,6 @@ def active_plan() -> FaultPlan | None:
 # ----------------------------------------------------------------------
 # Injection points
 # ----------------------------------------------------------------------
-def point_key(config) -> str:
-    """The content key a sweep point is addressed by (config fingerprint)."""
-    from .simcache import config_fingerprint  # late: avoid an import cycle
-
-    return config_fingerprint(config)
-
-
 def _in_worker(plan: FaultPlan) -> bool:
     """True when this process is a pool worker, not the supervisor."""
     return plan.host_pid is None or plan.host_pid != os.getpid()
@@ -311,27 +287,3 @@ def corrupt_stored_entry(path, key: str) -> bool:
         return False
     return True
 
-
-def replay_fault_hook(config):
-    """A backedge hook raising :class:`InjectedFault`, or ``None``.
-
-    Armed per simulation point: when the plan's ``replay_diverge``
-    injector fires for this config, the returned callable — invoked by
-    the replay controller at every loop backedge — raises, emulating a
-    fast-path bug.  The engine-degradation ladder must then re-run the
-    point with replay disabled.  Inert (``None``) when no plan is
-    active, so the simulator pays nothing in normal runs.
-    """
-    plan = active_plan()
-    if plan is None or plan.replay_diverge <= 0.0:
-        return None
-    if not plan.fires("replay_diverge", point_key(config)):
-        return None
-
-    def hook(target: int, now: int) -> None:
-        raise InjectedFault(
-            f"injected replay-engine divergence at backedge "
-            f"pc={target:#x} cycle={now}"
-        )
-
-    return hook

@@ -1,4 +1,4 @@
-"""Differential fuzzing of the engine ladder over generated kernels.
+"""Differential fuzzing of the four engines over generated kernels.
 
 For each seeded workload from :mod:`repro.kernels.generate` the harness
 checks two layers of the system against each other:
@@ -7,7 +7,7 @@ checks two layers of the system against each other:
    program, executed on the functional simulator, and every array
    element plus every scalar result slot is compared **bit-for-bit**
    against the float32-exact reference interpreter.
-2. **Engine ladder** — for each machine configuration in the sample,
+2. **Engines** — for each machine configuration in the sample,
    the program runs through all four engines (reference, idle-skip,
    skip+replay, compiled) with tracing on, and the harness asserts
    identical cycle counts, identical stats dicts, and byte-identical
@@ -52,10 +52,10 @@ from ..kernels.reference import f32, run_kernel_reference
 from ..kernels.serialize import workload_from_json, workload_to_json
 from ..kernels.suite import KernelSuite, build_kernel_suite
 from .config import MachineConfig
+from .scheduler import ENGINES
 from .simulator import simulate_traced
 
 __all__ = [
-    "ENGINES",
     "FUZZ_CONFIGS",
     "FuzzFailure",
     "FuzzReport",
@@ -64,14 +64,6 @@ __all__ = [
     "run_fuzz",
     "shrink_workload",
 ]
-
-#: The four-engine ladder, mirroring tests/test_scheduler_differential.
-ENGINES = (
-    ("reference", {"skip": False, "replay": False, "compiled": False}),
-    ("idle-skip", {"skip": True, "replay": False, "compiled": False}),
-    ("skip+replay", {"skip": True, "replay": True, "compiled": False}),
-    ("compiled", {"skip": True, "replay": True, "compiled": True}),
-)
 
 #: Machine configurations the fuzzer cycles through (one per case, by
 #: seed, so a 100-case run covers every row).  Factories, not instances:
@@ -187,10 +179,11 @@ def _functional_problems(suite: KernelSuite, kernel: Kernel) -> list[str]:
 
 
 def _select_engines(engines: list[str] | None) -> tuple:
-    """Resolve an engine-tag filter against :data:`ENGINES`.
+    """Resolve an engine-tag filter against
+    :data:`repro.core.scheduler.ENGINES`.
 
     ``reference`` is always included — it is the baseline every other
-    rung is compared against — so ``engines=["compiled"]`` pins a run
+    engine is compared against — so ``engines=["compiled"]`` pins a run
     to the reference/compiled pair.
     """
     if engines is None:
@@ -205,7 +198,7 @@ def _select_engines(engines: list[str] | None) -> tuple:
     return tuple(pair for pair in ENGINES if pair[0] in wanted)
 
 
-def _ladder_problems(
+def _engine_problems(
     suite: KernelSuite,
     config: MachineConfig,
     engines: list[str] | None = None,
@@ -257,15 +250,15 @@ def check_workload(
 ) -> list[str]:
     """All divergences for one workload × config (empty = clean).
 
-    ``engines`` restricts the ladder to the named tags (plus the
-    reference baseline); ``None`` runs all four rungs.
+    ``engines`` restricts the comparison to the named tags (plus the
+    reference baseline); ``None`` runs all four engines.
     """
     try:
         suite = build_kernel_suite([kernel], list(arrays))
     except (KernelValidationError, CompileError, ValueError) as error:
         return [f"suite build failed: {type(error).__name__}: {error}"]
     problems = _functional_problems(suite, kernel)
-    problems.extend(_ladder_problems(suite, config, engines))
+    problems.extend(_engine_problems(suite, config, engines))
     return problems
 
 
@@ -376,8 +369,8 @@ def run_fuzz(
     ``configs`` (default: all of :data:`FUZZ_CONFIGS`, round-robin).
     Failures are shrunk and written as JSON reproducers under
     ``failures_dir`` (if given); ``progress`` is an optional callable
-    receiving one status line per case.  ``engines`` pins the ladder to
-    the named rungs plus the reference baseline (default: all four).
+    receiving one status line per case.  ``engines`` pins the comparison
+    to the named engines plus the reference baseline (default: all four).
     """
     _select_engines(engines)  # validate tags before the first case
     config_names = list(configs or FUZZ_CONFIGS)

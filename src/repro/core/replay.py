@@ -54,7 +54,8 @@ Byte-identity invariants:
   deadlock errors report true architectural cycles.
 
 ``replay=False``, ``--no-replay`` or ``REPRO_NO_REPLAY=1`` disable the
-controller entirely for differential testing.
+controller entirely and select the idle-skip engine; replay itself
+needs idle-cycle skipping (:func:`repro.core.scheduler.resolve_engine`).
 """
 
 from __future__ import annotations
@@ -435,10 +436,6 @@ class ReplayController:
         self.book = StatsBook(sim)
         self.loops: dict[int, _LoopState] = {}
         self.traced = sim.tracer.enabled
-        #: fault-injection hook (``None`` outside injected runs): called
-        #: with ``(target, now)`` at every backedge, emulating a replay
-        #: fast-path bug for the engine-degradation ladder to absorb
-        self.fault_hook = getattr(sim, "replay_fault_hook", None)
         self._recording_target: int | None = None
         self._rec_now = 0
         self._rec_seq = 0
@@ -458,8 +455,6 @@ class ReplayController:
         replayed arithmetically and the machine state already reflects
         the returned cycle.
         """
-        if self.fault_hook is not None:
-            self.fault_hook(target, now)
         state = self.loops.get(target)
         if state is None:
             state = _LoopState()

@@ -1,19 +1,18 @@
 """Fault-tolerant execution: supervised sweeps that finish.
 
 A paper-scale design-space sweep is thousands of independent simulation
-points across worker processes, a content-addressed result cache, and
-three stacked fast-path engines.  Each of those layers can fail — a
-worker segfaults, a point wedges, a cache blob is truncated, a replay
-fast-path bug raises — and a single-shot sweep dies at 94% with its
-completed work discarded.  This module makes the failure modes
+points across worker processes and a content-addressed result cache.
+Each of those layers can fail — a worker segfaults, a point wedges, a
+cache blob is truncated — and a single-shot sweep dies at 94% with its
+completed work discarded.  This module makes those failure modes
 survivable while keeping the numbers *exactly* what a clean serial
 reference run would produce:
 
 :class:`FaultReport`
     the ledger: every recovery action (retry, timeout, worker crash,
-    pool respawn, serial fallback, engine degradation, cache
-    quarantine) is recorded as a :class:`FaultEvent` against the point
-    it happened to, so a sweep that healed itself says exactly how.
+    pool respawn, serial fallback, cache quarantine) is recorded as a
+    :class:`FaultEvent` against the point it happened to, so a sweep
+    that healed itself says exactly how.
 
 :func:`supervised_map`
     the sweep executor (:func:`repro.core.parallel.sweep_map`) with its
@@ -21,22 +20,13 @@ reference run would produce:
     ``BrokenProcessPool`` recovery — the pool is respawned, in-flight
     points are requeued, and after repeated pool failures the remaining
     points run serially in-process.  Completed siblings are never
-    discarded; points that stay broken after the whole ladder of
-    recoveries raise :class:`SweepPointError` *after* everything
-    recoverable has finished (and been checkpointed).
-
-:func:`ladder_simulate`
-    the engine-degradation ladder: a point that fails under the full
-    fast path (the compiled step kernel with idle-skip + steady-state
-    replay) is re-run with the interpreted engines, then under
-    idle-skip alone, then under the reference cycle-by-cycle loop —
-    :data:`~repro.core.scheduler.ENGINE_RUNGS` — recording which rung
-    finally produced the result (successes included, so the compiled
-    rung's engagement rate is visible in ``--fault-report`` JSON).
-    Architectural outcomes
-    (:class:`~repro.core.simulator.DeadlockError`,
-    :class:`~repro.core.simulator.SimulationTimeout`) are identical on
-    every rung and therefore never degraded, only reported.
+    discarded; points that stay broken after every recovery raise
+    :class:`SweepPointError` *after* everything recoverable has
+    finished (and been checkpointed).  A simulator bug is one of those:
+    every point runs on the one engine the run selected, and an
+    exception from it is charged like any other point error, so a
+    fast-path bug fails loudly instead of being re-run on a slower
+    engine.
 
 :class:`SweepCheckpoint`
     a periodic atomic manifest of completed sweep points keyed by the
@@ -60,7 +50,6 @@ from ..asm.program import Program
 from .config import MachineConfig
 from .parallel import _init_simulation_worker, sweep_map
 from .results import SimulationResult
-from .scheduler import ENGINE_RUNGS, rung_kwargs
 
 __all__ = [
     "CheckpointLockError",
@@ -69,7 +58,6 @@ __all__ = [
     "SweepCheckpoint",
     "SweepPointError",
     "SweepSupervisor",
-    "ladder_simulate",
     "retry_backoff",
     "supervised_map",
     "supervised_simulate_many",
@@ -85,11 +73,9 @@ class FaultEvent:
 
     point: str  #: point label (content-key prefix or index)
     kind: str  #: retry | timeout | worker_crash | pool_respawn |
-    #: serial_fallback | engine_fault | degraded | cache_quarantine |
-    #: gave_up | resumed
+    #: serial_fallback | cache_quarantine | gave_up
     detail: str = ""
     attempt: int = 0
-    rung: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -97,15 +83,12 @@ class FaultEvent:
             "kind": self.kind,
             "detail": self.detail,
             "attempt": self.attempt,
-            "rung": self.rung,
         }
 
     def __str__(self) -> str:
         parts = [f"[{self.kind}] point {self.point}"]
         if self.attempt:
             parts.append(f"attempt {self.attempt}")
-        if self.rung:
-            parts.append(f"rung {self.rung}")
         if self.detail:
             parts.append(self.detail)
         return " — ".join(parts)
@@ -116,31 +99,13 @@ class FaultReport:
     """Every recovery action taken during one supervised sweep."""
 
     events: list[FaultEvent] = field(default_factory=list)
-    #: points served per engine rung (tallied even on full success, so
-    #: the fast paths' engagement rate is observable in ``--fault-report``
-    #: JSON); never affects :attr:`clean`
-    rungs: dict[str, int] = field(default_factory=dict)
-
-    def tally_rung(self, rung: str) -> None:
-        """Count one point served by ``rung`` (success path included)."""
-        self.rungs[rung] = self.rungs.get(rung, 0) + 1
 
     def record(
-        self,
-        point: str,
-        kind: str,
-        detail: str = "",
-        attempt: int = 0,
-        rung: str | None = None,
+        self, point: str, kind: str, detail: str = "", attempt: int = 0
     ) -> FaultEvent:
-        event = FaultEvent(
-            point=point, kind=kind, detail=detail, attempt=attempt, rung=rung
-        )
+        event = FaultEvent(point=point, kind=kind, detail=detail, attempt=attempt)
         self.events.append(event)
         return event
-
-    def extend(self, events: Sequence[FaultEvent]) -> None:
-        self.events.extend(events)
 
     def counts(self) -> dict[str, int]:
         """Event tally by kind, insertion-ordered."""
@@ -157,7 +122,6 @@ class FaultReport:
         return {
             "events": [event.to_dict() for event in self.events],
             "counts": self.counts(),
-            "rungs": dict(self.rungs),
         }
 
     def summary(self) -> str:
@@ -170,11 +134,6 @@ class FaultReport:
                 lines.append(f"  {kind:<16} {count}")
             for event in self.events:
                 lines.append(f"  {event}")
-        if self.rungs:
-            served = ", ".join(
-                f"{rung}={count}" for rung, count in self.rungs.items()
-            )
-            lines.append(f"  points by rung : {served}")
         return "\n".join(lines)
 
 
@@ -240,76 +199,6 @@ def retry_backoff(
 
 
 # ----------------------------------------------------------------------
-# The engine-degradation ladder
-# ----------------------------------------------------------------------
-def ladder_simulate(
-    config: MachineConfig,
-    program: Program,
-    report: FaultReport | None = None,
-    point: str = "?",
-    traced: bool = False,
-    trace_path=None,
-) -> tuple[SimulationResult, str]:
-    """Simulate one point, degrading engines instead of crashing.
-
-    Tries each rung of :data:`~repro.core.scheduler.ENGINE_RUNGS` in
-    order; any exception from a fast-path engine moves one rung down
-    and is recorded in ``report``.  Returns ``(result, rung)`` with the
-    rung that produced the result — byte-identical across rungs, so a
-    degraded point is indistinguishable in the numbers.
-
-    :class:`~repro.core.simulator.DeadlockError` and
-    :class:`~repro.core.simulator.SimulationTimeout` are *architectural*
-    outcomes (the same on every rung, with true cycle counts) and
-    propagate immediately; so does a last-rung failure, which no
-    ladder can fix.
-    """
-    from .simulator import (  # late: the simulator is heavy
-        DeadlockError,
-        SimulationTimeout,
-        simulate,
-        simulate_traced,
-    )
-
-    last_exc: BaseException | None = None
-    for index, rung in enumerate(ENGINE_RUNGS):
-        kwargs = rung_kwargs(rung)
-        try:
-            if traced:
-                result = simulate_traced(
-                    config, program, trace_path=trace_path, **kwargs
-                )
-            else:
-                result = simulate(config, program, **kwargs)
-        except (DeadlockError, SimulationTimeout):
-            raise  # engine-independent architectural outcome
-        except Exception as exc:  # noqa: BLE001 — the ladder exists for these
-            last_exc = exc
-            if report is not None:
-                report.record(
-                    point,
-                    "engine_fault",
-                    detail=f"{type(exc).__name__}: {exc}",
-                    rung=rung,
-                )
-            if index == len(ENGINE_RUNGS) - 1:
-                raise  # the last rung itself failed: nothing below it
-            continue
-        if index > 0 and report is not None:
-            report.record(
-                point,
-                "degraded",
-                detail=f"fast path failed ({type(last_exc).__name__}), "
-                f"result produced by the {rung} engine",
-                rung=rung,
-            )
-        if report is not None:
-            report.tally_rung(rung)
-        return result, rung
-    raise AssertionError("unreachable: every rung either returned or raised")
-
-
-# ----------------------------------------------------------------------
 # Supervised fan-out: the sweep executor with its fault policy on
 # ----------------------------------------------------------------------
 def supervised_map(
@@ -365,19 +254,18 @@ def supervised_map(
     return values
 
 
-def _supervised_point(task: tuple[str, MachineConfig]):
-    """Worker body: injectors first, then the full degradation ladder."""
+def _supervised_point(task: tuple[str, MachineConfig]) -> SimulationResult:
+    """Worker body: injectors first, then the point on the run's engine."""
     from . import parallel
     from .faults import maybe_hang_point, maybe_kill_worker
+    from .simulator import simulate  # late: the simulator is heavy
 
     key, config = task
     maybe_kill_worker(key)
     maybe_hang_point(key)
     program = parallel._worker_program
     assert program is not None, "worker initialized without a program"
-    report = FaultReport()
-    result, rung = ladder_simulate(config, program, report=report, point=key[:12])
-    return result, rung, report.events
+    return simulate(config, program)
 
 
 def supervised_simulate_many(
@@ -394,10 +282,10 @@ def supervised_simulate_many(
 ) -> list[SimulationResult]:
     """:func:`~repro.core.parallel.simulate_many` under the supervisor.
 
-    Every point runs the engine-degradation ladder inside its worker;
-    rung degradations recorded there are merged into ``report``.
     Results come back in ``configs`` order, byte-identical to a clean
-    serial reference run.
+    serial reference run.  A point whose simulation raises — a fast-path
+    bug included — is retried like any other failure and, if it keeps
+    failing, named in the final :class:`SweepPointError`.
     """
     from .simcache import sweep_point_keys
     from .simulator import DeadlockError, SimulationTimeout
@@ -405,20 +293,7 @@ def supervised_simulate_many(
     configs = list(configs)
     if keys is None:
         keys = sweep_point_keys(program, configs)
-    if report is None:
-        report = FaultReport()
-
-    def merge_point(index: int, value) -> None:
-        result, rung, events = value
-        report.extend(events)
-        # The worker-local report is discarded, so its rung tally
-        # (including the success-path count) is re-recorded here —
-        # exactly once per delivered point.
-        report.tally_rung(rung)
-        if on_result is not None:
-            on_result(index, result)
-
-    values = supervised_map(
+    return supervised_map(
         _supervised_point,
         list(zip(keys, configs)),
         jobs=jobs,
@@ -430,9 +305,8 @@ def supervised_simulate_many(
         no_retry=(DeadlockError, SimulationTimeout),
         initializer=_init_simulation_worker,
         initargs=(program,),
-        on_result=merge_point,
+        on_result=on_result,
     )
-    return [result for result, _rung, _events in values]
 
 
 # ----------------------------------------------------------------------

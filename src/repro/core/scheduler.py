@@ -26,8 +26,14 @@ over such spans without changing a single reported number:
   results, which is why the scheduler only skips after observing a
   zero-tick probe cycle.
 
-``REPRO_NO_SKIP=1`` (or ``Simulator(..., skip=False)``) keeps the
-reference cycle-by-cycle loop for differential testing.
+**Engines.**  Three switches pick one of the four rows of
+:data:`ENGINES`, and they nest: replay runs only on top of idle-cycle
+skipping, and the compiled step kernel only on top of replay.
+``skip=False``, ``REPRO_NO_SKIP=1`` or ``--no-skip`` selects the
+reference cycle-by-cycle loop; ``replay=False`` (``REPRO_NO_REPLAY``)
+idle-skip alone; ``compiled=False`` (``REPRO_NO_COMPILED``) the
+interpreted skip+replay engine.  :func:`resolve_engine` applies the
+nesting.
 """
 
 from __future__ import annotations
@@ -35,22 +41,18 @@ from __future__ import annotations
 import os
 
 __all__ = [
+    "ENGINES",
     "ENGINE_REVISION",
-    "ENGINE_RUNGS",
     "IDLE",
     "NO_COMPILED_ENV",
-    "NO_INLINE_FRONTEND_ENV",
     "NO_REPLAY_ENV",
     "NO_SKIP_ENV",
-    "NO_SPECIALIZE_DISPATCH_ENV",
     "ProgressClock",
     "SeqCounter",
     "compiled_enabled_default",
-    "inline_frontend_enabled_default",
     "replay_enabled_default",
-    "rung_kwargs",
+    "resolve_engine",
     "skip_enabled_default",
-    "specialize_dispatch_enabled_default",
 ]
 
 #: Sentinel returned by ``next_event_cycle`` hints: no self-scheduled
@@ -72,87 +74,59 @@ NO_REPLAY_ENV = "REPRO_NO_REPLAY"
 #: Environment variable disabling the compiled step-kernel engine.
 NO_COMPILED_ENV = "REPRO_NO_COMPILED"
 
-#: Environment variable disabling frontend state-machine inlining inside
-#: compiled kernels (the kernel falls back to bound-method phase calls).
-NO_INLINE_FRONTEND_ENV = "REPRO_NO_INLINE_FRONTEND"
-
-#: Environment variable disabling program-specialized instruction
-#: dispatch inside compiled kernels (falls back to the generic executor).
-NO_SPECIALIZE_DISPATCH_ENV = "REPRO_NO_SPECIALIZE_DISPATCH"
-
-
-#: The engine-degradation ladder, fastest first.  Every rung produces
-#: byte-identical results (the differential suite pins this), so the
-#: resilience layer may re-run a point on a slower rung after a
-#: fast-path failure without changing a single reported number.
-ENGINE_RUNGS = ("compiled", "replay", "idle-skip", "reference")
-
-#: ``Simulator`` keyword arguments selecting each rung.  The top rung
-#: defers to the session defaults, so the ``REPRO_NO_SKIP`` /
-#: ``REPRO_NO_REPLAY`` / ``REPRO_NO_COMPILED`` escape hatches stay
-#: authoritative; lower rungs only ever *disable* fast paths, never
-#: force one back on.
-_RUNG_KWARGS: dict[str, dict] = {
-    "compiled": {"skip": None, "replay": None, "compiled": None},
-    "replay": {"skip": None, "replay": None, "compiled": False},
-    "idle-skip": {"skip": None, "replay": False, "compiled": False},
-    "reference": {"skip": False, "replay": False, "compiled": False},
-}
+#: The four engines, slowest first, as ``(name, Simulator kwargs)``.
+#: Every row produces byte-identical results (the differential matrix
+#: pins this); ``repro-sim fuzz --engines`` accepts the names.
+ENGINES: tuple[tuple[str, dict], ...] = (
+    ("reference", {"skip": False, "replay": False, "compiled": False}),
+    ("idle-skip", {"skip": True, "replay": False, "compiled": False}),
+    ("skip+replay", {"skip": True, "replay": True, "compiled": False}),
+    ("compiled", {"skip": True, "replay": True, "compiled": True}),
+)
 
 
-def rung_kwargs(rung: str) -> dict:
-    """``Simulator(..., **rung_kwargs(rung))`` arguments for one rung."""
-    try:
-        return dict(_RUNG_KWARGS[rung])
-    except KeyError:
-        raise ValueError(
-            f"unknown engine rung {rung!r}; expected one of {ENGINE_RUNGS}"
-        ) from None
+def _env_off(name: str) -> bool:
+    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes")
 
 
 def skip_enabled_default() -> bool:
     """Idle-cycle skipping defaults to on unless ``REPRO_NO_SKIP`` is set."""
-    return os.environ.get(NO_SKIP_ENV, "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
+    return not _env_off(NO_SKIP_ENV)
 
 
 def replay_enabled_default() -> bool:
     """Loop replay defaults to on unless ``REPRO_NO_REPLAY`` is set."""
-    return os.environ.get(NO_REPLAY_ENV, "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
+    return not _env_off(NO_REPLAY_ENV)
 
 
 def compiled_enabled_default() -> bool:
     """Compiled kernels default to on unless ``REPRO_NO_COMPILED`` is set."""
-    return os.environ.get(NO_COMPILED_ENV, "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
+    return not _env_off(NO_COMPILED_ENV)
 
 
-def inline_frontend_enabled_default() -> bool:
-    """Frontend inlining defaults to on unless ``REPRO_NO_INLINE_FRONTEND``."""
-    return os.environ.get(NO_INLINE_FRONTEND_ENV, "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
+def resolve_engine(
+    skip: bool | None = None,
+    replay: bool | None = None,
+    compiled: bool | None = None,
+) -> tuple[bool, bool, bool]:
+    """The ``(skip, replay, compiled)`` switches one run actually uses.
 
-
-def specialize_dispatch_enabled_default() -> bool:
-    """Dispatch specialization is on unless ``REPRO_NO_SPECIALIZE_DISPATCH``."""
-    return os.environ.get(NO_SPECIALIZE_DISPATCH_ENV, "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
+    Each switch comes from its argument, else from its environment
+    default; then replay runs only with skip, and compiled only with
+    replay, so the answer is always one :data:`ENGINES` row.  An
+    explicit ``replay=True`` or ``compiled=True`` that this nesting
+    would switch off raises :class:`ValueError`.
+    """
+    skip = skip_enabled_default() if skip is None else bool(skip)
+    if replay is None:
+        replay = skip and replay_enabled_default()
+    elif replay and not skip:
+        raise ValueError("replay=True needs idle-cycle skipping (skip is off)")
+    if compiled is None:
+        compiled = replay and compiled_enabled_default()
+    elif compiled and not replay:
+        raise ValueError("compiled=True needs loop replay (replay is off)")
+    return skip, bool(replay), bool(compiled)
 
 
 class ProgressClock:

@@ -403,8 +403,6 @@ def cached_simulate(
     program: Program,
     cache: SimulationCache | None = None,
     traced: bool = False,
-    ladder: bool = False,
-    report=None,
 ) -> SimulationResult:
     """:func:`~repro.core.simulator.simulate` through an optional cache.
 
@@ -413,28 +411,10 @@ def cached_simulate(
     cache hit returns the *same* ``trace_metrics`` as the run that
     populated it.  A hit on a blob stored without metrics re-simulates
     (and re-stores) rather than returning a metrics-less result.
-
-    With ``ladder``, a cold run goes through the engine-degradation
-    ladder (:func:`repro.core.resilience.ladder_simulate`): a fast-path
-    engine failure re-runs the point on the next rung down instead of
-    propagating, recording the degradation in ``report`` (a
-    :class:`~repro.core.resilience.FaultReport`).  Results are
-    byte-identical either way.
     """
     from .simulator import simulate, simulate_traced  # late: simulator is heavy
 
     def run() -> SimulationResult:
-        if ladder:
-            from .resilience import ladder_simulate
-
-            result, _rung = ladder_simulate(
-                config,
-                program,
-                report=report,
-                point=config_fingerprint(config)[:12],
-                traced=traced,
-            )
-            return result
         if traced:
             return simulate_traced(config, program)
         return simulate(config, program)

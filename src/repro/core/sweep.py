@@ -18,9 +18,8 @@ optimisations (both off by default and fully deterministic):
 A third, orthogonal layer makes big sweeps *finish*: passing a
 :class:`~repro.core.resilience.SweepSupervisor` routes cache misses
 through the supervised worker pool (per-point timeouts, bounded
-retries, crashed-pool recovery, the engine-degradation ladder inside
-every worker), records every recovery action — including cache
-quarantines — in the supervisor's
+retries, crashed-pool recovery), records every recovery action —
+including cache quarantines — in the supervisor's
 :class:`~repro.core.resilience.FaultReport`, and checkpoints completed
 points so an interrupted sweep resumes instead of restarting.  The
 numbers are byte-identical with or without a supervisor.
@@ -114,7 +113,7 @@ def run_cache_sweep(
     ``jobs`` > 1 runs the points across worker processes; ``cache``
     short-circuits points already simulated (and persists the rest).
     ``supervisor`` runs the misses fault-tolerantly (timeouts, retries,
-    crash recovery, engine degradation, checkpoint/resume) and attaches
+    crash recovery, checkpoint/resume) and attaches
     its :class:`~repro.core.resilience.FaultReport` to every returned
     series.  All three preserve ordering and produce results identical
     to the plain serial path.

@@ -229,10 +229,12 @@ class Backend:
         Must mirror :meth:`step` (and the ``_handle_branch_bookkeeping``
         /``_stall`` helpers it calls) statement for statement: same
         counter updates, same trace events, same ordering.  The only
-        licensed deviations are pure-code motion: ``queue_effects`` is
-        memoized per instruction object (it is a pure function of the
-        instruction) and computed before the branch-overlap check, and
-        queue-full checks fold the capacity literals from the spec.
+        licensed deviations are pure-code motion: ``queue_effects`` and
+        the instruction's per-program dispatch handler (which stands in
+        for ``execute``) are memoized per instruction object (both are
+        pure functions of the instruction) and computed before the
+        branch-overlap check, and queue-full checks fold the capacity
+        literals from the spec.
         The differential matrix pins byte-identical behavior.
         """
         spec = ctx.spec
@@ -255,8 +257,7 @@ class Backend:
         )
         if frontend_cls is None:
             ctx.need("frontend_next_instruction", "frontend_consume")
-        if spec.specialize_dispatch:
-            ctx.need("dispatch_get")
+        ctx.need("dispatch_get")
 
         def stall(reason: str) -> None:
             ctx.line(f"backend_stalls[{reason!r}] += 1")
@@ -306,19 +307,12 @@ class Backend:
                     ctx.line("entry = effects_memo.get(id(instruction))")
                     with ctx.block("if entry is None:"):
                         ctx.line("_fx = queue_effects(instruction)")
-                        if spec.specialize_dispatch:
-                            ctx.line(
-                                "entry = (instruction, _fx.pops_ldq, "
-                                "_fx.pushes_laq, _fx.pushes_saq, "
-                                "_fx.pushes_sdq, instruction.op.is_branch, "
-                                "dispatch_get(instruction))"
-                            )
-                        else:
-                            ctx.line(
-                                "entry = (instruction, _fx.pops_ldq, "
-                                "_fx.pushes_laq, _fx.pushes_saq, "
-                                "_fx.pushes_sdq, instruction.op.is_branch)"
-                            )
+                        ctx.line(
+                            "entry = (instruction, _fx.pops_ldq, "
+                            "_fx.pushes_laq, _fx.pushes_saq, "
+                            "_fx.pushes_sdq, instruction.op.is_branch, "
+                            "dispatch_get(instruction))"
+                        )
                         ctx.line("effects_memo[id(instruction)] = entry")
                     with ctx.block("if entry[5] and pending is not None:"):
                         stall(StallReason.BRANCH_OVERLAP)
@@ -343,24 +337,12 @@ class Backend:
                         ):
                             stall(StallReason.SDQ_FULL)
                     with ctx.block("else:"):
-                        if spec.specialize_dispatch:
+                        ctx.line("outcome = entry[6](backend_state, backend_env)")
+                        with ctx.block("if backend.issue_log is not None:"):
                             ctx.line(
-                                "outcome = entry[6](backend_state, "
-                                "backend_env)"
+                                "backend.issue_log.append("
+                                '("i", pc, instruction, outcome))'
                             )
-                        else:
-                            ctx.line(
-                                "outcome = execute(instruction, "
-                                "backend_state, backend_env)"
-                            )
-                        if spec.replay:
-                            with ctx.block(
-                                "if backend.issue_log is not None:"
-                            ):
-                                ctx.line(
-                                    "backend.issue_log.append("
-                                    '("i", pc, instruction, outcome))'
-                                )
                         ctx.line("clock.ticks += 1")
                         if frontend_cls is not None:
                             frontend_cls.emit_compiled_consume(ctx)

@@ -27,10 +27,8 @@ fields pops exactly once), the same register writes, and an
 verification (and anything else) compares outcomes by equality, never
 identity, so the shared ``OUT_PLAIN``/``OUT_HALT`` singletons are
 safe.  ``tests/test_cpu_dispatch.py`` pins handler-vs-executor
-equivalence across the opcode space.
-
-``REPRO_NO_SPECIALIZE_DISPATCH=1`` keeps the generic executor on the
-compiled engine's hot path for differential testing.
+equivalence across the opcode space; the interpreted engines, which
+call ``execute`` directly, are the differential matrix's other side.
 """
 
 from __future__ import annotations

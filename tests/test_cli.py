@@ -178,29 +178,34 @@ class TestResilienceCli:
         ]
         assert main(argv) == 0
         payload = json.loads(report_path.read_text())
-        assert payload["events"] == []
-        assert payload["counts"] == {}
-        # Satellite: a clean sweep still reports which rung served each
-        # point, so the compiled rung's engagement rate is observable.
-        assert set(payload["rungs"]) == {"compiled"}
-        assert sum(payload["rungs"].values()) >= 1
+        assert payload == {"events": [], "counts": {}}
 
-    def test_run_with_injected_replay_divergence(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-        code = main(
-            [
-                "run", "--scale", "0.03", "--cache", "64",
-                "--inject-faults", "diverge=1.0",
-            ]
-        )
-        assert code == 0
+    def test_supervised_parallel_report_sweeps_under_the_supervisor(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """``report --jobs N --no-cache`` with a supervision option must
+        run its sweeps through the supervisor, not bypass it."""
+        import repro.cli
+        from repro.core.resilience import SweepSupervisor
+
+        monkeypatch.setattr(repro.cli, "EXPERIMENTS", ("headline",))
+        calls = []
+        simulate_points = SweepSupervisor.simulate_points
+
+        def spy(self, program, configs, keys, on_result=None):
+            calls.append(len(configs))
+            return simulate_points(self, program, configs, keys, on_result)
+
+        monkeypatch.setattr(SweepSupervisor, "simulate_points", spy)
+        argv = [
+            "report", "--scale", "0.03", "--jobs", "2", "--no-cache",
+            "--timeout", "120", "--checkpoint", str(tmp_path / "ck.json"),
+        ]
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "engine rung   : idle-skip" in out
-        assert "degraded" in out
-        # the injectors must be disarmed again afterwards
-        import os
-
-        assert "REPRO_FAULT_PLAN" not in os.environ
+        assert "Experiment: headline" in out
+        assert "fault report  : clean" in out
+        assert calls and sum(calls) > 0
 
     def test_run_without_injection_has_no_rung_banner(self, capsys):
         assert main(["run", "--scale", "0.03", "--cache", "64"]) == 0

@@ -4,7 +4,7 @@ The differential matrix (``test_scheduler_differential``) proves the
 kernels are byte-identical to the reference loop; this module covers the
 machinery itself: the content-addressed compile cache (one compile per
 config per process), spec sensitivity (distinct configs get distinct
-specializations), the escape hatches, the purity of ``generate_source``,
+specializations), the escape hatch, the purity of ``generate_source``,
 and a generated-source golden for the headline PIPE configuration so
 codegen changes are reviewed as diffs, not discovered as regressions.
 """
@@ -24,7 +24,9 @@ from repro.core.compiled import (
     kernel_spec_for,
 )
 from repro.core.config import MachineConfig
-from repro.core.simulator import Simulator, simulate
+from repro.core.scheduler import ENGINES
+from repro.core.simulator import Simulator, simulate, simulate_traced
+from repro.core.trace import JsonLinesSink, MetricsSink, Tracer
 
 GOLDEN = Path(__file__).parent / "goldens" / "compiled_kernel_headline.py"
 CONV_GOLDEN = Path(__file__).parent / "goldens" / "compiled_kernel_conventional.py"
@@ -32,6 +34,14 @@ CONV_GOLDEN = Path(__file__).parent / "goldens" / "compiled_kernel_conventional.
 
 def _pipe(**overrides) -> MachineConfig:
     return MachineConfig.pipe("16-16", 128, memory_access_time=6, **overrides)
+
+
+#: one machine per frontend whose state machines the kernels inline
+_STRATEGIES = {
+    "pipe": _pipe,
+    "conventional": lambda: MachineConfig.conventional(128, memory_access_time=6),
+    "tib": lambda: MachineConfig.tib(memory_access_time=6),
+}
 
 
 def _sim(config=None, program=None, **kwargs) -> Simulator:
@@ -78,20 +88,7 @@ class TestCompileCache:
         assert len(kernels) == 3
         assert compile_stats()["kernels"] == 3
 
-    def test_engine_flags_are_part_of_the_key(self):
-        # Same machine, different engine toggles: distinct kernels, since
-        # the skip block and the replay backedge block are folded in or
-        # out at codegen time.
-        variants = [
-            _sim(skip=True, replay=True),
-            _sim(skip=True, replay=False),
-            _sim(skip=False, replay=False),
-        ]
-        assert len({kernel_for(s) for s in variants}) == 3
-
     def test_tracing_is_part_of_the_key(self, tiny_program, tmp_path):
-        from repro.core.trace import JsonLinesSink, Tracer
-
         plain = kernel_for(_sim(program=tiny_program))
         tracer = Tracer()
         tracer.attach(JsonLinesSink(tmp_path / "t.jsonl"))
@@ -177,7 +174,6 @@ class TestFrontendInlining:
     def test_headline_spec_inlines_frontend_and_dispatch(self, tiny_program):
         spec = kernel_spec_for(_sim(program=tiny_program))
         assert spec.inline_frontend is True
-        assert spec.specialize_dispatch is True
         assert spec.line_size == 16
         source = generate_source(spec)
         # the frontend phases are open-coded, not bound-method calls...
@@ -201,28 +197,38 @@ class TestFrontendInlining:
         assert tib.tib_stream_capacity is not None
 
     def test_frontend_subclass_falls_back_byte_identically(
-        self, tiny_program
+        self, tiny_program, tmp_path
     ):
         """A subclass inherits COMPILED_FRONTEND_INLINE, not eligibility.
 
         The emitted state machines assume the exact shipped classes; a
         subclass (which may override anything) must drop to bound-method
-        calls and still reproduce the run exactly.
+        calls and still reproduce the reference loop exactly, traced.
+        This pins each frontend's bound-method fallback.
         """
-        from repro.frontend.pipe_fetch import PipeFetchUnit
+        for strategy, make_config in sorted(_STRATEGIES.items()):
+            config = make_config()
+            reference_path = tmp_path / f"{strategy}-reference.jsonl"
+            reference = simulate_traced(
+                config, tiny_program, reference_path, **dict(ENGINES)["reference"]
+            )
 
-        baseline = simulate(_pipe(), tiny_program, compiled=True)
-
-        class TweakedPipe(PipeFetchUnit):
-            pass
-
-        sim = _sim(program=tiny_program)
-        sim.frontend.__class__ = TweakedPipe
-        kernel = kernel_for(sim)
-        assert kernel.spec.inline_frontend is False
-        assert kernel.spec.poll_guard is True  # unrelated folds survive
-        assert "frontend_update(" in kernel.source
-        assert sim.run() == baseline
+            tracer = Tracer()
+            fallback_path = tmp_path / f"{strategy}-fallback.jsonl"
+            tracer.attach(JsonLinesSink(fallback_path))
+            tracer.attach(MetricsSink())
+            sim = _sim(config, tiny_program, tracer=tracer)
+            sim.frontend.__class__ = type("Tweaked", (type(sim.frontend),), {})
+            kernel = kernel_for(sim)
+            assert kernel.spec.inline_frontend is False, strategy
+            assert kernel.spec.poll_guard is True, strategy  # other folds survive
+            assert "frontend_update(" in kernel.source, strategy
+            try:
+                result = sim.run()
+            finally:
+                tracer.close()
+            assert result.to_dict() == reference.to_dict(), strategy
+            assert fallback_path.read_bytes() == reference_path.read_bytes(), strategy
 
     def test_monkeypatched_frontend_method_disables_inlining(
         self, tiny_program

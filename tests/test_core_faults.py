@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import faults
 from repro.core.config import MachineConfig
-from repro.core.faults import FAULT_KINDS, FaultPlan, InjectedFault
+from repro.core.faults import FAULT_KINDS, FaultPlan
 from repro.core.resilience import SweepSupervisor
 from repro.core.simcache import SimulationCache
 from repro.core.simulator import simulate
@@ -42,21 +42,20 @@ class TestFaultPlanParsing:
         assert all(plan.rate(kind) == 0.25 for kind in FAULT_KINDS)
 
     def test_keyed_spec_with_aliases(self):
-        plan = FaultPlan.parse(
-            "seed=7,kill=0.3,hang=0.1,corrupt=0.5,diverge=1,hang-seconds=2"
-        )
+        plan = FaultPlan.parse("seed=7,kill=0.3,hang=0.1,corrupt=0.5,hang-seconds=2")
         assert plan.seed == 7
         assert plan.worker_kill == 0.3
         assert plan.point_hang == 0.1
         assert plan.cache_corrupt == 0.5
-        assert plan.replay_diverge == 1.0
         assert plan.hang_seconds == 2.0
 
     def test_long_names_accepted_too(self):
         plan = FaultPlan.parse("worker_kill=0.5,point_hang=0.25")
         assert plan.worker_kill == 0.5 and plan.point_hang == 0.25
 
-    @pytest.mark.parametrize("spec", ["", "kill", "bogus=1", "seed=x"])
+    @pytest.mark.parametrize(
+        "spec", ["", "kill", "bogus=1", "seed=x", "diverge=1"]
+    )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             FaultPlan.parse(spec)
@@ -109,7 +108,7 @@ class TestFiring:
 
 class TestActivation:
     def test_activate_round_trips_through_the_environment(self):
-        armed = faults.activate(FaultPlan(seed=5, replay_diverge=0.5))
+        armed = faults.activate(FaultPlan(seed=5, cache_corrupt=0.5))
         assert faults.active_plan() == armed
         faults.deactivate()
         assert faults.active_plan() is None
@@ -117,10 +116,6 @@ class TestActivation:
     def test_activate_provisions_a_scratch_dir_for_once_kinds(self):
         armed = faults.activate(FaultPlan(seed=5, worker_kill=0.5))
         assert armed.scratch_dir is not None
-
-    def test_no_scratch_dir_needed_for_replay_divergence(self):
-        armed = faults.activate(FaultPlan(seed=5, replay_diverge=0.5))
-        assert armed.scratch_dir is None
 
     def test_garbled_plan_injects_nothing(self, monkeypatch):
         monkeypatch.setenv(faults.FAULT_PLAN_ENV, "{not json")
@@ -146,28 +141,6 @@ class TestActivation:
         plan = faults.active_plan()
         assert plan.fires_once("worker_kill", "some-point")
         assert plan.fires_once("point_hang", "some-point")
-
-
-class TestReplayDivergence:
-    def test_injected_divergence_crashes_the_fast_path(self, tiny_program):
-        faults.activate(FaultPlan(replay_diverge=1.0))
-        with pytest.raises(InjectedFault, match="backedge"):
-            simulate(_pipe(), tiny_program)
-
-    def test_ladder_recovers_with_identical_numbers(self, tiny_program):
-        from repro.core.resilience import FaultReport, ladder_simulate
-
-        reference = simulate(_pipe(), tiny_program, skip=False, replay=False)
-        faults.activate(FaultPlan(replay_diverge=1.0))
-        report = FaultReport()
-        result, rung = ladder_simulate(_pipe(), tiny_program, report=report)
-        assert rung == "idle-skip"
-        assert result.canonical_json() == reference.canonical_json()
-        kinds = report.counts()
-        # The divergence hook fires on both replay-enabled rungs
-        # (compiled and replay) before idle-skip succeeds.
-        assert kinds == {"engine_fault": 2, "degraded": 1}
-        assert report.rungs == {"idle-skip": 1}
 
 
 class TestCacheCorruption:
@@ -206,9 +179,7 @@ class TestInjectedSweepAcceptance:
         # The clean truth: reference engine, no cache, no workers —
         # one result per sweep point, in the sweep's series order.
         reference = [
-            simulate(
-                factory(64, **memory), tiny_program, skip=False, replay=False
-            ).canonical_json()
+            simulate(factory(64, **memory), tiny_program, skip=False).canonical_json()
             for factory in strategies.values()
         ]
 
@@ -218,7 +189,6 @@ class TestInjectedSweepAcceptance:
                 worker_kill=1.0,
                 point_hang=1.0,
                 cache_corrupt=1.0,
-                replay_diverge=1.0,
                 hang_seconds=8.0,
             )
         )
@@ -238,7 +208,6 @@ class TestInjectedSweepAcceptance:
         ] == reference
         counts = supervisor.report.counts()
         assert counts.get("worker_crash", 0) >= 1  # kill=1.0 broke the pool
-        assert counts.get("degraded", 0) >= 2  # diverge=1.0 hit every point
 
         # Second pass over the (corrupted) cache: every lookup quarantines,
         # the points are re-simulated, and the numbers still match.

@@ -1,12 +1,14 @@
 """Tests of the fault-tolerant execution layer (repro.core.resilience)."""
 
 import json
+import multiprocessing
 import os
 import time
 
 import pytest
 
 from repro.core import faults
+from repro.core import simulator as simulator_module
 from repro.core.config import MachineConfig
 from repro.core.parallel import simulate_many
 from repro.core.resilience import (
@@ -15,12 +17,11 @@ from repro.core.resilience import (
     SweepCheckpoint,
     SweepPointError,
     SweepSupervisor,
-    ladder_simulate,
     retry_backoff,
     supervised_map,
     supervised_simulate_many,
 )
-from repro.core.simcache import SimulationCache
+from repro.core.simcache import SimulationCache, sweep_point_keys
 from repro.core.simulator import simulate
 from repro.core.sweep import run_cache_sweep
 
@@ -100,12 +101,12 @@ class TestFaultReport:
         report = FaultReport()
         report.record("p1", "retry", detail="boom", attempt=1)
         report.record("p2", "retry", attempt=1)
-        report.record("p1", "degraded", rung="idle-skip")
+        report.record("p1", "gave_up", detail="still broken", attempt=2)
         assert not report.clean
-        assert report.counts() == {"retry": 2, "degraded": 1}
+        assert report.counts() == {"retry": 2, "gave_up": 1}
         summary = report.summary()
         assert "3 recovery action(s)" in summary
-        assert "rung idle-skip" in summary
+        assert "[gave_up] point p1 — attempt 2 — still broken" in summary
 
     def test_to_dict_is_json_serializable(self):
         report = FaultReport()
@@ -214,27 +215,6 @@ class TestSupervisedMapPool:
         assert report.counts().get("timeout", 0) >= 1
 
 
-class TestLadderSimulate:
-    def test_clean_point_uses_the_top_rung(self, tiny_program):
-        report = FaultReport()
-        result, rung = ladder_simulate(_pipe(), tiny_program, report=report)
-        assert rung == "compiled"
-        assert report.clean
-        # Satellite: the serving rung is tallied even on full success.
-        assert report.rungs == {"compiled": 1}
-        assert result == simulate(_pipe(), tiny_program)
-
-    def test_rung_tally_follows_the_escape_hatch(self, tiny_program, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-        report = FaultReport()
-        _result, rung = ladder_simulate(_pipe(), tiny_program, report=report)
-        assert rung == "compiled"  # top rung tried first ...
-        # ... but its kwargs defer to the env, so the run was interpreted;
-        # the tally still attributes the point to the serving rung label.
-        assert report.rungs == {"compiled": 1}
-        assert report.clean
-
-
 class TestSupervisedSimulateMany:
     def test_matches_unsupervised(self, tiny_program):
         configs = [
@@ -280,6 +260,90 @@ class TestSupervisedSimulateMany:
             faults.deactivate()
         assert survived == serial
         assert report.counts().get("worker_crash", 0) >= 1
+
+
+class TestFastPathFailsLoudly:
+    """A fast-path bug is charged like any other point error.
+
+    One point's compiled kernel raises; the supervised sweep must not
+    re-run it on a slower engine and report success.  It retries the
+    point, finishes and checkpoints every other point, then names the
+    broken one in :class:`SweepPointError`.
+    """
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [
+            1,
+            pytest.param(
+                2,
+                marks=pytest.mark.skipif(
+                    multiprocessing.get_start_method() != "fork",
+                    reason="the patched kernel_for reaches workers only by fork",
+                ),
+            ),
+        ],
+    )
+    def test_raising_fast_path_fails_its_point(
+        self, jobs, tiny_program, tmp_path, monkeypatch
+    ):
+        doomed = 64
+        real_kernel_for = simulator_module.kernel_for
+
+        def kernel_for(sim):
+            if sim.config.icache_size == doomed:
+                raise RuntimeError("fast-path bug")
+            return real_kernel_for(sim)
+
+        # Forked pool workers inherit the patched module.
+        monkeypatch.setattr(simulator_module, "kernel_for", kernel_for)
+        strategies = {
+            "PIPE 16-16": lambda size, **o: MachineConfig.pipe("16-16", size, **o),
+        }
+        sizes = [32, doomed, 128]
+        delivered = []
+        supervisor = SweepSupervisor(
+            jobs=jobs,
+            max_retries=1,
+            backoff=0,
+            checkpoint=SweepCheckpoint(tmp_path / "ck.json"),
+        )
+        simulate_points = supervisor.simulate_points
+
+        def spy(program, configs, keys, on_result=None):
+            def record(index, result):
+                delivered.append(configs[index].icache_size)
+                on_result(index, result)
+
+            return simulate_points(program, configs, keys, on_result=record)
+
+        supervisor.simulate_points = spy
+        with pytest.raises(SweepPointError) as excinfo:
+            run_cache_sweep(
+                tiny_program,
+                cache_sizes=sizes,
+                strategies=strategies,
+                supervisor=supervisor,
+                memory_access_time=6,
+                input_bus_width=8,
+            )
+        supervisor.checkpoint.release()
+
+        configs = [_pipe().with_overrides(icache_size=size) for size in sizes]
+        keys = dict(zip(sizes, sweep_point_keys(tiny_program, configs)))
+        (label, exc), = excinfo.value.failures
+        assert label == keys[doomed][:12]
+        assert isinstance(exc, RuntimeError) and "fast-path bug" in str(exc)
+        assert sorted(delivered) == [32, 128]
+        manifest = SweepCheckpoint(tmp_path / "ck.json")
+        assert manifest.load() == 2
+        for size in (32, 128):
+            assert manifest.get(keys[size]) == simulate(
+                configs[sizes.index(size)], tiny_program
+            )
+        kinds = supervisor.report.counts()
+        assert "degraded" not in kinds and "engine_fault" not in kinds
+        assert kinds == {"retry": 2, "gave_up": 1}
 
 
 class TestSweepCheckpoint:

@@ -12,13 +12,15 @@ matrix ``test_trace_crosscheck`` sweeps (all Table II PIPE points,
 Hill's prefetch policies, the TIB machine, and the ablation knobs),
 and pins down the satellite guarantees: errors raised mid-skip,
 mid-replay, or inside a compiled kernel report the true architectural
-cycle, and the escape hatches (``skip=False`` / ``REPRO_NO_SKIP``,
-``replay=False`` / ``REPRO_NO_REPLAY``, ``compiled=False`` /
-``REPRO_NO_COMPILED``) actually select the interpreted paths.
+cycle, and the switches nest: ``skip=False`` / ``REPRO_NO_SKIP`` runs
+the reference loop, ``replay=False`` / ``REPRO_NO_REPLAY`` idle-skip,
+``compiled=False`` / ``REPRO_NO_COMPILED`` interpreted skip+replay.
 
-The interpreted rows pin ``compiled=False`` explicitly — with compiled
-kernels on by default, a bare ``skip=True`` row would silently run the
-codegen engine and the matrix would compare the kernel against itself.
+Every engine comparison names its rows from
+:data:`repro.core.scheduler.ENGINES` (all three switches explicit), the
+switch tests set the ``REPRO_NO_*`` variables they are about, and the
+variables are cleared before every test, so no result here depends on
+the environment the suite runs in.
 
 On mismatch a cycles-diff report is written to
 ``test-reports/cycles-diff.txt`` (override the directory with
@@ -32,8 +34,10 @@ from pathlib import Path
 import pytest
 
 from repro.asm import assemble
+from repro.core import simulator as simulator_module
 from repro.core.config import MachineConfig
 from repro.core.scheduler import (
+    ENGINES,
     IDLE,
     ProgressClock,
     compiled_enabled_default,
@@ -50,16 +54,18 @@ from repro.core.simulator import (
 from repro.kernels.suite import build_livermore_program
 from tests.test_trace_crosscheck import CONFIGS
 
-#: the four engines of the differential matrix: (tag, engine kwargs)
-ENGINES = (
-    ("reference", {"skip": False, "replay": False, "compiled": False}),
-    ("idle-skip", {"skip": True, "replay": False, "compiled": False}),
-    ("skip+replay", {"skip": True, "replay": True, "compiled": False}),
-    ("compiled", {"skip": True, "replay": True, "compiled": True}),
-)
+#: engine kwargs by row name
+ROW = dict(ENGINES)
 
 #: the fast-path rows compared against the reference row
 FAST_TAGS = ("idle-skip", "skip+replay", "compiled")
+
+
+@pytest.fixture(autouse=True)
+def _no_engine_env(monkeypatch):
+    """Tests set the ``REPRO_NO_*`` variables they are about themselves."""
+    for name in ("REPRO_NO_SKIP", "REPRO_NO_REPLAY", "REPRO_NO_COMPILED"):
+        monkeypatch.delenv(name, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -150,14 +156,15 @@ def test_engines_identical_untraced(name, single_loop_program):
 def test_replay_actually_engages(single_loop_program):
     """Guard against the matrix passing because replay never fires."""
     config = MachineConfig.pipe("16-16", 128, memory_access_time=6)
-    sim = Simulator(config, single_loop_program, skip=True, replay=True)
-    result = sim.run()
-    controller = sim.replay_controller
-    assert controller is not None
-    assert controller.replayed_iterations > 0
-    assert 0 < controller.replayed_cycles < result.cycles
-    reports = controller.loop_reports()
-    assert any(report["phase"] == "engaged" for report in reports)
+    for tag in ("skip+replay", "compiled"):
+        sim = Simulator(config, single_loop_program, **ROW[tag])
+        result = sim.run()
+        controller = sim.replay_controller
+        assert controller is not None, tag
+        assert controller.replayed_iterations > 0, tag
+        assert 0 < controller.replayed_cycles < result.cycles, tag
+        reports = controller.loop_reports()
+        assert any(report["phase"] == "engaged" for report in reports), tag
 
 
 # ----------------------------------------------------------------------
@@ -171,20 +178,20 @@ def test_timeout_mid_skip_reports_true_cycle(single_loop_program):
     config = MachineConfig.conventional(
         128, memory_access_time=1_000, max_cycles=50
     )
-    with pytest.raises(SimulationTimeout) as fast:
-        simulate(config, single_loop_program, skip=True, compiled=False)
-    with pytest.raises(SimulationTimeout) as slow:
-        simulate(config, single_loop_program, skip=False, compiled=False)
-    with pytest.raises(SimulationTimeout) as kernel:
-        simulate(config, single_loop_program, skip=True, compiled=True)
-    assert fast.value.cycle == slow.value.cycle == kernel.value.cycle == 50
-    assert fast.value.fast_path is True
-    assert slow.value.fast_path is False
-    assert kernel.value.fast_path is True  # the wall fell inside a skip span
-    assert "idle-skip" in str(fast.value)
-    assert "reference" in str(slow.value)
-    assert "at cycle 50" in str(fast.value)
-    assert "at cycle 50" in str(kernel.value)
+    errors = {}
+    for tag, kwargs in ENGINES:
+        with pytest.raises(SimulationTimeout) as excinfo:
+            simulate(config, single_loop_program, **kwargs)
+        errors[tag] = excinfo.value
+    assert {error.cycle for error in errors.values()} == {50}
+    slow = errors["reference"]
+    assert slow.fast_path is False
+    assert "reference" in str(slow)
+    for tag in FAST_TAGS:
+        # the wall fell inside a skip span on every fast engine
+        assert errors[tag].fast_path is True, tag
+        assert "idle-skip" in str(errors[tag]), tag
+        assert "at cycle 50" in str(errors[tag]), tag
 
 
 def test_timeout_mid_replay_reports_true_cycle(single_loop_program):
@@ -210,10 +217,10 @@ def test_timeout_mid_replay_reports_true_cycle(single_loop_program):
     assert len(instructions) == 1  # same issue count at the wall
 
 
-def _starved_simulator(skip: bool, compiled: bool = False) -> Simulator:
+def _starved_simulator(tag: str) -> Simulator:
     program = assemble("loop: lbr b0, loop\npbra b0, 0\nhalt")
     config = MachineConfig.pipe("16-16", 512, max_cycles=100_000)
-    sim = Simulator(config, program, skip=skip, compiled=compiled)
+    sim = Simulator(config, program, **ROW[tag])
     sim.DEADLOCK_CYCLES = 200
     sim.frontend.next_instruction = lambda: None
     sim.frontend.poll_requests = lambda now: []
@@ -221,18 +228,19 @@ def _starved_simulator(skip: bool, compiled: bool = False) -> Simulator:
 
 
 def test_deadlock_mid_skip_matches_reference_cycle():
-    with pytest.raises(DeadlockError) as fast:
-        _starved_simulator(skip=True).run()
     with pytest.raises(DeadlockError) as slow:
-        _starved_simulator(skip=False).run()
-    assert fast.value.cycle == slow.value.cycle
-    assert fast.value.fast_path is True
+        _starved_simulator("reference").run()
     assert slow.value.fast_path is False
-    assert "no progress" in str(fast.value)
-    assert "idle-skip" in str(fast.value)
     assert "reference" in str(slow.value)
-    # The two engines must also agree on when progress last happened.
-    assert str(fast.value).split("(")[0] == str(slow.value).split("(")[0]
+    for tag in ("idle-skip", "skip+replay"):
+        with pytest.raises(DeadlockError) as fast:
+            _starved_simulator(tag).run()
+        assert fast.value.cycle == slow.value.cycle, tag
+        assert fast.value.fast_path is True, tag
+        assert "no progress" in str(fast.value), tag
+        assert "idle-skip" in str(fast.value), tag
+        # The engines must also agree on when progress last happened.
+        assert str(fast.value).split("(")[0] == str(slow.value).split("(")[0]
 
 
 def test_deadlock_in_compiled_kernel_matches_reference_cycle():
@@ -244,9 +252,9 @@ def test_deadlock_in_compiled_kernel_matches_reference_cycle():
     stubs keep working without any opt-out from the test.
     """
     with pytest.raises(DeadlockError) as kernel:
-        _starved_simulator(skip=True, compiled=True).run()
+        _starved_simulator("compiled").run()
     with pytest.raises(DeadlockError) as slow:
-        _starved_simulator(skip=False).run()
+        _starved_simulator("reference").run()
     assert kernel.value.cycle == slow.value.cycle
     assert kernel.value.fast_path is True
     assert "no progress" in str(kernel.value)
@@ -255,8 +263,64 @@ def test_deadlock_in_compiled_kernel_matches_reference_cycle():
 
 
 # ----------------------------------------------------------------------
-# Escape hatches
+# Engine switches: each one selects exactly its engine
 # ----------------------------------------------------------------------
+_SELECTIONS = [pytest.param(kwargs, {}, tag, id=tag) for tag, kwargs in ENGINES] + [
+    pytest.param({"skip": False}, {}, "reference", id="skip=False"),
+    pytest.param({}, {"REPRO_NO_SKIP": "1"}, "reference", id="REPRO_NO_SKIP"),
+    pytest.param({"replay": False}, {}, "idle-skip", id="replay=False"),
+]
+
+
+@pytest.mark.parametrize("kwargs, env, engine", _SELECTIONS)
+def test_switches_nest_into_exactly_one_engine(
+    kwargs, env, engine, single_loop_program, monkeypatch
+):
+    """The reference loop runs no kernel and no replay controller, and
+    idle-skip no kernel: replay needs skip, compiled needs replay."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    kernels = []
+    real_kernel_for = simulator_module.kernel_for
+
+    def spy(sim):
+        kernels.append(sim)
+        return real_kernel_for(sim)
+
+    monkeypatch.setattr(simulator_module, "kernel_for", spy)
+    config = MachineConfig.pipe("16-16", 128, memory_access_time=6)
+    sim = Simulator(config, single_loop_program, **kwargs)
+    sim.run()
+    want = ROW[engine]
+    assert (sim.skip, sim.replay_enabled, sim.compiled_enabled) == (
+        want["skip"],
+        want["replay"],
+        want["compiled"],
+    )
+    assert (sim.replay_controller is not None) is want["replay"]
+    assert bool(kernels) is want["compiled"]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"replay": False, "compiled": True},
+        {"skip": False, "replay": True},
+        {"skip": False, "compiled": True},
+    ],
+    ids=["compiled-without-replay", "replay-without-skip", "compiled-without-skip"],
+)
+def test_explicit_engine_above_a_disabled_one_raises(kwargs):
+    with pytest.raises(ValueError, match="needs"):
+        Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"), **kwargs)
+
+
+def test_env_disabled_layer_rejects_an_explicit_engine_above_it(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_REPLAY", "1")
+    with pytest.raises(ValueError, match="needs loop replay"):
+        Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"), compiled=True)
+
+
 def test_no_skip_env_var_disables_skipping(monkeypatch):
     monkeypatch.setenv("REPRO_NO_SKIP", "1")
     assert skip_enabled_default() is False
@@ -264,8 +328,7 @@ def test_no_skip_env_var_disables_skipping(monkeypatch):
     assert sim.skip is False
 
 
-def test_skip_enabled_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_SKIP", raising=False)
+def test_skip_enabled_by_default():
     assert skip_enabled_default() is True
     sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
     assert sim.skip is True
@@ -286,8 +349,7 @@ def test_no_replay_env_var_disables_replay(monkeypatch):
     assert sim.replay_controller is None
 
 
-def test_replay_enabled_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_REPLAY", raising=False)
+def test_replay_enabled_by_default():
     assert replay_enabled_default() is True
     sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
     assert sim.replay_enabled is True
@@ -303,8 +365,8 @@ def test_explicit_replay_argument_wins_over_env(monkeypatch):
 
 def test_replay_false_matches_replay_true(single_loop_program):
     config = MachineConfig.pipe("16-16", 128, memory_access_time=6)
-    on = simulate(config, single_loop_program, skip=True, replay=True)
-    off = simulate(config, single_loop_program, skip=True, replay=False)
+    on = simulate(config, single_loop_program, **ROW["skip+replay"])
+    off = simulate(config, single_loop_program, **ROW["idle-skip"])
     assert on.to_dict() == off.to_dict()
 
 
@@ -315,8 +377,7 @@ def test_no_compiled_env_var_disables_compilation(monkeypatch):
     assert sim.compiled_enabled is False
 
 
-def test_compiled_enabled_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_COMPILED", raising=False)
+def test_compiled_enabled_by_default():
     assert compiled_enabled_default() is True
     sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
     assert sim.compiled_enabled is True
@@ -332,8 +393,8 @@ def test_explicit_compiled_argument_wins_over_env(monkeypatch):
 
 def test_compiled_false_matches_compiled_true(single_loop_program):
     config = MachineConfig.pipe("16-16", 128, memory_access_time=6)
-    on = simulate(config, single_loop_program, compiled=True)
-    off = simulate(config, single_loop_program, compiled=False)
+    on = simulate(config, single_loop_program, **ROW["compiled"])
+    off = simulate(config, single_loop_program, **ROW["skip+replay"])
     assert on.to_dict() == off.to_dict()
 
 
@@ -341,7 +402,7 @@ def test_compiled_false_matches_compiled_true(single_loop_program):
 # Generated-program matrix (the fuzz layer feeding the same promise)
 # ----------------------------------------------------------------------
 # A fixed seed slice of generated loop-nest kernels (nested loops,
-# conditionals, integer scalars, pointer-chasing) runs the full ladder
+# conditionals, integer scalars, pointer-chasing) runs all four engines
 # traced.  The wide seeded sweep lives in `repro-sim fuzz` and the CI
 # fuzz job; tier-1 pins these seeds forever so an engine regression on
 # structured workloads fails here, not just nightly.
