@@ -30,11 +30,10 @@ from typing import Callable, Sequence
 
 from ...asm.program import Program
 from ...core.config import PAPER_CACHE_SIZES, MachineConfig
-from ...core.parallel import simulate_many
 from ...core.resilience import SweepSupervisor
 from ...core.results import SimulationResult
-from ...core.simcache import SimulationCache, cached_simulate
-from ...core.sweep import SweepSeries, run_cache_sweep
+from ...core.simcache import SimulationCache
+from ...core.sweep import SweepSeries, resolve_points, run_cache_sweep
 from ..claims import ClaimCheck
 
 __all__ = [
@@ -67,10 +66,11 @@ class ExperimentReport:
 class ExperimentContext:
     """Shared state across experiments: the program plus a sweep memo.
 
-    ``jobs`` and ``cache`` flow into every sweep and every simulation an
-    experiment routes through :meth:`simulate` / :meth:`simulate_many`,
-    giving the whole report parallel fan-out and content-addressed
-    result reuse without each experiment module knowing about either.
+    ``jobs``, ``cache`` and ``supervisor`` flow into every sweep and
+    every simulation an experiment routes through :meth:`simulate` /
+    :meth:`simulate_many`, giving the whole report parallel fan-out,
+    content-addressed result reuse and supervised execution without
+    each experiment module knowing about any of them.
     """
 
     program: Program
@@ -111,44 +111,29 @@ class ExperimentContext:
         return self._sweeps[key]
 
     # ------------------------------------------------------------------
-    # Cached/parallel simulation for the experiments' ad-hoc points
+    # The experiments' ad-hoc points, through the same resolver as sweeps
     # ------------------------------------------------------------------
     def simulate(
         self, config: MachineConfig, program: Program | None = None
     ) -> SimulationResult:
-        """One simulation point, through the context's result cache."""
-        return cached_simulate(config, program or self.program, self.cache)
+        """One simulation point, resolved like :meth:`simulate_many`."""
+        return self.simulate_many([config], program)[0]
 
     def simulate_many(
         self, configs: Sequence[MachineConfig], program: Program | None = None
     ) -> list[SimulationResult]:
-        """Independent points, cache-checked then fanned out over workers.
+        """Independent points through :func:`~repro.core.sweep.resolve_points`.
 
-        Results come back in ``configs`` order, identical to calling
-        :meth:`simulate` in a loop.
+        Results come back in ``configs`` order, identical to simulating
+        each point serially.
         """
-        program = program or self.program
-        results: dict[int, SimulationResult] = {}
-        misses: list[tuple[int, MachineConfig]] = []
-        for index, config in enumerate(configs):
-            hit = (
-                self.cache.lookup(config, program)
-                if self.cache is not None
-                else None
-            )
-            if hit is not None:
-                results[index] = hit
-            else:
-                misses.append((index, config))
-        if misses:
-            fresh = simulate_many(
-                program, [config for _, config in misses], jobs=self.jobs
-            )
-            for (index, config), result in zip(misses, fresh):
-                results[index] = result
-                if self.cache is not None:
-                    self.cache.store(config, program, result)
-        return [results[index] for index in range(len(configs))]
+        return resolve_points(
+            program or self.program,
+            configs,
+            jobs=self.jobs,
+            cache=self.cache,
+            supervisor=self.supervisor,
+        )
 
 
 def get_experiment(experiment_id: str) -> Callable[[ExperimentContext], ExperimentReport]:

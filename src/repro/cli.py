@@ -20,13 +20,20 @@ processes (default: ``REPRO_JOBS`` or the CPU count) and use a
 content-addressed result cache under ``.repro_cache/`` (bypass with
 ``--no-cache``; relocate with ``--cache-dir`` or ``REPRO_CACHE_DIR``).
 
-They also accept the resilience options (``--supervised``,
-``--timeout``, ``--max-retries``, ``--resume``, ``--checkpoint``):
-supervised sweeps retry failed points, survive worker crashes and
+``report`` runs the experiments one after another in this process;
+each sweep or list of points resolves through
+:func:`repro.core.sweep.resolve_points`, which fans its cache misses out
+over the ``--jobs`` workers.
+
+They also accept the resilience options ``--supervised``,
+``--timeout``, ``--max-retries``, ``--resume``, ``--checkpoint`` and
+``--fault-report``; any of them but ``--max-retries`` turns supervision
+on.  Supervised runs retry failed points, survive worker crashes and
 hangs, checkpoint progress for ``--resume``, and print a fault report
 of every recovery action — with numbers byte-identical to a clean run.
-``--inject-faults SPEC`` arms the deterministic fault injectors (see
-:mod:`repro.core.faults`) to rehearse exactly those recoveries.
+``--inject-faults SPEC`` (which also implies supervision) arms the
+deterministic fault injectors (see :mod:`repro.core.faults`) to
+rehearse exactly those recoveries.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from .analysis.tables import (
 )
 from .core import faults
 from .core.config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
-from .core.parallel import parallel_map, resolve_jobs
+from .core.parallel import resolve_jobs
 from .core.resilience import SweepCheckpoint, SweepSupervisor
 from .core.scheduler import NO_COMPILED_ENV, NO_REPLAY_ENV, NO_SKIP_ENV
 from .core.simcache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, SimulationCache
@@ -120,7 +127,7 @@ def _add_perf(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help="sweep checkpoint manifest "
-        "(default: <cache-dir>/sweep-checkpoint.json)",
+        "(default: <cache-dir>/sweep-checkpoint.json; implies --supervised)",
     )
     parser.add_argument(
         "--inject-faults",
@@ -134,7 +141,8 @@ def _add_perf(parser: argparse.ArgumentParser) -> None:
         "--fault-report",
         default=None,
         metavar="PATH",
-        help="also write the supervised run's fault report as JSON",
+        help="also write the supervised run's fault report as JSON "
+        "(implies --supervised)",
     )
 
 
@@ -147,14 +155,16 @@ def _make_cache(args: argparse.Namespace) -> SimulationCache | None:
 def _make_supervisor(args: argparse.Namespace) -> SweepSupervisor | None:
     """Build the sweep supervisor the resilience options describe.
 
-    Any resilience option implies supervision; with none present the
-    command runs the plain unsupervised path.
+    Every resilience option but ``--max-retries`` implies supervision;
+    with none present the command runs the plain unsupervised path.
     """
     wanted = (
         args.supervised
         or args.resume
         or args.timeout is not None
+        or args.checkpoint is not None
         or args.inject_faults is not None
+        or args.fault_report is not None
     )
     if not wanted:
         return None
@@ -351,28 +361,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
-def _report_worker(task: tuple) -> tuple[str, str, str, bool, int, int]:
-    """Run one experiment in a worker process (``report --jobs N``).
-
-    Workers share results through the on-disk simulation cache (when
-    enabled); sweeps inside a worker stay serial so pools never nest.
-    Returns ``(id, text, checks, passed, cache_hits, cache_misses)``.
-    """
-    experiment_id, scale, cache_dir, use_cache = task
-    cache = SimulationCache(cache_dir) if use_cache else None
-    context = _make_context(scale, jobs=1, cache=cache)
-    report = run_experiment(experiment_id, context)
-    stats = cache.stats if cache is not None else None
-    return (
-        experiment_id,
-        report.text,
-        report.render_checks(),
-        report.all_passed,
-        stats.hits if stats else 0,
-        stats.misses if stats else 0,
-    )
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     jobs = resolve_jobs(args.jobs)
     cache = _make_cache(args)
@@ -383,78 +371,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     print()
     failed = False
-    hits = misses = 0
-    if jobs > 1 and supervisor is None:
-        if cache is not None:
-            # Pre-warm the cache with the standard sweeps shared by the
-            # figure/headline/ablation experiments, parallelized at the
-            # *point* level — so concurrent experiments never re-simulate
-            # a shared point; experiment workers then mostly replay the
-            # warm cache.
-            from .core.sweep import run_cache_sweep
-
-            program = cached_livermore_suite(scale=args.scale).program
-            for access, bus, pipelined in (
-                (1, 4, False),
-                (1, 8, False),
-                (6, 4, False),
-                (6, 8, False),
-                (6, 8, True),
-            ):
-                run_cache_sweep(
-                    program,
-                    jobs=jobs,
-                    cache=cache,
-                    memory_access_time=access,
-                    input_bus_width=bus,
-                    memory_pipelined=pipelined,
-                )
-        # Independent experiments fan out across workers; shared sweep
-        # points flow between them through the content-addressed cache.
-        tasks = [
-            (experiment_id, args.scale, args.cache_dir, cache is not None)
-            for experiment_id in EXPERIMENTS
-        ]
-        outcomes = parallel_map(_report_worker, tasks, jobs=jobs)
-        for experiment_id, text, checks, passed, exp_hits, exp_misses in outcomes:
+    # The experiments run one after another in this process and each
+    # sweep or point list fans its misses out over `jobs` workers.  The
+    # context's sweep memo shares whole sweeps between experiments, and
+    # the result cache shares single points.
+    context = _make_context(
+        args.scale, jobs=jobs, cache=cache, supervisor=supervisor
+    )
+    try:
+        for experiment_id in EXPERIMENTS:
+            report = run_experiment(experiment_id, context)
             print(f"{'=' * 70}")
             print(f"Experiment: {experiment_id}")
             print(f"{'=' * 70}")
-            print(text)
+            print(report.text)
             print()
-            print(checks)
+            print(report.render_checks())
             print()
-            failed = failed or not passed
-            hits += exp_hits
-            misses += exp_misses
-        if cache is not None:  # include the pre-warm phase's traffic
-            hits += cache.stats.hits
-            misses += cache.stats.misses
-    else:
-        # Serial, or supervised: the experiments run in this process and
-        # each sweep fans its points out over `jobs` supervised workers.
-        context = _make_context(
-            args.scale, jobs=jobs, cache=cache, supervisor=supervisor
-        )
-        try:
-            for experiment_id in EXPERIMENTS:
-                report = run_experiment(experiment_id, context)
-                print(f"{'=' * 70}")
-                print(f"Experiment: {experiment_id}")
-                print(f"{'=' * 70}")
-                print(report.text)
-                print()
-                print(report.render_checks())
-                print()
-                failed = failed or not report.all_passed
-        finally:
-            _finish_supervised(args, supervisor)
-        if cache is not None:
-            hits, misses = cache.stats.hits, cache.stats.misses
+            failed = failed or not report.all_passed
+    finally:
+        _finish_supervised(args, supervisor)
     if cache is not None:
         print(
-            f"simulation cache: {hits} hits, {misses} misses "
-            f"({cache.root})"
+            f"simulation cache: {cache.stats.hits} hits, "
+            f"{cache.stats.misses} misses ({cache.root})"
         )
     return 1 if failed else 0
 

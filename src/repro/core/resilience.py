@@ -34,8 +34,9 @@ reference run would produce:
     restarts a killed sweep from where it died.
 
 :class:`SweepSupervisor` bundles the knobs for
-:func:`repro.core.sweep.run_cache_sweep`; the deterministic fault
-injectors live in :mod:`repro.core.faults`.
+:func:`repro.core.sweep.resolve_points`, the resolver every sweep and
+experiment point goes through; the deterministic fault injectors live
+in :mod:`repro.core.faults`.
 """
 
 from __future__ import annotations
@@ -483,15 +484,16 @@ class SweepCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# The bundle run_cache_sweep consumes
+# The bundle resolve_points consumes
 # ----------------------------------------------------------------------
 @dataclass
 class SweepSupervisor:
-    """Fault-tolerance knobs for one supervised sweep.
+    """Fault-tolerance knobs for one supervised run.
 
-    Passed to :func:`repro.core.sweep.run_cache_sweep`; the sweep
-    routes its misses through :func:`supervised_simulate_many`, records
-    cache quarantines into :attr:`report`, checkpoints completions into
+    Passed to :func:`repro.core.sweep.resolve_points` (through
+    ``run_cache_sweep`` or an experiment context), which routes its
+    misses through :meth:`simulate_points`, records cache quarantines
+    into :attr:`report`, checkpoints completions into
     :attr:`checkpoint`, and — with :attr:`resume` — pre-resolves points
     the manifest already holds (counted in :attr:`resumed`).
     """

@@ -56,7 +56,6 @@ __all__ = [
     "QUARANTINE_MAX_AGE_SECONDS",
     "QUARANTINE_MAX_BYTES",
     "SimulationCache",
-    "cached_simulate",
     "config_fingerprint",
     "program_fingerprint",
     "result_key",
@@ -178,15 +177,11 @@ class SimulationCache:
 
     # ------------------------------------------------------------------
     def _key(self, config: MachineConfig, program: Program) -> str:
-        pkey = self._program_keys.get(id(program))
-        if pkey is None:
-            pkey = program_fingerprint(program)
-            self._program_keys[id(program)] = pkey
-        h = hashlib.sha256()
-        h.update(f"v{CACHE_FORMAT_VERSION}:{ENGINE_REVISION}".encode())
-        h.update(config_fingerprint(config).encode())
-        h.update(pkey.encode())
-        return h.hexdigest()
+        program_fp = self._program_keys.get(id(program))
+        if program_fp is None:
+            program_fp = program_fingerprint(program)
+            self._program_keys[id(program)] = program_fp
+        return result_key(config, program, program_fp)
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -397,32 +392,3 @@ class SimulationCache:
             )
         return "\n".join(lines)
 
-
-def cached_simulate(
-    config: MachineConfig,
-    program: Program,
-    cache: SimulationCache | None = None,
-    traced: bool = False,
-) -> SimulationResult:
-    """:func:`~repro.core.simulator.simulate` through an optional cache.
-
-    With ``traced``, a cold run aggregates its event stream through a
-    metrics sink and the cached blob carries the counters, so a later
-    cache hit returns the *same* ``trace_metrics`` as the run that
-    populated it.  A hit on a blob stored without metrics re-simulates
-    (and re-stores) rather than returning a metrics-less result.
-    """
-    from .simulator import simulate, simulate_traced  # late: simulator is heavy
-
-    def run() -> SimulationResult:
-        if traced:
-            return simulate_traced(config, program)
-        return simulate(config, program)
-
-    if cache is None:
-        return run()
-    result = cache.lookup(config, program)
-    if result is None or (traced and result.trace_metrics is None):
-        result = run()
-        cache.store(config, program, result)
-    return result

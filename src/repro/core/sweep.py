@@ -5,24 +5,22 @@ Every figure in the paper's evaluation plots **total execution cycles**
 four PIPE configurations of Table II plus the conventional cache.  This
 module provides that sweep as a reusable driver.
 
-The sweep is the hot path of the whole reproduction, so it layers two
-optimisations (both off by default and fully deterministic):
+Every list of simulation points — a sweep, or an experiment's ad-hoc
+points — reaches the simulator through one resolver,
+:func:`resolve_points`.  Its layers are deterministic, and the numbers
+are byte-identical with or without each of them:
 
-* ``jobs`` fans the independent ``(strategy, size)`` points out over
-  worker processes (:mod:`repro.core.parallel`); series come back in
-  the same order with bit-identical cycle counts;
 * ``cache`` consults a content-addressed result store
   (:mod:`repro.core.simcache`) so points shared between experiments —
-  or repeated across runs — are never re-simulated.
-
-A third, orthogonal layer makes big sweeps *finish*: passing a
-:class:`~repro.core.resilience.SweepSupervisor` routes cache misses
-through the supervised worker pool (per-point timeouts, bounded
-retries, crashed-pool recovery), records every recovery action —
-including cache quarantines — in the supervisor's
-:class:`~repro.core.resilience.FaultReport`, and checkpoints completed
-points so an interrupted sweep resumes instead of restarting.  The
-numbers are byte-identical with or without a supervisor.
+  or repeated across runs — are never re-simulated;
+* ``jobs`` fans the misses out over worker processes
+  (:mod:`repro.core.parallel`); results come back in input order;
+* a :class:`~repro.core.resilience.SweepSupervisor` makes big sweeps
+  *finish*: the misses run on its supervised worker pool (per-point
+  timeouts, bounded retries, crashed-pool recovery), every recovery
+  action — cache quarantines included — goes into its
+  :class:`~repro.core.resilience.FaultReport`, and completed points are
+  checkpointed so an interrupted run resumes instead of restarting.
 """
 
 from __future__ import annotations
@@ -33,12 +31,13 @@ from typing import Callable, Sequence
 from ..asm.program import Program
 from .config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
 from .parallel import simulate_many
-from .resilience import FaultReport, SweepSupervisor
+from .resilience import SweepSupervisor
 from .results import SimulationResult
 from .simcache import SimulationCache, sweep_point_keys
 
 __all__ = [
     "SweepSeries",
+    "resolve_points",
     "standard_strategies",
     "run_cache_sweep",
 ]
@@ -55,11 +54,6 @@ class SweepSeries:
     cache_sizes: list[int]
     cycles: list[int]
     results: list[SimulationResult] = field(repr=False, default_factory=list)
-    #: the sweep's recovery ledger when it ran supervised (shared by
-    #: every series of the sweep); ``None`` for unsupervised sweeps
-    fault_report: FaultReport | None = field(
-        repr=False, compare=False, default=None
-    )
 
     def as_dict(self) -> dict[int, int]:
         return dict(zip(self.cache_sizes, self.cycles))
@@ -93,6 +87,86 @@ def standard_strategies() -> dict[str, StrategyFactory]:
     return strategies
 
 
+def resolve_points(
+    program: Program,
+    configs: Sequence[MachineConfig],
+    *,
+    jobs: int | None = 1,
+    cache: SimulationCache | None = None,
+    supervisor: SweepSupervisor | None = None,
+) -> list[SimulationResult]:
+    """The result of every ``(config, program)`` point, in ``configs`` order.
+
+    Each point is answered by the first of: the supervisor's checkpoint
+    manifest (with ``--resume``), the result ``cache``, a fresh
+    simulation.  The misses run over ``jobs`` worker processes — or,
+    when a ``supervisor`` is set, on its supervised pool (its own
+    ``jobs``, timeouts, retries and crash recovery), with cache
+    quarantines recorded in its report.  Every fresh result is stored
+    to the cache and the checkpoint; a supervised run stores each one
+    as it completes, so progress survives a crash at any moment.  The
+    results are identical to simulating each point serially.
+    """
+    configs = list(configs)
+    checkpoint = supervisor.checkpoint if supervisor is not None else None
+    keys = sweep_point_keys(program, configs) if supervisor is not None else None
+    if checkpoint is not None:
+        # Exclusive manifest lock: a second supervised run against the
+        # same checkpoint fails fast (CheckpointLockError) instead of
+        # interleaving partial manifest publishes with this one.
+        # Idempotent, so the point lists of one report share one claim;
+        # the caller releases it when the supervised session ends.
+        checkpoint.acquire()
+    if cache is not None and supervisor is not None:
+        report = supervisor.report
+        cache.quarantine_hook = lambda key, reason: report.record(
+            key[:12], "cache_quarantine", detail=reason
+        )
+    try:
+        resolved: dict[int, SimulationResult] = {}
+        misses: list[int] = []
+        for index, config in enumerate(configs):
+            if checkpoint is not None and supervisor.resume:
+                result = checkpoint.get(keys[index])
+                if result is not None:
+                    resolved[index] = result
+                    supervisor.resumed += 1
+                    continue
+            hit = cache.lookup(config, program) if cache is not None else None
+            if hit is not None:
+                resolved[index] = hit
+            else:
+                misses.append(index)
+
+        def on_result(miss: int, result: SimulationResult) -> None:
+            index = misses[miss]
+            resolved[index] = result
+            if cache is not None:
+                cache.store(configs[index], program, result)
+            if checkpoint is not None:
+                checkpoint.add(keys[index], result)
+
+        if misses:
+            miss_configs = [configs[index] for index in misses]
+            if supervisor is not None:
+                supervisor.simulate_points(
+                    program,
+                    miss_configs,
+                    keys=[keys[index] for index in misses],
+                    on_result=on_result,
+                )
+            else:
+                fresh = simulate_many(program, miss_configs, jobs=jobs)
+                for miss, result in enumerate(fresh):
+                    on_result(miss, result)
+    finally:
+        if cache is not None and supervisor is not None:
+            cache.quarantine_hook = None
+        if checkpoint is not None:
+            checkpoint.flush()
+    return [resolved[index] for index in range(len(configs))]
+
+
 def run_cache_sweep(
     program: Program,
     cache_sizes: Sequence[int] = PAPER_CACHE_SIZES,
@@ -110,13 +184,8 @@ def run_cache_sweep(
     line cannot live in a 16-byte cache), mirroring the paper's figures
     where the 16-32/32-32 curves start at 32 bytes.
 
-    ``jobs`` > 1 runs the points across worker processes; ``cache``
-    short-circuits points already simulated (and persists the rest).
-    ``supervisor`` runs the misses fault-tolerantly (timeouts, retries,
-    crash recovery, checkpoint/resume) and attaches
-    its :class:`~repro.core.resilience.FaultReport` to every returned
-    series.  All three preserve ordering and produce results identical
-    to the plain serial path.
+    ``jobs``, ``cache`` and ``supervisor`` are those of
+    :func:`resolve_points`, which resolves every point of the sweep.
     """
     if strategies is None:
         strategies = standard_strategies()
@@ -134,111 +203,19 @@ def run_cache_sweep(
                 continue  # cache smaller than this strategy's line size
             points.append((index, size, config))
 
-    resolved: dict[int, SimulationResult] = {}
-    if supervisor is not None:
-        _run_supervised(program, points, cache, supervisor, resolved)
-    else:
-        misses: list[tuple[int, MachineConfig]] = []
-        for point_id, (_index, _size, config) in enumerate(points):
-            hit = cache.lookup(config, program) if cache is not None else None
-            if hit is not None:
-                resolved[point_id] = hit
-            else:
-                misses.append((point_id, config))
-
-        if misses:
-            fresh = simulate_many(
-                program, [config for _, config in misses], jobs=jobs
-            )
-            for (point_id, config), result in zip(misses, fresh):
-                resolved[point_id] = result
-                if cache is not None:
-                    cache.store(config, program, result)
-
-    report = supervisor.report if supervisor is not None else None
+    results = resolve_points(
+        program,
+        [config for _index, _size, config in points],
+        jobs=jobs,
+        cache=cache,
+        supervisor=supervisor,
+    )
     series = [
-        SweepSeries(
-            label=label,
-            cache_sizes=[],
-            cycles=[],
-            results=[],
-            fault_report=report,
-        )
+        SweepSeries(label=label, cache_sizes=[], cycles=[], results=[])
         for label in labels
     ]
-    for point_id, (index, size, _config) in enumerate(points):
-        result = resolved[point_id]
+    for (index, size, _config), result in zip(points, results):
         series[index].cache_sizes.append(size)
         series[index].cycles.append(result.cycles)
         series[index].results.append(result)
     return series
-
-
-def _run_supervised(
-    program: Program,
-    points: list[tuple[int, int, MachineConfig]],
-    cache: SimulationCache | None,
-    supervisor: SweepSupervisor,
-    resolved: dict[int, SimulationResult],
-) -> None:
-    """Resolve every sweep point under the fault supervisor.
-
-    Resolution order per point: the checkpoint manifest (``--resume``),
-    then the content-addressed cache (quarantines recorded in the
-    supervisor's report), then the supervised worker pool.  Completed
-    misses are stored to both the cache and the checkpoint as they
-    arrive, so progress survives a crash at any moment.
-    """
-    report = supervisor.report
-    checkpoint = supervisor.checkpoint
-    if checkpoint is not None:
-        # Exclusive manifest lock: a second supervised run against the
-        # same checkpoint fails fast (CheckpointLockError) instead of
-        # interleaving partial manifest publishes with this one.
-        # Idempotent, so the sweeps of one report share one claim; the
-        # caller releases it when the supervised session ends.
-        checkpoint.acquire()
-    configs = [config for _index, _size, config in points]
-    keys = sweep_point_keys(program, configs)
-
-    if cache is not None:
-        cache.quarantine_hook = lambda key, reason: report.record(
-            key[:12], "cache_quarantine", detail=reason
-        )
-    try:
-        misses: list[tuple[int, MachineConfig, str]] = []
-        for point_id, config in enumerate(configs):
-            key = keys[point_id]
-            if checkpoint is not None and supervisor.resume:
-                result = checkpoint.get(key)
-                if result is not None:
-                    resolved[point_id] = result
-                    supervisor.resumed += 1
-                    continue
-            hit = cache.lookup(config, program) if cache is not None else None
-            if hit is not None:
-                resolved[point_id] = hit
-            else:
-                misses.append((point_id, config, key))
-
-        if misses:
-
-            def on_result(miss_pos: int, result: SimulationResult) -> None:
-                point_id, config, key = misses[miss_pos]
-                resolved[point_id] = result
-                if cache is not None:
-                    cache.store(config, program, result)
-                if checkpoint is not None:
-                    checkpoint.add(key, result)
-
-            supervisor.simulate_points(
-                program,
-                [config for _, config, _ in misses],
-                keys=[key for _, _, key in misses],
-                on_result=on_result,
-            )
-    finally:
-        if cache is not None:
-            cache.quarantine_hook = None
-        if checkpoint is not None:
-            checkpoint.flush()

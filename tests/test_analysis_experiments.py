@@ -14,6 +14,8 @@ from repro.analysis.experiments import (
     ExperimentContext,
     run_experiment,
 )
+from repro.core.resilience import SweepCheckpoint, SweepSupervisor
+from repro.core.simcache import result_key
 
 CACHE_SIZES = (32, 128, 512)
 
@@ -60,6 +62,49 @@ class TestExperimentPlumbing:
     def test_unknown_experiment_rejected(self, context):
         with pytest.raises(KeyError):
             run_experiment("figure9", context)
+
+    def test_supervisor_covers_ad_hoc_points(
+        self, tiny_suite, tmp_path, monkeypatch
+    ):
+        """``simulate_many`` (queues) and ``simulate`` (delays) run under
+        the context's supervisor: every point they simulate is
+        checkpointed, and the reports match an unsupervised context."""
+        from repro.core import simulator
+
+        simulated = []
+        real_simulate = simulator.simulate
+
+        def spy(config, program, **engine):
+            simulated.append(result_key(config, program))
+            return real_simulate(config, program, **engine)
+
+        def fresh_context(supervisor=None):
+            return ExperimentContext(
+                program=tiny_suite.program,
+                suite=tiny_suite,
+                scale=0.03,
+                supervisor=supervisor,
+            )
+
+        experiments = ("queues", "delays")
+        supervisor = SweepSupervisor(
+            jobs=1, checkpoint=SweepCheckpoint(tmp_path / "ck.json")
+        )
+        supervised = fresh_context(supervisor)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "simulate", spy)
+            reports = [run_experiment(name, supervised) for name in experiments]
+        supervisor.checkpoint.release()
+        plain = fresh_context()
+        for report, name in zip(reports, experiments):
+            reference = run_experiment(name, plain)
+            assert report.text == reference.text
+            assert report.render_checks() == reference.render_checks()
+
+        manifest = SweepCheckpoint(tmp_path / "ck.json")
+        assert manifest.load() == len(set(simulated)) > 0
+        assert all(manifest.get(key) is not None for key in simulated)
+        assert supervisor.report.clean
 
     def test_sweep_memoisation(self, context):
         """Two experiments sharing a parameter point reuse the sweep."""

@@ -180,6 +180,27 @@ class TestResilienceCli:
         payload = json.loads(report_path.read_text())
         assert payload == {"events": [], "counts": {}}
 
+    def test_checkpoint_and_fault_report_imply_supervision(
+        self, capsys, tmp_path
+    ):
+        """``--checkpoint`` and ``--fault-report`` without another
+        resilience option are not silently ignored: they turn the
+        supervisor on."""
+        checkpoint = tmp_path / "ck.json"
+        report_path = tmp_path / "fr.json"
+        argv = [
+            "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
+            "--no-cache", "--jobs", "1",
+            "--checkpoint", str(checkpoint),
+            "--fault-report", str(report_path),
+        ]
+        assert main(argv) == 0
+        assert "fault report  : clean" in capsys.readouterr().out
+        assert checkpoint.exists()
+        assert json.loads(report_path.read_text()) == {
+            "events": [], "counts": {}
+        }
+
     def test_supervised_parallel_report_sweeps_under_the_supervisor(
         self, capsys, monkeypatch, tmp_path
     ):

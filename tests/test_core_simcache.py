@@ -12,19 +12,25 @@ from repro.core.simcache import (
     CACHE_FORMAT_VERSION,
     QUARANTINE_DIR,
     SimulationCache,
-    cached_simulate,
     config_fingerprint,
     program_fingerprint,
     result_key,
     sweep_point_keys,
 )
 from repro.core.simulator import simulate
+from repro.core.sweep import resolve_points
 
 
 def _pipe(**overrides) -> MachineConfig:
     return MachineConfig.pipe(
         "16-16", 128, memory_access_time=6, input_bus_width=8, **overrides
     )
+
+
+def _resolve(config, program, cache):
+    """One point through the resolver: cache lookup, else simulate and store."""
+    (result,) = resolve_points(program, [config], cache=cache)
+    return result
 
 
 class TestFingerprints:
@@ -92,6 +98,16 @@ class TestFingerprints:
             result_key(config, tiny_program) for config in configs
         ]
 
+    def test_cache_entry_is_named_by_the_checkpoint_key(
+        self, tiny_program, tmp_path
+    ):
+        """The cache and the sweep checkpoint share one content address."""
+        cache = SimulationCache(tmp_path)
+        config = _pipe()
+        _resolve(config, tiny_program, cache)
+        (entry,) = cache.entries()
+        assert entry.stem == sweep_point_keys(tiny_program, [config])[0]
+
 
 class TestRoundTrip:
     def test_result_json_round_trip(self, tiny_program):
@@ -111,39 +127,39 @@ class TestSimulationCache:
     def test_miss_then_hit(self, tiny_program, tmp_path):
         cache = SimulationCache(tmp_path)
         config = _pipe()
-        first = cached_simulate(config, tiny_program, cache)
+        first = _resolve(config, tiny_program, cache)
         assert cache.stats.misses == 1 and cache.stats.hits == 0
-        second = cached_simulate(config, tiny_program, cache)
+        second = _resolve(config, tiny_program, cache)
         assert cache.stats.hits == 1
         assert first == second
 
     def test_hits_survive_a_fresh_cache_object(self, tiny_program, tmp_path):
         config = _pipe()
-        first = cached_simulate(config, tiny_program, SimulationCache(tmp_path))
+        first = _resolve(config, tiny_program, SimulationCache(tmp_path))
         reopened = SimulationCache(tmp_path)
-        second = cached_simulate(config, tiny_program, reopened)
+        second = _resolve(config, tiny_program, reopened)
         assert reopened.stats.hits == 1
         assert first == second
 
     def test_corrupt_entry_is_a_miss(self, tiny_program, tmp_path):
         cache = SimulationCache(tmp_path)
         config = _pipe()
-        cached_simulate(config, tiny_program, cache)
+        _resolve(config, tiny_program, cache)
         (entry,) = cache.entries()
         entry.write_text("{not json")
         assert cache.lookup(config, tiny_program) is None
 
     def test_clear_and_stats(self, tiny_program, tmp_path):
         cache = SimulationCache(tmp_path)
-        cached_simulate(_pipe(), tiny_program, cache)
-        cached_simulate(_pipe().with_overrides(iq_size=8), tiny_program, cache)
+        _resolve(_pipe(), tiny_program, cache)
+        _resolve(_pipe().with_overrides(iq_size=8), tiny_program, cache)
         assert len(cache.entries()) == 2
         assert cache.size_bytes() > 0
         assert cache.clear() == 2
         assert cache.entries() == []
 
     def test_no_cache_passthrough(self, tiny_program):
-        result = cached_simulate(_pipe(), tiny_program, None)
+        result = _resolve(_pipe(), tiny_program, None)
         assert result.cycles > 0
 
 
@@ -152,7 +168,7 @@ class TestCrashSafety:
 
     def test_entries_embed_a_verified_checksum(self, tiny_program, tmp_path):
         cache = SimulationCache(tmp_path)
-        result = cached_simulate(_pipe(), tiny_program, cache)
+        result = _resolve(_pipe(), tiny_program, cache)
         (entry,) = cache.entries()
         payload = json.loads(entry.read_text())
         assert payload["version"] == CACHE_FORMAT_VERSION
@@ -160,7 +176,7 @@ class TestCrashSafety:
 
     def test_store_leaves_no_temp_droppings(self, tiny_program, tmp_path):
         cache = SimulationCache(tmp_path)
-        cached_simulate(_pipe(), tiny_program, cache)
+        _resolve(_pipe(), tiny_program, cache)
         leftovers = [
             path
             for path in Path(tmp_path).rglob("*")
@@ -170,7 +186,7 @@ class TestCrashSafety:
 
     def test_tampered_payload_is_quarantined(self, tiny_program, tmp_path):
         cache = SimulationCache(tmp_path)
-        cached_simulate(_pipe(), tiny_program, cache)
+        _resolve(_pipe(), tiny_program, cache)
         (entry,) = cache.entries()
         payload = json.loads(entry.read_text())
         payload["result"]["cycles"] += 1  # a silently wrong number
@@ -183,7 +199,7 @@ class TestCrashSafety:
 
     def test_truncated_entry_is_quarantined(self, tiny_program, tmp_path):
         cache = SimulationCache(tmp_path)
-        cached_simulate(_pipe(), tiny_program, cache)
+        _resolve(_pipe(), tiny_program, cache)
         (entry,) = cache.entries()
         raw = entry.read_text()
         entry.write_text(raw[: len(raw) // 2])  # a torn, non-atomic write
@@ -192,7 +208,7 @@ class TestCrashSafety:
 
     def test_version_mismatch_is_quarantined(self, tiny_program, tmp_path):
         cache = SimulationCache(tmp_path)
-        cached_simulate(_pipe(), tiny_program, cache)
+        _resolve(_pipe(), tiny_program, cache)
         (entry,) = cache.entries()
         payload = json.loads(entry.read_text())
         payload["version"] = CACHE_FORMAT_VERSION + 1
@@ -204,7 +220,7 @@ class TestCrashSafety:
         self, tiny_program, tmp_path
     ):
         cache = SimulationCache(tmp_path)
-        cached_simulate(_pipe(), tiny_program, cache)
+        _resolve(_pipe(), tiny_program, cache)
         (entry,) = cache.entries()
         entry.write_text("{torn")
         seen = []
@@ -218,16 +234,16 @@ class TestCrashSafety:
         self, tiny_program, tmp_path
     ):
         cache = SimulationCache(tmp_path)
-        first = cached_simulate(_pipe(), tiny_program, cache)
+        first = _resolve(_pipe(), tiny_program, cache)
         (entry,) = cache.entries()
         entry.write_text("{torn")
-        second = cached_simulate(_pipe(), tiny_program, cache)
+        second = _resolve(_pipe(), tiny_program, cache)
         assert second == first
         assert cache.lookup(_pipe(), tiny_program) == first  # verified again
 
     def test_describe_reports_the_quarantine(self, tiny_program, tmp_path):
         cache = SimulationCache(tmp_path)
-        cached_simulate(_pipe(), tiny_program, cache)
+        _resolve(_pipe(), tiny_program, cache)
         assert "quarantine: 0 entries" in cache.describe()
         (entry,) = cache.entries()
         entry.write_text("{torn")
@@ -239,8 +255,8 @@ class TestCrashSafety:
     def test_clear_sweeps_the_quarantine_too(self, tiny_program, tmp_path):
         cache = SimulationCache(tmp_path)
         variant = _pipe().with_overrides(iq_size=8)
-        cached_simulate(_pipe(), tiny_program, cache)
-        cached_simulate(variant, tiny_program, cache)
+        _resolve(_pipe(), tiny_program, cache)
+        _resolve(variant, tiny_program, cache)
         (entry, _other) = cache.entries()
         entry.write_text("{torn")
         cache.lookup(_pipe(), tiny_program)  # one of these quarantines it
@@ -296,7 +312,7 @@ class TestQuarantineCaps:
         # without bound: the cap is applied on every quarantine, not
         # only when someone remembers to prune.
         cache = SimulationCache(tmp_path, quarantine_max_bytes=1)
-        cached_simulate(_pipe(), tiny_program, cache)
+        _resolve(_pipe(), tiny_program, cache)
         (entry,) = cache.entries()
         entry.write_text("{torn")
         cache.lookup(_pipe(), tiny_program)

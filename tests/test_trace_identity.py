@@ -6,17 +6,15 @@ determinism:
 * ``simulate_many_traced`` produces a **byte-identical** merged trace
   file no matter how many worker processes fan the points out (each
   point streams to its own part file; parts merge in submission order);
-* a ``cached_simulate(traced=True)`` cache *hit* returns the same
-  aggregated ``trace_metrics`` as the cold run that populated the
-  entry, and a hit on a blob stored without metrics re-simulates rather
-  than returning a metrics-less result.
+* a simcache *hit* on an entry stored from a traced run returns the
+  same aggregated ``trace_metrics`` as the cold run that populated it.
 """
 
 import hashlib
 
 from repro.core.config import MachineConfig
 from repro.core.parallel import simulate_many_traced
-from repro.core.simcache import SimulationCache, cached_simulate
+from repro.core.simcache import SimulationCache
 from repro.core.simulator import simulate, simulate_traced
 from repro.core.trace import TraceMetrics
 from repro.kernels.suite import build_livermore_program
@@ -67,28 +65,10 @@ class TestSimcacheTracedIdentity:
         program = build_livermore_program(scale=0.05, loops=(3,))
         config = MachineConfig.pipe("16-16", 128, memory_access_time=6)
         cache = SimulationCache(tmp_path)
-        cold = cached_simulate(config, program, cache=cache, traced=True)
-        assert cache.stats.stores == 1 and cache.stats.hits == 0
-        warm = cached_simulate(config, program, cache=cache, traced=True)
-        assert cache.stats.hits == 1
+        cold = simulate_traced(config, program)
+        cache.store(config, program, cold)
+        warm = SimulationCache(tmp_path).lookup(config, program)
         assert warm.trace_metrics == cold.trace_metrics is not None
         assert warm.cycles == cold.cycles
         metrics = TraceMetrics.from_dict(warm.trace_metrics)
         assert metrics.verify_against(warm) == []
-
-    def test_metrics_less_blob_is_resimulated(self, tmp_path):
-        """A hit on an entry stored by an *untraced* run must not come
-        back metrics-less when the caller asked for a traced result."""
-        program = build_livermore_program(scale=0.05, loops=(3,))
-        config = MachineConfig.conventional(128, memory_access_time=6)
-        cache = SimulationCache(tmp_path)
-        plain = cached_simulate(config, program, cache=cache)
-        assert plain.trace_metrics is None
-        traced = cached_simulate(config, program, cache=cache, traced=True)
-        assert traced.trace_metrics is not None
-        assert traced.cycles == plain.cycles
-        assert cache.stats.stores == 2  # the traced rerun re-published
-        # and now the metrics-carrying blob serves traced hits directly
-        again = cached_simulate(config, program, cache=cache, traced=True)
-        assert again.trace_metrics == traced.trace_metrics
-        assert cache.stats.stores == 2
