@@ -10,10 +10,10 @@ skip+replay run function in which
 * configuration constants (``max_cycles``, the deadlock horizon, queue
   capacities, branch latency, bus/priority knobs) are folded into
   integer and string literals;
-* the per-cycle component phases (``memory.begin_cycle``,
-  ``engine.update``, ``backend.step``, ``memory.end_cycle``) are
-  flattened into straight-line inlined code whenever the component
-  opted into emission (see below) and is not monkeypatched;
+* every per-cycle component phase (``memory.begin_cycle``,
+  ``engine.update``, ``frontend.update``, ``backend.step``,
+  ``frontend.post_issue``, ``memory.end_cycle``) and the idle-skip
+  wake scan are flattened into straight-line inlined code;
 * ``tracer.enabled`` branches are specialized *out* of the source
   when the run is untraced;
 * component objects, bound methods, and queue storage are hoisted into
@@ -25,18 +25,21 @@ same error arithmetic — so results, stats, and JSONL trace bytes are
 byte-identical (``tests/test_scheduler_differential.py`` pins this
 across the whole crosscheck config family).
 
-**Specialization contract.**  A component opts into lowering by
-providing ``emit_compiled_*`` classmethods (and/or declaring
-``COMPILED_IDLE_HINT`` / ``COMPILED_POLL_GUARD``); the generator only
-uses them when the live instance is exactly the known class with no
-instance-level monkeypatching, otherwise it falls back to calling the
-bound method — so tests that stub out ``frontend.poll_requests`` or
-``backend.step`` still see their stubs.  Every fold decision is part
-of the :class:`KernelSpec`, which keys the process-wide compile cache:
-one config (plus the traced flag and fold profile) compiles exactly
-once per process.  The caches live in process memory only;
-forked sweep workers inherit whatever the parent had compiled.
-``docs/COMPILED.md`` documents the contract in full.
+**Eligibility: everything or nothing.**  The components'
+``emit_compiled_*`` classmethods mirror the shipped classes' methods,
+so a kernel describes exactly one kind of machine.  One check,
+:func:`_shipped`, passes when every component is exactly the class its
+emitters mirror and no instance attribute shadows one of that class's
+methods; such a machine gets the one fully inlined kernel for its
+(config, traced) pair.  Any other machine — a test stub, a subclass, a
+monkeypatched method — gets ``None`` from :func:`kernel_for`, and
+:meth:`~repro.core.simulator.Simulator.run` runs the interpreted
+skip+replay engine instead, which calls the bound methods.  The
+:class:`KernelSpec` keys the process-wide compile cache, so one config
+(plus the traced flag) compiles exactly once per process.  The caches
+live in process memory only; forked sweep workers inherit whatever the
+parent had compiled.  ``docs/COMPILED.md`` documents the contract in
+full.
 
 **Hoisting rule.**  Only objects that are never *rebound* during a run
 may be hoisted into kernel locals: component objects, the queues'
@@ -67,7 +70,6 @@ from ..cpu.dispatch import (
 )
 from ..cpu.executor import queue_effects
 from ..cpu.queues import ArchitecturalQueue
-from ..frontend.base import FetchUnit
 from ..frontend.conventional import ConventionalFetchUnit
 from ..frontend.icache import InstructionCache
 from ..frontend.pipe_fetch import PipeFetchUnit
@@ -110,6 +112,77 @@ def config_fingerprint(config) -> str:
 
 
 # ----------------------------------------------------------------------
+# Eligibility: is this exactly the machine the emitters describe?
+# ----------------------------------------------------------------------
+#: The frontend class whose state machines the generator inlines, by
+#: strategy name.
+_FRONTEND_CLASSES: dict[str, type] = {
+    "conventional": ConventionalFetchUnit,
+    "pipe": PipeFetchUnit,
+    "tib": TibFetchUnit,
+}
+
+#: Method names of every class whose methods an emitter mirrors.  The
+#: inlined code bypasses those methods, so an instance attribute of the
+#: same name (a monkeypatched method) disqualifies the machine; one
+#: frozenset per class keeps that test to a single ``isdisjoint``.
+_METHODS: dict[type, frozenset[str]] = {
+    cls: frozenset(name for name in dir(cls) if callable(getattr(cls, name)))
+    for cls in (
+        Backend,
+        DataQueueEngine,
+        ArchitecturalQueue,
+        MemorySystem,
+        ExternalMemory,
+        TimedFpu,
+        InstructionCache,
+        *_FRONTEND_CLASSES.values(),
+    )
+}
+
+
+def _exactly(obj, cls: type) -> bool:
+    """``obj`` is a ``cls`` (not a subclass) with no method shadowed."""
+    return type(obj) is cls and _METHODS[cls].isdisjoint(vars(obj))
+
+
+def _shipped(sim) -> bool:
+    """True when the emitters describe this simulator's machine exactly.
+
+    Every component must be exactly the class its emitters mirror, with
+    no instance attribute shadowing one of that class's methods, and
+    the memory must poll the frontend, then the engine (the order the
+    inlined acceptance phase assumes).  A machine that fails runs the
+    interpreted skip+replay engine.
+    """
+    frontend = sim.frontend
+    engine = sim.engine
+    memory = sim.memory
+    frontend_cls = _FRONTEND_CLASSES[sim.config.fetch_strategy.value]
+    return (
+        _exactly(frontend, frontend_cls)
+        # slotted, so no instance attribute can shadow its methods
+        and type(frontend.predecode) is PredecodedImage
+        and (
+            frontend_cls is TibFetchUnit
+            or _exactly(frontend.cache, InstructionCache)
+        )
+        and _exactly(sim.backend, Backend)
+        and _exactly(engine, DataQueueEngine)
+        and all(
+            _exactly(queue, ArchitecturalQueue)
+            for queue in (engine.laq, engine.ldq, engine.saq, engine.sdq)
+        )
+        and _exactly(memory, MemorySystem)
+        and _exactly(memory.external, ExternalMemory)
+        and _exactly(memory.fpu, TimedFpu)
+        and len(memory._sources) == 2
+        and memory._sources[0] is frontend
+        and memory._sources[1] is engine
+    )
+
+
+# ----------------------------------------------------------------------
 # The kernel specification: everything the generated source depends on
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -117,12 +190,10 @@ class KernelSpec:
     """Pure value object from which kernel source is generated.
 
     ``generate_source`` is a deterministic function of this spec (the
-    golden test pins that), and the spec is the compile-cache key: two
-    runs share a kernel iff their specs are equal.  The ``inline_*`` /
-    ``fold_*`` flags record which components were eligible for
-    lowering when the spec was built; a monkeypatched component simply
-    produces a spec with that fold off, whose kernel calls the bound
-    method instead.
+    golden tests pin that), and the spec is the compile-cache key: two
+    runs share a kernel iff their specs are equal.  It holds constants
+    only; whether a machine may run a kernel at all is decided by
+    :func:`_shipped`.
     """
 
     config_key: str
@@ -139,12 +210,6 @@ class KernelSpec:
     instruction_first: bool
     strategy: str
     describe: str
-    inline_step: bool
-    inline_update: bool
-    inline_begin: bool
-    inline_end: bool
-    poll_guard: bool
-    inline_frontend: bool
     #: PIPE only: icache line size folded into the IQB-exhaustion guards
     line_size: int | None
     #: PIPE only: IQ byte capacity folded into the transfer loop
@@ -152,149 +217,16 @@ class KernelSpec:
     #: TIB only: stream-request geometry folded into the request guard
     tib_block_size: int | None
     tib_stream_capacity: int | None
-    engine_precheck: bool
-    fold_drained: bool
-    fold_wake_memory: bool
-    fold_wake_backend: bool
-    fold_hint_engine: bool
-    fold_hint_frontend: bool
-
-
-def _clean(obj, *names: str) -> bool:
-    """True when none of ``names`` is shadowed on the instance."""
-    shadow = vars(obj).keys()
-    return not any(name in shadow for name in names)
 
 
 def kernel_spec_for(sim) -> KernelSpec:
-    """Build the spec for one simulator instance, at ``run()`` time.
-
-    Eligibility is judged against the *instance* (exact class, no
-    monkeypatched methods), so per-test stubbing naturally disables
-    the affected fold instead of being compiled over.
-    """
+    """Build the spec for one simulator instance, at ``run()`` time."""
     config = sim.config
-    backend = sim.backend
     engine = sim.engine
     memory = sim.memory
-    external = memory.external
-    fpu = memory.fpu
     frontend = sim.frontend
-    queues = (engine.laq, engine.ldq, engine.saq, engine.sdq)
-    plain_queues = all(
-        type(queue) is ArchitecturalQueue
-        and getattr(type(queue), "COMPILED_PLAIN_FIFO", False)
-        and _clean(queue, "push", "pop", "peek")
-        for queue in queues
-    )
-    plain_engine = type(engine) is DataQueueEngine
-    plain_backend = type(backend) is Backend
-    plain_memory = (
-        type(memory) is MemorySystem
-        and type(external) is ExternalMemory
-        and type(fpu) is TimedFpu
-        and len(memory._sources) == 2
-        and memory._sources[0] is frontend
-        and memory._sources[1] is engine
-    )
-    poll_guard = getattr(type(frontend), "COMPILED_POLL_GUARD", False) and _clean(
-        frontend, "poll_requests"
-    )
-    inline_step = (
-        plain_backend
-        and plain_engine
-        and plain_queues
-        and _clean(backend, "step", "_stall", "_handle_branch_bookkeeping")
-        and _clean(engine, "ldq_has_data")
-    )
-    # Frontend inlining: the emitted update/post_issue/next_instruction/
-    # consume/poll bodies assume the exact shipped state machines, so
-    # eligibility demands the exact class (a subclass inherits the
-    # COMPILED_FRONTEND_INLINE flag but not necessarily the machine) and
-    # no instance-level monkeypatching of any method the emitted guards
-    # reason about.  An ineligible frontend falls back to bound calls.
-    inline_frontend = False
-    line_size = None
-    pipe_iq_size = None
-    tib_block_size = None
-    tib_stream_capacity = None
-    if poll_guard and getattr(type(frontend), "COMPILED_FRONTEND_INLINE", False):
-        if type(frontend) is ConventionalFetchUnit:
-            cache = frontend.cache
-            inline_frontend = (
-                type(cache) is InstructionCache
-                and getattr(type(cache), "COMPILED_RESIDENCY_EPOCH", False)
-                and type(frontend.predecode) is PredecodedImage
-                and _clean(
-                    frontend,
-                    "update",
-                    "post_issue",
-                    "_maybe_promote",
-                    "_maybe_request",
-                    "_choose_prefetch",
-                    "_current_instruction_resident",
-                    "_prefetchable",
-                    "_issue_request",
-                    "_block_address",
-                    "next_instruction",
-                    "consume",
-                )
-                and _clean(
-                    cache,
-                    "probe",
-                    "lookup",
-                    "fill",
-                    "invalidate_all",
-                    "record_hit",
-                    "record_miss",
-                    "touch",
-                )
-            )
-        elif type(frontend) is PipeFetchUnit:
-            cache = frontend.cache
-            inline_frontend = (
-                type(cache) is InstructionCache
-                and getattr(type(cache), "COMPILED_RESIDENCY_EPOCH", False)
-                and type(frontend.predecode) is PredecodedImage
-                and _clean(
-                    frontend,
-                    "update",
-                    "post_issue",
-                    "_advance",
-                    "_promote_if_starving",
-                    "_transfer_to_iq",
-                    "_choose_fill",
-                    "_start_fill",
-                    "next_instruction",
-                    "consume",
-                )
-                and _clean(
-                    cache,
-                    "probe",
-                    "fill",
-                    "invalidate_all",
-                    "record_hit",
-                    "record_miss",
-                    "touch",
-                )
-            )
-            if inline_frontend:
-                line_size = frontend.line_size
-                pipe_iq_size = frontend.iq_size
-        elif type(frontend) is TibFetchUnit:
-            inline_frontend = type(frontend.predecode) is PredecodedImage and _clean(
-                frontend,
-                "update",
-                "post_issue",
-                "_promote_if_starving",
-                "_maybe_request",
-                "_has_instruction",
-                "next_instruction",
-                "consume",
-            )
-            if inline_frontend:
-                tib_block_size = frontend.block_size
-                tib_stream_capacity = frontend.stream_capacity
+    pipe = type(frontend) is PipeFetchUnit
+    tib = type(frontend) is TibFetchUnit
     return KernelSpec(
         config_key=config_fingerprint(config),
         traced=sim.tracer.enabled,
@@ -306,53 +238,14 @@ def kernel_spec_for(sim) -> KernelSpec:
         ldq_capacity=engine.ldq.capacity,
         saq_capacity=engine.saq.capacity,
         sdq_capacity=engine.sdq.capacity,
-        memory_pipelined=external.pipelined,
+        memory_pipelined=memory.external.pipelined,
         instruction_first=memory.priority is RequestPriority.INSTRUCTION_FIRST,
         strategy=config.fetch_strategy.value,
         describe=config.describe(),
-        inline_step=inline_step,
-        inline_update=plain_engine and plain_queues and _clean(engine, "update"),
-        inline_begin=(
-            plain_memory
-            and _clean(memory, "begin_cycle", "_deliver_one")
-            and _clean(external, "begin_cycle", "retire_finished", "ready_requests")
-            and _clean(fpu, "begin_cycle", "deliverable_load", "deliver")
-        ),
-        inline_end=(
-            plain_memory
-            and _clean(memory, "end_cycle", "_try_accept", "_count_acceptance")
-            and _clean(external, "can_accept", "accept")
-            and _clean(fpu, "can_accept", "accept")
-        ),
-        poll_guard=poll_guard,
-        inline_frontend=inline_frontend,
-        line_size=line_size,
-        pipe_iq_size=pipe_iq_size,
-        tib_block_size=tib_block_size,
-        tib_stream_capacity=tib_stream_capacity,
-        engine_precheck=(
-            plain_engine
-            and plain_queues
-            and _clean(engine, "poll_requests", "_load_credit_available")
-        ),
-        fold_drained=plain_engine and plain_queues and plain_memory,
-        fold_wake_memory=(
-            plain_memory
-            and _clean(memory, "next_event_cycle")
-            and _clean(external, "next_event_cycle")
-            and _clean(fpu, "next_event_cycle")
-        ),
-        fold_wake_backend=plain_backend and _clean(backend, "next_event_cycle"),
-        fold_hint_engine=(
-            plain_engine
-            and _clean(engine, "next_event_cycle")
-            and getattr(type(engine), "COMPILED_IDLE_HINT", False)
-        ),
-        fold_hint_frontend=(
-            _clean(frontend, "next_event_cycle")
-            and type(frontend).next_event_cycle is FetchUnit.next_event_cycle
-            and getattr(type(frontend), "COMPILED_IDLE_HINT", False)
-        ),
+        line_size=frontend.line_size if pipe else None,
+        pipe_iq_size=frontend.iq_size if pipe else None,
+        tib_block_size=frontend.block_size if tib else None,
+        tib_stream_capacity=frontend.stream_capacity if tib else None,
     )
 
 
@@ -362,8 +255,7 @@ def kernel_spec_for(sim) -> KernelSpec:
 #: kernel-local bindings, hoisted once per run in the prologue.  Hooks
 #: declare which they use via ``ctx.need``; the prologue emits only
 #: those, in this (deterministic) order.  Everything here is bound
-#: from ``sim`` at kernel *invocation*, so instance monkeypatching of
-#: methods that are merely called (not inlined) is honored.
+#: from ``sim`` at kernel *invocation*.
 _BINDINGS: dict[str, str] = {
     "memory": "sim.memory",
     "mem_stats": "sim.memory.stats",
@@ -386,31 +278,20 @@ _BINDINGS: dict[str, str] = {
     "backend_env": "sim.backend._env",
     "effects_memo": "{}",
     "frontend_next_instruction": "sim.frontend.next_instruction",
-    "frontend_consume": "sim.frontend.consume",
     "frontend_note_branch": "sim.frontend.note_branch",
     "frontend_branch_resolved": "sim.frontend.branch_resolved",
     "frontend_redirect": "sim.frontend.redirect",
     "frontend_halt": "sim.frontend.halt",
-    "frontend_update": "sim.frontend.update",
-    "frontend_post_issue": "sim.frontend.post_issue",
-    "frontend_poll": "sim.frontend.poll_requests",
     "frontend_notify": "sim.frontend.notify_accepted",
-    "engine_update": "sim.engine.update",
     "engine_poll": "sim.engine.poll_requests",
     "engine_notify": "sim.engine.notify_accepted",
-    "backend_step": "sim.backend.step",
     "memory_begin": "sim.memory.begin_cycle",
-    "memory_end": "sim.memory.end_cycle",
-    "memory_next_event": "sim.memory.next_event_cycle",
-    "backend_next_event": "sim.backend.next_event_cycle",
-    "engine_next_event": "sim.engine.next_event_cycle",
-    "frontend_next_event": "sim.frontend.next_event_cycle",
     "external_accept": "sim.memory.external.accept",
     "fpu_can_accept": "sim.memory.fpu.can_accept",
     "fpu_accept": "sim.memory.fpu.accept",
     "replay_on_backedge": "sim.replay_controller.on_backedge",
     "replay_check_runaway": "sim.replay_controller.check_runaway",
-    # -- frontend-inlining bindings (spec.inline_frontend only) --------
+    # -- frontend-inlining bindings ------------------------------------
     # The frontends' stats objects and queue/table storage are mutated
     # in place for the whole run (replay advances counters with setattr
     # on the same objects), so hoisting them obeys the hoisting rule.
@@ -429,19 +310,8 @@ _BINDINGS: dict[str, str] = {
     "frontend_maybe_request": "sim.frontend._maybe_request",
     "frontend_predecode_at": "sim.frontend.predecode.at",
     "frontend_start_fill": "sim.frontend._start_fill",
-    # -- program-specialized dispatch (spec.inline_step only) ---------
+    # -- program-specialized dispatch ----------------------------------
     "dispatch_get": "_dispatch_for(sim).handler_for",
-}
-
-
-#: The frontend classes whose state machines the generator knows how to
-#: inline, by strategy name.  ``kernel_spec_for`` only sets
-#: ``inline_frontend`` after verifying the live instance is *exactly*
-#: one of these classes, so the lookup can key on the folded strategy.
-_FRONTEND_CLASSES: dict[str, type] = {
-    "conventional": ConventionalFetchUnit,
-    "pipe": PipeFetchUnit,
-    "tib": TibFetchUnit,
 }
 
 
@@ -461,11 +331,8 @@ class KernelContext:
         self._body: list[str] = []
         self._depth = 1
         self._needs: set[str] = set()
-        #: the frontend class whose emitters to use, or ``None`` when
-        #: the kernel calls the bound frontend methods instead
-        self.frontend_cls = (
-            _FRONTEND_CLASSES.get(spec.strategy) if spec.inline_frontend else None
-        )
+        #: the frontend class whose emitters the kernel inlines
+        self.frontend_cls = _FRONTEND_CLASSES[spec.strategy]
 
     # -- emission ------------------------------------------------------
     def line(self, text: str) -> None:
@@ -502,75 +369,17 @@ class KernelContext:
 # ----------------------------------------------------------------------
 # The generator driver
 # ----------------------------------------------------------------------
-def _emit_phase_begin(ctx: KernelContext) -> None:
-    ctx.comment("memory.begin_cycle(now)")
-    if ctx.spec.inline_begin:
-        MemorySystem.emit_compiled_begin_cycle(ctx)
-    else:
-        ctx.need("memory_begin")
-        ctx.line("memory_begin(now)")
-
-
-def _emit_phase_update(ctx: KernelContext) -> None:
-    ctx.comment("engine.update(now)")
-    if ctx.spec.inline_update:
-        DataQueueEngine.emit_compiled_update(ctx)
-    else:
-        ctx.need("engine_update")
-        ctx.line("engine_update(now)")
-
-
-def _emit_phase_frontend_update(ctx: KernelContext) -> None:
-    ctx.comment("frontend.update(now)")
-    if ctx.frontend_cls is not None:
-        ctx.frontend_cls.emit_compiled_update(ctx)
-    else:
-        ctx.need("frontend_update")
-        ctx.line("frontend_update(now)")
-
-
-def _emit_phase_frontend_post_issue(ctx: KernelContext) -> None:
-    ctx.comment("frontend.post_issue(now)")
-    if ctx.frontend_cls is not None:
-        ctx.frontend_cls.emit_compiled_post_issue(ctx)
-    else:
-        ctx.need("frontend_post_issue")
-        ctx.line("frontend_post_issue(now)")
-
-
-def _emit_phase_step(ctx: KernelContext) -> None:
-    ctx.comment("backend.step(now)")
-    if ctx.spec.inline_step:
-        Backend.emit_compiled_step(ctx)
-    else:
-        ctx.need("backend_step")
-        ctx.line("backend_step(now)")
-
-
-def _emit_phase_end(ctx: KernelContext) -> None:
-    ctx.comment("memory.end_cycle(now)")
-    if ctx.spec.inline_end:
-        MemorySystem.emit_compiled_end_cycle(ctx)
-    else:
-        ctx.need("memory_end")
-        ctx.line("memory_end(now)")
-
-
 def _emit_drain_check(ctx: KernelContext) -> None:
-    spec = ctx.spec
-    if spec.fold_drained:
-        ctx.need("laq_items", "saq_items", "sdq_items", "engine", "external", "fpu")
-        condition = (
-            "backend.halted and not laq_items and not saq_items "
-            "and not sdq_items and not engine._in_flight_loads "
-            "and not external.in_flight and not fpu._ops_pending "
-            "and not fpu._results_ready and not fpu._result_loads"
-        )
-    else:
-        ctx.need("engine", "memory")
-        condition = "backend.halted and engine.drained and memory.drained"
+    ctx.need("laq_items", "saq_items", "sdq_items", "engine", "external", "fpu")
+    # ``engine.drained and memory.drained``, read field by field
+    condition = (
+        "backend.halted and not laq_items and not saq_items "
+        "and not sdq_items and not engine._in_flight_loads "
+        "and not external.in_flight and not fpu._ops_pending "
+        "and not fpu._results_ready and not fpu._result_loads"
+    )
     with ctx.block(f"if {condition}:"):
-        if spec.traced:
+        if ctx.spec.traced:
             ctx.line("tracer.cycle = now")
             ctx.line(
                 'tracer_emit("sim", "end", cycles=now, '
@@ -607,39 +416,17 @@ def _emit_snapshot_block(ctx: KernelContext) -> None:
         ctx.line("raise sim._timeout(now, False)")
 
 
-def _emit_wake_computation(ctx: KernelContext) -> None:
-    spec = ctx.spec
-    if spec.fold_wake_memory:
-        ExternalMemory.emit_compiled_wake(ctx)
-        TimedFpu.emit_compiled_wake(ctx)
-    else:
-        ctx.need("memory_next_event")
-        ctx.line("wake = memory_next_event(now)")
-    if spec.fold_wake_backend:
-        Backend.emit_compiled_wake(ctx)
-    else:
-        ctx.need("backend_next_event")
-        ctx.line("hint = backend_next_event(now)")
-        with ctx.block("if hint < wake:"):
-            ctx.line("wake = hint")
-    if not spec.fold_hint_engine:
-        ctx.need("engine_next_event")
-        ctx.line("hint = engine_next_event(now)")
-        with ctx.block("if hint < wake:"):
-            ctx.line("wake = hint")
-    if not spec.fold_hint_frontend:
-        ctx.need("frontend_next_event")
-        ctx.line("hint = frontend_next_event(now)")
-        with ctx.block("if hint < wake:"):
-            ctx.line("wake = hint")
-
-
 def _emit_skip_block(ctx: KernelContext) -> None:
     spec = ctx.spec
     mask = spec.snapshot_mask
     interval = mask + 1
     with ctx.block("if clock.ticks == ticks_before:"):
-        _emit_wake_computation(ctx)
+        # The wake scan of ``Simulator._run_loop``.  The data engine and
+        # the frontends are event-woken: their ``next_event_cycle`` is
+        # always ``IDLE``, so only memory and the backend contribute.
+        ExternalMemory.emit_compiled_wake(ctx)
+        TimedFpu.emit_compiled_wake(ctx)
+        Backend.emit_compiled_wake(ctx)
         ctx.line("ticks = clock.ticks")
         with ctx.block("if ticks != last_ticks:"):
             ctx.line(f"first_snapshot = (now | {mask}) + 1")
@@ -724,14 +511,20 @@ def generate_source(spec: KernelSpec) -> str:
             ctx.line("tracer.cycle = now")
         ctx.line("ticks_before = clock.ticks")
         ctx.line("conflicts_before = mem_stats.acceptance_conflicts")
-        _emit_phase_begin(ctx)
-        _emit_phase_update(ctx)
-        _emit_phase_frontend_update(ctx)
-        _emit_phase_step(ctx)
+        ctx.comment("memory.begin_cycle(now)")
+        MemorySystem.emit_compiled_begin_cycle(ctx)
+        ctx.comment("engine.update(now)")
+        DataQueueEngine.emit_compiled_update(ctx)
+        ctx.comment("frontend.update(now)")
+        ctx.frontend_cls.emit_compiled_update(ctx)
+        ctx.comment("backend.step(now)")
+        Backend.emit_compiled_step(ctx)
         with ctx.block("if backend.halted:"):
             ctx.line("frontend_halt()")
-        _emit_phase_frontend_post_issue(ctx)
-        _emit_phase_end(ctx)
+        ctx.comment("frontend.post_issue(now)")
+        ctx.frontend_cls.emit_compiled_post_issue(ctx)
+        ctx.comment("memory.end_cycle(now)")
+        MemorySystem.emit_compiled_end_cycle(ctx)
         ctx.line("now += 1")
         _emit_drain_check(ctx)
         _emit_replay_block(ctx)
@@ -872,9 +665,15 @@ def _compile(spec: KernelSpec) -> CompiledKernel:
     return CompiledKernel(spec, source, namespace["__kernel"])
 
 
-def kernel_for(sim) -> CompiledKernel:
-    """The (cached) compiled kernel serving one simulator instance."""
+def kernel_for(sim) -> CompiledKernel | None:
+    """The (cached) compiled kernel serving one simulator instance.
+
+    ``None`` when the machine is not exactly the shipped one
+    (:func:`_shipped`); the caller then runs the interpreted engine.
+    """
     global _KERNEL_HITS
+    if not _shipped(sim):
+        return None
     spec = kernel_spec_for(sim)
     kernel = _KERNEL_CACHE.get(spec)
     if kernel is None:

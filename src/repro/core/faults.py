@@ -57,14 +57,20 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 #: The injector kinds, in the order they act on a sweep point.
 FAULT_KINDS = ("worker_kill", "point_hang", "cache_corrupt")
 
-#: ``--inject-faults`` spec aliases → plan field names
-_SPEC_ALIASES = {
+#: ``--inject-faults`` spec keys → plan field names.  ``scratch_dir``
+#: and ``host_pid`` are set by :func:`activate`, never by a spec: a
+#: ``host_pid`` from the command line would make the CLI process pass
+#: for a pool worker, which the kill injector then exits.
+_SPEC_KEYS = {
+    "seed": "seed",
     "kill": "worker_kill",
+    "worker_kill": "worker_kill",
     "hang": "point_hang",
+    "point_hang": "point_hang",
     "corrupt": "cache_corrupt",
+    "cache_corrupt": "cache_corrupt",
     "hang-seconds": "hang_seconds",
     "hang_seconds": "hang_seconds",
-    "seed": "seed",
 }
 
 
@@ -135,15 +141,10 @@ class FaultPlan:
             key, sep, value = part.partition("=")
             if not sep:
                 raise ValueError(f"bad --inject-faults item {part!r}")
-            name = _SPEC_ALIASES.get(key.strip(), key.strip())
-            if name not in {f.name for f in dataclasses.fields(cls)}:
+            name = _SPEC_KEYS.get(key.strip())
+            if name is None:
                 raise ValueError(f"unknown --inject-faults key {key.strip()!r}")
-            if name == "seed":
-                fields[name] = int(value)
-            elif name == "scratch_dir":
-                fields[name] = value.strip()
-            else:
-                fields[name] = float(value)
+            fields[name] = int(value) if name == "seed" else float(value)
         return cls(**fields)
 
     def to_json(self) -> str:

@@ -254,10 +254,8 @@ class Backend:
             "laq_items",
             "saq_items",
             "sdq_items",
+            "dispatch_get",
         )
-        if frontend_cls is None:
-            ctx.need("frontend_next_instruction", "frontend_consume")
-        ctx.need("dispatch_get")
 
         def stall(reason: str) -> None:
             ctx.line(f"backend_stalls[{reason!r}] += 1")
@@ -296,10 +294,7 @@ class Backend:
                         ):
                             ctx.line("backend.replay_backedge = target")
             with ctx.block("if ok:"):
-                if frontend_cls is not None:
-                    frontend_cls.emit_compiled_next_instruction(ctx)
-                else:
-                    ctx.line("fetched = frontend_next_instruction()")
+                frontend_cls.emit_compiled_next_instruction(ctx)
                 with ctx.block("if fetched is None:"):
                     stall(StallReason.FRONTEND)
                 with ctx.block("else:"):
@@ -344,10 +339,7 @@ class Backend:
                                 '("i", pc, instruction, outcome))'
                             )
                         ctx.line("clock.ticks += 1")
-                        if frontend_cls is not None:
-                            frontend_cls.emit_compiled_consume(ctx)
-                        else:
-                            ctx.line("frontend_consume(now)")
+                        frontend_cls.emit_compiled_consume(ctx)
                         ctx.line("backend.instructions += 1")
                         ctx.line("backend.last_pc = pc")
                         if traced:

@@ -75,11 +75,6 @@ class DataEngineStats:
 class DataQueueEngine:
     """Owns the four architectural queues and talks to the memory system."""
 
-    #: compiled-kernel contract: ``next_event_cycle`` is statically
-    #: ``IDLE`` (see its docstring), so the generator may drop this
-    #: component from the idle-skip wake scan entirely.
-    COMPILED_IDLE_HINT = True
-
     def __init__(
         self,
         program: Program,

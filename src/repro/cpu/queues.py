@@ -50,13 +50,6 @@ class ArchitecturalQueue(Generic[T]):
     simulator, where queue pressure is irrelevant).
     """
 
-    #: compiled-kernel contract (``repro.core.compiled``): ``_items``
-    #: is never rebound (``clear`` empties it in place), so the kernel
-    #: may hoist the deque and fold ``is_full``/``is_empty`` into
-    #: ``len()`` checks against the capacity literal.  Mutations still
-    #: go through ``push``/``pop`` so ticks/stats/trace stay exact.
-    COMPILED_PLAIN_FIFO = True
-
     def __init__(
         self,
         name: str,
@@ -68,6 +61,8 @@ class ArchitecturalQueue(Generic[T]):
             raise ValueError(f"queue {name}: capacity must be positive or None")
         self.name = name
         self.capacity = capacity
+        # never rebound (``clear`` empties it in place): the compiled
+        # kernels hoist this deque and test its length directly
         self._items: deque[T] = deque()
         self.total_pushes = 0
         self.total_pops = 0

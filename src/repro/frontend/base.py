@@ -68,25 +68,6 @@ def delay_region_end(
 class FetchUnit(abc.ABC):
     """Abstract instruction-fetch frontend."""
 
-    #: compiled-kernel contract (``repro.core.compiled``): a subclass
-    #: sets this True to certify its ``poll_requests`` returns ``[]``
-    #: with **zero side effects** whenever ``_request is None or
-    #: _request_accepted``, licensing the generated kernel to guard the
-    #: poll call behind that test.  All three shipped frontends qualify;
-    #: a subclass with different poll behavior must leave this False.
-    COMPILED_POLL_GUARD = False
-    #: True when ``next_event_cycle`` is statically ``IDLE`` for the
-    #: subclass, so the kernel may drop it from the idle-skip wake scan.
-    #: Valid only for subclasses that do not override the base method.
-    COMPILED_IDLE_HINT = True
-    #: True when the subclass ships ``emit_compiled_update`` /
-    #: ``emit_compiled_post_issue`` / ``emit_compiled_next_instruction``
-    #: / ``emit_compiled_consume`` classmethods whose emitted code is
-    #: byte-identical to the bound methods for an unmonkeypatched
-    #: instance.  A frontend without emitters leaves this False and the
-    #: generated kernel transparently falls back to bound-method calls.
-    COMPILED_FRONTEND_INLINE = False
-
     stats: FetchStats
     #: set by :meth:`halt`; no new fetch work may start afterwards
     _halted: bool = False
@@ -100,9 +81,10 @@ class FetchUnit(abc.ABC):
 
         All three shipped frontends share this poll machine verbatim:
         withdraw the outstanding request after HALT, otherwise offer it.
-        The kernel only reaches this code under the ``COMPILED_POLL_GUARD``
-        test (``_request is not None and not _request_accepted``), so the
-        early-out branches of the bound method are already decided.
+        The kernel only reaches this code when an unaccepted request is
+        outstanding (``_request is not None and not _request_accepted``);
+        otherwise ``poll_requests`` returns ``[]`` with no side effects,
+        and the kernel skips it.
         """
         with ctx.block("if frontend._halted:"):
             if ctx.spec.traced:
@@ -246,7 +228,11 @@ class FetchUnit(abc.ABC):
     # -- memory request source ----------------------------------------------
     @abc.abstractmethod
     def poll_requests(self, now: int) -> list[MemoryRequest]:
-        """Offer at most one fetch request for output-bus arbitration."""
+        """Offer at most one fetch request for output-bus arbitration.
+
+        Returns ``[]`` with no side effects when no unaccepted request
+        is outstanding: the compiled kernels skip the call then.
+        """
 
     @abc.abstractmethod
     def notify_accepted(self, request: MemoryRequest, now: int) -> None:

@@ -66,14 +66,6 @@ class PrefetchPolicy(enum.Enum):
 class ConventionalFetchUnit(FetchUnit):
     """Direct-mapped sub-blocked cache with a selectable prefetch policy."""
 
-    #: ``poll_requests`` is side-effect free and empty whenever no
-    #: unaccepted request is outstanding (see the method), so the
-    #: compiled kernel may guard the poll behind that test.
-    COMPILED_POLL_GUARD = True
-    #: the ``emit_compiled_*`` classmethods below lower this unit's
-    #: state machines into the kernel (``docs/COMPILED.md``)
-    COMPILED_FRONTEND_INLINE = True
-
     def __init__(
         self,
         image: bytes | bytearray,
@@ -126,9 +118,9 @@ class ConventionalFetchUnit(FetchUnit):
     # The lowered form folds the helpers' early-out guards and memoizes
     # the *no-op* outcome of ``_maybe_request`` per ``(pc, cache epoch)``:
     # when the call at a given pc issued no request, every later call at
-    # the same pc is a provable no-op until the cache mutates (the
-    # ``COMPILED_RESIDENCY_EPOCH`` contract — residency answers are
-    # constant per epoch, TAGGED's tag-add is idempotent, ON_MISS's
+    # the same pc is a provable no-op until the cache mutates (every
+    # mutation bumps ``InstructionCache._epoch``, so residency answers
+    # are constant per epoch; TAGGED's tag-add is idempotent, ON_MISS's
     # deferred block can only change via a request whose completion bumps
     # the epoch).  ``next_instruction`` is pure in the same pair and is
     # memoized the same way.

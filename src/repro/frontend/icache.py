@@ -59,18 +59,6 @@ class _Way:
 class InstructionCache:
     """A sub-blocked, set-associative (default direct-mapped) I-cache."""
 
-    #: compiled-kernel contract (``repro.core.compiled``): the cache is
-    #: passive — it has no per-cycle phase and ``next_event_cycle`` is
-    #: statically ``IDLE`` — so the generated kernel never touches it
-    #: directly; all access stays inside the owning frontend.
-    COMPILED_PASSIVE = True
-    #: compiled-kernel contract: ``_epoch`` increments on every mutation
-    #: of the tag/valid arrays (:meth:`fill`, :meth:`invalidate_all`), so
-    #: residency answers (:meth:`probe`) for a fixed address range are
-    #: constant while ``_epoch`` is unchanged.  Licenses the generated
-    #: kernel to memoize probe outcomes per epoch.
-    COMPILED_RESIDENCY_EPOCH = True
-
     def __init__(
         self,
         size: int,
@@ -104,6 +92,10 @@ class InstructionCache:
             for _ in range(self.num_sets)
         ]
         self._clock = 0
+        # bumped by every ``fill`` and ``invalidate_all``, the only
+        # mutations of the tag/valid arrays: residency answers for an
+        # address are constant while it is unchanged, which lets the
+        # compiled kernels memoize them per epoch
         self._epoch = 0
         self.stats = CacheStats()
         self._tracer = tracer if tracer is not None else NULL_TRACER

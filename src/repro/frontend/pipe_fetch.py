@@ -65,14 +65,6 @@ class _PendingBranch:
 class PipeFetchUnit(FetchUnit):
     """Cache + IQ + IQB frontend (the paper's contribution)."""
 
-    #: ``poll_requests`` is side-effect free and empty whenever no
-    #: unaccepted request is outstanding (see the method), so the
-    #: compiled kernel may guard the poll behind that test.
-    COMPILED_POLL_GUARD = True
-    #: the ``emit_compiled_*`` classmethods below lower this unit's
-    #: state machines into the kernel (``docs/COMPILED.md``)
-    COMPILED_FRONTEND_INLINE = True
-
     def __init__(
         self,
         image: bytes | bytearray,
@@ -167,9 +159,10 @@ class PipeFetchUnit(FetchUnit):
     # :meth:`_choose_fill` decision with ``line_size``/``iq_size`` as
     # literals.  The cache-resident arm of :meth:`_start_fill` is also
     # inlined, memoizing positive :meth:`InstructionCache.probe` answers
-    # per residency epoch (``COMPILED_RESIDENCY_EPOCH``: probe answers
-    # are constant while ``_epoch`` is unchanged, and ``probe`` itself is
-    # side-effect free, so a memo miss simply re-probes).  Off-chip fills
+    # per residency epoch (every ``fill``/``invalidate_all`` bumps the
+    # cache's ``_epoch``, so probe answers are constant while it is
+    # unchanged, and ``probe`` itself is side-effect free, so a memo miss
+    # simply re-probes).  Off-chip fills
     # drop to the bound :meth:`_start_fill`, which re-checks everything.
 
     @classmethod

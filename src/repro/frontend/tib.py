@@ -67,14 +67,6 @@ class _TibEntry:
 class TibFetchUnit(FetchUnit):
     """Stream buffer + branch-target buffer, no instruction cache."""
 
-    #: ``poll_requests`` is side-effect free and empty whenever no
-    #: unaccepted request is outstanding (see the method), so the
-    #: compiled kernel may guard the poll behind that test.
-    COMPILED_POLL_GUARD = True
-    #: the ``emit_compiled_*`` classmethods below lower this unit's
-    #: state machines into the kernel (``docs/COMPILED.md``)
-    COMPILED_FRONTEND_INLINE = True
-
     def __init__(
         self,
         image: bytes | bytearray,

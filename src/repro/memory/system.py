@@ -281,11 +281,10 @@ class MemorySystem:
     def emit_compiled_end_cycle(cls, ctx) -> None:
         """Lower :meth:`end_cycle` with both sources inlined.
 
-        Source polls are guarded/prechecked only when the source's
-        no-candidate case is provably side-effect free (the spec's
-        ``poll_guard`` / ``engine_precheck`` flags); each source is
-        still polled at most once per cycle, exactly like the
-        reference.  The single-candidate case skips the sort and the
+        Each source poll is guarded by a test under which that source
+        provably offers nothing and has no side effects (see the two
+        comments below); a source that passes its guard is still polled
+        at most once per cycle, exactly like the reference.  The single-candidate case skips the sort and the
         conflict bookkeeping; the multi-candidate path mirrors the
         reference's stable sort (candidates are assembled in source
         registration order: frontend, then engine).  ``external``
@@ -303,30 +302,25 @@ class MemorySystem:
             "external_accept",
             "fpu_can_accept",
             "fpu_accept",
+            "laq_items",
+            "saq_items",
+            "sdq_items",
         )
-        if spec.poll_guard:
-            with ctx.block(
-                "if frontend._request is not None "
-                "and not frontend._request_accepted:"
-            ):
-                if ctx.frontend_cls is not None:
-                    ctx.frontend_cls.emit_compiled_poll(ctx)
-                else:
-                    ctx.need("frontend_poll")
-                    ctx.line("f_reqs = frontend_poll(now)")
-            with ctx.block("else:"):
-                ctx.line("f_reqs = ()")
-        else:
-            ctx.need("frontend_poll")
-            ctx.line("f_reqs = frontend_poll(now)")
-        if spec.engine_precheck:
-            ctx.need("laq_items", "saq_items", "sdq_items")
-            with ctx.block("if laq_items or (saq_items and sdq_items):"):
-                ctx.line("e_reqs = engine_poll(now)")
-            with ctx.block("else:"):
-                ctx.line("e_reqs = ()")
-        else:
+        # A frontend's ``poll_requests`` returns ``[]`` with no side
+        # effects when no unaccepted request is outstanding.
+        with ctx.block(
+            "if frontend._request is not None "
+            "and not frontend._request_accepted:"
+        ):
+            ctx.frontend_cls.emit_compiled_poll(ctx)
+        with ctx.block("else:"):
+            ctx.line("f_reqs = ()")
+        # The engine's ``poll_requests`` returns ``[]`` with no side
+        # effects when the LAQ is empty and no SAQ/SDQ pair is ready.
+        with ctx.block("if laq_items or (saq_items and sdq_items):"):
             ctx.line("e_reqs = engine_poll(now)")
+        with ctx.block("else:"):
+            ctx.line("e_reqs = ()")
         if spec.memory_pipelined:
             busy = "external._accepted_this_cycle"
         else:

@@ -4,9 +4,12 @@ The differential matrix (``test_scheduler_differential``) proves the
 kernels are byte-identical to the reference loop; this module covers the
 machinery itself: the content-addressed compile cache (one compile per
 config per process), spec sensitivity (distinct configs get distinct
-specializations), the escape hatch, the purity of ``generate_source``,
-and a generated-source golden for the headline PIPE configuration so
-codegen changes are reviewed as diffs, not discovered as regressions.
+specializations), all-or-nothing eligibility (every shipped machine gets
+a kernel; a stubbed, subclassed or monkeypatched one gets none and runs
+the interpreted engine), the escape hatch, the purity of
+``generate_source``, and generated-source goldens for the headline PIPE
+and the conventional configurations so codegen changes are reviewed as
+diffs, not discovered as regressions.
 """
 
 from pathlib import Path
@@ -24,9 +27,11 @@ from repro.core.compiled import (
     kernel_spec_for,
 )
 from repro.core.config import MachineConfig
+from repro.core.fuzz import FUZZ_CONFIGS
 from repro.core.scheduler import ENGINES
 from repro.core.simulator import Simulator, simulate, simulate_traced
 from repro.core.trace import JsonLinesSink, MetricsSink, Tracer
+from tests.test_trace_crosscheck import CONFIGS
 
 GOLDEN = Path(__file__).parent / "goldens" / "compiled_kernel_headline.py"
 CONV_GOLDEN = Path(__file__).parent / "goldens" / "compiled_kernel_conventional.py"
@@ -102,11 +107,28 @@ class TestCompileCache:
         assert "emit" in traced.source
 
     def test_monkeypatched_component_disables_its_fold(self):
-        sim = _sim()
-        sim.frontend.poll_requests = lambda now: []
-        patched = kernel_for(sim)
-        assert patched.spec.poll_guard is False
-        assert patched is not kernel_for(_sim())
+        """Folding is all or nothing: one shadowed method on any
+        component turns the whole kernel off, and compiles nothing."""
+        patches = {
+            "backend": "step",
+            "engine": "update",
+            "engine.laq": "push",
+            "memory": "end_cycle",
+            "memory.external": "accept",
+            "memory.fpu": "next_event_cycle",
+            "frontend": "poll_requests",
+            "frontend.cache": "probe",
+        }
+        before = compile_stats()
+        for path, method in patches.items():
+            sim = _sim()
+            component = sim
+            for name in path.split("."):
+                component = getattr(component, name)
+            setattr(component, method, getattr(component, method))
+            assert kernel_for(sim) is None, f"{path}.{method}"
+        assert compile_stats() == before
+        assert kernel_for(_sim()) is not None
 
 
 class TestEscapeHatch:
@@ -173,7 +195,6 @@ class TestDispatchCache:
 class TestFrontendInlining:
     def test_headline_spec_inlines_frontend_and_dispatch(self, tiny_program):
         spec = kernel_spec_for(_sim(program=tiny_program))
-        assert spec.inline_frontend is True
         assert spec.line_size == 16
         source = generate_source(spec)
         # the frontend phases are open-coded, not bound-method calls...
@@ -188,55 +209,85 @@ class TestFrontendInlining:
         conv = kernel_spec_for(
             _sim(MachineConfig.conventional(128, memory_access_time=6))
         )
-        assert conv.inline_frontend is True
+        # the per-epoch memo of the inlined ``_maybe_request`` no-op
+        assert "fe_memo.get(f_pc) != icache_unit._epoch" in generate_source(conv)
         tib = kernel_spec_for(
             _sim(MachineConfig.tib(memory_access_time=6), tiny_program)
         )
-        assert tib.inline_frontend is True
-        assert tib.tib_block_size is not None
-        assert tib.tib_stream_capacity is not None
+        assert tib.line_size is None and tib.pipe_iq_size is None
+        # the inlined stream-request guard, with the geometry as literals
+        assert (
+            f"{tib.tib_stream_capacity} - (frontend._valid_end - frontend._pc)"
+            f" >= {tib.tib_block_size}:"
+        ) in generate_source(tib)
 
     def test_frontend_subclass_falls_back_byte_identically(
         self, tiny_program, tmp_path
     ):
-        """A subclass inherits COMPILED_FRONTEND_INLINE, not eligibility.
+        """A subclass of a shipped frontend gets no kernel.
 
         The emitted state machines assume the exact shipped classes; a
-        subclass (which may override anything) must drop to bound-method
-        calls and still reproduce the reference loop exactly, traced.
-        This pins each frontend's bound-method fallback.
+        subclass (which may override anything) must compile nothing, run
+        the interpreted skip+replay engine, and still reproduce the
+        reference loop exactly, traced.
         """
-        for strategy, make_config in sorted(_STRATEGIES.items()):
-            config = make_config()
-            reference_path = tmp_path / f"{strategy}-reference.jsonl"
-            reference = simulate_traced(
-                config, tiny_program, reference_path, **dict(ENGINES)["reference"]
-            )
+        for strategy in sorted(_STRATEGIES):
 
-            tracer = Tracer()
-            fallback_path = tmp_path / f"{strategy}-fallback.jsonl"
-            tracer.attach(JsonLinesSink(fallback_path))
-            tracer.attach(MetricsSink())
-            sim = _sim(config, tiny_program, tracer=tracer)
-            sim.frontend.__class__ = type("Tweaked", (type(sim.frontend),), {})
-            kernel = kernel_for(sim)
-            assert kernel.spec.inline_frontend is False, strategy
-            assert kernel.spec.poll_guard is True, strategy  # other folds survive
-            assert "frontend_update(" in kernel.source, strategy
-            try:
-                result = sim.run()
-            finally:
-                tracer.close()
-            assert result.to_dict() == reference.to_dict(), strategy
-            assert fallback_path.read_bytes() == reference_path.read_bytes(), strategy
+            def tweak(sim):
+                sim.frontend.__class__ = type("Tweaked", (type(sim.frontend),), {})
+
+            _assert_falls_back(strategy, tweak, tiny_program, tmp_path)
 
     def test_monkeypatched_frontend_method_disables_inlining(
-        self, tiny_program
+        self, tiny_program, tmp_path
     ):
-        sim = _sim(program=tiny_program)
-        original = sim.frontend.consume
-        sim.frontend.consume = lambda now: original(now)
-        assert kernel_spec_for(sim).inline_frontend is False
+        """A monkeypatched frontend method gets no kernel either, and the
+        interpreted engine honours the patch byte-identically."""
+        for strategy in sorted(_STRATEGIES):
+
+            def patch(sim):
+                original = sim.frontend.consume
+                sim.frontend.consume = lambda now: original(now)
+
+            _assert_falls_back(strategy, patch, tiny_program, tmp_path)
+
+
+def _assert_falls_back(strategy, alter, program, tmp_path) -> None:
+    """``alter`` makes a compiled-engine simulator ineligible: it must
+    compile nothing and match the reference row's result and trace."""
+    config = _STRATEGIES[strategy]()
+    reference_path = tmp_path / f"{strategy}-reference.jsonl"
+    reference = simulate_traced(
+        config, program, reference_path, **dict(ENGINES)["reference"]
+    )
+    tracer = Tracer()
+    fallback_path = tmp_path / f"{strategy}-fallback.jsonl"
+    tracer.attach(JsonLinesSink(fallback_path))
+    tracer.attach(MetricsSink())
+    sim = _sim(config, program, tracer=tracer)
+    alter(sim)
+    before = compile_stats()
+    assert kernel_for(sim) is None, strategy
+    try:
+        result = sim.run()
+    finally:
+        tracer.close()
+    assert compile_stats() == before, strategy
+    assert result.to_dict() == reference.to_dict(), strategy
+    assert fallback_path.read_bytes() == reference_path.read_bytes(), strategy
+
+
+#: every machine the differential suites and the fuzzer run
+_SHIPPED = {f"crosscheck-{name}": config for name, config in CONFIGS.items()}
+_SHIPPED.update({f"fuzz-{name}": make() for name, make in FUZZ_CONFIGS.items()})
+
+
+class TestEligibility:
+    @pytest.mark.parametrize("name", sorted(_SHIPPED))
+    def test_every_shipped_machine_gets_a_kernel(self, name):
+        """A stray instance attribute that shadows a method would switch
+        the whole engine off, silently; every shipped machine must pass."""
+        assert kernel_for(_sim(_SHIPPED[name])) is not None
 
 
 class TestFingerprint:
@@ -302,7 +353,6 @@ class TestGenerateSource:
         spec = kernel_spec_for(
             _sim(MachineConfig.conventional(128, memory_access_time=6))
         )
-        assert spec.inline_frontend is True
         assert generate_source(spec) == CONV_GOLDEN.read_text()
 
 

@@ -54,7 +54,17 @@ class TestFaultPlanParsing:
         assert plan.worker_kill == 0.5 and plan.point_hang == 0.25
 
     @pytest.mark.parametrize(
-        "spec", ["", "kill", "bogus=1", "seed=x", "diverge=1"]
+        "spec",
+        [
+            "",
+            "kill",
+            "bogus=1",
+            "seed=x",
+            "diverge=1",
+            # set by ``activate`` only: a spec must not name them
+            "host_pid=1",
+            "scratch_dir=/tmp/x",
+        ],
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):

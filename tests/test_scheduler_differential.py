@@ -243,23 +243,47 @@ def test_deadlock_mid_skip_matches_reference_cycle():
         assert str(fast.value).split("(")[0] == str(slow.value).split("(")[0]
 
 
-def test_deadlock_in_compiled_kernel_matches_reference_cycle():
-    """A starved machine must deadlock identically from generated code.
+def test_deadlock_in_compiled_kernel_matches_reference_cycle(monkeypatch):
+    """A real wedged machine must deadlock identically from generated code.
 
-    The monkeypatched ``next_instruction`` / ``poll_requests`` land in
-    the instance ``__dict__``, so the kernel spec automatically turns
-    off the affected guard folds and calls the bound methods — the
-    stubs keep working without any opt-out from the test.
+    No stubs: a stubbed machine gets no kernel and would only test the
+    interpreted loop.  Sixteen loads in flight overcommit a two-entry
+    LAQ/LDQ pair, so nothing can drain (as in
+    ``test_cpu_backend.py::test_overcommitted_ldq_is_a_detected_deadlock``).
     """
-    with pytest.raises(DeadlockError) as kernel:
-        _starved_simulator("compiled").run()
-    with pytest.raises(DeadlockError) as slow:
-        _starved_simulator("reference").run()
-    assert kernel.value.cycle == slow.value.cycle
-    assert kernel.value.fast_path is True
-    assert "no progress" in str(kernel.value)
-    assert "idle-skip" in str(kernel.value)
-    assert str(kernel.value).split("(")[0] == str(slow.value).split("(")[0]
+    loads = "\n".join(["ld r1, value"] * 16)
+    drains = "\n".join(["popq r2"] * 16)
+    program = assemble(
+        f"li r1, 0\n{loads}\n{drains}\nhalt\nvalue: .word 1"
+    )
+    config = MachineConfig.pipe(
+        "16-16", 512, memory_access_time=6, laq_capacity=2, ldq_capacity=2
+    )
+    kernels = []
+    real_kernel_for = simulator_module.kernel_for
+
+    def spy(sim):
+        kernels.append(real_kernel_for(sim))
+        return kernels[-1]
+
+    monkeypatch.setattr(simulator_module, "kernel_for", spy)
+    errors = {}
+    for tag, kwargs in ENGINES:
+        sim = Simulator(config, program, **kwargs)
+        sim.DEADLOCK_CYCLES = 500
+        with pytest.raises(DeadlockError) as excinfo:
+            sim.run()
+        errors[tag] = excinfo.value
+    assert len(kernels) == 1 and kernels[0] is not None
+    slow = errors["reference"]
+    assert slow.fast_path is False
+    for tag in FAST_TAGS:
+        fast = errors[tag]
+        assert fast.cycle == slow.cycle, tag
+        assert fast.fast_path is True, tag
+        assert "no progress" in str(fast), tag
+        assert "idle-skip" in str(fast), tag
+        assert str(fast).split("(")[0] == str(slow).split("(")[0], tag
 
 
 # ----------------------------------------------------------------------
