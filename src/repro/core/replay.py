@@ -24,18 +24,24 @@ target:
    counter deltas, same instruction outcomes, same event shapes — and
    return the machine to the same signature.  Only then is the loop
    **engaged**.
-3. **Replay.**  On each further signature match the controller replays
-   iterations arithmetically: a *shadow functional pass* re-executes
-   the recorded instruction stream against copies of the register
-   banks, a memory-write overlay, and the FIFO value chain of the load
-   queues, checking every timing-relevant data dependence (branch
-   outcomes, FPU-window addresses, store/load ordering-hazard counts).
+3. **Replay.**  When a loop engages, each recorded instruction is
+   bound once to a *step* ``(state, env) -> outcome`` — the compiled
+   engine's shared dispatch handler (:func:`repro.cpu.dispatch.handler_for`),
+   or ``execute`` itself on the interpreted engines, which compile
+   nothing — and the record's counter delta is resolved into a *plan*
+   of the nonzero counters it moves (:meth:`StatsBook.plan`).  On each
+   further signature match the controller replays iterations
+   arithmetically: a *shadow functional pass* runs the bound steps
+   against copies of the register banks, a memory-write overlay, and
+   the FIFO value chain of the load queues, checking every
+   timing-relevant data dependence (branch outcomes, FPU-window
+   addresses, store/load ordering-hazard counts).
    If anything differs the shadow is discarded and live simulation
    resumes from the untouched boundary state — divergence never needs
    a rollback.  On success the shadow's functional state is committed,
    queue entries are rotated through their FIFO chains, all timed
    state is shifted by the iteration's deltas (``replay_shift``), and
-   every counter advances by its recorded delta.
+   every counter advances by its recorded delta (the plan).
 
 Byte-identity invariants:
 
@@ -62,13 +68,17 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from functools import partial
 
 from ..asm.program import WORD_BYTES
+from ..cpu.dispatch import handler_for
 from ..cpu.executor import execute
 from ..cpu.state import ArchState
 from ..memory.fpu import (
+    FPU_BASE,
     FPU_OPERAND_A,
     FPU_RESULT,
+    FPU_SIZE,
     TRIGGER_OPERATIONS,
     float32_op,
     is_fpu_address,
@@ -208,25 +218,45 @@ class StatsBook:
                 return False
         return True
 
-    def apply(self, delta: tuple) -> None:
-        """Advance every counter by one iteration's recorded delta."""
+    def plan(self, delta: tuple) -> tuple:
+        """Resolve one iteration's delta into what :meth:`apply` writes.
+
+        Returns ``(fields, items)``: the nonzero ``(owner, attribute,
+        delta)`` of the summed counters and the nonzero ``(dict, key,
+        delta)`` of the dict counters (which are updated in place and
+        never rebound).  Zero deltas are left out, and so are max-style
+        counters (zero by the engagement precondition).
+        """
+        fields = []
+        items = []
         for (_label, kind, obj, name), d in zip(self._entries, delta):
             if kind == "add":
                 if d:
-                    setattr(obj, name, getattr(obj, name) + d)
+                    fields.append((obj, name, d))
             elif kind == "dict":
-                if d:
-                    target = getattr(obj, name)
-                    for key, dv in d:
-                        target[key] = target.get(key, 0) + dv
-            # "max" deltas are zero by the engagement precondition
+                target = getattr(obj, name)
+                items.extend((target, key, dv) for key, dv in d)
+        return tuple(fields), tuple(items)
+
+    def apply(self, plan: tuple) -> None:
+        """Advance every counter by one iteration, as :meth:`plan` resolved it."""
+        fields, items = plan
+        for obj, name, d in fields:
+            setattr(obj, name, getattr(obj, name) + d)
+        for target, key, d in items:
+            target[key] = target.get(key, 0) + d
 
 
 # ----------------------------------------------------------------------
 # Iteration records
 # ----------------------------------------------------------------------
 class _IterationRecord:
-    """One memoized loop iteration (deltas plus replay inputs)."""
+    """One memoized loop iteration (deltas plus replay inputs).
+
+    ``steps`` (``(step, recorded outcome)`` per instruction) and
+    ``plan`` (:meth:`StatsBook.plan` of ``delta``) are bound when the
+    record engages (:meth:`ReplayController._bind`).
+    """
 
     __slots__ = (
         "cycles",
@@ -237,6 +267,8 @@ class _IterationRecord:
         "trace",
         "engageable",
         "sd_count",
+        "steps",
+        "plan",
     )
 
     def __init__(self, cycles, seqs, delta, instrs, events, trace, engageable):
@@ -248,6 +280,8 @@ class _IterationRecord:
         self.trace = trace
         self.engageable = engageable
         self.sd_count = sum(1 for event in events if event[0] == "sd")
+        self.steps: tuple | None = None
+        self.plan: tuple | None = None
 
     def matches(self, other: "_IterationRecord") -> bool:
         return (
@@ -311,6 +345,16 @@ class _Divergence(Exception):
 # ----------------------------------------------------------------------
 # Shadow functional environment
 # ----------------------------------------------------------------------
+#: one past the FPU register window (:func:`is_fpu_address`, inlined)
+_FPU_END = FPU_BASE + FPU_SIZE
+
+
+def _interpreted_step(instruction):
+    """The interpreted engines' shadow step: ``execute`` bound to one
+    instruction (those engines compile nothing)."""
+    return partial(execute, instruction)
+
+
 class _ShadowEnv:
     """Executor environment for the counter-silent shadow pass.
 
@@ -356,26 +400,26 @@ class _ShadowEnv:
         self.sdq_pushes: list[int] = []
 
     # -- functional memory ------------------------------------------------
-    def _check(self, address: int) -> None:
+    # Each access is word-aligned and lies in the FPU window or inside
+    # the memory image; anything else diverges.
+    def _read(self, address: int) -> int:
         if address % WORD_BYTES:
             raise _Divergence
-        if not is_fpu_address(address) and address + WORD_BYTES > len(self.memory):
-            raise _Divergence
-
-    def _read(self, address: int) -> int:
-        self._check(address)
-        if is_fpu_address(address):
+        if FPU_BASE <= address < _FPU_END:
             if address != FPU_RESULT or not self.fpu_results:
                 raise _Divergence
             return self.fpu_results.popleft()
+        if address + WORD_BYTES > len(self.memory):
+            raise _Divergence
         value = self.overlay.get(address)
         if value is not None:
             return value
         return int.from_bytes(self.memory[address : address + WORD_BYTES], "little")
 
     def _write(self, address: int, value: int) -> None:
-        self._check(address)
-        if is_fpu_address(address):
+        if address % WORD_BYTES:
+            raise _Divergence
+        if FPU_BASE <= address < _FPU_END:
             if address == FPU_OPERAND_A:
                 self.fpu_operand_a = value & 0xFFFFFFFF
                 return
@@ -386,6 +430,8 @@ class _ShadowEnv:
             self.fpu_ops += 1
             self.fpu_last = kind
             return
+        if address + WORD_BYTES > len(self.memory):
+            raise _Divergence
         self.overlay[address] = value & 0xFFFFFFFF
 
     def _commit_pending(self) -> None:
@@ -399,9 +445,8 @@ class _ShadowEnv:
         return self.chain.popleft()
 
     def push_laq(self, address: int) -> None:
-        for pending in self.unc_addrs:
-            if pending == address:
-                raise _Divergence  # live execution would raise for real
+        if address in self.unc_addrs:
+            raise _Divergence  # live execution would raise for real
         value = self._read(address)
         self.chain.append(value)
         self.laq_pushes.append(address)
@@ -431,9 +476,12 @@ class ReplayController:
     #: iterations longer than this are never memoized (outer loops)
     MAX_ITERATION_INSTRUCTIONS = 2048
 
-    def __init__(self, sim):
+    def __init__(self, sim, compiled: bool = False):
         self.sim = sim
         self.book = StatsBook(sim)
+        #: binds a recorded instruction to its shadow step: the compiled
+        #: kernel's shared dispatch handler, else ``execute``
+        self._step_for = handler_for if compiled else _interpreted_step
         self.loops: dict[int, _LoopState] = {}
         self.traced = sim.tracer.enabled
         self._recording_target: int | None = None
@@ -598,6 +646,7 @@ class ReplayController:
             state.phase = _DEAD if state.restarts > self.RESTART_LIMIT else _RECORD
             return
         if state.candidate.matches(record) and record.engageable:
+            self._bind(record)
             state.record = record
             state.phase = _ENGAGED
             return
@@ -605,6 +654,16 @@ class ReplayController:
         state.candidate = record
         if state.fails >= self.VERIFY_LIMIT:
             state.phase = _DEAD
+
+    def _bind(self, record: _IterationRecord) -> None:
+        """Bind an engaging record once for every iteration it replays:
+        each instruction to its step, the counter delta to its plan."""
+        step_for = self._step_for
+        record.steps = tuple(
+            (step_for(instruction), outcome)
+            for _tag, _pc, instruction, outcome in record.instrs
+        )
+        record.plan = self.book.plan(record.delta)
 
     # ------------------------------------------------------------------
     # Replay
@@ -631,7 +690,8 @@ class ReplayController:
         return now
 
     def _shadow_iteration(self, record: _IterationRecord):
-        """Functionally execute one iteration off to the side.
+        """Functionally execute one iteration off to the side by running
+        the record's bound steps.
 
         Returns the shadow environment on success, ``None`` on any
         divergence from the recorded iteration (in which case nothing
@@ -646,8 +706,9 @@ class ReplayController:
         shadow._branch[:] = real._branch
         env = _ShadowEnv(engine)
         try:
-            for _tag, _pc, instruction, rec_outcome in record.instrs:
-                if execute(instruction, shadow, env) != rec_outcome:
+            for step, recorded in record.steps:
+                outcome = step(shadow, env)
+                if outcome is not recorded and outcome != recorded:
                     return None
         except _Divergence:
             return None
@@ -788,7 +849,7 @@ class ReplayController:
         backend.replay_shift(cycles, seqs)
         sim.seq.value += seqs
         # All counters advance arithmetically by the recorded deltas.
-        self.book.apply(record.delta)
+        self.book.apply(record.plan)
 
     def _emit_batch(self, batch: tuple, base: int) -> None:
         """Re-emit a recorded trace batch shifted to this iteration."""

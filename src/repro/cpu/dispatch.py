@@ -19,16 +19,24 @@ table itself is cached process-wide by :mod:`repro.core.compiled`
 under a ``(program_fingerprint, config_fingerprint)`` key (both fold
 :data:`~repro.core.scheduler.ENGINE_REVISION`).
 
+The same handlers also serve the compiled engine's replay shadow pass:
+when a loop engages, :class:`~repro.core.replay.ReplayController`
+binds each recorded instruction to its handler once, through
+:func:`handler_for`, and re-runs the bound handlers for every replayed
+iteration.  The interpreted engines compile nothing; they call
+``execute`` both live and in the shadow pass.
+
 **Byte-identity contract.**  ``handler(state, env)`` must be
 observationally identical to ``execute(instruction, state, env)``:
 the same queue pops/pushes in the same order (r7 named in both source
 fields pops exactly once), the same register writes, and an
 :class:`~repro.cpu.executor.ExecutionOutcome` equal by value — replay
-verification (and anything else) compares outcomes by equality, never
-identity, so the shared ``OUT_PLAIN``/``OUT_HALT`` singletons are
-safe.  ``tests/test_cpu_dispatch.py`` pins handler-vs-executor
-equivalence across the opcode space; the interpreted engines, which
-call ``execute`` directly, are the differential matrix's other side.
+verification (and anything else) compares outcomes by equality, with
+identity only as a fast path, so the shared ``OUT_PLAIN``/``OUT_HALT``
+singletons are safe.  ``tests/test_cpu_dispatch.py`` pins
+handler-vs-executor equivalence across the opcode space; the
+interpreted engines, which call ``execute`` directly, are the
+differential matrix's other side.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ __all__ = [
     "clear_dispatch_cache",
     "dispatch_codegen_stats",
     "generate_handler_source",
+    "handler_for",
     "reset_dispatch_codegen_stats",
 ]
 
@@ -268,6 +277,21 @@ def _compile_handler(instruction: Instruction):
     return handler
 
 
+def handler_for(instruction: Instruction):
+    """The process-wide handler for ``instruction`` (compiling on first use).
+
+    Program tables fill through this memo.  Replay's shadow pass binds
+    recorded instructions through it directly, not through a program's
+    table: the kernel has already issued every recorded instruction, so
+    the lookup compiles nothing and moves no
+    :func:`dispatch_codegen_stats` counter.
+    """
+    handler = _SHARED_HANDLERS.get(instruction)
+    if handler is None:
+        handler = _compile_handler(instruction)
+    return handler
+
+
 class ProgramDispatchTable:
     """Lazy ``{instruction value: handler}`` map for one program.
 
@@ -288,12 +312,9 @@ class ProgramDispatchTable:
         handler = self.handlers.get(instruction)
         if handler is None:
             global _SHARED_HITS
-            handler = _SHARED_HANDLERS.get(instruction)
-            if handler is None:
-                handler = _compile_handler(instruction)
-            else:
+            if instruction in _SHARED_HANDLERS:
                 _SHARED_HITS += 1
-            self.handlers[instruction] = handler
+            handler = self.handlers[instruction] = handler_for(instruction)
         return handler
 
     def __len__(self) -> int:

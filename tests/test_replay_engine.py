@@ -5,17 +5,25 @@ is pure (fingerprinting never perturbs the machine), equal machine
 states produce equal (and equal-hashing) signatures, and the
 :class:`~repro.core.replay.StatsBook` counter ledger is *complete* —
 it covers every counter a simulation reports and fails loudly when a
-stats object grows a field it cannot delta.
+stats object grows a field it cannot delta.  The shadow pass's bound
+steps are checked per engine, and its outcome guard is shown to be
+load-bearing.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.core.compiled import compile_stats
 from repro.core.config import MachineConfig
 from repro.core.replay import MAX_FIELDS, ReplayController, StatsBook, machine_signature
+from repro.core.scheduler import ENGINES
 from repro.core.simulator import Simulator
+from repro.cpu.dispatch import handler_for
+from repro.cpu.executor import execute
 from repro.kernels.suite import build_livermore_program
+
+ROW = dict(ENGINES)
 
 
 @pytest.fixture(scope="module")
@@ -176,25 +184,47 @@ def test_stats_book_rejects_bool_counters(loop_program):
 
 
 def test_stats_book_diff_apply_roundtrip(loop_program):
-    """diff() captures counter movement; apply() reproduces it exactly."""
+    """diff() captures counter movement; applying its plan reproduces it
+    exactly.  The plan names only the counters that moved: zero deltas
+    and max-style counters are left out."""
     sim = Simulator(CONFIGS["pipe"], loop_program)
     book = StatsBook(sim)
     before = book.snapshot()
     backend = sim.backend
+    engine = sim.engine
+    by_source = sim.memory.stats.by_source_bytes
     backend.instructions += 7
     backend.stalls["frontend_empty"] += 3
-    sim.engine.stats.ordering_hazards += 2
-    sim.memory.stats.by_source_bytes["icache"] = 64
-    sim.engine.laq.total_pushes += 5
+    engine.stats.ordering_hazards += 2
+    by_source["icache"] = 64
+    engine.laq.total_pushes += 5
     after = book.snapshot()
     delta = book.diff(before, after)
     assert book.max_deltas_zero(delta)
-    book.apply(delta)
+    plan = book.plan(delta)
+    fields, items = plan
+    assert {(id(obj), name, d) for obj, name, d in fields} == {
+        (id(backend), "instructions", 7),
+        (id(engine.stats), "ordering_hazards", 2),
+        (id(engine.laq), "total_pushes", 5),
+    }
+    assert {(id(target), key, d) for target, key, d in items} == {
+        (id(backend.stalls), "frontend_empty", 3),
+        (id(by_source), "icache", 64),
+    }
+    book.apply(plan)
     doubled = book.snapshot()
     assert book.diff(after, doubled) == delta
     assert backend.instructions == 14
     assert backend.stalls["frontend_empty"] == 6
-    assert sim.memory.stats.by_source_bytes["icache"] == 128
+    assert by_source["icache"] == 128
+    # A max-style counter that moved (which blocks engagement) is not
+    # in the plan either.
+    engine.laq.max_occupancy += 1
+    engine.stats.ldq_max_wait_entries += 1
+    moved = book.diff(doubled, book.snapshot())
+    assert not book.max_deltas_zero(moved)
+    assert book.plan(moved) == ((), ())
 
 
 def test_stats_book_flags_moving_max_counters(loop_program):
@@ -225,3 +255,92 @@ def test_loop_reports_shape(loop_program):
     assert top["iteration_cycles"] * top["replayed_iterations"] == (
         top["replayed_cycles"]
     )
+
+
+# ----------------------------------------------------------------------
+# The shadow pass's bound steps
+# ----------------------------------------------------------------------
+def _engaged_records(sim: Simulator) -> list:
+    records = [
+        state.record
+        for state in sim.replay_controller.loops.values()
+        if state.record is not None
+    ]
+    assert records, "replay must engage for the binding to be exercised"
+    return records
+
+
+def test_compiled_row_binds_the_shared_dispatch_handlers(loop_program):
+    """On the compiled engine every step is the kernel's own handler.
+
+    Binding goes through the process-wide handler memo the live kernel
+    already filled, so it compiles nothing: a rerun of the same point
+    moves only the two cache-hit counters every kernel run moves.
+    """
+    config = CONFIGS["pipe"]
+    first = Simulator(config, loop_program, **ROW["compiled"])
+    result = first.run()
+    before = compile_stats()
+    for record in _engaged_records(first):
+        assert len(record.steps) == len(record.instrs)
+        for (step, recorded), (_tag, _pc, instruction, outcome) in zip(
+            record.steps, record.instrs
+        ):
+            assert step is handler_for(instruction)
+            assert recorded is outcome
+    assert compile_stats() == before
+    rerun = Simulator(config, loop_program, **ROW["compiled"])
+    assert rerun.run() == result
+    after = compile_stats()
+    moved = {key: after[key] - before[key] for key in after if after[key] != before[key]}
+    assert moved == {"kernel_cache_hits": 1, "dispatch_cache_hits": 1}
+
+
+def test_interpreted_row_binds_execute_and_compiles_nothing(loop_program):
+    """The skip+replay row's steps call ``execute``; nothing compiles."""
+    before = compile_stats()
+    sim = Simulator(CONFIGS["pipe"], loop_program, **ROW["skip+replay"])
+    sim.run()
+    assert compile_stats() == before
+    for record in _engaged_records(sim):
+        for (step, _recorded), (_tag, _pc, instruction, _outcome) in zip(
+            record.steps, record.instrs
+        ):
+            assert step.func is execute
+            assert step.args == (instruction,)
+
+
+def test_outcome_guard_is_load_bearing(monkeypatch):
+    """Each shadow step's outcome must be checked against the recorded one.
+
+    Forcing every bound step to return its recorded outcome hides the
+    loop exit: the exiting iteration's untaken backedge looks taken, so
+    it is replayed as one more trip round the loop, past the end of the
+    array.  Unpatched, the compiled row matches the reference row.
+    """
+    program = build_livermore_program(scale=0.05)
+    config = MachineConfig.pipe("16-16", 128)
+    reference = Simulator(config, program, **ROW["reference"]).run()
+    guarded = Simulator(config, program, **ROW["compiled"]).run()
+    assert guarded.to_dict() == reference.to_dict()
+
+    bind = ReplayController._bind
+
+    def recorded_outcome(step, recorded):
+        def forced(state, env):
+            step(state, env)
+            return recorded
+
+        return forced, recorded
+
+    def unguarded_bind(self, record):
+        bind(self, record)
+        record.steps = tuple(recorded_outcome(*pair) for pair in record.steps)
+
+    monkeypatch.setattr(ReplayController, "_bind", unguarded_bind)
+    try:
+        unguarded = Simulator(config, program, **ROW["compiled"]).run()
+    except IndexError as error:
+        assert "outside memory" in str(error)
+    else:
+        assert unguarded.to_dict() != reference.to_dict()
