@@ -13,7 +13,12 @@ skip+replay run function in which
 * every per-cycle component phase (``memory.begin_cycle``,
   ``engine.update``, ``frontend.update``, ``backend.step``,
   ``frontend.post_issue``, ``memory.end_cycle``) and the idle-skip
-  wake scan are flattened into straight-line inlined code;
+  wake scan are flattened into straight-line inlined code: the input
+  bus's FPU drain, delivery arbitration and retirement, and both
+  sources' polls, run in the kernel, while the cold or once-per-request
+  work they trigger (an FPU result's delivery, acceptance, request
+  callbacks, branch redirects, the icache miss fill) stays a bound
+  call (``docs/COMPILED.md``, "Current inlining frontier");
 * ``tracer.enabled`` branches are specialized *out* of the source
   when the run is untraced;
 * component objects, bound methods, and queue storage are hoisted into
@@ -46,7 +51,8 @@ may be hoisted into kernel locals: component objects, the queues'
 ``_items`` deques (mutated in place, even by replay's commit), the
 stall-counter dict, stats objects.  Attributes the replay engine or
 the components rebind (``external.in_flight``, ``fpu._ops_pending``,
-``engine._uncommitted_*``) are always read through their owner.
+``engine._uncommitted_*``) are always read through their owner, and
+no kernel local holds one across cycles.
 
 The kernel always runs with idle-cycle skipping and loop replay on:
 the engine switches nest (:func:`repro.core.scheduler.resolve_engine`),
@@ -79,7 +85,12 @@ from ..isa.predecode import PredecodedImage
 from ..memory.external import ExternalMemory
 from ..memory.fpu import is_fpu_address
 from ..memory.fpu_timing import TimedFpu
-from ..memory.requests import RequestKind, RequestPriority, acceptance_order
+from ..memory.requests import (
+    MemoryRequest,
+    RequestKind,
+    RequestPriority,
+    acceptance_order,
+)
 from ..memory.system import MemorySystem
 from .scheduler import ENGINE_REVISION, IDLE
 
@@ -261,6 +272,7 @@ _BINDINGS: dict[str, str] = {
     "mem_stats": "sim.memory.stats",
     "external": "sim.memory.external",
     "fpu": "sim.memory.fpu",
+    "bus_width": "sim.memory.input_bus_width",
     "engine": "sim.engine",
     "engine_stats": "sim.engine.stats",
     "frontend": "sim.frontend",
@@ -283,12 +295,11 @@ _BINDINGS: dict[str, str] = {
     "frontend_redirect": "sim.frontend.redirect",
     "frontend_halt": "sim.frontend.halt",
     "frontend_notify": "sim.frontend.notify_accepted",
-    "engine_poll": "sim.engine.poll_requests",
     "engine_notify": "sim.engine.notify_accepted",
-    "memory_begin": "sim.memory.begin_cycle",
     "external_accept": "sim.memory.external.accept",
     "fpu_can_accept": "sim.memory.fpu.can_accept",
     "fpu_accept": "sim.memory.fpu.accept",
+    "fpu_deliver": "sim.memory.fpu.deliver",
     "replay_on_backedge": "sim.replay_controller.on_backedge",
     "replay_check_runaway": "sim.replay_controller.check_runaway",
     # -- frontend-inlining bindings ------------------------------------
@@ -333,6 +344,9 @@ class KernelContext:
         self._needs: set[str] = set()
         #: the frontend class whose emitters the kernel inlines
         self.frontend_cls = _FRONTEND_CLASSES[spec.strategy]
+        #: the data engine class, reached through the context so the
+        #: memory emitters need not import ``repro.cpu``
+        self.engine_cls = DataQueueEngine
 
     # -- emission ------------------------------------------------------
     def line(self, text: str) -> None:
@@ -632,6 +646,7 @@ def _kernel_globals(spec: KernelSpec) -> dict:
         ),
         "K_LOAD": RequestKind.LOAD,
         "K_STORE": RequestKind.STORE,
+        "MemoryRequest": MemoryRequest,
         "DecodeError": DecodeError,
         "_dispatch_for": (
             lambda sim, _key=spec.config_key: _dispatch_table_for(sim, _key)

@@ -116,7 +116,8 @@ class DataQueueEngine:
         self._uncommitted_addresses: deque[int] = deque()
         self._uncommitted_data: deque[int] = deque()
         self.stats = DataEngineStats()
-        self._offered: MemoryRequest | None = None
+        #: whether the request the last poll offered is a store (read by
+        #: :meth:`notify_accepted`)
         self._offered_is_store = False
         #: replay recording: when a list, issue-side pushes append
         #: ``("laq", addr, seq, hazards)`` / ``("saq", addr, seq)`` /
@@ -309,8 +310,49 @@ class DataQueueEngine:
                 store_value=sdq_head.value,
             )
             self._offered_is_store = True
-        self._offered = request
         return [request]
+
+    @classmethod
+    def emit_compiled_poll(cls, ctx) -> None:
+        """Lower :meth:`poll_requests` into the acceptance phase.
+
+        Binds ``e_reqs``: the LAQ head, when the LDQ credit (folded
+        capacity literal) allows it, or the SAQ/SDQ pair, whichever is
+        older by ``seq``; ``()`` when neither is ready.  A request object
+        is built only for an actual candidate, and only
+        ``_offered_is_store`` (read by :meth:`notify_accepted`) is
+        written, exactly as the reference writes it.
+        """
+        spec = ctx.spec
+        ctx.need("engine", "laq_items", "ldq_items", "saq_items", "sdq_items")
+        credit = "laq_items"
+        if spec.ldq_capacity is not None:
+            credit += (
+                " and len(engine._in_flight_loads) + len(ldq_items) "
+                f"< {spec.ldq_capacity}"
+            )
+        ctx.line(f"e_load = laq_items[0] if {credit} else None")
+        with ctx.block(
+            "if saq_items and sdq_items "
+            "and (e_load is None or e_load.seq > saq_items[0].seq):"
+        ):
+            ctx.line("e_head = saq_items[0]")
+            ctx.line(
+                "e_reqs = (MemoryRequest(kind=K_STORE, "
+                f"address=e_head.address, size={WORD_BYTES}, "
+                "seq=e_head.seq, demand=True, "
+                "store_value=sdq_items[0].value),)"
+            )
+            ctx.line("engine._offered_is_store = True")
+        with ctx.block("elif e_load is not None:"):
+            ctx.line(
+                "e_reqs = (MemoryRequest(kind=K_LOAD, "
+                f"address=e_load.address, size={WORD_BYTES}, "
+                "seq=e_load.seq, demand=True),)"
+            )
+            ctx.line("engine._offered_is_store = False")
+        with ctx.block("else:"):
+            ctx.line("e_reqs = ()")
 
     def notify_accepted(self, request: MemoryRequest, now: int) -> None:
         if self._offered_is_store:
@@ -348,8 +390,7 @@ class DataQueueEngine:
         are re-derived by functional re-execution); what must recur is
         the *shape*: occupancies, arrival flags, and each entry's age
         relative to the sequence allocator, which drives load-vs-store
-        ordering at output-bus arbitration.  ``_offered`` is rebuilt by
-        every poll, so it never participates.
+        ordering at output-bus arbitration.
         """
         return (
             self.ldq.state_signature(),

@@ -228,24 +228,108 @@ class MemorySystem:
     # ------------------------------------------------------------------
     @classmethod
     def emit_compiled_begin_cycle(cls, ctx) -> None:
-        """Lower :meth:`begin_cycle` behind a memory-quiescence test.
+        """Lower :meth:`begin_cycle` inline, in the reference's order.
 
-        When nothing is in flight anywhere (no external requests, no FPU
-        operations/results/result-loads), the whole phase reduces to
-        clearing the external memory's per-cycle acceptance latch: the
-        FPU drain loop, the delivery arbitration, and the retirement
-        scan are all no-ops (retirement's ``in_flight = []`` rebind is
-        value-identical and nothing holds a reference to the list).  Any
-        in-flight work falls through to the real method.
+        ``external.begin_cycle`` and ``fpu.begin_cycle`` become the latch
+        reset, the busy count and the FPU drain loop.  :meth:`_deliver_one`
+        becomes one pass for the smallest ``(tier, ready_at, seq)`` over
+        the external requests, against which the FPU's oldest result
+        load competes at ``(1, accepted_at, seq)``; it wins only with a
+        strictly smaller key, as the reference's stable sort lists it
+        last.  The FPU delivery itself still calls ``TimedFpu.deliver``
+        (once per result).  ``retire_finished`` follows.  The input-bus
+        width is a prologue binding, not a spec field, so a config
+        family keeps one kernel source.
         """
-        ctx.need("external", "fpu", "memory_begin")
-        with ctx.block(
-            "if external.in_flight or fpu._ops_pending "
-            "or fpu._results_ready or fpu._result_loads:"
-        ):
-            ctx.line("memory_begin(now)")
-        with ctx.block("else:"):
-            ctx.line("external._accepted_this_cycle = False")
+        traced = ctx.spec.traced
+        ctx.need("external", "fpu", "clock", "mem_stats", "fpu_deliver",
+                 "bus_width")
+        ctx.line("external._accepted_this_cycle = False")
+        ctx.line("m_flight = external.in_flight")
+        with ctx.block("if m_flight:"):
+            ctx.line("external.busy_cycles += 1")
+        ctx.line("m_ops = fpu._ops_pending")
+        with ctx.block("while m_ops and m_ops[0] <= now:"):
+            ctx.line("fpu._results_ready.append(m_ops.popleft())")
+            ctx.line("clock.ticks += 1")
+        # With no external request and no result load outstanding there
+        # is nothing to deliver or retire.
+        with ctx.block("if m_flight or fpu._result_loads:"):
+            ctx.line("m_best = None")
+            with ctx.block("for request in m_flight:"):
+                with ctx.block("if request.kind is not K_STORE:"):
+                    ctx.line("ready = request.ready_at")
+                    with ctx.block(
+                        "if ready is not None and ready <= now "
+                        "and request.delivered_bytes < request.size:"
+                    ):
+                        ctx.line(
+                            "m_k = (0 if request.kind is K_LOAD "
+                            "or request.demand else 2, ready, request.seq)"
+                        )
+                        with ctx.block("if m_best is None or m_k < m_key:"):
+                            ctx.line("m_best = request")
+                            ctx.line("m_key = m_k")
+            ctx.line("m_loads = fpu._result_loads")
+            with ctx.block(
+                "if m_loads and fpu._results_ready and (m_best is None "
+                "or (1, m_loads[0].accepted_at, m_loads[0].seq) < m_key):"
+            ):
+                ctx.line("request = m_loads[0]")
+                ctx.line("m_bytes = request.size")
+                if traced:
+                    ctx.line(
+                        'tracer_emit("mem", "deliver", source="fpu", '
+                        "seq=request.seq, offset=0, bytes=m_bytes)"
+                    )
+                ctx.line("fpu_deliver(now)")
+                cls._emit_delivery_books(ctx)
+            with ctx.block("elif m_best is not None:"):
+                ctx.line("m_offset = m_best.delivered_bytes")
+                ctx.line("m_bytes = m_best.size - m_offset")
+                with ctx.block("if m_bytes > bus_width:"):
+                    ctx.line("m_bytes = bus_width")
+                ctx.line("m_best.delivered_bytes = m_offset + m_bytes")
+                if traced:
+                    ctx.line(
+                        'tracer_emit("mem", "deliver", source="external", '
+                        "seq=m_best.seq, offset=m_offset, bytes=m_bytes)"
+                    )
+                with ctx.block("if m_best.on_chunk is not None:"):
+                    ctx.line("m_best.on_chunk(m_offset, m_bytes, now)")
+                cls._emit_delivery_books(ctx)
+            # ``retire_finished``.  Stores retire at ``ready_at``, reads
+            # once fully delivered.  ``in_flight`` is rebound only when
+            # something retires; otherwise the list keeps its value, and
+            # nothing may hold it across cycles (the hoisting rule).
+            done = (
+                "(request.ready_at is not None and request.ready_at <= now) "
+                "if request.kind is K_STORE "
+                "else request.delivered_bytes == request.size"
+            )
+            with ctx.block("for request in external.in_flight:"):
+                with ctx.block(f"if {done}:"):
+                    ctx.line("m_live = []")
+                    with ctx.block("for request in external.in_flight:"):
+                        with ctx.block(f"if {done}:"):
+                            ctx.line("request.completed = True")
+                            ctx.line("clock.ticks += 1")
+                            with ctx.block(
+                                "if request.on_complete is not None:"
+                            ):
+                                ctx.line("request.on_complete(now)")
+                        with ctx.block("else:"):
+                            ctx.line("m_live.append(request)")
+                    ctx.line("external.in_flight = m_live")
+                    ctx.line("break")
+
+    @classmethod
+    def _emit_delivery_books(cls, ctx) -> None:
+        """The input-bus counters and progress tick after one transfer
+        of ``m_bytes`` bytes."""
+        ctx.line("mem_stats.input_bus_busy_cycles += 1")
+        ctx.line("mem_stats.input_bus_bytes += m_bytes")
+        ctx.line("clock.ticks += 1")
 
     @classmethod
     def _emit_acceptance_bookkeeping(cls, ctx) -> None:
@@ -281,14 +365,18 @@ class MemorySystem:
     def emit_compiled_end_cycle(cls, ctx) -> None:
         """Lower :meth:`end_cycle` with both sources inlined.
 
-        Each source poll is guarded by a test under which that source
-        provably offers nothing and has no side effects (see the two
-        comments below); a source that passes its guard is still polled
-        at most once per cycle, exactly like the reference.  The single-candidate case skips the sort and the
-        conflict bookkeeping; the multi-candidate path mirrors the
-        reference's stable sort (candidates are assembled in source
-        registration order: frontend, then engine).  ``external``
-        acceptance folds the ``pipelined`` literal from the spec.
+        The frontend's poll is guarded by a test under which it provably
+        offers nothing and has no side effects (see the comment below);
+        the engine's poll (``DataQueueEngine.emit_compiled_poll``) runs
+        inline every cycle.  Each source is polled at most once per
+        cycle, exactly like the reference.  The single-candidate case
+        skips the sort and the conflict bookkeeping; the multi-candidate
+        path mirrors the reference's stable sort (candidates are
+        assembled in source registration order: frontend, then engine).
+        ``external`` acceptance folds the ``pipelined`` literal from the
+        spec.  Acceptance itself (``external.accept``,
+        ``fpu.can_accept``, ``fpu.accept``, the sources'
+        ``notify_accepted``) stays a bound call.
         """
         spec = ctx.spec
         traced = spec.traced
@@ -296,15 +384,11 @@ class MemorySystem:
             "memory",
             "mem_stats",
             "external",
-            "engine_poll",
             "frontend_notify",
             "engine_notify",
             "external_accept",
             "fpu_can_accept",
             "fpu_accept",
-            "laq_items",
-            "saq_items",
-            "sdq_items",
         )
         # A frontend's ``poll_requests`` returns ``[]`` with no side
         # effects when no unaccepted request is outstanding.
@@ -315,12 +399,7 @@ class MemorySystem:
             ctx.frontend_cls.emit_compiled_poll(ctx)
         with ctx.block("else:"):
             ctx.line("f_reqs = ()")
-        # The engine's ``poll_requests`` returns ``[]`` with no side
-        # effects when the LAQ is empty and no SAQ/SDQ pair is ready.
-        with ctx.block("if laq_items or (saq_items and sdq_items):"):
-            ctx.line("e_reqs = engine_poll(now)")
-        with ctx.block("else:"):
-            ctx.line("e_reqs = ()")
+        ctx.engine_cls.emit_compiled_poll(ctx)
         if spec.memory_pipelined:
             busy = "external._accepted_this_cycle"
         else:

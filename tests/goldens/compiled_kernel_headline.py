@@ -4,6 +4,7 @@ def __kernel(sim):
     mem_stats = sim.memory.stats
     external = sim.memory.external
     fpu = sim.memory.fpu
+    bus_width = sim.memory.input_bus_width
     engine = sim.engine
     engine_stats = sim.engine.stats
     frontend = sim.frontend
@@ -23,12 +24,11 @@ def __kernel(sim):
     frontend_redirect = sim.frontend.redirect
     frontend_halt = sim.frontend.halt
     frontend_notify = sim.frontend.notify_accepted
-    engine_poll = sim.engine.poll_requests
     engine_notify = sim.engine.notify_accepted
-    memory_begin = sim.memory.begin_cycle
     external_accept = sim.memory.external.accept
     fpu_can_accept = sim.memory.fpu.can_accept
     fpu_accept = sim.memory.fpu.accept
+    fpu_deliver = sim.memory.fpu.deliver
     replay_on_backedge = sim.replay_controller.on_backedge
     replay_check_runaway = sim.replay_controller.check_runaway
     fe_stats = sim.frontend.stats
@@ -49,10 +49,56 @@ def __kernel(sim):
         ticks_before = clock.ticks
         conflicts_before = mem_stats.acceptance_conflicts
         # memory.begin_cycle(now)
-        if external.in_flight or fpu._ops_pending or fpu._results_ready or fpu._result_loads:
-            memory_begin(now)
-        else:
-            external._accepted_this_cycle = False
+        external._accepted_this_cycle = False
+        m_flight = external.in_flight
+        if m_flight:
+            external.busy_cycles += 1
+        m_ops = fpu._ops_pending
+        while m_ops and m_ops[0] <= now:
+            fpu._results_ready.append(m_ops.popleft())
+            clock.ticks += 1
+        if m_flight or fpu._result_loads:
+            m_best = None
+            for request in m_flight:
+                if request.kind is not K_STORE:
+                    ready = request.ready_at
+                    if ready is not None and ready <= now and request.delivered_bytes < request.size:
+                        m_k = (0 if request.kind is K_LOAD or request.demand else 2, ready, request.seq)
+                        if m_best is None or m_k < m_key:
+                            m_best = request
+                            m_key = m_k
+            m_loads = fpu._result_loads
+            if m_loads and fpu._results_ready and (m_best is None or (1, m_loads[0].accepted_at, m_loads[0].seq) < m_key):
+                request = m_loads[0]
+                m_bytes = request.size
+                fpu_deliver(now)
+                mem_stats.input_bus_busy_cycles += 1
+                mem_stats.input_bus_bytes += m_bytes
+                clock.ticks += 1
+            elif m_best is not None:
+                m_offset = m_best.delivered_bytes
+                m_bytes = m_best.size - m_offset
+                if m_bytes > bus_width:
+                    m_bytes = bus_width
+                m_best.delivered_bytes = m_offset + m_bytes
+                if m_best.on_chunk is not None:
+                    m_best.on_chunk(m_offset, m_bytes, now)
+                mem_stats.input_bus_busy_cycles += 1
+                mem_stats.input_bus_bytes += m_bytes
+                clock.ticks += 1
+            for request in external.in_flight:
+                if (request.ready_at is not None and request.ready_at <= now) if request.kind is K_STORE else request.delivered_bytes == request.size:
+                    m_live = []
+                    for request in external.in_flight:
+                        if (request.ready_at is not None and request.ready_at <= now) if request.kind is K_STORE else request.delivered_bytes == request.size:
+                            request.completed = True
+                            clock.ticks += 1
+                            if request.on_complete is not None:
+                                request.on_complete(now)
+                        else:
+                            m_live.append(request)
+                    external.in_flight = m_live
+                    break
         # engine.update(now)
         ifl = engine._in_flight_loads
         while ifl and ifl[0].arrived and len(ldq_items) < 8:
@@ -472,8 +518,14 @@ def __kernel(sim):
                 f_reqs = (frontend._request,)
         else:
             f_reqs = ()
-        if laq_items or (saq_items and sdq_items):
-            e_reqs = engine_poll(now)
+        e_load = laq_items[0] if laq_items and len(engine._in_flight_loads) + len(ldq_items) < 8 else None
+        if saq_items and sdq_items and (e_load is None or e_load.seq > saq_items[0].seq):
+            e_head = saq_items[0]
+            e_reqs = (MemoryRequest(kind=K_STORE, address=e_head.address, size=4, seq=e_head.seq, demand=True, store_value=sdq_items[0].value),)
+            engine._offered_is_store = True
+        elif e_load is not None:
+            e_reqs = (MemoryRequest(kind=K_LOAD, address=e_load.address, size=4, seq=e_load.seq, demand=True),)
+            engine._offered_is_store = False
         else:
             e_reqs = ()
         if f_reqs or e_reqs:

@@ -341,7 +341,7 @@ class TestGenerateSource:
                 _pipe(), tiny_program, skip=True, replay=True, compiled=True
             )
         )
-        assert generate_source(spec) == GOLDEN.read_text()
+        _assert_matches_golden(generate_source(spec), GOLDEN)
 
     def test_conventional_kernel_matches_the_golden(self):
         """The conventional frontend's inlined kernel is golden-pinned too.
@@ -353,7 +353,21 @@ class TestGenerateSource:
         spec = kernel_spec_for(
             _sim(MachineConfig.conventional(128, memory_access_time=6))
         )
-        assert generate_source(spec) == CONV_GOLDEN.read_text()
+        _assert_matches_golden(generate_source(spec), CONV_GOLDEN)
+
+
+def _assert_matches_golden(source: str, golden: Path) -> None:
+    """Exact comparison; on a mismatch the generated source is left
+    beside the golden as ``<name>.actual.py`` so a failing CI run can
+    upload both files for offline diffing."""
+    expected = golden.read_text()
+    if source != expected:
+        golden.with_name(f"{golden.stem}.actual.py").write_text(source)
+    assert source == expected, (
+        f"kernel source diverged from {golden.name}; inspect "
+        f"goldens/{golden.stem}.actual.py, and if the change is "
+        "deliberate run regenerate_golden()"
+    )
 
 
 def regenerate_golden() -> None:  # pragma: no cover - maintenance helper

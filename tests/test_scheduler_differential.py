@@ -493,6 +493,68 @@ def test_generated_programs_identical_untraced(seed, generated_programs):
 
 
 # ----------------------------------------------------------------------
+# Memory-phase corner cases
+# ----------------------------------------------------------------------
+# The compiled kernel lowers input-bus arbitration, retirement and the
+# data engine's poll inline.  The machines above never make two of its
+# decisions matter, so each gets a machine that does: a wrong tie-break
+# or an off-by-one here fails these tests and nothing else.
+def test_input_bus_picks_by_ready_time_before_age():
+    """Several reads ready at once on a narrow pipelined bus: the input
+    bus takes the smallest ``(tier, ready_at, seq)``, so a request that
+    became ready earlier beats an older one that became ready later."""
+    from repro.core.fuzz import check_workload
+    from repro.kernels.generate import generate_workload
+
+    workload = generate_workload(6, "default")
+    config = MachineConfig.pipe(
+        "32-32",
+        64,
+        memory_access_time=3,
+        memory_pipelined=True,
+        input_bus_width=4,
+    )
+    assert check_workload(workload.kernel, workload.arrays, config) == []
+
+
+LDQ_CREDIT_PROGRAM = (
+    "    li r1, 0\n"
+    + ("    ld r1, value\n" * 4 + "    popq r2\n" * 4) * 2
+    + "    halt\nvalue:\n    .word 1\n"
+)
+
+
+def test_ldq_credit_holds_back_the_laq_head(tmp_path):
+    """Loads in flight plus LDQ entries never exceed the LDQ capacity:
+    with room for two, the third queued load waits at the LAQ head
+    until a ``popq`` frees a slot, even though memory could take it."""
+    config = MachineConfig.pipe(
+        "16-16",
+        512,
+        memory_access_time=2,
+        memory_pipelined=True,
+        laq_capacity=4,
+        ldq_capacity=2,
+    )
+    program = assemble(LDQ_CREDIT_PROGRAM)
+    runs = {}
+    for tag, kwargs in ENGINES:
+        path = tmp_path / f"{tag.replace('+', '-')}.jsonl"
+        runs[tag] = (simulate_traced(config, program, path, **kwargs), path)
+    ref_result, ref_path = runs["reference"]
+    for tag in FAST_TAGS:
+        result, path = runs[tag]
+        _compare("ldq credit", tag, result, ref_result, path, ref_path)
+    for tag in FAST_TAGS:
+        _compare(
+            "ldq credit untraced",
+            tag,
+            simulate(config, program, **ROW[tag]),
+            simulate(config, program, **ROW["reference"]),
+        )
+
+
+# ----------------------------------------------------------------------
 # Protocol sanity
 # ----------------------------------------------------------------------
 def test_progress_clock_ticks():
