@@ -6,16 +6,25 @@ bytes).  This profiler attributes every simulated cycle to the loop
 whose instruction most recently issued, giving per-loop cycles, CPI,
 and share — which is how one sees *where* a small cache loses time
 (the loops that do not fit) and where the IQ/IQB wins it back.
+
+The profile runs the default engine with tracing on and reads the
+attribution off the event stream (``backend issue`` carries each
+issued pc), so it keeps no cycle loop of its own: it gets idle-cycle
+skipping, loop replay and the deadlock detector with the rest of the
+simulator, and the same cycle counts on every engine.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping
 
 from ..asm.program import Program
 from ..core.config import MachineConfig
-from ..core.simulator import Simulator
+from ..core.simulator import Simulator, simulate_traced
+from ..core.trace import TraceSink
 from ..cpu.functional import FunctionalSimulator
 
 __all__ = [
@@ -34,9 +43,9 @@ __all__ = [
 def render_codegen_stats() -> str:
     """Codegen-cache summary for profile footers.
 
-    Reads :func:`repro.core.compiled.compile_stats` — kernels and
-    per-program dispatch tables compiled so far in this process, their
-    cache hits, and the cumulative codegen time.
+    Reads :func:`repro.core.compiled.compile_stats` — kernels compiled
+    so far in this process and their cache hits, dispatch handlers,
+    and the cumulative codegen time.
     """
     from ..core.compiled import compile_stats
 
@@ -44,9 +53,7 @@ def render_codegen_stats() -> str:
     return (
         f"codegen: {stats['compiles']} kernel(s) compiled "
         f"({stats['kernel_cache_hits']} cache hit(s)), "
-        f"{stats['dispatch_tables']} dispatch table(s) / "
-        f"{stats['dispatch_handlers']} handler(s) "
-        f"({stats['dispatch_cache_hits']} cache hit(s)), "
+        f"{stats['dispatch_handlers']} dispatch handler(s), "
         f"{stats['codegen_seconds'] * 1000.0:.1f} ms codegen"
     )
 
@@ -90,6 +97,35 @@ class _RegionMap:
         return None
 
 
+class _RegionCycles(TraceSink):
+    """Charges each cycle to the region of the most recently issued pc.
+
+    At most one instruction issues per cycle, so a ``backend issue`` at
+    cycle ``c`` closes the previous region's span at ``c`` and charges
+    ``c`` onwards to the issued pc's region; ``sim end`` closes the
+    last span at the run's final cycle.
+    """
+
+    def __init__(self, region_map: _RegionMap):
+        self._lookup = region_map.lookup
+        self.cycles: Counter[str] = Counter()
+        self.total = 0
+        self._region = "(outside)"
+        self._since = 0
+
+    def _charge(self, cycle: int) -> None:
+        self.cycles[self._region] += cycle - self._since
+        self._since = cycle
+
+    def emit(self, cycle: int, component: str, kind: str, fields: Mapping) -> None:
+        if component == "backend" and kind == "issue":
+            self._charge(cycle)
+            self._region = self._lookup(fields["pc"]) or "(outside)"
+        elif component == "sim" and kind == "end":
+            self._charge(fields["cycles"])
+            self.total = fields["cycles"]
+
+
 def profile_program(
     config: MachineConfig,
     program: Program,
@@ -102,40 +138,13 @@ def profile_program(
     fetch misses) — start-up cycles before the first issue and the
     post-HALT drain land in ``(outside)``.
     """
-    region_map = _RegionMap(regions)
-    simulator = Simulator(config, program)
-    cycle_counts: dict[str, int] = {name: 0 for name, _b, _e in regions}
-    cycle_counts["(outside)"] = 0
-
-    backend = simulator.backend
-    memory = simulator.memory
-    engine = simulator.engine
-    frontend = simulator.frontend
-    now = 0
-    while True:
-        memory.begin_cycle(now)
-        engine.update(now)
-        frontend.update(now)
-        backend.step(now)
-        if backend.halted:
-            frontend.halt()
-        frontend.post_issue(now)
-        memory.end_cycle(now)
-        name = None
-        if backend.last_pc is not None:
-            name = region_map.lookup(backend.last_pc)
-        cycle_counts[name or "(outside)"] += 1
-        now += 1
-        if backend.halted and engine.drained and memory.drained:
-            break
-        if now >= config.max_cycles:
-            raise RuntimeError(f"profile run exceeded {config.max_cycles} cycles")
-
+    sink = _RegionCycles(_RegionMap(regions))
+    simulate_traced(config, program, sinks=(sink,), metrics=False)
     instruction_counts = FunctionalSimulator(program, regions=regions).run().by_region
     loops = [
         LoopProfile(
             name=name,
-            cycles=cycle_counts.get(name, 0),
+            cycles=sink.cycles[name],
             instructions=instruction_counts.get(name, 0),
         )
         for name, _begin, _end in regions
@@ -143,11 +152,11 @@ def profile_program(
     loops.append(
         LoopProfile(
             name="(outside)",
-            cycles=cycle_counts["(outside)"],
+            cycles=sink.cycles["(outside)"],
             instructions=0,
         )
     )
-    return ProfileReport(config=config, total_cycles=now, loops=loops)
+    return ProfileReport(config=config, total_cycles=sink.total, loops=loops)
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,7 @@ from .core import faults
 from .core.config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
 from .core.parallel import resolve_jobs
 from .core.resilience import SweepCheckpoint, SweepSupervisor
-from .core.scheduler import NO_COMPILED_ENV, NO_REPLAY_ENV, NO_SKIP_ENV
+from .core.scheduler import NO_SKIP_ENV
 from .core.simcache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, SimulationCache
 from .core.simulator import simulate, simulate_traced
 from .core.trace import TraceMetrics
@@ -460,20 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         "skipping, and so no loop replay or compiled kernel either "
         "(results are identical; equivalent to REPRO_NO_SKIP=1)",
     )
-    parser.add_argument(
-        "--no-replay",
-        action="store_true",
-        help="run the idle-skip engine: no steady-state loop replay, and "
-        "so no compiled kernel either (results are identical; "
-        "equivalent to REPRO_NO_REPLAY=1)",
-    )
-    parser.add_argument(
-        "--no-compiled",
-        action="store_true",
-        help="run the interpreted skip+replay engine instead of the "
-        "per-config compiled step kernel (results are identical; "
-        "equivalent to REPRO_NO_COMPILED=1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="simulate one configuration")
@@ -648,10 +634,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.no_skip:
         # Via the environment so parallel sweep workers inherit it too.
         os.environ[NO_SKIP_ENV] = "1"
-    if args.no_replay:
-        os.environ[NO_REPLAY_ENV] = "1"
-    if args.no_compiled:
-        os.environ[NO_COMPILED_ENV] = "1"
     return args.func(args)
 
 

@@ -1,11 +1,11 @@
-"""Per-config compiled step kernels: codegen for the cycle loop.
+"""Compiled step kernels: codegen for the cycle loop.
 
 The reference loop in :meth:`repro.core.simulator.Simulator.run` pays
 generic-Python overhead on every *live* cycle: virtual dispatch into
 each component phase, attribute lookups for state that never moves,
 and ``tracer.enabled`` tests that are false for the whole run.  This
-module generates, per machine configuration, a monolithic specialized
-skip+replay run function in which
+module generates, per machine shape (a configuration, its cache size
+aside), a monolithic specialized skip+replay run function in which
 
 * configuration constants (``max_cycles``, the deadlock horizon, queue
   capacities, branch latency, bus/priority knobs) are folded into
@@ -35,16 +35,21 @@ across the whole crosscheck config family).
 so a kernel describes exactly one kind of machine.  One check,
 :func:`_shipped`, passes when every component is exactly the class its
 emitters mirror and no instance attribute shadows one of that class's
-methods; such a machine gets the one fully inlined kernel for its
-(config, traced) pair.  Any other machine — a test stub, a subclass, a
+methods; such a machine gets the fully inlined kernel for its
+:class:`KernelSpec`.  Any other machine — a test stub, a subclass, a
 monkeypatched method — gets ``None`` from :func:`kernel_for`, and
 :meth:`~repro.core.simulator.Simulator.run` runs the interpreted
-skip+replay engine instead, which calls the bound methods.  The
-:class:`KernelSpec` keys the process-wide compile cache, so one config
-(plus the traced flag) compiles exactly once per process.  The caches
-live in process memory only; forked sweep workers inherit whatever the
-parent had compiled.  ``docs/COMPILED.md`` documents the contract in
-full.
+skip+replay engine instead, which calls the bound methods.
+
+**One cache per artifact.**  A :class:`KernelSpec` holds only the
+constants folded into the kernel text, so the spec keys the one kernel
+cache: every instruction-cache size of a config family runs on the
+same kernel (one untraced, one traced) per process.  Instruction
+handlers are cached by instruction value in
+:func:`repro.cpu.dispatch.handler_for`'s memo, which every kernel
+binds as ``dispatch_get``.  Both caches live in process memory only;
+forked sweep workers inherit whatever the parent had compiled.
+``docs/COMPILED.md`` documents the contract in full.
 
 **Hoisting rule.**  Only objects that are never *rebound* during a run
 may be hoisted into kernel locals: component objects, the queues'
@@ -56,23 +61,22 @@ no kernel local holds one across cycles.
 
 The kernel always runs with idle-cycle skipping and loop replay on:
 the engine switches nest (:func:`repro.core.scheduler.resolve_engine`),
-so ``compiled=False``, ``--no-compiled`` or ``REPRO_NO_COMPILED=1``
-selects the interpreted skip+replay engine instead.
+so ``compiled=False`` selects the interpreted skip+replay engine
+instead.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..cpu.backend import Backend, _PendingBranch
 from ..cpu.data_engine import DataQueueEngine
 from ..cpu.dispatch import (
-    ProgramDispatchTable,
     clear_dispatch_cache,
     dispatch_codegen_stats,
+    handler_for,
 )
 from ..cpu.executor import queue_effects
 from ..cpu.queues import ArchitecturalQueue
@@ -92,7 +96,7 @@ from ..memory.requests import (
     acceptance_order,
 )
 from ..memory.system import MemorySystem
-from .scheduler import ENGINE_REVISION, IDLE
+from .scheduler import IDLE
 
 __all__ = [
     "CompiledKernel",
@@ -100,26 +104,10 @@ __all__ = [
     "KernelSpec",
     "clear_compile_cache",
     "compile_stats",
-    "config_fingerprint",
     "generate_source",
     "kernel_for",
     "kernel_spec_for",
 ]
-
-
-def config_fingerprint(config) -> str:
-    """Content address of one :class:`MachineConfig` for kernel keying.
-
-    Folds the engine revision so a kernel compiled by one generator
-    version can never be mistaken for another's (mirrors the simcache
-    key discipline).
-    """
-    payload = repr(sorted(config.to_dict().items()))
-    h = hashlib.sha256()
-    h.update(ENGINE_REVISION.encode())
-    h.update(b"\x00")
-    h.update(payload.encode())
-    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -202,12 +190,11 @@ class KernelSpec:
 
     ``generate_source`` is a deterministic function of this spec (the
     golden tests pin that), and the spec is the compile-cache key: two
-    runs share a kernel iff their specs are equal.  It holds constants
-    only; whether a machine may run a kernel at all is decided by
-    :func:`_shipped`.
+    runs share a kernel iff their specs are equal.  It holds only the
+    constants folded into the kernel text; whether a machine may run a
+    kernel at all is decided by :func:`_shipped`.
     """
 
-    config_key: str
     traced: bool
     max_cycles: int
     deadlock_cycles: int
@@ -220,7 +207,6 @@ class KernelSpec:
     memory_pipelined: bool
     instruction_first: bool
     strategy: str
-    describe: str
     #: PIPE only: icache line size folded into the IQB-exhaustion guards
     line_size: int | None
     #: PIPE only: IQ byte capacity folded into the transfer loop
@@ -239,7 +225,6 @@ def kernel_spec_for(sim) -> KernelSpec:
     pipe = type(frontend) is PipeFetchUnit
     tib = type(frontend) is TibFetchUnit
     return KernelSpec(
-        config_key=config_fingerprint(config),
         traced=sim.tracer.enabled,
         max_cycles=config.max_cycles,
         deadlock_cycles=sim.DEADLOCK_CYCLES,
@@ -252,7 +237,6 @@ def kernel_spec_for(sim) -> KernelSpec:
         memory_pipelined=memory.external.pipelined,
         instruction_first=memory.priority is RequestPriority.INSTRUCTION_FIRST,
         strategy=config.fetch_strategy.value,
-        describe=config.describe(),
         line_size=frontend.line_size if pipe else None,
         pipe_iq_size=frontend.iq_size if pipe else None,
         tib_block_size=frontend.block_size if tib else None,
@@ -321,8 +305,8 @@ _BINDINGS: dict[str, str] = {
     "frontend_maybe_request": "sim.frontend._maybe_request",
     "frontend_predecode_at": "sim.frontend.predecode.at",
     "frontend_start_fill": "sim.frontend._start_fill",
-    # -- program-specialized dispatch ----------------------------------
-    "dispatch_get": "_dispatch_for(sim).handler_for",
+    # -- instruction-specialized dispatch ------------------------------
+    "dispatch_get": "handler_for",
 }
 
 
@@ -514,9 +498,10 @@ def generate_source(spec: KernelSpec) -> str:
     if traced:
         ctx.need("tracer", "tracer_emit")
         ctx.line("tracer.cycle = 0")
+        # evaluated per run, so one traced kernel serves a config family
         ctx.line(
             f'tracer_emit("sim", "begin", strategy={spec.strategy!r}, '
-            f"config={spec.describe!r})"
+            "config=sim.config.describe())"
         )
     ctx.line("last_ticks = clock.ticks")
     ctx.line("last_progress_at = 0")
@@ -567,7 +552,7 @@ class CompiledKernel:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<CompiledKernel {self.spec.config_key[:12]} "
+            f"<CompiledKernel {self.spec.strategy} "
             f"traced={self.spec.traced}>"
         )
 
@@ -577,65 +562,14 @@ _COMPILE_COUNT = 0
 _KERNEL_HITS = 0
 _CODEGEN_SECONDS = 0.0
 
-#: Source-level cache: ``(source, code object)`` keyed by the *source
-#: key* — every spec field the generated text depends on.  The untraced
-#: kernel text is identical across icache sizes (only ``config_key``
-#: and, when traced, ``describe`` vary within a config family), so a
-#: five-size sweep family generates and byte-compiles once and only
-#: re-``exec``s per spec.  Safe because kernels are pure text: all
-#: per-spec state enters through :func:`_kernel_globals` at exec time.
-_SOURCE_CACHE: dict[str, tuple[str, object]] = {}
-_SOURCE_HITS = 0
-
-
-def _source_key(spec: KernelSpec) -> str:
-    """Content address of the generated *text* for one spec.
-
-    Excludes ``config_key`` (it appears only in the compile filename
-    and the exec-time globals, never in the source) and blanks
-    ``describe`` for untraced specs (it is only interpolated into the
-    trace preamble), so every config in a kernel family — same machine
-    shape, different icache size — shares one entry.  Folds
-    :data:`ENGINE_REVISION` so a generator bump misses cleanly.
-    """
-    fields = asdict(spec)
-    fields.pop("config_key")
-    if not spec.traced:
-        fields["describe"] = ""
-    payload = repr(sorted(fields.items()))
-    h = hashlib.sha256()
-    h.update(ENGINE_REVISION.encode())
-    h.update(b"\x00")
-    h.update(payload.encode())
-    return h.hexdigest()
-
-#: Per-program dispatch tables, keyed ``(program_fingerprint,
-#: config_key)``.  The config key already folds ``ENGINE_REVISION``
-#: (see :func:`config_fingerprint`), so a generator bump invalidates
-#: dispatch tables exactly as it invalidates kernels.
-_DISPATCH_CACHE: dict[tuple[str, str], ProgramDispatchTable] = {}
-_DISPATCH_HITS = 0
-
-
-def _dispatch_table_for(sim, config_key: str) -> ProgramDispatchTable:
-    """The (cached) per-program dispatch table for one kernel run."""
-    global _DISPATCH_HITS
-    from .simcache import program_fingerprint
-
-    key = (program_fingerprint(sim.program), config_key)
-    table = _DISPATCH_CACHE.get(key)
-    if table is None:
-        table = ProgramDispatchTable()
-        _DISPATCH_CACHE[key] = table
-    else:
-        _DISPATCH_HITS += 1
-    return table
-
 
 def _kernel_globals(spec: KernelSpec) -> dict:
+    # Depends on spec fields only, like the source: that is what makes
+    # one kernel per spec sound.  Per-run state enters through ``sim``.
     return {
         "IDLE": IDLE,
         "queue_effects": queue_effects,
+        "handler_for": handler_for,
         "_PendingBranch": _PendingBranch,
         "_is_fpu": is_fpu_address,
         "_acc_order": acceptance_order,
@@ -648,34 +582,19 @@ def _kernel_globals(spec: KernelSpec) -> dict:
         "K_STORE": RequestKind.STORE,
         "MemoryRequest": MemoryRequest,
         "DecodeError": DecodeError,
-        "_dispatch_for": (
-            lambda sim, _key=spec.config_key: _dispatch_table_for(sim, _key)
-        ),
     }
 
 
 def _compile(spec: KernelSpec) -> CompiledKernel:
-    """Source/code for the spec's kernel family, ``exec``'d per spec.
-
-    A family already in the source cache skips generation and bytecode
-    compilation; only that path counts as a *compile*.  Every path pays
-    the per-spec ``exec`` that binds the family's code object to this
-    spec's globals.
-    """
-    global _COMPILE_COUNT, _CODEGEN_SECONDS, _SOURCE_HITS
+    """Generate, byte-compile and ``exec`` the kernel for one spec."""
+    global _COMPILE_COUNT, _CODEGEN_SECONDS
     started = time.perf_counter()
-    skey = _source_key(spec)
-    cached = _SOURCE_CACHE.get(skey)
-    if cached is not None:
-        source, code = cached
-        _SOURCE_HITS += 1
-    else:
-        source = generate_source(spec)
-        code = compile(source, f"<repro-kernel-{skey[:12]}>", "exec")
-        _COMPILE_COUNT += 1
-        _SOURCE_CACHE[skey] = (source, code)
+    source = generate_source(spec)
+    name = spec.strategy + ("-traced" if spec.traced else "")
+    code = compile(source, f"<repro-kernel-{name}>", "exec")
     namespace = _kernel_globals(spec)
     exec(code, namespace)  # noqa: S102 — the source is our own codegen
+    _COMPILE_COUNT += 1
     _CODEGEN_SECONDS += time.perf_counter() - started
     return CompiledKernel(spec, source, namespace["__kernel"])
 
@@ -700,39 +619,28 @@ def kernel_for(sim) -> CompiledKernel | None:
 
 
 def compile_stats() -> dict:
-    """Codegen-cache observability: both cache levels plus codegen time.
+    """Codegen observability: both caches plus codegen time.
 
-    ``codegen_seconds`` sums kernel generation/compilation with the
-    per-instruction dispatch-handler compiles (the dispatch module
-    keeps its own cumulative clock).  Counts cover this process only.
+    ``kernels`` and ``dispatch_handlers`` are the sizes of the kernel
+    cache and the handler memo; ``codegen_seconds`` sums kernel and
+    handler compiles.  Counts cover this process only.
     """
     dispatch = dispatch_codegen_stats()
     return {
         "kernels": len(_KERNEL_CACHE),
         "compiles": _COMPILE_COUNT,
         "kernel_cache_hits": _KERNEL_HITS,
-        "kernel_sources": len(_SOURCE_CACHE),
-        "kernel_source_hits": _SOURCE_HITS,
         "codegen_seconds": _CODEGEN_SECONDS + dispatch["codegen_seconds"],
-        "dispatch_tables": len(_DISPATCH_CACHE),
-        "dispatch_handlers": sum(len(t) for t in _DISPATCH_CACHE.values()),
+        "dispatch_handlers": dispatch["handlers"],
         "dispatch_handler_compiles": dispatch["handler_compiles"],
-        "dispatch_handler_shared_hits": dispatch["shared_hits"],
-        "dispatch_cache_hits": _DISPATCH_HITS,
     }
 
 
 def clear_compile_cache() -> None:
-    """Drop every cached kernel and per-program dispatch table.
+    """Drop every cached kernel and dispatch handler.
 
-    All in-process levels clear together — spec-keyed kernels, the
-    shared source/code entries, dispatch tables, and the dispatch
-    module's shared handler memo — so a stale program kernel cannot
-    survive a clear (``tests/test_compiled_engine.py`` pins this).
-    Hit counters are cumulative across clears so tests can assert on
+    Counters are cumulative across clears so tests can assert on
     deltas.
     """
     _KERNEL_CACHE.clear()
-    _SOURCE_CACHE.clear()
-    _DISPATCH_CACHE.clear()
     clear_dispatch_cache()

@@ -14,8 +14,7 @@ policies over it:
 
 * :func:`parallel_map` — ``[fn(item) for item in items]``: an item's own
   exception propagates unchanged, once;
-* :func:`simulate_many` / :func:`simulate_many_traced` — sweep points
-  against one program;
+* :func:`simulate_many` — sweep points against one program;
 * :func:`repro.core.resilience.supervised_map` — per-point timeouts,
   retries and a fault ledger, for long sweeps.
 
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import time
 import warnings
 from collections import deque
@@ -47,7 +45,6 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from pathlib import Path
 from pickle import PicklingError
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -61,7 +58,6 @@ __all__ = [
     "parallel_map",
     "resolve_jobs",
     "simulate_many",
-    "simulate_many_traced",
     "sweep_map",
 ]
 
@@ -447,61 +443,3 @@ def simulate_many(
         initializer=_init_simulation_worker,
         initargs=(program,),
     )
-
-
-# ----------------------------------------------------------------------
-# Traced fan-out: workers stream each point's events to a per-point part
-# file; the parts are merged in submission order, so the combined trace
-# is byte-identical to a serial traced run of the same config list.
-# ----------------------------------------------------------------------
-_worker_trace_dir: str | None = None
-
-
-def _init_traced_worker(program: Program, trace_dir: str) -> None:
-    global _worker_trace_dir
-    _init_simulation_worker(program)
-    _worker_trace_dir = trace_dir
-
-
-def _trace_part_name(index: int) -> str:
-    return f"part-{index:06d}.jsonl"
-
-
-def _simulate_traced_point(task: tuple[int, MachineConfig]) -> SimulationResult:
-    from .simulator import simulate_traced
-
-    index, config = task
-    assert _worker_program is not None, "worker initialized without a program"
-    assert _worker_trace_dir is not None, "worker initialized without a trace dir"
-    part = os.path.join(_worker_trace_dir, _trace_part_name(index))
-    return simulate_traced(config, _worker_program, trace_path=part)
-
-
-def simulate_many_traced(
-    program: Program,
-    configs: Sequence[MachineConfig],
-    trace_path: str | os.PathLike,
-    jobs: int | None = None,
-) -> list[SimulationResult]:
-    """Traced variant of :func:`simulate_many` writing one merged trace.
-
-    Every point runs with a JSONL sink (plus a metrics sink, so each
-    result carries its ``trace_metrics``); the merged ``trace_path`` is
-    byte-identical regardless of ``jobs``.
-    """
-    from .trace import merge_trace_files
-
-    configs = list(configs)
-    with tempfile.TemporaryDirectory(prefix="repro-trace-") as staging:
-        results = parallel_map(
-            _simulate_traced_point,
-            list(enumerate(configs)),
-            jobs=jobs,
-            initializer=_init_traced_worker,
-            initargs=(program, staging),
-        )
-        parts = [
-            Path(staging) / _trace_part_name(index) for index in range(len(configs))
-        ]
-        merge_trace_files(parts, trace_path)
-    return results

@@ -25,8 +25,9 @@ target:
    return the machine to the same signature.  Only then is the loop
    **engaged**.
 3. **Replay.**  When a loop engages, each recorded instruction is
-   bound once to a *step* ``(state, env) -> outcome`` — the compiled
-   engine's shared dispatch handler (:func:`repro.cpu.dispatch.handler_for`),
+   bound once to a *step* ``(state, env) -> outcome`` — on the compiled
+   engine the handler the live kernel already used, from the
+   per-instruction-value memo of :func:`repro.cpu.dispatch.handler_for`,
    or ``execute`` itself on the interpreted engines, which compile
    nothing — and the record's counter delta is resolved into a *plan*
    of the nonzero counters it moves (:meth:`StatsBook.plan`).  On each
@@ -59,9 +60,10 @@ Byte-identity invariants:
 * replay refuses to advance past ``max_cycles``, so timeout and
   deadlock errors report true architectural cycles.
 
-``replay=False``, ``--no-replay`` or ``REPRO_NO_REPLAY=1`` disable the
-controller entirely and select the idle-skip engine; replay itself
-needs idle-cycle skipping (:func:`repro.core.scheduler.resolve_engine`).
+``replay=False`` disables the controller entirely and selects the
+idle-skip engine; replay itself needs idle-cycle skipping
+(:func:`repro.core.scheduler.resolve_engine`), so ``--no-skip`` turns
+it off too.
 """
 
 from __future__ import annotations

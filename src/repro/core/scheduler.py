@@ -30,10 +30,9 @@ over such spans without changing a single reported number:
 :data:`ENGINES`, and they nest: replay runs only on top of idle-cycle
 skipping, and the compiled step kernel only on top of replay.
 ``skip=False``, ``REPRO_NO_SKIP=1`` or ``--no-skip`` selects the
-reference cycle-by-cycle loop; ``replay=False`` (``REPRO_NO_REPLAY``)
-idle-skip alone; ``compiled=False`` (``REPRO_NO_COMPILED``) the
-interpreted skip+replay engine.  :func:`resolve_engine` applies the
-nesting.
+reference cycle-by-cycle loop; ``replay=False`` idle-skip alone;
+``compiled=False`` the interpreted skip+replay engine.
+:func:`resolve_engine` applies the nesting.
 """
 
 from __future__ import annotations
@@ -44,13 +43,9 @@ __all__ = [
     "ENGINES",
     "ENGINE_REVISION",
     "IDLE",
-    "NO_COMPILED_ENV",
-    "NO_REPLAY_ENV",
     "NO_SKIP_ENV",
     "ProgressClock",
     "SeqCounter",
-    "compiled_enabled_default",
-    "replay_enabled_default",
     "resolve_engine",
     "skip_enabled_default",
 ]
@@ -68,12 +63,6 @@ ENGINE_REVISION = "skip-1+replay-1+compiled-2"
 #: Environment variable forcing the reference (no-skip) loop.
 NO_SKIP_ENV = "REPRO_NO_SKIP"
 
-#: Environment variable disabling steady-state loop replay.
-NO_REPLAY_ENV = "REPRO_NO_REPLAY"
-
-#: Environment variable disabling the compiled step-kernel engine.
-NO_COMPILED_ENV = "REPRO_NO_COMPILED"
-
 #: The four engines, slowest first, as ``(name, Simulator kwargs)``.
 #: Every row produces byte-identical results (the differential matrix
 #: pins this); ``repro-sim fuzz --engines`` accepts the names.
@@ -85,23 +74,10 @@ ENGINES: tuple[tuple[str, dict], ...] = (
 )
 
 
-def _env_off(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes")
-
-
 def skip_enabled_default() -> bool:
     """Idle-cycle skipping defaults to on unless ``REPRO_NO_SKIP`` is set."""
-    return not _env_off(NO_SKIP_ENV)
-
-
-def replay_enabled_default() -> bool:
-    """Loop replay defaults to on unless ``REPRO_NO_REPLAY`` is set."""
-    return not _env_off(NO_REPLAY_ENV)
-
-
-def compiled_enabled_default() -> bool:
-    """Compiled kernels default to on unless ``REPRO_NO_COMPILED`` is set."""
-    return not _env_off(NO_COMPILED_ENV)
+    value = os.environ.get(NO_SKIP_ENV, "").strip().lower()
+    return value not in ("1", "true", "yes")
 
 
 def resolve_engine(
@@ -111,19 +87,19 @@ def resolve_engine(
 ) -> tuple[bool, bool, bool]:
     """The ``(skip, replay, compiled)`` switches one run actually uses.
 
-    Each switch comes from its argument, else from its environment
-    default; then replay runs only with skip, and compiled only with
-    replay, so the answer is always one :data:`ENGINES` row.  An
-    explicit ``replay=True`` or ``compiled=True`` that this nesting
-    would switch off raises :class:`ValueError`.
+    An unset ``skip`` follows ``REPRO_NO_SKIP``, an unset ``replay``
+    follows ``skip`` and an unset ``compiled`` follows ``replay``, so
+    the answer is always one :data:`ENGINES` row.  An explicit
+    ``replay=True`` or ``compiled=True`` above a disabled switch raises
+    :class:`ValueError`.
     """
     skip = skip_enabled_default() if skip is None else bool(skip)
     if replay is None:
-        replay = skip and replay_enabled_default()
+        replay = skip
     elif replay and not skip:
         raise ValueError("replay=True needs idle-cycle skipping (skip is off)")
     if compiled is None:
-        compiled = replay and compiled_enabled_default()
+        compiled = replay
     elif compiled and not replay:
         raise ValueError("compiled=True needs loop replay (replay is off)")
     return skip, bool(replay), bool(compiled)

@@ -63,7 +63,6 @@ import json
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -598,32 +597,3 @@ class MetricsSink(TraceSink):
 
     def emit(self, cycle: int, component: str, kind: str, fields: Mapping) -> None:
         self.metrics._dispatch(component, kind, fields)
-
-
-# ----------------------------------------------------------------------
-# Trace-file utilities (parallel sweeps merge per-worker part files)
-# ----------------------------------------------------------------------
-def merge_trace_files(
-    parts: Iterable[str | os.PathLike], destination: str | os.PathLike
-) -> int:
-    """Concatenate part files into ``destination`` in the given order.
-
-    Returns the number of bytes written.  Used by the parallel traced
-    sweep: each worker streams one point's events to its own part file,
-    and the merge in submission order makes the combined trace
-    byte-identical to a serial run.
-    """
-    destination = Path(destination)
-    if destination.parent != Path("."):
-        destination.parent.mkdir(parents=True, exist_ok=True)
-    written = 0
-    with open(destination, "wb") as out:
-        for part in parts:
-            with open(part, "rb") as stream:
-                while True:
-                    chunk = stream.read(1 << 20)
-                    if not chunk:
-                        break
-                    out.write(chunk)
-                    written += len(chunk)
-    return written

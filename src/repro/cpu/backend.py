@@ -230,7 +230,7 @@ class Backend:
         /``_stall`` helpers it calls) statement for statement: same
         counter updates, same trace events, same ordering.  The only
         licensed deviations are pure-code motion: ``queue_effects`` and
-        the instruction's per-program dispatch handler (which stands in
+        the instruction's shared dispatch handler (which stands in
         for ``execute``) are memoized per instruction object (both are
         pure functions of the instruction) and computed before the
         branch-overlap check, and queue-full checks fold the capacity

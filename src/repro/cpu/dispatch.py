@@ -1,4 +1,4 @@
-"""Program-specialized instruction dispatch for compiled step kernels.
+"""Instruction-specialized dispatch for compiled step kernels.
 
 The generic :func:`repro.cpu.executor.execute` pays per-issue overhead
 that is constant for a given instruction *value*: the opcode-class
@@ -13,11 +13,12 @@ and burned into a tiny ``exec``-compiled handler::
         f[3] = (f[1] + f[2]) & 4294967295
         return OUT_PLAIN
 
-A :class:`ProgramDispatchTable` lazily compiles one handler per
-distinct instruction value reached by a program and memoizes it; the
-table itself is cached process-wide by :mod:`repro.core.compiled`
-under a ``(program_fingerprint, config_fingerprint)`` key (both fold
-:data:`~repro.core.scheduler.ENGINE_REVISION`).
+:func:`handler_for` compiles one handler per distinct instruction
+value on first use and keeps it in one process-wide memo.  A handler
+depends on the instruction value alone, never on the program or the
+machine configuration, so every compiled kernel binds
+:func:`handler_for` itself as its ``dispatch_get`` and two programs
+that share an instruction share its handler.
 
 The same handlers also serve the compiled engine's replay shadow pass:
 when a loop engages, :class:`~repro.core.replay.ReplayController`
@@ -50,12 +51,10 @@ from .alu import to_signed
 from .executor import ExecutionOutcome
 
 __all__ = [
-    "ProgramDispatchTable",
     "clear_dispatch_cache",
     "dispatch_codegen_stats",
     "generate_handler_source",
     "handler_for",
-    "reset_dispatch_codegen_stats",
 ]
 
 _MASK = "4294967295"  #: 32-bit wrap mask, folded into handler source
@@ -244,14 +243,11 @@ def generate_handler_source(instruction: Instruction) -> str:
 
 _HANDLER_COMPILES = 0
 _CODEGEN_SECONDS = 0.0
-_SHARED_HITS = 0
 
-#: Process-wide handler memo.  Handlers are pure functions of the
-#: instruction *value* (the module docstring's byte-identity contract
-#: does not mention the program or the config), so one compile serves
-#: every per-(program, config) table that reaches the instruction —
-#: previously each table recompiled its own copy.
-_SHARED_HANDLERS: dict[Instruction, object] = {}
+#: Process-wide handler memo, keyed by instruction value (the module
+#: docstring's byte-identity contract mentions neither the program nor
+#: the config).
+_HANDLERS: dict[Instruction, object] = {}
 
 
 def _handler_namespace() -> dict:
@@ -273,76 +269,41 @@ def _compile_handler(instruction: Instruction):
     _HANDLER_COMPILES += 1
     _CODEGEN_SECONDS += time.perf_counter() - started
     handler = namespace["__handler"]
-    _SHARED_HANDLERS[instruction] = handler
+    _HANDLERS[instruction] = handler
     return handler
 
 
 def handler_for(instruction: Instruction):
     """The process-wide handler for ``instruction`` (compiling on first use).
 
-    Program tables fill through this memo.  Replay's shadow pass binds
-    recorded instructions through it directly, not through a program's
-    table: the kernel has already issued every recorded instruction, so
-    the lookup compiles nothing and moves no
-    :func:`dispatch_codegen_stats` counter.
+    Compiled kernels call it on the first issue of each instruction in
+    a run (their per-run ``effects_memo`` answers the rest).  Replay's
+    shadow pass binds recorded instructions through it too: the kernel
+    has already issued every recorded instruction, so that lookup
+    compiles nothing and moves no :func:`dispatch_codegen_stats`
+    counter.
     """
-    handler = _SHARED_HANDLERS.get(instruction)
+    handler = _HANDLERS.get(instruction)
     if handler is None:
         handler = _compile_handler(instruction)
     return handler
 
 
-class ProgramDispatchTable:
-    """Lazy ``{instruction value: handler}`` map for one program.
-
-    Handlers are pure functions of the instruction *value*, so the map
-    stays correct for any program; the per-program cache key merely
-    bounds each table to the instructions one program can reach.
-    Compiles go through the process-wide shared memo, so two tables
-    reaching the same instruction share one handler object.
-    """
-
-    __slots__ = ("handlers",)
-
-    def __init__(self) -> None:
-        self.handlers: dict[Instruction, object] = {}
-
-    def handler_for(self, instruction: Instruction):
-        """The compiled handler for ``instruction`` (compiling on first use)."""
-        handler = self.handlers.get(instruction)
-        if handler is None:
-            global _SHARED_HITS
-            if instruction in _SHARED_HANDLERS:
-                _SHARED_HITS += 1
-            handler = self.handlers[instruction] = handler_for(instruction)
-        return handler
-
-    def __len__(self) -> int:
-        return len(self.handlers)
-
-
 def dispatch_codegen_stats() -> dict:
-    """Cumulative handler-compile accounting (merged by ``compile_stats``)."""
+    """The memo's size and cumulative compile accounting (merged by
+    ``repro.core.compiled.compile_stats``)."""
     return {
+        "handlers": len(_HANDLERS),
         "handler_compiles": _HANDLER_COMPILES,
         "codegen_seconds": _CODEGEN_SECONDS,
-        "shared_hits": _SHARED_HITS,
     }
 
 
-def reset_dispatch_codegen_stats() -> None:
-    """Zero the cumulative counters (test isolation)."""
-    global _HANDLER_COMPILES, _CODEGEN_SECONDS, _SHARED_HITS
-    _HANDLER_COMPILES = 0
-    _CODEGEN_SECONDS = 0.0
-    _SHARED_HITS = 0
-
-
 def clear_dispatch_cache() -> None:
-    """Drop the shared handler memo.
+    """Drop the handler memo.
 
     Counters stay cumulative (tests assert on deltas); the compiled
-    engine's ``clear_compile_cache`` calls this so every in-process
-    codegen cache level clears together.
+    engine's ``clear_compile_cache`` calls this so both codegen caches
+    clear together.
     """
-    _SHARED_HANDLERS.clear()
+    _HANDLERS.clear()

@@ -39,7 +39,7 @@ def __kernel(sim):
     res_memo = {}
     frontend_maybe_promote = sim.frontend._maybe_promote
     frontend_maybe_request = sim.frontend._maybe_request
-    dispatch_get = _dispatch_for(sim).handler_for
+    dispatch_get = handler_for
     last_ticks = clock.ticks
     last_progress_at = 0
     while True:

@@ -42,7 +42,7 @@ def __kernel(sim):
     frontend_promote_starving = sim.frontend._promote_if_starving
     frontend_predecode_at = sim.frontend.predecode.at
     frontend_start_fill = sim.frontend._start_fill
-    dispatch_get = _dispatch_for(sim).handler_for
+    dispatch_get = handler_for
     last_ticks = clock.ticks
     last_progress_at = 0
     while True:

@@ -77,6 +77,39 @@ class TestBehaviour:
         assert "ll1" in text and "CPI" in text and "total" in text
 
 
+#: Per-loop cycles at the tiny scale, as the hand-stepped reference
+#: cycle loop attributed them; the trace-driven profile must match.
+PINNED_CYCLES = {
+    "pipe": (
+        MachineConfig.pipe("16-16", 64, memory_access_time=6),
+        {
+            "ll1": 1278, "ll2": 915, "ll3": 739, "ll4": 1220, "ll5": 946,
+            "ll6": 914, "ll7": 1190, "ll8": 1225, "ll9": 773, "ll10": 567,
+            "ll11": 541, "ll12": 521, "ll13": 1135, "ll14": 1088,
+            "(outside)": 194,
+        },
+    ),
+    "conventional": (
+        MachineConfig.conventional(64, memory_access_time=6),
+        {
+            "ll1": 1908, "ll2": 1388, "ll3": 1024, "ll4": 1532, "ll5": 1502,
+            "ll6": 1394, "ll7": 1878, "ll8": 1846, "ll9": 1156, "ll10": 844,
+            "ll11": 652, "ll12": 531, "ll13": 1582, "ll14": 1534,
+            "(outside)": 287,
+        },
+    ),
+}
+
+
+class TestPinnedAttribution:
+    @pytest.mark.parametrize("machine", sorted(PINNED_CYCLES))
+    def test_per_loop_cycles_are_pinned(self, machine, tiny_suite):
+        config, expected = PINNED_CYCLES[machine]
+        report = profile_program(config, tiny_suite.program, tiny_suite.regions())
+        assert {loop.name: loop.cycles for loop in report.loops} == expected
+        assert report.total_cycles == sum(expected.values())
+
+
 class TestCli:
     def test_profile_subcommand(self, capsys):
         from repro.cli import main
@@ -85,3 +118,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cycle profile" in out
         assert "ll14" in out
+
+    def test_engine_profile_subcommand(self, capsys):
+        from repro.cli import main
+
+        assert main(["profile", "--engine", "--scale", "0.03", "--cache", "64"]) == 0
+        out = capsys.readouterr().out
+        assert "replay engine profile" in out
+        assert "accounted arithmetically" in out
+        assert out.rstrip().splitlines()[-1].startswith("codegen: ")

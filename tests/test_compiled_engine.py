@@ -1,15 +1,16 @@
-"""Tests of the per-config compiled step-kernel engine (repro.core.compiled).
+"""Tests of the compiled step-kernel engine (repro.core.compiled).
 
 The differential matrix (``test_scheduler_differential``) proves the
 kernels are byte-identical to the reference loop; this module covers the
-machinery itself: the content-addressed compile cache (one compile per
-config per process), spec sensitivity (distinct configs get distinct
-specializations), all-or-nothing eligibility (every shipped machine gets
-a kernel; a stubbed, subclassed or monkeypatched one gets none and runs
-the interpreted engine), the escape hatch, the purity of
-``generate_source``, and generated-source goldens for the headline PIPE
-and the conventional configurations so codegen changes are reviewed as
-diffs, not discovered as regressions.
+machinery itself: the two codegen caches (one kernel per
+:class:`KernelSpec`, which a config family shares traced or not, and
+one dispatch handler per instruction value, shared by every program),
+spec sensitivity, all-or-nothing eligibility (every shipped machine
+gets a kernel; a stubbed, subclassed or monkeypatched one gets none and
+runs the interpreted engine), the purity of ``generate_source``, and
+generated-source goldens for the headline PIPE and the conventional
+configurations so codegen changes are reviewed as diffs, not discovered
+as regressions.
 """
 
 from pathlib import Path
@@ -21,7 +22,6 @@ from repro.core.compiled import (
     CompiledKernel,
     clear_compile_cache,
     compile_stats,
-    config_fingerprint,
     generate_source,
     kernel_for,
     kernel_spec_for,
@@ -31,6 +31,8 @@ from repro.core.fuzz import FUZZ_CONFIGS
 from repro.core.scheduler import ENGINES
 from repro.core.simulator import Simulator, simulate, simulate_traced
 from repro.core.trace import JsonLinesSink, MetricsSink, Tracer
+from repro.cpu.dispatch import handler_for
+from repro.kernels.suite import build_livermore_program
 from tests.test_trace_crosscheck import CONFIGS
 
 GOLDEN = Path(__file__).parent / "goldens" / "compiled_kernel_headline.py"
@@ -84,14 +86,18 @@ class TestCompileCache:
         assert isinstance(first, CompiledKernel)
 
     def test_distinct_configs_get_distinct_specializations(self, tiny_program):
+        """The cache size is not a kernel axis; the frontend is."""
         configs = [
             _pipe(),
             _pipe().with_overrides(icache_size=64),
             MachineConfig.conventional(128, memory_access_time=6),
         ]
-        kernels = {kernel_for(_sim(c, tiny_program)) for c in configs}
-        assert len(kernels) == 3
-        assert compile_stats()["kernels"] == 3
+        pipe, small_pipe, conventional = (
+            kernel_for(_sim(c, tiny_program)) for c in configs
+        )
+        assert pipe is small_pipe
+        assert conventional is not pipe
+        assert compile_stats()["kernels"] == 2
 
     def test_tracing_is_part_of_the_key(self, tiny_program, tmp_path):
         plain = kernel_for(_sim(program=tiny_program))
@@ -131,65 +137,79 @@ class TestCompileCache:
         assert kernel_for(_sim()) is not None
 
 
-class TestEscapeHatch:
-    def test_env_var_falls_back_to_the_interpreter(
-        self, tiny_program, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
+class TestCacheContract:
+    """One cache per codegen artifact: kernels per spec, handlers per
+    instruction value."""
+
+    def test_one_family_one_kernel(self):
         before = compile_stats()
-        sim = Simulator(_pipe(), tiny_program)
-        assert sim.compiled_enabled is False
-        result = sim.run()
-        assert compile_stats() == before  # nothing was compiled
-        monkeypatch.delenv("REPRO_NO_COMPILED")
-        assert result == simulate(_pipe(), tiny_program, compiled=True)
+        kernels = {
+            kernel_for(_sim(_pipe().with_overrides(icache_size=size)))
+            for size in (64, 128, 512)
+        }
+        assert len(kernels) == 1
+        after = compile_stats()
+        assert after["compiles"] == before["compiles"] + 1
+        assert after["kernel_cache_hits"] == before["kernel_cache_hits"] + 2
+        conventional = kernel_for(
+            _sim(MachineConfig.conventional(128, memory_access_time=6))
+        )
+        assert conventional not in kernels
+        assert compile_stats()["kernels"] == 2
 
-    def test_explicit_argument_wins_over_env(self, tiny_program, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-        result = simulate(_pipe(), tiny_program, compiled=True)
-        assert compile_stats()["kernels"] == 1
-        monkeypatch.delenv("REPRO_NO_COMPILED")
-        assert result == simulate(_pipe(), tiny_program, compiled=False)
+    def test_shared_traced_kernel_logs_its_own_run(self, tmp_path):
+        """One traced kernel serves the family, and each run's trace
+        (its ``sim begin`` config string included) is its own."""
+        program = build_livermore_program(scale=0.05, loops=(3,))
+        before = compile_stats()
+        for size in (64, 128):
+            config = _pipe().with_overrides(icache_size=size)
+            reference = tmp_path / f"{size}-reference.jsonl"
+            compiled = tmp_path / f"{size}-compiled.jsonl"
+            simulate_traced(config, program, reference, **dict(ENGINES)["reference"])
+            simulate_traced(config, program, compiled, **dict(ENGINES)["compiled"])
+            assert compiled.read_bytes() == reference.read_bytes(), size
+            with open(compiled, encoding="utf-8") as stream:
+                assert config.describe() in stream.readline(), size
+        after = compile_stats()
+        assert after["kernels"] == 1
+        assert after["compiles"] == before["compiles"] + 1
+        assert after["kernel_cache_hits"] == before["kernel_cache_hits"] + 1
 
+    def test_handlers_are_shared_across_programs(self):
+        first = assemble("li r1, 5\nhalt")
+        second = assemble("li r1, 5\naddi r2, r1, 3\nhalt")
+        common = first.instruction_at(0)
+        assert second.instruction_at(0) == common
+        simulate(_pipe(), first, compiled=True)
+        before = compile_stats()
+        handler = handler_for(common)
+        assert compile_stats() == before  # the kernel already compiled it
+        simulate(_pipe(), second, compiled=True)
+        after = compile_stats()
+        assert handler_for(common) is handler
+        # only ``addi`` is new to the second program
+        assert after["dispatch_handler_compiles"] == (
+            before["dispatch_handler_compiles"] + 1
+        )
+        assert after["dispatch_handlers"] == before["dispatch_handlers"] + 1
 
-class TestDispatchCache:
-    """The second cache level: per-(program, config) dispatch tables."""
-
-    def test_dispatch_table_is_cached_per_program_and_config(
-        self, tiny_program
-    ):
-        simulate(_pipe(), tiny_program, compiled=True)
-        stats = compile_stats()
-        assert stats["dispatch_tables"] == 1
-        assert stats["dispatch_handlers"] > 0
-        hits = stats["dispatch_cache_hits"]
-        simulate(_pipe(), tiny_program, compiled=True)
-        assert compile_stats()["dispatch_tables"] == 1
-        assert compile_stats()["dispatch_cache_hits"] == hits + 1
-        # a different program under the same config is a new table
-        simulate(_pipe(), assemble("halt"), compiled=True)
-        assert compile_stats()["dispatch_tables"] == 2
-
-    def test_clear_drops_stale_program_kernels(self, tiny_program):
-        """A cleared cache cannot serve stale per-program dispatch tables.
-
-        ``clear_compile_cache`` documents that both cache levels clear
-        together; this pins it.
-        """
+    def test_clear_empties_both_caches(self, tiny_program):
         baseline = simulate(_pipe(), tiny_program, compiled=True)
-        assert compile_stats()["dispatch_tables"] == 1
         clear_compile_cache()
-        stats = compile_stats()
-        assert stats["kernels"] == 0
-        assert stats["dispatch_tables"] == 0
-        assert stats["dispatch_handlers"] == 0
-        # the rerun rebuilds from scratch (a miss, not a stale hit) and
-        # still reproduces the pre-clear run exactly
-        hits = stats["dispatch_cache_hits"]
+        before = compile_stats()
+        assert before["kernels"] == 0
+        assert before["dispatch_handlers"] == 0
+        # the rerun rebuilds both caches and reproduces the run exactly
         assert simulate(_pipe(), tiny_program, compiled=True) == baseline
         after = compile_stats()
-        assert after["dispatch_tables"] == 1
-        assert after["dispatch_cache_hits"] == hits
+        assert after["kernels"] == 1
+        assert after["compiles"] == before["compiles"] + 1
+        assert after["kernel_cache_hits"] == before["kernel_cache_hits"]
+        assert after["dispatch_handlers"] > 0
+        assert after["dispatch_handler_compiles"] == (
+            before["dispatch_handler_compiles"] + after["dispatch_handlers"]
+        )
 
 
 class TestFrontendInlining:
@@ -200,7 +220,7 @@ class TestFrontendInlining:
         # the frontend phases are open-coded, not bound-method calls...
         assert "frontend_update(" not in source
         assert "frontend_post_issue(" not in source
-        # ...and execution goes through the per-program handler table
+        # ...and execution goes through the shared handler memo
         assert "dispatch_get(instruction)" in source
 
     def test_conventional_and_tib_specs_inline_their_frontends(
@@ -288,26 +308,6 @@ class TestEligibility:
         """A stray instance attribute that shadows a method would switch
         the whole engine off, silently; every shipped machine must pass."""
         assert kernel_for(_sim(_SHIPPED[name])) is not None
-
-
-class TestFingerprint:
-    def test_stable_across_equal_configs(self):
-        assert config_fingerprint(_pipe()) == config_fingerprint(_pipe())
-
-    def test_sensitive_to_any_knob(self):
-        base = config_fingerprint(_pipe())
-        assert (
-            config_fingerprint(_pipe().with_overrides(memory_access_time=7))
-            != base
-        )
-        assert (
-            config_fingerprint(_pipe().with_overrides(icache_size=64)) != base
-        )
-
-    def test_is_a_hex_digest(self):
-        digest = config_fingerprint(_pipe())
-        assert len(digest) == 64
-        assert set(digest) <= set("0123456789abcdef")
 
 
 class TestGenerateSource:

@@ -13,7 +13,6 @@ from repro.core.trace import (
     RingBufferSink,
     TraceMetrics,
     Tracer,
-    merge_trace_files,
     read_trace,
 )
 
@@ -201,35 +200,3 @@ class TestTraceMetrics:
         restored = TraceMetrics.from_dict(payload)
         assert restored == metrics
         assert restored.events == len(records)
-
-
-class TestMergeTraceFiles:
-    def test_concatenates_in_given_order(self, tmp_path):
-        parts = []
-        for index in range(3):
-            part = tmp_path / f"part-{index}.jsonl"
-            part.write_text(f'{{"c":{index},"o":"sim","k":"begin"}}\n')
-            parts.append(part)
-        destination = tmp_path / "merged.jsonl"
-        written = merge_trace_files(parts, destination)
-        assert written == destination.stat().st_size
-        assert [e["c"] for e in read_trace(destination)] == [0, 1, 2]
-
-    def test_missing_part_raises(self, tmp_path):
-        with pytest.raises(OSError):
-            merge_trace_files([tmp_path / "absent.jsonl"], tmp_path / "out.jsonl")
-
-    @given(chunks=st.lists(st.binary(max_size=64), max_size=8))
-    def test_merge_equals_concatenation(self, tmp_path_factory, chunks):
-        """Property: the merged file is exactly the parts joined in order."""
-        tmp_path = tmp_path_factory.mktemp("merge")
-        parts = []
-        for index, chunk in enumerate(chunks):
-            part = tmp_path / f"part-{index}"
-            part.write_bytes(chunk)
-            parts.append(part)
-        destination = tmp_path / "merged"
-        written = merge_trace_files(parts, destination)
-        expected = b"".join(chunks)
-        assert destination.read_bytes() == expected
-        assert written == len(expected)

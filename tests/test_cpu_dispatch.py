@@ -1,9 +1,9 @@
-"""Handler-vs-executor equivalence for program-specialized dispatch.
+"""Handler-vs-executor equivalence for instruction-specialized dispatch.
 
-Every opcode runs through ``ProgramDispatchTable().handler_for(ins)``
-and through the generic :func:`repro.cpu.executor.execute`, on copies of
-one architectural state, with r7 (the queue register) as rs1, as rs2,
-as both and as rd, plus plain registers.  The two runs must leave the
+Every opcode runs through ``handler_for(ins)`` and through the generic
+:func:`repro.cpu.executor.execute`, on copies of one architectural
+state, with r7 (the queue register) as rs1, as rs2, as both and as rd,
+plus plain registers.  The two runs must leave the
 same registers, branch registers and active bank, make the same queue
 operations in the same order, and return equal
 :class:`~repro.cpu.executor.ExecutionOutcome` values.
@@ -13,7 +13,7 @@ import copy
 
 import pytest
 
-from repro.cpu.dispatch import ProgramDispatchTable
+from repro.cpu.dispatch import handler_for
 from repro.cpu.executor import execute
 from repro.cpu.state import ArchState
 from repro.isa.instruction import Instruction
@@ -124,9 +124,8 @@ def _run(step, state: ArchState, ldq_head: int):
 
 @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.mnemonic)
 def test_handler_matches_executor(op):
-    table = ProgramDispatchTable()
     for instruction in _shapes(op):
-        handler = table.handler_for(instruction)
+        handler = handler_for(instruction)
         for scenario, (registers, ldq_head) in SCENARIOS.items():
             state = _state(registers)
             specialized = _run(handler, copy.deepcopy(state), ldq_head)

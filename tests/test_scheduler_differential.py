@@ -3,7 +3,7 @@
 The fast-path engines promise **trace-identical accounting**: for any
 configuration, the idle-cycle-skipping scheduler (``skip=True``), the
 steady-state loop-replay engine layered on top of it
-(``skip=True, replay=True``), and the per-config compiled step kernel
+(``skip=True, replay=True``), and the compiled step kernel
 (``compiled=True``, which folds both fast paths into generated code)
 must all produce the same cycle count, the same stats dict, and a
 byte-identical JSONL event stream as the reference cycle-by-cycle
@@ -13,14 +13,14 @@ Hill's prefetch policies, the TIB machine, and the ablation knobs),
 and pins down the satellite guarantees: errors raised mid-skip,
 mid-replay, or inside a compiled kernel report the true architectural
 cycle, and the switches nest: ``skip=False`` / ``REPRO_NO_SKIP`` runs
-the reference loop, ``replay=False`` / ``REPRO_NO_REPLAY`` idle-skip,
-``compiled=False`` / ``REPRO_NO_COMPILED`` interpreted skip+replay.
+the reference loop, ``replay=False`` idle-skip, ``compiled=False``
+interpreted skip+replay.
 
 Every engine comparison names its rows from
 :data:`repro.core.scheduler.ENGINES` (all three switches explicit), the
-switch tests set the ``REPRO_NO_*`` variables they are about, and the
-variables are cleared before every test, so no result here depends on
-the environment the suite runs in.
+switch tests set ``REPRO_NO_SKIP`` when they are about it, and it is
+cleared before every test, so no result here depends on the
+environment the suite runs in.
 
 On mismatch a cycles-diff report is written to
 ``test-reports/cycles-diff.txt`` (override the directory with
@@ -40,8 +40,6 @@ from repro.core.scheduler import (
     ENGINES,
     IDLE,
     ProgressClock,
-    compiled_enabled_default,
-    replay_enabled_default,
     skip_enabled_default,
 )
 from repro.core.simulator import (
@@ -63,9 +61,8 @@ FAST_TAGS = ("idle-skip", "skip+replay", "compiled")
 
 @pytest.fixture(autouse=True)
 def _no_engine_env(monkeypatch):
-    """Tests set the ``REPRO_NO_*`` variables they are about themselves."""
-    for name in ("REPRO_NO_SKIP", "REPRO_NO_REPLAY", "REPRO_NO_COMPILED"):
-        monkeypatch.delenv(name, raising=False)
+    """Tests about ``REPRO_NO_SKIP`` set it themselves."""
+    monkeypatch.delenv("REPRO_NO_SKIP", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -339,12 +336,6 @@ def test_explicit_engine_above_a_disabled_one_raises(kwargs):
         Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"), **kwargs)
 
 
-def test_env_disabled_layer_rejects_an_explicit_engine_above_it(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-    with pytest.raises(ValueError, match="needs loop replay"):
-        Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"), compiled=True)
-
-
 def test_no_skip_env_var_disables_skipping(monkeypatch):
     monkeypatch.setenv("REPRO_NO_SKIP", "1")
     assert skip_enabled_default() is False
@@ -364,26 +355,8 @@ def test_explicit_skip_argument_wins_over_env(monkeypatch):
     assert sim.skip is True
 
 
-def test_no_replay_env_var_disables_replay(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-    assert replay_enabled_default() is False
-    sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
-    assert sim.replay_enabled is False
-    sim.run()
-    assert sim.replay_controller is None
-
-
 def test_replay_enabled_by_default():
-    assert replay_enabled_default() is True
     sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
-    assert sim.replay_enabled is True
-
-
-def test_explicit_replay_argument_wins_over_env(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-    sim = Simulator(
-        MachineConfig.pipe("16-16", 128), assemble("halt"), replay=True
-    )
     assert sim.replay_enabled is True
 
 
@@ -394,24 +367,8 @@ def test_replay_false_matches_replay_true(single_loop_program):
     assert on.to_dict() == off.to_dict()
 
 
-def test_no_compiled_env_var_disables_compilation(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-    assert compiled_enabled_default() is False
-    sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
-    assert sim.compiled_enabled is False
-
-
 def test_compiled_enabled_by_default():
-    assert compiled_enabled_default() is True
     sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
-    assert sim.compiled_enabled is True
-
-
-def test_explicit_compiled_argument_wins_over_env(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-    sim = Simulator(
-        MachineConfig.pipe("16-16", 128), assemble("halt"), compiled=True
-    )
     assert sim.compiled_enabled is True
 
 
