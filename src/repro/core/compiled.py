@@ -8,17 +8,20 @@ module generates, per machine shape (a configuration, its cache size
 aside), a monolithic specialized skip+replay run function in which
 
 * configuration constants (``max_cycles``, the deadlock horizon, queue
-  capacities, branch latency, bus/priority knobs) are folded into
-  integer and string literals;
+  capacities, branch latency, the bus knobs, the FPU window) are folded
+  into integer and string literals, and the acceptance priority into
+  the order the two request sources are tried;
 * every per-cycle component phase (``memory.begin_cycle``,
   ``engine.update``, ``frontend.update``, ``backend.step``,
   ``frontend.post_issue``, ``memory.end_cycle``) and the idle-skip
   wake scan are flattened into straight-line inlined code: the input
-  bus's FPU drain, delivery arbitration and retirement, and both
-  sources' polls, run in the kernel, while the cold or once-per-request
-  work they trigger (an FPU result's delivery, acceptance, request
-  callbacks, branch redirects, the icache miss fill) stays a bound
-  call (``docs/COMPILED.md``, "Current inlining frontier");
+  bus's FPU drain, delivery arbitration and retirement, both sources'
+  polls and the acceptance decision run in the kernel, which builds a
+  data request object only when memory accepts it or the FPU must
+  inspect it, while the cold or once-per-request work they trigger (an
+  FPU result's delivery, the acceptance itself, request callbacks,
+  branch redirects, the icache miss fill) stays a bound call
+  (``docs/COMPILED.md``, "Current inlining frontier");
 * ``tracer.enabled`` branches are specialized *out* of the source
   when the run is untraced;
 * component objects, bound methods, and queue storage are hoisted into
@@ -44,12 +47,12 @@ skip+replay engine instead, which calls the bound methods.
 **One cache per artifact.**  A :class:`KernelSpec` holds only the
 constants folded into the kernel text, so the spec keys the one kernel
 cache: every instruction-cache size of a config family runs on the
-same kernel (one untraced, one traced) per process.  Instruction
-handlers are cached by instruction value in
-:func:`repro.cpu.dispatch.handler_for`'s memo, which every kernel
-binds as ``dispatch_get``.  Both caches live in process memory only;
-forked sweep workers inherit whatever the parent had compiled.
-``docs/COMPILED.md`` documents the contract in full.
+same kernel (one untraced, one traced) per process.  Issue entries
+(an instruction's queue flags, branch flag and dispatch handler) are
+cached by instruction value in :func:`repro.cpu.dispatch.issue_entry`'s
+memo, which every kernel binds as ``entry_for``.  Both caches live in
+process memory only; forked sweep workers inherit whatever the parent
+had compiled.  ``docs/COMPILED.md`` documents the contract in full.
 
 **Hoisting rule.**  Only objects that are never *rebound* during a run
 may be hoisted into kernel locals: component objects, the queues'
@@ -76,9 +79,8 @@ from ..cpu.data_engine import DataQueueEngine
 from ..cpu.dispatch import (
     clear_dispatch_cache,
     dispatch_codegen_stats,
-    handler_for,
+    issue_entry,
 )
-from ..cpu.executor import queue_effects
 from ..cpu.queues import ArchitecturalQueue
 from ..frontend.conventional import ConventionalFetchUnit
 from ..frontend.icache import InstructionCache
@@ -87,14 +89,8 @@ from ..frontend.tib import TibFetchUnit
 from ..isa.encoding import DecodeError
 from ..isa.predecode import PredecodedImage
 from ..memory.external import ExternalMemory
-from ..memory.fpu import is_fpu_address
 from ..memory.fpu_timing import TimedFpu
-from ..memory.requests import (
-    MemoryRequest,
-    RequestKind,
-    RequestPriority,
-    acceptance_order,
-)
+from ..memory.requests import MemoryRequest, RequestKind, RequestPriority
 from ..memory.system import MemorySystem
 from .scheduler import IDLE
 
@@ -306,7 +302,7 @@ _BINDINGS: dict[str, str] = {
     "frontend_predecode_at": "sim.frontend.predecode.at",
     "frontend_start_fill": "sim.frontend._start_fill",
     # -- instruction-specialized dispatch ------------------------------
-    "dispatch_get": "handler_for",
+    "entry_for": "issue_entry",
 }
 
 
@@ -563,21 +559,14 @@ _KERNEL_HITS = 0
 _CODEGEN_SECONDS = 0.0
 
 
-def _kernel_globals(spec: KernelSpec) -> dict:
-    # Depends on spec fields only, like the source: that is what makes
-    # one kernel per spec sound.  Per-run state enters through ``sim``.
+def _kernel_globals() -> dict:
+    # The same for every spec, so the source alone tells kernels apart:
+    # that is what makes one kernel per spec sound.  Per-run state
+    # enters through ``sim``.
     return {
         "IDLE": IDLE,
-        "queue_effects": queue_effects,
-        "handler_for": handler_for,
+        "issue_entry": issue_entry,
         "_PendingBranch": _PendingBranch,
-        "_is_fpu": is_fpu_address,
-        "_acc_order": acceptance_order,
-        "_PRIORITY": (
-            RequestPriority.INSTRUCTION_FIRST
-            if spec.instruction_first
-            else RequestPriority.DATA_FIRST
-        ),
         "K_LOAD": RequestKind.LOAD,
         "K_STORE": RequestKind.STORE,
         "MemoryRequest": MemoryRequest,
@@ -592,7 +581,7 @@ def _compile(spec: KernelSpec) -> CompiledKernel:
     source = generate_source(spec)
     name = spec.strategy + ("-traced" if spec.traced else "")
     code = compile(source, f"<repro-kernel-{name}>", "exec")
-    namespace = _kernel_globals(spec)
+    namespace = _kernel_globals()
     exec(code, namespace)  # noqa: S102 — the source is our own codegen
     _COMPILE_COUNT += 1
     _CODEGEN_SECONDS += time.perf_counter() - started
@@ -622,8 +611,9 @@ def compile_stats() -> dict:
     """Codegen observability: both caches plus codegen time.
 
     ``kernels`` and ``dispatch_handlers`` are the sizes of the kernel
-    cache and the handler memo; ``codegen_seconds`` sums kernel and
-    handler compiles.  Counts cover this process only.
+    cache and the issue-entry memo (one handler per entry);
+    ``codegen_seconds`` sums kernel and handler compiles.  Counts cover
+    this process only.
     """
     dispatch = dispatch_codegen_stats()
     return {
@@ -637,7 +627,7 @@ def compile_stats() -> dict:
 
 
 def clear_compile_cache() -> None:
-    """Drop every cached kernel and dispatch handler.
+    """Drop every cached kernel and issue entry.
 
     Counters are cumulative across clears so tests can assert on
     deltas.

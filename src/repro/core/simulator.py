@@ -101,7 +101,8 @@ class SimulationTimeout(RuntimeError):
 
     ``cycle`` is the architectural cycle at which the limit was hit
     (exact even when the skip scheduler jumped into it); ``fast_path``
-    records whether idle-cycle skipping was active.
+    records whether the limit fell inside a skipped idle span rather
+    than on a live cycle.
     """
 
     cycle: int = -1
@@ -119,7 +120,8 @@ class DeadlockError(RuntimeError):
 
     ``cycle`` is the architectural cycle at which the detector fired
     (exact even when the skip scheduler jumped into it); ``fast_path``
-    records whether idle-cycle skipping was active.
+    records whether it fired inside a skipped idle span rather than at
+    a live snapshot.
     """
 
     cycle: int = -1
@@ -430,10 +432,10 @@ class Simulator:
         engine = self.engine
         backend = self.backend
         frontend = self.frontend
+        where = "inside a skipped idle span" if fast_path else "at a live snapshot"
         error = DeadlockError(
             f"no progress since cycle {last_progress_at} "
-            f"(detected at cycle {now}, "
-            f"{'idle-skip' if fast_path else 'reference'} engine; "
+            f"(detected at cycle {now}, {where}; "
             f"{backend.instructions} instructions issued; "
             f"stalls={backend.stalls}; LAQ={len(engine.laq)} "
             f"LDQ={len(engine.ldq)} SAQ={len(engine.saq)} "
@@ -447,10 +449,10 @@ class Simulator:
 
     def _timeout(self, now: int, fast_path: bool) -> SimulationTimeout:
         backend = self.backend
+        where = "inside a skipped idle span" if fast_path else "on a live cycle"
         error = SimulationTimeout(
             f"no completion after {self.config.max_cycles} cycles "
-            f"(at cycle {now}, "
-            f"{'idle-skip' if fast_path else 'reference'} engine; "
+            f"(at cycle {now}, {where}; "
             f"{backend.instructions} instructions issued; "
             f"halted={backend.halted})"
         )

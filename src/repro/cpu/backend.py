@@ -65,25 +65,6 @@ class _PendingBranch:
     notified: bool = False
 
 
-class _BackendEnv:
-    """Execution environment wiring the executor to the data engine."""
-
-    def __init__(self, engine: DataQueueEngine):
-        self._engine = engine
-
-    def pop_ldq(self) -> int:
-        return self._engine.pop_ldq()
-
-    def push_sdq(self, value: int) -> None:
-        self._engine.push_sdq(value)
-
-    def push_laq(self, address: int) -> None:
-        self._engine.push_laq(address)
-
-    def push_saq(self, address: int) -> None:
-        self._engine.push_saq(address)
-
-
 class Backend:
     """Single-issue, in-order instruction issue with PBR handling."""
 
@@ -112,7 +93,8 @@ class Backend:
         self.last_stall_reason: str | None = None
         self.stalls: dict[str, int] = {reason: 0 for reason in StallReason.ALL}
         self._pending: _PendingBranch | None = None
-        self._env = _BackendEnv(engine)
+        #: the data engine implements the executor's ``ExecutionEnv``
+        self._env = engine
         #: replay recording: when a list, every issue appends
         #: ``("i", pc, instruction, outcome)``
         self.issue_log: list | None = None
@@ -229,12 +211,14 @@ class Backend:
         Must mirror :meth:`step` (and the ``_handle_branch_bookkeeping``
         /``_stall`` helpers it calls) statement for statement: same
         counter updates, same trace events, same ordering.  The only
-        licensed deviations are pure-code motion: ``queue_effects`` and
-        the instruction's shared dispatch handler (which stands in
-        for ``execute``) are memoized per instruction object (both are
-        pure functions of the instruction) and computed before the
-        branch-overlap check, and queue-full checks fold the capacity
-        literals from the spec.
+        licensed deviations are pure-code motion: the instruction's
+        issue entry (:func:`repro.cpu.dispatch.issue_entry`: the
+        ``queue_effects`` flags, ``op.is_branch`` and the shared
+        dispatch handler that stands in for ``execute``, all pure
+        functions of the instruction value) is built once per process,
+        looked up once per run and instruction object, and read before
+        the branch-overlap check; and queue-full checks fold the
+        capacity literals from the spec.
         The differential matrix pins byte-identical behavior.
         """
         spec = ctx.spec
@@ -254,7 +238,7 @@ class Backend:
             "laq_items",
             "saq_items",
             "sdq_items",
-            "dispatch_get",
+            "entry_for",
         )
 
         def stall(reason: str) -> None:
@@ -301,13 +285,9 @@ class Backend:
                     ctx.line("pc, instruction, size = fetched")
                     ctx.line("entry = effects_memo.get(id(instruction))")
                     with ctx.block("if entry is None:"):
-                        ctx.line("_fx = queue_effects(instruction)")
-                        ctx.line(
-                            "entry = (instruction, _fx.pops_ldq, "
-                            "_fx.pushes_laq, _fx.pushes_saq, "
-                            "_fx.pushes_sdq, instruction.op.is_branch, "
-                            "dispatch_get(instruction))"
-                        )
+                        # keyed by ``id``, so the entry keeps the
+                        # instruction alive for the run
+                        ctx.line("entry = (instruction,) + entry_for(instruction)")
                         ctx.line("effects_memo[id(instruction)] = entry")
                     with ctx.block("if entry[5] and pending is not None:"):
                         stall(StallReason.BRANCH_OVERLAP)

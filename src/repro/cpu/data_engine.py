@@ -316,12 +316,15 @@ class DataQueueEngine:
     def emit_compiled_poll(cls, ctx) -> None:
         """Lower :meth:`poll_requests` into the acceptance phase.
 
-        Binds ``e_reqs``: the LAQ head, when the LDQ credit (folded
-        capacity literal) allows it, or the SAQ/SDQ pair, whichever is
-        older by ``seq``; ``()`` when neither is ready.  A request object
-        is built only for an actual candidate, and only
-        ``_offered_is_store`` (read by :meth:`notify_accepted`) is
-        written, exactly as the reference writes it.
+        Binds ``e_head``: the LAQ head, when the LDQ credit (folded
+        capacity literal) allows it, or the SAQ head when the SAQ/SDQ
+        pair is ready and older by ``seq``; ``None`` when neither is
+        ready.  ``e_store`` (and ``_offered_is_store``, read by
+        :meth:`notify_accepted`, written exactly as the reference writes
+        it) says which.  No request object is built here: the
+        acceptance phase builds one with :meth:`emit_compiled_request`
+        only when memory accepts it or ``TimedFpu.can_accept`` must
+        inspect it.
         """
         spec = ctx.spec
         ctx.need("engine", "laq_items", "ldq_items", "saq_items", "sdq_items")
@@ -331,28 +334,29 @@ class DataQueueEngine:
                 " and len(engine._in_flight_loads) + len(ldq_items) "
                 f"< {spec.ldq_capacity}"
             )
-        ctx.line(f"e_load = laq_items[0] if {credit} else None")
+        ctx.line(f"e_head = laq_items[0] if {credit} else None")
         with ctx.block(
             "if saq_items and sdq_items "
-            "and (e_load is None or e_load.seq > saq_items[0].seq):"
+            "and (e_head is None or e_head.seq > saq_items[0].seq):"
         ):
             ctx.line("e_head = saq_items[0]")
-            ctx.line(
-                "e_reqs = (MemoryRequest(kind=K_STORE, "
-                f"address=e_head.address, size={WORD_BYTES}, "
-                "seq=e_head.seq, demand=True, "
-                "store_value=sdq_items[0].value),)"
-            )
+            ctx.line("e_store = True")
             ctx.line("engine._offered_is_store = True")
-        with ctx.block("elif e_load is not None:"):
-            ctx.line(
-                "e_reqs = (MemoryRequest(kind=K_LOAD, "
-                f"address=e_load.address, size={WORD_BYTES}, "
-                "seq=e_load.seq, demand=True),)"
-            )
+        with ctx.block("elif e_head is not None:"):
+            ctx.line("e_store = False")
             ctx.line("engine._offered_is_store = False")
-        with ctx.block("else:"):
-            ctx.line("e_reqs = ()")
+
+    @classmethod
+    def emit_compiled_request(cls, ctx) -> None:
+        """Bind ``request`` to the :class:`MemoryRequest` that
+        :meth:`poll_requests` builds for the offered ``e_head``, with
+        the same fields (a load carries no ``store_value``)."""
+        ctx.line(
+            "request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, "
+            f"address=e_head.address, size={WORD_BYTES}, seq=e_head.seq, "
+            "demand=True, "
+            "store_value=sdq_items[0].value if e_store else None)"
+        )
 
     def notify_accepted(self, request: MemoryRequest, now: int) -> None:
         if self._offered_is_store:

@@ -13,12 +13,14 @@ and burned into a tiny ``exec``-compiled handler::
         f[3] = (f[1] + f[2]) & 4294967295
         return OUT_PLAIN
 
-:func:`handler_for` compiles one handler per distinct instruction
-value on first use and keeps it in one process-wide memo.  A handler
+:func:`issue_entry` builds, on first use of each distinct instruction
+value, its *issue entry*: the four queue flags of
+:func:`~repro.cpu.executor.queue_effects`, the branch flag, and the
+compiled handler.  One process-wide memo keeps the entries.  An entry
 depends on the instruction value alone, never on the program or the
 machine configuration, so every compiled kernel binds
-:func:`handler_for` itself as its ``dispatch_get`` and two programs
-that share an instruction share its handler.
+:func:`issue_entry` itself, and two programs that share an instruction
+share its entry.  :func:`handler_for` answers the handler alone.
 
 The same handlers also serve the compiled engine's replay shadow pass:
 when a loop engages, :class:`~repro.core.replay.ReplayController`
@@ -48,13 +50,14 @@ from ..isa.instruction import Instruction
 from ..isa.opcodes import OpClass, Opcode
 from ..isa.registers import QUEUE_REGISTER
 from .alu import to_signed
-from .executor import ExecutionOutcome
+from .executor import ExecutionOutcome, queue_effects
 
 __all__ = [
     "clear_dispatch_cache",
     "dispatch_codegen_stats",
     "generate_handler_source",
     "handler_for",
+    "issue_entry",
 ]
 
 _MASK = "4294967295"  #: 32-bit wrap mask, folded into handler source
@@ -244,10 +247,10 @@ def generate_handler_source(instruction: Instruction) -> str:
 _HANDLER_COMPILES = 0
 _CODEGEN_SECONDS = 0.0
 
-#: Process-wide handler memo, keyed by instruction value (the module
+#: Process-wide issue-entry memo, keyed by instruction value (the module
 #: docstring's byte-identity contract mentions neither the program nor
 #: the config).
-_HANDLERS: dict[Instruction, object] = {}
+_ENTRIES: dict[Instruction, tuple] = {}
 
 
 def _handler_namespace() -> dict:
@@ -268,42 +271,59 @@ def _compile_handler(instruction: Instruction):
     exec(code, namespace)  # noqa: S102 — the source is our own codegen
     _HANDLER_COMPILES += 1
     _CODEGEN_SECONDS += time.perf_counter() - started
-    handler = namespace["__handler"]
-    _HANDLERS[instruction] = handler
-    return handler
+    return namespace["__handler"]
+
+
+def issue_entry(instruction: Instruction) -> tuple:
+    """The process-wide issue entry for ``instruction`` (built on first use).
+
+    ``(pops_ldq, pushes_laq, pushes_saq, pushes_sdq, is_branch,
+    handler)``: what issue needs to know about one instruction value,
+    computed once per process.  Compiled kernels call it on the first
+    issue of each instruction in a run (their per-run ``effects_memo``
+    answers the rest).
+    """
+    entry = _ENTRIES.get(instruction)
+    if entry is None:
+        effects = queue_effects(instruction)
+        entry = (
+            effects.pops_ldq,
+            effects.pushes_laq,
+            effects.pushes_saq,
+            effects.pushes_sdq,
+            instruction.op.is_branch,
+            _compile_handler(instruction),
+        )
+        _ENTRIES[instruction] = entry
+    return entry
 
 
 def handler_for(instruction: Instruction):
     """The process-wide handler for ``instruction`` (compiling on first use).
 
-    Compiled kernels call it on the first issue of each instruction in
-    a run (their per-run ``effects_memo`` answers the rest).  Replay's
-    shadow pass binds recorded instructions through it too: the kernel
-    has already issued every recorded instruction, so that lookup
-    compiles nothing and moves no :func:`dispatch_codegen_stats`
+    Replay's shadow pass binds recorded instructions through it: the
+    kernel has already issued every recorded instruction, so that
+    lookup compiles nothing and moves no :func:`dispatch_codegen_stats`
     counter.
     """
-    handler = _HANDLERS.get(instruction)
-    if handler is None:
-        handler = _compile_handler(instruction)
-    return handler
+    return issue_entry(instruction)[5]
 
 
 def dispatch_codegen_stats() -> dict:
     """The memo's size and cumulative compile accounting (merged by
     ``repro.core.compiled.compile_stats``)."""
     return {
-        "handlers": len(_HANDLERS),
+        "handlers": len(_ENTRIES),
         "handler_compiles": _HANDLER_COMPILES,
         "codegen_seconds": _CODEGEN_SECONDS,
     }
 
 
 def clear_dispatch_cache() -> None:
-    """Drop the handler memo.
+    """Drop the issue-entry memo.
 
     Counters stay cumulative (tests assert on deltas); the compiled
     engine's ``clear_compile_cache`` calls this so both codegen caches
     clear together.
     """
-    _HANDLERS.clear()
+    _ENTRIES.clear()

@@ -81,10 +81,11 @@ class FetchUnit(abc.ABC):
 
         All three shipped frontends share this poll machine verbatim:
         withdraw the outstanding request after HALT, otherwise offer it.
-        The kernel only reaches this code when an unaccepted request is
-        outstanding (``_request is not None and not _request_accepted``);
-        otherwise ``poll_requests`` returns ``[]`` with no side effects,
-        and the kernel skips it.
+        Binds ``f_req``, the offered request or ``None``.  The kernel
+        only reaches this code when an unaccepted request is outstanding
+        (``_request is not None and not _request_accepted``); otherwise
+        ``poll_requests`` returns ``[]`` with no side effects, and the
+        kernel skips it.
         """
         with ctx.block("if frontend._halted:"):
             if ctx.spec.traced:
@@ -93,9 +94,9 @@ class FetchUnit(abc.ABC):
                     "seq=frontend._request.seq, reason=\"halt\")"
                 )
             ctx.line("frontend._request = None")
-            ctx.line("f_reqs = ()")
+            ctx.line("f_req = None")
         with ctx.block("else:"):
-            ctx.line("f_reqs = (frontend._request,)")
+            ctx.line("f_req = frontend._request")
 
     def _install_decoder(
         self,

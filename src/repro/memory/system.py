@@ -30,7 +30,7 @@ from typing import Protocol
 from ..core.scheduler import ProgressClock
 from ..core.trace import NULL_TRACER, Tracer
 from .external import ExternalMemory
-from .fpu import FPU_BASE, FpuLatencies, is_fpu_address
+from .fpu import FPU_BASE, FPU_SIZE, FpuLatencies, is_fpu_address
 from .fpu import TRIGGER_OPERATIONS as _FPUTRIGGER_OPERATIONS
 from .fpu_timing import TimedFpu
 from .requests import (
@@ -332,36 +332,6 @@ class MemorySystem:
         ctx.line("clock.ticks += 1")
 
     @classmethod
-    def _emit_acceptance_bookkeeping(cls, ctx) -> None:
-        """Post-acceptance counters + trace event, shared by both the
-        single-candidate fast path and the conflict loop.  ``fpu_hit``
-        holds ``is_fpu_address(request.address)`` (computed once)."""
-        traced = ctx.spec.traced
-        ctx.line("notify(request, now)")
-        ctx.line("mem_stats.output_bus_busy_cycles += 1")
-        ctx.line("kind = request.kind")
-        with ctx.block("if fpu_hit:"):
-            with ctx.block("if kind is K_STORE:"):
-                ctx.line("mem_stats.fpu_stores_accepted += 1")
-            with ctx.block("else:"):
-                ctx.line("mem_stats.fpu_loads_accepted += 1")
-        with ctx.block("else:"):
-            with ctx.block("if kind is K_LOAD:"):
-                ctx.line("mem_stats.loads_accepted += 1")
-            with ctx.block("elif kind is K_STORE:"):
-                ctx.line("mem_stats.stores_accepted += 1")
-            with ctx.block("elif request.demand:"):
-                ctx.line("mem_stats.ifetch_demand_accepted += 1")
-            with ctx.block("else:"):
-                ctx.line("mem_stats.ifetch_prefetch_accepted += 1")
-        if traced:
-            ctx.line(
-                'tracer_emit("mem", "accept", kind=kind.value, '
-                "addr=request.address, bytes=request.size, "
-                "demand=request.demand, fpu=fpu_hit, seq=request.seq)"
-            )
-
-    @classmethod
     def emit_compiled_end_cycle(cls, ctx) -> None:
         """Lower :meth:`end_cycle` with both sources inlined.
 
@@ -369,17 +339,20 @@ class MemorySystem:
         offers nothing and has no side effects (see the comment below);
         the engine's poll (``DataQueueEngine.emit_compiled_poll``) runs
         inline every cycle.  Each source is polled at most once per
-        cycle, exactly like the reference.  The single-candidate case
-        skips the sort and the conflict bookkeeping; the multi-candidate
-        path mirrors the reference's stable sort (candidates are
-        assembled in source registration order: frontend, then engine).
-        ``external`` acceptance folds the ``pipelined`` literal from the
-        spec.  Acceptance itself (``external.accept``,
-        ``fpu.can_accept``, ``fpu.accept``, the sources'
-        ``notify_accepted``) stays a bound call.
+        cycle, exactly like the reference, and offers at most one
+        request: ``f_req`` (or ``None``) and the engine's ``e_head``.
+        With both present the conflict is counted, then they are tried
+        in the order :func:`acceptance_order` gives them, folded from
+        the spec (see the comment below).  Each try mirrors
+        :meth:`_try_accept` and :meth:`_count_acceptance` for its
+        source, with the FPU window and the ``pipelined`` flag folded to
+        literals.  The data request object is built only when the
+        external memory accepts it or ``fpu.can_accept`` must read it.
+        Acceptance itself (``external.accept``, ``fpu.can_accept``,
+        ``fpu.accept``, the sources' ``notify_accepted``) stays a bound
+        call.
         """
         spec = ctx.spec
-        traced = spec.traced
         ctx.need(
             "memory",
             "mem_stats",
@@ -398,60 +371,103 @@ class MemorySystem:
         ):
             ctx.frontend_cls.emit_compiled_poll(ctx)
         with ctx.block("else:"):
-            ctx.line("f_reqs = ()")
+            ctx.line("f_req = None")
         ctx.engine_cls.emit_compiled_poll(ctx)
         if spec.memory_pipelined:
             busy = "external._accepted_this_cycle"
         else:
             busy = "external._accepted_this_cycle or external.in_flight"
-        with ctx.block("if f_reqs or e_reqs:"):
-            ctx.line("n = len(f_reqs) + len(e_reqs)")
-            with ctx.block("if n == 1:"):
-                with ctx.block("if f_reqs:"):
-                    ctx.line("request = f_reqs[0]")
-                    ctx.line("notify = frontend_notify")
-                with ctx.block("else:"):
-                    ctx.line("request = e_reqs[0]")
-                    ctx.line("notify = engine_notify")
-                ctx.line("fpu_hit = _is_fpu(request.address)")
-                ctx.line("accepted = False")
-                with ctx.block("if fpu_hit:"):
-                    with ctx.block("if fpu_can_accept(request, now):"):
-                        ctx.line("fpu_accept(request, now)")
-                        ctx.line("accepted = True")
-                with ctx.block(f"elif not ({busy}):"):
-                    ctx.line("external_accept(request, now)")
-                    ctx.line("accepted = True")
-                with ctx.block("if accepted:"):
-                    cls._emit_acceptance_bookkeeping(ctx)
-            with ctx.block("else:"):
+
+        # Every shipped frontend offers only ``IFETCH`` requests and the
+        # engine only ``LOAD``/``STORE`` (``_shipped`` guarantees the
+        # classes), so ``acceptance_order`` ranks the two by class
+        # alone: the fetch first under instruction-first priority, the
+        # data request first under data-first.
+        with ctx.block("if f_req is not None:"):
+            with ctx.block("if e_head is not None:"):
                 ctx.line("mem_stats.acceptance_conflicts += 1")
-                ctx.line("memory.last_conflict_candidates = n")
-                if traced:
-                    ctx.line('tracer_emit("mem", "conflict", candidates=n)')
+                ctx.line("memory.last_conflict_candidates = 2")
+                if spec.traced:
+                    ctx.line('tracer_emit("mem", "conflict", candidates=2)')
+                if spec.instruction_first:
+                    cls._emit_fetch_attempt(ctx, busy, data_after=True)
+                else:
+                    cls._emit_data_attempt(ctx, busy, fetch_after=True)
+            with ctx.block("else:"):
+                cls._emit_fetch_attempt(ctx, busy)
+        with ctx.block("elif e_head is not None:"):
+            cls._emit_data_attempt(ctx, busy)
+
+    @classmethod
+    def _emit_fetch_attempt(cls, ctx, busy: str, data_after: bool = False) -> None:
+        """Try the frontend's ``f_req``, an instruction fetch, then (with
+        ``data_after``) the engine's request if the fetch is refused.
+
+        ``TimedFpu.can_accept`` refuses every fetch, so a fetch into the
+        FPU window is refused without asking it; any other goes to the
+        external memory when it is free.
+        """
+        window = f"{FPU_BASE} <= f_req.address < {FPU_BASE + FPU_SIZE}"
+        with ctx.block(f"if not ({window} or {busy}):"):
+            ctx.line("external_accept(f_req, now)")
+            ctx.line("frontend_notify(f_req, now)")
+            ctx.line("mem_stats.output_bus_busy_cycles += 1")
+            with ctx.block("if f_req.demand:"):
+                ctx.line("mem_stats.ifetch_demand_accepted += 1")
+            with ctx.block("else:"):
+                ctx.line("mem_stats.ifetch_prefetch_accepted += 1")
+            if ctx.spec.traced:
                 ctx.line(
-                    "cands = [(request, frontend_notify) for request in f_reqs]"
+                    'tracer_emit("mem", "accept", kind="ifetch", '
+                    "addr=f_req.address, bytes=f_req.size, "
+                    "demand=f_req.demand, fpu=False, seq=f_req.seq)"
                 )
-                with ctx.block("for request in e_reqs:"):
-                    ctx.line("cands.append((request, engine_notify))")
-                ctx.line(
-                    "cands.sort(key=lambda item: "
-                    "_acc_order(item[0], _PRIORITY))"
-                )
-                with ctx.block("for request, notify in cands:"):
-                    ctx.line("fpu_hit = _is_fpu(request.address)")
-                    with ctx.block("if fpu_hit:"):
-                        with ctx.block(
-                            "if not fpu_can_accept(request, now):"
-                        ):
-                            ctx.line("continue")
-                        ctx.line("fpu_accept(request, now)")
-                    with ctx.block(f"elif {busy}:"):
-                        ctx.line("continue")
-                    with ctx.block("else:"):
-                        ctx.line("external_accept(request, now)")
-                    cls._emit_acceptance_bookkeeping(ctx)
-                    ctx.line("break")
+        if data_after:
+            with ctx.block("else:"):
+                cls._emit_data_attempt(ctx, busy)
+
+    @classmethod
+    def _emit_data_attempt(cls, ctx, busy: str, fetch_after: bool = False) -> None:
+        """Try the engine's offered ``e_head``, a load or a store, then
+        (with ``fetch_after``) the fetch if the FPU refuses it.
+
+        In the FPU window the request is built first, because
+        ``fpu.can_accept`` reads it; outside it, only once the external
+        memory is known to be free.  A data request refused because
+        that memory is busy needs no fetch attempt after it: a fetch
+        goes only to the same memory, so it would be refused too.
+        """
+        window = f"{FPU_BASE} <= e_head.address < {FPU_BASE + FPU_SIZE}"
+        with ctx.block(f"if {window}:"):
+            ctx.engine_cls.emit_compiled_request(ctx)
+            with ctx.block("if fpu_can_accept(request, now):"):
+                ctx.line("fpu_accept(request, now)")
+                cls._emit_data_books(ctx, fpu=True)
+            if fetch_after:
+                with ctx.block("else:"):
+                    cls._emit_fetch_attempt(ctx, busy)
+        with ctx.block(f"elif not ({busy}):"):
+            ctx.engine_cls.emit_compiled_request(ctx)
+            ctx.line("external_accept(request, now)")
+            cls._emit_data_books(ctx, fpu=False)
+
+    @classmethod
+    def _emit_data_books(cls, ctx, fpu: bool) -> None:
+        """The engine's notification, the counters and the traced
+        ``mem accept`` event after its ``request`` was accepted."""
+        prefix = "fpu_" if fpu else ""
+        ctx.line("engine_notify(request, now)")
+        ctx.line("mem_stats.output_bus_busy_cycles += 1")
+        with ctx.block("if e_store:"):
+            ctx.line(f"mem_stats.{prefix}stores_accepted += 1")
+        with ctx.block("else:"):
+            ctx.line(f"mem_stats.{prefix}loads_accepted += 1")
+        if ctx.spec.traced:
+            ctx.line(
+                'tracer_emit("mem", "accept", kind=request.kind.value, '
+                "addr=request.address, bytes=request.size, "
+                f"demand=request.demand, fpu={fpu}, seq=request.seq)"
+            )
 
     # ------------------------------------------------------------------
     def state_signature(self, now: int, base_seq: int) -> tuple:

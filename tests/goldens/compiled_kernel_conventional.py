@@ -39,7 +39,7 @@ def __kernel(sim):
     res_memo = {}
     frontend_maybe_promote = sim.frontend._maybe_promote
     frontend_maybe_request = sim.frontend._maybe_request
-    dispatch_get = handler_for
+    entry_for = issue_entry
     last_ticks = clock.ticks
     last_progress_at = 0
     while True:
@@ -154,8 +154,7 @@ def __kernel(sim):
                     pc, instruction, size = fetched
                     entry = effects_memo.get(id(instruction))
                     if entry is None:
-                        _fx = queue_effects(instruction)
-                        entry = (instruction, _fx.pops_ldq, _fx.pushes_laq, _fx.pushes_saq, _fx.pushes_sdq, instruction.op.is_branch, dispatch_get(instruction))
+                        entry = (instruction,) + entry_for(instruction)
                         effects_memo[id(instruction)] = entry
                     if entry[5] and pending is not None:
                         backend_stalls['branch_overlap'] += 1
@@ -209,92 +208,80 @@ def __kernel(sim):
         if frontend._request is not None and not frontend._request_accepted:
             if frontend._halted:
                 frontend._request = None
-                f_reqs = ()
+                f_req = None
             else:
-                f_reqs = (frontend._request,)
+                f_req = frontend._request
         else:
-            f_reqs = ()
-        e_load = laq_items[0] if laq_items and len(engine._in_flight_loads) + len(ldq_items) < 8 else None
-        if saq_items and sdq_items and (e_load is None or e_load.seq > saq_items[0].seq):
+            f_req = None
+        e_head = laq_items[0] if laq_items and len(engine._in_flight_loads) + len(ldq_items) < 8 else None
+        if saq_items and sdq_items and (e_head is None or e_head.seq > saq_items[0].seq):
             e_head = saq_items[0]
-            e_reqs = (MemoryRequest(kind=K_STORE, address=e_head.address, size=4, seq=e_head.seq, demand=True, store_value=sdq_items[0].value),)
+            e_store = True
             engine._offered_is_store = True
-        elif e_load is not None:
-            e_reqs = (MemoryRequest(kind=K_LOAD, address=e_load.address, size=4, seq=e_load.seq, demand=True),)
+        elif e_head is not None:
+            e_store = False
             engine._offered_is_store = False
-        else:
-            e_reqs = ()
-        if f_reqs or e_reqs:
-            n = len(f_reqs) + len(e_reqs)
-            if n == 1:
-                if f_reqs:
-                    request = f_reqs[0]
-                    notify = frontend_notify
-                else:
-                    request = e_reqs[0]
-                    notify = engine_notify
-                fpu_hit = _is_fpu(request.address)
-                accepted = False
-                if fpu_hit:
+        if f_req is not None:
+            if e_head is not None:
+                mem_stats.acceptance_conflicts += 1
+                memory.last_conflict_candidates = 2
+                if 61440 <= e_head.address < 61504:
+                    request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True, store_value=sdq_items[0].value if e_store else None)
                     if fpu_can_accept(request, now):
                         fpu_accept(request, now)
-                        accepted = True
+                        engine_notify(request, now)
+                        mem_stats.output_bus_busy_cycles += 1
+                        if e_store:
+                            mem_stats.fpu_stores_accepted += 1
+                        else:
+                            mem_stats.fpu_loads_accepted += 1
+                    else:
+                        if not (61440 <= f_req.address < 61504 or external._accepted_this_cycle or external.in_flight):
+                            external_accept(f_req, now)
+                            frontend_notify(f_req, now)
+                            mem_stats.output_bus_busy_cycles += 1
+                            if f_req.demand:
+                                mem_stats.ifetch_demand_accepted += 1
+                            else:
+                                mem_stats.ifetch_prefetch_accepted += 1
                 elif not (external._accepted_this_cycle or external.in_flight):
+                    request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True, store_value=sdq_items[0].value if e_store else None)
                     external_accept(request, now)
-                    accepted = True
-                if accepted:
-                    notify(request, now)
+                    engine_notify(request, now)
                     mem_stats.output_bus_busy_cycles += 1
-                    kind = request.kind
-                    if fpu_hit:
-                        if kind is K_STORE:
-                            mem_stats.fpu_stores_accepted += 1
-                        else:
-                            mem_stats.fpu_loads_accepted += 1
+                    if e_store:
+                        mem_stats.stores_accepted += 1
                     else:
-                        if kind is K_LOAD:
-                            mem_stats.loads_accepted += 1
-                        elif kind is K_STORE:
-                            mem_stats.stores_accepted += 1
-                        elif request.demand:
-                            mem_stats.ifetch_demand_accepted += 1
-                        else:
-                            mem_stats.ifetch_prefetch_accepted += 1
+                        mem_stats.loads_accepted += 1
             else:
-                mem_stats.acceptance_conflicts += 1
-                memory.last_conflict_candidates = n
-                cands = [(request, frontend_notify) for request in f_reqs]
-                for request in e_reqs:
-                    cands.append((request, engine_notify))
-                cands.sort(key=lambda item: _acc_order(item[0], _PRIORITY))
-                for request, notify in cands:
-                    fpu_hit = _is_fpu(request.address)
-                    if fpu_hit:
-                        if not fpu_can_accept(request, now):
-                            continue
-                        fpu_accept(request, now)
-                    elif external._accepted_this_cycle or external.in_flight:
-                        continue
-                    else:
-                        external_accept(request, now)
-                    notify(request, now)
+                if not (61440 <= f_req.address < 61504 or external._accepted_this_cycle or external.in_flight):
+                    external_accept(f_req, now)
+                    frontend_notify(f_req, now)
                     mem_stats.output_bus_busy_cycles += 1
-                    kind = request.kind
-                    if fpu_hit:
-                        if kind is K_STORE:
-                            mem_stats.fpu_stores_accepted += 1
-                        else:
-                            mem_stats.fpu_loads_accepted += 1
+                    if f_req.demand:
+                        mem_stats.ifetch_demand_accepted += 1
                     else:
-                        if kind is K_LOAD:
-                            mem_stats.loads_accepted += 1
-                        elif kind is K_STORE:
-                            mem_stats.stores_accepted += 1
-                        elif request.demand:
-                            mem_stats.ifetch_demand_accepted += 1
-                        else:
-                            mem_stats.ifetch_prefetch_accepted += 1
-                    break
+                        mem_stats.ifetch_prefetch_accepted += 1
+        elif e_head is not None:
+            if 61440 <= e_head.address < 61504:
+                request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True, store_value=sdq_items[0].value if e_store else None)
+                if fpu_can_accept(request, now):
+                    fpu_accept(request, now)
+                    engine_notify(request, now)
+                    mem_stats.output_bus_busy_cycles += 1
+                    if e_store:
+                        mem_stats.fpu_stores_accepted += 1
+                    else:
+                        mem_stats.fpu_loads_accepted += 1
+            elif not (external._accepted_this_cycle or external.in_flight):
+                request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True, store_value=sdq_items[0].value if e_store else None)
+                external_accept(request, now)
+                engine_notify(request, now)
+                mem_stats.output_bus_busy_cycles += 1
+                if e_store:
+                    mem_stats.stores_accepted += 1
+                else:
+                    mem_stats.loads_accepted += 1
         now += 1
         if backend.halted and not laq_items and not saq_items and not sdq_items and not engine._in_flight_loads and not external.in_flight and not fpu._ops_pending and not fpu._results_ready and not fpu._result_loads:
             break

@@ -31,7 +31,8 @@ from repro.core.fuzz import FUZZ_CONFIGS
 from repro.core.scheduler import ENGINES
 from repro.core.simulator import Simulator, simulate, simulate_traced
 from repro.core.trace import JsonLinesSink, MetricsSink, Tracer
-from repro.cpu.dispatch import handler_for
+from repro.cpu import dispatch
+from repro.cpu.dispatch import handler_for, issue_entry
 from repro.kernels.suite import build_livermore_program
 from tests.test_trace_crosscheck import CONFIGS
 
@@ -194,6 +195,31 @@ class TestCacheContract:
         )
         assert after["dispatch_handlers"] == before["dispatch_handlers"] + 1
 
+    def test_issue_entries_are_built_once_per_process(self, monkeypatch):
+        """A rerun, and a second program sharing instruction values,
+        build no entry for those values again: ``queue_effects`` runs
+        once per value per process, and the entry object is reused."""
+        built = []
+        effects = dispatch.queue_effects
+        monkeypatch.setattr(
+            dispatch,
+            "queue_effects",
+            lambda instruction: built.append(instruction) or effects(instruction),
+        )
+        first = assemble("li r1, 5\naddi r2, r1, 3\nhalt")
+        second = assemble("li r1, 5\naddi r2, r1, 3\nsubi r3, r2, 1\nhalt")
+        shared = [instruction for _pc, instruction in first.layout]
+        simulate(_pipe(), first, compiled=True)
+        assert len(built) == len(shared) and set(built) == set(shared)
+        entries = [issue_entry(instruction) for instruction in shared]
+        built.clear()
+        simulate(_pipe(), first, compiled=True)
+        assert built == []
+        simulate(_pipe(), second, compiled=True)
+        assert built == [second.instruction_at(8)]
+        for instruction, entry in zip(shared, entries):
+            assert issue_entry(instruction) is entry
+
     def test_clear_empties_both_caches(self, tiny_program):
         baseline = simulate(_pipe(), tiny_program, compiled=True)
         clear_compile_cache()
@@ -211,6 +237,29 @@ class TestCacheContract:
             before["dispatch_handler_compiles"] + after["dispatch_handlers"]
         )
 
+    def test_clear_rebuilds_issue_entries(self, tiny_program, monkeypatch):
+        """After ``clear_compile_cache`` the next run rebuilds every
+        entry it issues, with the same flags, and matches the run
+        before the clear."""
+        baseline = simulate(_pipe(), tiny_program, compiled=True)
+        issued = [i for _pc, i in tiny_program.layout if i in dispatch._ENTRIES]
+        old = {instruction: issue_entry(instruction) for instruction in issued}
+        clear_compile_cache()
+        assert dispatch._ENTRIES == {}
+        built = []
+        effects = dispatch.queue_effects
+        monkeypatch.setattr(
+            dispatch,
+            "queue_effects",
+            lambda instruction: built.append(instruction) or effects(instruction),
+        )
+        assert simulate(_pipe(), tiny_program, compiled=True) == baseline
+        assert set(built) == set(old) and len(built) == len(old)
+        for instruction, entry in old.items():
+            rebuilt = issue_entry(instruction)
+            assert rebuilt is not entry
+            assert rebuilt[:5] == entry[:5]
+
 
 class TestFrontendInlining:
     def test_headline_spec_inlines_frontend_and_dispatch(self, tiny_program):
@@ -220,8 +269,8 @@ class TestFrontendInlining:
         # the frontend phases are open-coded, not bound-method calls...
         assert "frontend_update(" not in source
         assert "frontend_post_issue(" not in source
-        # ...and execution goes through the shared handler memo
-        assert "dispatch_get(instruction)" in source
+        # ...and execution goes through the shared issue-entry memo
+        assert "entry_for(instruction)" in source
 
     def test_conventional_and_tib_specs_inline_their_frontends(
         self, tiny_program

@@ -6,15 +6,18 @@ state, with r7 (the queue register) as rs1, as rs2, as both and as rd,
 plus plain registers.  The two runs must leave the
 same registers, branch registers and active bank, make the same queue
 operations in the same order, and return equal
-:class:`~repro.cpu.executor.ExecutionOutcome` values.
+:class:`~repro.cpu.executor.ExecutionOutcome` values.  Each
+instruction's issue entry must also carry ``queue_effects``'s four
+queue flags and ``op.is_branch``, in the order the compiled kernels
+read them, beside its handler.
 """
 
 import copy
 
 import pytest
 
-from repro.cpu.dispatch import handler_for
-from repro.cpu.executor import execute
+from repro.cpu.dispatch import handler_for, issue_entry
+from repro.cpu.executor import execute, queue_effects
 from repro.cpu.state import ArchState
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass, Opcode
@@ -126,6 +129,15 @@ def _run(step, state: ArchState, ldq_head: int):
 def test_handler_matches_executor(op):
     for instruction in _shapes(op):
         handler = handler_for(instruction)
+        effects = queue_effects(instruction)
+        assert issue_entry(instruction) == (
+            effects.pops_ldq,
+            effects.pushes_laq,
+            effects.pushes_saq,
+            effects.pushes_sdq,
+            op.is_branch,
+            handler,
+        ), instruction.disassemble()
         for scenario, (registers, ldq_head) in SCENARIOS.items():
             state = _state(registers)
             specialized = _run(handler, copy.deepcopy(state), ldq_head)

@@ -35,6 +35,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import simulator as simulator_module
+from repro.core.compiled import kernel_for
 from repro.core.config import MachineConfig
 from repro.core.scheduler import (
     ENGINES,
@@ -50,6 +51,8 @@ from repro.core.simulator import (
     simulate_traced,
 )
 from repro.kernels.suite import build_livermore_program
+from repro.memory.fpu import FPU_TRIGGER_DIV
+from repro.memory.fpu_timing import TimedFpu
 from tests.test_trace_crosscheck import CONFIGS
 
 #: engine kwargs by row name
@@ -166,8 +169,8 @@ def test_replay_actually_engages(single_loop_program):
 
 # ----------------------------------------------------------------------
 # Errors raised mid-skip/mid-replay/in-kernel must report the true
-# architectural cycle and name the engine that was active (satellite:
-# error fidelity).
+# architectural cycle and say where the detector fired: inside a
+# skipped idle span or on a live cycle (never an engine name).
 # ----------------------------------------------------------------------
 def test_timeout_mid_skip_reports_true_cycle(single_loop_program):
     # A huge memory latency makes the run quiescent almost immediately,
@@ -183,11 +186,11 @@ def test_timeout_mid_skip_reports_true_cycle(single_loop_program):
     assert {error.cycle for error in errors.values()} == {50}
     slow = errors["reference"]
     assert slow.fast_path is False
-    assert "reference" in str(slow)
+    assert "on a live cycle" in str(slow)
     for tag in FAST_TAGS:
         # the wall fell inside a skip span on every fast engine
         assert errors[tag].fast_path is True, tag
-        assert "idle-skip" in str(errors[tag]), tag
+        assert "inside a skipped idle span" in str(errors[tag]), tag
         assert "at cycle 50" in str(errors[tag]), tag
 
 
@@ -228,14 +231,14 @@ def test_deadlock_mid_skip_matches_reference_cycle():
     with pytest.raises(DeadlockError) as slow:
         _starved_simulator("reference").run()
     assert slow.value.fast_path is False
-    assert "reference" in str(slow.value)
+    assert "at a live snapshot" in str(slow.value)
     for tag in ("idle-skip", "skip+replay"):
         with pytest.raises(DeadlockError) as fast:
             _starved_simulator(tag).run()
         assert fast.value.cycle == slow.value.cycle, tag
         assert fast.value.fast_path is True, tag
         assert "no progress" in str(fast.value), tag
-        assert "idle-skip" in str(fast.value), tag
+        assert "inside a skipped idle span" in str(fast.value), tag
         # The engines must also agree on when progress last happened.
         assert str(fast.value).split("(")[0] == str(slow.value).split("(")[0]
 
@@ -279,7 +282,7 @@ def test_deadlock_in_compiled_kernel_matches_reference_cycle(monkeypatch):
         assert fast.cycle == slow.cycle, tag
         assert fast.fast_path is True, tag
         assert "no progress" in str(fast), tag
-        assert "idle-skip" in str(fast), tag
+        assert "inside a skipped idle span" in str(fast), tag
         assert str(fast).split("(")[0] == str(slow).split("(")[0], tag
 
 
@@ -481,6 +484,25 @@ LDQ_CREDIT_PROGRAM = (
 )
 
 
+def _assert_rows_agree(name, config, program, tmp_path):
+    """Every fast row matches the reference row, traced and untraced."""
+    runs = {}
+    for tag, kwargs in ENGINES:
+        path = tmp_path / f"{tag.replace('+', '-')}.jsonl"
+        runs[tag] = (simulate_traced(config, program, path, **kwargs), path)
+    ref_result, ref_path = runs["reference"]
+    for tag in FAST_TAGS:
+        result, path = runs[tag]
+        _compare(name, tag, result, ref_result, path, ref_path)
+    for tag in FAST_TAGS:
+        _compare(
+            f"{name} untraced",
+            tag,
+            simulate(config, program, **ROW[tag]),
+            simulate(config, program, **ROW["reference"]),
+        )
+
+
 def test_ldq_credit_holds_back_the_laq_head(tmp_path):
     """Loads in flight plus LDQ entries never exceed the LDQ capacity:
     with room for two, the third queued load waits at the LAQ head
@@ -493,22 +515,92 @@ def test_ldq_credit_holds_back_the_laq_head(tmp_path):
         laq_capacity=4,
         ldq_capacity=2,
     )
-    program = assemble(LDQ_CREDIT_PROGRAM)
-    runs = {}
+    _assert_rows_agree("ldq credit", config, assemble(LDQ_CREDIT_PROGRAM), tmp_path)
+
+
+#: r6 = 0xF000 (the FPU window): operand A once, twelve back-to-back
+#: divide triggers, then the twelve results.
+FPU_REFUSAL_PROGRAM = (
+    "    li r6, 0x7800\n"
+    "    slli r6, r6, 1\n"
+    "    st r6, 0\n"
+    "    pushq r1\n"
+    + "    st r6, 16\n    pushq r1\n" * 12
+    + "    ld r6, 32\n    popq r2\n" * 12
+    + "    halt\n"
+)
+
+#: one machine per frontend, T = 6
+_FRONTEND_MACHINES = {
+    "pipe": lambda: MachineConfig.pipe("16-16", 128, memory_access_time=6),
+    "conventional": lambda: MachineConfig.conventional(128, memory_access_time=6),
+    "tib": lambda: MachineConfig.tib(memory_access_time=6),
+}
+
+
+@pytest.mark.parametrize("machine", ["pipe", "conventional"])
+def test_fpu_refuses_trigger_stores(machine, tmp_path, monkeypatch):
+    """A divide takes 12 cycles and the FPU's op queue holds 8, so
+    ``TimedFpu.can_accept`` refuses trigger stores while the queue is
+    full, and the store waits at the SAQ head.  On PIPE the refusals
+    happen on every row; the conventional machine fetches too slowly to
+    fill the queue, so it checks the data-first order on the same
+    stores."""
+    config = _FRONTEND_MACHINES[machine]()
+    program = assemble(FPU_REFUSAL_PROGRAM)
+    refused = []
+    accepts = TimedFpu.can_accept
+
+    def counting(self, request, now):
+        accepted = accepts(self, request, now)
+        if not accepted:
+            refused.append(request.address)
+        return accepted
+
+    # patched on the class, so the machine still gets a kernel
+    monkeypatch.setattr(TimedFpu, "can_accept", counting)
+    assert kernel_for(Simulator(config, program, **ROW["compiled"])) is not None
+    _assert_rows_agree(f"fpu refusal on {machine}", config, program, tmp_path)
+    if machine == "pipe":
+        for tag, kwargs in ENGINES:
+            refused.clear()
+            simulate(config, program, **kwargs)
+            assert refused and set(refused) == {FPU_TRIGGER_DIV}, tag
+
+
+#: r1 = 0xF000 (the FPU window), then a jump there.
+FPU_FETCH_PROGRAM = (
+    "    li r1, 0x7800\n"
+    "    slli r1, r1, 1\n"
+    "    lbrr b1, r1\n"
+    "    pbra b1, 0\n"
+    "    halt\n"
+)
+
+
+@pytest.mark.parametrize("strategy", sorted(_FRONTEND_MACHINES))
+def test_fetch_into_the_fpu_window_is_never_accepted(strategy):
+    """``TimedFpu.can_accept`` refuses every instruction fetch, so after
+    the jump the frontend starves and every row detects the same
+    deadlock: same cycle, same issue count, and a message that says
+    where it was detected but names no engine."""
+    config = _FRONTEND_MACHINES[strategy]()
+    program = assemble(FPU_FETCH_PROGRAM)
+    errors = {}
     for tag, kwargs in ENGINES:
-        path = tmp_path / f"{tag.replace('+', '-')}.jsonl"
-        runs[tag] = (simulate_traced(config, program, path, **kwargs), path)
-    ref_result, ref_path = runs["reference"]
-    for tag in FAST_TAGS:
-        result, path = runs[tag]
-        _compare("ldq credit", tag, result, ref_result, path, ref_path)
-    for tag in FAST_TAGS:
-        _compare(
-            "ldq credit untraced",
-            tag,
-            simulate(config, program, **ROW[tag]),
-            simulate(config, program, **ROW["reference"]),
-        )
+        with pytest.raises(DeadlockError) as excinfo:
+            simulate(config, program, **kwargs)
+        errors[tag] = excinfo.value
+    assert {error.cycle for error in errors.values()} == {20_480}
+    messages = {tag: str(error) for tag, error in errors.items()}
+    assert {
+        message.split(" instructions issued")[0].rsplit("; ")[-1]
+        for message in messages.values()
+    } == {"4"}
+    for tag, message in messages.items():
+        assert message.startswith("no progress since cycle 256 "), tag
+        for engine, _kwargs in ENGINES:
+            assert engine not in message, (tag, engine)
 
 
 # ----------------------------------------------------------------------
