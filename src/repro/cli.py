@@ -26,14 +26,16 @@ each sweep or list of points resolves through
 over the ``--jobs`` workers.
 
 They also accept the resilience options ``--supervised``,
-``--timeout``, ``--max-retries``, ``--resume``, ``--checkpoint`` and
-``--fault-report``; any of them but ``--max-retries`` turns supervision
-on.  Supervised runs retry failed points, survive worker crashes and
-hangs, checkpoint progress for ``--resume``, and print a fault report
-of every recovery action — with numbers byte-identical to a clean run.
+``--timeout``, ``--max-retries`` and ``--fault-report``; any of them but
+``--max-retries`` turns supervision on.  Supervised runs retry failed
+points, survive worker crashes and hangs, and print a fault report of
+every recovery action — with numbers byte-identical to a clean run.
+Each supervised point is stored to the result cache as it completes, so
+an interrupted run resumes when the same command is run again (with
+``--no-cache`` nothing is stored, and nothing resumes).
 ``--inject-faults SPEC`` (which also implies supervision) arms the
 deterministic fault injectors (see :mod:`repro.core.faults`) to
-rehearse exactly those recoveries.
+rehearse exactly those recoveries; a malformed spec is a usage error.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ from .analysis.tables import (
 from .core import faults
 from .core.config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
 from .core.parallel import resolve_jobs
-from .core.resilience import SweepCheckpoint, SweepSupervisor
+from .core.resilience import SweepSupervisor
 from .core.scheduler import NO_SKIP_ENV
-from .core.simcache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, SimulationCache
+from .core.simcache import SimulationCache
 from .core.simulator import simulate, simulate_traced
 from .core.trace import TraceMetrics
 from .kernels.suite import cached_livermore_suite
@@ -73,6 +75,14 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _fault_plan(spec: str) -> faults.FaultPlan:
+    """``--inject-faults`` parser: a malformed spec is a usage error."""
+    try:
+        return faults.FaultPlan.parse(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_perf(parser: argparse.ArgumentParser) -> None:
     """Options shared by the sweep-heavy commands."""
     parser.add_argument(
@@ -85,7 +95,8 @@ def _add_perf(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="bypass the on-disk simulation result cache",
+        help="bypass the on-disk simulation result cache (nothing is "
+        "read or written)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -97,7 +108,7 @@ def _add_perf(parser: argparse.ArgumentParser) -> None:
         "--supervised",
         action="store_true",
         help="run the sweep under the fault supervisor (retries, crash "
-        "recovery, checkpointing); implied by the other resilience "
+        "recovery, a fault report); implied by the other resilience "
         "options",
     )
     parser.add_argument(
@@ -117,20 +128,8 @@ def _add_perf(parser: argparse.ArgumentParser) -> None:
         "gives the point up (default: 2)",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="pre-resolve points from the sweep checkpoint left by an "
-        "interrupted supervised run (implies --supervised)",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="sweep checkpoint manifest "
-        "(default: <cache-dir>/sweep-checkpoint.json; implies --supervised)",
-    )
-    parser.add_argument(
         "--inject-faults",
+        type=_fault_plan,
         default=None,
         metavar="SPEC",
         help="arm the deterministic fault injectors: a bare seed, or "
@@ -160,33 +159,18 @@ def _make_supervisor(args: argparse.Namespace) -> SweepSupervisor | None:
     """
     wanted = (
         args.supervised
-        or args.resume
         or args.timeout is not None
-        or args.checkpoint is not None
         or args.inject_faults is not None
         or args.fault_report is not None
     )
     if not wanted:
         return None
     if args.inject_faults is not None:
-        faults.activate(faults.FaultPlan.parse(args.inject_faults))
-    checkpoint_path = args.checkpoint
-    if checkpoint_path is None:
-        root = (
-            args.cache_dir
-            or os.environ.get(CACHE_DIR_ENV)
-            or DEFAULT_CACHE_DIR
-        )
-        checkpoint_path = os.path.join(root, "sweep-checkpoint.json")
-    checkpoint = SweepCheckpoint(checkpoint_path)
-    if args.resume:
-        checkpoint.load()
+        faults.activate(args.inject_faults)
     return SweepSupervisor(
         jobs=resolve_jobs(args.jobs),
         timeout=args.timeout,
         max_retries=args.max_retries,
-        checkpoint=checkpoint,
-        resume=args.resume,
     )
 
 
@@ -196,11 +180,6 @@ def _finish_supervised(
     """Print the recovery ledger and disarm any fault injectors."""
     if supervisor is None:
         return
-    if supervisor.resumed:
-        print(
-            f"resumed       : {supervisor.resumed} point(s) from "
-            f"{supervisor.checkpoint.path}"
-        )
     print(supervisor.report.summary())
     if args.fault_report is not None:
         with open(args.fault_report, "w") as handle:
@@ -208,8 +187,6 @@ def _finish_supervised(
         print(f"fault report written : {args.fault_report}")
     if args.inject_faults is not None:
         faults.deactivate()
-    if supervisor.checkpoint is not None:
-        supervisor.checkpoint.release()  # manifest lock (no-op if unheld)
 
 
 def _machine_config(args: argparse.Namespace, **extra) -> MachineConfig:

@@ -13,10 +13,8 @@ _EXPORTS = {
     "FaultPlan": ("repro.core.faults", "FaultPlan"),
     "FaultReport": ("repro.core.resilience", "FaultReport"),
     "FetchStrategy": ("repro.core.config", "FetchStrategy"),
-    "SweepCheckpoint": ("repro.core.resilience", "SweepCheckpoint"),
     "SweepPointError": ("repro.core.resilience", "SweepPointError"),
     "SweepSupervisor": ("repro.core.resilience", "SweepSupervisor"),
-    "supervised_map": ("repro.core.resilience", "supervised_map"),
     "MachineConfig": ("repro.core.config", "MachineConfig"),
     "PAPER_CACHE_SIZES": ("repro.core.config", "PAPER_CACHE_SIZES"),
     "PIPE_CONFIGURATIONS": ("repro.core.config", "PIPE_CONFIGURATIONS"),

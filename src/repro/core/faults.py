@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -77,10 +78,9 @@ _SPEC_KEYS = {
 def seeded_uniform(seed: int, *parts: str) -> float:
     """A deterministic uniform draw in ``[0, 1)`` from a pure hash.
 
-    Every seeded decision in the fault/resilience stack — which points
-    an injector fires for, how long a jittered retry backs off — flows
-    through this one function, so "same seed, same behaviour" holds
-    across processes and platforms (no :mod:`random` state involved).
+    Which points an injector fires for is decided by this one function,
+    so "same seed, same faults" holds across processes and platforms
+    (no :mod:`random` state involved).
     """
     digest = hashlib.sha256(
         ":".join((str(seed), *parts)).encode()
@@ -122,7 +122,10 @@ class FaultPlan:
         A bare integer (``"42"``) seeds a default campaign that enables
         every injector at a 25% rate; otherwise the spec is
         ``key=value`` pairs separated by commas, e.g.
-        ``"seed=7,kill=0.3,hang=0.1,corrupt=0.5"``.
+        ``"seed=7,kill=0.3,hang=0.1,corrupt=0.5"``.  Raises
+        :class:`ValueError` for an unknown key, a value that does not
+        parse, a rate outside ``[0, 1]`` or a ``hang-seconds`` that is
+        not a positive number.
         """
         spec = spec.strip()
         if not spec:
@@ -144,8 +147,23 @@ class FaultPlan:
             name = _SPEC_KEYS.get(key.strip())
             if name is None:
                 raise ValueError(f"unknown --inject-faults key {key.strip()!r}")
-            fields[name] = int(value) if name == "seed" else float(value)
-        return cls(**fields)
+            try:
+                fields[name] = int(value) if name == "seed" else float(value)
+            except ValueError:
+                raise ValueError(f"bad --inject-faults value {part!r}") from None
+        plan = cls(**fields)
+        for kind in FAULT_KINDS:
+            if not 0.0 <= plan.rate(kind) <= 1.0:
+                raise ValueError(
+                    f"--inject-faults rate {kind}={plan.rate(kind)} "
+                    "is outside [0, 1]"
+                )
+        if not 0.0 < plan.hang_seconds < math.inf:
+            raise ValueError(
+                f"--inject-faults hang-seconds={plan.hang_seconds} "
+                "is not a positive number of seconds"
+            )
+        return plan
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)

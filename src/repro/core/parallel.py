@@ -15,8 +15,9 @@ policies over it:
 * :func:`parallel_map` — ``[fn(item) for item in items]``: an item's own
   exception propagates unchanged, once;
 * :func:`simulate_many` — sweep points against one program;
-* :func:`repro.core.resilience.supervised_map` — per-point timeouts,
-  retries and a fault ledger, for long sweeps.
+* :meth:`repro.core.resilience.SweepSupervisor.simulate_points` —
+  sweep points with per-point timeouts, retries and a fault ledger,
+  for long sweeps.
 
 Job-count resolution, in priority order: an explicit ``jobs`` argument
 (the ``--jobs`` CLI flag), the ``REPRO_JOBS`` environment variable,
@@ -167,9 +168,9 @@ def sweep_map(
     ``labels[index]``:
 
     * an exception from ``fn`` retries the point up to ``max_retries``
-      times after a :func:`~repro.core.resilience.retry_backoff` delay
-      (``no_retry`` types fail on the first attempt: deterministic
-      outcomes gain nothing from a retry);
+      times, after a pause of ``backoff`` seconds times the attempt
+      number (``no_retry`` types fail on the first attempt:
+      deterministic outcomes gain nothing from a retry);
     * a worker crash respawns the pool and requeues every in-flight
       point, charging an attempt only to the points the crash hit;
     * a point running past ``timeout`` seconds is charged an attempt
@@ -214,10 +215,8 @@ def sweep_map(
         return False
 
     def retry_pause(index: int) -> None:
-        if backoff:
-            from .resilience import retry_backoff
-
-            time.sleep(retry_backoff(backoff, attempts[index], labels[index]))
+        if backoff > 0:
+            time.sleep(backoff * attempts[index])
 
     def go_serial(reason: str) -> None:
         if report is None:

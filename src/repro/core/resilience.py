@@ -14,37 +14,31 @@ reference run would produce:
     :class:`FaultEvent` against the point it happened to, so a sweep
     that healed itself says exactly how.
 
-:func:`supervised_map`
-    the sweep executor (:func:`repro.core.parallel.sweep_map`) with its
-    fault policy on: per-point timeouts, bounded retry-with-backoff, and
-    ``BrokenProcessPool`` recovery — the pool is respawned, in-flight
-    points are requeued, and after repeated pool failures the remaining
-    points run serially in-process.  Completed siblings are never
-    discarded; points that stay broken after every recovery raise
-    :class:`SweepPointError` *after* everything recoverable has
-    finished (and been checkpointed).  A simulator bug is one of those:
-    every point runs on the one engine the run selected, and an
-    exception from it is charged like any other point error, so a
-    fast-path bug fails loudly instead of being re-run on a slower
+:class:`SweepSupervisor`
+    the knobs :func:`repro.core.sweep.resolve_points` runs a point
+    list's cache misses under.  :meth:`SweepSupervisor.simulate_points`
+    puts them on the sweep executor
+    (:func:`repro.core.parallel.sweep_map`) with its fault policy on:
+    per-point timeouts, bounded retries, and ``BrokenProcessPool``
+    recovery — the pool is respawned, in-flight points are requeued,
+    and after repeated pool failures the remaining points run serially
+    in-process.  Completed siblings are never discarded; points that
+    stay broken after every recovery raise :class:`SweepPointError`
+    *after* everything recoverable has finished.  A simulator bug is
+    one of those: every point runs on the one engine the run selected,
+    and an exception from it is charged like any other point error, so
+    a fast-path bug fails loudly instead of being re-run on a slower
     engine.
 
-:class:`SweepCheckpoint`
-    a periodic atomic manifest of completed sweep points keyed by the
-    simulation cache's content address, so ``repro-sim ... --resume``
-    restarts a killed sweep from where it died.
-
-:class:`SweepSupervisor` bundles the knobs for
-:func:`repro.core.sweep.resolve_points`, the resolver every sweep and
-experiment point goes through; the deterministic fault injectors live
-in :mod:`repro.core.faults`.
+The result cache is the checkpoint: the resolver stores each supervised
+point as it completes, so running an interrupted command again answers
+its finished points from the cache and simulates only the rest.  The
+deterministic fault injectors live in :mod:`repro.core.faults`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 from ..asm.program import Program
@@ -53,15 +47,10 @@ from .parallel import _init_simulation_worker, sweep_map
 from .results import SimulationResult
 
 __all__ = [
-    "CheckpointLockError",
     "FaultEvent",
     "FaultReport",
-    "SweepCheckpoint",
     "SweepPointError",
     "SweepSupervisor",
-    "retry_backoff",
-    "supervised_map",
-    "supervised_simulate_many",
 ]
 
 
@@ -143,7 +132,7 @@ class SweepPointError(RuntimeError):
 
     Raised only after all *recoverable* points have completed (and been
     delivered through ``on_result``), so a partial sweep's progress is
-    preserved in the cache/checkpoint for a ``--resume``.
+    in the result cache, where running the command again finds it.
     """
 
     def __init__(self, failures: list[tuple[str, BaseException]]):
@@ -154,105 +143,6 @@ class SweepPointError(RuntimeError):
         super().__init__(
             f"{len(failures)} sweep point(s) failed permanently: {detail}"
         )
-
-
-# ----------------------------------------------------------------------
-# Retry backoff (decorrelated jitter, seeded-deterministic)
-# ----------------------------------------------------------------------
-#: default ceiling on one jittered retry delay, as a multiple of ``base``
-BACKOFF_CAP_FACTOR = 16.0
-
-
-def retry_backoff(
-    base: float,
-    attempt: int,
-    key: str,
-    cap: float | None = None,
-    seed: int | None = None,
-) -> float:
-    """Decorrelated-jitter delay before retry ``attempt`` of point ``key``.
-
-    A pool respawn hands every interrupted point back at the same
-    instant; if they all sleep ``base * attempt`` they all return at the
-    same instant too and stampede the fresh pool.  Jitter decorrelates
-    them — each point walks its own delay sequence
-    ``d(i) = min(cap, base + u * (3 * d(i-1) - base))`` with ``u`` drawn
-    per ``(seed, key, i)`` — while staying a *pure function* of its
-    inputs: the seed comes from the active fault plan
-    (``REPRO_FAULT_PLAN``; 0 when disarmed), so an injected rehearsal
-    replays byte-identical timing decisions.  ``base <= 0`` disables
-    backoff entirely, as before.
-    """
-    if base <= 0 or attempt <= 0:
-        return 0.0
-    if cap is None:
-        cap = base * BACKOFF_CAP_FACTOR
-    from .faults import active_plan, seeded_uniform
-
-    if seed is None:
-        plan = active_plan()
-        seed = plan.seed if plan is not None else 0
-    delay = base
-    for step in range(1, attempt + 1):
-        u = seeded_uniform(seed, "backoff", key, str(step))
-        delay = min(cap, base + u * (3.0 * delay - base))
-    return delay
-
-
-# ----------------------------------------------------------------------
-# Supervised fan-out: the sweep executor with its fault policy on
-# ----------------------------------------------------------------------
-def supervised_map(
-    fn: Callable,
-    items: Sequence,
-    *,
-    jobs: int | None = None,
-    timeout: float | None = None,
-    max_retries: int = 2,
-    backoff: float = 0.25,
-    report: FaultReport | None = None,
-    labels: Sequence[str] | None = None,
-    no_retry: tuple[type[BaseException], ...] = (),
-    initializer: Callable | None = None,
-    initargs: tuple = (),
-    on_result: Callable[[int, object], None] | None = None,
-) -> list:
-    """``[fn(item) for item in items]`` under a fault supervisor.
-
-    Like :func:`repro.core.parallel.parallel_map`, results come back in
-    input order and the serial path is taken for ``jobs <= 1`` — but
-    failures are *handled* instead of propagated: retries with
-    decorrelated-jitter backoff (:func:`retry_backoff`), per-point
-    timeouts that kill the hung worker, pool respawns after a crash,
-    and a serial fallback (see :func:`~repro.core.parallel.sweep_map`
-    for the exact policy).  Every recovery is recorded in ``report``;
-    ``on_result(index, value)`` fires as each point completes
-    (checkpoint hook).  Points still failing after all that raise
-    :class:`SweepPointError` at the end — after every recoverable point
-    has completed.
-    """
-    items = list(items)
-    if labels is None:
-        labels = [str(index) for index in range(len(items))]
-    values, failed = sweep_map(
-        fn,
-        items,
-        jobs=jobs,
-        initializer=initializer,
-        initargs=initargs,
-        on_result=on_result,
-        report=report if report is not None else FaultReport(),
-        labels=labels,
-        timeout=timeout,
-        max_retries=max_retries,
-        backoff=backoff,
-        no_retry=no_retry,
-    )
-    if failed:
-        raise SweepPointError(
-            [(labels[index], exc) for index, exc in sorted(failed.items())]
-        )
-    return values
 
 
 def _supervised_point(task: tuple[str, MachineConfig]) -> SimulationResult:
@@ -269,220 +159,6 @@ def _supervised_point(task: tuple[str, MachineConfig]) -> SimulationResult:
     return simulate(config, program)
 
 
-def supervised_simulate_many(
-    program: Program,
-    configs: Sequence[MachineConfig],
-    *,
-    keys: Sequence[str] | None = None,
-    jobs: int | None = None,
-    timeout: float | None = None,
-    max_retries: int = 2,
-    backoff: float = 0.25,
-    report: FaultReport | None = None,
-    on_result: Callable[[int, SimulationResult], None] | None = None,
-) -> list[SimulationResult]:
-    """:func:`~repro.core.parallel.simulate_many` under the supervisor.
-
-    Results come back in ``configs`` order, byte-identical to a clean
-    serial reference run.  A point whose simulation raises — a fast-path
-    bug included — is retried like any other failure and, if it keeps
-    failing, named in the final :class:`SweepPointError`.
-    """
-    from .simcache import sweep_point_keys
-    from .simulator import DeadlockError, SimulationTimeout
-
-    configs = list(configs)
-    if keys is None:
-        keys = sweep_point_keys(program, configs)
-    return supervised_map(
-        _supervised_point,
-        list(zip(keys, configs)),
-        jobs=jobs,
-        timeout=timeout,
-        max_retries=max_retries,
-        backoff=backoff,
-        report=report,
-        labels=[key[:12] for key in keys],
-        no_retry=(DeadlockError, SimulationTimeout),
-        initializer=_init_simulation_worker,
-        initargs=(program,),
-        on_result=on_result,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep checkpoint / resume
-# ----------------------------------------------------------------------
-class CheckpointLockError(RuntimeError):
-    """Another live process holds the checkpoint manifest's lock."""
-
-
-class SweepCheckpoint:
-    """Atomic manifest of completed sweep points, for ``--resume``.
-
-    Entries are keyed by the simulation cache's content address (which
-    folds in the program image, every config field, the cache format
-    and the engine revision), so a stale manifest can never satisfy a
-    changed sweep — unmatched entries are simply ignored.  Writes go to
-    a temp sibling and are published with ``os.replace``, every
-    ``interval`` completions and at :meth:`flush`.
-
-    **Exclusive lock.**  ``os.replace`` makes each individual publish
-    atomic, but two ``--resume`` runs writing the same manifest would
-    still interleave *whole* publishes and silently drop each other's
-    points (last writer wins).  :meth:`acquire` takes an exclusive
-    lockfile (``<manifest>.lock``, claimed with ``O_CREAT | O_EXCL``)
-    before the manifest is read or written; a second run fails fast
-    with :class:`CheckpointLockError` naming the holder instead of
-    corrupting progress.  A lock left by a dead process (the pid inside
-    no longer exists) is broken automatically — a crashed sweep must
-    not brick its own resume.  The supervised sweep path acquires the
-    lock for you; direct users can treat the checkpoint as a context
-    manager.
-    """
-
-    MANIFEST_VERSION = 1
-
-    def __init__(self, path: str | os.PathLike, interval: int = 8):
-        self.path = Path(path)
-        self.interval = max(1, int(interval))
-        self._points: dict[str, dict] = {}
-        self._dirty = 0
-        self._lock_fd: int | None = None
-
-    # ------------------------------------------------------------------
-    # Exclusive lock (one live writer per manifest)
-    # ------------------------------------------------------------------
-    @property
-    def lock_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".lock")
-
-    @staticmethod
-    def _pid_alive(pid: int) -> bool:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except (PermissionError, OSError):
-            return True  # exists but isn't ours — still alive
-        return True
-
-    def acquire(self) -> "SweepCheckpoint":
-        """Take the manifest's exclusive lock (idempotent per instance).
-
-        Raises :class:`CheckpointLockError` if a *live* process holds
-        it; a stale lock (dead pid, or unreadable contents) is broken
-        and re-claimed.
-        """
-        if self._lock_fd is not None:
-            return self  # already ours
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        for _attempt in range(16):
-            try:
-                fd = os.open(
-                    self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-            except FileExistsError:
-                try:
-                    holder = int(self.lock_path.read_text().strip())
-                except (OSError, ValueError):
-                    holder = None  # torn write or vanished: treat as stale
-                if (
-                    holder is not None
-                    and holder != os.getpid()  # our own earlier claim
-                    and self._pid_alive(holder)
-                ):
-                    raise CheckpointLockError(
-                        f"checkpoint {self.path} is locked by running "
-                        f"process {holder} ({self.lock_path})"
-                    )
-                # Stale: break it and race for the claim again.  Only
-                # one of several breakers wins the O_EXCL create.
-                try:
-                    self.lock_path.unlink()
-                except OSError:
-                    pass
-                continue
-            os.write(fd, str(os.getpid()).encode())
-            self._lock_fd = fd
-            return self
-        raise CheckpointLockError(
-            f"could not claim {self.lock_path} after repeated stale-lock "
-            "breaks (another process keeps re-claiming it)"
-        )
-
-    def release(self) -> None:
-        """Drop the lock (no-op when not held by this instance)."""
-        if self._lock_fd is None:
-            return
-        try:
-            os.close(self._lock_fd)
-        except OSError:
-            pass
-        self._lock_fd = None
-        try:
-            self.lock_path.unlink()
-        except OSError:
-            pass
-
-    @property
-    def locked(self) -> bool:
-        return self._lock_fd is not None
-
-    def __enter__(self) -> "SweepCheckpoint":
-        return self.acquire()
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-    def load(self) -> int:
-        """Read the manifest; a missing/corrupt one starts empty."""
-        try:
-            payload = json.loads(self.path.read_text())
-            points = payload["points"]
-            if payload.get("version") != self.MANIFEST_VERSION or not isinstance(
-                points, dict
-            ):
-                raise ValueError("unrecognized checkpoint manifest")
-        except (OSError, ValueError, KeyError, TypeError):
-            self._points = {}
-            return 0
-        self._points = points
-        return len(points)
-
-    def get(self, key: str) -> SimulationResult | None:
-        """A completed point's result, or ``None`` (bad entries ignored)."""
-        payload = self._points.get(key)
-        if payload is None:
-            return None
-        try:
-            return SimulationResult.from_dict(payload)
-        except (ValueError, KeyError, TypeError):
-            self._points.pop(key, None)
-            return None
-
-    def add(self, key: str, result: SimulationResult) -> None:
-        self._points[key] = result.to_dict()
-        self._dirty += 1
-        if self._dirty >= self.interval:
-            self.flush()
-
-    def flush(self) -> None:
-        """Publish the manifest atomically (temp file + ``os.replace``)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"version": self.MANIFEST_VERSION, "points": self._points}
-        tmp = self.path.with_name(f"{self.path.name}.tmp.{os.getpid()}")
-        # Canonical key order: manifests written under different point
-        # scheduling (pool completion order vs serial) compare
-        # byte-identical once they hold the same completed points.
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, self.path)
-        self._dirty = 0
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-
 # ----------------------------------------------------------------------
 # The bundle resolve_points consumes
 # ----------------------------------------------------------------------
@@ -492,10 +168,8 @@ class SweepSupervisor:
 
     Passed to :func:`repro.core.sweep.resolve_points` (through
     ``run_cache_sweep`` or an experiment context), which routes its
-    misses through :meth:`simulate_points`, records cache quarantines
-    into :attr:`report`, checkpoints completions into
-    :attr:`checkpoint`, and — with :attr:`resume` — pre-resolves points
-    the manifest already holds (counted in :attr:`resumed`).
+    cache misses through :meth:`simulate_points` and records cache
+    quarantines into :attr:`report`.
     """
 
     jobs: int | None = None
@@ -503,9 +177,6 @@ class SweepSupervisor:
     max_retries: int = 2
     backoff: float = 0.25
     report: FaultReport = field(default_factory=FaultReport)
-    checkpoint: SweepCheckpoint | None = None
-    resume: bool = False
-    resumed: int = 0  #: points satisfied from the manifest this run
 
     def simulate_points(
         self,
@@ -514,14 +185,34 @@ class SweepSupervisor:
         keys: Sequence[str],
         on_result: Callable[[int, SimulationResult], None] | None = None,
     ) -> list[SimulationResult]:
-        return supervised_simulate_many(
-            program,
-            configs,
-            keys=keys,
+        """Simulate every config under the fault policy, in ``configs`` order.
+
+        ``keys`` are the points' content addresses: the fault injectors
+        fire by them and the report labels each point ``key[:12]``.
+        ``on_result(index, result)`` fires as each point completes.  A
+        point that keeps failing is named in the :class:`SweepPointError`
+        raised once every other point has completed; a deadlock or a
+        simulation timeout is deterministic and is not retried.
+        """
+        from .simulator import DeadlockError, SimulationTimeout
+
+        labels = [key[:12] for key in keys]
+        values, failed = sweep_map(
+            _supervised_point,
+            list(zip(keys, configs)),
             jobs=self.jobs,
+            initializer=_init_simulation_worker,
+            initargs=(program,),
+            on_result=on_result,
+            report=self.report,
+            labels=labels,
             timeout=self.timeout,
             max_retries=self.max_retries,
             backoff=self.backoff,
-            report=self.report,
-            on_result=on_result,
+            no_retry=(DeadlockError, SimulationTimeout),
         )
+        if failed:
+            raise SweepPointError(
+                [(labels[index], exc) for index, exc in sorted(failed.items())]
+            )
+        return values

@@ -17,10 +17,12 @@ are byte-identical with or without each of them:
   (:mod:`repro.core.parallel`); results come back in input order;
 * a :class:`~repro.core.resilience.SweepSupervisor` makes big sweeps
   *finish*: the misses run on its supervised worker pool (per-point
-  timeouts, bounded retries, crashed-pool recovery), every recovery
+  timeouts, bounded retries, crashed-pool recovery), and every recovery
   action — cache quarantines included — goes into its
-  :class:`~repro.core.resilience.FaultReport`, and completed points are
-  checkpointed so an interrupted run resumes instead of restarting.
+  :class:`~repro.core.resilience.FaultReport`.  Each supervised point
+  is stored to the cache as it completes, so the cache is the sweep's
+  checkpoint: an interrupted run resumes when the same command runs
+  again.
 """
 
 from __future__ import annotations
@@ -97,26 +99,16 @@ def resolve_points(
 ) -> list[SimulationResult]:
     """The result of every ``(config, program)`` point, in ``configs`` order.
 
-    Each point is answered by the first of: the supervisor's checkpoint
-    manifest (with ``--resume``), the result ``cache``, a fresh
-    simulation.  The misses run over ``jobs`` worker processes — or,
-    when a ``supervisor`` is set, on its supervised pool (its own
-    ``jobs``, timeouts, retries and crash recovery), with cache
-    quarantines recorded in its report.  Every fresh result is stored
-    to the cache and the checkpoint; a supervised run stores each one
-    as it completes, so progress survives a crash at any moment.  The
-    results are identical to simulating each point serially.
+    Each point is answered from the result ``cache``, or else simulated.
+    The misses run over ``jobs`` worker processes — or, when a
+    ``supervisor`` is set, on its supervised pool (its own ``jobs``,
+    timeouts, retries and crash recovery), with cache quarantines
+    recorded in its report.  Every fresh result is stored to the cache;
+    a supervised run stores each one as it completes, so progress
+    survives a crash at any moment and a rerun answers it from the
+    cache.  The results are identical to simulating each point serially.
     """
     configs = list(configs)
-    checkpoint = supervisor.checkpoint if supervisor is not None else None
-    keys = sweep_point_keys(program, configs) if supervisor is not None else None
-    if checkpoint is not None:
-        # Exclusive manifest lock: a second supervised run against the
-        # same checkpoint fails fast (CheckpointLockError) instead of
-        # interleaving partial manifest publishes with this one.
-        # Idempotent, so the point lists of one report share one claim;
-        # the caller releases it when the supervised session ends.
-        checkpoint.acquire()
     if cache is not None and supervisor is not None:
         report = supervisor.report
         cache.quarantine_hook = lambda key, reason: report.record(
@@ -126,12 +118,6 @@ def resolve_points(
         resolved: dict[int, SimulationResult] = {}
         misses: list[int] = []
         for index, config in enumerate(configs):
-            if checkpoint is not None and supervisor.resume:
-                result = checkpoint.get(keys[index])
-                if result is not None:
-                    resolved[index] = result
-                    supervisor.resumed += 1
-                    continue
             hit = cache.lookup(config, program) if cache is not None else None
             if hit is not None:
                 resolved[index] = hit
@@ -143,8 +129,6 @@ def resolve_points(
             resolved[index] = result
             if cache is not None:
                 cache.store(configs[index], program, result)
-            if checkpoint is not None:
-                checkpoint.add(keys[index], result)
 
         if misses:
             miss_configs = [configs[index] for index in misses]
@@ -152,7 +136,7 @@ def resolve_points(
                 supervisor.simulate_points(
                     program,
                     miss_configs,
-                    keys=[keys[index] for index in misses],
+                    sweep_point_keys(program, miss_configs),
                     on_result=on_result,
                 )
             else:
@@ -162,8 +146,6 @@ def resolve_points(
     finally:
         if cache is not None and supervisor is not None:
             cache.quarantine_hook = None
-        if checkpoint is not None:
-            checkpoint.flush()
     return [resolved[index] for index in range(len(configs))]
 
 

@@ -12,7 +12,7 @@ Both are built on the shared sub-blocked
 :class:`~repro.frontend.icache.InstructionCache` array.
 """
 
-from .base import FetchStats, FetchUnit, decode_at, delay_region_end
+from .base import FetchStats, FetchUnit
 from .conventional import ConventionalFetchUnit, PrefetchPolicy
 from .icache import CacheStats, InstructionCache
 from .pipe_fetch import PipeFetchUnit
@@ -28,6 +28,4 @@ __all__ = [
     "PipeFetchUnit",
     "TibFetchUnit",
     "TibStats",
-    "decode_at",
-    "delay_region_end",
 ]

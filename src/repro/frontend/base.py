@@ -24,12 +24,12 @@ import abc
 from dataclasses import dataclass
 
 from ..core.scheduler import IDLE
-from ..isa.encoding import InstructionFormat, decode_instruction
+from ..isa.encoding import InstructionFormat
 from ..isa.instruction import Instruction
 from ..isa.predecode import PredecodedImage
 from ..memory.requests import MemoryRequest
 
-__all__ = ["FetchStats", "FetchUnit", "decode_at", "delay_region_end"]
+__all__ = ["FetchStats", "FetchUnit"]
 
 
 @dataclass
@@ -42,27 +42,6 @@ class FetchStats:
     prefetch_promotions: int = 0  #: prefetches promoted to demand in flight
     redirects: int = 0
     squashed_instructions: int = 0  #: IQ entries dropped at redirects
-
-
-def decode_at(image: bytes | bytearray, fmt: InstructionFormat, pc: int):
-    """Decode the instruction at ``pc`` → ``(instruction, size)``."""
-    return decode_instruction(image, pc, fmt)
-
-
-def delay_region_end(
-    image: bytes | bytearray, fmt: InstructionFormat, next_pc: int, delay: int
-) -> int:
-    """Byte address just past the ``delay`` instructions following a PBR.
-
-    ``next_pc`` is the address of the first delay-slot instruction.  The
-    fetch control logic uses this to know how far the *guaranteed*
-    sequential stream extends (paper section 4.2).
-    """
-    pc = next_pc
-    for _ in range(delay):
-        _instruction, size = decode_instruction(image, pc, fmt)
-        pc += size
-    return pc
 
 
 class FetchUnit(abc.ABC):
@@ -164,26 +143,7 @@ class FetchUnit(abc.ABC):
         """
         return IDLE
 
-    # -- progress reporting ------------------------------------------------
-    def progress_signature(self) -> tuple:
-        """Counters that change whenever the frontend makes real progress.
-
-        The simulator folds this into its deadlock-detection signature so
-        a frontend-only livelock (nothing issuing, no bus traffic, but
-        the frontend still churning) is distinguished from forward
-        progress, and so the resulting :class:`DeadlockError` can say
-        what the frontend was doing.  Subclasses may extend the tuple
-        with strategy-specific state.
-        """
-        s = self.stats
-        return (
-            s.instructions_supplied,
-            s.demand_requests,
-            s.prefetch_requests,
-            s.prefetch_promotions,
-            s.redirects,
-        )
-
+    # -- diagnostics -------------------------------------------------------
     def describe_state(self) -> str:
         """One-line state summary for deadlock/timeout diagnostics."""
         s = self.stats

@@ -353,11 +353,8 @@ class ConventionalFetchUnit(FetchUnit):
         self._pc = target
 
     # ------------------------------------------------------------------
-    # Progress reporting
+    # Replay fingerprint and diagnostics
     # ------------------------------------------------------------------
-    def progress_signature(self) -> tuple:
-        return super().progress_signature() + (self._pc,)
-
     def state_signature(self, now: int, base_seq: int) -> tuple:
         """PC, outstanding request, and prefetch-policy bookkeeping."""
         return (

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.scheduler import IDLE
 from ..core.trace import NULL_TRACER, Tracer
 
 __all__ = ["CacheStats", "InstructionCache"]
@@ -216,15 +215,6 @@ class InstructionCache:
             self._tracer.emit(
                 "icache", "fill", addr=address, bytes=nbytes, replaced=replaced
             )
-
-    def next_event_cycle(self, now: int) -> int:
-        """Always ``IDLE``: the array is passive.
-
-        Lookups, fills, and LRU touches all happen inside some other
-        component's ticked action (a fetch, a delivery, an issue); the
-        cache never schedules work of its own.
-        """
-        return IDLE
 
     def state_signature(self) -> tuple:
         """Per-set (tag, valid-bits) in LRU-rank order.

@@ -664,16 +664,8 @@ class PipeFetchUnit(FetchUnit):
         self._advance(now)
 
     # ------------------------------------------------------------------
-    # Progress reporting
+    # Replay fingerprint and diagnostics
     # ------------------------------------------------------------------
-    def progress_signature(self) -> tuple:
-        return super().progress_signature() + (
-            len(self._iq),
-            self._iq_next_pc,
-            self._iqb_read_pc,
-            self._iqb_valid_end,
-        )
-
     def state_signature(self, now: int, base_seq: int) -> tuple:
         """Full fetch-pipeline fingerprint: IQ contents, IQB window,
         outstanding request, latched span parcel, and pending PBR.
@@ -704,16 +696,3 @@ class PipeFetchUnit(FetchUnit):
             f"next_pc={self._iq_next_pc:#x} IQB=[{self._iqb_base:#x},"
             f"{self._iqb_valid_end:#x}) loaded={self._iqb_loaded}"
         )
-
-    # ------------------------------------------------------------------
-    # Introspection for tests
-    # ------------------------------------------------------------------
-    @property
-    def iq_occupancy_bytes(self) -> int:
-        return self._iq_bytes
-
-    @property
-    def iqb_available_bytes(self) -> int:
-        if not self._iqb_loaded:
-            return 0
-        return max(0, self._iqb_valid_end - self._iqb_read_pc)

@@ -333,9 +333,6 @@ class TibFetchUnit(FetchUnit):
     def note_branch(self, pbr_pc: int, next_pc: int, delay: int, target: int) -> None:
         pass  # targets are served at redirect time, from the TIB
 
-    def progress_signature(self) -> tuple:
-        return super().progress_signature() + (self._pc, self._valid_end)
-
     def describe_state(self) -> str:
         return (
             f"{super().describe_state()} pc={self._pc:#x} "

@@ -67,8 +67,10 @@ class PredecodedImage:
     def delay_region_end(self, next_pc: int, delay: int) -> int:
         """Byte address just past the ``delay`` instructions at ``next_pc``.
 
-        The memoized equivalent of
-        :func:`repro.frontend.base.delay_region_end`.
+        ``next_pc`` is the address of the first delay-slot instruction
+        after a PBR.  The PIPE fetch control logic uses this to know how
+        far the *guaranteed* sequential stream extends (paper section
+        4.2).
         """
         pc = next_pc
         for _ in range(delay):

@@ -170,10 +170,6 @@ class FpuCore:
             return
         raise ValueError(f"store to unmapped FPU address {address:#x}")
 
-    def trigger_kind(self, address: int) -> str | None:
-        """The operation a store to ``address`` would trigger, if any."""
-        return TRIGGER_OPERATIONS.get(address)
-
     @property
     def results_pending(self) -> int:
         return len(self._results)

@@ -14,7 +14,7 @@ from repro.analysis.experiments import (
     ExperimentContext,
     run_experiment,
 )
-from repro.core.resilience import SweepCheckpoint, SweepSupervisor
+from repro.core.resilience import SweepSupervisor
 from repro.core.simcache import result_key
 
 CACHE_SIZES = (32, 128, 512)
@@ -63,15 +63,15 @@ class TestExperimentPlumbing:
         with pytest.raises(KeyError):
             run_experiment("figure9", context)
 
-    def test_supervisor_covers_ad_hoc_points(
-        self, tiny_suite, tmp_path, monkeypatch
-    ):
+    def test_supervisor_covers_ad_hoc_points(self, tiny_suite, monkeypatch):
         """``simulate_many`` (queues) and ``simulate`` (delays) run under
-        the context's supervisor: every point they simulate is
-        checkpointed, and the reports match an unsupervised context."""
+        the context's supervisor: every point they simulate goes through
+        its ``simulate_points``, and the reports match an unsupervised
+        context."""
         from repro.core import simulator
 
         simulated = []
+        supervised_keys = []
         real_simulate = simulator.simulate
 
         def spy(config, program, **engine):
@@ -87,23 +87,28 @@ class TestExperimentPlumbing:
             )
 
         experiments = ("queues", "delays")
-        supervisor = SweepSupervisor(
-            jobs=1, checkpoint=SweepCheckpoint(tmp_path / "ck.json")
-        )
-        supervised = fresh_context(supervisor)
+        supervisor = SweepSupervisor(jobs=1)
+        simulate_points = supervisor.simulate_points
+
+        def supervised(program, configs, keys, on_result=None):
+            supervised_keys.extend(keys)
+            return simulate_points(program, configs, keys, on_result)
+
+        supervisor.simulate_points = supervised
+        supervised_context = fresh_context(supervisor)
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "simulate", spy)
-            reports = [run_experiment(name, supervised) for name in experiments]
-        supervisor.checkpoint.release()
+            reports = [
+                run_experiment(name, supervised_context) for name in experiments
+            ]
         plain = fresh_context()
         for report, name in zip(reports, experiments):
             reference = run_experiment(name, plain)
             assert report.text == reference.text
             assert report.render_checks() == reference.render_checks()
 
-        manifest = SweepCheckpoint(tmp_path / "ck.json")
-        assert manifest.load() == len(set(simulated)) > 0
-        assert all(manifest.get(key) is not None for key in simulated)
+        assert sorted(supervised_keys) == sorted(simulated)
+        assert len(set(simulated)) > 0
         assert supervisor.report.clean
 
     def test_sweep_memoisation(self, context):

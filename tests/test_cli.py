@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.faults import FaultPlan
+from repro.core.simcache import SimulationCache
 
 
 class TestParser:
@@ -134,16 +136,33 @@ class TestResilienceCli:
         args = build_parser().parse_args(
             [
                 "figure", "5b", "--supervised", "--timeout", "30",
-                "--max-retries", "3", "--resume", "--checkpoint", "ck.json",
+                "--max-retries", "3",
                 "--inject-faults", "seed=7,kill=0.3",
                 "--fault-report", "fr.json",
             ]
         )
-        assert args.supervised and args.resume
+        assert args.supervised
         assert args.timeout == 30.0 and args.max_retries == 3
-        assert args.checkpoint == "ck.json"
-        assert args.inject_faults == "seed=7,kill=0.3"
+        assert args.inject_faults == FaultPlan(seed=7, worker_kill=0.3)
         assert args.fault_report == "fr.json"
+
+    @pytest.mark.parametrize("flag", ["--resume", "--checkpoint=ck.json"])
+    def test_removed_checkpoint_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["figure", "5b", "--supervised", flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["seed=x", "bogus=1", "kill=7", "hang=-0.5", "hang-seconds=0"],
+    )
+    def test_malformed_fault_spec_is_a_usage_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "4b", "--inject-faults", spec])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--inject-faults" in err
 
     def test_supervised_figure_reports_clean(self, capsys, tmp_path):
         argv = [
@@ -154,55 +173,72 @@ class TestResilienceCli:
         out = capsys.readouterr().out
         assert "Figure 4b" in out
         assert "fault report  : clean" in out
-        assert (tmp_path / "sweep-checkpoint.json").exists()
+        # the cache entries are the only record of the finished points
+        written = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        assert written == SimulationCache(tmp_path).entries()
+        assert len(written) == 5
 
-    def test_resume_answers_from_the_checkpoint(self, capsys, tmp_path):
-        base = [
+    def test_rerun_answers_from_the_cache(self, capsys, monkeypatch, tmp_path):
+        argv = [
             "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
-            "--jobs", "1", "--no-cache",
-            "--checkpoint", str(tmp_path / "ck.json"),
+            "--supervised", "--jobs", "1", "--cache-dir", str(tmp_path),
         ]
-        assert main(base + ["--supervised"]) == 0
-        capsys.readouterr()
-        assert main(base + ["--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "resumed       : 5 point(s)" in out
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        hits = []
+        lookup = SimulationCache.lookup
+
+        def spy(self, config, program):
+            result = lookup(self, config, program)
+            hits.append(result is not None)
+            return result
+
+        monkeypatch.setattr(SimulationCache, "lookup", spy)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert hits == [True] * 5
+
+    def test_supervised_no_cache_writes_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        argv = [
+            "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
+            "--supervised", "--jobs", "1", "--no-cache",
+        ]
+        assert main(argv) == 0
+        assert "fault report  : clean" in capsys.readouterr().out
+        assert not cache_dir.exists()
 
     def test_fault_report_file_written(self, capsys, tmp_path):
         report_path = tmp_path / "fr.json"
         argv = [
             "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
             "--supervised", "--jobs", "1", "--no-cache",
-            "--checkpoint", str(tmp_path / "ck.json"),
             "--fault-report", str(report_path),
         ]
         assert main(argv) == 0
         payload = json.loads(report_path.read_text())
         assert payload == {"events": [], "counts": {}}
 
-    def test_checkpoint_and_fault_report_imply_supervision(
-        self, capsys, tmp_path
-    ):
-        """``--checkpoint`` and ``--fault-report`` without another
-        resilience option are not silently ignored: they turn the
-        supervisor on."""
-        checkpoint = tmp_path / "ck.json"
+    def test_fault_report_implies_supervision(self, capsys, tmp_path):
+        """``--fault-report`` without another resilience option is not
+        silently ignored: it turns the supervisor on."""
         report_path = tmp_path / "fr.json"
         argv = [
             "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
             "--no-cache", "--jobs", "1",
-            "--checkpoint", str(checkpoint),
             "--fault-report", str(report_path),
         ]
         assert main(argv) == 0
         assert "fault report  : clean" in capsys.readouterr().out
-        assert checkpoint.exists()
         assert json.loads(report_path.read_text()) == {
             "events": [], "counts": {}
         }
 
     def test_supervised_parallel_report_sweeps_under_the_supervisor(
-        self, capsys, monkeypatch, tmp_path
+        self, capsys, monkeypatch
     ):
         """``report --jobs N --no-cache`` with a supervision option must
         run its sweeps through the supervisor, not bypass it."""
@@ -220,7 +256,7 @@ class TestResilienceCli:
         monkeypatch.setattr(SweepSupervisor, "simulate_points", spy)
         argv = [
             "report", "--scale", "0.03", "--jobs", "2", "--no-cache",
-            "--timeout", "120", "--checkpoint", str(tmp_path / "ck.json"),
+            "--timeout", "120",
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out

@@ -64,6 +64,12 @@ class TestFaultPlanParsing:
             # set by ``activate`` only: a spec must not name them
             "host_pid=1",
             "scratch_dir=/tmp/x",
+            # rates are probabilities; a hang must last some time
+            "kill=7",
+            "corrupt=-0.1",
+            "hang=nan",
+            "hang-seconds=0",
+            "hang-seconds=-1",
         ],
     )
     def test_bad_specs_rejected(self, spec):

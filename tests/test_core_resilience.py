@@ -10,17 +10,8 @@ import pytest
 from repro.core import faults
 from repro.core import simulator as simulator_module
 from repro.core.config import MachineConfig
-from repro.core.parallel import simulate_many
-from repro.core.resilience import (
-    CheckpointLockError,
-    FaultReport,
-    SweepCheckpoint,
-    SweepPointError,
-    SweepSupervisor,
-    retry_backoff,
-    supervised_map,
-    supervised_simulate_many,
-)
+from repro.core.parallel import simulate_many, sweep_map
+from repro.core.resilience import FaultReport, SweepPointError, SweepSupervisor
 from repro.core.simcache import SimulationCache, sweep_point_keys
 from repro.core.simulator import simulate
 from repro.core.sweep import run_cache_sweep
@@ -91,6 +82,22 @@ def _sleep_once(task) -> int:
     return x * x
 
 
+def _supervised(fn, items, report=None, **policy):
+    """``sweep_map`` with its fault policy on: a report, and so no raise."""
+    return sweep_map(
+        fn, items, report=report if report is not None else FaultReport(), **policy
+    )
+
+
+def _simulate_supervised(program, configs, **knobs):
+    """Every config through ``SweepSupervisor.simulate_points``."""
+    supervisor = SweepSupervisor(**knobs)
+    results = supervisor.simulate_points(
+        program, configs, sweep_point_keys(program, configs)
+    )
+    return results, supervisor.report
+
+
 class TestFaultReport:
     def test_starts_clean(self):
         report = FaultReport()
@@ -119,14 +126,14 @@ class TestFaultReport:
 class TestSupervisedMapSerial:
     def test_matches_plain_map(self):
         items = list(range(8))
-        assert supervised_map(_square, items, jobs=1) == [x * x for x in items]
+        assert _supervised(_square, items, jobs=1) == ([x * x for x in items], {})
 
     def test_empty_input(self):
-        assert supervised_map(_square, [], jobs=1) == []
+        assert _supervised(_square, [], jobs=1) == ([], {})
 
     def test_on_result_fires_in_completion_order(self):
         seen = []
-        supervised_map(
+        _supervised(
             _square,
             [1, 2, 3],
             jobs=1,
@@ -137,46 +144,57 @@ class TestSupervisedMapSerial:
     def test_transient_failure_is_retried(self, tmp_path):
         report = FaultReport()
         tasks = [(x, str(tmp_path)) for x in range(4)]
-        values = supervised_map(
+        values, failed = _supervised(
             _fail_once, tasks, jobs=1, max_retries=2, backoff=0, report=report
         )
-        assert values == [x * x for x in range(4)]
+        assert values == [x * x for x in range(4)] and not failed
         assert report.counts()["retry"] == 4  # every item failed once
 
-    def test_permanent_failure_raises_after_siblings_finish(self, tmp_path):
+    def test_retry_pause_is_linear_in_the_attempt(self, tmp_path, monkeypatch):
+        pauses = []
+        monkeypatch.setattr(time, "sleep", pauses.append)
+        tasks = [(x, str(tmp_path)) for x in (2,)]
+        _values, failed = _supervised(
+            _fail_always, tasks, jobs=1, max_retries=3, backoff=0.5
+        )
+        assert list(failed) == [0]
+        assert pauses == [0.5, 1.0, 1.5]  # backoff * attempt
+
+    def test_permanent_failure_returned_after_siblings(self, tmp_path):
         report = FaultReport()
         delivered = []
         tasks = [(x, str(tmp_path)) for x in range(4)]
-        with pytest.raises(SweepPointError) as excinfo:
-            supervised_map(
-                _fail_always,
-                tasks,
-                jobs=1,
-                max_retries=1,
-                backoff=0,
-                report=report,
-                labels=[f"item{x}" for x in range(4)],
-                on_result=lambda index, value: delivered.append(index),
-            )
-        # every recoverable sibling completed before the raise
+        values, failed = _supervised(
+            _fail_always,
+            tasks,
+            jobs=1,
+            max_retries=1,
+            backoff=0,
+            report=report,
+            labels=[f"item{x}" for x in range(4)],
+            on_result=lambda index, value: delivered.append(index),
+        )
+        # every recoverable sibling completed; the broken one is returned
         assert delivered == [0, 1, 3]
-        (label, exc), = excinfo.value.failures
-        assert label == "item2" and isinstance(exc, ValueError)
+        assert values == [0, 1, None, 9]
+        (index, exc), = failed.items()
+        assert index == 2 and isinstance(exc, ValueError)
         assert report.counts()["gave_up"] == 1
+        assert report.events[-1].point == "item2"
 
     def test_no_retry_types_fail_on_the_first_attempt(self, tmp_path):
         report = FaultReport()
         tasks = [(x, str(tmp_path)) for x in (2,)]
-        with pytest.raises(SweepPointError):
-            supervised_map(
-                _fail_always,
-                tasks,
-                jobs=1,
-                max_retries=5,
-                backoff=0,
-                report=report,
-                no_retry=(ValueError,),
-            )
+        _values, failed = _supervised(
+            _fail_always,
+            tasks,
+            jobs=1,
+            max_retries=5,
+            backoff=0,
+            report=report,
+            no_retry=(ValueError,),
+        )
+        assert list(failed) == [0]
         gave_up = [e for e in report.events if e.kind == "gave_up"]
         assert len(gave_up) == 1 and gave_up[0].attempt == 1
 
@@ -184,17 +202,18 @@ class TestSupervisedMapSerial:
 class TestSupervisedMapPool:
     def test_pool_matches_serial(self, tmp_path):
         tasks = [(x, str(tmp_path), False) for x in range(8)]
-        assert supervised_map(_kill_once, tasks, jobs=2) == [
-            x * x for x in range(8)
-        ]
+        assert _supervised(_kill_once, tasks, jobs=2) == (
+            [x * x for x in range(8)],
+            {},
+        )
 
     def test_worker_crash_respawns_and_requeues(self, tmp_path):
         report = FaultReport()
         tasks = [(x, str(tmp_path), x == 1) for x in range(5)]
-        values = supervised_map(
+        values, failed = _supervised(
             _kill_once, tasks, jobs=2, max_retries=3, backoff=0, report=report
         )
-        assert values == [x * x for x in range(5)]
+        assert values == [x * x for x in range(5)] and not failed
         counts = report.counts()
         assert counts.get("worker_crash", 0) >= 1
         assert counts.get("pool_respawn", 0) >= 1
@@ -202,7 +221,7 @@ class TestSupervisedMapPool:
     def test_hung_point_times_out_and_recovers(self, tmp_path):
         report = FaultReport()
         tasks = [(x, str(tmp_path), x == 0) for x in range(3)]
-        values = supervised_map(
+        values, failed = _supervised(
             _sleep_once,
             tasks,
             jobs=2,
@@ -211,7 +230,7 @@ class TestSupervisedMapPool:
             backoff=0,
             report=report,
         )
-        assert values == [x * x for x in range(3)]
+        assert values == [x * x for x in range(3)] and not failed
         assert report.counts().get("timeout", 0) >= 1
 
 
@@ -225,20 +244,14 @@ class TestSupervisedSimulateMany:
             ),
         ]
         plain = simulate_many(tiny_program, configs, jobs=1)
-        report = FaultReport()
-        supervised = supervised_simulate_many(
-            tiny_program, configs, jobs=2, report=report
-        )
+        supervised, report = _simulate_supervised(tiny_program, configs, jobs=2)
         assert supervised == plain
         assert report.clean
 
     def test_pool_matches_serial_across_sizes_and_latencies(self, tiny_program):
         configs = _size_latency_matrix()
         serial = simulate_many(tiny_program, configs, jobs=1)
-        report = FaultReport()
-        supervised = supervised_simulate_many(
-            tiny_program, configs, jobs=2, report=report
-        )
+        supervised, report = _simulate_supervised(tiny_program, configs, jobs=2)
         assert supervised == serial
         assert report.clean
 
@@ -252,9 +265,8 @@ class TestSupervisedSimulateMany:
         serial = simulate_many(tiny_program, configs, jobs=1)
         faults.activate(faults.FaultPlan(seed=11, worker_kill=1.0))
         try:
-            report = FaultReport()
-            survived = supervised_simulate_many(
-                tiny_program, configs, jobs=2, max_retries=4, report=report
+            survived, report = _simulate_supervised(
+                tiny_program, configs, jobs=2, max_retries=4
             )
         finally:
             faults.deactivate()
@@ -267,8 +279,8 @@ class TestFastPathFailsLoudly:
 
     One point's compiled kernel raises; the supervised sweep must not
     re-run it on a slower engine and report success.  It retries the
-    point, finishes and checkpoints every other point, then names the
-    broken one in :class:`SweepPointError`.
+    point, finishes and caches every other point, then names the broken
+    one in :class:`SweepPointError`.
     """
 
     @pytest.mark.parametrize(
@@ -302,12 +314,7 @@ class TestFastPathFailsLoudly:
         }
         sizes = [32, doomed, 128]
         delivered = []
-        supervisor = SweepSupervisor(
-            jobs=jobs,
-            max_retries=1,
-            backoff=0,
-            checkpoint=SweepCheckpoint(tmp_path / "ck.json"),
-        )
+        supervisor = SweepSupervisor(jobs=jobs, max_retries=1, backoff=0)
         simulate_points = supervisor.simulate_points
 
         def spy(program, configs, keys, on_result=None):
@@ -323,11 +330,11 @@ class TestFastPathFailsLoudly:
                 tiny_program,
                 cache_sizes=sizes,
                 strategies=strategies,
+                cache=SimulationCache(tmp_path),
                 supervisor=supervisor,
                 memory_access_time=6,
                 input_bus_width=8,
             )
-        supervisor.checkpoint.release()
 
         configs = [_pipe().with_overrides(icache_size=size) for size in sizes]
         keys = dict(zip(sizes, sweep_point_keys(tiny_program, configs)))
@@ -335,52 +342,19 @@ class TestFastPathFailsLoudly:
         assert label == keys[doomed][:12]
         assert isinstance(exc, RuntimeError) and "fast-path bug" in str(exc)
         assert sorted(delivered) == [32, 128]
-        manifest = SweepCheckpoint(tmp_path / "ck.json")
-        assert manifest.load() == 2
-        for size in (32, 128):
-            assert manifest.get(keys[size]) == simulate(
-                configs[sizes.index(size)], tiny_program
-            )
+        # The completed points are in the cache as they finished; the
+        # broken one is not.
+        cache = SimulationCache(tmp_path)
+        for size, config in zip(sizes, configs):
+            hit = cache.lookup(config, tiny_program)
+            if size == doomed:
+                assert hit is None
+            else:
+                assert hit == simulate(config, tiny_program)
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
         kinds = supervisor.report.counts()
         assert "degraded" not in kinds and "engine_fault" not in kinds
         assert kinds == {"retry": 2, "gave_up": 1}
-
-
-class TestSweepCheckpoint:
-    def test_round_trip(self, tiny_program, tmp_path):
-        result = simulate(_pipe(), tiny_program)
-        checkpoint = SweepCheckpoint(tmp_path / "ck.json", interval=100)
-        checkpoint.add("key1", result)
-        checkpoint.flush()
-        reopened = SweepCheckpoint(tmp_path / "ck.json")
-        assert reopened.load() == 1
-        assert reopened.get("key1") == result
-        assert reopened.get("other") is None
-
-    def test_flushes_every_interval(self, tiny_program, tmp_path):
-        result = simulate(_pipe(), tiny_program)
-        checkpoint = SweepCheckpoint(tmp_path / "ck.json", interval=2)
-        checkpoint.add("k1", result)
-        assert not (tmp_path / "ck.json").exists()
-        checkpoint.add("k2", result)
-        assert (tmp_path / "ck.json").exists()
-
-    def test_corrupt_manifest_starts_empty(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text("{torn write")
-        checkpoint = SweepCheckpoint(path)
-        assert checkpoint.load() == 0
-        assert len(checkpoint) == 0
-
-    def test_wrong_version_starts_empty(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text(json.dumps({"version": 999, "points": {"k": {}}}))
-        assert SweepCheckpoint(path).load() == 0
-
-    def test_no_temp_droppings(self, tiny_program, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path / "ck.json", interval=1)
-        checkpoint.add("k1", simulate(_pipe(), tiny_program))
-        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
 
 class TestSupervisedSweep:
@@ -388,203 +362,38 @@ class TestSupervisedSweep:
         self, tiny_program, tmp_path
     ):
         plain = run_cache_sweep(tiny_program, cache_sizes=[64, 128], jobs=1)
-        supervisor = SweepSupervisor(
-            jobs=1, checkpoint=SweepCheckpoint(tmp_path / "ck.json")
-        )
+        supervisor = SweepSupervisor(jobs=1)
+        cache = SimulationCache(tmp_path / "cache")
         supervised = run_cache_sweep(
             tiny_program,
             cache_sizes=[64, 128],
-            cache=SimulationCache(tmp_path / "cache"),
+            cache=cache,
             supervisor=supervisor,
         )
         assert [s.cycles for s in supervised] == [s.cycles for s in plain]
         assert supervisor.report.clean
-        # every completed point was checkpointed
-        assert len(supervisor.checkpoint) == sum(
-            len(s.cycles) for s in supervised
-        )
+        # every completed point was cached, and nothing else was written:
+        # no manifest, no lockfile, no temp file
+        written = sorted(p for p in (tmp_path / "cache").rglob("*") if p.is_file())
+        assert written == cache.entries()
+        assert len(written) == sum(len(s.cycles) for s in supervised)
 
-    def test_checkpoint_manifest_bytes_identical_pool_and_serial(
+    def test_rerun_answers_every_point_from_the_cache(
         self, tiny_program, tmp_path
     ):
-        strategies = {
-            "PIPE 16-16": lambda size, **o: MachineConfig.pipe("16-16", size, **o),
-            "conventional": lambda size, **o: MachineConfig.conventional(
-                size, **o
-            ),
-        }
-
-        def run(path, jobs):
-            supervisor = SweepSupervisor(
-                jobs=jobs, checkpoint=SweepCheckpoint(path, interval=100)
-            )
-            series = run_cache_sweep(
-                tiny_program,
-                cache_sizes=[64, 128],
-                strategies=strategies,
-                supervisor=supervisor,
-                memory_access_time=6,
-                input_bus_width=8,
-            )
-            supervisor.checkpoint.release()
-            return [s.as_dict() for s in series]
-
-        assert run(tmp_path / "pool.json", 2) == run(tmp_path / "serial.json", 1)
-        assert (tmp_path / "pool.json").read_bytes() == (
-            tmp_path / "serial.json"
-        ).read_bytes()
-
-    def test_resume_pre_resolves_from_the_checkpoint(
-        self, tiny_program, tmp_path
-    ):
-        first = SweepSupervisor(
-            jobs=1, checkpoint=SweepCheckpoint(tmp_path / "ck.json")
+        first = run_cache_sweep(
+            tiny_program,
+            cache_sizes=[64],
+            cache=SimulationCache(tmp_path),
+            supervisor=SweepSupervisor(jobs=1),
         )
-        baseline = run_cache_sweep(
-            tiny_program, cache_sizes=[64], supervisor=first
+        cache = SimulationCache(tmp_path)
+        rerun = run_cache_sweep(
+            tiny_program,
+            cache_sizes=[64],
+            cache=cache,
+            supervisor=SweepSupervisor(jobs=1),
         )
-        resumer = SweepSupervisor(
-            jobs=1,
-            checkpoint=SweepCheckpoint(tmp_path / "ck.json"),
-            resume=True,
-        )
-        resumer.checkpoint.load()
-        resumed = run_cache_sweep(
-            tiny_program, cache_sizes=[64], supervisor=resumer
-        )
-        assert resumer.resumed == sum(len(s.cycles) for s in baseline)
-        assert [s.cycles for s in resumed] == [s.cycles for s in baseline]
-
-    def test_stale_checkpoint_entries_never_match(self, tiny_program, tmp_path):
-        # A manifest keyed by different content (another cache size) must
-        # not satisfy this sweep's points.
-        first = SweepSupervisor(
-            jobs=1, checkpoint=SweepCheckpoint(tmp_path / "ck.json")
-        )
-        run_cache_sweep(tiny_program, cache_sizes=[32], supervisor=first)
-        resumer = SweepSupervisor(
-            jobs=1,
-            checkpoint=SweepCheckpoint(tmp_path / "ck.json"),
-            resume=True,
-        )
-        resumer.checkpoint.load()
-        run_cache_sweep(tiny_program, cache_sizes=[256], supervisor=resumer)
-        assert resumer.resumed == 0
-
-
-class TestRetryBackoff:
-    def test_deterministic_for_fixed_inputs(self):
-        first = retry_backoff(0.25, 3, "point-a", seed=7)
-        second = retry_backoff(0.25, 3, "point-a", seed=7)
-        assert first == second
-
-    def test_distinct_points_get_distinct_delays(self):
-        delays = {
-            retry_backoff(0.25, 2, f"point-{n}", seed=7) for n in range(16)
-        }
-        # Decorrelation is the whole purpose: a respawned pool must not
-        # see every interrupted point return in lockstep.
-        assert len(delays) > 1
-
-    def test_bounded_by_base_and_cap(self):
-        for attempt in range(1, 12):
-            delay = retry_backoff(0.25, attempt, "k", seed=3)
-            assert 0.0 < delay <= 0.25 * 16.0
-        assert retry_backoff(0.25, 9, "k", cap=1.0, seed=3) <= 1.0
-
-    def test_zero_base_or_attempt_disables(self):
-        assert retry_backoff(0.0, 3, "k") == 0.0
-        assert retry_backoff(0.25, 0, "k") == 0.0
-
-    def test_seed_comes_from_the_active_fault_plan(self):
-        from repro.core import faults
-
-        faults.deactivate()
-        try:
-            disarmed = retry_backoff(0.25, 2, "k")
-            assert disarmed == retry_backoff(0.25, 2, "k", seed=0)
-            faults.activate(faults.FaultPlan(seed=99))
-            armed = retry_backoff(0.25, 2, "k")
-            assert armed == retry_backoff(0.25, 2, "k", seed=99)
-        finally:
-            faults.deactivate()
-
-
-class TestCheckpointLock:
-    def test_acquire_release_round_trip(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path / "ck.json")
-        checkpoint.acquire()
-        assert checkpoint.locked
-        assert checkpoint.lock_path.exists()
-        assert checkpoint.lock_path.read_text() == str(os.getpid())
-        checkpoint.release()
-        assert not checkpoint.locked
-        assert not checkpoint.lock_path.exists()
-
-    def test_acquire_is_idempotent_per_instance(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path / "ck.json")
-        checkpoint.acquire()
-        checkpoint.acquire()  # no error, still held
-        checkpoint.release()
-
-    def test_live_foreign_holder_raises(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path / "ck.json")
-        # The parent pytest process is alive and is not us.
-        checkpoint.lock_path.write_text(str(os.getppid()))
-        with pytest.raises(CheckpointLockError):
-            checkpoint.acquire()
-
-    def test_stale_lock_from_dead_process_is_broken(self, tmp_path):
-        import subprocess
-        import sys
-
-        child = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        dead_pid = int(child.stdout.strip())
-        checkpoint = SweepCheckpoint(tmp_path / "ck.json")
-        checkpoint.lock_path.write_text(str(dead_pid))
-        checkpoint.acquire()  # broken and re-claimed, no error
-        assert checkpoint.locked
-        checkpoint.release()
-
-    def test_unreadable_lock_is_treated_as_stale(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path / "ck.json")
-        checkpoint.lock_path.write_text("not-a-pid")
-        checkpoint.acquire()
-        checkpoint.release()
-
-    def test_same_process_reacquire_across_instances(self, tmp_path):
-        # Two sequential supervised runs in one process (the CLI does
-        # this, and so do tests) must not dead-lock against themselves:
-        # the lock excludes other *processes*.
-        first = SweepCheckpoint(tmp_path / "ck.json")
-        first.acquire()
-        second = SweepCheckpoint(tmp_path / "ck.json")
-        second.acquire()
-        assert second.locked
-        second.release()
-
-    def test_context_manager(self, tmp_path):
-        with SweepCheckpoint(tmp_path / "ck.json") as checkpoint:
-            assert checkpoint.locked
-        assert not checkpoint.lock_path.exists()
-
-    def test_supervised_sweep_takes_and_conflicts_on_the_lock(
-        self, tiny_program, tmp_path
-    ):
-        supervisor = SweepSupervisor(
-            jobs=1, checkpoint=SweepCheckpoint(tmp_path / "ck.json")
-        )
-        run_cache_sweep(tiny_program, cache_sizes=[64], supervisor=supervisor)
-        # The sweep's claim is still held (the CLI releases at exit);
-        # a concurrent run in another process would now fail fast.
-        assert supervisor.checkpoint.locked
-        foreign = SweepCheckpoint(tmp_path / "ck.json")
-        foreign.lock_path.write_text(str(os.getppid()))  # simulate: alive
-        with pytest.raises(CheckpointLockError):
-            foreign.acquire()
-        supervisor.checkpoint.release()
+        points = sum(len(s.cycles) for s in first)
+        assert (cache.stats.hits, cache.stats.misses) == (points, 0)
+        assert [s.cycles for s in rerun] == [s.cycles for s in first]

@@ -98,10 +98,11 @@ class TestFingerprints:
             result_key(config, tiny_program) for config in configs
         ]
 
-    def test_cache_entry_is_named_by_the_checkpoint_key(
+    def test_cache_entry_is_named_by_the_sweep_point_key(
         self, tiny_program, tmp_path
     ):
-        """The cache and the sweep checkpoint share one content address."""
+        """A cache entry is named by the key the sweep supervisor labels
+        and injects faults by."""
         cache = SimulationCache(tmp_path)
         config = _pipe()
         _resolve(config, tiny_program, cache)

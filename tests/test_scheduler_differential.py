@@ -620,4 +620,3 @@ def test_component_hints_are_idle_when_nothing_pending():
     assert sim.backend.next_event_cycle(0) == IDLE
     assert sim.engine.next_event_cycle(0) == IDLE
     assert sim.frontend.next_event_cycle(0) == IDLE
-    assert sim.cache.next_event_cycle(0) == IDLE
