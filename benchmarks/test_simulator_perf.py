@@ -104,42 +104,44 @@ _SKIP_CONFIGS = {
 }
 
 
+def _best_of(rounds: int, config, program, engine: str) -> tuple[float, int]:
+    """Min-of-``rounds`` wall time of one simulation on one
+    :data:`~repro.core.scheduler.ENGINES` row, and its cycle count."""
+    best = float("inf")
+    cycles = 0
+    for _ in range(rounds):
+        start = time.perf_counter()
+        result = simulate(config, program, **ROW[engine])
+        best = min(best, time.perf_counter() - start)
+        assert result.halted
+        cycles = result.cycles
+    return best, cycles
+
+
 def test_idle_skip_speedup(context, benchmark, results_dir):
-    """Idle-cycle skipping vs the reference loop, memory-dominated sweep.
+    """The compiled engine vs the reference loop, memory-dominated sweep.
 
     The conventional cache with a slow external memory spends most of
     its cycles waiting on a single outstanding fill — exactly the
-    quiescent spans the skip scheduler jumps over.  This benchmark runs
-    the same configurations on the ``idle-skip`` and ``reference``
-    engine rows (both interpreted; min-of-N wall time),
-    checks the cycle counts agree, publishes the per-config table to
+    quiescent spans the compiled engine's idle skip jumps over.  This
+    benchmark runs the same configurations on the ``compiled`` and
+    ``reference`` engine rows (min-of-N wall time), checks the cycle
+    counts agree, publishes the per-config table to
     ``benchmarks/results/idle_skip.txt``, and enforces the headline
     claim: >= 3x overall on memory_access_time-dominated configs.
     """
     rounds = 3
-
-    # replay and compiled kernels off in both arms: this benchmark
-    # isolates the idle-skip layer (loop replay has its own below).
-    def timed(config, engine: str) -> tuple[float, int]:
-        best = float("inf")
-        cycles = 0
-        for _ in range(rounds):
-            start = time.perf_counter()
-            result = simulate(config, context.program, **ROW[engine])
-            best = min(best, time.perf_counter() - start)
-            assert result.halted
-            cycles = result.cycles
-        return best, cycles
-
     rows = []
     headline_on = headline_off = 0.0
     for name, factory in sorted(_SKIP_CONFIGS.items()):
         config = factory()
-        on_seconds, on_cycles = timed(config, "idle-skip")
-        off_seconds, off_cycles = timed(config, "reference")
+        on_seconds, on_cycles = _best_of(rounds, config, context.program, "compiled")
+        off_seconds, off_cycles = _best_of(
+            rounds, config, context.program, "reference"
+        )
         assert on_cycles == off_cycles, (
-            f"{name}: skip engine simulated {on_cycles} cycles but the "
-            f"reference loop simulated {off_cycles}"
+            f"{name}: the compiled engine simulated {on_cycles} cycles but "
+            f"the reference loop simulated {off_cycles}"
         )
         # The headline claim is about memory-dominated configs; the
         # mat16 row is context showing how the win scales with latency.
@@ -150,10 +152,11 @@ def test_idle_skip_speedup(context, benchmark, results_dir):
 
     speedup = headline_off / headline_on
     lines = [
-        "Idle-cycle-skipping scheduler: wall-clock vs the reference loop",
+        "Compiled engine (idle-cycle skipping): wall-clock vs the reference loop",
         f"(workload scale {context.scale}, min of {rounds} runs per cell)",
         "",
-        f"{'config':<26} {'cycles':>10} {'skip-on':>9} {'skip-off':>9} {'speedup':>8}",
+        f"{'config':<26} {'cycles':>10} {'compiled':>9} {'reference':>9} "
+        f"{'speedup':>8}",
     ]
     for name, cycles, on_seconds, off_seconds in rows:
         lines.append(
@@ -172,7 +175,7 @@ def test_idle_skip_speedup(context, benchmark, results_dir):
         lambda: simulate(
             _SKIP_CONFIGS["conventional-128-mat32"](),
             context.program,
-            **ROW["idle-skip"],
+            **ROW["compiled"],
         ),
         rounds=1,
         iterations=1,
@@ -180,7 +183,7 @@ def test_idle_skip_speedup(context, benchmark, results_dir):
     benchmark.extra_info["simulated_cycles"] = result.cycles
     benchmark.extra_info["speedup"] = round(speedup, 2)
     assert speedup >= 3.0, (
-        f"idle-cycle skipping delivered only {speedup:.2f}x on the "
+        f"the compiled engine delivered only {speedup:.2f}x on the "
         "memory-dominated sweep (target >= 3x)"
     )
 
@@ -200,39 +203,29 @@ _REPLAY_CONFIGS = {
 
 
 def test_warm_replay_speedup(context, benchmark, results_dir):
-    """Steady-state loop replay vs the idle-skip engine alone.
+    """The compiled engine vs the reference loop, loop-dominated runs.
 
     The Livermore loops are loop-dominated by construction: once warm,
     every iteration repeats the same cycle-by-cycle evolution, which is
-    exactly what the replay engine memoizes.  This benchmark runs the
-    same configurations on the ``skip+replay`` and ``idle-skip`` engine
-    rows (both interpreted; min-of-N wall time), checks the cycle
-    counts agree, publishes
-    the per-config table to ``benchmarks/results/warm_replay.txt``, and
-    enforces the headline claim: >= 2x on the loop-dominated runs.
+    exactly what the compiled engine's loop replay memoizes.  This
+    benchmark runs the same configurations on the ``compiled`` and
+    ``reference`` engine rows (min-of-N wall time), checks the cycle
+    counts agree, publishes the per-config table to
+    ``benchmarks/results/warm_replay.txt``, and enforces the headline
+    claim: >= 2x on the loop-dominated runs.
     """
     rounds = 3
-
-    def timed(config, engine: str) -> tuple[float, int]:
-        best = float("inf")
-        cycles = 0
-        for _ in range(rounds):
-            start = time.perf_counter()
-            result = simulate(config, context.program, **ROW[engine])
-            best = min(best, time.perf_counter() - start)
-            assert result.halted
-            cycles = result.cycles
-        return best, cycles
-
     rows = []
     total_on = total_off = 0.0
     for name, factory in sorted(_REPLAY_CONFIGS.items()):
         config = factory()
-        on_seconds, on_cycles = timed(config, "skip+replay")
-        off_seconds, off_cycles = timed(config, "idle-skip")
+        on_seconds, on_cycles = _best_of(rounds, config, context.program, "compiled")
+        off_seconds, off_cycles = _best_of(
+            rounds, config, context.program, "reference"
+        )
         assert on_cycles == off_cycles, (
-            f"{name}: replay engine simulated {on_cycles} cycles but the "
-            f"idle-skip engine simulated {off_cycles}"
+            f"{name}: the compiled engine simulated {on_cycles} cycles but "
+            f"the reference loop simulated {off_cycles}"
         )
         total_on += on_seconds
         total_off += off_seconds
@@ -240,10 +233,10 @@ def test_warm_replay_speedup(context, benchmark, results_dir):
 
     speedup = total_off / total_on
     lines = [
-        "Steady-state loop replay: wall-clock vs the idle-skip engine",
+        "Compiled engine (loop replay): wall-clock vs the reference loop",
         f"(workload scale {context.scale}, min of {rounds} runs per cell)",
         "",
-        f"{'config':<26} {'cycles':>10} {'replay-on':>10} {'replay-off':>11} "
+        f"{'config':<26} {'cycles':>10} {'compiled':>10} {'reference':>11} "
         f"{'speedup':>8}",
     ]
     for name, cycles, on_seconds, off_seconds in rows:
@@ -263,7 +256,7 @@ def test_warm_replay_speedup(context, benchmark, results_dir):
         lambda: simulate(
             _REPLAY_CONFIGS["pipe-16-16-c128-mat6"](),
             context.program,
-            **ROW["skip+replay"],
+            **ROW["compiled"],
         ),
         rounds=1,
         iterations=1,
@@ -271,7 +264,7 @@ def test_warm_replay_speedup(context, benchmark, results_dir):
     benchmark.extra_info["simulated_cycles"] = result.cycles
     benchmark.extra_info["speedup"] = round(speedup, 2)
     assert speedup >= 2.0, (
-        f"steady-state replay delivered only {speedup:.2f}x on the "
+        f"the compiled engine delivered only {speedup:.2f}x on the "
         "loop-dominated sweep (target >= 2x)"
     )
 

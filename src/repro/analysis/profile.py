@@ -11,7 +11,7 @@ The profile runs the default engine with tracing on and reads the
 attribution off the event stream (``backend issue`` carries each
 issued pc), so it keeps no cycle loop of its own: it gets idle-cycle
 skipping, loop replay and the deadlock detector with the rest of the
-simulator, and the same cycle counts on every engine.
+simulator, and the same cycle counts on both engines.
 """
 
 from __future__ import annotations
@@ -210,7 +210,8 @@ def profile_engine(
     program: Program,
     regions: list[tuple[str, int, int]],
 ) -> EngineProfileReport:
-    """Run with the replay engine on and report what it memoized.
+    """Run on the compiled engine (even under ``--no-skip``) and report
+    what its replay engine memoized.
 
     Each loop backedge target the :class:`~repro.core.replay.ReplayController`
     tracked is mapped back to its benchmark loop, with live vs replayed
@@ -219,7 +220,7 @@ def profile_engine(
     why a loop did or did not engage.
     """
     region_map = _RegionMap(regions)
-    simulator = Simulator(config, program, skip=True, replay=True)
+    simulator = Simulator(config, program, skip=True)
     result = simulator.run()
     controller = simulator.replay_controller
     loops = [

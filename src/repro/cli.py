@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -56,7 +57,7 @@ from .analysis.tables import (
 from .core import faults
 from .core.config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
 from .core.parallel import resolve_jobs
-from .core.resilience import SweepSupervisor
+from .core.resilience import SweepPointError, SweepSupervisor
 from .core.scheduler import NO_SKIP_ENV
 from .core.simcache import SimulationCache
 from .core.simulator import simulate, simulate_traced
@@ -81,6 +82,19 @@ def _fault_plan(spec: str) -> faults.FaultPlan:
         return faults.FaultPlan.parse(spec)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _timeout_seconds(text: str) -> float:
+    """``--timeout`` parser: a positive finite number of seconds."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (seconds > 0 and math.isfinite(seconds)):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number of seconds, not {text}"
+        )
+    return seconds
 
 
 def _add_perf(parser: argparse.ArgumentParser) -> None:
@@ -113,7 +127,7 @@ def _add_perf(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout_seconds,
         default=None,
         metavar="SECONDS",
         help="per-point wall-clock limit; a point past it is charged a "
@@ -398,12 +412,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .core.fuzz import run_corpus, run_fuzz
 
     configs = args.configs.split(",") if args.configs else None
-    engines = args.engines.split(",") if args.engines else None
     progress = None if args.quiet else print
     if args.corpus is not None:
-        report = run_corpus(
-            args.corpus, configs=configs, progress=progress, engines=engines
-        )
+        report = run_corpus(args.corpus, configs=configs, progress=progress)
     else:
         report = run_fuzz(
             start_seed=args.seed,
@@ -413,7 +424,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             failures_dir=args.save_failures,
             shrink=not args.no_shrink,
             progress=progress,
-            engines=engines,
         )
     print(report.summary())
     for failure in report.failures:
@@ -433,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-skip",
         action="store_true",
-        help="run the reference cycle-by-cycle loop: no idle-cycle "
-        "skipping, and so no loop replay or compiled kernel either "
-        "(results are identical; equivalent to REPRO_NO_SKIP=1)",
+        help="run the reference cycle-by-cycle loop instead of the "
+        "compiled engine (no idle-cycle skipping, no loop replay; results "
+        "are identical; equivalent to REPRO_NO_SKIP=1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -556,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz_parser = sub.add_parser(
         "fuzz",
-        help="differential-fuzz the four engines with generated kernels",
+        help="differential-fuzz the compiled engine against the reference "
+        "loop with generated kernels",
     )
     fuzz_parser.add_argument(
         "--seed", type=int, default=0, help="first seed of the range"
@@ -574,13 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated machine configs to cycle through "
         "(default: all fuzz configs)",
-    )
-    fuzz_parser.add_argument(
-        "--engines",
-        default=None,
-        help="comma-separated engines to compare, from reference, "
-        "idle-skip, skip+replay and compiled (the reference baseline is "
-        "always included; default: all four)",
     )
     fuzz_parser.add_argument(
         "--corpus",
@@ -611,7 +615,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.no_skip:
         # Via the environment so parallel sweep workers inherit it too.
         os.environ[NO_SKIP_ENV] = "1"
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SweepPointError as error:
+        # The fault report has already been printed; name each point
+        # that stayed broken instead of a traceback.
+        for label, exc in error.failures:
+            print(
+                f"sweep point {label} failed: {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

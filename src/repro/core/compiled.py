@@ -1,11 +1,13 @@
 """Compiled step kernels: codegen for the cycle loop.
 
-The reference loop in :meth:`repro.core.simulator.Simulator.run` pays
-generic-Python overhead on every *live* cycle: virtual dispatch into
+The reference loop, :meth:`repro.core.simulator.Simulator._run_loop`,
+pays generic-Python overhead on every cycle: virtual dispatch into
 each component phase, attribute lookups for state that never moves,
 and ``tracer.enabled`` tests that are false for the whole run.  This
 module generates, per machine shape (a configuration, its cache size
-aside), a monolithic specialized skip+replay run function in which
+aside), the compiled engine: a monolithic specialized run function
+that skips idle spans, replays warm loop iterations
+(:mod:`repro.core.replay`), and in which
 
 * configuration constants (``max_cycles``, the deadlock horizon, queue
   capacities, branch latency, the bus knobs, the FPU window) are folded
@@ -27,11 +29,16 @@ aside), a monolithic specialized skip+replay run function in which
 * component objects, bound methods, and queue storage are hoisted into
   locals once per run, outside the hot loop.
 
-The generated source mirrors the reference loop statement for
-statement — same phase order, same counter updates, same trace events,
-same error arithmetic — so results, stats, and JSONL trace bytes are
-byte-identical (``tests/test_scheduler_differential.py`` pins this
-across the whole crosscheck config family).
+The live cycles of the generated source follow the reference loop
+statement for statement — same phase order, same counter updates, same
+trace events, same deadlock and timeout checks.  The idle skip
+(:func:`_emit_skip_block`) and the replay hooks
+(:func:`_emit_replay_block`, the backend's issue log and backedge) are
+specified here, by the arithmetic they must reproduce: results, stats,
+and JSONL trace bytes equal the reference loop's
+(``tests/test_scheduler_differential.py`` checks this across the whole
+crosscheck config family, and ``repro-sim fuzz`` on generated
+programs).
 
 **Eligibility: everything or nothing.**  The components'
 ``emit_compiled_*`` classmethods mirror the shipped classes' methods,
@@ -41,8 +48,8 @@ emitters mirror and no instance attribute shadows one of that class's
 methods; such a machine gets the fully inlined kernel for its
 :class:`KernelSpec`.  Any other machine — a test stub, a subclass, a
 monkeypatched method — gets ``None`` from :func:`kernel_for`, and
-:meth:`~repro.core.simulator.Simulator.run` runs the interpreted
-skip+replay engine instead, which calls the bound methods.
+:meth:`~repro.core.simulator.Simulator.run` runs the reference loop
+instead, which calls the bound methods.
 
 **One cache per artifact.**  A :class:`KernelSpec` holds only the
 constants folded into the kernel text, so the spec keys the one kernel
@@ -62,10 +69,9 @@ the components rebind (``external.in_flight``, ``fpu._ops_pending``,
 ``engine._uncommitted_*``) are always read through their owner, and
 no kernel local holds one across cycles.
 
-The kernel always runs with idle-cycle skipping and loop replay on:
-the engine switches nest (:func:`repro.core.scheduler.resolve_engine`),
-so ``compiled=False`` selects the interpreted skip+replay engine
-instead.
+The kernel always runs with idle-cycle skipping and loop replay on;
+``skip=False`` (:func:`repro.core.scheduler.resolve_engine`) selects
+the reference loop instead.
 """
 
 from __future__ import annotations
@@ -148,7 +154,7 @@ def _shipped(sim) -> bool:
     no instance attribute shadowing one of that class's methods, and
     the memory must poll the frontend, then the engine (the order the
     inlined acceptance phase assumes).  A machine that fails runs the
-    interpreted skip+replay engine.
+    reference loop.
     """
     frontend = sim.frontend
     engine = sim.engine
@@ -415,9 +421,12 @@ def _emit_skip_block(ctx: KernelContext) -> None:
     mask = spec.snapshot_mask
     interval = mask + 1
     with ctx.block("if clock.ticks == ticks_before:"):
-        # The wake scan of ``Simulator._run_loop``.  The data engine and
-        # the frontends are event-woken: their ``next_event_cycle`` is
-        # always ``IDLE``, so only memory and the backend contribute.
+        # The wake scan: the earliest timed event.  Only memory and the
+        # backend own one.  The frontends and the data engine are purely
+        # event-woken: every change of theirs reacts to input-bus data
+        # (a delivery tick), an issue or pop, a branch resolution, a
+        # redirect or an acceptance, and each of those bumps the clock
+        # at its origin, so a zero-tick cycle leaves them frozen.
         ExternalMemory.emit_compiled_wake(ctx)
         TimedFpu.emit_compiled_wake(ctx)
         Backend.emit_compiled_wake(ctx)
@@ -592,7 +601,7 @@ def kernel_for(sim) -> CompiledKernel | None:
     """The (cached) compiled kernel serving one simulator instance.
 
     ``None`` when the machine is not exactly the shipped one
-    (:func:`_shipped`); the caller then runs the interpreted engine.
+    (:func:`_shipped`); the caller then runs the reference loop.
     """
     global _KERNEL_HITS
     if not _shipped(sim):

@@ -1,4 +1,4 @@
-"""Differential fuzzing of the four engines over generated kernels.
+"""Differential fuzzing of the two engines over generated kernels.
 
 For each seeded workload from :mod:`repro.kernels.generate` the harness
 checks two layers of the system against each other:
@@ -8,10 +8,11 @@ checks two layers of the system against each other:
    element plus every scalar result slot is compared **bit-for-bit**
    against the float32-exact reference interpreter.
 2. **Engines** — for each machine configuration in the sample,
-   the program runs through all four engines (reference, idle-skip,
-   skip+replay, compiled) with tracing on, and the harness asserts
+   the program runs on both engines (the reference loop and the
+   compiled kernel) with tracing on, and the harness asserts
    identical cycle counts, identical stats dicts, and byte-identical
-   trace streams.
+   trace streams.  A trace mismatch is reported at its first
+   differing JSONL event (:func:`first_trace_divergence`).
 
 A failing case is **shrunk**: the harness greedily applies
 semantics-preserving reductions (drop statements, halve iteration/trip
@@ -60,6 +61,7 @@ __all__ = [
     "FuzzFailure",
     "FuzzReport",
     "check_workload",
+    "first_trace_divergence",
     "run_corpus",
     "run_fuzz",
     "shrink_workload",
@@ -178,38 +180,31 @@ def _functional_problems(suite: KernelSuite, kernel: Kernel) -> list[str]:
     return problems
 
 
-def _select_engines(engines: list[str] | None) -> tuple:
-    """Resolve an engine-tag filter against
-    :data:`repro.core.scheduler.ENGINES`.
-
-    ``reference`` is always included — it is the baseline every other
-    engine is compared against — so ``engines=["compiled"]`` pins a run
-    to the reference/compiled pair.
-    """
-    if engines is None:
-        return ENGINES
-    known = {tag for tag, _ in ENGINES}
-    unknown = [tag for tag in engines if tag not in known]
-    if unknown:
-        raise ValueError(
-            f"unknown engine tag(s) {unknown}; choose from {sorted(known)}"
-        )
-    wanted = set(engines) | {"reference"}
-    return tuple(pair for pair in ENGINES if pair[0] in wanted)
+def first_trace_divergence(tag: str, trace: Path, reference: Path) -> str:
+    """Where engine ``tag``'s JSONL ``trace`` first departs from the
+    ``reference`` trace: the first differing line with both events, or
+    both lengths when one trace is a prefix of the other."""
+    lines = trace.read_text().splitlines()
+    reference_lines = reference.read_text().splitlines()
+    for number, (line, expected) in enumerate(zip(lines, reference_lines), 1):
+        if line != expected:
+            return (
+                f"[{tag}] trace differs from reference at line {number}: "
+                f"{tag} {line} != reference {expected}"
+            )
+    return (
+        f"[{tag}] trace differs from reference in length: "
+        f"{tag} {len(lines)} lines, reference {len(reference_lines)} lines"
+    )
 
 
-def _engine_problems(
-    suite: KernelSuite,
-    config: MachineConfig,
-    engines: list[str] | None = None,
-) -> list[str]:
-    """Four-engine run: cycles, stats dicts, and trace bytes must match."""
+def _engine_problems(suite: KernelSuite, config: MachineConfig) -> list[str]:
+    """Both engines, traced: cycles, stats dicts, and trace bytes must match."""
     problems: list[str] = []
-    selected = _select_engines(engines)
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
         runs = {}
-        for tag, kwargs in selected:
-            path = Path(tmp) / f"{tag.replace('+', '-')}.jsonl"
+        for tag, kwargs in ENGINES:
+            path = Path(tmp) / f"{tag}.jsonl"
             try:
                 result = simulate_traced(config, suite.program, path, **kwargs)
             except Exception as error:  # noqa: BLE001 - any engine crash is a finding
@@ -218,12 +213,9 @@ def _engine_problems(
             runs[tag] = (result, path)
         if "reference" not in runs:
             return problems
-        reference_result, reference_path = runs["reference"]
+        reference_result, reference_path = runs.pop("reference")
         reference_trace = reference_path.read_bytes()
-        for tag, _kwargs in selected:
-            if tag == "reference" or tag not in runs:
-                continue
-            result, path = runs[tag]
+        for tag, (result, path) in runs.items():
             if result.cycles != reference_result.cycles:
                 problems.append(
                     f"[{tag}] cycles {result.cycles} != "
@@ -238,27 +230,18 @@ def _engine_problems(
                 ]
                 problems.append(f"[{tag}] stats differ on keys {keys}")
             if path.read_bytes() != reference_trace:
-                problems.append(f"[{tag}] trace bytes differ from reference")
+                problems.append(first_trace_divergence(tag, path, reference_path))
     return problems
 
 
-def check_workload(
-    kernel: Kernel,
-    arrays,
-    config: MachineConfig,
-    engines: list[str] | None = None,
-) -> list[str]:
-    """All divergences for one workload × config (empty = clean).
-
-    ``engines`` restricts the comparison to the named tags (plus the
-    reference baseline); ``None`` runs all four engines.
-    """
+def check_workload(kernel: Kernel, arrays, config: MachineConfig) -> list[str]:
+    """All divergences for one workload × config (empty = clean)."""
     try:
         suite = build_kernel_suite([kernel], list(arrays))
     except (KernelValidationError, CompileError, ValueError) as error:
         return [f"suite build failed: {type(error).__name__}: {error}"]
     problems = _functional_problems(suite, kernel)
-    problems.extend(_engine_problems(suite, config, engines))
+    problems.extend(_engine_problems(suite, config))
     return problems
 
 
@@ -361,7 +344,6 @@ def run_fuzz(
     failures_dir: str | Path | None = None,
     shrink: bool = True,
     progress=None,
-    engines: list[str] | None = None,
 ) -> FuzzReport:
     """Fuzz ``count`` seeded workloads starting at ``start_seed``.
 
@@ -369,10 +351,8 @@ def run_fuzz(
     ``configs`` (default: all of :data:`FUZZ_CONFIGS`, round-robin).
     Failures are shrunk and written as JSON reproducers under
     ``failures_dir`` (if given); ``progress`` is an optional callable
-    receiving one status line per case.  ``engines`` pins the comparison
-    to the named engines plus the reference baseline (default: all four).
+    receiving one status line per case.
     """
-    _select_engines(engines)  # validate tags before the first case
     config_names = list(configs or FUZZ_CONFIGS)
     for name in config_names:
         if name not in FUZZ_CONFIGS:
@@ -388,9 +368,7 @@ def run_fuzz(
         config_name = _config_for_case(index, config_names)
         config = FUZZ_CONFIGS[config_name]()
         workload = generate_workload(seed, budget)
-        problems = check_workload(
-            workload.kernel, workload.arrays, config, engines=engines
-        )
+        problems = check_workload(workload.kernel, workload.arrays, config)
         report.cases += 1
         if progress is not None:
             status = "ok" if not problems else f"FAIL ({len(problems)} problems)"
@@ -430,10 +408,8 @@ def run_corpus(
     corpus_dir: str | Path,
     configs: list[str] | None = None,
     progress=None,
-    engines: list[str] | None = None,
 ) -> FuzzReport:
     """Re-check every JSON reproducer in ``corpus_dir`` on all configs."""
-    _select_engines(engines)  # validate tags before the first case
     config_names = list(configs or FUZZ_CONFIGS)
     paths = sorted(Path(corpus_dir).glob("*.json"))
     if not paths:
@@ -443,7 +419,7 @@ def run_corpus(
         kernel, arrays, metadata = workload_from_json(path.read_text())
         for config_name in config_names:
             config = FUZZ_CONFIGS[config_name]()
-            problems = check_workload(kernel, arrays, config, engines=engines)
+            problems = check_workload(kernel, arrays, config)
             report.cases += 1
             if progress is not None:
                 status = "ok" if not problems else f"FAIL ({len(problems)} problems)"

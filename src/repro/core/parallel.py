@@ -393,16 +393,23 @@ def parallel_map(
     jobs: int | None = None,
     initializer: Callable | None = None,
     initargs: tuple = (),
+    on_result: Callable[[int, R], None] | None = None,
 ) -> list[R]:
     """``[fn(item) for item in items]`` across worker processes.
 
     Deterministic: results are returned in input order regardless of
-    completion order.  An exception raised by ``fn`` propagates
-    unchanged, once; only pool trouble falls back to serial (see
-    :func:`sweep_map`).
+    completion order.  ``on_result(index, value)`` fires as each item
+    completes, so the items finished before a failure are reported.
+    An exception raised by ``fn`` propagates unchanged, once; only pool
+    trouble falls back to serial (see :func:`sweep_map`).
     """
     values, _failed = sweep_map(
-        fn, items, jobs=jobs, initializer=initializer, initargs=initargs
+        fn,
+        items,
+        jobs=jobs,
+        initializer=initializer,
+        initargs=initargs,
+        on_result=on_result,
     )
     return values
 
@@ -429,11 +436,13 @@ def simulate_many(
     program: Program,
     configs: Sequence[MachineConfig],
     jobs: int | None = None,
+    on_result: Callable[[int, SimulationResult], None] | None = None,
 ) -> list[SimulationResult]:
     """Simulate every config against ``program``, fanned out over workers.
 
     Results are returned in ``configs`` order and are bit-identical to
-    running the same list serially.
+    running the same list serially; ``on_result(index, result)`` fires
+    as each point completes.
     """
     return parallel_map(
         _simulate_point,
@@ -441,4 +450,5 @@ def simulate_many(
         jobs=jobs,
         initializer=_init_simulation_worker,
         initargs=(program,),
+        on_result=on_result,
     )

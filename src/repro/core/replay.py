@@ -25,11 +25,10 @@ target:
    return the machine to the same signature.  Only then is the loop
    **engaged**.
 3. **Replay.**  When a loop engages, each recorded instruction is
-   bound once to a *step* ``(state, env) -> outcome`` — on the compiled
-   engine the handler the live kernel already used, from the
-   per-instruction-value memo of :func:`repro.cpu.dispatch.handler_for`,
-   or ``execute`` itself on the interpreted engines, which compile
-   nothing — and the record's counter delta is resolved into a *plan*
+   bound once to a *step* ``(state, env) -> outcome`` — the handler the
+   live kernel already used, from the per-instruction-value memo of
+   :func:`repro.cpu.dispatch.handler_for` — and the record's counter
+   delta is resolved into a *plan*
    of the nonzero counters it moves (:meth:`StatsBook.plan`).  On each
    further signature match the controller replays iterations
    arithmetically: a *shadow functional pass* runs the bound steps
@@ -60,21 +59,19 @@ Byte-identity invariants:
 * replay refuses to advance past ``max_cycles``, so timeout and
   deadlock errors report true architectural cycles.
 
-``replay=False`` disables the controller entirely and selects the
-idle-skip engine; replay itself needs idle-cycle skipping
-(:func:`repro.core.scheduler.resolve_engine`), so ``--no-skip`` turns
-it off too.
+The controller serves only the compiled engine: its kernel hands every
+loop backedge to :meth:`ReplayController.on_backedge`.  The reference
+loop (``skip=False``, ``--no-skip``, or a machine that gets no kernel)
+runs without one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from functools import partial
 
 from ..asm.program import WORD_BYTES
 from ..cpu.dispatch import handler_for
-from ..cpu.executor import execute
 from ..cpu.state import ArchState
 from ..memory.fpu import (
     FPU_BASE,
@@ -351,12 +348,6 @@ class _Divergence(Exception):
 _FPU_END = FPU_BASE + FPU_SIZE
 
 
-def _interpreted_step(instruction):
-    """The interpreted engines' shadow step: ``execute`` bound to one
-    instruction (those engines compile nothing)."""
-    return partial(execute, instruction)
-
-
 class _ShadowEnv:
     """Executor environment for the counter-silent shadow pass.
 
@@ -478,12 +469,9 @@ class ReplayController:
     #: iterations longer than this are never memoized (outer loops)
     MAX_ITERATION_INSTRUCTIONS = 2048
 
-    def __init__(self, sim, compiled: bool = False):
+    def __init__(self, sim):
         self.sim = sim
         self.book = StatsBook(sim)
-        #: binds a recorded instruction to its shadow step: the compiled
-        #: kernel's shared dispatch handler, else ``execute``
-        self._step_for = handler_for if compiled else _interpreted_step
         self.loops: dict[int, _LoopState] = {}
         self.traced = sim.tracer.enabled
         self._recording_target: int | None = None
@@ -496,7 +484,7 @@ class ReplayController:
         self._shadow_arch = ArchState()
 
     # ------------------------------------------------------------------
-    # Entry point from the run loop
+    # Entry point from the compiled kernel
     # ------------------------------------------------------------------
     def on_backedge(self, target: int, now: int) -> int:
         """Handle a loop backedge at cycle ``now``; returns the new ``now``.
@@ -540,7 +528,7 @@ class ReplayController:
     def check_runaway(self) -> None:
         """Abandon a recording that grew past the memoization bound.
 
-        Called from the run loop's periodic snapshot branch so a
+        Called from the kernel's periodic snapshot branch so a
         recording for a backedge that never recurs cannot buffer the
         rest of the program.
         """
@@ -660,9 +648,8 @@ class ReplayController:
     def _bind(self, record: _IterationRecord) -> None:
         """Bind an engaging record once for every iteration it replays:
         each instruction to its step, the counter delta to its plan."""
-        step_for = self._step_for
         record.steps = tuple(
-            (step_for(instruction), outcome)
+            (handler_for(instruction), outcome)
             for _tag, _pc, instruction, outcome in record.instrs
         )
         record.plan = self.book.plan(record.delta)

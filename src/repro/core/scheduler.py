@@ -1,10 +1,19 @@
-"""Idle-cycle scheduling primitives: the progress clock and event hints.
+"""Engine selection and the primitives the compiled kernel schedules with.
 
-The cycle-level simulator spends most of its wall-clock time simulating
-cycles in which *nothing changes* — the machine waiting out
-``memory_access_time``, an FPU latency, or a branch-resolution delay.
-Two small pieces let :meth:`repro.core.simulator.Simulator.run` jump
-over such spans without changing a single reported number:
+The simulator has two engines, the two rows of :data:`ENGINES`:
+
+* ``reference`` — :meth:`repro.core.simulator.Simulator._run_loop`, which
+  simulates every cycle through the components' methods.  It is the
+  oracle every result is checked against.
+* ``compiled`` — the generated kernel of :mod:`repro.core.compiled`,
+  which also jumps over idle spans and replays warm loop iterations
+  (:mod:`repro.core.replay`).  Its results, stats and traces are
+  byte-identical to the reference loop's.
+
+``skip=False``, ``REPRO_NO_SKIP=1`` or ``--no-skip`` selects the
+reference loop; :func:`resolve_engine` reads the switches.
+
+The kernel's idle-cycle skipping rests on two pieces defined here:
 
 * :class:`ProgressClock` — a shared monotonic counter every component
   bumps on each *real* state mutation (a queue push/pop, a bus
@@ -12,27 +21,11 @@ over such spans without changing a single reported number:
   cycle ends with the same tick count it started with, machine state is
   provably frozen: every later cycle replays it exactly until a *timed*
   event fires.  The tick count doubles as the deadlock detector's
-  progress signature, replacing the 8-tuple the old loop allocated
-  every cycle.
-
-* ``next_event_cycle(now)`` hints — each component reports the earliest
-  future cycle at which it can make progress *on its own*, or
-  :data:`IDLE` when only another component's activity can wake it.
-  Timed events exist in exactly three places: external-memory
-  ``ready_at``, FPU operation completion, and pending-branch
-  ``resolve_at``; everything else (frontends, the data engine, the
-  cache) is event-woken.  Hints may be conservative (an early wake
-  costs one probe cycle and nothing else); a *late* hint would change
-  results, which is why the scheduler only skips after observing a
-  zero-tick probe cycle.
-
-**Engines.**  Three switches pick one of the four rows of
-:data:`ENGINES`, and they nest: replay runs only on top of idle-cycle
-skipping, and the compiled step kernel only on top of replay.
-``skip=False``, ``REPRO_NO_SKIP=1`` or ``--no-skip`` selects the
-reference cycle-by-cycle loop; ``replay=False`` idle-skip alone;
-``compiled=False`` the interpreted skip+replay engine.
-:func:`resolve_engine` applies the nesting.
+  progress signature on both engines.
+* :data:`IDLE` — the wake scan's "no timed event" sentinel.  Timed
+  events exist in exactly three places: external-memory ``ready_at``,
+  FPU operation completion and pending-branch ``resolve_at``; the
+  kernel's wake scan takes the earliest of them.
 """
 
 from __future__ import annotations
@@ -50,32 +43,30 @@ __all__ = [
     "skip_enabled_default",
 ]
 
-#: Sentinel returned by ``next_event_cycle`` hints: no self-scheduled
-#: event; only another component's progress can wake this one.
+#: The compiled kernel's wake-scan sentinel: no timed event is pending,
+#: so only another component's progress can wake the machine.
 IDLE: int = 1 << 62
 
 #: Folded into simulation-cache keys so blobs produced by a different
 #: scheduling engine never satisfy a lookup.  Bump on any change to the
-#: skip scheduler's, the replay engine's, or the compiled step-kernel
-#: generator's accounting.
+#: accounting of the compiled kernel's idle skip, its loop replay or its
+#: generator.
 ENGINE_REVISION = "skip-1+replay-1+compiled-2"
 
-#: Environment variable forcing the reference (no-skip) loop.
+#: Environment variable forcing the reference loop.
 NO_SKIP_ENV = "REPRO_NO_SKIP"
 
-#: The four engines, slowest first, as ``(name, Simulator kwargs)``.
-#: Every row produces byte-identical results (the differential matrix
-#: pins this); ``repro-sim fuzz --engines`` accepts the names.
+#: The two engines, slowest first, as ``(name, Simulator kwargs)``.
+#: Both produce byte-identical results (the differential matrix pins
+#: this).
 ENGINES: tuple[tuple[str, dict], ...] = (
-    ("reference", {"skip": False, "replay": False, "compiled": False}),
-    ("idle-skip", {"skip": True, "replay": False, "compiled": False}),
-    ("skip+replay", {"skip": True, "replay": True, "compiled": False}),
-    ("compiled", {"skip": True, "replay": True, "compiled": True}),
+    ("reference", {"skip": False}),
+    ("compiled", {"skip": True}),
 )
 
 
 def skip_enabled_default() -> bool:
-    """Idle-cycle skipping defaults to on unless ``REPRO_NO_SKIP`` is set."""
+    """The compiled engine is the default unless ``REPRO_NO_SKIP`` is set."""
     value = os.environ.get(NO_SKIP_ENV, "").strip().lower()
     return value not in ("1", "true", "yes")
 
@@ -84,25 +75,25 @@ def resolve_engine(
     skip: bool | None = None,
     replay: bool | None = None,
     compiled: bool | None = None,
-) -> tuple[bool, bool, bool]:
-    """The ``(skip, replay, compiled)`` switches one run actually uses.
+) -> bool:
+    """True when one run uses the compiled engine, False for the reference loop.
 
-    An unset ``skip`` follows ``REPRO_NO_SKIP``, an unset ``replay``
-    follows ``skip`` and an unset ``compiled`` follows ``replay``, so
-    the answer is always one :data:`ENGINES` row.  An explicit
-    ``replay=True`` or ``compiled=True`` above a disabled switch raises
-    :class:`ValueError`.
+    ``skip`` decides, and an unset ``skip`` follows ``REPRO_NO_SKIP``.
+    ``replay`` and ``compiled`` are kept only so that ``False`` still
+    selects the reference loop; ``True`` selects nothing.  An explicit
+    ``True`` beside an explicit ``False`` raises :class:`ValueError`.
     """
-    skip = skip_enabled_default() if skip is None else bool(skip)
-    if replay is None:
-        replay = skip
-    elif replay and not skip:
-        raise ValueError("replay=True needs idle-cycle skipping (skip is off)")
-    if compiled is None:
-        compiled = replay
-    elif compiled and not replay:
-        raise ValueError("compiled=True needs loop replay (replay is off)")
-    return skip, bool(replay), bool(compiled)
+    switches = {"skip": skip, "replay": replay, "compiled": compiled}
+    on = [name for name, value in switches.items() if value]
+    off = [name for name, value in switches.items() if value is not None and not value]
+    if on and off:
+        raise ValueError(
+            f"{on[0]}=True needs the compiled engine, "
+            f"which {off[0]}=False turns off"
+        )
+    if off:
+        return False
+    return skip_enabled_default() if skip is None else True
 
 
 class ProgressClock:

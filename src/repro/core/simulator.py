@@ -18,51 +18,35 @@ The run ends when the program has executed HALT **and** every queue and
 in-flight transaction has drained; the cycle count at that point is the
 paper's performance metric.
 
-**Idle-cycle skipping.**  Every component bumps a shared
-:class:`~repro.core.scheduler.ProgressClock` on each real state
-mutation.  When an executed cycle produces zero ticks the machine is
-provably frozen — the same stall, the same losing arbitration, the same
-busy memory — until the earliest *timed* event (external-memory
-``ready_at``, FPU completion, branch ``resolve_at``).  The scheduler
-then bulk-advances ``now`` to the min over the components'
-``next_event_cycle`` hints, applying the per-cycle accounting (stall
-counters, external-memory busy cycles, acceptance conflicts, and —
-when traced — the per-idle-cycle ``backend stall`` / ``mem conflict``
-events) arithmetically, so results and traces are byte-identical to
-the reference loop.
+**Two engines.**  :meth:`Simulator._run_loop` is the reference loop: it
+runs every cycle through the component methods above, and it is the
+oracle every result is checked against.  By default,
+:meth:`Simulator.run` instead executes the machine's compiled kernel
+(:mod:`repro.core.compiled`): the same phases with config constants
+folded to literals, the component phases inlined and the trace branches
+specialized out when untraced, cached per process (one kernel serves
+every cache size of a configuration).  The kernel adds two fast paths,
+and results, stats and traces stay byte-identical to the reference loop
+(the differential matrix pins it):
 
-**Steady-state loop replay.**  On top of idle-cycle skipping, the
-:class:`~repro.core.replay.ReplayController` memoizes warm loop
-iterations: at loop backedges the machine is fingerprinted via the
-components' ``state_signature`` hooks, and once a recorded iteration
-is reproduced exactly by the next live iteration, further iterations
-are applied *arithmetically* — a counter-silent shadow functional pass
-advances registers, memory, and queue values, every simulation counter
-advances by its recorded delta, and all timed state shifts by the
-iteration's cycle/sequence deltas.  The moment any input differs
-(branch outcome, FPU-window address, ordering-hazard count) the shadow
-is discarded and live simulation resumes from the untouched boundary
-state, so results, stats, and traces stay byte-identical to the
-reference engine.
+* *idle-cycle skipping* — every component bumps a shared
+  :class:`~repro.core.scheduler.ProgressClock` on each real state
+  mutation.  When an executed cycle produces zero ticks the machine is
+  provably frozen until the earliest timed event (external-memory
+  ``ready_at``, FPU completion, branch ``resolve_at``), so the kernel
+  bulk-advances ``now`` there and applies the per-cycle accounting
+  (stall counters, external-memory busy cycles, acceptance conflicts
+  and, when traced, the per-idle-cycle events) arithmetically;
+* *steady-state loop replay* — the
+  :class:`~repro.core.replay.ReplayController` memoizes warm loop
+  iterations and applies further ones arithmetically, falling back to
+  live simulation the moment any input differs.
 
-**Compiled step kernels.**  The generic loop below pays Python
-dispatch and attribute-lookup overhead on every *live* cycle.  When
-``compiled`` is enabled (the default), :meth:`Simulator.run` instead
-executes a specialized run function generated by
-:mod:`repro.core.compiled` — the same skip+replay loop with config
-constants folded to literals, the component phases inlined, and the
-trace branches specialized out when untraced — cached per process (one
-kernel serves every cache size of a configuration) and byte-identical
-to this reference loop (the four-way differential matrix pins it).  A machine whose components are not exactly the
-shipped classes (a test stub, a subclass, a monkeypatched method) gets
-no kernel and runs this interpreted skip+replay loop instead.
-
-**Choosing an engine.**  The switches nest
-(:func:`~repro.core.scheduler.resolve_engine`), so a run is always one
-of the four :data:`~repro.core.scheduler.ENGINES` rows: ``skip=False``
-or ``REPRO_NO_SKIP=1`` selects the reference cycle-by-cycle loop,
-``replay=False`` idle-cycle skipping alone, and ``compiled=False`` the
-interpreted skip+replay loop.
+A machine whose components are not exactly the shipped classes (a test
+stub, a subclass, a monkeypatched method) gets no kernel and runs the
+reference loop, with no replay controller.  ``skip=False``,
+``REPRO_NO_SKIP=1`` or ``--no-skip`` selects the reference loop for
+every machine (:func:`~repro.core.scheduler.resolve_engine`).
 """
 
 from __future__ import annotations
@@ -79,12 +63,7 @@ from .compiled import kernel_for
 from .config import FetchStrategy, MachineConfig
 from .replay import ReplayController
 from .results import QueueSnapshot, SimulationResult
-from .scheduler import (
-    IDLE,
-    ProgressClock,
-    SeqCounter,
-    resolve_engine,
-)
+from .scheduler import ProgressClock, SeqCounter, resolve_engine
 from .trace import NULL_TRACER, JsonLinesSink, MetricsSink, TraceSink, Tracer
 
 __all__ = [
@@ -100,9 +79,9 @@ class SimulationTimeout(RuntimeError):
     """The run exceeded ``config.max_cycles`` without draining.
 
     ``cycle`` is the architectural cycle at which the limit was hit
-    (exact even when the skip scheduler jumped into it); ``fast_path``
-    records whether the limit fell inside a skipped idle span rather
-    than on a live cycle.
+    (exact even when the compiled kernel's idle skip jumped into it);
+    ``fast_path`` records whether the limit fell inside a skipped idle
+    span rather than on a live cycle.
     """
 
     cycle: int = -1
@@ -119,18 +98,13 @@ class DeadlockError(RuntimeError):
     drain because issue is blocked on the full LAQ).
 
     ``cycle`` is the architectural cycle at which the detector fired
-    (exact even when the skip scheduler jumped into it); ``fast_path``
-    records whether it fired inside a skipped idle span rather than at
-    a live snapshot.
+    (exact even when the compiled kernel's idle skip jumped into it);
+    ``fast_path`` records whether it fired inside a skipped idle span
+    rather than at a live snapshot.
     """
 
     cycle: int = -1
     fast_path: bool = False
-
-
-#: outcomes of a bulk-advance that lands on a detection horizon
-_FATE_DEADLOCK = "deadlock"
-_FATE_TIMEOUT = "timeout"
 
 
 class Simulator:
@@ -154,15 +128,13 @@ class Simulator:
         self.program = program
         self.tracer = tracer if tracer is not None else NULL_TRACER
         tracer = self.tracer
-        #: the engine switches after nesting (``None`` follows the
-        #: switch below, and ``skip`` follows ``REPRO_NO_SKIP``):
-        #: idle-cycle skipping, steady-state loop replay on top of it,
-        #: the compiled kernel on top of both
-        self.skip, self.replay_enabled, self.compiled_enabled = resolve_engine(
-            skip, replay, compiled
-        )
+        #: True runs the compiled engine (when the machine gets a
+        #: kernel), False the reference loop; see
+        #: :func:`~repro.core.scheduler.resolve_engine`
+        self.skip = resolve_engine(skip, replay, compiled)
         #: the controller of the most recent :meth:`run` (``None`` when
-        #: replay is disabled); the engine profiler reads its reports
+        #: it ran the reference loop); the engine profiler reads its
+        #: reports
         self.replay_controller: ReplayController | None = None
         self.clock = ProgressClock()
         clock = self.clock
@@ -266,38 +238,32 @@ class Simulator:
     SNAPSHOT_MASK = 0xFF
 
     def run(self) -> SimulationResult:
-        kernel = kernel_for(self) if self.compiled_enabled else None
-        replay = (
-            ReplayController(self, compiled=kernel is not None)
-            if self.replay_enabled
-            else None
-        )
-        self.replay_controller = replay
-        if kernel is not None:
-            return self._collect(kernel(self))
-        return self._collect(self._run_loop(replay))
+        kernel = kernel_for(self) if self.skip else None
+        if kernel is None:
+            self.replay_controller = None
+            return self._collect(self._run_loop())
+        self.replay_controller = ReplayController(self)
+        return self._collect(kernel(self))
 
-    def _run_loop(self, replay: ReplayController | None) -> int:
-        """The interpreted reference/skip/replay loop; returns the final
-        architectural cycle.  The compiled kernels generated by
-        :mod:`repro.core.compiled` mirror this method statement for
-        statement — any change here needs a matching generator change
-        (and an ``ENGINE_REVISION`` bump)."""
+    def _run_loop(self) -> int:
+        """The reference loop; returns the final architectural cycle.
+
+        Every cycle runs the component phases in the order above.  The
+        compiled kernels generated by :mod:`repro.core.compiled` are
+        checked against this loop, so any change to it needs a matching
+        generator change (and an ``ENGINE_REVISION`` bump).
+        """
         now = 0
         max_cycles = self.config.max_cycles
         memory = self.memory
-        mem_stats = memory.stats
-        external = memory.external
         engine = self.engine
         frontend = self.frontend
         backend = self.backend
         clock = self.clock
-        skip = self.skip
         tracer = self.tracer
         traced = tracer.enabled
         deadlock_cycles = self.DEADLOCK_CYCLES
         mask = self.SNAPSHOT_MASK
-        interval = mask + 1
         if traced:
             tracer.cycle = 0
             tracer.emit(
@@ -313,8 +279,6 @@ class Simulator:
         while True:
             if traced:
                 tracer.cycle = now
-            ticks_before = clock.ticks
-            conflicts_before = mem_stats.acceptance_conflicts
             memory.begin_cycle(now)
             engine.update(now)
             frontend.update(now)
@@ -335,17 +299,6 @@ class Simulator:
                         halted=backend.halted,
                     )
                 break
-            if replay is not None and backend.replay_backedge is not None:
-                target = backend.replay_backedge
-                backend.replay_backedge = None
-                jumped = replay.on_backedge(target, now)
-                if jumped != now:
-                    # Iterations were replayed arithmetically; the
-                    # reference engine recorded progress at every
-                    # snapshot inside the span.
-                    now = jumped
-                    last_ticks = clock.ticks
-                    last_progress_at = now & ~mask
             if not now & mask:
                 ticks = clock.ticks
                 if ticks != last_ticks:
@@ -353,76 +306,8 @@ class Simulator:
                     last_progress_at = now
                 elif now - last_progress_at > deadlock_cycles:
                     raise self._deadlock(now, last_progress_at, fast_path=False)
-                if replay is not None:
-                    replay.check_runaway()
             if now >= max_cycles:
                 raise self._timeout(now, fast_path=False)
-            if skip and clock.ticks == ticks_before:
-                # Quiescent probe cycle: zero ticks means machine state
-                # is frozen, so every following cycle repeats this one
-                # exactly until the earliest timed event.  Jump there,
-                # applying the per-cycle accounting arithmetically.
-                wake = memory.next_event_cycle(now)
-                hint = backend.next_event_cycle(now)
-                if hint < wake:
-                    wake = hint
-                hint = engine.next_event_cycle(now)
-                if hint < wake:
-                    wake = hint
-                hint = frontend.next_event_cycle(now)
-                if hint < wake:
-                    wake = hint
-                # Replay the detector's arithmetic over the span: with
-                # the ticks frozen, only the first snapshot after `now`
-                # can still record progress; the detector then fires a
-                # fixed distance past the last recorded progress.
-                ticks = clock.ticks
-                if ticks != last_ticks:
-                    first_snapshot = (now | mask) + 1
-                    fire_base = first_snapshot
-                else:
-                    first_snapshot = None
-                    fire_base = last_progress_at
-                fire = -(-(fire_base + deadlock_cycles + 1) // interval) * interval
-                if fire <= wake and fire <= max_cycles:
-                    target, fate = fire, _FATE_DEADLOCK
-                elif max_cycles <= wake:
-                    target, fate = max_cycles, _FATE_TIMEOUT
-                else:
-                    target, fate = wake, None
-                if target > now:
-                    span = target - now
-                    stall_reason = (
-                        backend.last_stall_reason if not backend.halted else None
-                    )
-                    if stall_reason is not None:
-                        backend.stalls[stall_reason] += span
-                    conflict = mem_stats.acceptance_conflicts > conflicts_before
-                    if conflict:
-                        mem_stats.acceptance_conflicts += span
-                    if external.in_flight:
-                        external.busy_cycles += span
-                    if traced and (stall_reason is not None or conflict):
-                        # Re-emit the probe cycle's per-idle-cycle events
-                        # for every skipped cycle, in intra-cycle order
-                        # (the stall during backend.step, the conflict
-                        # during memory.end_cycle).
-                        candidates = memory.last_conflict_candidates
-                        emit = tracer.emit
-                        for cycle in range(now, target):
-                            tracer.cycle = cycle
-                            if stall_reason is not None:
-                                emit("backend", "stall", reason=stall_reason)
-                            if conflict:
-                                emit("mem", "conflict", candidates=candidates)
-                    if first_snapshot is not None and first_snapshot <= target:
-                        last_ticks = ticks
-                        last_progress_at = first_snapshot
-                    now = target
-                    if fate is _FATE_DEADLOCK:
-                        raise self._deadlock(now, last_progress_at, fast_path=True)
-                    if fate is _FATE_TIMEOUT:
-                        raise self._timeout(now, fast_path=True)
         return now
 
     # ------------------------------------------------------------------
@@ -504,10 +389,11 @@ def simulate(
 ) -> SimulationResult:
     """Build a machine for ``config`` and run ``program`` to completion.
 
-    ``skip``, ``replay`` and ``compiled`` pick the engine (default: the
-    compiled kernel, unless ``REPRO_NO_SKIP`` says otherwise; see
-    :func:`~repro.core.scheduler.resolve_engine`); results are
-    identical on every engine.
+    ``skip=False`` selects the reference loop (default: the compiled
+    engine, unless ``REPRO_NO_SKIP`` says otherwise); ``replay=False``
+    and ``compiled=False`` select it too (see
+    :func:`~repro.core.scheduler.resolve_engine`).  Results are
+    identical on both engines.
     """
     return Simulator(
         config, program, tracer=tracer, skip=skip, replay=replay, compiled=compiled
@@ -533,7 +419,7 @@ def simulate_traced(
     carries its counters.  Extra ``sinks`` are attached as given.  All
     sinks are closed when the run finishes (or fails).  ``skip``,
     ``replay`` and ``compiled`` pick the engine as in :func:`simulate`;
-    the event stream is identical on every engine.
+    the event stream is identical on both engines.
     """
     tracer = Tracer()
     if trace_path is not None:

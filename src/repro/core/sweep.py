@@ -19,10 +19,11 @@ are byte-identical with or without each of them:
   *finish*: the misses run on its supervised worker pool (per-point
   timeouts, bounded retries, crashed-pool recovery), and every recovery
   action — cache quarantines included — goes into its
-  :class:`~repro.core.resilience.FaultReport`.  Each supervised point
-  is stored to the cache as it completes, so the cache is the sweep's
-  checkpoint: an interrupted run resumes when the same command runs
-  again.
+  :class:`~repro.core.resilience.FaultReport`.
+
+Supervised or not, each point is stored to the cache as it completes,
+so the cache is the sweep's checkpoint: an interrupted run resumes when
+the same command runs again.
 """
 
 from __future__ import annotations
@@ -103,10 +104,10 @@ def resolve_points(
     The misses run over ``jobs`` worker processes — or, when a
     ``supervisor`` is set, on its supervised pool (its own ``jobs``,
     timeouts, retries and crash recovery), with cache quarantines
-    recorded in its report.  Every fresh result is stored to the cache;
-    a supervised run stores each one as it completes, so progress
-    survives a crash at any moment and a rerun answers it from the
-    cache.  The results are identical to simulating each point serially.
+    recorded in its report.  Every fresh result is stored to the cache
+    as it completes, so progress survives a crash or a failed sibling
+    point at any moment and a rerun answers it from the cache.  The
+    results are identical to simulating each point serially.
     """
     configs = list(configs)
     if cache is not None and supervisor is not None:
@@ -140,9 +141,7 @@ def resolve_points(
                     on_result=on_result,
                 )
             else:
-                fresh = simulate_many(program, miss_configs, jobs=jobs)
-                for miss, result in enumerate(fresh):
-                    on_result(miss, result)
+                simulate_many(program, miss_configs, jobs=jobs, on_result=on_result)
     finally:
         if cache is not None and supervisor is not None:
             cache.quarantine_hook = None

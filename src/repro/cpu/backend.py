@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.scheduler import IDLE, ProgressClock
+from ..core.scheduler import ProgressClock
 from ..core.trace import NULL_TRACER, Tracer
 from ..frontend.base import FetchUnit
 from .data_engine import DataQueueEngine
@@ -88,18 +88,19 @@ class Backend:
         self.branches_taken = 0
         #: pc of the most recently issued instruction (cycle attribution)
         self.last_pc: int | None = None
-        #: reason of the most recent stall (the skip scheduler charges
-        #: every cycle of a quiescent span to this counter)
+        #: reason of the most recent stall (the compiled kernel's idle
+        #: skip charges every cycle of a quiescent span to this counter)
         self.last_stall_reason: str | None = None
         self.stalls: dict[str, int] = {reason: 0 for reason in StallReason.ALL}
         self._pending: _PendingBranch | None = None
         #: the data engine implements the executor's ``ExecutionEnv``
         self._env = engine
-        #: replay recording: when a list, every issue appends
-        #: ``("i", pc, instruction, outcome)``
+        #: replay recording: when a list, every issue in the compiled
+        #: kernel appends ``("i", pc, instruction, outcome)``
         self.issue_log: list | None = None
-        #: target of a backward redirect taken this cycle (a loop
-        #: backedge); the replay run loop reads and clears it
+        #: target of a backward redirect the compiled kernel took this
+        #: cycle (a loop backedge); the kernel hands it to the replay
+        #: controller and clears it
         self.replay_backedge: int | None = None
 
     # ------------------------------------------------------------------
@@ -128,11 +129,8 @@ class Backend:
                 return False
             # Taken (not-taken branches were cleared at notification).
             self._clock.ticks += 1
-            target = pending.target
-            self.frontend.redirect(target, now)
+            self.frontend.redirect(pending.target, now)
             self._pending = None
-            if self.last_pc is not None and target < self.last_pc:
-                self.replay_backedge = target
         return True
 
     def step(self, now: int) -> bool:
@@ -164,8 +162,6 @@ class Backend:
             return False
 
         outcome = execute(instruction, self.state, self._env)
-        if self.issue_log is not None:
-            self.issue_log.append(("i", pc, instruction, outcome))
         self._clock.ticks += 1
         self.frontend.consume(now)
         self.instructions += 1
@@ -210,8 +206,12 @@ class Backend:
 
         Must mirror :meth:`step` (and the ``_handle_branch_bookkeeping``
         /``_stall`` helpers it calls) statement for statement: same
-        counter updates, same trace events, same ordering.  The only
-        licensed deviations are pure-code motion: the instruction's
+        counter updates, same trace events, same ordering.  The kernel
+        adds the two replay hooks :meth:`step` lacks: an issue appends
+        to ``issue_log`` while the replay controller records an
+        iteration, and a taken redirect to a target below the last
+        issued pc (a loop backedge) sets ``replay_backedge``.  The only
+        other licensed deviations are pure-code motion: the instruction's
         issue entry (:func:`repro.cpu.dispatch.issue_entry`: the
         ``queue_effects`` flags, ``op.is_branch`` and the shared
         dispatch handler that stands in for ``execute``, all pure
@@ -354,7 +354,14 @@ class Backend:
 
     @classmethod
     def emit_compiled_wake(cls, ctx) -> None:
-        """Fold :meth:`next_event_cycle` into the idle-skip wake scan."""
+        """Fold the pending branch into the idle-skip wake scan.
+
+        ``resolve_at`` of an unresolved pending branch is the backend's
+        only self-scheduled event: at that cycle the condition resolves
+        (waking the frontend through ``branch_resolved``/``redirect``).
+        Everything else the backend does is a reaction to frontend- or
+        memory-side progress.
+        """
         ctx.need("backend")
         ctx.line("bpending = backend._pending")
         with ctx.block(
@@ -362,20 +369,6 @@ class Backend:
             "and bpending.resolve_at < wake:"
         ):
             ctx.line("wake = bpending.resolve_at")
-
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, now: int) -> int:
-        """Resolution time of an unresolved pending branch, else ``IDLE``.
-
-        ``resolve_at`` is the backend's only self-scheduled event: at
-        that cycle the condition resolves (waking the frontend through
-        ``branch_resolved``/``redirect``).  Everything else the backend
-        does is a reaction to frontend- or memory-side progress.
-        """
-        pending = self._pending
-        if pending is not None and not pending.notified:
-            return pending.resolve_at
-        return IDLE
 
     # ------------------------------------------------------------------
     def state_signature(self, now: int, base_seq: int) -> tuple:

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..asm.program import WORD_BYTES, Program
-from ..core.scheduler import IDLE, ProgressClock
+from ..core.scheduler import ProgressClock
 from ..core.trace import NULL_TRACER, Tracer
 from ..memory.fpu import FPU_BASE, FpuCore, is_fpu_address
 from ..memory.requests import MemoryRequest, RequestKind
@@ -373,18 +373,6 @@ class DataQueueEngine:
 
         request.on_complete = on_complete
         self._in_flight_loads.append(flight)
-
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, now: int) -> int:
-        """Always ``IDLE``: the data engine is purely event-woken.
-
-        Arrived loads enter the LDQ at the ``update`` following their
-        delivery (an input-bus tick); a load blocked on a full LDQ waits
-        for an issue-side pop (an issue tick); queue heads waiting at
-        output-bus arbitration wait for acceptance (an acceptance tick).
-        The engine never schedules an event on its own clock.
-        """
-        return IDLE
 
     # ------------------------------------------------------------------
     def state_signature(self, now: int, base_seq: int) -> tuple:

@@ -26,8 +26,7 @@ The same handlers also serve the compiled engine's replay shadow pass:
 when a loop engages, :class:`~repro.core.replay.ReplayController`
 binds each recorded instruction to its handler once, through
 :func:`handler_for`, and re-runs the bound handlers for every replayed
-iteration.  The interpreted engines compile nothing; they call
-``execute`` both live and in the shadow pass.
+iteration.  The reference loop compiles nothing; it calls ``execute``.
 
 **Byte-identity contract.**  ``handler(state, env)`` must be
 observationally identical to ``execute(instruction, state, env)``:
@@ -38,8 +37,8 @@ verification (and anything else) compares outcomes by equality, with
 identity only as a fast path, so the shared ``OUT_PLAIN``/``OUT_HALT``
 singletons are safe.  ``tests/test_cpu_dispatch.py`` pins
 handler-vs-executor equivalence across the opcode space; the
-interpreted engines, which call ``execute`` directly, are the
-differential matrix's other side.
+reference loop, which calls ``execute`` directly, is the differential
+matrix's other side.
 """
 
 from __future__ import annotations

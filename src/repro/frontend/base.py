@@ -23,7 +23,6 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from ..core.scheduler import IDLE
 from ..isa.encoding import InstructionFormat
 from ..isa.instruction import Instruction
 from ..isa.predecode import PredecodedImage
@@ -130,18 +129,6 @@ class FetchUnit(abc.ABC):
         request = self._request
         if request is not None and not self._request_accepted:
             request.seq += seqs
-
-    # -- quiescence protocol ----------------------------------------------
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest future cycle this frontend can make progress on its own.
-
-        Frontends are purely event-woken: every state change is a
-        reaction to input-bus data (a delivery tick), an issue/consume,
-        a branch resolution, or a redirect — all of which bump the
-        shared :class:`~repro.core.scheduler.ProgressClock` at their
-        origin.  ``IDLE`` is therefore always a safe (and exact) hint.
-        """
-        return IDLE
 
     # -- diagnostics -------------------------------------------------------
     def describe_state(self) -> str:

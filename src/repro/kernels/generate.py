@@ -2,7 +2,7 @@
 
 Every workload this module emits is simultaneously a new scenario for
 the paper's fetch-strategy comparison and a differential fuzz test of
-the four engines: the generated kernel compiles through
+the two engines: the generated kernel compiles through
 :class:`~repro.kernels.codegen.StructuredCompiler` to a real PIPE
 program *and* executes in the float32-exact reference interpreter, and
 the two must agree bit-for-bit.

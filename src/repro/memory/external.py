@@ -16,7 +16,7 @@ Parameters (paper simulation parameters 4 and 6):
 
 from __future__ import annotations
 
-from ..core.scheduler import IDLE, ProgressClock
+from ..core.scheduler import ProgressClock
 from .requests import MemoryRequest, RequestKind
 
 __all__ = ["ExternalMemory"]
@@ -134,10 +134,13 @@ class ExternalMemory:
     # ------------------------------------------------------------------
     @classmethod
     def emit_compiled_wake(cls, ctx) -> None:
-        """Open the idle-skip wake scan with :meth:`next_event_cycle`.
+        """Open the idle-skip wake scan: the earliest ``ready_at`` among
+        in-flight requests, else ``IDLE``.
 
-        ``in_flight`` is read through the owner every time because
-        :meth:`retire_finished` rebinds it each cycle.
+        Once a request turns ready, its deliveries/retirement generate
+        ticks every cycle, so ``ready_at`` is the only timed event this
+        component owns.  ``in_flight`` is read through the owner every
+        time because :meth:`retire_finished` rebinds it each cycle.
         """
         ctx.need("external")
         ctx.line("wake = IDLE")
@@ -145,18 +148,3 @@ class ExternalMemory:
             ctx.line("ready = request.ready_at")
             with ctx.block("if ready is not None and ready < wake:"):
                 ctx.line("wake = ready")
-
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest ``ready_at`` among in-flight requests, else ``IDLE``.
-
-        Once a request turns ready, its deliveries/retirement generate
-        ticks every cycle, so ``ready_at`` is the only timed event this
-        component owns.
-        """
-        nxt = IDLE
-        for request in self.in_flight:
-            ready = request.ready_at
-            if ready is not None and ready < nxt:
-                nxt = ready
-        return nxt

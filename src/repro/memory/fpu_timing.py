@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..core.scheduler import IDLE, ProgressClock
+from ..core.scheduler import ProgressClock
 from .fpu import FPU_OPERAND_A, FPU_RESULT, FpuLatencies
 from .requests import MemoryRequest, RequestKind
 
@@ -160,8 +160,14 @@ class TimedFpu:
     # ------------------------------------------------------------------
     @classmethod
     def emit_compiled_wake(cls, ctx) -> None:
-        """Fold :meth:`next_event_cycle` into the idle-skip wake scan.
+        """Fold the oldest pending operation's completion time into the
+        idle-skip wake scan.
 
+        An operation finishing is the FPU's only timed event: it readies
+        a result for delivery *and* frees an op-queue slot (which can
+        unblock a trigger store waiting at output-bus arbitration).
+        Ready results and queued result loads are event-woken — they
+        only wait on input-bus arbitration or new acceptances.
         ``_ops_pending`` is read through the owner because
         :meth:`replay_shift` rebinds the deque.
         """
@@ -169,20 +175,6 @@ class TimedFpu:
         ctx.line("_ops = fpu._ops_pending")
         with ctx.block("if _ops and _ops[0] < wake:"):
             ctx.line("wake = _ops[0]")
-
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, now: int) -> int:
-        """Completion time of the oldest pending operation, else ``IDLE``.
-
-        An operation finishing is the FPU's only timed event: it readies
-        a result for delivery *and* frees an op-queue slot (which can
-        unblock a trigger store waiting at output-bus arbitration).
-        Ready results and queued result loads are event-woken — they
-        only wait on input-bus arbitration or new acceptances.
-        """
-        if self._ops_pending:
-            return self._ops_pending[0]
-        return IDLE
 
     # ------------------------------------------------------------------
     @property

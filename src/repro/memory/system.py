@@ -101,7 +101,8 @@ class MemorySystem:
         self._sources: list[RequestSource] = []
         self._tracer = tracer if tracer is not None else NULL_TRACER
         #: candidate count of the most recent acceptance conflict (the
-        #: skip scheduler replays per-idle-cycle conflict events with it)
+        #: compiled kernel's idle skip replays per-idle-cycle conflict
+        #: events with it)
         self.last_conflict_candidates = 0
 
     def register_source(self, source: RequestSource) -> None:
@@ -486,13 +487,6 @@ class MemorySystem:
         """Advance all absolute times/seqs by a replayed span's deltas."""
         self.external.replay_shift(cycles, seqs)
         self.fpu.replay_shift(cycles, seqs)
-
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest timed event across the external memory and the FPU."""
-        nxt = self.external.next_event_cycle(now)
-        fpu = self.fpu.next_event_cycle(now)
-        return fpu if fpu < nxt else nxt
 
     # ------------------------------------------------------------------
     @property

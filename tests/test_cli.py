@@ -164,6 +164,44 @@ class TestResilienceCli:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--inject-faults" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_timeout_must_be_positive_and_finite(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "4b", "--timeout", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--timeout" in err
+
+    def test_permanently_failed_point_exits_cleanly(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A point that stays broken ends the run with status 1 and one
+        stderr line naming it, after the fault report: no traceback."""
+        from repro.core import simulator
+
+        simulate = simulator.simulate
+
+        def failing(config, program, *args, **kwargs):
+            if config.fetch_strategy.value == "conventional":
+                raise RuntimeError("injected point failure")
+            return simulate(config, program, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "simulate", failing)
+        argv = [
+            "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
+            "--supervised", "--jobs", "1", "--max-retries", "0",
+            "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "fault report" in captured.out
+        assert "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("sweep point ")
+        assert line.endswith(" failed: RuntimeError: injected point failure")
+        # the four points that finished are in the cache
+        assert len(SimulationCache(tmp_path).entries()) == 4
+
     def test_supervised_figure_reports_clean(self, capsys, tmp_path):
         argv = [
             "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",

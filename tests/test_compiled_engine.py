@@ -7,7 +7,7 @@ machinery itself: the two codegen caches (one kernel per
 one dispatch handler per instruction value, shared by every program),
 spec sensitivity, all-or-nothing eligibility (every shipped machine
 gets a kernel; a stubbed, subclassed or monkeypatched one gets none and
-runs the interpreted engine), the purity of ``generate_source``, and
+runs the reference loop), the purity of ``generate_source``, and
 generated-source goldens for the headline PIPE and the conventional
 configurations so codegen changes are reviewed as diffs, not discovered
 as regressions.
@@ -58,8 +58,6 @@ def _sim(config=None, program=None, **kwargs) -> Simulator:
     if program is None:
         program = assemble("halt")
     kwargs.setdefault("skip", True)
-    kwargs.setdefault("replay", True)
-    kwargs.setdefault("compiled", True)
     return Simulator(config, program, **kwargs)
 
 
@@ -75,7 +73,7 @@ class TestCompileCache:
     def test_same_config_compiles_once_per_process(self, tiny_program):
         before = compile_stats()["compiles"]
         for _ in range(3):
-            simulate(_pipe(), tiny_program, compiled=True)
+            simulate(_pipe(), tiny_program, skip=True)
         stats = compile_stats()
         assert stats["kernels"] == 1
         assert stats["compiles"] == before + 1
@@ -122,7 +120,7 @@ class TestCompileCache:
             "engine.laq": "push",
             "memory": "end_cycle",
             "memory.external": "accept",
-            "memory.fpu": "next_event_cycle",
+            "memory.fpu": "can_accept",
             "frontend": "poll_requests",
             "frontend.cache": "probe",
         }
@@ -182,11 +180,11 @@ class TestCacheContract:
         second = assemble("li r1, 5\naddi r2, r1, 3\nhalt")
         common = first.instruction_at(0)
         assert second.instruction_at(0) == common
-        simulate(_pipe(), first, compiled=True)
+        simulate(_pipe(), first, skip=True)
         before = compile_stats()
         handler = handler_for(common)
         assert compile_stats() == before  # the kernel already compiled it
-        simulate(_pipe(), second, compiled=True)
+        simulate(_pipe(), second, skip=True)
         after = compile_stats()
         assert handler_for(common) is handler
         # only ``addi`` is new to the second program
@@ -209,25 +207,25 @@ class TestCacheContract:
         first = assemble("li r1, 5\naddi r2, r1, 3\nhalt")
         second = assemble("li r1, 5\naddi r2, r1, 3\nsubi r3, r2, 1\nhalt")
         shared = [instruction for _pc, instruction in first.layout]
-        simulate(_pipe(), first, compiled=True)
+        simulate(_pipe(), first, skip=True)
         assert len(built) == len(shared) and set(built) == set(shared)
         entries = [issue_entry(instruction) for instruction in shared]
         built.clear()
-        simulate(_pipe(), first, compiled=True)
+        simulate(_pipe(), first, skip=True)
         assert built == []
-        simulate(_pipe(), second, compiled=True)
+        simulate(_pipe(), second, skip=True)
         assert built == [second.instruction_at(8)]
         for instruction, entry in zip(shared, entries):
             assert issue_entry(instruction) is entry
 
     def test_clear_empties_both_caches(self, tiny_program):
-        baseline = simulate(_pipe(), tiny_program, compiled=True)
+        baseline = simulate(_pipe(), tiny_program, skip=True)
         clear_compile_cache()
         before = compile_stats()
         assert before["kernels"] == 0
         assert before["dispatch_handlers"] == 0
         # the rerun rebuilds both caches and reproduces the run exactly
-        assert simulate(_pipe(), tiny_program, compiled=True) == baseline
+        assert simulate(_pipe(), tiny_program, skip=True) == baseline
         after = compile_stats()
         assert after["kernels"] == 1
         assert after["compiles"] == before["compiles"] + 1
@@ -241,7 +239,7 @@ class TestCacheContract:
         """After ``clear_compile_cache`` the next run rebuilds every
         entry it issues, with the same flags, and matches the run
         before the clear."""
-        baseline = simulate(_pipe(), tiny_program, compiled=True)
+        baseline = simulate(_pipe(), tiny_program, skip=True)
         issued = [i for _pc, i in tiny_program.layout if i in dispatch._ENTRIES]
         old = {instruction: issue_entry(instruction) for instruction in issued}
         clear_compile_cache()
@@ -253,7 +251,7 @@ class TestCacheContract:
             "queue_effects",
             lambda instruction: built.append(instruction) or effects(instruction),
         )
-        assert simulate(_pipe(), tiny_program, compiled=True) == baseline
+        assert simulate(_pipe(), tiny_program, skip=True) == baseline
         assert set(built) == set(old) and len(built) == len(old)
         for instruction, entry in old.items():
             rebuilt = issue_entry(instruction)
@@ -296,9 +294,9 @@ class TestFrontendInlining:
         """A subclass of a shipped frontend gets no kernel.
 
         The emitted state machines assume the exact shipped classes; a
-        subclass (which may override anything) must compile nothing, run
-        the interpreted skip+replay engine, and still reproduce the
-        reference loop exactly, traced.
+        subclass (which may override anything) must compile nothing and
+        run the reference loop, reproducing the reference row exactly,
+        traced.
         """
         for strategy in sorted(_STRATEGIES):
 
@@ -311,7 +309,7 @@ class TestFrontendInlining:
         self, tiny_program, tmp_path
     ):
         """A monkeypatched frontend method gets no kernel either, and the
-        interpreted engine honours the patch byte-identically."""
+        reference loop honours the patch byte-identically."""
         for strategy in sorted(_STRATEGIES):
 
             def patch(sim):
@@ -323,7 +321,8 @@ class TestFrontendInlining:
 
 def _assert_falls_back(strategy, alter, program, tmp_path) -> None:
     """``alter`` makes a compiled-engine simulator ineligible: it must
-    compile nothing and match the reference row's result and trace."""
+    compile nothing, run the reference loop without a replay controller,
+    and match the reference row's result and trace."""
     config = _STRATEGIES[strategy]()
     reference_path = tmp_path / f"{strategy}-reference.jsonl"
     reference = simulate_traced(
@@ -342,6 +341,7 @@ def _assert_falls_back(strategy, alter, program, tmp_path) -> None:
     finally:
         tracer.close()
     assert compile_stats() == before, strategy
+    assert sim.replay_controller is None, strategy
     assert result.to_dict() == reference.to_dict(), strategy
     assert fallback_path.read_bytes() == reference_path.read_bytes(), strategy
 
@@ -386,9 +386,7 @@ class TestGenerateSource:
         and review the diff.
         """
         spec = kernel_spec_for(
-            Simulator(
-                _pipe(), tiny_program, skip=True, replay=True, compiled=True
-            )
+            Simulator(_pipe(), tiny_program, skip=True)
         )
         _assert_matches_golden(generate_source(spec), GOLDEN)
 

@@ -1,7 +1,16 @@
 """Tests of the cache-size sweep driver."""
 
-from repro.core.config import FetchStrategy
-from repro.core.sweep import SweepSeries, run_cache_sweep, standard_strategies
+import pytest
+
+from repro.core import simulator
+from repro.core.config import FetchStrategy, MachineConfig
+from repro.core.simcache import SimulationCache
+from repro.core.sweep import (
+    SweepSeries,
+    resolve_points,
+    run_cache_sweep,
+    standard_strategies,
+)
 
 
 class TestStrategies:
@@ -91,3 +100,31 @@ class TestSweep:
         for a, b in zip(serial, parallel):
             assert a.cache_sizes == b.cache_sizes
             assert a.cycles == b.cycles
+
+
+class TestResolvePoints:
+    def test_unsupervised_points_are_stored_as_they_complete(
+        self, tiny_program, tmp_path, monkeypatch
+    ):
+        """The cache is the checkpoint without a supervisor too: when the
+        third point fails, the two finished before it are already
+        stored, and a rerun answers them from the cache."""
+        configs = [
+            MachineConfig.pipe("16-16", size, memory_access_time=1)
+            for size in (32, 64, 128)
+        ]
+        simulate = simulator.simulate
+
+        def failing(config, program, *args, **kwargs):
+            if config is configs[2]:
+                raise RuntimeError("third point fails")
+            return simulate(config, program, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "simulate", failing)
+        cache = SimulationCache(tmp_path)
+        with pytest.raises(RuntimeError, match="third point fails"):
+            resolve_points(tiny_program, configs, jobs=1, cache=cache)
+        stored = [cache.lookup(config, tiny_program) for config in configs]
+        assert stored[2] is None
+        for config, result in zip(configs[:2], stored):
+            assert result == simulate(config, tiny_program)

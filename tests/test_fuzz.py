@@ -2,7 +2,7 @@
 
 ``tests/corpus/`` holds minimized kernels pinned as permanent
 regressions; every entry must stay byte-identical across the full
-engine ladder on every fuzz configuration.  The harness itself (case
+pair of engines on every fuzz configuration.  The harness itself (case
 driver, shrinker, reproducer writing) is tested with injected
 predicates so no real engine bug is needed to exercise the failure
 path.
@@ -22,6 +22,7 @@ from repro.core.fuzz import (
     run_fuzz,
     shrink_workload,
 )
+from repro.core.scheduler import ENGINES
 from repro.core.simulator import Simulator
 from repro.kernels.generate import generate_workload
 from repro.kernels.serialize import workload_from_json
@@ -56,12 +57,59 @@ def test_corpus_pointer_chase_engages_replay():
     )
     suite = build_kernel_suite([kernel], arrays)
     simulator = Simulator(
-        FUZZ_CONFIGS["pipe-16-16"](), suite.program, skip=True, replay=True
+        FUZZ_CONFIGS["pipe-16-16"](), suite.program, skip=True
     )
     simulator.run()
     controller = simulator.replay_controller
     assert controller is not None
     assert controller.replayed_iterations > 0
+
+
+def _tamper_compiled_trace(monkeypatch, tamper) -> None:
+    """Rewrite the compiled row's JSONL trace lines with ``tamper``,
+    leaving its result and the reference row untouched."""
+    real = fuzz.simulate_traced
+
+    def traced(config, program, path, **kwargs):
+        result = real(config, program, path, **kwargs)
+        if kwargs == dict(ENGINES)["compiled"]:
+            lines = path.read_text().splitlines()
+            path.write_text("".join(line + "\n" for line in tamper(lines)))
+        return result
+
+    monkeypatch.setattr(fuzz, "simulate_traced", traced)
+
+
+@pytest.mark.parametrize("change", ["rewrite", "append"])
+def test_trace_mismatch_names_the_first_differing_event(change, monkeypatch):
+    """A trace mismatch is reported at its first differing line, quoting
+    both events, or with both lengths when one trace is a prefix of the
+    other."""
+    workload = generate_workload(0, "tiny")
+    seen = {}
+
+    def tamper(lines):
+        seen["lines"] = len(lines)
+        seen["second"] = lines[1]
+        if change == "rewrite":
+            return [lines[0], '{"forged": 1}', *lines[2:]]
+        return [*lines, '{"forged": 1}']
+
+    _tamper_compiled_trace(monkeypatch, tamper)
+    problems = check_workload(
+        workload.kernel, workload.arrays, FUZZ_CONFIGS["pipe-16-16"]()
+    )
+    if change == "rewrite":
+        expected = (
+            "[compiled] trace differs from reference at line 2: "
+            f'compiled {{"forged": 1}} != reference {seen["second"]}'
+        )
+    else:
+        expected = (
+            "[compiled] trace differs from reference in length: "
+            f"compiled {seen['lines'] + 1} lines, reference {seen['lines']} lines"
+        )
+    assert problems == [expected]
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +137,7 @@ def test_fuzz_failure_writes_minimized_reproducer(tmp_path, monkeypatch):
     # Force every case to "fail" so the reproducer path runs without a
     # real engine bug; shrinking is exercised separately below.
     monkeypatch.setattr(
-        fuzz, "check_workload", lambda kernel, arrays, config, engines=None: ["forced divergence"]
+        fuzz, "check_workload", lambda kernel, arrays, config: ["forced divergence"]
     )
     report = run_fuzz(
         start_seed=3,
@@ -117,7 +165,7 @@ def test_run_corpus_reports_failures(tmp_path, monkeypatch):
     source = (CORPUS_DIR / "reduction.json").read_text()
     (tmp_path / "reduction.json").write_text(source)
     monkeypatch.setattr(
-        fuzz, "check_workload", lambda kernel, arrays, config, engines=None: ["forced divergence"]
+        fuzz, "check_workload", lambda kernel, arrays, config: ["forced divergence"]
     )
     report = run_corpus(tmp_path, configs=["pipe-16-16"])
     assert report.cases == 1

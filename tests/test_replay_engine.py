@@ -6,8 +6,8 @@ states produce equal (and equal-hashing) signatures, and the
 :class:`~repro.core.replay.StatsBook` counter ledger is *complete* —
 it covers every counter a simulation reports and fails loudly when a
 stats object grows a field it cannot delta.  The shadow pass's bound
-steps are checked per engine, and its outcome guard is shown to be
-load-bearing.
+steps are checked to be the compiled kernel's own handlers, and its
+outcome guard is shown to be load-bearing.
 """
 
 import dataclasses
@@ -20,7 +20,6 @@ from repro.core.replay import MAX_FIELDS, ReplayController, StatsBook, machine_s
 from repro.core.scheduler import ENGINES
 from repro.core.simulator import Simulator
 from repro.cpu.dispatch import handler_for
-from repro.cpu.executor import execute
 from repro.kernels.suite import build_livermore_program
 
 ROW = dict(ENGINES)
@@ -65,8 +64,8 @@ def test_signature_is_pure(name, loop_program):
     produce identical counter snapshots.
     """
     config = CONFIGS[name]
-    sim_a = Simulator(config, loop_program, skip=False, replay=False)
-    sim_b = Simulator(config, loop_program, skip=False, replay=False)
+    sim_a = Simulator(config, loop_program, skip=False)
+    sim_b = Simulator(config, loop_program, skip=False)
     book_a, book_b = StatsBook(sim_a), StatsBook(sim_b)
     now_a = now_b = 0
     for _ in range(200):
@@ -82,7 +81,7 @@ def test_signature_is_pure(name, loop_program):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_signature_repeated_calls_equal_and_hashable(name, loop_program):
     """The same state must fingerprint identically, with a stable hash."""
-    sim = Simulator(CONFIGS[name], loop_program, skip=False, replay=False)
+    sim = Simulator(CONFIGS[name], loop_program, skip=False)
     now = _step(sim, 150)
     first = machine_signature(sim, now)
     second = machine_signature(sim, now)
@@ -93,8 +92,8 @@ def test_signature_repeated_calls_equal_and_hashable(name, loop_program):
 def test_signature_equal_across_machines(loop_program):
     """Two identically-driven machines fingerprint identically each cycle."""
     config = CONFIGS["pipe"]
-    sim_a = Simulator(config, loop_program, skip=False, replay=False)
-    sim_b = Simulator(config, loop_program, skip=False, replay=False)
+    sim_a = Simulator(config, loop_program, skip=False)
+    sim_b = Simulator(config, loop_program, skip=False)
     now = 0
     for _ in range(120):
         now_a = _step(sim_a, 1, now)
@@ -242,7 +241,7 @@ def test_stats_book_flags_moving_max_counters(loop_program):
 # Controller bookkeeping
 # ----------------------------------------------------------------------
 def test_loop_reports_shape(loop_program):
-    sim = Simulator(CONFIGS["pipe"], loop_program, skip=True, replay=True)
+    sim = Simulator(CONFIGS["pipe"], loop_program, skip=True)
     result = sim.run()
     controller = sim.replay_controller
     assert isinstance(controller, ReplayController)
@@ -294,20 +293,6 @@ def test_compiled_row_binds_the_shared_dispatch_handlers(loop_program):
     after = compile_stats()
     moved = {key: after[key] - before[key] for key in after if after[key] != before[key]}
     assert moved == {"kernel_cache_hits": 1}
-
-
-def test_interpreted_row_binds_execute_and_compiles_nothing(loop_program):
-    """The skip+replay row's steps call ``execute``; nothing compiles."""
-    before = compile_stats()
-    sim = Simulator(CONFIGS["pipe"], loop_program, **ROW["skip+replay"])
-    sim.run()
-    assert compile_stats() == before
-    for record in _engaged_records(sim):
-        for (step, _recorded), (_tag, _pc, instruction, _outcome) in zip(
-            record.steps, record.instrs
-        ):
-            assert step.func is execute
-            assert step.args == (instruction,)
 
 
 def test_outcome_guard_is_load_bearing(monkeypatch):

@@ -1,26 +1,23 @@
-"""Four-way engine differential matrix.
+"""Two-engine differential matrix.
 
-The fast-path engines promise **trace-identical accounting**: for any
-configuration, the idle-cycle-skipping scheduler (``skip=True``), the
-steady-state loop-replay engine layered on top of it
-(``skip=True, replay=True``), and the compiled step kernel
-(``compiled=True``, which folds both fast paths into generated code)
-must all produce the same cycle count, the same stats dict, and a
-byte-identical JSONL event stream as the reference cycle-by-cycle
-loop.  This suite enforces that promise over the same configuration
-matrix ``test_trace_crosscheck`` sweeps (all Table II PIPE points,
-Hill's prefetch policies, the TIB machine, and the ablation knobs),
-and pins down the satellite guarantees: errors raised mid-skip,
-mid-replay, or inside a compiled kernel report the true architectural
-cycle, and the switches nest: ``skip=False`` / ``REPRO_NO_SKIP`` runs
-the reference loop, ``replay=False`` idle-skip, ``compiled=False``
-interpreted skip+replay.
+The compiled engine (``skip=True``: the generated step kernel with
+idle-cycle skipping and steady-state loop replay) promises
+**trace-identical accounting**: for any configuration it must produce
+the same cycle count, the same stats dict, and a byte-identical JSONL
+event stream as the reference cycle-by-cycle loop.  This suite enforces
+that promise over the same configuration matrix
+``test_trace_crosscheck`` sweeps (all Table II PIPE points, Hill's
+prefetch policies, the TIB machine, and the ablation knobs), and pins
+down the satellite guarantees: errors raised mid-skip, mid-replay, or
+inside a compiled kernel report the true architectural cycle, and the
+switches select exactly one engine: ``skip=False`` / ``REPRO_NO_SKIP``
+(and ``replay=False`` or ``compiled=False``) runs the reference loop.
 
 Every engine comparison names its rows from
-:data:`repro.core.scheduler.ENGINES` (all three switches explicit), the
-switch tests set ``REPRO_NO_SKIP`` when they are about it, and it is
-cleared before every test, so no result here depends on the
-environment the suite runs in.
+:data:`repro.core.scheduler.ENGINES`, the switch tests set
+``REPRO_NO_SKIP`` when they are about it, and it is cleared before
+every test, so no result here depends on the environment the suite
+runs in.
 
 On mismatch a cycles-diff report is written to
 ``test-reports/cycles-diff.txt`` (override the directory with
@@ -37,12 +34,8 @@ from repro.asm import assemble
 from repro.core import simulator as simulator_module
 from repro.core.compiled import kernel_for
 from repro.core.config import MachineConfig
-from repro.core.scheduler import (
-    ENGINES,
-    IDLE,
-    ProgressClock,
-    skip_enabled_default,
-)
+from repro.core.fuzz import first_trace_divergence
+from repro.core.scheduler import ENGINES, ProgressClock, skip_enabled_default
 from repro.core.simulator import (
     DeadlockError,
     SimulationTimeout,
@@ -59,7 +52,7 @@ from tests.test_trace_crosscheck import CONFIGS
 ROW = dict(ENGINES)
 
 #: the fast-path rows compared against the reference row
-FAST_TAGS = ("idle-skip", "skip+replay", "compiled")
+FAST_TAGS = ("compiled",)
 
 
 @pytest.fixture(autouse=True)
@@ -83,22 +76,6 @@ def _report_mismatch(name: str, lines: list[str]) -> None:
             fh.write(line + "\n")
 
 
-def _first_trace_divergence(tag: str, fast: Path, ref: Path) -> list[str]:
-    fast_lines = fast.read_text().splitlines()
-    ref_lines = ref.read_text().splitlines()
-    for index, (a, b) in enumerate(zip(fast_lines, ref_lines)):
-        if a != b:
-            return [
-                f"first divergence at trace line {index + 1}:",
-                f"  {tag}: {a}",
-                f"  reference: {b}",
-            ]
-    return [
-        f"trace lengths differ: {tag}={len(fast_lines)} "
-        f"reference={len(ref_lines)} lines"
-    ]
-
-
 def _compare(name: str, tag: str, fast, ref, fast_path=None, ref_path=None):
     """Cycles / stats-dict / trace-bytes equality with a diff report."""
     lines: list[str] = []
@@ -113,7 +90,7 @@ def _compare(name: str, tag: str, fast, ref, fast_path=None, ref_path=None):
                     f"reference={json.dumps(dict_ref.get(key))}"
                 )
     if fast_path is not None and fast_path.read_bytes() != ref_path.read_bytes():
-        lines.extend(_first_trace_divergence(tag, fast_path, ref_path))
+        lines.append(first_trace_divergence(tag, fast_path, ref_path))
     if lines:
         _report_mismatch(f"{name} [{tag}]", lines)
     assert lines == [], f"{name} [{tag}] diverged from the reference engine"
@@ -121,11 +98,11 @@ def _compare(name: str, tag: str, fast, ref, fast_path=None, ref_path=None):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_engines_are_byte_identical(name, single_loop_program, tmp_path):
-    """Reference vs idle-skip vs skip+replay vs compiled, traced."""
+    """Reference vs compiled, traced."""
     config = CONFIGS[name]
     runs = {}
     for tag, kwargs in ENGINES:
-        path = tmp_path / f"{tag.replace('+', '-')}.jsonl"
+        path = tmp_path / f"{tag}.jsonl"
         result = simulate_traced(config, single_loop_program, path, **kwargs)
         runs[tag] = (result, path)
     ref_result, ref_path = runs["reference"]
@@ -156,15 +133,14 @@ def test_engines_identical_untraced(name, single_loop_program):
 def test_replay_actually_engages(single_loop_program):
     """Guard against the matrix passing because replay never fires."""
     config = MachineConfig.pipe("16-16", 128, memory_access_time=6)
-    for tag in ("skip+replay", "compiled"):
-        sim = Simulator(config, single_loop_program, **ROW[tag])
-        result = sim.run()
-        controller = sim.replay_controller
-        assert controller is not None, tag
-        assert controller.replayed_iterations > 0, tag
-        assert 0 < controller.replayed_cycles < result.cycles, tag
-        reports = controller.loop_reports()
-        assert any(report["phase"] == "engaged" for report in reports), tag
+    sim = Simulator(config, single_loop_program, **ROW["compiled"])
+    result = sim.run()
+    controller = sim.replay_controller
+    assert controller is not None
+    assert controller.replayed_iterations > 0
+    assert 0 < controller.replayed_cycles < result.cycles
+    reports = controller.loop_reports()
+    assert any(report["phase"] == "engaged" for report in reports)
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +150,8 @@ def test_replay_actually_engages(single_loop_program):
 # ----------------------------------------------------------------------
 def test_timeout_mid_skip_reports_true_cycle(single_loop_program):
     # A huge memory latency makes the run quiescent almost immediately,
-    # so the skip engine jumps straight into the max_cycles wall.
+    # so the compiled engine's idle skip jumps straight into the
+    # max_cycles wall.
     config = MachineConfig.conventional(
         128, memory_access_time=1_000, max_cycles=50
     )
@@ -198,8 +175,8 @@ def test_timeout_mid_replay_reports_true_cycle(single_loop_program):
     """Replay must refuse to jump past ``max_cycles``.
 
     The limit cuts the run off mid-loop, well after replay has engaged;
-    all four engines must hit the wall at the same architectural cycle
-    with the same counters.
+    both engines must hit the wall at the same architectural cycle with
+    the same counters.
     """
     config = MachineConfig.pipe(
         "16-16", 128, memory_access_time=6, max_cycles=600
@@ -227,27 +204,27 @@ def _starved_simulator(tag: str) -> Simulator:
     return sim
 
 
-def test_deadlock_mid_skip_matches_reference_cycle():
+def test_stubbed_machine_deadlocks_on_the_reference_loop():
+    """A stubbed machine gets no kernel, so on the compiled row it runs
+    the reference loop, with no replay controller, and deadlocks exactly
+    as the reference row does: at a live snapshot."""
     with pytest.raises(DeadlockError) as slow:
         _starved_simulator("reference").run()
+    sim = _starved_simulator("compiled")
+    with pytest.raises(DeadlockError) as fallback:
+        sim.run()
+    assert sim.replay_controller is None
     assert slow.value.fast_path is False
     assert "at a live snapshot" in str(slow.value)
-    for tag in ("idle-skip", "skip+replay"):
-        with pytest.raises(DeadlockError) as fast:
-            _starved_simulator(tag).run()
-        assert fast.value.cycle == slow.value.cycle, tag
-        assert fast.value.fast_path is True, tag
-        assert "no progress" in str(fast.value), tag
-        assert "inside a skipped idle span" in str(fast.value), tag
-        # The engines must also agree on when progress last happened.
-        assert str(fast.value).split("(")[0] == str(slow.value).split("(")[0]
+    assert fallback.value.cycle == slow.value.cycle
+    assert str(fallback.value) == str(slow.value)
 
 
 def test_deadlock_in_compiled_kernel_matches_reference_cycle(monkeypatch):
     """A real wedged machine must deadlock identically from generated code.
 
     No stubs: a stubbed machine gets no kernel and would only test the
-    interpreted loop.  Sixteen loads in flight overcommit a two-entry
+    reference loop.  Sixteen loads in flight overcommit a two-entry
     LAQ/LDQ pair, so nothing can drain (as in
     ``test_cpu_backend.py::test_overcommitted_ldq_is_a_detected_deadlock``).
     """
@@ -292,7 +269,16 @@ def test_deadlock_in_compiled_kernel_matches_reference_cycle(monkeypatch):
 _SELECTIONS = [pytest.param(kwargs, {}, tag, id=tag) for tag, kwargs in ENGINES] + [
     pytest.param({"skip": False}, {}, "reference", id="skip=False"),
     pytest.param({}, {"REPRO_NO_SKIP": "1"}, "reference", id="REPRO_NO_SKIP"),
-    pytest.param({"replay": False}, {}, "idle-skip", id="replay=False"),
+    pytest.param({"replay": False}, {}, "reference", id="replay=False"),
+    pytest.param({"compiled": False}, {}, "reference", id="compiled=False"),
+    # the reference check of the repository benchmark (e2ebench) makes
+    # exactly this call
+    pytest.param(
+        {"skip": False, "replay": False, "compiled": False},
+        {},
+        "reference",
+        id="all-switches-off",
+    ),
 ]
 
 
@@ -300,8 +286,8 @@ _SELECTIONS = [pytest.param(kwargs, {}, tag, id=tag) for tag, kwargs in ENGINES]
 def test_switches_nest_into_exactly_one_engine(
     kwargs, env, engine, single_loop_program, monkeypatch
 ):
-    """The reference loop runs no kernel and no replay controller, and
-    idle-skip no kernel: replay needs skip, compiled needs replay."""
+    """The reference loop runs no kernel and no replay controller; the
+    compiled engine runs both."""
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     kernels = []
@@ -315,14 +301,10 @@ def test_switches_nest_into_exactly_one_engine(
     config = MachineConfig.pipe("16-16", 128, memory_access_time=6)
     sim = Simulator(config, single_loop_program, **kwargs)
     sim.run()
-    want = ROW[engine]
-    assert (sim.skip, sim.replay_enabled, sim.compiled_enabled) == (
-        want["skip"],
-        want["replay"],
-        want["compiled"],
-    )
-    assert (sim.replay_controller is not None) is want["replay"]
-    assert bool(kernels) is want["compiled"]
+    compiled = engine == "compiled"
+    assert sim.skip is compiled
+    assert (sim.replay_controller is not None) is compiled
+    assert bool(kernels) is compiled
 
 
 @pytest.mark.parametrize(
@@ -360,33 +342,20 @@ def test_explicit_skip_argument_wins_over_env(monkeypatch):
 
 def test_replay_enabled_by_default():
     sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
-    assert sim.replay_enabled is True
-
-
-def test_replay_false_matches_replay_true(single_loop_program):
-    config = MachineConfig.pipe("16-16", 128, memory_access_time=6)
-    on = simulate(config, single_loop_program, **ROW["skip+replay"])
-    off = simulate(config, single_loop_program, **ROW["idle-skip"])
-    assert on.to_dict() == off.to_dict()
+    sim.run()
+    assert sim.replay_controller is not None
 
 
 def test_compiled_enabled_by_default():
     sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
-    assert sim.compiled_enabled is True
-
-
-def test_compiled_false_matches_compiled_true(single_loop_program):
-    config = MachineConfig.pipe("16-16", 128, memory_access_time=6)
-    on = simulate(config, single_loop_program, **ROW["compiled"])
-    off = simulate(config, single_loop_program, **ROW["skip+replay"])
-    assert on.to_dict() == off.to_dict()
+    assert kernel_for(sim) is not None
 
 
 # ----------------------------------------------------------------------
 # Generated-program matrix (the fuzz layer feeding the same promise)
 # ----------------------------------------------------------------------
 # A fixed seed slice of generated loop-nest kernels (nested loops,
-# conditionals, integer scalars, pointer-chasing) runs all four engines
+# conditionals, integer scalars, pointer-chasing) runs both engines
 # traced.  The wide seeded sweep lives in `repro-sim fuzz` and the CI
 # fuzz job; tier-1 pins these seeds forever so an engine regression on
 # structured workloads fails here, not just nightly.
@@ -424,7 +393,7 @@ def test_generated_programs_byte_identical(
     program = generated_programs[seed]
     runs = {}
     for tag, kwargs in ENGINES:
-        path = tmp_path / f"{tag.replace('+', '-')}.jsonl"
+        path = tmp_path / f"{tag}.jsonl"
         result = simulate_traced(config, program, path, **kwargs)
         runs[tag] = (result, path)
     ref_result, ref_path = runs["reference"]
@@ -485,10 +454,10 @@ LDQ_CREDIT_PROGRAM = (
 
 
 def _assert_rows_agree(name, config, program, tmp_path):
-    """Every fast row matches the reference row, traced and untraced."""
+    """The compiled row matches the reference row, traced and untraced."""
     runs = {}
     for tag, kwargs in ENGINES:
-        path = tmp_path / f"{tag.replace('+', '-')}.jsonl"
+        path = tmp_path / f"{tag}.jsonl"
         runs[tag] = (simulate_traced(config, program, path, **kwargs), path)
     ref_result, ref_path = runs["reference"]
     for tag in FAST_TAGS:
@@ -612,11 +581,3 @@ def test_progress_clock_ticks():
     clock.tick()
     assert clock.ticks == 1
     assert "1" in repr(clock)
-
-
-def test_component_hints_are_idle_when_nothing_pending():
-    sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
-    assert sim.memory.next_event_cycle(0) == IDLE
-    assert sim.backend.next_event_cycle(0) == IDLE
-    assert sim.engine.next_event_cycle(0) == IDLE
-    assert sim.frontend.next_event_cycle(0) == IDLE
