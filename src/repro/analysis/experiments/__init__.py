@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from ...asm.program import Program
 from ...core.config import PAPER_CACHE_SIZES, MachineConfig
-from ...core.resilience import SweepSupervisor
+from ...core.resilience import FaultPolicy
 from ...core.results import SimulationResult
 from ...core.simcache import SimulationCache
 from ...core.sweep import SweepSeries, resolve_points, run_cache_sweep
@@ -66,11 +66,11 @@ class ExperimentReport:
 class ExperimentContext:
     """Shared state across experiments: the program plus a sweep memo.
 
-    ``jobs``, ``cache`` and ``supervisor`` flow into every sweep and
-    every simulation an experiment routes through :meth:`simulate` /
+    ``jobs``, ``cache`` and ``policy`` flow into every sweep and every
+    simulation an experiment routes through :meth:`simulate` /
     :meth:`simulate_many`, giving the whole report parallel fan-out,
-    content-addressed result reuse and supervised execution without
-    each experiment module knowing about any of them.
+    content-addressed result reuse and one fault policy (and one fault
+    report) without each experiment module knowing about any of them.
     """
 
     program: Program
@@ -79,7 +79,7 @@ class ExperimentContext:
     scale: float = 1.0  #: workload scale the program was built with
     jobs: int = 1  #: worker processes for independent simulation points
     cache: SimulationCache | None = None  #: content-addressed result store
-    supervisor: SweepSupervisor | None = None  #: fault-tolerant execution
+    policy: FaultPolicy = field(default_factory=FaultPolicy)  #: fault policy
     _sweeps: dict[tuple, list[SweepSeries]] = field(default_factory=dict)
 
     def sweep(
@@ -102,7 +102,7 @@ class ExperimentContext:
                 cache_sizes=self.cache_sizes,
                 jobs=self.jobs,
                 cache=self.cache,
-                supervisor=self.supervisor,
+                policy=self.policy,
                 memory_access_time=memory_access_time,
                 input_bus_width=input_bus_width,
                 memory_pipelined=memory_pipelined,
@@ -132,7 +132,7 @@ class ExperimentContext:
             configs,
             jobs=self.jobs,
             cache=self.cache,
-            supervisor=self.supervisor,
+            policy=self.policy,
         )
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from ..asm.program import Program
 from ..core.config import PAPER_CACHE_SIZES
-from ..core.resilience import SweepSupervisor
+from ..core.resilience import FaultPolicy
 from ..core.simcache import SimulationCache
 from ..core.sweep import SweepSeries, run_cache_sweep
 from .tables import render_series_table
@@ -76,7 +76,7 @@ def run_figure(
     cache_sizes: Sequence[int] = PAPER_CACHE_SIZES,
     jobs: int | None = 1,
     cache: SimulationCache | None = None,
-    supervisor: SweepSupervisor | None = None,
+    policy: FaultPolicy | None = None,
 ) -> list[SweepSeries]:
     """Run the sweep behind one figure panel."""
     spec = FIGURES[figure_id]
@@ -85,7 +85,7 @@ def run_figure(
         cache_sizes=cache_sizes,
         jobs=jobs,
         cache=cache,
-        supervisor=supervisor,
+        policy=policy,
         **spec.overrides(),
     )
 

@@ -25,17 +25,20 @@ each sweep or list of points resolves through
 :func:`repro.core.sweep.resolve_points`, which fans its cache misses out
 over the ``--jobs`` workers.
 
-They also accept the resilience options ``--supervised``,
-``--timeout``, ``--max-retries`` and ``--fault-report``; any of them but
-``--max-retries`` turns supervision on.  Supervised runs retry failed
-points, survive worker crashes and hangs, and print a fault report of
-every recovery action — with numbers byte-identical to a clean run.
-Each supervised point is stored to the result cache as it completes, so
-an interrupted run resumes when the same command is run again (with
-``--no-cache`` nothing is stored, and nothing resumes).
-``--inject-faults SPEC`` (which also implies supervision) arms the
-deterministic fault injectors (see :mod:`repro.core.faults`) to
-rehearse exactly those recoveries; a malformed spec is a usage error.
+Every sweep runs under one fault policy, set by the resilience options
+``--timeout`` and ``--max-retries``: a point whose worker crashed or
+overran the timeout is retried up to ``--max-retries`` times, a point
+that raised fails at once, and the other points finish either way —
+with numbers byte-identical to a clean run.  Each point is stored to
+the result cache as it completes, so an interrupted run resumes when
+the same command is run again (with ``--no-cache`` nothing is stored,
+and nothing resumes).  A run that took any recovery action prints a
+fault report of each one to stderr; ``--fault-report PATH`` always
+writes it as JSON.  ``--inject-faults SPEC`` arms the deterministic
+fault injectors (see :mod:`repro.core.faults`) to rehearse exactly
+those recoveries; a malformed spec is a usage error.  A point that
+stays broken ends the run with status 1 and one stderr line naming its
+machine.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .analysis.tables import (
 from .core import faults
 from .core.config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
 from .core.parallel import resolve_jobs
-from .core.resilience import SweepPointError, SweepSupervisor
+from .core.resilience import DEFAULT_MAX_RETRIES, FaultPolicy, SweepPointError
 from .core.scheduler import NO_SKIP_ENV
 from .core.simcache import SimulationCache
 from .core.simulator import simulate, simulate_traced
@@ -67,10 +70,36 @@ from .kernels.suite import cached_livermore_suite
 __all__ = ["main"]
 
 
+def _positive_finite(text: str) -> float:
+    """``--scale`` and ``--timeout`` parser: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, not {text}"
+        )
+    return value
+
+
+def _retry_count(text: str) -> int:
+    """``--max-retries`` parser: a non-negative integer."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, not {text}"
+        )
+    return count
+
+
 def _add_scale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_positive_finite,
         default=1.0,
         help="benchmark workload scale (1.0 = paper fidelity)",
     )
@@ -82,19 +111,6 @@ def _fault_plan(spec: str) -> faults.FaultPlan:
         return faults.FaultPlan.parse(spec)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _timeout_seconds(text: str) -> float:
-    """``--timeout`` parser: a positive finite number of seconds."""
-    try:
-        seconds = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (seconds > 0 and math.isfinite(seconds)):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number of seconds, not {text}"
-        )
-    return seconds
 
 
 def _add_perf(parser: argparse.ArgumentParser) -> None:
@@ -119,27 +135,21 @@ def _add_perf(parser: argparse.ArgumentParser) -> None:
         "(default: REPRO_CACHE_DIR or .repro_cache)",
     )
     parser.add_argument(
-        "--supervised",
-        action="store_true",
-        help="run the sweep under the fault supervisor (retries, crash "
-        "recovery, a fault report); implied by the other resilience "
-        "options",
-    )
-    parser.add_argument(
         "--timeout",
-        type=_timeout_seconds,
+        type=_positive_finite,
         default=None,
         metavar="SECONDS",
         help="per-point wall-clock limit; a point past it is charged a "
-        "retry and its hung worker is killed (implies --supervised)",
+        "retry and its hung worker is killed",
     )
     parser.add_argument(
         "--max-retries",
-        type=int,
-        default=2,
+        type=_retry_count,
+        default=DEFAULT_MAX_RETRIES,
         metavar="N",
-        help="attempts per point beyond the first before the sweep "
-        "gives the point up (default: 2)",
+        help="retries of a point whose worker crashed or timed out before "
+        "the sweep gives the point up; a point that raised is not "
+        f"retried (default: {DEFAULT_MAX_RETRIES})",
     )
     parser.add_argument(
         "--inject-faults",
@@ -147,15 +157,13 @@ def _add_perf(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help="arm the deterministic fault injectors: a bare seed, or "
-        "'seed=7,kill=0.3,hang=0.1,corrupt=0.5,hang-seconds=2' "
-        "(implies --supervised)",
+        "'seed=7,kill=0.3,hang=0.1,corrupt=0.5,hang-seconds=2'",
     )
     parser.add_argument(
         "--fault-report",
         default=None,
         metavar="PATH",
-        help="also write the supervised run's fault report as JSON "
-        "(implies --supervised)",
+        help="also write the run's fault report as JSON, clean or not",
     )
 
 
@@ -165,40 +173,24 @@ def _make_cache(args: argparse.Namespace) -> SimulationCache | None:
     return SimulationCache(args.cache_dir)
 
 
-def _make_supervisor(args: argparse.Namespace) -> SweepSupervisor | None:
-    """Build the sweep supervisor the resilience options describe.
-
-    Every resilience option but ``--max-retries`` implies supervision;
-    with none present the command runs the plain unsupervised path.
-    """
-    wanted = (
-        args.supervised
-        or args.timeout is not None
-        or args.inject_faults is not None
-        or args.fault_report is not None
-    )
-    if not wanted:
-        return None
+def _make_policy(args: argparse.Namespace) -> FaultPolicy:
+    """The fault policy the resilience options describe; arms any injectors."""
     if args.inject_faults is not None:
         faults.activate(args.inject_faults)
-    return SweepSupervisor(
-        jobs=resolve_jobs(args.jobs),
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-    )
+    return FaultPolicy(timeout=args.timeout, max_retries=args.max_retries)
 
 
-def _finish_supervised(
-    args: argparse.Namespace, supervisor: SweepSupervisor | None
-) -> None:
-    """Print the recovery ledger and disarm any fault injectors."""
-    if supervisor is None:
-        return
-    print(supervisor.report.summary())
+def _finish_policy(args: argparse.Namespace, policy: FaultPolicy) -> None:
+    """Report any recoveries, write ``--fault-report``, disarm injectors.
+
+    The summary goes to stderr, so stdout carries the same results
+    whether or not the run had to recover.
+    """
+    if not policy.report.clean:
+        print(policy.report.summary(), file=sys.stderr)
     if args.fault_report is not None:
         with open(args.fault_report, "w") as handle:
-            json.dump(supervisor.report.to_dict(), handle, indent=2)
-        print(f"fault report written : {args.fault_report}")
+            json.dump(policy.report.to_dict(), handle, indent=2)
     if args.inject_faults is not None:
         faults.deactivate()
 
@@ -263,7 +255,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     suite = cached_livermore_suite(scale=args.scale)
     sizes = args.sizes or list(PAPER_CACHE_SIZES)
-    supervisor = _make_supervisor(args)
+    policy = _make_policy(args)
     try:
         series = run_figure(
             args.panel,
@@ -271,10 +263,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             cache_sizes=sizes,
             jobs=resolve_jobs(args.jobs),
             cache=_make_cache(args),
-            supervisor=supervisor,
+            policy=policy,
         )
     finally:
-        _finish_supervised(args, supervisor)
+        _finish_policy(args, policy)
     if args.csv:
         print(render_series_csv(series, sizes))
     else:
@@ -284,9 +276,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _make_context(
     scale: float,
-    jobs: int = 1,
-    cache: SimulationCache | None = None,
-    supervisor: SweepSupervisor | None = None,
+    jobs: int,
+    cache: SimulationCache | None,
+    policy: FaultPolicy,
 ) -> ExperimentContext:
     suite = cached_livermore_suite(scale=scale)
     return ExperimentContext(
@@ -295,7 +287,7 @@ def _make_context(
         scale=scale,
         jobs=jobs,
         cache=cache,
-        supervisor=supervisor,
+        policy=policy,
     )
 
 
@@ -335,17 +327,14 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    supervisor = _make_supervisor(args)
+    policy = _make_policy(args)
     context = _make_context(
-        args.scale,
-        jobs=resolve_jobs(args.jobs),
-        cache=_make_cache(args),
-        supervisor=supervisor,
+        args.scale, resolve_jobs(args.jobs), _make_cache(args), policy
     )
     try:
         report = run_experiment(args.name, context)
     finally:
-        _finish_supervised(args, supervisor)
+        _finish_policy(args, policy)
     print(report.text)
     print()
     print(report.render_checks())
@@ -355,7 +344,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     jobs = resolve_jobs(args.jobs)
     cache = _make_cache(args)
-    supervisor = _make_supervisor(args)
+    policy = _make_policy(args)
     print(
         f"repro-sim report: scale={args.scale} jobs={jobs} "
         f"cache={'off' if cache is None else cache.root}"
@@ -366,9 +355,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # sweep or point list fans its misses out over `jobs` workers.  The
     # context's sweep memo shares whole sweeps between experiments, and
     # the result cache shares single points.
-    context = _make_context(
-        args.scale, jobs=jobs, cache=cache, supervisor=supervisor
-    )
+    context = _make_context(args.scale, jobs, cache, policy)
     try:
         for experiment_id in EXPERIMENTS:
             report = run_experiment(experiment_id, context)
@@ -381,7 +368,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print()
             failed = failed or not report.all_passed
     finally:
-        _finish_supervised(args, supervisor)
+        _finish_policy(args, policy)
     if cache is not None:
         print(
             f"simulation cache: {cache.stats.hits} hits, "
@@ -618,8 +605,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except SweepPointError as error:
-        # The fault report has already been printed; name each point
-        # that stayed broken instead of a traceback.
+        # Any fault report is already on stderr; name each point that
+        # stayed broken instead of a traceback.
         for label, exc in error.failures:
             print(
                 f"sweep point {label} failed: {type(exc).__name__}: {exc}",

@@ -11,10 +11,10 @@ from __future__ import annotations
 _EXPORTS = {
     "DeadlockError": ("repro.core.simulator", "DeadlockError"),
     "FaultPlan": ("repro.core.faults", "FaultPlan"),
+    "FaultPolicy": ("repro.core.resilience", "FaultPolicy"),
     "FaultReport": ("repro.core.resilience", "FaultReport"),
     "FetchStrategy": ("repro.core.config", "FetchStrategy"),
     "SweepPointError": ("repro.core.resilience", "SweepPointError"),
-    "SweepSupervisor": ("repro.core.resilience", "SweepSupervisor"),
     "MachineConfig": ("repro.core.config", "MachineConfig"),
     "PAPER_CACHE_SIZES": ("repro.core.config", "PAPER_CACHE_SIZES"),
     "PIPE_CONFIGURATIONS": ("repro.core.config", "PIPE_CONFIGURATIONS"),

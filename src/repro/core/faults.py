@@ -3,21 +3,23 @@
 Large sweeps only earn trust in their fault handling if the faults can
 be *reproduced*: a retry path that fires once a month is a retry path
 that rots.  This module provides seeded injectors for the failure
-classes the supervisor (:mod:`repro.core.resilience`) must survive:
+classes every sweep's pool loop (:func:`repro.core.parallel.sweep_map`)
+must survive under its fault policy (:mod:`repro.core.resilience`):
 
 ``worker_kill``
     the worker process running a sweep point calls ``os._exit`` —
     the hard crash that breaks a ``ProcessPoolExecutor`` mid-sweep;
 ``point_hang``
-    a sweep point sleeps past the supervisor's per-point timeout;
+    a sweep point sleeps past the policy's per-point timeout;
 ``cache_corrupt``
     a just-stored simulation-cache entry is truncated in place,
     emulating a process killed halfway through a (non-atomic) write.
 
 Whether an injector fires for a given point is a pure function of the
-plan's ``seed``, the injector kind, and the point's content key, so a
-run with ``--inject-faults seed=7,...`` hits exactly the same points
-every time.  Every injector additionally fires **once** per point,
+plan's ``seed``, the injector kind, and the point's content key
+(:func:`repro.core.simcache.result_key`, the name of its cache entry),
+so a run with ``--inject-faults seed=7,...`` hits exactly the same
+points every time.  Every injector additionally fires **once** per point,
 coordinated across processes through marker files in the plan's
 scratch directory — the retry of a killed point must succeed, not die
 again forever.
@@ -103,15 +105,15 @@ class FaultPlan:
     worker_kill: float = 0.0
     point_hang: float = 0.0
     cache_corrupt: float = 0.0
-    #: how long a hung point sleeps (keep above the supervisor timeout)
+    #: how long a hung point sleeps (keep above the policy's timeout)
     hang_seconds: float = 5.0
     #: directory for the cross-process once-only markers
     scratch_dir: str | None = None
-    #: pid of the supervising process (set by :func:`activate`); the
-    #: worker-crash/hang injectors emulate *worker* failures and stay
-    #: inert in this process — killing the supervisor itself would turn
-    #: a drill into the disaster, and the serial-fallback path runs
-    #: points in exactly this process
+    #: pid of the process that armed the plan and runs the pool loop
+    #: (set by :func:`activate`); the worker-crash/hang injectors
+    #: emulate *worker* failures and stay inert in this process —
+    #: killing the pool loop itself would turn a drill into the
+    #: disaster, and the serial path runs points in exactly this process
     host_pid: int | None = None
 
     # ------------------------------------------------------------------
@@ -259,15 +261,15 @@ def active_plan() -> FaultPlan | None:
 # Injection points
 # ----------------------------------------------------------------------
 def _in_worker(plan: FaultPlan) -> bool:
-    """True when this process is a pool worker, not the supervisor."""
+    """True when this process is a pool worker, not the pool loop's."""
     return plan.host_pid is None or plan.host_pid != os.getpid()
 
 
 def maybe_kill_worker(key: str) -> None:
     """Hard-crash this worker process if the plan says so (once per key).
 
-    Inert in the supervising process (serial runs and the supervisor's
-    serial-fallback path): this injector emulates a *worker* death.
+    Inert in the process running the pool loop (serial runs and the
+    serial fallback): this injector emulates a *worker* death.
     """
     plan = active_plan()
     if plan is not None and _in_worker(plan) and plan.fires_once(
@@ -277,10 +279,10 @@ def maybe_kill_worker(key: str) -> None:
 
 
 def maybe_hang_point(key: str) -> None:
-    """Sleep past the supervisor timeout if the plan says so (once per key).
+    """Sleep past the point timeout if the plan says so (once per key).
 
-    Inert in the supervising process, where no timeout can kill the
-    hang — a drill must not wedge the supervisor itself.
+    Inert in the process running the pool loop, where no timeout can
+    kill the hang — a drill must not wedge the pool loop itself.
     """
     plan = active_plan()
     if plan is not None and _in_worker(plan) and plan.fires_once(

@@ -6,26 +6,23 @@ parallelize trivially across a :class:`~concurrent.futures.ProcessPoolExecutor`
 (processes, not threads: the simulator is pure Python and CPU-bound).
 
 :func:`sweep_map` is the one pool loop, and the only place a pool is
-built.  It keeps at most ``jobs`` points in flight, kills a worker whose
-point overruns its timeout, retries failed points a bounded number of
-times, respawns a broken pool, falls back to serial, and reports each
-point through ``on_result`` as it completes.  The entry points are thin
-policies over it:
-
-* :func:`parallel_map` — ``[fn(item) for item in items]``: an item's own
-  exception propagates unchanged, once;
-* :func:`simulate_many` — sweep points against one program;
-* :meth:`repro.core.resilience.SweepSupervisor.simulate_points` —
-  sweep points with per-point timeouts, retries and a fault ledger,
-  for long sweeps.
+built.  It always runs under a :class:`~repro.core.resilience.FaultPolicy`:
+it keeps at most ``jobs`` points in flight, kills a worker whose point
+overruns its timeout, retries the points a crash or a timeout cost a
+bounded number of times, respawns a broken pool, falls back to serial,
+and reports each point through ``on_result`` as it completes.  On top
+of it, :func:`parallel_map` is ``[fn(item) for item in items]`` that
+raises one :class:`~repro.core.resilience.SweepPointError` naming every
+failed item once all the others have settled, and
+:func:`simulate_many` runs sweep points against one program through it.
 
 Job-count resolution, in priority order: an explicit ``jobs`` argument
 (the ``--jobs`` CLI flag), the ``REPRO_JOBS`` environment variable,
 ``os.cpu_count()``.  ``jobs=1`` is the serial path.  Only pool trouble —
 workers that cannot be spawned, a function or item that cannot be
-pickled, a broken pool — falls back to serial.  Results always come
-back in submission order, so parallel runs are bit-identical to serial
-ones.
+pickled, a pool that keeps dying — falls back to serial.  Results always
+come back in submission order, so parallel runs are bit-identical to
+serial ones.
 
 The benchmark program is shipped to each worker once (pool initializer)
 rather than once per point; workers then receive only the small
@@ -50,8 +47,11 @@ from pickle import PicklingError
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..asm.program import Program
+from . import faults
 from .config import MachineConfig
+from .resilience import FaultPolicy, SweepPointError
 from .results import SimulationResult
+from .simcache import result_key
 
 __all__ = [
     "JOBS_ENV",
@@ -68,7 +68,7 @@ R = TypeVar("R")
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
 
-#: consecutive pool deaths (crash or hang) a supervised map tolerates
+#: consecutive pool deaths (crash or hang) the pool loop tolerates
 #: before it abandons worker processes and finishes serially
 POOL_FAILURE_LIMIT = 4
 
@@ -145,42 +145,36 @@ def sweep_map(
     initializer: Callable | None = None,
     initargs: tuple = (),
     on_result: Callable[[int, R], None] | None = None,
-    report=None,
     labels: Sequence[str] | None = None,
-    timeout: float | None = None,
-    max_retries: int = 0,
-    backoff: float = 0.0,
-    no_retry: tuple[type[BaseException], ...] = (),
+    policy: FaultPolicy | None = None,
 ) -> tuple[list, dict[int, BaseException]]:
     """Map ``fn`` over ``items`` on up to ``jobs`` workers (the pool loop).
 
     Returns ``(values, failed)``: values in input order (``None`` where
     a point failed) and the failed points' final exceptions by index.
-    ``on_result(index, value)`` fires as each point completes.
+    ``on_result(index, value)`` fires as each point completes.  The map
+    runs under ``policy`` (``None``: a fresh :class:`FaultPolicy`), and
+    every recovery is recorded in its report against ``labels[index]``:
 
-    Without a ``report`` the map is *unsupervised*: the first exception
-    ``fn`` raises propagates unchanged, and pool trouble (no workers, an
-    unpicklable task, a broken pool) warns and finishes the remaining
-    points serially.
-
-    With a :class:`~repro.core.resilience.FaultReport` the map is
-    *supervised*, and every recovery is recorded in it against
-    ``labels[index]``:
-
-    * an exception from ``fn`` retries the point up to ``max_retries``
-      times, after a pause of ``backoff`` seconds times the attempt
-      number (``no_retry`` types fail on the first attempt:
-      deterministic outcomes gain nothing from a retry);
-    * a worker crash respawns the pool and requeues every in-flight
-      point, charging an attempt only to the points the crash hit;
-    * a point running past ``timeout`` seconds is charged an attempt
-      and its worker killed with the pool (a running task cannot be
-      cancelled); other in-flight points are requeued for free;
-    * after :data:`POOL_FAILURE_LIMIT` consecutive pool deaths without
-      a completed point in between, the remaining points run serially
-      in this process (where a timeout is unenforceable but every
-      other recovery still applies).
+    * an exception raised by ``fn`` fails its point on the first
+      attempt — the points are deterministic, so a retry would raise
+      it again;
+    * a worker crash breaks the pool and every point in flight with
+      it: each is charged an attempt and requeued on a respawned pool
+      while it has retries left (``policy.max_retries``);
+    * a point running past ``policy.timeout`` seconds is charged an
+      attempt and its worker killed with the pool (a running task
+      cannot be cancelled); other in-flight points are requeued for free;
+    * pool trouble (no workers, an unpicklable task) and
+      :data:`POOL_FAILURE_LIMIT` consecutive pool deaths without a
+      completed point in between finish the remaining points serially
+      in this process, where a timeout is unenforceable and no worker
+      can crash.
     """
+    if policy is None:
+        policy = FaultPolicy()
+    report = policy.report
+    timeout = policy.timeout
     items = list(items)
     count = len(items)
     if labels is None:
@@ -197,14 +191,19 @@ def sweep_map(
         if on_result is not None:
             on_result(index, value)
 
-    def charge(index: int, exc: BaseException, kind: str, detail: str) -> bool:
-        """Record a failed attempt; True if the point may retry."""
-        if report is None:
-            raise exc  # unsupervised: the item's own error, unchanged, once
+    def charge(
+        index: int, exc: BaseException, kind: str | None = None, detail: str = ""
+    ) -> bool:
+        """Charge a failed attempt; True if the point may retry.
+
+        Only a crash or a timeout (``kind``) may retry.  An exception
+        ``fn`` raised fails the point at once: it would raise again.
+        """
         attempts[index] += 1
-        report.record(labels[index], kind, detail=detail, attempt=attempts[index])
-        if not isinstance(exc, no_retry) and attempts[index] <= max_retries:
-            return True
+        if kind is not None:
+            report.record(labels[index], kind, detail=detail, attempt=attempts[index])
+            if attempts[index] <= policy.max_retries:
+                return True
         failed[index] = exc
         report.record(
             labels[index],
@@ -214,18 +213,8 @@ def sweep_map(
         )
         return False
 
-    def retry_pause(index: int) -> None:
-        if backoff > 0:
-            time.sleep(backoff * attempts[index])
-
     def go_serial(reason: str) -> None:
-        if report is None:
-            warnings.warn(
-                f"parallel execution unavailable ({reason}); "
-                "falling back to serial"
-            )
-        else:
-            report.record("pool", "serial_fallback", detail=reason)
+        report.record("pool", "serial_fallback", detail=reason)
 
     jobs = min(resolve_jobs(jobs), count)
     problem = _pickle_error(fn) if jobs > 1 else None
@@ -251,9 +240,6 @@ def sweep_map(
                 _kill_pool(pool)
                 pool = None
             pool_failures += 1
-            if report is None:
-                go_serial(reason)
-                raise _GoSerial
             if pool_failures >= POOL_FAILURE_LIMIT:
                 go_serial(
                     f"{pool_failures} pool failures ({reason}); "
@@ -326,6 +312,11 @@ def sweep_map(
                             pending.append(index)
                     respawn("hung worker killed after point timeout")
                     continue
+                if any(isinstance(f.exception(), BrokenExecutor) for f in done):
+                    # A dead worker breaks the pool, which fails every
+                    # point in flight at once: collect them all, so each
+                    # is charged however the wakeup raced the breakage.
+                    done = wait(set(in_flight)).done
                 crash: BaseException | None = None
                 for future in done:
                     index = in_flight.pop(future)
@@ -334,7 +325,7 @@ def sweep_map(
                         value = future.result()
                     except BrokenExecutor as exc:
                         crash = exc
-                        if report is not None and charge(
+                        if charge(
                             index,
                             exc,
                             "worker_crash",
@@ -345,11 +336,7 @@ def sweep_map(
                         if _cannot_travel(exc, items[index]):
                             go_serial(f"{type(exc).__name__}: {exc}")
                             raise _GoSerial from None
-                        if charge(
-                            index, exc, "retry", f"{type(exc).__name__}: {exc}"
-                        ):
-                            retry_pause(index)
-                            pending.append(index)
+                        charge(index, exc)
                     else:
                         deliver(index, value)
                         # Progress resets the failure budget: the limit
@@ -376,14 +363,14 @@ def sweep_map(
         if initializer is not None:
             initializer(*initargs)
         for index in range(count):
-            while not settled(index):
-                try:
-                    value = fn(items[index])
-                except Exception as exc:  # noqa: BLE001 — per-point boundary
-                    if charge(index, exc, "retry", f"{type(exc).__name__}: {exc}"):
-                        retry_pause(index)
-                else:
-                    deliver(index, value)
+            if settled(index):
+                continue
+            try:
+                value = fn(items[index])
+            except Exception as exc:  # noqa: BLE001 — per-point boundary
+                charge(index, exc)
+            else:
+                deliver(index, value)
     return [results.get(index) for index in range(count)], failed
 
 
@@ -394,23 +381,34 @@ def parallel_map(
     initializer: Callable | None = None,
     initargs: tuple = (),
     on_result: Callable[[int, R], None] | None = None,
+    labels: Sequence[str] | None = None,
+    policy: FaultPolicy | None = None,
 ) -> list[R]:
     """``[fn(item) for item in items]`` across worker processes.
 
     Deterministic: results are returned in input order regardless of
     completion order.  ``on_result(index, value)`` fires as each item
-    completes, so the items finished before a failure are reported.
-    An exception raised by ``fn`` propagates unchanged, once; only pool
-    trouble falls back to serial (see :func:`sweep_map`).
+    completes.  The map runs under ``policy`` (see :func:`sweep_map`);
+    once every item has settled, the items that failed are named by
+    ``labels`` (default: their index) in one :class:`SweepPointError`.
     """
-    values, _failed = sweep_map(
+    items = list(items)
+    if labels is None:
+        labels = [str(index) for index in range(len(items))]
+    values, failed = sweep_map(
         fn,
         items,
         jobs=jobs,
         initializer=initializer,
         initargs=initargs,
         on_result=on_result,
+        labels=labels,
+        policy=policy,
     )
+    if failed:
+        raise SweepPointError(
+            [(labels[index], exc) for index, exc in sorted(failed.items())]
+        )
     return values
 
 
@@ -426,10 +424,16 @@ def _init_simulation_worker(program: Program) -> None:
 
 
 def _simulate_point(config: MachineConfig) -> SimulationResult:
-    from .simulator import simulate
+    """Worker body: any armed fault injectors, then the point."""
+    from .simulator import simulate  # late: the simulator is heavy
 
-    assert _worker_program is not None, "worker initialized without a program"
-    return simulate(config, _worker_program)
+    program = _worker_program
+    assert program is not None, "worker initialized without a program"
+    if faults.active_plan() is not None:
+        key = result_key(config, program)
+        faults.maybe_kill_worker(key)
+        faults.maybe_hang_point(key)
+    return simulate(config, program)
 
 
 def simulate_many(
@@ -437,13 +441,17 @@ def simulate_many(
     configs: Sequence[MachineConfig],
     jobs: int | None = None,
     on_result: Callable[[int, SimulationResult], None] | None = None,
+    policy: FaultPolicy | None = None,
 ) -> list[SimulationResult]:
     """Simulate every config against ``program``, fanned out over workers.
 
     Results are returned in ``configs`` order and are bit-identical to
     running the same list serially; ``on_result(index, result)`` fires
-    as each point completes.
+    as each point completes.  Each point is labelled by its machine,
+    ``config.describe()``, in ``policy``'s report and in the
+    :class:`SweepPointError` raised once every point has settled.
     """
+    configs = list(configs)
     return parallel_map(
         _simulate_point,
         configs,
@@ -451,4 +459,6 @@ def simulate_many(
         initializer=_init_simulation_worker,
         initargs=(program,),
         on_result=on_result,
+        labels=[config.describe() for config in configs],
+        policy=policy,
     )

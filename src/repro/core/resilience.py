@@ -1,57 +1,59 @@
-"""Fault-tolerant execution: supervised sweeps that finish.
+"""Fault-tolerant execution: the one fault policy every sweep runs under.
 
 A paper-scale design-space sweep is thousands of independent simulation
 points across worker processes and a content-addressed result cache.
 Each of those layers can fail — a worker segfaults, a point wedges, a
 cache blob is truncated — and a single-shot sweep dies at 94% with its
-completed work discarded.  This module makes those failure modes
-survivable while keeping the numbers *exactly* what a clean serial
-reference run would produce:
+completed work discarded.  This module holds the policy and the ledger
+that make those failure modes survivable while keeping the numbers
+*exactly* what a clean serial reference run would produce:
+
+:class:`FaultPolicy`
+    the knobs every sweep runs under — a per-point ``timeout`` and
+    ``max_retries`` — and the :class:`FaultReport` it records into.
+    The pool loop (:func:`repro.core.parallel.sweep_map`) retries what a
+    retry can change and never what it cannot: a worker crash or a point
+    timeout is charged an attempt and retried up to ``max_retries``
+    times, while an exception raised by the point itself fails the
+    point on its first attempt.  The simulator is deterministic, so the
+    same config and program raise the same exception again.  A fast-path
+    bug is one of those: every point runs on the one engine the run
+    selected, so the bug fails loudly instead of being re-run on a
+    slower engine.
 
 :class:`FaultReport`
-    the ledger: every recovery action (retry, timeout, worker crash,
-    pool respawn, serial fallback, cache quarantine) is recorded as a
-    :class:`FaultEvent` against the point it happened to, so a sweep
+    the ledger: every recovery action (timeout, worker crash, pool
+    respawn, serial fallback, cache quarantine, gave-up) is recorded as
+    a :class:`FaultEvent` against the point it happened to, so a sweep
     that healed itself says exactly how.
 
-:class:`SweepSupervisor`
-    the knobs :func:`repro.core.sweep.resolve_points` runs a point
-    list's cache misses under.  :meth:`SweepSupervisor.simulate_points`
-    puts them on the sweep executor
-    (:func:`repro.core.parallel.sweep_map`) with its fault policy on:
-    per-point timeouts, bounded retries, and ``BrokenProcessPool``
-    recovery — the pool is respawned, in-flight points are requeued,
-    and after repeated pool failures the remaining points run serially
-    in-process.  Completed siblings are never discarded; points that
-    stay broken after every recovery raise :class:`SweepPointError`
-    *after* everything recoverable has finished.  A simulator bug is
-    one of those: every point runs on the one engine the run selected,
-    and an exception from it is charged like any other point error, so
-    a fast-path bug fails loudly instead of being re-run on a slower
-    engine.
+:class:`SweepPointError`
+    the points that stayed broken, raised only after every other point
+    has completed.
 
-The result cache is the checkpoint: the resolver stores each supervised
-point as it completes, so running an interrupted command again answers
-its finished points from the cache and simulates only the rest.  The
-deterministic fault injectors live in :mod:`repro.core.faults`.
+The result cache is the checkpoint: the resolver stores each point as it
+completes, so running an interrupted command again answers its finished
+points from the cache and simulates only the rest.  The deterministic
+fault injectors live in :mod:`repro.core.faults`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-from ..asm.program import Program
-from .config import MachineConfig
-from .parallel import _init_simulation_worker, sweep_map
-from .results import SimulationResult
 
 __all__ = [
+    "DEFAULT_MAX_RETRIES",
     "FaultEvent",
+    "FaultPolicy",
     "FaultReport",
     "SweepPointError",
-    "SweepSupervisor",
 ]
+
+#: Attempts per point beyond the first after a worker crash or a point
+#: timeout.  Not 0: a crash breaks the pool and charges *every* point in
+#: flight, not only the one whose worker died, so an innocent sibling
+#: needs a retry to finish.
+DEFAULT_MAX_RETRIES = 2
 
 
 # ----------------------------------------------------------------------
@@ -61,9 +63,9 @@ __all__ = [
 class FaultEvent:
     """One recovery action taken on behalf of one sweep point."""
 
-    point: str  #: point label (content-key prefix or index)
-    kind: str  #: retry | timeout | worker_crash | pool_respawn |
-    #: serial_fallback | cache_quarantine | gave_up
+    point: str  #: point label (machine description, key prefix or index)
+    kind: str  #: timeout | worker_crash | pool_respawn | serial_fallback |
+    #: cache_quarantine | gave_up
     detail: str = ""
     attempt: int = 0
 
@@ -86,7 +88,7 @@ class FaultEvent:
 
 @dataclass
 class FaultReport:
-    """Every recovery action taken during one supervised sweep."""
+    """Every recovery action taken during one run's sweeps."""
 
     events: list[FaultEvent] = field(default_factory=list)
 
@@ -115,15 +117,12 @@ class FaultReport:
         }
 
     def summary(self) -> str:
-        """Human-readable report (the CLI prints this after a sweep)."""
-        if self.clean:
-            lines = ["fault report  : clean (no recovery actions)"]
-        else:
-            lines = [f"fault report  : {len(self.events)} recovery action(s)"]
-            for kind, count in self.counts().items():
-                lines.append(f"  {kind:<16} {count}")
-            for event in self.events:
-                lines.append(f"  {event}")
+        """Human-readable report (the CLI prints it when not clean)."""
+        lines = [f"fault report  : {len(self.events)} recovery action(s)"]
+        for kind, count in self.counts().items():
+            lines.append(f"  {kind:<16} {count}")
+        for event in self.events:
+            lines.append(f"  {event}")
         return "\n".join(lines)
 
 
@@ -145,74 +144,18 @@ class SweepPointError(RuntimeError):
         )
 
 
-def _supervised_point(task: tuple[str, MachineConfig]) -> SimulationResult:
-    """Worker body: injectors first, then the point on the run's engine."""
-    from . import parallel
-    from .faults import maybe_hang_point, maybe_kill_worker
-    from .simulator import simulate  # late: the simulator is heavy
-
-    key, config = task
-    maybe_kill_worker(key)
-    maybe_hang_point(key)
-    program = parallel._worker_program
-    assert program is not None, "worker initialized without a program"
-    return simulate(config, program)
-
-
-# ----------------------------------------------------------------------
-# The bundle resolve_points consumes
-# ----------------------------------------------------------------------
 @dataclass
-class SweepSupervisor:
-    """Fault-tolerance knobs for one supervised run.
+class FaultPolicy:
+    """The fault policy of one run: limits, and the ledger it fills.
 
     Passed to :func:`repro.core.sweep.resolve_points` (through
-    ``run_cache_sweep`` or an experiment context), which routes its
-    cache misses through :meth:`simulate_points` and records cache
-    quarantines into :attr:`report`.
+    ``run_cache_sweep``, ``run_figure`` or an experiment context), which
+    runs its cache misses under it and records cache quarantines into
+    :attr:`report`.  ``timeout`` is each point's wall-clock limit in
+    seconds (``None``: none); ``max_retries`` bounds the retries of a
+    point whose worker crashed or timed out.
     """
 
-    jobs: int | None = None
     timeout: float | None = None
-    max_retries: int = 2
-    backoff: float = 0.25
+    max_retries: int = DEFAULT_MAX_RETRIES
     report: FaultReport = field(default_factory=FaultReport)
-
-    def simulate_points(
-        self,
-        program: Program,
-        configs: Sequence[MachineConfig],
-        keys: Sequence[str],
-        on_result: Callable[[int, SimulationResult], None] | None = None,
-    ) -> list[SimulationResult]:
-        """Simulate every config under the fault policy, in ``configs`` order.
-
-        ``keys`` are the points' content addresses: the fault injectors
-        fire by them and the report labels each point ``key[:12]``.
-        ``on_result(index, result)`` fires as each point completes.  A
-        point that keeps failing is named in the :class:`SweepPointError`
-        raised once every other point has completed; a deadlock or a
-        simulation timeout is deterministic and is not retried.
-        """
-        from .simulator import DeadlockError, SimulationTimeout
-
-        labels = [key[:12] for key in keys]
-        values, failed = sweep_map(
-            _supervised_point,
-            list(zip(keys, configs)),
-            jobs=self.jobs,
-            initializer=_init_simulation_worker,
-            initargs=(program,),
-            on_result=on_result,
-            report=self.report,
-            labels=labels,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            no_retry=(DeadlockError, SimulationTimeout),
-        )
-        if failed:
-            raise SweepPointError(
-                [(labels[index], exc) for index, exc in sorted(failed.items())]
-            )
-        return values

@@ -109,9 +109,6 @@ class ProgressClock:
     def __init__(self) -> None:
         self.ticks = 0
 
-    def tick(self) -> None:
-        self.ticks += 1
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ProgressClock ticks={self.ticks}>"
 

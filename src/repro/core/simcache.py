@@ -59,7 +59,6 @@ __all__ = [
     "config_fingerprint",
     "program_fingerprint",
     "result_key",
-    "sweep_point_keys",
 ]
 
 #: Bumped whenever the serialized result schema changes shape.
@@ -116,12 +115,6 @@ def result_key(
     return h.hexdigest()
 
 
-def sweep_point_keys(program: Program, configs) -> list[str]:
-    """Content addresses for many points, hashing the program once."""
-    program_fp = program_fingerprint(program)
-    return [result_key(config, program, program_fp) for config in configs]
-
-
 def _payload_checksum(result_dict: dict) -> str:
     """SHA-256 of the canonical JSON of one serialized result."""
     canonical = json.dumps(result_dict, sort_keys=True, separators=(",", ":"))
@@ -156,20 +149,13 @@ class SimulationCache:
     error and never a silently wrong number.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        quarantine_max_bytes: int = QUARANTINE_MAX_BYTES,
-        quarantine_max_age: float = QUARANTINE_MAX_AGE_SECONDS,
-    ):
+    def __init__(self, root: str | os.PathLike | None = None):
         if root is None:
             root = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
         self.root = Path(root)
-        self.quarantine_max_bytes = quarantine_max_bytes
-        self.quarantine_max_age = quarantine_max_age
         self.stats = CacheStats()
         #: optional ``(key, reason)`` callback fired on each quarantine
-        #: (the sweep supervisor records these in its FaultReport)
+        #: (the sweep resolver records these in its FaultReport)
         self.quarantine_hook = None
         #: program fingerprints are expensive (they hash the image), so
         #: memoize them per Program identity for the lifetime of the cache
@@ -275,9 +261,9 @@ class SimulationCache:
     def prune_quarantine(self) -> int:
         """Enforce the quarantine age and size caps; returns removals.
 
-        Entries older than :attr:`quarantine_max_age` seconds go first,
+        Entries older than :data:`QUARANTINE_MAX_AGE_SECONDS` go first,
         then the oldest survivors are evicted until the directory's
-        total size fits :attr:`quarantine_max_bytes`.  Newest blobs are
+        total size fits :data:`QUARANTINE_MAX_BYTES`.  Newest blobs are
         kept — they describe the corruption most likely still under
         investigation.
         """
@@ -293,10 +279,10 @@ class SimulationCache:
         stamped.sort()  # oldest first
 
         removed = 0
-        cutoff = time.time() - self.quarantine_max_age
+        cutoff = time.time() - QUARANTINE_MAX_AGE_SECONDS
         total = sum(size for _mtime, size, _path in stamped)
         for mtime, size, path in stamped:
-            if mtime >= cutoff and total <= self.quarantine_max_bytes:
+            if mtime >= cutoff and total <= QUARANTINE_MAX_BYTES:
                 break  # survivors are younger and the cap is met
             try:
                 path.unlink(missing_ok=True)
@@ -382,8 +368,8 @@ class SimulationCache:
             f"quarantine: {len(quarantined)} entr"
             f"{'y' if len(quarantined) == 1 else 'ies'}, "
             f"{quarantine_bytes / 1024:.1f} KiB "
-            f"(cap {self.quarantine_max_bytes / 1024:.0f} KiB / "
-            f"{self.quarantine_max_age / 86400:.0f} days)",
+            f"(cap {QUARANTINE_MAX_BYTES / 1024:.0f} KiB / "
+            f"{QUARANTINE_MAX_AGE_SECONDS / 86400:.0f} days)",
         ]
         if quarantined:
             lines.append(

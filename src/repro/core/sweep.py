@@ -7,23 +7,20 @@ module provides that sweep as a reusable driver.
 
 Every list of simulation points — a sweep, or an experiment's ad-hoc
 points — reaches the simulator through one resolver,
-:func:`resolve_points`.  Its layers are deterministic, and the numbers
-are byte-identical with or without each of them:
+:func:`resolve_points`, on one path.  It answers each point from the
+content-addressed result ``cache`` (:mod:`repro.core.simcache`), so
+points shared between experiments — or repeated across runs — are never
+re-simulated, and fans the misses out over ``jobs`` worker processes
+(:func:`repro.core.parallel.simulate_many`) under a
+:class:`~repro.core.resilience.FaultPolicy`: per-point timeouts,
+bounded retries of crashed or timed-out points, crashed-pool recovery,
+and a :class:`~repro.core.resilience.FaultReport` of every recovery
+action, cache quarantines included.  The numbers are byte-identical
+whatever the cache, the job count or the recoveries.
 
-* ``cache`` consults a content-addressed result store
-  (:mod:`repro.core.simcache`) so points shared between experiments —
-  or repeated across runs — are never re-simulated;
-* ``jobs`` fans the misses out over worker processes
-  (:mod:`repro.core.parallel`); results come back in input order;
-* a :class:`~repro.core.resilience.SweepSupervisor` makes big sweeps
-  *finish*: the misses run on its supervised worker pool (per-point
-  timeouts, bounded retries, crashed-pool recovery), and every recovery
-  action — cache quarantines included — goes into its
-  :class:`~repro.core.resilience.FaultReport`.
-
-Supervised or not, each point is stored to the cache as it completes,
-so the cache is the sweep's checkpoint: an interrupted run resumes when
-the same command runs again.
+Each point is stored to the cache as it completes, so the cache is the
+sweep's checkpoint: an interrupted run resumes when the same command
+runs again.
 """
 
 from __future__ import annotations
@@ -34,9 +31,9 @@ from typing import Callable, Sequence
 from ..asm.program import Program
 from .config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
 from .parallel import simulate_many
-from .resilience import SweepSupervisor
+from .resilience import FaultPolicy
 from .results import SimulationResult
-from .simcache import SimulationCache, sweep_point_keys
+from .simcache import SimulationCache
 
 __all__ = [
     "SweepSeries",
@@ -96,23 +93,26 @@ def resolve_points(
     *,
     jobs: int | None = 1,
     cache: SimulationCache | None = None,
-    supervisor: SweepSupervisor | None = None,
+    policy: FaultPolicy | None = None,
 ) -> list[SimulationResult]:
     """The result of every ``(config, program)`` point, in ``configs`` order.
 
-    Each point is answered from the result ``cache``, or else simulated.
-    The misses run over ``jobs`` worker processes — or, when a
-    ``supervisor`` is set, on its supervised pool (its own ``jobs``,
-    timeouts, retries and crash recovery), with cache quarantines
-    recorded in its report.  Every fresh result is stored to the cache
+    Each point is answered from the result ``cache``, or else simulated:
+    the misses run over ``jobs`` worker processes under ``policy``
+    (``None``: a fresh :class:`FaultPolicy`), whose report also records
+    the cache's quarantines.  Every fresh result is stored to the cache
     as it completes, so progress survives a crash or a failed sibling
-    point at any moment and a rerun answers it from the cache.  The
-    results are identical to simulating each point serially.
+    point at any moment and a rerun answers it from the cache.  Points
+    that stay broken are raised in one
+    :class:`~repro.core.resilience.SweepPointError` after every other
+    point is stored.  The results are identical to simulating each
+    point serially.
     """
     configs = list(configs)
-    if cache is not None and supervisor is not None:
-        report = supervisor.report
-        cache.quarantine_hook = lambda key, reason: report.record(
+    if policy is None:
+        policy = FaultPolicy()
+    if cache is not None:
+        cache.quarantine_hook = lambda key, reason: policy.report.record(
             key[:12], "cache_quarantine", detail=reason
         )
     try:
@@ -132,18 +132,15 @@ def resolve_points(
                 cache.store(configs[index], program, result)
 
         if misses:
-            miss_configs = [configs[index] for index in misses]
-            if supervisor is not None:
-                supervisor.simulate_points(
-                    program,
-                    miss_configs,
-                    sweep_point_keys(program, miss_configs),
-                    on_result=on_result,
-                )
-            else:
-                simulate_many(program, miss_configs, jobs=jobs, on_result=on_result)
+            simulate_many(
+                program,
+                [configs[index] for index in misses],
+                jobs=jobs,
+                on_result=on_result,
+                policy=policy,
+            )
     finally:
-        if cache is not None and supervisor is not None:
+        if cache is not None:
             cache.quarantine_hook = None
     return [resolved[index] for index in range(len(configs))]
 
@@ -154,7 +151,7 @@ def run_cache_sweep(
     strategies: dict[str, StrategyFactory] | None = None,
     jobs: int | None = 1,
     cache: SimulationCache | None = None,
-    supervisor: SweepSupervisor | None = None,
+    policy: FaultPolicy | None = None,
     **overrides,
 ) -> list[SweepSeries]:
     """Simulate every strategy at every cache size.
@@ -165,7 +162,7 @@ def run_cache_sweep(
     line cannot live in a 16-byte cache), mirroring the paper's figures
     where the 16-32/32-32 curves start at 32 bytes.
 
-    ``jobs``, ``cache`` and ``supervisor`` are those of
+    ``jobs``, ``cache`` and ``policy`` are those of
     :func:`resolve_points`, which resolves every point of the sweep.
     """
     if strategies is None:
@@ -189,7 +186,7 @@ def run_cache_sweep(
         [config for _index, _size, config in points],
         jobs=jobs,
         cache=cache,
-        supervisor=supervisor,
+        policy=policy,
     )
     series = [
         SweepSeries(label=label, cache_sizes=[], cycles=[], results=[])

@@ -14,7 +14,7 @@ from repro.analysis.experiments import (
     ExperimentContext,
     run_experiment,
 )
-from repro.core.resilience import SweepSupervisor
+from repro.core.resilience import FaultPolicy
 from repro.core.simcache import result_key
 
 CACHE_SIZES = (32, 128, 512)
@@ -65,51 +65,50 @@ class TestExperimentPlumbing:
 
     def test_supervisor_covers_ad_hoc_points(self, tiny_suite, monkeypatch):
         """``simulate_many`` (queues) and ``simulate`` (delays) run under
-        the context's supervisor: every point they simulate goes through
-        its ``simulate_points``, and the reports match an unsupervised
-        context."""
-        from repro.core import simulator
+        the context's fault policy: every point they simulate goes
+        through the sweep path with it, and the reports match a context
+        with a default policy."""
+        from repro.core import simulator, sweep
 
         simulated = []
-        supervised_keys = []
+        covered = []
         real_simulate = simulator.simulate
+        real_simulate_many = sweep.simulate_many
 
         def spy(config, program, **engine):
             simulated.append(result_key(config, program))
             return real_simulate(config, program, **engine)
 
-        def fresh_context(supervisor=None):
+        def simulate_many(program, configs, policy=None, **options):
+            assert policy is policed_context.policy
+            covered.extend(result_key(config, program) for config in configs)
+            return real_simulate_many(program, configs, policy=policy, **options)
+
+        def fresh_context(policy):
             return ExperimentContext(
                 program=tiny_suite.program,
                 suite=tiny_suite,
                 scale=0.03,
-                supervisor=supervisor,
+                policy=policy,
             )
 
         experiments = ("queues", "delays")
-        supervisor = SweepSupervisor(jobs=1)
-        simulate_points = supervisor.simulate_points
-
-        def supervised(program, configs, keys, on_result=None):
-            supervised_keys.extend(keys)
-            return simulate_points(program, configs, keys, on_result)
-
-        supervisor.simulate_points = supervised
-        supervised_context = fresh_context(supervisor)
+        policed_context = fresh_context(FaultPolicy(timeout=120.0))
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "simulate", spy)
+            patch.setattr(sweep, "simulate_many", simulate_many)
             reports = [
-                run_experiment(name, supervised_context) for name in experiments
+                run_experiment(name, policed_context) for name in experiments
             ]
-        plain = fresh_context()
+        plain = fresh_context(FaultPolicy())
         for report, name in zip(reports, experiments):
             reference = run_experiment(name, plain)
             assert report.text == reference.text
             assert report.render_checks() == reference.render_checks()
 
-        assert sorted(supervised_keys) == sorted(simulated)
+        assert sorted(covered) == sorted(simulated)
         assert len(set(simulated)) > 0
-        assert supervisor.report.clean
+        assert policed_context.policy.report.clean
 
     def test_sweep_memoisation(self, context):
         """Two experiments sharing a parameter point reuse the sweep."""

@@ -135,13 +135,12 @@ class TestResilienceCli:
     def test_parser_accepts_resilience_flags(self):
         args = build_parser().parse_args(
             [
-                "figure", "5b", "--supervised", "--timeout", "30",
+                "figure", "5b", "--timeout", "30",
                 "--max-retries", "3",
                 "--inject-faults", "seed=7,kill=0.3",
                 "--fault-report", "fr.json",
             ]
         )
-        assert args.supervised
         assert args.timeout == 30.0 and args.max_retries == 3
         assert args.inject_faults == FaultPlan(seed=7, worker_kill=0.3)
         assert args.fault_report == "fr.json"
@@ -149,9 +148,17 @@ class TestResilienceCli:
     @pytest.mark.parametrize("flag", ["--resume", "--checkpoint=ck.json"])
     def test_removed_checkpoint_flags_are_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["figure", "5b", "--supervised", flag])
+            build_parser().parse_args(["figure", "5b", flag])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_supervised_flag_is_rejected(self, capsys):
+        """Every sweep runs under one fault policy: there is no
+        supervised mode to ask for."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "4b", "--supervised"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --supervised" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "spec",
@@ -172,11 +179,28 @@ class TestResilienceCli:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--timeout" in err
 
+    @pytest.mark.parametrize("value", ["-3", "-1", "1.5", "two"])
+    def test_max_retries_must_be_a_non_negative_integer(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "4b", f"--max-retries={value}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--max-retries" in err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "small"])
+    def test_scale_must_be_positive_and_finite(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", "1", f"--scale={value}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--scale" in err
+
     def test_permanently_failed_point_exits_cleanly(
         self, capsys, monkeypatch, tmp_path
     ):
         """A point that stays broken ends the run with status 1 and one
-        stderr line naming it, after the fault report: no traceback."""
+        stderr line naming its machine, after the fault report on
+        stderr: no traceback, and stdout carries no fault report."""
         from repro.core import simulator
 
         simulate = simulator.simulate
@@ -189,28 +213,33 @@ class TestResilienceCli:
         monkeypatch.setattr(simulator, "simulate", failing)
         argv = [
             "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
-            "--supervised", "--jobs", "1", "--max-retries", "0",
-            "--cache-dir", str(tmp_path),
+            "--jobs", "1", "--cache-dir", str(tmp_path),
         ]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert "fault report" in captured.out
+        assert "fault report" not in captured.out
         assert "Traceback" not in captured.err
-        (line,) = captured.err.splitlines()
-        assert line.startswith("sweep point ")
-        assert line.endswith(" failed: RuntimeError: injected point failure")
+        lines = captured.err.splitlines()
+        assert lines[0] == "fault report  : 1 recovery action(s)"
+        assert lines[-1] == (
+            "sweep point conventional line=16 cache=32B T=1 bus=8B failed: "
+            "RuntimeError: injected point failure"
+        )
         # the four points that finished are in the cache
         assert len(SimulationCache(tmp_path).entries()) == 4
 
     def test_supervised_figure_reports_clean(self, capsys, tmp_path):
+        """A clean run prints no fault report, on stdout or stderr, even
+        with a policy option set."""
         argv = [
             "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
-            "--supervised", "--jobs", "1", "--cache-dir", str(tmp_path),
+            "--timeout", "120", "--jobs", "1", "--cache-dir", str(tmp_path),
         ]
         assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "Figure 4b" in out
-        assert "fault report  : clean" in out
+        captured = capsys.readouterr()
+        assert "Figure 4b" in captured.out
+        assert "fault report" not in captured.out
+        assert captured.err == ""
         # the cache entries are the only record of the finished points
         written = sorted(p for p in tmp_path.rglob("*") if p.is_file())
         assert written == SimulationCache(tmp_path).entries()
@@ -219,7 +248,7 @@ class TestResilienceCli:
     def test_rerun_answers_from_the_cache(self, capsys, monkeypatch, tmp_path):
         argv = [
             "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
-            "--supervised", "--jobs", "1", "--cache-dir", str(tmp_path),
+            "--jobs", "1", "--cache-dir", str(tmp_path),
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
@@ -243,64 +272,82 @@ class TestResilienceCli:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
         argv = [
             "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
-            "--supervised", "--jobs", "1", "--no-cache",
+            "--timeout", "120", "--jobs", "1", "--no-cache",
         ]
         assert main(argv) == 0
-        assert "fault report  : clean" in capsys.readouterr().out
+        assert "Figure 4b" in capsys.readouterr().out
         assert not cache_dir.exists()
 
     def test_fault_report_file_written(self, capsys, tmp_path):
         report_path = tmp_path / "fr.json"
         argv = [
             "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
-            "--supervised", "--jobs", "1", "--no-cache",
+            "--jobs", "1", "--no-cache",
             "--fault-report", str(report_path),
         ]
         assert main(argv) == 0
+        assert capsys.readouterr().err == ""
         payload = json.loads(report_path.read_text())
         assert payload == {"events": [], "counts": {}}
 
-    def test_fault_report_implies_supervision(self, capsys, tmp_path):
-        """``--fault-report`` without another resilience option is not
-        silently ignored: it turns the supervisor on."""
+    def test_fault_report_implies_supervision(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """``--fault-report`` writes the run's ledger whatever happened:
+        here the gave-up event of a failed point, named by its machine."""
+        from repro.core import simulator
+
+        simulate = simulator.simulate
+
+        def failing(config, program, *args, **kwargs):
+            if config.fetch_strategy.value == "conventional":
+                raise RuntimeError("injected point failure")
+            return simulate(config, program, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "simulate", failing)
         report_path = tmp_path / "fr.json"
         argv = [
             "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
             "--no-cache", "--jobs", "1",
             "--fault-report", str(report_path),
         ]
-        assert main(argv) == 0
-        assert "fault report  : clean" in capsys.readouterr().out
-        assert json.loads(report_path.read_text()) == {
-            "events": [], "counts": {}
-        }
+        assert main(argv) == 1
+        payload = json.loads(report_path.read_text())
+        assert payload["counts"] == {"gave_up": 1}
+        (event,) = payload["events"]
+        assert event["point"] == "conventional line=16 cache=32B T=1 bus=8B"
+        assert event["attempt"] == 1
 
     def test_supervised_parallel_report_sweeps_under_the_supervisor(
         self, capsys, monkeypatch
     ):
-        """``report --jobs N --no-cache`` with a supervision option must
-        run its sweeps through the supervisor, not bypass it."""
+        """``report --jobs N --no-cache --timeout S`` runs every sweep
+        through the pool loop under the one policy the flags built."""
         import repro.cli
-        from repro.core.resilience import SweepSupervisor
+        from repro.core import parallel
 
         monkeypatch.setattr(repro.cli, "EXPERIMENTS", ("headline",))
         calls = []
-        simulate_points = SweepSupervisor.simulate_points
+        sweep_map = parallel.sweep_map
 
-        def spy(self, program, configs, keys, on_result=None):
-            calls.append(len(configs))
-            return simulate_points(self, program, configs, keys, on_result)
+        def spy(fn, items, **options):
+            items = list(items)
+            calls.append((len(items), options["policy"]))
+            return sweep_map(fn, items, **options)
 
-        monkeypatch.setattr(SweepSupervisor, "simulate_points", spy)
+        monkeypatch.setattr(parallel, "sweep_map", spy)
         argv = [
             "report", "--scale", "0.03", "--jobs", "2", "--no-cache",
             "--timeout", "120",
         ]
         assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "Experiment: headline" in out
-        assert "fault report  : clean" in out
-        assert calls and sum(calls) > 0
+        captured = capsys.readouterr()
+        assert "Experiment: headline" in captured.out
+        assert "fault report" not in captured.out + captured.err
+        assert calls and sum(count for count, _policy in calls) > 0
+        (policy,) = {id(policy): policy for _count, policy in calls}.values()
+        assert (policy.timeout, policy.max_retries) == (120.0, 2)
+        assert policy.report.clean
 
     def test_run_without_injection_has_no_rung_banner(self, capsys):
         assert main(["run", "--scale", "0.03", "--cache", "64"]) == 0

@@ -15,7 +15,7 @@ import pytest
 from repro.core import faults
 from repro.core.config import MachineConfig
 from repro.core.faults import FAULT_KINDS, FaultPlan
-from repro.core.resilience import SweepSupervisor
+from repro.core.resilience import FaultPolicy
 from repro.core.simcache import SimulationCache
 from repro.core.simulator import simulate
 from repro.core.sweep import run_cache_sweep
@@ -209,37 +209,39 @@ class TestInjectedSweepAcceptance:
             )
         )
         cache = SimulationCache(tmp_path / "cache")
-        supervisor = SweepSupervisor(jobs=2, timeout=2.0, max_retries=4)
+        policy = FaultPolicy(timeout=2.0, max_retries=4)
         injected = run_cache_sweep(
             tiny_program,
             cache_sizes=[64],
             strategies=strategies,
+            jobs=2,
             cache=cache,
-            supervisor=supervisor,
+            policy=policy,
             **memory,
         )
 
         assert [
             s.results[0].canonical_json() for s in injected
         ] == reference
-        counts = supervisor.report.counts()
+        counts = policy.report.counts()
         assert counts.get("worker_crash", 0) >= 1  # kill=1.0 broke the pool
 
         # Second pass over the (corrupted) cache: every lookup quarantines,
         # the points are re-simulated, and the numbers still match.
         cache2 = SimulationCache(tmp_path / "cache")
-        supervisor2 = SweepSupervisor(jobs=2, timeout=2.0, max_retries=4)
+        policy2 = FaultPolicy(timeout=2.0, max_retries=4)
         warm = run_cache_sweep(
             tiny_program,
             cache_sizes=[64],
             strategies=strategies,
+            jobs=2,
             cache=cache2,
-            supervisor=supervisor2,
+            policy=policy2,
             **memory,
         )
         assert [s.results[0].canonical_json() for s in warm] == reference
         assert cache2.stats.quarantined >= 1
-        assert supervisor2.report.counts().get("cache_quarantine", 0) >= 1
+        assert policy2.report.counts().get("cache_quarantine", 0) >= 1
 
         # Third pass: the corrupt once-markers are spent, so the re-stored
         # entries verify and the sweep is answered from the cache.
@@ -249,7 +251,6 @@ class TestInjectedSweepAcceptance:
             cache_sizes=[64],
             strategies=strategies,
             cache=cache3,
-            supervisor=SweepSupervisor(jobs=1),
             **memory,
         )
         assert cache3.stats.hits == 2 and cache3.stats.quarantined == 0

@@ -9,10 +9,12 @@ import pytest
 from repro.core.config import MachineConfig
 from repro.core.parallel import (
     JOBS_ENV,
+    POOL_FAILURE_LIMIT,
     parallel_map,
     resolve_jobs,
     simulate_many,
 )
+from repro.core.resilience import FaultPolicy, SweepPointError
 from repro.core.simulator import simulate
 
 
@@ -30,10 +32,10 @@ def _logged_square(task) -> int:
     return x * x
 
 
-def _square_dying_in_worker(task) -> int:
-    """Square ``x``; item 1 kills any process but the one that mapped."""
+def _square_killing_workers(task) -> int:
+    """Square ``x``, killing any process but the one that mapped."""
     x, parent_pid = task
-    if x == 1 and os.getpid() != parent_pid:
+    if os.getpid() != parent_pid:
         os._exit(33)
     return x * x
 
@@ -73,17 +75,19 @@ class TestParallelMap:
         assert parallel_map(_square, [], jobs=4) == []
 
     def test_unpicklable_fn_falls_back_to_serial(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = parallel_map(lambda x: x + 1, [1, 2, 3], jobs=2)
+        policy = FaultPolicy()
+        result = parallel_map(lambda x: x + 1, [1, 2, 3], jobs=2, policy=policy)
         assert result == [2, 3, 4]
+        assert policy.report.counts() == {"serial_fallback": 1}
 
     def test_exceptions_propagate(self):
         def boom(x):
             raise RuntimeError("boom")
 
-        with pytest.raises(RuntimeError, match="boom"):
+        with pytest.raises(SweepPointError, match="boom") as excinfo:
             parallel_map(boom, [1], jobs=1)
+        ((label, exc),) = excinfo.value.failures
+        assert label == "0" and isinstance(exc, RuntimeError)
 
     @pytest.mark.parametrize("error", [TypeError, AttributeError])
     def test_item_error_propagates_once_without_serial_rerun(
@@ -91,22 +95,34 @@ class TestParallelMap:
     ):
         # Regression: an item's own TypeError/AttributeError was taken
         # for a pickling failure, so the whole map re-ran serially in
-        # the parent and warned "parallel execution unavailable".
+        # the parent.  It is the item's failure, raised once every
+        # sibling has finished.
         tasks = [(x, str(tmp_path), error) for x in range(6)]
+        policy = FaultPolicy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error, match="item 3 is broken"):
-                parallel_map(_logged_square, tasks, jobs=2)
-        called = [path.name.split("-")[1] for path in tmp_path.iterdir()]
-        assert called.count("3") == 1
-        assert len(called) == len(set(called))  # no item ran twice
+            with pytest.raises(SweepPointError, match="item 3 is broken") as excinfo:
+                parallel_map(_logged_square, tasks, jobs=2, policy=policy)
+        ((label, exc),) = excinfo.value.failures
+        assert label == "3" and isinstance(exc, error)
+        called = sorted(path.name.split("-")[1] for path in tmp_path.iterdir())
+        assert called == ["0", "1", "2", "3", "4", "5"]  # each item ran once
+        assert policy.report.counts() == {"gave_up": 1}
 
-    def test_broken_pool_finishes_serially(self):
+    def test_pool_that_keeps_dying_finishes_serially(self):
+        """Every point kills its worker: each crash charges both points
+        in flight, the pool is respawned until it has died
+        POOL_FAILURE_LIMIT times, and the map finishes in this process."""
         tasks = [(x, os.getpid()) for x in range(4)]
-        with pytest.warns(UserWarning, match="BrokenProcessPool"):
-            assert parallel_map(_square_dying_in_worker, tasks, jobs=2) == [
-                0, 1, 4, 9,
-            ]
+        policy = FaultPolicy(max_retries=2)
+        values = parallel_map(_square_killing_workers, tasks, jobs=2, policy=policy)
+        assert values == [0, 1, 4, 9]
+        assert POOL_FAILURE_LIMIT == 4
+        assert policy.report.counts() == {
+            "worker_crash": 8,
+            "pool_respawn": 3,
+            "serial_fallback": 1,
+        }
 
 
 class TestSimulateMany:

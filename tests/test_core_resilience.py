@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import tempfile
 import time
 
 import pytest
@@ -11,8 +12,13 @@ from repro.core import faults
 from repro.core import simulator as simulator_module
 from repro.core.config import MachineConfig
 from repro.core.parallel import simulate_many, sweep_map
-from repro.core.resilience import FaultReport, SweepPointError, SweepSupervisor
-from repro.core.simcache import SimulationCache, sweep_point_keys
+from repro.core.resilience import (
+    DEFAULT_MAX_RETRIES,
+    FaultPolicy,
+    FaultReport,
+    SweepPointError,
+)
+from repro.core.simcache import SimulationCache
 from repro.core.simulator import simulate
 from repro.core.sweep import run_cache_sweep
 
@@ -36,8 +42,8 @@ def _size_latency_matrix() -> list[MachineConfig]:
 
 # ----------------------------------------------------------------------
 # Worker bodies for the pool tests (module-level: they must pickle).
-# Each misbehaves exactly once per item, coordinated through a marker
-# file, so the supervisor's retry must succeed.
+# The crashing and hanging ones misbehave exactly once per item,
+# coordinated through a marker file, so a retry must succeed.
 # ----------------------------------------------------------------------
 def _square(x: int) -> int:
     return x * x
@@ -62,10 +68,17 @@ def _fail_once(task) -> int:
 
 
 def _fail_always(task) -> int:
-    x, _directory = task
+    x, directory = task
+    fd, _path = tempfile.mkstemp(prefix=f"call-{x}-", dir=directory)
+    os.close(fd)
     if x == 2:
         raise ValueError(f"permanently broken item {x}")
     return x * x
+
+
+def _calls(directory) -> list[int]:
+    """The items :func:`_fail_always` was called for, one per call."""
+    return sorted(int(path.name.split("-")[1]) for path in directory.iterdir())
 
 
 def _kill_once(task) -> int:
@@ -82,35 +95,33 @@ def _sleep_once(task) -> int:
     return x * x
 
 
-def _supervised(fn, items, report=None, **policy):
-    """``sweep_map`` with its fault policy on: a report, and so no raise."""
-    return sweep_map(
-        fn, items, report=report if report is not None else FaultReport(), **policy
-    )
+def _supervised(
+    fn, items, report=None, timeout=None, max_retries=DEFAULT_MAX_RETRIES, **options
+):
+    """``sweep_map`` under a fault policy built from the keywords."""
+    policy = FaultPolicy(timeout, max_retries, report or FaultReport())
+    return sweep_map(fn, items, policy=policy, **options)
 
 
-def _simulate_supervised(program, configs, **knobs):
-    """Every config through ``SweepSupervisor.simulate_points``."""
-    supervisor = SweepSupervisor(**knobs)
-    results = supervisor.simulate_points(
-        program, configs, sweep_point_keys(program, configs)
-    )
-    return results, supervisor.report
+def _simulate_under_policy(program, configs, jobs, **limits):
+    """Every config through ``simulate_many``; the results and the report."""
+    policy = FaultPolicy(**limits)
+    return simulate_many(program, configs, jobs=jobs, policy=policy), policy.report
 
 
 class TestFaultReport:
     def test_starts_clean(self):
         report = FaultReport()
         assert report.clean
-        assert "clean" in report.summary()
+        assert report.to_dict() == {"events": [], "counts": {}}
 
     def test_record_and_counts(self):
         report = FaultReport()
-        report.record("p1", "retry", detail="boom", attempt=1)
-        report.record("p2", "retry", attempt=1)
+        report.record("p1", "worker_crash", detail="boom", attempt=1)
+        report.record("p2", "worker_crash", attempt=1)
         report.record("p1", "gave_up", detail="still broken", attempt=2)
         assert not report.clean
-        assert report.counts() == {"retry": 2, "gave_up": 1}
+        assert report.counts() == {"worker_crash": 2, "gave_up": 1}
         summary = report.summary()
         assert "3 recovery action(s)" in summary
         assert "[gave_up] point p1 — attempt 2 — still broken" in summary
@@ -142,23 +153,20 @@ class TestSupervisedMapSerial:
         assert seen == [(0, 1), (1, 4), (2, 9)]
 
     def test_transient_failure_is_retried(self, tmp_path):
+        """Only a crash or a timeout is retried.  An exception the point
+        raised fails it on the first attempt, even one that would not
+        recur: the simulator is deterministic, so a point that raised
+        once raises again."""
         report = FaultReport()
         tasks = [(x, str(tmp_path)) for x in range(4)]
         values, failed = _supervised(
-            _fail_once, tasks, jobs=1, max_retries=2, backoff=0, report=report
+            _fail_once, tasks, jobs=1, max_retries=2, report=report
         )
-        assert values == [x * x for x in range(4)] and not failed
-        assert report.counts()["retry"] == 4  # every item failed once
-
-    def test_retry_pause_is_linear_in_the_attempt(self, tmp_path, monkeypatch):
-        pauses = []
-        monkeypatch.setattr(time, "sleep", pauses.append)
-        tasks = [(x, str(tmp_path)) for x in (2,)]
-        _values, failed = _supervised(
-            _fail_always, tasks, jobs=1, max_retries=3, backoff=0.5
-        )
-        assert list(failed) == [0]
-        assert pauses == [0.5, 1.0, 1.5]  # backoff * attempt
+        assert values == [None] * 4
+        assert sorted(failed) == [0, 1, 2, 3]
+        assert all(isinstance(exc, RuntimeError) for exc in failed.values())
+        assert report.counts() == {"gave_up": 4}
+        assert {event.attempt for event in report.events} == {1}
 
     def test_permanent_failure_returned_after_siblings(self, tmp_path):
         report = FaultReport()
@@ -169,7 +177,6 @@ class TestSupervisedMapSerial:
             tasks,
             jobs=1,
             max_retries=1,
-            backoff=0,
             report=report,
             labels=[f"item{x}" for x in range(4)],
             on_result=lambda index, value: delivered.append(index),
@@ -183,20 +190,18 @@ class TestSupervisedMapSerial:
         assert report.events[-1].point == "item2"
 
     def test_no_retry_types_fail_on_the_first_attempt(self, tmp_path):
+        """However many retries the policy allows, a point that raised
+        is called exactly once, on a pool too."""
         report = FaultReport()
-        tasks = [(x, str(tmp_path)) for x in (2,)]
-        _values, failed = _supervised(
-            _fail_always,
-            tasks,
-            jobs=1,
-            max_retries=5,
-            backoff=0,
-            report=report,
-            no_retry=(ValueError,),
+        tasks = [(x, str(tmp_path)) for x in range(4)]
+        values, failed = _supervised(
+            _fail_always, tasks, jobs=2, max_retries=5, report=report
         )
-        assert list(failed) == [0]
-        gave_up = [e for e in report.events if e.kind == "gave_up"]
-        assert len(gave_up) == 1 and gave_up[0].attempt == 1
+        assert _calls(tmp_path) == [0, 1, 2, 3]
+        assert values == [0, 1, None, 9]
+        assert list(failed) == [2] and isinstance(failed[2], ValueError)
+        assert report.counts() == {"gave_up": 1}
+        assert report.events[0].attempt == 1
 
 
 class TestSupervisedMapPool:
@@ -211,7 +216,7 @@ class TestSupervisedMapPool:
         report = FaultReport()
         tasks = [(x, str(tmp_path), x == 1) for x in range(5)]
         values, failed = _supervised(
-            _kill_once, tasks, jobs=2, max_retries=3, backoff=0, report=report
+            _kill_once, tasks, jobs=2, max_retries=3, report=report
         )
         assert values == [x * x for x in range(5)] and not failed
         counts = report.counts()
@@ -227,7 +232,6 @@ class TestSupervisedMapPool:
             jobs=2,
             timeout=1.0,
             max_retries=3,
-            backoff=0,
             report=report,
         )
         assert values == [x * x for x in range(3)] and not failed
@@ -244,15 +248,17 @@ class TestSupervisedSimulateMany:
             ),
         ]
         plain = simulate_many(tiny_program, configs, jobs=1)
-        supervised, report = _simulate_supervised(tiny_program, configs, jobs=2)
-        assert supervised == plain
+        pooled, report = _simulate_under_policy(
+            tiny_program, configs, jobs=2, timeout=120.0
+        )
+        assert pooled == plain
         assert report.clean
 
     def test_pool_matches_serial_across_sizes_and_latencies(self, tiny_program):
         configs = _size_latency_matrix()
         serial = simulate_many(tiny_program, configs, jobs=1)
-        supervised, report = _simulate_supervised(tiny_program, configs, jobs=2)
-        assert supervised == serial
+        pooled, report = _simulate_under_policy(tiny_program, configs, jobs=2)
+        assert pooled == serial
         assert report.clean
 
     def test_worker_kill_converges_byte_identical(
@@ -265,7 +271,7 @@ class TestSupervisedSimulateMany:
         serial = simulate_many(tiny_program, configs, jobs=1)
         faults.activate(faults.FaultPlan(seed=11, worker_kill=1.0))
         try:
-            survived, report = _simulate_supervised(
+            survived, report = _simulate_under_policy(
                 tiny_program, configs, jobs=2, max_retries=4
             )
         finally:
@@ -277,10 +283,10 @@ class TestSupervisedSimulateMany:
 class TestFastPathFailsLoudly:
     """A fast-path bug is charged like any other point error.
 
-    One point's compiled kernel raises; the supervised sweep must not
-    re-run it on a slower engine and report success.  It retries the
-    point, finishes and caches every other point, then names the broken
-    one in :class:`SweepPointError`.
+    One point's compiled kernel raises; the sweep must not re-run it on
+    a slower engine and report success.  It fails the point on its
+    first attempt, finishes and caches every other point, then names
+    the broken one by its machine in :class:`SweepPointError`.
     """
 
     @pytest.mark.parametrize(
@@ -313,35 +319,24 @@ class TestFastPathFailsLoudly:
             "PIPE 16-16": lambda size, **o: MachineConfig.pipe("16-16", size, **o),
         }
         sizes = [32, doomed, 128]
-        delivered = []
-        supervisor = SweepSupervisor(jobs=jobs, max_retries=1, backoff=0)
-        simulate_points = supervisor.simulate_points
-
-        def spy(program, configs, keys, on_result=None):
-            def record(index, result):
-                delivered.append(configs[index].icache_size)
-                on_result(index, result)
-
-            return simulate_points(program, configs, keys, on_result=record)
-
-        supervisor.simulate_points = spy
+        policy = FaultPolicy(max_retries=1)
         with pytest.raises(SweepPointError) as excinfo:
             run_cache_sweep(
                 tiny_program,
                 cache_sizes=sizes,
                 strategies=strategies,
+                jobs=jobs,
                 cache=SimulationCache(tmp_path),
-                supervisor=supervisor,
+                policy=policy,
                 memory_access_time=6,
                 input_bus_width=8,
             )
 
         configs = [_pipe().with_overrides(icache_size=size) for size in sizes]
-        keys = dict(zip(sizes, sweep_point_keys(tiny_program, configs)))
         (label, exc), = excinfo.value.failures
-        assert label == keys[doomed][:12]
+        assert label == configs[1].describe()
+        assert label == "PIPE 16-16 line=16 cache=64B T=6 bus=8B"
         assert isinstance(exc, RuntimeError) and "fast-path bug" in str(exc)
-        assert sorted(delivered) == [32, 128]
         # The completed points are in the cache as they finished; the
         # broken one is not.
         cache = SimulationCache(tmp_path)
@@ -352,9 +347,8 @@ class TestFastPathFailsLoudly:
             else:
                 assert hit == simulate(config, tiny_program)
         assert (cache.stats.hits, cache.stats.misses) == (2, 1)
-        kinds = supervisor.report.counts()
-        assert "degraded" not in kinds and "engine_fault" not in kinds
-        assert kinds == {"retry": 2, "gave_up": 1}
+        assert policy.report.counts() == {"gave_up": 1}
+        assert policy.report.events[0].point == label
 
 
 class TestSupervisedSweep:
@@ -362,16 +356,16 @@ class TestSupervisedSweep:
         self, tiny_program, tmp_path
     ):
         plain = run_cache_sweep(tiny_program, cache_sizes=[64, 128], jobs=1)
-        supervisor = SweepSupervisor(jobs=1)
+        policy = FaultPolicy(timeout=120.0)
         cache = SimulationCache(tmp_path / "cache")
         supervised = run_cache_sweep(
             tiny_program,
             cache_sizes=[64, 128],
             cache=cache,
-            supervisor=supervisor,
+            policy=policy,
         )
         assert [s.cycles for s in supervised] == [s.cycles for s in plain]
-        assert supervisor.report.clean
+        assert policy.report.clean
         # every completed point was cached, and nothing else was written:
         # no manifest, no lockfile, no temp file
         written = sorted(p for p in (tmp_path / "cache").rglob("*") if p.is_file())
@@ -385,14 +379,12 @@ class TestSupervisedSweep:
             tiny_program,
             cache_sizes=[64],
             cache=SimulationCache(tmp_path),
-            supervisor=SweepSupervisor(jobs=1),
         )
         cache = SimulationCache(tmp_path)
         rerun = run_cache_sweep(
             tiny_program,
             cache_sizes=[64],
             cache=cache,
-            supervisor=SweepSupervisor(jobs=1),
         )
         points = sum(len(s.cycles) for s in first)
         assert (cache.stats.hits, cache.stats.misses) == (points, 0)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.core import simcache
 from repro.core.config import MachineConfig
 from repro.core.simcache import (
     CACHE_FORMAT_VERSION,
@@ -15,7 +16,6 @@ from repro.core.simcache import (
     config_fingerprint,
     program_fingerprint,
     result_key,
-    sweep_point_keys,
 )
 from repro.core.simulator import simulate
 from repro.core.sweep import resolve_points
@@ -92,22 +92,16 @@ class TestFingerprints:
             config, small_program
         )
 
-    def test_sweep_point_keys_match_single_point_keys(self, tiny_program):
-        configs = [_pipe(), _pipe().with_overrides(icache_size=64)]
-        assert sweep_point_keys(tiny_program, configs) == [
-            result_key(config, tiny_program) for config in configs
-        ]
-
     def test_cache_entry_is_named_by_the_sweep_point_key(
         self, tiny_program, tmp_path
     ):
-        """A cache entry is named by the key the sweep supervisor labels
-        and injects faults by."""
+        """A cache entry is named by the key the fault injectors fire by
+        and a quarantine event is labelled with."""
         cache = SimulationCache(tmp_path)
         config = _pipe()
         _resolve(config, tiny_program, cache)
         (entry,) = cache.entries()
-        assert entry.stem == sweep_point_keys(tiny_program, [config])[0]
+        assert entry.stem == result_key(config, tiny_program)
 
 
 class TestRoundTrip:
@@ -284,8 +278,9 @@ class TestQuarantineCaps:
             os.utime(path, (stamp, stamp))
         return path
 
-    def test_size_cap_evicts_oldest_first(self, tmp_path):
-        cache = SimulationCache(tmp_path, quarantine_max_bytes=3000)
+    def test_size_cap_evicts_oldest_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simcache, "QUARANTINE_MAX_BYTES", 3000)
+        cache = SimulationCache(tmp_path)
         old = self._quarantine_blob(cache, "old", 1500, age=300.0)
         mid = self._quarantine_blob(cache, "mid", 1500, age=200.0)
         new = self._quarantine_blob(cache, "new", 1500, age=100.0)
@@ -293,8 +288,9 @@ class TestQuarantineCaps:
         assert not old.exists()
         assert mid.exists() and new.exists()
 
-    def test_age_cap_expires_stale_blobs(self, tmp_path):
-        cache = SimulationCache(tmp_path, quarantine_max_age=60.0)
+    def test_age_cap_expires_stale_blobs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simcache, "QUARANTINE_MAX_AGE_SECONDS", 60.0)
+        cache = SimulationCache(tmp_path)
         stale = self._quarantine_blob(cache, "stale", 10, age=120.0)
         fresh = self._quarantine_blob(cache, "fresh", 10, age=5.0)
         assert cache.prune_quarantine() == 1
@@ -307,12 +303,13 @@ class TestQuarantineCaps:
         assert kept.exists()
 
     def test_quarantining_an_entry_enforces_the_cap(
-        self, tiny_program, tmp_path
+        self, tiny_program, tmp_path, monkeypatch
     ):
         # A flood of corrupt entries must not grow the quarantine
         # without bound: the cap is applied on every quarantine, not
         # only when someone remembers to prune.
-        cache = SimulationCache(tmp_path, quarantine_max_bytes=1)
+        monkeypatch.setattr(simcache, "QUARANTINE_MAX_BYTES", 1)
+        cache = SimulationCache(tmp_path)
         _resolve(_pipe(), tiny_program, cache)
         (entry,) = cache.entries()
         entry.write_text("{torn")

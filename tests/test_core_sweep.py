@@ -1,9 +1,12 @@
 """Tests of the cache-size sweep driver."""
 
+import multiprocessing
+
 import pytest
 
 from repro.core import simulator
 from repro.core.config import FetchStrategy, MachineConfig
+from repro.core.resilience import SweepPointError
 from repro.core.simcache import SimulationCache
 from repro.core.sweep import (
     SweepSeries,
@@ -106,9 +109,9 @@ class TestResolvePoints:
     def test_unsupervised_points_are_stored_as_they_complete(
         self, tiny_program, tmp_path, monkeypatch
     ):
-        """The cache is the checkpoint without a supervisor too: when the
-        third point fails, the two finished before it are already
-        stored, and a rerun answers them from the cache."""
+        """The cache is the checkpoint: when the third point fails, the
+        two finished before it are already stored, and a rerun answers
+        them from the cache."""
         configs = [
             MachineConfig.pipe("16-16", size, memory_access_time=1)
             for size in (32, 64, 128)
@@ -122,9 +125,45 @@ class TestResolvePoints:
 
         monkeypatch.setattr(simulator, "simulate", failing)
         cache = SimulationCache(tmp_path)
-        with pytest.raises(RuntimeError, match="third point fails"):
+        with pytest.raises(SweepPointError, match="third point fails"):
             resolve_points(tiny_program, configs, jobs=1, cache=cache)
         stored = [cache.lookup(config, tiny_program) for config in configs]
         assert stored[2] is None
         for config, result in zip(configs[:2], stored):
             assert result == simulate(config, tiny_program)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched simulate reaches workers only by fork",
+    )
+    def test_failed_pool_point_leaves_every_sibling_stored(
+        self, tiny_program, tmp_path, monkeypatch
+    ):
+        """On workers too, a raising point costs only itself: the four
+        other points are simulated and stored, then one SweepPointError
+        names the broken point by its machine."""
+        configs = [
+            MachineConfig.pipe("16-16", size, memory_access_time=1)
+            for size in (32, 64, 128, 256, 512)
+        ]
+        doomed = configs[1]
+        simulate = simulator.simulate
+
+        def failing(config, program, *args, **kwargs):
+            if config == doomed:
+                raise RuntimeError("second point fails")
+            return simulate(config, program, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "simulate", failing)
+        cache = SimulationCache(tmp_path)
+        with pytest.raises(SweepPointError) as excinfo:
+            resolve_points(tiny_program, configs, jobs=2, cache=cache)
+        ((label, exc),) = excinfo.value.failures
+        assert label == doomed.describe() == "PIPE 16-16 line=16 cache=64B T=1 bus=8B"
+        assert isinstance(exc, RuntimeError) and "second point fails" in str(exc)
+        for config in configs:
+            stored = cache.lookup(config, tiny_program)
+            if config == doomed:
+                assert stored is None
+            else:
+                assert stored == simulate(config, tiny_program)

@@ -35,7 +35,7 @@ from repro.core import simulator as simulator_module
 from repro.core.compiled import kernel_for
 from repro.core.config import MachineConfig
 from repro.core.fuzz import first_trace_divergence
-from repro.core.scheduler import ENGINES, ProgressClock, skip_enabled_default
+from repro.core.scheduler import ENGINES, skip_enabled_default
 from repro.core.simulator import (
     DeadlockError,
     SimulationTimeout,
@@ -570,14 +570,3 @@ def test_fetch_into_the_fpu_window_is_never_accepted(strategy):
         assert message.startswith("no progress since cycle 256 "), tag
         for engine, _kwargs in ENGINES:
             assert engine not in message, (tag, engine)
-
-
-# ----------------------------------------------------------------------
-# Protocol sanity
-# ----------------------------------------------------------------------
-def test_progress_clock_ticks():
-    clock = ProgressClock()
-    assert clock.ticks == 0
-    clock.tick()
-    assert clock.ticks == 1
-    assert "1" in repr(clock)
