@@ -80,7 +80,7 @@ def main() -> None:
         simulator = Simulator(config, program)
         result = simulator.run()
         address = program.symbols["result"]
-        bits = bytes(simulator.engine.memory[address : address + 4])
+        bits = bytes(simulator.backend.stream.memory[address : address + 4])
         dot = struct.unpack("<f", bits)[0]
         stalls = ", ".join(
             f"{name}={count}" for name, count in result.stalls.items() if count

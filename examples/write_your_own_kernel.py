@@ -100,7 +100,7 @@ def main() -> None:
     ):
         simulator = Simulator(config, program)
         result = simulator.run()
-        assert bytes(simulator.engine.memory) == bytes(functional.memory)
+        assert bytes(simulator.backend.stream.memory) == bytes(functional.memory)
         print(
             f"{label:<32} {result.cycles:>6} cycles, IPC {result.ipc:.3f}, "
             f"{result.fpu_operations} FPU ops"

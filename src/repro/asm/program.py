@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..isa.encoding import InstructionFormat
 from ..isa.instruction import Instruction
 from ..isa.predecode import PredecodedImage
+
+if TYPE_CHECKING:
+    from ..cpu.stream import IssueStream
 
 __all__ = ["Program", "WORD_BYTES"]
 
@@ -44,6 +48,9 @@ class Program:
     _predecoded: PredecodedImage | None = field(
         init=False, default=None, repr=False, compare=False
     )
+    _issue_stream: IssueStream | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     @property
     def memory_size(self) -> int:
@@ -56,11 +63,21 @@ class Program:
         Built once (seeded from the layout) and reused by every fetch
         frontend simulating this program, so hot loops never re-decode
         the same bytes.  Valid because the code image is read-only at
-        run time — simulators mutate a private copy of the image.
+        run time — the functional pass mutates a private copy of the image.
         """
         if self._predecoded is None:
             self._predecoded = PredecodedImage(self.image, self.fmt, self.layout)
         return self._predecoded
+
+    @property
+    def issue_stream(self) -> IssueStream:
+        """The program's functional pass and its recorded issue stream,
+        which every machine simulating it reads (:mod:`repro.cpu.stream`)."""
+        if self._issue_stream is None:
+            from ..cpu.stream import IssueStream
+
+            self._issue_stream = IssueStream(self)
+        return self._issue_stream
 
     # ------------------------------------------------------------------
     # Word access helpers (little-endian, like the encodings)

@@ -33,7 +33,7 @@ The live cycles of the generated source follow the reference loop
 statement for statement — same phase order, same counter updates, same
 trace events, same deadlock and timeout checks.  The idle skip
 (:func:`_emit_skip_block`) and the replay hooks
-(:func:`_emit_replay_block`, the backend's issue log and backedge) are
+(:func:`_emit_replay_block` and the backend's backedge) are
 specified here, by the arithmetic they must reproduce: results, stats,
 and JSONL trace bytes equal the reference loop's
 (``tests/test_scheduler_differential.py`` checks this across the whole
@@ -55,19 +55,21 @@ instead, which calls the bound methods.
 constants folded into the kernel text, so the spec keys the one kernel
 cache: every instruction-cache size of a config family runs on the
 same kernel (one untraced, one traced) per process.  Issue entries
-(an instruction's queue flags, branch flag and dispatch handler) are
-cached by instruction value in :func:`repro.cpu.dispatch.issue_entry`'s
-memo, which every kernel binds as ``entry_for``.  Both caches live in
+(an instruction's queue, branch and halt flags, and the dispatch
+handler the functional pass runs) are cached by instruction value in
+:func:`repro.cpu.dispatch.issue_entry`'s memo, which every kernel binds
+as ``entry_for``.  Both caches live in
 process memory only; forked sweep workers inherit whatever the parent
 had compiled.  ``docs/COMPILED.md`` documents the contract in full.
 
 **Hoisting rule.**  Only objects that are never *rebound* during a run
 may be hoisted into kernel locals: component objects, the queues'
 ``_items`` deques (mutated in place, even by replay's commit), the
-stall-counter dict, stats objects.  Attributes the replay engine or
-the components rebind (``external.in_flight``, ``fpu._ops_pending``,
-``engine._uncommitted_*``) are always read through their owner, and
-no kernel local holds one across cycles.
+issue stream's arrays (they only grow), the stall-counter dict, stats
+objects.  Attributes the replay engine or the components rebind
+(``external.in_flight``, ``fpu._ops_pending``, the back-end's stream
+cursors) are always read through their owner, and no kernel local
+holds one across cycles.
 
 The kernel always runs with idle-cycle skipping and loop replay on;
 ``skip=False`` (:func:`repro.core.scheduler.resolve_engine`) selects
@@ -272,8 +274,18 @@ _BINDINGS: dict[str, str] = {
     "sdq_items": "sim.engine.sdq._items",
     "ldq_push": "sim.engine.ldq.push",
     "backend_stalls": "sim.backend.stalls",
-    "backend_state": "sim.backend.state",
-    "backend_env": "sim.backend._env",
+    "ldq_pop": "sim.engine.ldq.pop",
+    "engine_push_laq": "sim.engine.push_laq",
+    "engine_push_saq": "sim.engine.push_saq",
+    "engine_push_sdq": "sim.engine.push_sdq",
+    # -- the issue stream: its arrays only grow, in place; ``horizon``
+    # is the recorded length ``stream.reach`` last returned (stale, it
+    # only costs one more call)
+    "stream": "sim.backend.stream",
+    "stream_loads": "sim.backend.stream.loads",
+    "stream_stores": "sim.backend.stream.stores",
+    "stream_branches": "sim.backend.stream.branches",
+    "horizon": "0",
     "effects_memo": "{}",
     "frontend_next_instruction": "sim.frontend.next_instruction",
     "frontend_note_branch": "sim.frontend.note_branch",

@@ -6,7 +6,10 @@ checks two layers of the system against each other:
 1. **Compiler vs interpreter** — the kernel is compiled to a PIPE
    program, executed on the functional simulator, and every array
    element plus every scalar result slot is compared **bit-for-bit**
-   against the float32-exact reference interpreter.
+   against the float32-exact reference interpreter.  The program's
+   functional pass (:mod:`repro.cpu.stream`), whose recorded issue
+   stream every machine times, must reach the same HALT with the same
+   final memory as the functional simulator.
 2. **Engines** — for each machine configuration in the sample,
    the program runs on both engines (the reference loop and the
    compiled kernel) with tracing on, and the harness asserts
@@ -177,7 +180,25 @@ def _functional_problems(suite: KernelSuite, kernel: Kernel) -> list[str]:
             problems.append(
                 f"int scalar {name} = {raw.hex()} != reference {want.hex()}"
             )
+    problems.extend(_pass_problems(suite.program, simulator))
     return problems
+
+
+def _pass_problems(program, functional: FunctionalSimulator) -> list[str]:
+    """The functional pass vs the functional simulator: the same HALT,
+    the same final memory."""
+    stream = program.issue_stream
+    stream.finish()
+    if stream.error is not None or stream.length != functional.result.instructions:
+        return [
+            f"functional pass ended at instruction {stream.end} ({stream.error!r}), "
+            f"the functional simulator after {functional.result.instructions}"
+        ]
+    for address, (got, want) in enumerate(zip(stream.memory, functional.memory)):
+        if got != want:
+            return [f"functional pass: memory byte {address:#x} = {got:#04x} "
+                    f"!= functional simulator {want:#04x}"]
+    return []
 
 
 def first_trace_divergence(tag: str, trace: Path, reference: Path) -> str:

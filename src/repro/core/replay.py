@@ -3,51 +3,49 @@
 Once a benchmark loop reaches its steady state, every iteration drives
 the machine through the *same* cycle-by-cycle evolution: the same
 stalls, the same cache hits, the same bus arbitration — only the data
-values stride.  This module exploits that by memoizing one iteration's
-effect on the machine and then applying it arithmetically, iteration
-after iteration, without simulating the cycles in between.
+addresses stride.  This module exploits that by memoizing one
+iteration's effect on the machine and then applying it arithmetically,
+iteration after iteration, without simulating the cycles in between.
 
-The protocol is **record → verify → engage**, keyed by loop backedge
-target:
+The machine executes nothing: it reads the program's recorded issue
+stream (:mod:`repro.cpu.stream`), so an iteration is a slice of that
+stream — its PBR outcomes and targets and its data addresses — timed
+on the machine.  The protocol is **record → verify → engage**, keyed
+by loop backedge target:
 
 1. **Record.**  At a backward redirect (a loop backedge) the controller
    fingerprints the whole machine via the components'
    ``state_signature`` hooks (times relative to ``now``, sequence
    numbers relative to the allocator, LRU stamps reduced to rank order;
-   data values excluded).  It then records one full iteration: the
+   data addresses excluded).  It then records one full iteration: the
    cycle and sequence-number deltas, the delta of *every* simulation
-   counter (see :class:`StatsBook`), the issued instruction stream with
-   outcomes, the data-engine event stream, and (when tracing) the raw
-   trace-event batch.
+   counter (see :class:`StatsBook`), the iteration's slice of the issue
+   stream (branch entries, and each data access's FPU-window address),
+   the data-engine event stream, and (when tracing) the raw trace-event
+   batch.
 2. **Verify.**  The next live iteration is recorded the same way and
    must reproduce the first record *exactly* — same cycles, same
-   counter deltas, same instruction outcomes, same event shapes — and
-   return the machine to the same signature.  Only then is the loop
-   **engaged**.
-3. **Replay.**  When a loop engages, each recorded instruction is
-   bound once to a *step* ``(state, env) -> outcome`` — the handler the
-   live kernel already used, from the per-instruction-value memo of
-   :func:`repro.cpu.dispatch.handler_for` — and the record's counter
-   delta is resolved into a *plan*
-   of the nonzero counters it moves (:meth:`StatsBook.plan`).  On each
-   further signature match the controller replays iterations
-   arithmetically: a *shadow functional pass* runs the bound steps
-   against copies of the register banks, a memory-write overlay, and
-   the FIFO value chain of the load queues, checking every
-   timing-relevant data dependence (branch outcomes, FPU-window
-   addresses, store/load ordering-hazard counts).
-   If anything differs the shadow is discarded and live simulation
+   counter deltas, same stream slice, same event shapes — and return
+   the machine to the same signature.  Only then is the loop
+   **engaged**, and the record's counter delta is resolved into a
+   *plan* of the nonzero counters it moves (:meth:`StatsBook.plan`).
+3. **Replay.**  On each further signature match the controller replays
+   iterations arithmetically.  Each one is first checked against the
+   next slice of the issue stream, by four guards: no stream end inside
+   the slice, equal branch entries, equal FPU-window membership and FPU
+   address for every data access, and an equal recount of the
+   store/load ordering hazards.  If any differs, live simulation
    resumes from the untouched boundary state — divergence never needs
-   a rollback.  On success the shadow's functional state is committed,
-   queue entries are rotated through their FIFO chains, all timed
-   state is shifted by the iteration's deltas (``replay_shift``), and
-   every counter advances by its recorded delta (the plan).
+   a rollback.  Otherwise the commit advances the stream cursors,
+   rewrites the queued loads' and stores' addresses from the stream,
+   shifts all timed state by the iteration's deltas (``replay_shift``),
+   and advances every counter by its recorded delta (the plan).
 
 Byte-identity invariants:
 
-* counters are *never* recomputed during replay — the shadow pass is
-  counter-silent and the recorded deltas are applied arithmetically,
-  so results match the reference engine field for field;
+* counters are *never* recomputed during replay — the recorded deltas
+  are applied arithmetically, so results match the reference engine
+  field for field;
 * max-style counters (queue ``max_occupancy``, LDQ wait high-water)
   must show a zero delta over the verified iteration, else the loop
   never engages;
@@ -70,18 +68,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 
-from ..asm.program import WORD_BYTES
-from ..cpu.dispatch import handler_for
-from ..cpu.state import ArchState
-from ..memory.fpu import (
-    FPU_BASE,
-    FPU_OPERAND_A,
-    FPU_RESULT,
-    FPU_SIZE,
-    TRIGGER_OPERATIONS,
-    float32_op,
-    is_fpu_address,
-)
+from ..memory.fpu import FPU_BASE, FPU_SIZE
 
 __all__ = ["ReplayController", "StatsBook", "machine_signature"]
 
@@ -125,10 +112,6 @@ class StatsBook:
     instead of silently corrupting replayed results.  Plain-attribute
     counters (backend, queues, external memory, timed FPU) are listed
     explicitly; ``tests/test_replay_engine.py`` pins those manifests.
-
-    ``engine.fpu_core.operations_started`` is deliberately absent: the
-    semantic FPU core is *functional* state, advanced by the shadow
-    pass itself.
     """
 
     #: (owner attribute path, counter names) for non-dataclass counters
@@ -249,48 +232,38 @@ class StatsBook:
 # ----------------------------------------------------------------------
 # Iteration records
 # ----------------------------------------------------------------------
-class _IterationRecord:
-    """One memoized loop iteration (deltas plus replay inputs).
+#: one past the FPU register window
+_FPU_END = FPU_BASE + FPU_SIZE
 
-    ``steps`` (``(step, recorded outcome)`` per instruction) and
-    ``plan`` (:meth:`StatsBook.plan` of ``delta``) are bound when the
-    record engages (:meth:`ReplayController._bind`).
+
+def _fpu_tags(addresses) -> tuple:
+    """Each data address's FPU-window address, or ``None`` outside the
+    window: what timing reads of an address besides its hazards."""
+    return tuple(a if FPU_BASE <= a < _FPU_END else None for a in addresses)
+
+
+@dataclasses.dataclass(slots=True)
+class _IterationRecord:
+    """One memoized loop iteration: its deltas and its stream slice.
+
+    ``branches`` is the iteration's slice of the stream's branch entries;
+    ``loads`` and ``stores`` tag each data access with its FPU-window
+    address (:func:`_fpu_tags`).  Two records *match* when they compare
+    equal; ``plan`` (:meth:`StatsBook.plan` of ``delta``) is bound when
+    the record engages.
     """
 
-    __slots__ = (
-        "cycles",
-        "seqs",
-        "delta",
-        "instrs",
-        "events",
-        "trace",
-        "engageable",
-        "sd_count",
-        "steps",
-        "plan",
-    )
-
-    def __init__(self, cycles, seqs, delta, instrs, events, trace, engageable):
-        self.cycles = cycles
-        self.seqs = seqs
-        self.delta = delta
-        self.instrs = instrs
-        self.events = events
-        self.trace = trace
-        self.engageable = engageable
-        self.sd_count = sum(1 for event in events if event[0] == "sd")
-        self.steps: tuple | None = None
-        self.plan: tuple | None = None
-
-    def matches(self, other: "_IterationRecord") -> bool:
-        return (
-            self.cycles == other.cycles
-            and self.seqs == other.seqs
-            and self.delta == other.delta
-            and self.instrs == other.instrs
-            and self.events == other.events
-            and self.trace == other.trace
-        )
+    cycles: int
+    seqs: int
+    delta: tuple
+    branches: object  #: an ``array``, compared element by element
+    loads: tuple
+    stores: tuple
+    events: tuple
+    trace: tuple | None
+    instructions: int = dataclasses.field(compare=False)
+    engageable: bool = dataclasses.field(compare=False)
+    plan: tuple | None = dataclasses.field(default=None, compare=False)
 
 
 #: loop-state phases
@@ -304,155 +277,22 @@ _PHASE_NAMES = {
 }
 
 
+@dataclasses.dataclass(slots=True)
 class _LoopState:
     """Per-backedge-target replay state machine plus statistics."""
 
-    __slots__ = (
-        "phase",
-        "sig",
-        "candidate",
-        "record",
-        "fails",
-        "restarts",
-        "backedges",
-        "sig_mismatches",
-        "recorded",
-        "replayed",
-        "replayed_cycles",
-        "divergences",
-    )
-
-    def __init__(self):
-        self.phase = _RECORD
-        self.sig = None
-        self.candidate: _IterationRecord | None = None
-        self.record: _IterationRecord | None = None
-        self.fails = 0
-        self.restarts = 0
-        self.backedges = 0
-        self.sig_mismatches = 0
-        self.recorded = 0
-        self.replayed = 0
-        self.replayed_cycles = 0
-        self.divergences = 0
-
-
-class _Divergence(Exception):
-    """The shadow pass cannot reproduce the recorded iteration."""
-
-
-# ----------------------------------------------------------------------
-# Shadow functional environment
-# ----------------------------------------------------------------------
-#: one past the FPU register window (:func:`is_fpu_address`, inlined)
-_FPU_END = FPU_BASE + FPU_SIZE
-
-
-class _ShadowEnv:
-    """Executor environment for the counter-silent shadow pass.
-
-    Mirrors :class:`~repro.cpu.data_engine.DataQueueEngine`'s functional
-    semantics without touching the real engine: memory writes land in
-    an overlay, the semantic FPU is a private copy, and LDQ pops are
-    served from the FIFO *value chain* (current LDQ contents, then
-    in-flight load values, then LAQ entry values, then loads pushed by
-    this very iteration — exactly the order the live machine would pop
-    them in).
-    """
-
-    __slots__ = (
-        "memory",
-        "overlay",
-        "chain",
-        "unc_addrs",
-        "unc_data",
-        "fpu_operand_a",
-        "fpu_results",
-        "fpu_ops",
-        "fpu_last",
-        "laq_pushes",
-        "saq_pushes",
-        "sdq_pushes",
-    )
-
-    def __init__(self, engine):
-        self.memory = engine.memory
-        self.overlay: dict[int, int] = {}
-        self.chain: deque[int] = deque(engine.ldq._items)
-        self.chain.extend(flight.value for flight in engine._in_flight_loads)
-        self.chain.extend(entry.value for entry in engine.laq)
-        self.unc_addrs = deque(engine._uncommitted_addresses)
-        self.unc_data = deque(engine._uncommitted_data)
-        core = engine.fpu_core
-        self.fpu_operand_a = core._operand_a
-        self.fpu_results = deque(core._results)
-        self.fpu_ops = 0
-        self.fpu_last: str | None = None
-        self.laq_pushes: list[int] = []
-        self.saq_pushes: list[int] = []
-        self.sdq_pushes: list[int] = []
-
-    # -- functional memory ------------------------------------------------
-    # Each access is word-aligned and lies in the FPU window or inside
-    # the memory image; anything else diverges.
-    def _read(self, address: int) -> int:
-        if address % WORD_BYTES:
-            raise _Divergence
-        if FPU_BASE <= address < _FPU_END:
-            if address != FPU_RESULT or not self.fpu_results:
-                raise _Divergence
-            return self.fpu_results.popleft()
-        if address + WORD_BYTES > len(self.memory):
-            raise _Divergence
-        value = self.overlay.get(address)
-        if value is not None:
-            return value
-        return int.from_bytes(self.memory[address : address + WORD_BYTES], "little")
-
-    def _write(self, address: int, value: int) -> None:
-        if address % WORD_BYTES:
-            raise _Divergence
-        if FPU_BASE <= address < _FPU_END:
-            if address == FPU_OPERAND_A:
-                self.fpu_operand_a = value & 0xFFFFFFFF
-                return
-            kind = TRIGGER_OPERATIONS.get(address)
-            if kind is None:
-                raise _Divergence
-            self.fpu_results.append(float32_op(kind, self.fpu_operand_a, value))
-            self.fpu_ops += 1
-            self.fpu_last = kind
-            return
-        if address + WORD_BYTES > len(self.memory):
-            raise _Divergence
-        self.overlay[address] = value & 0xFFFFFFFF
-
-    def _commit_pending(self) -> None:
-        while self.unc_addrs and self.unc_data:
-            self._write(self.unc_addrs.popleft(), self.unc_data.popleft())
-
-    # -- ExecutionEnv protocol --------------------------------------------
-    def pop_ldq(self) -> int:
-        if not self.chain:
-            raise _Divergence
-        return self.chain.popleft()
-
-    def push_laq(self, address: int) -> None:
-        if address in self.unc_addrs:
-            raise _Divergence  # live execution would raise for real
-        value = self._read(address)
-        self.chain.append(value)
-        self.laq_pushes.append(address)
-
-    def push_saq(self, address: int) -> None:
-        self.saq_pushes.append(address)
-        self.unc_addrs.append(address)
-        self._commit_pending()
-
-    def push_sdq(self, value: int) -> None:
-        self.sdq_pushes.append(value)
-        self.unc_data.append(value)
-        self._commit_pending()
+    phase: int = _RECORD
+    sig: tuple | None = None
+    candidate: _IterationRecord | None = None
+    record: _IterationRecord | None = None
+    fails: int = 0
+    restarts: int = 0
+    backedges: int = 0
+    sig_mismatches: int = 0
+    recorded: int = 0
+    replayed: int = 0
+    replayed_cycles: int = 0
+    divergences: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -478,10 +318,11 @@ class ReplayController:
         self._rec_now = 0
         self._rec_seq = 0
         self._rec_vector: tuple | None = None
-        self._issue_buf: list = []
+        #: the back-end's issue count and stream cursors at the start
+        #: of the recording
+        self._rec_cursors = (0, 0, 0, 0)
         self._engine_buf: list = []
         self._trace_buf: list = []
-        self._shadow_arch = ArchState()
 
     # ------------------------------------------------------------------
     # Entry point from the compiled kernel
@@ -535,7 +376,8 @@ class ReplayController:
         target = self._recording_target
         if target is None:
             return
-        if len(self._issue_buf) > self.MAX_ITERATION_INSTRUCTIONS:
+        issued = self.sim.backend.instructions - self._rec_cursors[0]
+        if issued > self.MAX_ITERATION_INSTRUCTIONS:
             self.loops[target].phase = _DEAD
             self._abort_recording()
 
@@ -544,12 +386,17 @@ class ReplayController:
     # ------------------------------------------------------------------
     def _start_recording(self, target: int, now: int, sig: tuple) -> None:
         sim = self.sim
+        backend = sim.backend
         self._recording_target = target
         self._rec_now = now
         self._rec_seq = sim.seq.value
         self._rec_vector = self.book.snapshot()
-        self._issue_buf.clear()
-        sim.backend.issue_log = self._issue_buf
+        self._rec_cursors = (
+            backend.instructions,
+            backend.next_branch,
+            backend.next_load,
+            backend.next_store,
+        )
         self._engine_buf.clear()
         sim.engine.replay_log = self._engine_buf
         if self.traced:
@@ -562,7 +409,6 @@ class ReplayController:
             return
         sim = self.sim
         self._recording_target = None
-        sim.backend.issue_log = None
         sim.engine.replay_log = None
         if self.traced:
             sim.tracer.record = None
@@ -570,32 +416,22 @@ class ReplayController:
     def _finish_recording(self, now: int) -> tuple:
         """Close the active recording; returns ``(record|None, end_sig)``."""
         sim = self.sim
-        instrs = tuple(sim.backend.issue_log)
+        backend = sim.backend
         raw_events = tuple(sim.engine.replay_log)
         raw_trace = tuple(self._trace_buf) if self.traced else None
         self._abort_recording()
         sig_end = machine_signature(sim, now)
-        if len(instrs) > self.MAX_ITERATION_INSTRUCTIONS:
+        issued, branches_at, loads_at, stores_at = self._rec_cursors
+        instructions = backend.instructions - issued
+        if instructions > self.MAX_ITERATION_INSTRUCTIONS:
             return None, sig_end
         cycles = now - self._rec_now
-        seqs = sim.seq.value - self._rec_seq
         base_seq = self._rec_seq
         base_now = self._rec_now
-        events = []
-        for event in raw_events:
-            kind = event[0]
-            if kind == "laq":
-                _kind, address, seq, hazards = event
-                fpu = address if is_fpu_address(address) else None
-                events.append(("laq", seq - base_seq, fpu, hazards))
-            elif kind == "saq":
-                _kind, address, seq = event
-                fpu = address if is_fpu_address(address) else None
-                events.append(("saq", seq - base_seq, fpu))
-            elif kind == "sdq":
-                events.append(("sdq", event[2] - base_seq))
-            else:
-                events.append(("sd",))
+        events = tuple(
+            event if event[0] == "sd" else (event[0], event[1] - base_seq) + event[2:]
+            for event in raw_events
+        )
         trace = None
         if raw_trace is not None:
             trace = tuple(
@@ -603,12 +439,16 @@ class ReplayController:
                 for cycle, component, kind, fields in raw_trace
             )
         delta = self.book.diff(self._rec_vector, self.book.snapshot())
+        stream = backend.stream
         record = _IterationRecord(
             cycles=cycles,
-            seqs=seqs,
+            seqs=sim.seq.value - base_seq,
             delta=delta,
-            instrs=instrs,
-            events=tuple(events),
+            instructions=instructions,
+            branches=stream.branches[branches_at : backend.next_branch],
+            loads=_fpu_tags(stream.loads[loads_at : backend.next_load]),
+            stores=_fpu_tags(stream.stores[stores_at : backend.next_store]),
+            events=events,
             trace=trace,
             engageable=cycles > 0 and self.book.max_deltas_zero(delta),
         )
@@ -635,8 +475,8 @@ class ReplayController:
             state.candidate = None
             state.phase = _DEAD if state.restarts > self.RESTART_LIMIT else _RECORD
             return
-        if state.candidate.matches(record) and record.engageable:
-            self._bind(record)
+        if state.candidate == record and record.engageable:
+            record.plan = self.book.plan(record.delta)
             state.record = record
             state.phase = _ENGAGED
             return
@@ -645,31 +485,27 @@ class ReplayController:
         if state.fails >= self.VERIFY_LIMIT:
             state.phase = _DEAD
 
-    def _bind(self, record: _IterationRecord) -> None:
-        """Bind an engaging record once for every iteration it replays:
-        each instruction to its step, the counter delta to its plan."""
-        record.steps = tuple(
-            (handler_for(instruction), outcome)
-            for _tag, _pc, instruction, outcome in record.instrs
-        )
-        record.plan = self.book.plan(record.delta)
-
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
     def _burst(self, state: _LoopState, now: int) -> int:
-        """Replay as many iterations as the shadow pass can confirm."""
+        """Replay as many iterations as the stream guards confirm."""
         record = state.record
         sim = self.sim
+        backend = sim.backend
         max_cycles = sim.config.max_cycles
         cycles = record.cycles
         replayed = 0
         while now + cycles <= max_cycles:
-            env = self._shadow_iteration(record)
-            if env is None:
+            if not (
+                self._stream_continues(record, backend)
+                and self._branches_match(record, backend)
+                and self._fpu_accesses_match(record, backend)
+                and self._hazards_match(record, backend)
+            ):
                 state.divergences += 1
                 break
-            self._commit(record, env)
+            self._commit(record)
             if self.traced:
                 self._emit_batch(record.trace, now)
             now += cycles
@@ -678,160 +514,77 @@ class ReplayController:
         state.replayed_cycles += replayed * cycles
         return now
 
-    def _shadow_iteration(self, record: _IterationRecord):
-        """Functionally execute one iteration off to the side by running
-        the record's bound steps.
+    # The four guards on the next iteration's slice of the issue stream.
+    # Each reads the stream at the back-end's cursors; none mutates the
+    # machine, so a failed guard leaves the boundary state untouched.
+    def _stream_continues(self, record: _IterationRecord, backend) -> bool:
+        """No stream end (HALT, an error, an instruction that never
+        issues) inside the slice: live issue must reach it."""
+        limit = backend.instructions + record.instructions
+        return not backend.stream.ends_before(limit)
 
-        Returns the shadow environment on success, ``None`` on any
-        divergence from the recorded iteration (in which case nothing
-        was mutated and live simulation can resume at the boundary).
-        """
-        sim = self.sim
-        engine = sim.engine
-        real = sim.backend.state
-        shadow = self._shadow_arch
-        shadow._foreground[:] = real._foreground
-        shadow._background[:] = real._background
-        shadow._branch[:] = real._branch
-        env = _ShadowEnv(engine)
-        try:
-            for step, recorded in record.steps:
-                outcome = step(shadow, env)
-                if outcome is not recorded and outcome != recorded:
-                    return None
-        except _Divergence:
-            return None
-        except (ValueError, IndexError, RuntimeError):
-            # Live execution would raise for real; let it.
-            return None
-        if shadow._branch != real._branch:
-            # A data-dependent branch-register write: the next
-            # iteration would redirect elsewhere.
-            return None
-        # The boundary queue shapes must be conserved (pushes == pops
-        # along every FIFO) for the chain partition below to hold.
-        if len(env.chain) != (
-            len(engine.ldq) + len(engine._in_flight_loads) + len(engine.laq)
-        ):
-            return None
-        if len(env.unc_addrs) != len(engine._uncommitted_addresses) or len(
-            env.unc_data
-        ) != len(engine._uncommitted_data):
-            return None
-        if not self._check_events(record, env):
-            return None
-        return env
+    def _branches_match(self, record: _IterationRecord, backend) -> bool:
+        """Every PBR's pc, outcome and target equal the record's: the
+        iteration takes the recorded path."""
+        at = backend.next_branch
+        branches = backend.stream.branches[at : at + len(record.branches)]
+        return branches == record.branches
 
-    def _check_events(self, record: _IterationRecord, env: _ShadowEnv) -> bool:
-        """Validate the shadow pass against the recorded event stream.
+    def _fpu_accesses_match(self, record: _IterationRecord, backend) -> bool:
+        """Every data access is in the FPU window where the record's is,
+        at the same FPU address: it is routed to the same unit and, for
+        a store, starts the same operation."""
+        loads_at, stores_at = backend.next_load, backend.next_store
+        loads = backend.stream.loads[loads_at : loads_at + len(record.loads)]
+        stores = backend.stream.stores[stores_at : stores_at + len(record.stores)]
+        return _fpu_tags(loads) == record.loads and _fpu_tags(stores) == record.stores
 
-        Checks the timing-relevant data dependences: FPU-window
-        addressing (routes to a different unit with different latency)
-        and store/load ordering-hazard counts (an exact counter in the
-        results).  Store departures are interleaved in recorded order
-        to reconstruct the SAQ contents each load saw.
-        """
-        shadow_saq = deque(entry.address for entry in self.sim.engine.saq)
-        laq_pushes = env.laq_pushes
-        saq_pushes = env.saq_pushes
-        i_laq = i_saq = i_sdq = 0
+    def _hazards_match(self, record: _IterationRecord, backend) -> bool:
+        """Every load overlaps as many queued store addresses as the
+        record's (the ``ordering_hazards`` counter).  The recorded event
+        order replays the SAQ each load saw: the queued stores, this
+        iteration's pushes, and the recorded departures."""
+        loads, stores = backend.stream.loads, backend.stream.stores
+        loads_at, stores_at = backend.next_load, backend.next_store
+        saq = deque(entry.address for entry in self.sim.engine.saq)
         for event in record.events:
             kind = event[0]
             if kind == "laq":
-                if i_laq >= len(laq_pushes):
+                if saq.count(loads[loads_at]) != event[2]:
                     return False
-                address = laq_pushes[i_laq]
-                i_laq += 1
-                fpu = event[2]
-                if is_fpu_address(address):
-                    if address != fpu:
-                        return False
-                elif fpu is not None:
-                    return False
-                hazards = 0
-                for pending in shadow_saq:
-                    if pending == address:
-                        hazards += 1
-                if hazards != event[3]:
-                    return False
+                loads_at += 1
             elif kind == "saq":
-                if i_saq >= len(saq_pushes):
-                    return False
-                address = saq_pushes[i_saq]
-                i_saq += 1
-                fpu = event[2]
-                if is_fpu_address(address):
-                    if address != fpu:
-                        return False
-                elif fpu is not None:
-                    return False
-                shadow_saq.append(address)
-            elif kind == "sdq":
-                i_sdq += 1
-            else:  # "sd"
-                if not shadow_saq:
-                    return False
-                shadow_saq.popleft()
-        return (
-            i_laq == len(laq_pushes)
-            and i_saq == len(saq_pushes)
-            and i_sdq == len(env.sdq_pushes)
-        )
+                saq.append(stores[stores_at])
+                stores_at += 1
+            elif kind == "sd":
+                saq.popleft()
+        return True
 
-    def _commit(self, record: _IterationRecord, env: _ShadowEnv) -> None:
-        """Adopt one confirmed shadow iteration into the live machine."""
+    def _commit(self, record: _IterationRecord) -> None:
+        """Adopt one confirmed iteration into the live machine."""
         sim = self.sim
         engine = sim.engine
         backend = sim.backend
+        stream = backend.stream
         seqs = record.seqs
         cycles = record.cycles
-        # Functional register state (values copied in place so every
-        # live reference to the banks stays valid).
-        real = backend.state
-        shadow = self._shadow_arch
-        real._foreground[:] = shadow._foreground
-        real._background[:] = shadow._background
-        # Functional memory and the semantic FPU core.
-        memory = engine.memory
-        for address, value in env.overlay.items():
-            memory[address : address + WORD_BYTES] = value.to_bytes(
-                WORD_BYTES, "little"
-            )
-        core = engine.fpu_core
-        core._operand_a = env.fpu_operand_a
-        core._results = env.fpu_results
-        if env.fpu_ops:
-            core.operations_started += env.fpu_ops
-            core.last_operation = env.fpu_last
-        # Rotate the load value chain one iteration forward: the same
-        # FIFO positions hold the next iteration's values.
-        chain = env.chain
-        ldq_items = engine.ldq._items
-        for i in range(len(ldq_items)):
-            ldq_items[i] = chain.popleft()
-        for flight in engine._in_flight_loads:
-            flight.value = chain.popleft()
-        accepted = len(env.laq_pushes)  # LAQ departures per iteration
-        laq_addrs = [entry.address for entry in engine.laq]
-        laq_addrs.extend(env.laq_pushes)
-        for entry, address in zip(engine.laq, laq_addrs[accepted:]):
-            entry.address = address
-            entry.value = chain.popleft()
-            entry.seq += seqs
-        # Rotate the store queues by the recorded departure count.
-        departed = record.sd_count
-        saq_addrs = [entry.address for entry in engine.saq]
-        saq_addrs.extend(env.saq_pushes)
-        for entry, address in zip(engine.saq, saq_addrs[departed:]):
+        backend.next_branch += len(record.branches)
+        loads_at = backend.next_load = backend.next_load + len(record.loads)
+        stores_at = backend.next_store = backend.next_store + len(record.stores)
+        # The queued loads and stores are the newest ones issued: they
+        # take the addresses at the end of this iteration's slice.
+        laq = engine.laq._items
+        for entry, address in zip(laq, stream.loads[loads_at - len(laq) : loads_at]):
             entry.address = address
             entry.seq += seqs
-        sdq_values = [entry.value for entry in engine.sdq]
-        sdq_values.extend(env.sdq_pushes)
-        for entry, value in zip(engine.sdq, sdq_values[departed:]):
-            entry.value = value
+        saq = engine.saq._items
+        for entry, address in zip(
+            saq, stream.stores[stores_at - len(saq) : stores_at]
+        ):
+            entry.address = address
             entry.seq += seqs
-        engine._uncommitted_addresses = env.unc_addrs
-        engine._uncommitted_data = env.unc_data
+        for entry in engine.sdq._items:
+            entry.seq += seqs
         # Shift every absolute time/seq in the timing skeleton.
         sim.memory.replay_shift(cycles, seqs)
         sim.frontend.replay_shift(cycles, seqs)

@@ -18,6 +18,10 @@ The run ends when the program has executed HALT **and** every queue and
 in-flight transaction has drained; the cycle count at that point is the
 paper's performance metric.
 
+The machine computes no values: at issue the back-end reads each PBR's
+outcome and each data access's address from the program's issue stream,
+recorded once per process by its functional pass (:mod:`repro.cpu.stream`).
+
 **Two engines.**  :meth:`Simulator._run_loop` is the reference loop: it
 runs every cycle through the component methods above, and it is the
 oracle every result is checked against.  By default,
@@ -206,7 +210,6 @@ class Simulator:
                 clock=clock,
             )
         self.engine = DataQueueEngine(
-            program=program,
             next_seq=next_seq,
             laq_capacity=config.laq_capacity,
             ldq_capacity=config.ldq_capacity,
@@ -215,9 +218,12 @@ class Simulator:
             tracer=tracer,
             clock=clock,
         )
+        # Every machine simulating this program reads its one recorded
+        # issue stream instead of executing.
         self.backend = Backend(
             frontend=self.frontend,
             engine=self.engine,
+            stream=program.issue_stream,
             branch_resolution_latency=config.branch_resolution_latency,
             tracer=tracer,
             clock=clock,
@@ -370,7 +376,7 @@ class Simulator:
             branches_taken=self.backend.branches_taken,
             loads=engine.stats.loads_issued,
             stores=engine.stats.stores_issued,
-            fpu_operations=engine.fpu_core.operations_started,
+            fpu_operations=self.memory.fpu.operations_started,
             ordering_hazards=engine.stats.ordering_hazards,
         )
         metrics = self.tracer.metrics()

@@ -18,6 +18,12 @@ resolves ``branch_resolution_latency`` cycles later (end of ALU1).  The
 ``delay`` instructions after the PBR issue unconditionally; when they are
 exhausted, issue either continues sequentially (not taken) or redirects
 the frontend to the target (taken).
+
+The back-end executes nothing and holds no registers.  Each program's
+functional pass (:mod:`repro.cpu.stream`) computed its values once; at
+issue the back-end takes the PBR's outcome and target, or the data
+access's address, from the recorded issue stream, and makes the queue
+pops and pushes ``execute`` would make, in the same order.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from dataclasses import dataclass
 from ..core.scheduler import ProgressClock
 from ..core.trace import NULL_TRACER, Tracer
 from ..frontend.base import FetchUnit
+from ..isa.opcodes import Opcode
 from .data_engine import DataQueueEngine
-from .executor import execute, queue_effects
-from .state import ArchState
+from .executor import queue_effects
+from .stream import IssueStream
 
 __all__ = ["Backend", "StallReason"]
 
@@ -72,6 +79,7 @@ class Backend:
         self,
         frontend: FetchUnit,
         engine: DataQueueEngine,
+        stream: IssueStream,
         branch_resolution_latency: int = 2,
         tracer: Tracer | None = None,
         clock: ProgressClock | None = None,
@@ -81,7 +89,13 @@ class Backend:
         self.branch_resolution_latency = branch_resolution_latency
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._clock = clock if clock is not None else ProgressClock()
-        self.state = ArchState()
+        #: the program's issue stream, and where this machine reads it:
+        #: the flat offset of the next branch (three words each) and the
+        #: index of the next load and store address
+        self.stream = stream
+        self.next_branch = 0
+        self.next_load = 0
+        self.next_store = 0
         self.halted = False
         self.instructions = 0
         self.branches = 0
@@ -93,11 +107,6 @@ class Backend:
         self.last_stall_reason: str | None = None
         self.stalls: dict[str, int] = {reason: 0 for reason in StallReason.ALL}
         self._pending: _PendingBranch | None = None
-        #: the data engine implements the executor's ``ExecutionEnv``
-        self._env = engine
-        #: replay recording: when a list, every issue in the compiled
-        #: kernel appends ``("i", pc, instruction, outcome)``
-        self.issue_log: list | None = None
         #: target of a backward redirect the compiled kernel took this
         #: cycle (a loop backedge); the kernel hands it to the replay
         #: controller and clears it
@@ -148,51 +157,66 @@ class Backend:
             self._stall(StallReason.BRANCH_OVERLAP)
             return False
         effects = queue_effects(instruction)
-        if effects.pops_ldq and not self.engine.ldq_has_data():
+        engine = self.engine
+        if effects.pops_ldq and engine.ldq.is_empty:
             self._stall(StallReason.LDQ_EMPTY)
             return False
-        if effects.pushes_laq and self.engine.laq_full:
+        if effects.pushes_laq and engine.laq.is_full:
             self._stall(StallReason.LAQ_FULL)
             return False
-        if effects.pushes_saq and self.engine.saq_full:
+        if effects.pushes_saq and engine.saq.is_full:
             self._stall(StallReason.SAQ_FULL)
             return False
-        if effects.pushes_sdq and self.engine.sdq_full:
+        if effects.pushes_sdq and engine.sdq.is_full:
             self._stall(StallReason.SDQ_FULL)
             return False
 
-        outcome = execute(instruction, self.state, self._env)
+        stream = self.stream
+        index = self.instructions
+        stream.reach(index)
+        if effects.pops_ldq:
+            engine.ldq.pop()
+        if effects.pushes_laq:
+            engine.push_laq(stream.loads[self.next_load])
+            self.next_load += 1
+        elif effects.pushes_saq:
+            engine.push_saq(stream.stores[self.next_store])
+            self.next_store += 1
+        elif effects.pushes_sdq:
+            engine.push_sdq()
+        tracer = self._tracer
+        if tracer.enabled and (effects.pushes_saq or effects.pushes_sdq):
+            # the store pair this push completes starts an FPU operation
+            fpu_op = stream.fpu_op_at(index)
+            if fpu_op is not None:
+                tracer.emit("engine", "fpu_op", addr=fpu_op)
         self._clock.ticks += 1
         self.frontend.consume(now)
-        self.instructions += 1
+        self.instructions = index + 1
         self.last_pc = pc
-        if self._tracer.enabled:
-            self._tracer.emit("backend", "issue", pc=pc)
-        if outcome.halted:
+        if tracer.enabled:
+            tracer.emit("backend", "issue", pc=pc)
+        if instruction.op is Opcode.HALT:
             self.halted = True
             return True
-        if outcome.is_branch:
+        if instruction.op.is_branch:
+            offset = self.next_branch
+            if offset >= len(stream.branches) or stream.branches[offset] != pc:
+                raise stream.desync(pc, offset)
+            taken, target = stream.branches[offset + 1 : offset + 3]
+            self.next_branch = offset + 3
+            taken = taken == 1
+            delay = instruction.delay
             self.branches += 1
-            if outcome.branch_taken:
+            if taken:
                 self.branches_taken += 1
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    "backend",
-                    "branch",
-                    pc=pc,
-                    taken=outcome.branch_taken,
-                    target=outcome.branch_target,
-                    delay=outcome.branch_delay,
-                )
+            if tracer.enabled:
+                tracer.emit("backend", "branch", pc=pc, taken=taken,
+                            target=target, delay=delay)
             self._pending = _PendingBranch(
-                target=outcome.branch_target,
-                taken=outcome.branch_taken,
-                resolve_at=now + self.branch_resolution_latency,
-                slots_remaining=outcome.branch_delay,
+                target, taken, now + self.branch_resolution_latency, delay
             )
-            self.frontend.note_branch(
-                pc, pc + size, outcome.branch_delay, outcome.branch_target
-            )
+            self.frontend.note_branch(pc, pc + size, delay, target)
         elif self._pending is not None:
             self._pending.slots_remaining -= 1
         return True
@@ -207,38 +231,29 @@ class Backend:
         Must mirror :meth:`step` (and the ``_handle_branch_bookkeeping``
         /``_stall`` helpers it calls) statement for statement: same
         counter updates, same trace events, same ordering.  The kernel
-        adds the two replay hooks :meth:`step` lacks: an issue appends
-        to ``issue_log`` while the replay controller records an
-        iteration, and a taken redirect to a target below the last
-        issued pc (a loop backedge) sets ``replay_backedge``.  The only
-        other licensed deviations are pure-code motion: the instruction's
-        issue entry (:func:`repro.cpu.dispatch.issue_entry`: the
-        ``queue_effects`` flags, ``op.is_branch`` and the shared
-        dispatch handler that stands in for ``execute``, all pure
-        functions of the instruction value) is built once per process,
-        looked up once per run and instruction object, and read before
-        the branch-overlap check; and queue-full checks fold the
-        capacity literals from the spec.
+        adds the replay hook :meth:`step` lacks: a taken redirect to a
+        target below the last issued pc (a loop backedge) sets
+        ``replay_backedge``.  The only other licensed deviations are
+        pure-code motion: the instruction's issue entry
+        (:func:`repro.cpu.dispatch.issue_entry`: the ``queue_effects``
+        flags, ``op.is_branch`` and the halt flag, all pure functions of
+        the instruction value) is built once per process, looked up once
+        per run and instruction object, and read before the
+        branch-overlap check; ``stream.reach`` is called only when the
+        issue index passes the recorded length last seen (``horizon``);
+        and queue-full checks fold the capacity literals from the spec.
         The differential matrix pins byte-identical behavior.
         """
         spec = ctx.spec
         traced = spec.traced
         frontend_cls = ctx.frontend_cls
         ctx.need(
-            "backend",
-            "clock",
-            "backend_stalls",
-            "backend_state",
-            "backend_env",
-            "effects_memo",
-            "frontend_note_branch",
-            "frontend_branch_resolved",
-            "frontend_redirect",
-            "ldq_items",
-            "laq_items",
-            "saq_items",
-            "sdq_items",
-            "entry_for",
+            "backend", "clock", "backend_stalls", "effects_memo",
+            "frontend_note_branch", "frontend_branch_resolved",
+            "frontend_redirect", "ldq_items", "laq_items", "saq_items",
+            "sdq_items", "ldq_pop", "engine_push_laq", "engine_push_saq",
+            "engine_push_sdq", "stream", "stream_loads", "stream_stores",
+            "stream_branches", "horizon", "entry_for",
         )
 
         def stall(reason: str) -> None:
@@ -246,6 +261,12 @@ class Backend:
             ctx.line(f"backend.last_stall_reason = {reason!r}")
             if traced:
                 ctx.line(f'tracer_emit("backend", "stall", reason={reason!r})')
+
+        def fpu_op() -> None:
+            if traced:
+                ctx.line("fpu_op = stream.fpu_op_at(index)")
+                with ctx.block("if fpu_op is not None:"):
+                    ctx.line('tracer_emit("engine", "fpu_op", addr=fpu_op)')
 
         with ctx.block("if not backend.halted:"):
             ctx.line("ok = True")
@@ -312,42 +333,59 @@ class Backend:
                         ):
                             stall(StallReason.SDQ_FULL)
                     with ctx.block("else:"):
-                        ctx.line("outcome = entry[6](backend_state, backend_env)")
-                        with ctx.block("if backend.issue_log is not None:"):
-                            ctx.line(
-                                "backend.issue_log.append("
-                                '("i", pc, instruction, outcome))'
-                            )
+                        ctx.line("index = backend.instructions")
+                        with ctx.block("if index >= horizon:"):
+                            ctx.line("horizon = stream.reach(index)")
+                        with ctx.block("if entry[1]:"):
+                            ctx.line("ldq_pop()")
+                        with ctx.block("if entry[2]:"):
+                            ctx.line("s_at = backend.next_load")
+                            ctx.line("engine_push_laq(stream_loads[s_at])")
+                            ctx.line("backend.next_load = s_at + 1")
+                        with ctx.block("elif entry[3]:"):
+                            ctx.line("s_at = backend.next_store")
+                            ctx.line("engine_push_saq(stream_stores[s_at])")
+                            ctx.line("backend.next_store = s_at + 1")
+                            fpu_op()
+                        with ctx.block("elif entry[4]:"):
+                            ctx.line("engine_push_sdq()")
+                            fpu_op()
                         ctx.line("clock.ticks += 1")
                         frontend_cls.emit_compiled_consume(ctx)
-                        ctx.line("backend.instructions += 1")
+                        ctx.line("backend.instructions = index + 1")
                         ctx.line("backend.last_pc = pc")
                         if traced:
                             ctx.line('tracer_emit("backend", "issue", pc=pc)')
-                        with ctx.block("if outcome.halted:"):
+                        with ctx.block("if entry[6]:"):
                             ctx.line("backend.halted = True")
-                        with ctx.block("elif outcome.is_branch:"):
+                        with ctx.block("elif entry[5]:"):
+                            ctx.line("s_at = backend.next_branch")
+                            with ctx.block(
+                                "if s_at >= len(stream_branches) "
+                                "or stream_branches[s_at] != pc:"
+                            ):
+                                ctx.line("raise stream.desync(pc, s_at)")
+                            ctx.line("backend.next_branch = s_at + 3")
+                            ctx.line("taken = stream_branches[s_at + 1] == 1")
+                            ctx.line("target = stream_branches[s_at + 2]")
+                            ctx.line("delay = instruction.delay")
                             ctx.line("backend.branches += 1")
-                            with ctx.block("if outcome.branch_taken:"):
+                            with ctx.block("if taken:"):
                                 ctx.line("backend.branches_taken += 1")
                             if traced:
                                 ctx.line(
                                     'tracer_emit("backend", "branch", pc=pc, '
-                                    "taken=outcome.branch_taken, "
-                                    "target=outcome.branch_target, "
-                                    "delay=outcome.branch_delay)"
+                                    "taken=taken, target=target, delay=delay)"
                                 )
                             ctx.line(
                                 "backend._pending = _PendingBranch("
-                                "target=outcome.branch_target, "
-                                "taken=outcome.branch_taken, "
+                                "target=target, taken=taken, "
                                 f"resolve_at=now + "
                                 f"{spec.branch_resolution_latency}, "
-                                "slots_remaining=outcome.branch_delay)"
+                                "slots_remaining=delay)"
                             )
                             ctx.line(
-                                "frontend_note_branch(pc, pc + size, "
-                                "outcome.branch_delay, outcome.branch_target)"
+                                "frontend_note_branch(pc, pc + size, delay, target)"
                             )
                         with ctx.block("elif pending is not None:"):
                             ctx.line("pending.slots_remaining -= 1")
@@ -372,9 +410,9 @@ class Backend:
 
     # ------------------------------------------------------------------
     def state_signature(self, now: int, base_seq: int) -> tuple:
-        """Issue-side fingerprint: pending branch, halt/stall posture,
-        and the branch registers (PBR targets recur; data registers are
-        excluded — functional re-execution advances them)."""
+        """Issue-side fingerprint: the pending branch and the halt/stall
+        posture (where the issue stream is read is not timing state:
+        replay compares each iteration's slice of the stream instead)."""
         pending = self._pending
         return (
             self.halted,
@@ -389,7 +427,6 @@ class Backend:
                 pending.slots_remaining,
                 pending.notified,
             ),
-            self.state.branch_signature(),
         )
 
     def replay_shift(self, cycles: int, seqs: int) -> None:

@@ -1,4 +1,4 @@
-"""Instruction-specialized dispatch for compiled step kernels.
+"""Instruction-specialized dispatch for the functional pass and the kernels.
 
 The generic :func:`repro.cpu.executor.execute` pays per-issue overhead
 that is constant for a given instruction *value*: the opcode-class
@@ -15,30 +15,28 @@ and burned into a tiny ``exec``-compiled handler::
 
 :func:`issue_entry` builds, on first use of each distinct instruction
 value, its *issue entry*: the four queue flags of
-:func:`~repro.cpu.executor.queue_effects`, the branch flag, and the
-compiled handler.  One process-wide memo keeps the entries.  An entry
-depends on the instruction value alone, never on the program or the
-machine configuration, so every compiled kernel binds
-:func:`issue_entry` itself, and two programs that share an instruction
-share its entry.  :func:`handler_for` answers the handler alone.
+:func:`~repro.cpu.executor.queue_effects`, the branch and halt flags,
+and the compiled handler.  One process-wide memo keeps the entries.  An
+entry depends on the instruction value alone, never on the program or
+the machine configuration, so two programs that share an instruction
+share its entry.
 
-The same handlers also serve the compiled engine's replay shadow pass:
-when a loop engages, :class:`~repro.core.replay.ReplayController`
-binds each recorded instruction to its handler once, through
-:func:`handler_for`, and re-runs the bound handlers for every replayed
-iteration.  The reference loop compiles nothing; it calls ``execute``.
+The handlers run in one place: the per-program functional pass of
+:mod:`repro.cpu.stream`, which executes each program once and records
+the issue stream every machine times.  The compiled kernels bind
+:func:`issue_entry` for its flags alone; the reference loop reads the
+same facts from the instruction.
 
 **Byte-identity contract.**  ``handler(state, env)`` must be
 observationally identical to ``execute(instruction, state, env)``:
 the same queue pops/pushes in the same order (r7 named in both source
 fields pops exactly once), the same register writes, and an
-:class:`~repro.cpu.executor.ExecutionOutcome` equal by value — replay
-verification (and anything else) compares outcomes by equality, with
-identity only as a fast path, so the shared ``OUT_PLAIN``/``OUT_HALT``
-singletons are safe.  ``tests/test_cpu_dispatch.py`` pins
-handler-vs-executor equivalence across the opcode space; the
-reference loop, which calls ``execute`` directly, is the differential
-matrix's other side.
+:class:`~repro.cpu.executor.ExecutionOutcome` equal by value, so the
+shared ``OUT_PLAIN``/``OUT_HALT`` singletons are safe.
+``tests/test_cpu_dispatch.py`` pins handler-vs-executor equivalence
+across the opcode space, and the pass is checked against
+:class:`~repro.cpu.functional.FunctionalSimulator`, which decodes and
+calls ``execute``.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ __all__ = [
     "clear_dispatch_cache",
     "dispatch_codegen_stats",
     "generate_handler_source",
-    "handler_for",
     "issue_entry",
 ]
 
@@ -277,10 +274,11 @@ def issue_entry(instruction: Instruction) -> tuple:
     """The process-wide issue entry for ``instruction`` (built on first use).
 
     ``(pops_ldq, pushes_laq, pushes_saq, pushes_sdq, is_branch,
-    handler)``: what issue needs to know about one instruction value,
-    computed once per process.  Compiled kernels call it on the first
-    issue of each instruction in a run (their per-run ``effects_memo``
-    answers the rest).
+    halts, handler)``: what issue needs to know about one instruction
+    value, computed once per process.  The functional pass calls it on
+    the first execution of each pc in a chunk; compiled kernels call it
+    on the first issue of each instruction in a run (their per-run
+    ``effects_memo`` answers the rest).
     """
     entry = _ENTRIES.get(instruction)
     if entry is None:
@@ -291,21 +289,11 @@ def issue_entry(instruction: Instruction) -> tuple:
             effects.pushes_saq,
             effects.pushes_sdq,
             instruction.op.is_branch,
+            instruction.op is Opcode.HALT,
             _compile_handler(instruction),
         )
         _ENTRIES[instruction] = entry
     return entry
-
-
-def handler_for(instruction: Instruction):
-    """The process-wide handler for ``instruction`` (compiling on first use).
-
-    Replay's shadow pass binds recorded instructions through it: the
-    kernel has already issued every recorded instruction, so that
-    lookup compiles nothing and moves no :func:`dispatch_codegen_stats`
-    counter.
-    """
-    return issue_entry(instruction)[5]
 
 
 def dispatch_codegen_stats() -> dict:

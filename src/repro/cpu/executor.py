@@ -1,10 +1,13 @@
-"""Instruction semantics, shared by the functional and timing simulators.
+"""Instruction semantics: the functional simulator's, and the reference
+the issue stream's dispatch handlers are checked against.
 
 :func:`execute` applies one decoded instruction to architectural state
-plus an *environment* that provides the queue operations (the two
-simulators plug in different environments: the functional simulator's
-queues are serviced instantly, the cycle-level simulator's are wired into
-the memory engine).
+plus an *environment* that provides the queue operations (the
+functional simulator's queues are serviced instantly; the issue
+stream's pass, :mod:`repro.cpu.stream`, keeps a load-value chain).
+The timing machine executes nothing: it reads :func:`queue_effects`
+to decide whether an instruction can issue, and the recorded stream
+for its outcome.
 
 Queue-register semantics (paper section 3.1.2):
 
@@ -13,10 +16,7 @@ Queue-register semantics (paper section 3.1.2):
   popped value feeds both operands);
 * naming r7 as the **destination** pushes the result onto the SDQ.
 
-The executor computes *values*; it never advances time.  Timing (when the
-LDQ head is actually available, whether the LAQ has room, ...) is the
-caller's responsibility, checked *before* calling :func:`execute` via
-:func:`queue_effects`.
+The executor computes *values*; it never advances time.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ purposes:
   against NumPy references in the test suite);
 * providing the dynamic instruction counts that calibrate the benchmark
   suite against the paper's 150,575 executed instructions;
-* acting as a semantic oracle for the cycle-level simulator (both must
-  retire identical instruction streams and memory values).
+* acting as the decode-and-``execute`` oracle for the values the
+  cycle-level simulator times: each program's functional pass
+  (:mod:`repro.cpu.stream`, which records the issue stream every
+  machine reads) must end with this simulator's memory and registers.
 
 Memory-ordering discipline
 --------------------------

@@ -73,15 +73,6 @@ class ArchState:
     # ------------------------------------------------------------------
     # Introspection (used by tests and debug dumps)
     # ------------------------------------------------------------------
-    def branch_signature(self) -> tuple[int, ...]:
-        """Branch-register contents for the replay machine fingerprint.
-
-        Branch registers hold code addresses (PBR targets), which recur
-        exactly in a steady-state loop; data registers are excluded —
-        their values stride and are advanced by functional re-execution.
-        """
-        return tuple(self._branch)
-
     def snapshot(self) -> dict[str, list[int]]:
         """A copy of all register state for assertions and debugging."""
         return {

@@ -3,7 +3,7 @@
 Every fetch frontend decodes the byte stream on its way into the
 decoder, and the PIPE control logic re-walks delay-slot regions when it
 scans the IQ for branches.  The code image never changes during a run
-(the data engine works on a private copy of the image), so each
+(the functional pass works on a private copy of the image), so each
 ``(address)`` decodes to the same instruction every time — across
 cycles, across frontends, and across the many simulations of a sweep.
 

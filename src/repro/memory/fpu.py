@@ -170,10 +170,6 @@ class FpuCore:
             return
         raise ValueError(f"store to unmapped FPU address {address:#x}")
 
-    @property
-    def results_pending(self) -> int:
-        return len(self._results)
-
     def read_result(self) -> int:
         """Handle a load from the result register (pops the FIFO head)."""
         if not self._results:

@@ -67,7 +67,6 @@ class MemoryRequest:
     size: int
     seq: int
     demand: bool = True
-    store_value: int | None = None
     on_chunk: Callable[[int, int, int], None] | None = None
     on_complete: Callable[[int], None] | None = None
 

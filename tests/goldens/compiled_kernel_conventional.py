@@ -16,8 +16,15 @@ def __kernel(sim):
     sdq_items = sim.engine.sdq._items
     ldq_push = sim.engine.ldq.push
     backend_stalls = sim.backend.stalls
-    backend_state = sim.backend.state
-    backend_env = sim.backend._env
+    ldq_pop = sim.engine.ldq.pop
+    engine_push_laq = sim.engine.push_laq
+    engine_push_saq = sim.engine.push_saq
+    engine_push_sdq = sim.engine.push_sdq
+    stream = sim.backend.stream
+    stream_loads = sim.backend.stream.loads
+    stream_stores = sim.backend.stream.stores
+    stream_branches = sim.backend.stream.branches
+    horizon = 0
     effects_memo = {}
     frontend_next_instruction = sim.frontend.next_instruction
     frontend_note_branch = sim.frontend.note_branch
@@ -99,7 +106,7 @@ def __kernel(sim):
         # engine.update(now)
         ifl = engine._in_flight_loads
         while ifl and ifl[0].arrived and len(ldq_items) < 8:
-            ldq_push(ifl.popleft().value)
+            ldq_push(ifl.popleft())
         if len(ifl) > engine_stats.ldq_max_wait_entries:
             engine_stats.ldq_max_wait_entries = len(ifl)
         # frontend.update(now)
@@ -172,23 +179,42 @@ def __kernel(sim):
                         backend_stalls['sdq_full'] += 1
                         backend.last_stall_reason = 'sdq_full'
                     else:
-                        outcome = entry[6](backend_state, backend_env)
-                        if backend.issue_log is not None:
-                            backend.issue_log.append(("i", pc, instruction, outcome))
+                        index = backend.instructions
+                        if index >= horizon:
+                            horizon = stream.reach(index)
+                        if entry[1]:
+                            ldq_pop()
+                        if entry[2]:
+                            s_at = backend.next_load
+                            engine_push_laq(stream_loads[s_at])
+                            backend.next_load = s_at + 1
+                        elif entry[3]:
+                            s_at = backend.next_store
+                            engine_push_saq(stream_stores[s_at])
+                            backend.next_store = s_at + 1
+                        elif entry[4]:
+                            engine_push_sdq()
                         clock.ticks += 1
                         icache_stats.hits += 1
                         frontend._pc = pc + size
                         fe_stats.instructions_supplied += 1
-                        backend.instructions += 1
+                        backend.instructions = index + 1
                         backend.last_pc = pc
-                        if outcome.halted:
+                        if entry[6]:
                             backend.halted = True
-                        elif outcome.is_branch:
+                        elif entry[5]:
+                            s_at = backend.next_branch
+                            if s_at >= len(stream_branches) or stream_branches[s_at] != pc:
+                                raise stream.desync(pc, s_at)
+                            backend.next_branch = s_at + 3
+                            taken = stream_branches[s_at + 1] == 1
+                            target = stream_branches[s_at + 2]
+                            delay = instruction.delay
                             backend.branches += 1
-                            if outcome.branch_taken:
+                            if taken:
                                 backend.branches_taken += 1
-                            backend._pending = _PendingBranch(target=outcome.branch_target, taken=outcome.branch_taken, resolve_at=now + 2, slots_remaining=outcome.branch_delay)
-                            frontend_note_branch(pc, pc + size, outcome.branch_delay, outcome.branch_target)
+                            backend._pending = _PendingBranch(target=target, taken=taken, resolve_at=now + 2, slots_remaining=delay)
+                            frontend_note_branch(pc, pc + size, delay, target)
                         elif pending is not None:
                             pending.slots_remaining -= 1
         if backend.halted:
@@ -226,7 +252,7 @@ def __kernel(sim):
                 mem_stats.acceptance_conflicts += 1
                 memory.last_conflict_candidates = 2
                 if 61440 <= e_head.address < 61504:
-                    request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True, store_value=sdq_items[0].value if e_store else None)
+                    request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True)
                     if fpu_can_accept(request, now):
                         fpu_accept(request, now)
                         engine_notify(request, now)
@@ -245,7 +271,7 @@ def __kernel(sim):
                             else:
                                 mem_stats.ifetch_prefetch_accepted += 1
                 elif not (external._accepted_this_cycle or external.in_flight):
-                    request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True, store_value=sdq_items[0].value if e_store else None)
+                    request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True)
                     external_accept(request, now)
                     engine_notify(request, now)
                     mem_stats.output_bus_busy_cycles += 1
@@ -264,7 +290,7 @@ def __kernel(sim):
                         mem_stats.ifetch_prefetch_accepted += 1
         elif e_head is not None:
             if 61440 <= e_head.address < 61504:
-                request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True, store_value=sdq_items[0].value if e_store else None)
+                request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True)
                 if fpu_can_accept(request, now):
                     fpu_accept(request, now)
                     engine_notify(request, now)
@@ -274,7 +300,7 @@ def __kernel(sim):
                     else:
                         mem_stats.fpu_loads_accepted += 1
             elif not (external._accepted_this_cycle or external.in_flight):
-                request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True, store_value=sdq_items[0].value if e_store else None)
+                request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True)
                 external_accept(request, now)
                 engine_notify(request, now)
                 mem_stats.output_bus_busy_cycles += 1

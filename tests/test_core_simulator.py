@@ -65,7 +65,7 @@ class TestFunctionalEquivalence:
         assert timing_result.instructions == functional_result.instructions
         assert timing_result.loads == functional_result.loads
         assert timing_result.stores == functional_result.stores
-        assert bytes(simulator.engine.memory) == bytes(functional.memory)
+        assert bytes(simulator.backend.stream.memory) == bytes(functional.memory)
 
     def test_timing_never_beats_one_ipc(self):
         program = assemble(LOOP)

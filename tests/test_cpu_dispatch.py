@@ -1,6 +1,6 @@
 """Handler-vs-executor equivalence for instruction-specialized dispatch.
 
-Every opcode runs through ``handler_for(ins)`` and through the generic
+Every opcode runs through its issue entry's handler and through the generic
 :func:`repro.cpu.executor.execute`, on copies of one architectural
 state, with r7 (the queue register) as rs1, as rs2, as both and as rd,
 plus plain registers.  The two runs must leave the
@@ -8,15 +8,15 @@ same registers, branch registers and active bank, make the same queue
 operations in the same order, and return equal
 :class:`~repro.cpu.executor.ExecutionOutcome` values.  Each
 instruction's issue entry must also carry ``queue_effects``'s four
-queue flags and ``op.is_branch``, in the order the compiled kernels
-read them, beside its handler.
+queue flags, ``op.is_branch`` and whether it halts, in the order the
+compiled kernels read them, beside its handler.
 """
 
 import copy
 
 import pytest
 
-from repro.cpu.dispatch import handler_for, issue_entry
+from repro.cpu.dispatch import issue_entry
 from repro.cpu.executor import execute, queue_effects
 from repro.cpu.state import ArchState
 from repro.isa.instruction import Instruction
@@ -128,7 +128,7 @@ def _run(step, state: ArchState, ldq_head: int):
 @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.mnemonic)
 def test_handler_matches_executor(op):
     for instruction in _shapes(op):
-        handler = handler_for(instruction)
+        handler = issue_entry(instruction)[-1]
         effects = queue_effects(instruction)
         assert issue_entry(instruction) == (
             effects.pops_ldq,
@@ -136,6 +136,7 @@ def test_handler_matches_executor(op):
             effects.pushes_saq,
             effects.pushes_sdq,
             op.is_branch,
+            op is Opcode.HALT,
             handler,
         ), instruction.disassemble()
         for scenario, (registers, ldq_head) in SCENARIOS.items():

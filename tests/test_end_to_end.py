@@ -59,7 +59,7 @@ def test_timing_preserves_semantics(name, tiny_program, functional_baseline):
     assert result.fpu_operations == functional_result.fpu_operations
     assert result.branches == functional_result.branches
     assert result.branches_taken == functional_result.branches_taken
-    assert bytes(simulator.engine.memory) == bytes(functional.memory)
+    assert bytes(simulator.backend.stream.memory) == bytes(functional.memory)
 
 
 def test_cycle_counts_ordered_by_memory_speed(tiny_program):

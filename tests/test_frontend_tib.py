@@ -34,7 +34,7 @@ class TestSemantics:
         )
         result = simulator.run()
         assert result.instructions == functional_result.instructions
-        assert bytes(simulator.engine.memory) == bytes(functional.memory)
+        assert bytes(simulator.backend.stream.memory) == bytes(functional.memory)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from repro.core.fuzz import (
 )
 from repro.core.scheduler import ENGINES
 from repro.core.simulator import Simulator
+from repro.cpu.stream import IssueStream
 from repro.kernels.generate import generate_workload
 from repro.kernels.serialize import workload_from_json
 from repro.kernels.suite import build_kernel_suite
@@ -110,6 +111,22 @@ def test_trace_mismatch_names_the_first_differing_event(change, monkeypatch):
             f"compiled {seen['lines'] + 1} lines, reference {seen['lines']} lines"
         )
     assert problems == [expected]
+
+
+def test_functional_pass_is_checked_against_the_functional_simulator(monkeypatch):
+    """Both engines time the same recorded stream, so a pass that
+    computes a wrong value fools the engine comparison; the case's
+    check of the pass's final memory catches it."""
+    workload = generate_workload(3, "tiny")
+    config = FUZZ_CONFIGS["pipe-16-16"]()
+    assert check_workload(workload.kernel, workload.arrays, config) == []
+    push_sdq = IssueStream.push_sdq
+    monkeypatch.setattr(
+        IssueStream, "push_sdq", lambda self, value: push_sdq(self, value ^ 1)
+    )
+    problems = check_workload(workload.kernel, workload.arrays, config)
+    assert [p for p in problems if p.startswith("functional pass: memory byte")]
+    assert not [p for p in problems if p.startswith("[")]  # engines still agree
 
 
 # ----------------------------------------------------------------------

@@ -13,9 +13,7 @@ from repro.memory.requests import MemoryRequest, RequestKind
 
 
 def store(address, seq=0):
-    return MemoryRequest(
-        kind=RequestKind.STORE, address=address, size=4, seq=seq, store_value=0
-    )
+    return MemoryRequest(kind=RequestKind.STORE, address=address, size=4, seq=seq)
 
 
 def result_load(seq=0):

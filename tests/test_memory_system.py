@@ -120,7 +120,7 @@ class TestOutputBus:
         fetch_source2 = OneShotSource([ifetch(2)])
         fpu_source = OneShotSource(
             [MemoryRequest(kind=RequestKind.STORE, address=FPU_TRIGGER_MUL,
-                           size=4, seq=3, store_value=0)]
+                           size=4, seq=3)]
         )
         system.register_source(fetch_source2)
         system.register_source(fpu_source)
@@ -196,7 +196,7 @@ class TestFpuPath:
         order = []
         # Start an FPU op completing at ~4.
         trigger = MemoryRequest(kind=RequestKind.STORE, address=FPU_TRIGGER_MUL,
-                                size=4, seq=0, store_value=0)
+                                size=4, seq=0)
         fpu_load = MemoryRequest(kind=RequestKind.LOAD, address=FPU_RESULT,
                                  size=4, seq=1)
         fpu_load.on_chunk = lambda off, n, now: order.append(("fpu", now))
@@ -238,8 +238,7 @@ class TestStats:
         system = make_system(pipelined=True)
         requests = [
             load(0),
-            MemoryRequest(kind=RequestKind.STORE, address=0x10, size=4, seq=1,
-                          store_value=9),
+            MemoryRequest(kind=RequestKind.STORE, address=0x10, size=4, seq=1),
             ifetch(2, demand=True),
             ifetch(3, demand=False, address=0x80),
         ]

@@ -26,7 +26,7 @@ class TestSemanticsPreserved:
         simulator = Simulator(conventional(policy), tiny_program)
         result = simulator.run()
         assert result.instructions == functional_result.instructions
-        assert bytes(simulator.engine.memory) == bytes(functional.memory)
+        assert bytes(simulator.backend.stream.memory) == bytes(functional.memory)
 
 
 class TestPolicyBehaviour:

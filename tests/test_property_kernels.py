@@ -150,4 +150,4 @@ def test_random_kernel_equivalence(kernel, seeds):
     )
     timing.run()
     for name in ARRAYS:
-        assert same(extract(timing.engine.memory, program, name), reference[name])
+        assert same(extract(timing.backend.stream.memory, program, name), reference[name])

@@ -100,4 +100,4 @@ def test_random_alu_programs_match_model(statements):
     timing = Simulator(MachineConfig.pipe("8-8", 32, memory_access_time=3), program)
     timing.run()
     for index in REGS:
-        assert timing.backend.state.read(index) == expected[index]
+        assert timing.backend.stream.state.read(index) == expected[index]

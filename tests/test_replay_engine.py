@@ -5,21 +5,23 @@ is pure (fingerprinting never perturbs the machine), equal machine
 states produce equal (and equal-hashing) signatures, and the
 :class:`~repro.core.replay.StatsBook` counter ledger is *complete* —
 it covers every counter a simulation reports and fails loudly when a
-stats object grows a field it cannot delta.  The shadow pass's bound
-steps are checked to be the compiled kernel's own handlers, and its
-outcome guard is shown to be load-bearing.
+stats object grows a field it cannot delta.  A second machine on the
+same program reads the first one's issue stream and compiles nothing,
+and each of the four guards a replayed iteration passes is shown to be
+load-bearing: with it disabled, a program that needs it times wrongly.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.asm import assemble
 from repro.core.compiled import compile_stats
 from repro.core.config import MachineConfig
 from repro.core.replay import MAX_FIELDS, ReplayController, StatsBook, machine_signature
 from repro.core.scheduler import ENGINES
 from repro.core.simulator import Simulator
-from repro.cpu.dispatch import handler_for
+from repro.cpu.functional import FunctionalSimulator
 from repro.kernels.suite import build_livermore_program
 
 ROW = dict(ENGINES)
@@ -60,8 +62,10 @@ def test_signature_is_pure(name, loop_program):
     """Fingerprinting mid-run must not change any machine state.
 
     Machine A is fingerprinted every cycle, machine B never; after the
-    same number of cycles both machines must be in identical states and
-    produce identical counter snapshots.
+    same number of cycles both machines must be in identical states,
+    produce identical counter snapshots and read the issue stream at
+    the same places — whose values, at the end of the program, are the
+    functional simulator's.
     """
     config = CONFIGS[name]
     sim_a = Simulator(config, loop_program, skip=False)
@@ -75,7 +79,23 @@ def test_signature_is_pure(name, loop_program):
         now_b = _step(sim_b, 1, now_b)
     assert machine_signature(sim_a, now_a) == machine_signature(sim_b, now_b)
     assert book_a.snapshot() == book_b.snapshot()
-    assert sim_a.backend.state.snapshot() == sim_b.backend.state.snapshot()
+    assert _cursors(sim_a) == _cursors(sim_b)
+    stream = sim_a.backend.stream
+    assert sim_b.backend.stream is stream
+    stream.finish()
+    functional = FunctionalSimulator(loop_program)
+    functional.run()
+    assert stream.state.snapshot() == functional.state.snapshot()
+
+
+def _cursors(sim: Simulator) -> tuple:
+    backend = sim.backend
+    return (
+        backend.instructions,
+        backend.next_branch,
+        backend.next_load,
+        backend.next_store,
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -257,75 +277,185 @@ def test_loop_reports_shape(loop_program):
 
 
 # ----------------------------------------------------------------------
-# The shadow pass's bound steps
+# One issue stream per program
 # ----------------------------------------------------------------------
-def _engaged_records(sim: Simulator) -> list:
-    records = [
-        state.record
-        for state in sim.replay_controller.loops.values()
-        if state.record is not None
-    ]
-    assert records, "replay must engage for the binding to be exercised"
-    return records
-
-
-def test_compiled_row_binds_the_shared_dispatch_handlers(loop_program):
-    """On the compiled engine every step is the kernel's own handler.
-
-    Binding goes through the process-wide handler memo the live kernel
-    already filled, so it compiles nothing: a rerun of the same point
-    moves only the kernel cache-hit counter.
-    """
+def test_second_machine_builds_no_stream_and_compiles_nothing(loop_program):
+    """The functional pass runs once per program: a second machine (the
+    first one's config family, another cache size) reads the stream the
+    first one built, extends it by nothing, and moves only the kernel
+    cache-hit counter."""
     config = CONFIGS["pipe"]
     first = Simulator(config, loop_program, **ROW["compiled"])
     result = first.run()
+    stream = loop_program.issue_stream
+    assert first.backend.stream is stream
+    recorded = (stream.length, stream.end, len(stream.loads), len(stream.branches))
     before = compile_stats()
-    for record in _engaged_records(first):
-        assert len(record.steps) == len(record.instrs)
-        for (step, recorded), (_tag, _pc, instruction, outcome) in zip(
-            record.steps, record.instrs
-        ):
-            assert step is handler_for(instruction)
-            assert recorded is outcome
-    assert compile_stats() == before
-    rerun = Simulator(config, loop_program, **ROW["compiled"])
-    assert rerun.run() == result
+    second = Simulator(
+        config.with_overrides(icache_size=64), loop_program, **ROW["compiled"]
+    )
+    assert second.backend.stream is stream
+    assert second.run().cycles != result.cycles
+    assert (stream.length, stream.end, len(stream.loads), len(stream.branches)) == (
+        recorded
+    )
     after = compile_stats()
     moved = {key: after[key] - before[key] for key in after if after[key] != before[key]}
     assert moved == {"kernel_cache_hits": 1}
 
 
-def test_outcome_guard_is_load_bearing(monkeypatch):
-    """Each shadow step's outcome must be checked against the recorded one.
+# ----------------------------------------------------------------------
+# The four replay guards are load-bearing
+# ----------------------------------------------------------------------
+#: the guards a replayed iteration passes, in the order they run
+GUARDS = (
+    "_stream_continues",
+    "_branches_match",
+    "_fpu_accesses_match",
+    "_hazards_match",
+)
 
-    Forcing every bound step to return its recorded outcome hides the
-    loop exit: the exiting iteration's untaken backedge looks taken, so
-    it is replayed as one more trip round the loop, past the end of the
-    array.  Unpatched, the compiled row matches the reference row.
-    """
-    program = build_livermore_program(scale=0.05)
-    config = MachineConfig.pipe("16-16", 128)
-    reference = Simulator(config, program, **ROW["reference"]).run()
-    guarded = Simulator(config, program, **ROW["compiled"]).run()
-    assert guarded.to_dict() == reference.to_dict()
+GUARD_MACHINE = MachineConfig.pipe("16-16", 128, memory_access_time=6)
 
-    bind = ReplayController._bind
+#: iterations of each guard program's loop, and the one whose data
+#: differs from its neighbours'
+TRIPS = 40
+ODD_TRIP = 30
 
-    def recorded_outcome(step, recorded):
-        def forced(state, env):
-            step(state, env)
-            return recorded
 
-        return forced, recorded
+def _table(odd: str, entries: int = TRIPS) -> str:
+    """A ``.word`` list of ``scratch`` addresses, with ``odd`` at
+    :data:`ODD_TRIP`."""
+    return ", ".join(
+        odd if trip == ODD_TRIP else f"scratch + {4 * trip}" for trip in range(entries)
+    )
 
-    def unguarded_bind(self, record):
-        bind(self, record)
-        record.steps = tuple(recorded_outcome(*pair) for pair in record.steps)
 
-    monkeypatch.setattr(ReplayController, "_bind", unguarded_bind)
+#: a loop with no data accesses, then more arithmetic: only the branch
+#: entries tell the loop's exit from another trip
+BRANCH_PROGRAM = (
+    "    li r1, 60\n"
+    "    lbr b0, loop\n"
+    "loop:\n"
+    "    subi r1, r1, 1\n"
+    "    pbrne b0, r1, 1\n"
+    "    nop\n" + "    addi r2, r2, 1\n" * 12 + "    halt\n"
+)
+
+#: each trip stores to the address in its table entry; one entry is the
+#: FPU's operand register, which the FPU accepts instead of memory
+FPU_PROGRAM = f"""
+    li r1, 0
+    li r5, {4 * TRIPS}
+    lbr b0, loop
+loop:
+    ld r1, table
+    addi r1, r1, 4
+    popq r2
+    st r2, 0
+    pushq r1
+    sub r3, r1, r5
+    pbrne b0, r3, 1
+    nop
+    halt
+table: .word {_table("0xF000")}
+scratch: .space {4 * TRIPS}
+"""
+
+#: each trip queues two stores, then loads from its table entry while
+#: the second store still waits in the SAQ; one entry is that store's
+#: address, an ordering hazard
+HAZARD_PROGRAM = f"""
+    li r1, 0
+    li r5, {4 * TRIPS}
+    lbr b0, loop
+    ld r1, table
+loop:
+    addi r1, r1, 4
+    popq r2
+    st r0, dummy
+    pushq r1
+    st r0, spot
+    pushq r1
+    ld r2, 0
+    ld r1, table
+    popq r4
+    sub r3, r1, r5
+    pbrne b0, r3, 1
+    nop
+    popq r2
+    halt
+dummy: .word 0
+spot: .word 0
+table: .word {_table("spot", TRIPS + 1)}
+scratch: .space {4 * TRIPS + 4}
+"""
+
+#: each trip stores to its table entry, the data issuing last, in the
+#: delay slot; one entry is unaligned, so that trip's data raises
+END_PROGRAM = f"""
+    li r1, 0
+    li r5, {4 * TRIPS}
+    lbr b0, loop
+loop:
+    nop
+    ld r1, table
+    addi r1, r1, 4
+    popq r2
+    sub r3, r1, r5
+    st r2, 0
+    pbrne b0, r3, 1
+    pushq r1
+    halt
+table: .word {_table("scratch + 2")}
+scratch: .space {4 * TRIPS}
+"""
+
+
+def _outcome(program, row: str):
+    """The result dict, or the ``(type, message)`` of what the run
+    raised, plus the simulator."""
+    sim = Simulator(GUARD_MACHINE, program, **ROW[row])
     try:
-        unguarded = Simulator(config, program, **ROW["compiled"]).run()
-    except IndexError as error:
-        assert "outside memory" in str(error)
-    else:
-        assert unguarded.to_dict() != reference.to_dict()
+        return sim.run().to_dict(), sim
+    except Exception as error:  # noqa: BLE001 — the error is the outcome
+        return (type(error).__name__, str(error)), sim
+
+
+@pytest.mark.parametrize(
+    "guard, source, raises",
+    [
+        ("_stream_continues", END_PROGRAM, "ValueError"),
+        ("_branches_match", BRANCH_PROGRAM, None),
+        ("_fpu_accesses_match", FPU_PROGRAM, None),
+        ("_hazards_match", HAZARD_PROGRAM, None),
+    ],
+    ids=GUARDS,
+)
+def test_replay_guard_is_load_bearing(guard, source, raises, monkeypatch):
+    """Each guard alone keeps replay from timing its program wrongly.
+
+    Guarded, the compiled row replays the loop and matches the
+    reference row (the end program raises on both).  With the one guard
+    overruled — it still runs, so the stream is still extended, but its
+    verdict is ignored — the odd trip is replayed as the recorded one
+    and the rows disagree.
+    """
+    program = assemble(source)
+    reference, _sim = _outcome(program, "reference")
+    if raises is not None:
+        assert reference[0] == raises
+    guarded, sim = _outcome(program, "compiled")
+    assert guarded == reference
+    (top,) = sim.replay_controller.loop_reports()
+    assert top["replayed_iterations"] > ODD_TRIP / 2 and top["divergences"] >= 1
+
+    check = getattr(ReplayController, guard)
+
+    def overruled(self, record, backend):
+        check(self, record, backend)
+        return True
+
+    monkeypatch.setattr(ReplayController, guard, overruled)
+    unguarded, _sim = _outcome(program, "compiled")
+    assert unguarded != reference
