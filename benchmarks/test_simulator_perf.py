@@ -49,14 +49,17 @@ def test_functional_simulation_speed(context, benchmark):
 def test_trace_overhead_when_disabled(context, benchmark):
     """Guard: instrumentation must stay near-free while tracing is off.
 
-    Every emit site in the hot loop is one ``if tracer.enabled:`` branch
-    against the shared NULL_TRACER, so a plain ``simulate()`` *is* the
+    The emit sites live in the reference loop's component methods (the
+    compiled kernels hold none, and a traced run always takes the
+    reference loop), each one ``if tracer.enabled:`` branch against the
+    shared NULL_TRACER.  So both sides run the reference loop
+    (``skip=False``), and an untraced run there *is* the
     disabled-tracing path — there is no un-instrumented simulator left
     to measure against in-process.  Two checks keep the cost honest:
 
     * pytest-benchmark records the disabled-path wall time, so the
-      cross-commit history (which spans the pre-instrumentation
-      simulator) shows any regression in the hot loop itself;
+      cross-commit history shows any regression in the instrumented
+      loop itself;
     * within this run, the disabled path must be at least as fast as the
       same simulation with a live metrics sink (5% noise allowance) —
       if "disabled" ever approaches the cost of actually aggregating
@@ -76,11 +79,12 @@ def test_trace_overhead_when_disabled(context, benchmark):
             assert result.halted
         return best
 
+    def disabled():
+        return simulate(config, context.program, **ROW["reference"])
+
     enabled_best = timed(lambda: simulate_traced(config, context.program))
-    disabled_best = timed(lambda: simulate(config, context.program))
-    result = benchmark.pedantic(
-        lambda: simulate(config, context.program), rounds=1, iterations=1
-    )
+    disabled_best = timed(disabled)
+    result = benchmark.pedantic(disabled, rounds=1, iterations=1)
     benchmark.extra_info["simulated_cycles"] = result.cycles
     benchmark.extra_info["disabled_seconds"] = round(disabled_best, 4)
     benchmark.extra_info["enabled_metrics_seconds"] = round(enabled_best, 4)

@@ -7,11 +7,11 @@ whose instruction most recently issued, giving per-loop cycles, CPI,
 and share — which is how one sees *where* a small cache loses time
 (the loops that do not fit) and where the IQ/IQB wins it back.
 
-The profile runs the default engine with tracing on and reads the
+The profile runs the simulator with tracing on and reads the
 attribution off the event stream (``backend issue`` carries each
-issued pc), so it keeps no cycle loop of its own: it gets idle-cycle
-skipping, loop replay and the deadlock detector with the rest of the
-simulator, and the same cycle counts on both engines.
+issued pc), so it keeps no cycle loop of its own.  A traced run takes
+the reference loop, so the profile costs a reference-loop run, and its
+total is the cycle count both engines report.
 """
 
 from __future__ import annotations

@@ -553,8 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz_parser = sub.add_parser(
         "fuzz",
-        help="differential-fuzz the compiled engine against the reference "
-        "loop with generated kernels",
+        help="differential-fuzz the compiled engine (untraced, with its "
+        "idle skip and loop replay) against the reference loop on "
+        "generated kernels: cycles and stats must match",
     )
     fuzz_parser.add_argument(
         "--seed", type=int, default=0, help="first seed of the range"
@@ -599,8 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    previous = os.environ.get(NO_SKIP_ENV)
     if args.no_skip:
-        # Via the environment so parallel sweep workers inherit it too.
+        # Via the environment so parallel sweep workers inherit it too;
+        # restored on return, so the flag lasts one command.
         os.environ[NO_SKIP_ENV] = "1"
     try:
         return args.func(args)
@@ -613,6 +616,11 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return 1
+    finally:
+        if previous is None:
+            os.environ.pop(NO_SKIP_ENV, None)
+        else:
+            os.environ[NO_SKIP_ENV] = previous
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,7 +7,9 @@ and ``tracer.enabled`` tests that are false for the whole run.  This
 module generates, per machine shape (a configuration, its cache size
 aside), the compiled engine: a monolithic specialized run function
 that skips idle spans, replays warm loop iterations
-(:mod:`repro.core.replay`), and in which
+(:mod:`repro.core.replay`), carries no trace code at all (a traced run
+is the reference loop's: :meth:`~repro.core.simulator.Simulator.run`),
+and in which
 
 * configuration constants (``max_cycles``, the deadlock horizon, queue
   capacities, branch latency, the bus knobs, the FPU window) are folded
@@ -24,21 +26,18 @@ that skips idle spans, replays warm loop iterations
   FPU result's delivery, the acceptance itself, request callbacks,
   branch redirects, the icache miss fill) stays a bound call
   (``docs/COMPILED.md``, "Current inlining frontier");
-* ``tracer.enabled`` branches are specialized *out* of the source
-  when the run is untraced;
 * component objects, bound methods, and queue storage are hoisted into
   locals once per run, outside the hot loop.
 
 The live cycles of the generated source follow the reference loop
 statement for statement — same phase order, same counter updates, same
-trace events, same deadlock and timeout checks.  The idle skip
-(:func:`_emit_skip_block`) and the replay hooks
+deadlock and timeout checks — minus its ``tracer.enabled`` branches.
+The idle skip (:func:`_emit_skip_block`) and the replay hooks
 (:func:`_emit_replay_block` and the backend's backedge) are
-specified here, by the arithmetic they must reproduce: results, stats,
-and JSONL trace bytes equal the reference loop's
-(``tests/test_scheduler_differential.py`` checks this across the whole
-crosscheck config family, and ``repro-sim fuzz`` on generated
-programs).
+specified here, by the arithmetic they must reproduce: results and
+stats equal the reference loop's (``tests/test_scheduler_differential.py``
+checks this across the whole crosscheck config family, and
+``repro-sim fuzz`` on generated programs).
 
 **Eligibility: everything or nothing.**  The components'
 ``emit_compiled_*`` classmethods mirror the shipped classes' methods,
@@ -54,13 +53,13 @@ instead, which calls the bound methods.
 **One cache per artifact.**  A :class:`KernelSpec` holds only the
 constants folded into the kernel text, so the spec keys the one kernel
 cache: every instruction-cache size of a config family runs on the
-same kernel (one untraced, one traced) per process.  Issue entries
-(an instruction's queue, branch and halt flags, and the dispatch
-handler the functional pass runs) are cached by instruction value in
+same kernel per process.  Issue entries (an instruction's queue,
+branch and halt flags, and the dispatch handler the functional pass
+runs) are cached by instruction value in
 :func:`repro.cpu.dispatch.issue_entry`'s memo, which every kernel binds
-as ``entry_for``.  Both caches live in
-process memory only; forked sweep workers inherit whatever the parent
-had compiled.  ``docs/COMPILED.md`` documents the contract in full.
+as ``entry_for``.  Both caches live in process memory only; forked
+sweep workers inherit whatever the parent had compiled.
+``docs/COMPILED.md`` documents the contract in full.
 
 **Hoisting rule.**  Only objects that are never *rebound* during a run
 may be hoisted into kernel locals: component objects, the queues'
@@ -72,8 +71,8 @@ cursors) are always read through their owner, and no kernel local
 holds one across cycles.
 
 The kernel always runs with idle-cycle skipping and loop replay on;
-``skip=False`` (:func:`repro.core.scheduler.resolve_engine`) selects
-the reference loop instead.
+``skip=False`` (:func:`repro.core.scheduler.resolve_engine`) or an
+enabled tracer selects the reference loop instead.
 """
 
 from __future__ import annotations
@@ -199,7 +198,6 @@ class KernelSpec:
     kernel at all is decided by :func:`_shipped`.
     """
 
-    traced: bool
     max_cycles: int
     deadlock_cycles: int
     snapshot_mask: int
@@ -229,7 +227,6 @@ def kernel_spec_for(sim) -> KernelSpec:
     pipe = type(frontend) is PipeFetchUnit
     tib = type(frontend) is TibFetchUnit
     return KernelSpec(
-        traced=sim.tracer.enabled,
         max_cycles=config.max_cycles,
         deadlock_cycles=sim.DEADLOCK_CYCLES,
         snapshot_mask=sim.SNAPSHOT_MASK,
@@ -266,8 +263,6 @@ _BINDINGS: dict[str, str] = {
     "frontend": "sim.frontend",
     "backend": "sim.backend",
     "clock": "sim.clock",
-    "tracer": "sim.tracer",
-    "tracer_emit": "sim.tracer.emit",
     "laq_items": "sim.engine.laq._items",
     "ldq_items": "sim.engine.ldq._items",
     "saq_items": "sim.engine.saq._items",
@@ -391,12 +386,6 @@ def _emit_drain_check(ctx: KernelContext) -> None:
         "and not fpu._results_ready and not fpu._result_loads"
     )
     with ctx.block(f"if {condition}:"):
-        if ctx.spec.traced:
-            ctx.line("tracer.cycle = now")
-            ctx.line(
-                'tracer_emit("sim", "end", cycles=now, '
-                "instructions=backend.instructions, halted=backend.halted)"
-            )
         ctx.line("break")
 
 
@@ -477,21 +466,6 @@ def _emit_skip_block(ctx: KernelContext) -> None:
             with ctx.block("if external.in_flight:"):
                 ctx.need("external")
                 ctx.line("external.busy_cycles += span")
-            if spec.traced:
-                with ctx.block("if stall_reason is not None or conflict:"):
-                    ctx.line("candidates = memory.last_conflict_candidates")
-                    with ctx.block("for cycle in range(now, target):"):
-                        ctx.line("tracer.cycle = cycle")
-                        with ctx.block("if stall_reason is not None:"):
-                            ctx.line(
-                                'tracer_emit("backend", "stall", '
-                                "reason=stall_reason)"
-                            )
-                        with ctx.block("if conflict:"):
-                            ctx.line(
-                                'tracer_emit("mem", "conflict", '
-                                "candidates=candidates)"
-                            )
             with ctx.block("if first_snapshot is not None and first_snapshot <= target:"):
                 ctx.line("last_ticks = ticks")
                 ctx.line("last_progress_at = first_snapshot")
@@ -509,22 +483,11 @@ def generate_source(spec: KernelSpec) -> str:
     golden test pins a representative config's output).
     """
     ctx = KernelContext(spec)
-    traced = spec.traced
     ctx.need("memory", "mem_stats", "external", "fpu", "engine", "frontend",
              "backend", "clock", "frontend_halt")
-    if traced:
-        ctx.need("tracer", "tracer_emit")
-        ctx.line("tracer.cycle = 0")
-        # evaluated per run, so one traced kernel serves a config family
-        ctx.line(
-            f'tracer_emit("sim", "begin", strategy={spec.strategy!r}, '
-            "config=sim.config.describe())"
-        )
     ctx.line("last_ticks = clock.ticks")
     ctx.line("last_progress_at = 0")
     with ctx.block("while True:"):
-        if traced:
-            ctx.line("tracer.cycle = now")
         ctx.line("ticks_before = clock.ticks")
         ctx.line("conflicts_before = mem_stats.acceptance_conflicts")
         ctx.comment("memory.begin_cycle(now)")
@@ -568,10 +531,7 @@ class CompiledKernel:
         return self.fn(sim)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<CompiledKernel {self.spec.strategy} "
-            f"traced={self.spec.traced}>"
-        )
+        return f"<CompiledKernel {self.spec.strategy}>"
 
 
 _KERNEL_CACHE: dict[KernelSpec, CompiledKernel] = {}
@@ -600,8 +560,7 @@ def _compile(spec: KernelSpec) -> CompiledKernel:
     global _COMPILE_COUNT, _CODEGEN_SECONDS
     started = time.perf_counter()
     source = generate_source(spec)
-    name = spec.strategy + ("-traced" if spec.traced else "")
-    code = compile(source, f"<repro-kernel-{name}>", "exec")
+    code = compile(source, f"<repro-kernel-{spec.strategy}>", "exec")
     namespace = _kernel_globals()
     exec(code, namespace)  # noqa: S102 — the source is our own codegen
     _COMPILE_COUNT += 1

@@ -20,9 +20,8 @@ by loop backedge target:
    data addresses excluded).  It then records one full iteration: the
    cycle and sequence-number deltas, the delta of *every* simulation
    counter (see :class:`StatsBook`), the iteration's slice of the issue
-   stream (branch entries, and each data access's FPU-window address),
-   the data-engine event stream, and (when tracing) the raw trace-event
-   batch.
+   stream (branch entries, and each data access's FPU-window address)
+   and the data-engine event stream.
 2. **Verify.**  The next live iteration is recorded the same way and
    must reproduce the first record *exactly* — same cycles, same
    counter deltas, same stream slice, same event shapes — and return
@@ -49,18 +48,13 @@ Byte-identity invariants:
 * max-style counters (queue ``max_occupancy``, LDQ wait high-water)
   must show a zero delta over the verified iteration, else the loop
   never engages;
-* under tracing, a loop engages only if its recorded and verified
-  event batches are byte-identical after cycle normalisation; batches
-  containing striding payloads (data addresses, sequence numbers)
-  never match, so such loops simply stay live and the JSONL output is
-  trivially preserved;
 * replay refuses to advance past ``max_cycles``, so timeout and
   deadlock errors report true architectural cycles.
 
 The controller serves only the compiled engine: its kernel hands every
 loop backedge to :meth:`ReplayController.on_backedge`.  The reference
-loop (``skip=False``, ``--no-skip``, or a machine that gets no kernel)
-runs without one.
+loop (``skip=False``, ``--no-skip``, a traced run, or a machine that
+gets no kernel) runs without one, so replay never emits trace events.
 """
 
 from __future__ import annotations
@@ -260,7 +254,6 @@ class _IterationRecord:
     loads: tuple
     stores: tuple
     events: tuple
-    trace: tuple | None
     instructions: int = dataclasses.field(compare=False)
     engageable: bool = dataclasses.field(compare=False)
     plan: tuple | None = dataclasses.field(default=None, compare=False)
@@ -313,7 +306,6 @@ class ReplayController:
         self.sim = sim
         self.book = StatsBook(sim)
         self.loops: dict[int, _LoopState] = {}
-        self.traced = sim.tracer.enabled
         self._recording_target: int | None = None
         self._rec_now = 0
         self._rec_seq = 0
@@ -322,7 +314,6 @@ class ReplayController:
         #: of the recording
         self._rec_cursors = (0, 0, 0, 0)
         self._engine_buf: list = []
-        self._trace_buf: list = []
 
     # ------------------------------------------------------------------
     # Entry point from the compiled kernel
@@ -399,26 +390,19 @@ class ReplayController:
         )
         self._engine_buf.clear()
         sim.engine.replay_log = self._engine_buf
-        if self.traced:
-            self._trace_buf.clear()
-            sim.tracer.record = self._trace_buf
         self.loops[target].sig = sig
 
     def _abort_recording(self) -> None:
         if self._recording_target is None:
             return
-        sim = self.sim
         self._recording_target = None
-        sim.engine.replay_log = None
-        if self.traced:
-            sim.tracer.record = None
+        self.sim.engine.replay_log = None
 
     def _finish_recording(self, now: int) -> tuple:
         """Close the active recording; returns ``(record|None, end_sig)``."""
         sim = self.sim
         backend = sim.backend
         raw_events = tuple(sim.engine.replay_log)
-        raw_trace = tuple(self._trace_buf) if self.traced else None
         self._abort_recording()
         sig_end = machine_signature(sim, now)
         issued, branches_at, loads_at, stores_at = self._rec_cursors
@@ -427,17 +411,10 @@ class ReplayController:
             return None, sig_end
         cycles = now - self._rec_now
         base_seq = self._rec_seq
-        base_now = self._rec_now
         events = tuple(
             event if event[0] == "sd" else (event[0], event[1] - base_seq) + event[2:]
             for event in raw_events
         )
-        trace = None
-        if raw_trace is not None:
-            trace = tuple(
-                (cycle - base_now, component, kind, fields)
-                for cycle, component, kind, fields in raw_trace
-            )
         delta = self.book.diff(self._rec_vector, self.book.snapshot())
         stream = backend.stream
         record = _IterationRecord(
@@ -449,7 +426,6 @@ class ReplayController:
             loads=_fpu_tags(stream.loads[loads_at : backend.next_load]),
             stores=_fpu_tags(stream.stores[stores_at : backend.next_store]),
             events=events,
-            trace=trace,
             engageable=cycles > 0 and self.book.max_deltas_zero(delta),
         )
         return record, sig_end
@@ -506,8 +482,6 @@ class ReplayController:
                 state.divergences += 1
                 break
             self._commit(record)
-            if self.traced:
-                self._emit_batch(record.trace, now)
             now += cycles
             replayed += 1
         state.replayed += replayed
@@ -592,14 +566,6 @@ class ReplayController:
         sim.seq.value += seqs
         # All counters advance arithmetically by the recorded deltas.
         self.book.apply(record.plan)
-
-    def _emit_batch(self, batch: tuple, base: int) -> None:
-        """Re-emit a recorded trace batch shifted to this iteration."""
-        tracer = self.sim.tracer
-        emit = tracer.emit
-        for rel_cycle, component, kind, fields in batch:
-            tracer.cycle = base + rel_cycle
-            emit(component, kind, **fields)
 
     # ------------------------------------------------------------------
     # Reporting (the ``profile --engine`` surface)

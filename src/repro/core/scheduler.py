@@ -7,8 +7,9 @@ The simulator has two engines, the two rows of :data:`ENGINES`:
   oracle every result is checked against.
 * ``compiled`` — the generated kernel of :mod:`repro.core.compiled`,
   which also jumps over idle spans and replays warm loop iterations
-  (:mod:`repro.core.replay`).  Its results, stats and traces are
-  byte-identical to the reference loop's.
+  (:mod:`repro.core.replay`).  Its results and stats are identical to
+  the reference loop's.  It runs untraced only: a run with an enabled
+  tracer takes the reference loop on either row.
 
 ``skip=False``, ``REPRO_NO_SKIP=1`` or ``--no-skip`` selects the
 reference loop; :func:`resolve_engine` reads the switches.

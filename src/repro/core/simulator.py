@@ -27,11 +27,10 @@ runs every cycle through the component methods above, and it is the
 oracle every result is checked against.  By default,
 :meth:`Simulator.run` instead executes the machine's compiled kernel
 (:mod:`repro.core.compiled`): the same phases with config constants
-folded to literals, the component phases inlined and the trace branches
-specialized out when untraced, cached per process (one kernel serves
-every cache size of a configuration).  The kernel adds two fast paths,
-and results, stats and traces stay byte-identical to the reference loop
-(the differential matrix pins it):
+folded to literals, the component phases inlined and no trace code,
+cached per process (one kernel serves every cache size of a
+configuration).  The kernel adds two fast paths, and results and stats
+stay identical to the reference loop (the differential matrix pins it):
 
 * *idle-cycle skipping* — every component bumps a shared
   :class:`~repro.core.scheduler.ProgressClock` on each real state
@@ -39,16 +38,17 @@ and results, stats and traces stay byte-identical to the reference loop
   provably frozen until the earliest timed event (external-memory
   ``ready_at``, FPU completion, branch ``resolve_at``), so the kernel
   bulk-advances ``now`` there and applies the per-cycle accounting
-  (stall counters, external-memory busy cycles, acceptance conflicts
-  and, when traced, the per-idle-cycle events) arithmetically;
+  (stall counters, external-memory busy cycles, acceptance conflicts)
+  arithmetically;
 * *steady-state loop replay* — the
   :class:`~repro.core.replay.ReplayController` memoizes warm loop
   iterations and applies further ones arithmetically, falling back to
   live simulation the moment any input differs.
 
-A machine whose components are not exactly the shipped classes (a test
-stub, a subclass, a monkeypatched method) gets no kernel and runs the
-reference loop, with no replay controller.  ``skip=False``,
+A traced run (an enabled :class:`~repro.core.trace.Tracer`) runs the
+reference loop, and so does a machine whose components are not exactly
+the shipped classes (a test stub, a subclass, a monkeypatched method):
+either gets no kernel and no replay controller.  ``skip=False``,
 ``REPRO_NO_SKIP=1`` or ``--no-skip`` selects the reference loop for
 every machine (:func:`~repro.core.scheduler.resolve_engine`).
 """
@@ -132,8 +132,8 @@ class Simulator:
         self.program = program
         self.tracer = tracer if tracer is not None else NULL_TRACER
         tracer = self.tracer
-        #: True runs the compiled engine (when the machine gets a
-        #: kernel), False the reference loop; see
+        #: True runs the compiled engine (when the run is untraced and
+        #: the machine gets a kernel), False the reference loop; see
         #: :func:`~repro.core.scheduler.resolve_engine`
         self.skip = resolve_engine(skip, replay, compiled)
         #: the controller of the most recent :meth:`run` (``None`` when
@@ -244,7 +244,10 @@ class Simulator:
     SNAPSHOT_MASK = 0xFF
 
     def run(self) -> SimulationResult:
-        kernel = kernel_for(self) if self.skip else None
+        # The kernels carry no trace code: a traced run is the reference
+        # loop's, event for event.
+        traced = self.tracer.enabled
+        kernel = kernel_for(self) if self.skip and not traced else None
         if kernel is None:
             self.replay_controller = None
             return self._collect(self._run_loop())
@@ -398,8 +401,8 @@ def simulate(
     ``skip=False`` selects the reference loop (default: the compiled
     engine, unless ``REPRO_NO_SKIP`` says otherwise); ``replay=False``
     and ``compiled=False`` select it too (see
-    :func:`~repro.core.scheduler.resolve_engine`).  Results are
-    identical on both engines.
+    :func:`~repro.core.scheduler.resolve_engine`), and so does an
+    enabled ``tracer``.  Results are identical on both engines.
     """
     return Simulator(
         config, program, tracer=tracer, skip=skip, replay=replay, compiled=compiled
@@ -413,19 +416,16 @@ def simulate_traced(
     *,
     sinks: tuple[TraceSink, ...] = (),
     metrics: bool = True,
-    skip: bool | None = None,
-    replay: bool | None = None,
-    compiled: bool | None = None,
 ) -> SimulationResult:
-    """Run ``program`` with tracing enabled.
+    """Run ``program`` with tracing enabled, on the reference loop.
 
     ``trace_path`` (optional) receives the JSONL event stream; with
     ``metrics`` (the default) a :class:`MetricsSink` aggregates the same
     stream and the result's :attr:`~SimulationResult.trace_metrics`
     carries its counters.  Extra ``sinks`` are attached as given.  All
-    sinks are closed when the run finishes (or fails).  ``skip``,
-    ``replay`` and ``compiled`` pick the engine as in :func:`simulate`;
-    the event stream is identical on both engines.
+    sinks are closed when the run finishes (or fails).  A traced run
+    always takes the reference loop (:meth:`Simulator.run`), and its
+    counters equal the compiled engine's untraced ones.
     """
     tracer = Tracer()
     if trace_path is not None:
@@ -435,13 +435,6 @@ def simulate_traced(
     for sink in sinks:
         tracer.attach(sink)
     try:
-        return Simulator(
-            config,
-            program,
-            tracer=tracer,
-            skip=skip,
-            replay=replay,
-            compiled=compiled,
-        ).run()
+        return Simulator(config, program, tracer=tracer).run()
     finally:
         tracer.close()

@@ -21,6 +21,8 @@ decide what happens to them:
 Tracing is **near-zero-cost when disabled**: every emit site in the hot
 loop is guarded by a single ``if tracer.enabled:`` branch against the
 shared :data:`NULL_TRACER`, so the disabled path never builds an event.
+A traced run always takes the reference loop, which holds every emit
+site; the compiled engine, which produces untraced results, holds none.
 
 Event vocabulary (``component`` / ``kind`` / payload fields)::
 
@@ -93,20 +95,18 @@ class Tracer:
     The simulator sets :attr:`cycle` once per simulated cycle, so
     emitters never thread ``now`` through their call chains.  A tracer
     with no sinks is disabled; emit sites must guard with
-    ``if tracer.enabled:`` so the disabled path costs one branch.
+    ``if tracer.enabled:`` so the disabled path costs one branch.  A
+    simulator with an enabled tracer runs the reference loop, whose
+    component methods hold every emit site (the compiled kernels hold
+    none).
     """
 
-    __slots__ = ("cycle", "enabled", "record", "_sinks")
+    __slots__ = ("cycle", "enabled", "_sinks")
 
     def __init__(self, sinks: Iterable[TraceSink] = ()):
         self._sinks: list[TraceSink] = list(sinks)
         self.enabled = bool(self._sinks)
         self.cycle = 0
-        #: When the replay engine records a loop iteration it points this
-        #: at a list; every emitted event is appended as
-        #: ``(cycle, component, kind, fields)`` alongside normal sink
-        #: delivery.  ``None`` (the default) records nothing.
-        self.record: list | None = None
 
     def attach(self, sink: TraceSink) -> TraceSink:
         """Add a sink (before the run starts) and return it."""
@@ -117,8 +117,6 @@ class Tracer:
     def emit(self, component: str, kind: str, /, **fields) -> None:
         for sink in self._sinks:
             sink.emit(self.cycle, component, kind, fields)
-        if self.record is not None:
-            self.record.append((self.cycle, component, kind, fields))
 
     def close(self) -> None:
         for sink in self._sinks:

@@ -230,7 +230,8 @@ class Backend:
 
         Must mirror :meth:`step` (and the ``_handle_branch_bookkeeping``
         /``_stall`` helpers it calls) statement for statement: same
-        counter updates, same trace events, same ordering.  The kernel
+        counter updates, same ordering, and none of its trace events (a
+        traced run never runs a kernel).  The kernel
         adds the replay hook :meth:`step` lacks: a taken redirect to a
         target below the last issued pc (a loop backedge) sets
         ``replay_backedge``.  The only other licensed deviations are
@@ -245,7 +246,6 @@ class Backend:
         The differential matrix pins byte-identical behavior.
         """
         spec = ctx.spec
-        traced = spec.traced
         frontend_cls = ctx.frontend_cls
         ctx.need(
             "backend", "clock", "backend_stalls", "effects_memo",
@@ -259,14 +259,6 @@ class Backend:
         def stall(reason: str) -> None:
             ctx.line(f"backend_stalls[{reason!r}] += 1")
             ctx.line(f"backend.last_stall_reason = {reason!r}")
-            if traced:
-                ctx.line(f'tracer_emit("backend", "stall", reason={reason!r})')
-
-        def fpu_op() -> None:
-            if traced:
-                ctx.line("fpu_op = stream.fpu_op_at(index)")
-                with ctx.block("if fpu_op is not None:"):
-                    ctx.line('tracer_emit("engine", "fpu_op", addr=fpu_op)')
 
         with ctx.block("if not backend.halted:"):
             ctx.line("ok = True")
@@ -346,16 +338,12 @@ class Backend:
                             ctx.line("s_at = backend.next_store")
                             ctx.line("engine_push_saq(stream_stores[s_at])")
                             ctx.line("backend.next_store = s_at + 1")
-                            fpu_op()
                         with ctx.block("elif entry[4]:"):
                             ctx.line("engine_push_sdq()")
-                            fpu_op()
                         ctx.line("clock.ticks += 1")
                         frontend_cls.emit_compiled_consume(ctx)
                         ctx.line("backend.instructions = index + 1")
                         ctx.line("backend.last_pc = pc")
-                        if traced:
-                            ctx.line('tracer_emit("backend", "issue", pc=pc)')
                         with ctx.block("if entry[6]:"):
                             ctx.line("backend.halted = True")
                         with ctx.block("elif entry[5]:"):
@@ -372,11 +360,6 @@ class Backend:
                             ctx.line("backend.branches += 1")
                             with ctx.block("if taken:"):
                                 ctx.line("backend.branches_taken += 1")
-                            if traced:
-                                ctx.line(
-                                    'tracer_emit("backend", "branch", pc=pc, '
-                                    "taken=taken, target=target, delay=delay)"
-                                )
                             ctx.line(
                                 "backend._pending = _PendingBranch("
                                 "target=target, taken=taken, "

@@ -66,11 +66,6 @@ class FetchUnit(abc.ABC):
         kernel skips it.
         """
         with ctx.block("if frontend._halted:"):
-            if ctx.spec.traced:
-                ctx.line(
-                    'tracer_emit("fetch", "cancel", '
-                    "seq=frontend._request.seq, reason=\"halt\")"
-                )
             ctx.line("frontend._request = None")
             ctx.line("f_req = None")
         with ctx.block("else:"):

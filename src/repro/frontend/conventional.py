@@ -168,8 +168,6 @@ class ConventionalFetchUnit(FetchUnit):
         issued instruction, so the predecode lookup is already done."""
         ctx.need("frontend", "fe_stats", "icache_stats")
         ctx.line("icache_stats.hits += 1")
-        if ctx.spec.traced:
-            ctx.line('tracer_emit("icache", "hit", addr=pc)')
         ctx.line("frontend._pc = pc + size")
         ctx.line("fe_stats.instructions_supplied += 1")
 

@@ -217,11 +217,6 @@ class PipeFetchUnit(FetchUnit):
                         ctx.line("frontend._iq_next_pc = t_span + t_size")
                         ctx.line("frontend._iqb_read_pc = t_span + t_size")
                         ctx.line("frontend._span_pc = None")
-                        if ctx.spec.traced:
-                            ctx.line(
-                                'tracer_emit("iq", "push", pc=t_span, '
-                                "depth=len(pipe_iq), bytes=t_moved)"
-                            )
             with ctx.block("elif frontend._iqb_read_pc != frontend._iq_next_pc:"):
                 ctx.line("t_ok = False")
             with ctx.block("if t_ok:"):
@@ -256,11 +251,6 @@ class PipeFetchUnit(FetchUnit):
                     ctx.line("t_moved += t_size")
                     ctx.line("frontend._iq_next_pc = t_pc + t_size")
                     ctx.line("frontend._iqb_read_pc = t_pc + t_size")
-                    if ctx.spec.traced:
-                        ctx.line(
-                            'tracer_emit("iq", "push", pc=t_pc, '
-                            "depth=len(pipe_iq), bytes=t_moved)"
-                        )
                 # the IQ was empty on entry, so the byte recount is the
                 # bytes moved (reference: sum over the IQ entries)
                 ctx.line("frontend._iq_bytes = t_moved")
@@ -282,17 +272,11 @@ class PipeFetchUnit(FetchUnit):
         ):
             ctx.line("probe_memo[t_line] = icache_unit._epoch")
             ctx.line("icache_stats.hits += 1")
-            if ctx.spec.traced:
-                ctx.line('tracer_emit("icache", "hit", addr=t_line)')
             ctx.line("pipe_clock.ticks += 1")
             ctx.line("frontend._iqb_loaded = True")
             ctx.line("frontend._iqb_base = t_line")
             ctx.line("frontend._iqb_read_pc = t_start")
             ctx.line(f"frontend._iqb_valid_end = t_line + {line}")
-            if ctx.spec.traced:
-                ctx.line(
-                    'tracer_emit("iqb", "assign", base=t_line, source="cache")'
-                )
         with ctx.block("else:"):
             ctx.line("frontend_start_fill(t_start, now)")
 
@@ -378,11 +362,6 @@ class PipeFetchUnit(FetchUnit):
         ctx.line("pipe_iq.popleft()")
         ctx.line("frontend._iq_bytes -= size")
         ctx.line("fe_stats.instructions_supplied += 1")
-        if ctx.spec.traced:
-            ctx.line(
-                'tracer_emit("iq", "pop", pc=pc, depth=len(pipe_iq), '
-                "bytes=frontend._iq_bytes)"
-            )
 
     # ------------------------------------------------------------------
     # IQB -> IQ transfer

@@ -100,9 +100,7 @@ class MemorySystem:
         self.stats = MemoryStats()
         self._sources: list[RequestSource] = []
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        #: candidate count of the most recent acceptance conflict (the
-        #: compiled kernel's idle skip replays per-idle-cycle conflict
-        #: events with it)
+        #: candidate count of the most recent acceptance conflict
         self.last_conflict_candidates = 0
 
     def register_source(self, source: RequestSource) -> None:
@@ -242,7 +240,6 @@ class MemorySystem:
         width is a prologue binding, not a spec field, so a config
         family keeps one kernel source.
         """
-        traced = ctx.spec.traced
         ctx.need("external", "fpu", "clock", "mem_stats", "fpu_deliver",
                  "bus_width")
         ctx.line("external._accepted_this_cycle = False")
@@ -278,11 +275,6 @@ class MemorySystem:
             ):
                 ctx.line("request = m_loads[0]")
                 ctx.line("m_bytes = request.size")
-                if traced:
-                    ctx.line(
-                        'tracer_emit("mem", "deliver", source="fpu", '
-                        "seq=request.seq, offset=0, bytes=m_bytes)"
-                    )
                 ctx.line("fpu_deliver(now)")
                 cls._emit_delivery_books(ctx)
             with ctx.block("elif m_best is not None:"):
@@ -291,11 +283,6 @@ class MemorySystem:
                 with ctx.block("if m_bytes > bus_width:"):
                     ctx.line("m_bytes = bus_width")
                 ctx.line("m_best.delivered_bytes = m_offset + m_bytes")
-                if traced:
-                    ctx.line(
-                        'tracer_emit("mem", "deliver", source="external", '
-                        "seq=m_best.seq, offset=m_offset, bytes=m_bytes)"
-                    )
                 with ctx.block("if m_best.on_chunk is not None:"):
                     ctx.line("m_best.on_chunk(m_offset, m_bytes, now)")
                 cls._emit_delivery_books(ctx)
@@ -388,8 +375,6 @@ class MemorySystem:
             with ctx.block("if e_head is not None:"):
                 ctx.line("mem_stats.acceptance_conflicts += 1")
                 ctx.line("memory.last_conflict_candidates = 2")
-                if spec.traced:
-                    ctx.line('tracer_emit("mem", "conflict", candidates=2)')
                 if spec.instruction_first:
                     cls._emit_fetch_attempt(ctx, busy, data_after=True)
                 else:
@@ -417,12 +402,6 @@ class MemorySystem:
                 ctx.line("mem_stats.ifetch_demand_accepted += 1")
             with ctx.block("else:"):
                 ctx.line("mem_stats.ifetch_prefetch_accepted += 1")
-            if ctx.spec.traced:
-                ctx.line(
-                    'tracer_emit("mem", "accept", kind="ifetch", '
-                    "addr=f_req.address, bytes=f_req.size, "
-                    "demand=f_req.demand, fpu=False, seq=f_req.seq)"
-                )
         if data_after:
             with ctx.block("else:"):
                 cls._emit_data_attempt(ctx, busy)
@@ -454,8 +433,8 @@ class MemorySystem:
 
     @classmethod
     def _emit_data_books(cls, ctx, fpu: bool) -> None:
-        """The engine's notification, the counters and the traced
-        ``mem accept`` event after its ``request`` was accepted."""
+        """The engine's notification and the counters after its
+        ``request`` was accepted."""
         prefix = "fpu_" if fpu else ""
         ctx.line("engine_notify(request, now)")
         ctx.line("mem_stats.output_bus_busy_cycles += 1")
@@ -463,12 +442,6 @@ class MemorySystem:
             ctx.line(f"mem_stats.{prefix}stores_accepted += 1")
         with ctx.block("else:"):
             ctx.line(f"mem_stats.{prefix}loads_accepted += 1")
-        if ctx.spec.traced:
-            ctx.line(
-                'tracer_emit("mem", "accept", kind=request.kind.value, '
-                "addr=request.address, bytes=request.size, "
-                f"demand=request.demand, fpu={fpu}, seq=request.seq)"
-            )
 
     # ------------------------------------------------------------------
     def state_signature(self, now: int, base_seq: int) -> tuple:

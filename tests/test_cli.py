@@ -1,11 +1,14 @@
 """Tests for the repro-sim command-line interface."""
 
 import json
+import os
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.core.faults import FaultPlan
+from repro.core.scheduler import NO_SKIP_ENV, skip_enabled_default
 from repro.core.simcache import SimulationCache
 
 
@@ -29,6 +32,30 @@ class TestParser:
     def test_bad_experiment_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "nope"])
+
+
+class TestNoSkip:
+    @pytest.mark.parametrize("before", [None, "0"], ids=["unset", "set"])
+    def test_no_skip_lasts_one_command(self, before, monkeypatch, capsys):
+        """``--no-skip`` selects the reference loop while its command
+        runs (through the environment, so pool workers inherit it) and
+        leaves the environment as it found it."""
+        if before is None:
+            monkeypatch.delenv(NO_SKIP_ENV, raising=False)
+        else:
+            monkeypatch.setenv(NO_SKIP_ENV, before)
+        during = []
+        table = cli._cmd_table
+
+        def spy(args):
+            during.append(skip_enabled_default())
+            return table(args)
+
+        monkeypatch.setattr(cli, "_cmd_table", spy)
+        assert main(["--no-skip", "table", "2"]) == 0
+        assert during == [False]
+        assert os.environ.get(NO_SKIP_ENV) == before
+        assert skip_enabled_default() is True
 
 
 class TestCommands:

@@ -1,16 +1,16 @@
 """Tests of the compiled step-kernel engine (repro.core.compiled).
 
 The differential matrix (``test_scheduler_differential``) proves the
-kernels are byte-identical to the reference loop; this module covers the
-machinery itself: the two codegen caches (one kernel per
-:class:`KernelSpec`, which a config family shares traced or not, and
-one dispatch handler per instruction value, shared by every program),
-spec sensitivity, all-or-nothing eligibility (every shipped machine
-gets a kernel; a stubbed, subclassed or monkeypatched one gets none and
-runs the reference loop), the purity of ``generate_source``, and
-generated-source goldens for the headline PIPE and the conventional
-configurations so codegen changes are reviewed as diffs, not discovered
-as regressions.
+kernels match the reference loop; this module covers the machinery
+itself: the two codegen caches (one kernel per :class:`KernelSpec`,
+which a config family shares, and one dispatch handler per
+instruction value, shared by every program), tracing kept out of
+both the key and the kernel text, spec sensitivity, all-or-nothing
+eligibility (every shipped machine gets a kernel; a stubbed, subclassed
+or monkeypatched one gets none and runs the reference loop), the purity
+of ``generate_source``, and generated-source goldens for the headline
+PIPE and the conventional configurations so codegen changes are
+reviewed as diffs, not discovered as regressions.
 """
 
 from pathlib import Path
@@ -29,11 +29,10 @@ from repro.core.compiled import (
 from repro.core.config import MachineConfig
 from repro.core.fuzz import FUZZ_CONFIGS
 from repro.core.scheduler import ENGINES
-from repro.core.simulator import Simulator, simulate, simulate_traced
-from repro.core.trace import JsonLinesSink, MetricsSink, Tracer
+from repro.core.simulator import Simulator, simulate
+from repro.core.trace import RingBufferSink, Tracer
 from repro.cpu import dispatch
 from repro.cpu.dispatch import issue_entry
-from repro.kernels.suite import build_livermore_program
 from tests.test_trace_crosscheck import CONFIGS
 
 GOLDEN = Path(__file__).parent / "goldens" / "compiled_kernel_headline.py"
@@ -98,18 +97,17 @@ class TestCompileCache:
         assert conventional is not pipe
         assert compile_stats()["kernels"] == 2
 
-    def test_tracing_is_part_of_the_key(self, tiny_program, tmp_path):
-        plain = kernel_for(_sim(program=tiny_program))
-        tracer = Tracer()
-        tracer.attach(JsonLinesSink(tmp_path / "t.jsonl"))
-        traced_sim = _sim(program=tiny_program, tracer=tracer)
-        traced = kernel_for(traced_sim)
-        tracer.close()
-        assert plain is not traced
-        assert plain.spec.traced is False and traced.spec.traced is True
-        # the untraced kernel has no emit calls at all
+    @pytest.mark.parametrize("strategy", sorted(_STRATEGIES))
+    def test_tracing_is_not_a_kernel_axis(self, strategy):
+        """A traced run takes the reference loop, so a traced machine's
+        spec is the untraced one's and no kernel holds an emit site or
+        reads the tracer."""
+        config = _STRATEGIES[strategy]()
+        plain = kernel_for(_sim(config))
+        traced = kernel_for(_sim(config, tracer=Tracer([RingBufferSink()])))
+        assert traced is plain
         assert "emit" not in plain.source
-        assert "emit" in traced.source
+        assert "tracer" not in plain.source
 
     def test_monkeypatched_component_disables_its_fold(self):
         """Folding is all or nothing: one shadowed method on any
@@ -155,25 +153,6 @@ class TestCacheContract:
         )
         assert conventional not in kernels
         assert compile_stats()["kernels"] == 2
-
-    def test_shared_traced_kernel_logs_its_own_run(self, tmp_path):
-        """One traced kernel serves the family, and each run's trace
-        (its ``sim begin`` config string included) is its own."""
-        program = build_livermore_program(scale=0.05, loops=(3,))
-        before = compile_stats()
-        for size in (64, 128):
-            config = _pipe().with_overrides(icache_size=size)
-            reference = tmp_path / f"{size}-reference.jsonl"
-            compiled = tmp_path / f"{size}-compiled.jsonl"
-            simulate_traced(config, program, reference, **dict(ENGINES)["reference"])
-            simulate_traced(config, program, compiled, **dict(ENGINES)["compiled"])
-            assert compiled.read_bytes() == reference.read_bytes(), size
-            with open(compiled, encoding="utf-8") as stream:
-                assert config.describe() in stream.readline(), size
-        after = compile_stats()
-        assert after["kernels"] == 1
-        assert after["compiles"] == before["compiles"] + 1
-        assert after["kernel_cache_hits"] == before["kernel_cache_hits"] + 1
 
     def test_handlers_are_shared_across_programs(self):
         first = assemble("li r1, 5\nhalt")
@@ -288,26 +267,21 @@ class TestFrontendInlining:
             f" >= {tib.tib_block_size}:"
         ) in generate_source(tib)
 
-    def test_frontend_subclass_falls_back_byte_identically(
-        self, tiny_program, tmp_path
-    ):
+    def test_frontend_subclass_falls_back_byte_identically(self, tiny_program):
         """A subclass of a shipped frontend gets no kernel.
 
         The emitted state machines assume the exact shipped classes; a
         subclass (which may override anything) must compile nothing and
-        run the reference loop, reproducing the reference row exactly,
-        traced.
+        run the reference loop, reproducing the reference row exactly.
         """
         for strategy in sorted(_STRATEGIES):
 
             def tweak(sim):
                 sim.frontend.__class__ = type("Tweaked", (type(sim.frontend),), {})
 
-            _assert_falls_back(strategy, tweak, tiny_program, tmp_path)
+            _assert_falls_back(strategy, tweak, tiny_program)
 
-    def test_monkeypatched_frontend_method_disables_inlining(
-        self, tiny_program, tmp_path
-    ):
+    def test_monkeypatched_frontend_method_disables_inlining(self, tiny_program):
         """A monkeypatched frontend method gets no kernel either, and the
         reference loop honours the patch byte-identically."""
         for strategy in sorted(_STRATEGIES):
@@ -316,34 +290,24 @@ class TestFrontendInlining:
                 original = sim.frontend.consume
                 sim.frontend.consume = lambda now: original(now)
 
-            _assert_falls_back(strategy, patch, tiny_program, tmp_path)
+            _assert_falls_back(strategy, patch, tiny_program)
 
 
-def _assert_falls_back(strategy, alter, program, tmp_path) -> None:
+def _assert_falls_back(strategy, alter, program) -> None:
     """``alter`` makes a compiled-engine simulator ineligible: it must
     compile nothing, run the reference loop without a replay controller,
-    and match the reference row's result and trace."""
+    and match the reference row's result.  Untraced, so only the
+    eligibility check (and not the tracer) keeps the kernel off."""
     config = _STRATEGIES[strategy]()
-    reference_path = tmp_path / f"{strategy}-reference.jsonl"
-    reference = simulate_traced(
-        config, program, reference_path, **dict(ENGINES)["reference"]
-    )
-    tracer = Tracer()
-    fallback_path = tmp_path / f"{strategy}-fallback.jsonl"
-    tracer.attach(JsonLinesSink(fallback_path))
-    tracer.attach(MetricsSink())
-    sim = _sim(config, program, tracer=tracer)
+    reference = simulate(config, program, **dict(ENGINES)["reference"])
+    sim = _sim(config, program)
     alter(sim)
     before = compile_stats()
     assert kernel_for(sim) is None, strategy
-    try:
-        result = sim.run()
-    finally:
-        tracer.close()
+    result = sim.run()
     assert compile_stats() == before, strategy
     assert sim.replay_controller is None, strategy
     assert result.to_dict() == reference.to_dict(), strategy
-    assert fallback_path.read_bytes() == reference_path.read_bytes(), strategy
 
 
 #: every machine the differential suites and the fuzzer run

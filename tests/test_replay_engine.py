@@ -7,24 +7,33 @@ states produce equal (and equal-hashing) signatures, and the
 it covers every counter a simulation reports and fails loudly when a
 stats object grows a field it cannot delta.  A second machine on the
 same program reads the first one's issue stream and compiles nothing,
-and each of the four guards a replayed iteration passes is shown to be
-load-bearing: with it disabled, a program that needs it times wrongly.
+and each guard replay takes is shown to be load-bearing: with it
+disabled, a program that needs it times wrongly.  That is the four
+guards a replayed iteration passes and the machine-signature equality
+that lets a loop engage and replay.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from repro.asm import assemble
+from repro.core import replay
 from repro.core.compiled import compile_stats
 from repro.core.config import MachineConfig
+from repro.core.fuzz import FUZZ_CONFIGS, check_workload
 from repro.core.replay import MAX_FIELDS, ReplayController, StatsBook, machine_signature
 from repro.core.scheduler import ENGINES
 from repro.core.simulator import Simulator
 from repro.cpu.functional import FunctionalSimulator
+from repro.kernels.serialize import workload_from_json
 from repro.kernels.suite import build_livermore_program
 
 ROW = dict(ENGINES)
+
+#: the corpus entry that needs the machine-signature guard
+SIGNATURE_ENTRY = Path(__file__).parent / "corpus" / "signature-guard.json"
 
 
 @pytest.fixture(scope="module")
@@ -459,3 +468,18 @@ def test_replay_guard_is_load_bearing(guard, source, raises, monkeypatch):
     monkeypatch.setattr(ReplayController, guard, overruled)
     unguarded, _sim = _outcome(program, "compiled")
     assert unguarded != reference
+
+
+def test_signature_guard_is_load_bearing(monkeypatch):
+    """Signature equality alone keeps replay from timing this corpus
+    entry wrongly (``test_fuzz`` checks it clean with the guard on).
+    With every machine fingerprinting as ``()``, a loop engages and
+    replays from backedges whose machine state differs from the recorded
+    one, and the case reports the compiled row's cycles and stats
+    against the reference loop's."""
+    kernel, arrays, _metadata = workload_from_json(SIGNATURE_ENTRY.read_text())
+    config = FUZZ_CONFIGS["pipe-16-16-slow-mem"]()
+    monkeypatch.setattr(replay, "machine_signature", lambda sim, now: ())
+    problems = check_workload(kernel, arrays, config)
+    assert problems and all(problem.startswith("[compiled] ") for problem in problems)
+    assert any(problem.startswith("[compiled] cycles ") for problem in problems)

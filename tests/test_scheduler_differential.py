@@ -1,17 +1,19 @@
 """Two-engine differential matrix.
 
 The compiled engine (``skip=True``: the generated step kernel with
-idle-cycle skipping and steady-state loop replay) promises
-**trace-identical accounting**: for any configuration it must produce
-the same cycle count, the same stats dict, and a byte-identical JSONL
-event stream as the reference cycle-by-cycle loop.  This suite enforces
-that promise over the same configuration matrix
-``test_trace_crosscheck`` sweeps (all Table II PIPE points, Hill's
-prefetch policies, the TIB machine, and the ablation knobs), and pins
-down the satellite guarantees: errors raised mid-skip, mid-replay, or
-inside a compiled kernel report the true architectural cycle, and the
-switches select exactly one engine: ``skip=False`` / ``REPRO_NO_SKIP``
-(and ``replay=False`` or ``compiled=False``) runs the reference loop.
+idle-cycle skipping and steady-state loop replay) promises **identical
+accounting**: for any configuration it must produce the same cycle
+count and the same stats dict as the reference cycle-by-cycle loop.
+It runs untraced only: a traced run takes the reference loop on both
+rows, so the JSONL event stream is the reference loop's by
+construction.  This suite enforces both over the same configuration
+matrix ``test_trace_crosscheck`` sweeps (all Table II PIPE points,
+Hill's prefetch policies, the TIB machine, and the ablation knobs), and
+pins down the satellite guarantees: errors raised mid-skip, mid-replay,
+or inside a compiled kernel report the true architectural cycle, and
+the switches select exactly one engine: ``skip=False`` /
+``REPRO_NO_SKIP`` (and ``replay=False`` or ``compiled=False``) runs the
+reference loop.
 
 Every engine comparison names its rows from
 :data:`repro.core.scheduler.ENGINES`, the switch tests set
@@ -32,17 +34,16 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import simulator as simulator_module
-from repro.core.compiled import kernel_for
+from repro.core.compiled import compile_stats, kernel_for
 from repro.core.config import MachineConfig
-from repro.core.fuzz import first_trace_divergence
 from repro.core.scheduler import ENGINES, skip_enabled_default
 from repro.core.simulator import (
     DeadlockError,
     SimulationTimeout,
     Simulator,
     simulate,
-    simulate_traced,
 )
+from repro.core.trace import JsonLinesSink, Tracer
 from repro.kernels.suite import build_livermore_program
 from repro.memory.fpu import FPU_TRIGGER_DIV
 from repro.memory.fpu_timing import TimedFpu
@@ -76,8 +77,8 @@ def _report_mismatch(name: str, lines: list[str]) -> None:
             fh.write(line + "\n")
 
 
-def _compare(name: str, tag: str, fast, ref, fast_path=None, ref_path=None):
-    """Cycles / stats-dict / trace-bytes equality with a diff report."""
+def _compare(name: str, tag: str, fast, ref):
+    """Cycles / stats-dict equality with a diff report."""
     lines: list[str] = []
     if fast.cycles != ref.cycles:
         lines.append(f"cycles: {tag}={fast.cycles} reference={ref.cycles}")
@@ -89,38 +90,48 @@ def _compare(name: str, tag: str, fast, ref, fast_path=None, ref_path=None):
                     f"stats[{key!r}]: {tag}={json.dumps(dict_fast.get(key))} "
                     f"reference={json.dumps(dict_ref.get(key))}"
                 )
-    if fast_path is not None and fast_path.read_bytes() != ref_path.read_bytes():
-        lines.append(first_trace_divergence(tag, fast_path, ref_path))
     if lines:
         _report_mismatch(f"{name} [{tag}]", lines)
     assert lines == [], f"{name} [{tag}] diverged from the reference engine"
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_engines_are_byte_identical(name, single_loop_program, tmp_path):
-    """Reference vs compiled, traced."""
-    config = CONFIGS[name]
-    runs = {}
+def _assert_traced_rows_run_the_reference_loop(config, program, tmp_path):
+    """Traced, every row runs the reference loop: it fetches no kernel
+    (neither a compile nor a kernel-cache hit), builds no replay
+    controller, and writes the reference row's JSONL byte for byte."""
+    traces = {}
     for tag, kwargs in ENGINES:
         path = tmp_path / f"{tag}.jsonl"
-        result = simulate_traced(config, single_loop_program, path, **kwargs)
-        runs[tag] = (result, path)
-    ref_result, ref_path = runs["reference"]
+        tracer = Tracer([JsonLinesSink(path)])
+        sim = Simulator(config, program, tracer=tracer, **kwargs)
+        before = compile_stats()
+        try:
+            sim.run()
+        finally:
+            tracer.close()
+        after = compile_stats()
+        assert sim.replay_controller is None, tag
+        assert after["compiles"] == before["compiles"], tag
+        assert after["kernel_cache_hits"] == before["kernel_cache_hits"], tag
+        traces[tag] = path.read_bytes()
     for tag in FAST_TAGS:
-        result, path = runs[tag]
-        _compare(name, tag, result, ref_result, path, ref_path)
+        assert traces[tag] == traces["reference"], tag
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_engines_are_byte_identical(name, single_loop_program, tmp_path):
+    """Traced, the compiled row is the reference loop: the kernels carry
+    no trace code, so the event stream is the reference loop's."""
+    _assert_traced_rows_run_the_reference_loop(
+        CONFIGS[name], single_loop_program, tmp_path
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_engines_identical_untraced(name, single_loop_program):
-    """Without a tracer the stats books must still agree exactly.
-
-    This is the configuration under which replay actually engages on
-    data-striding loops (trace batches with striding payloads block
-    engagement when traced), so it is the stronger replay and compiled
-    check: the compiled kernel specializes the tracer branches away
-    entirely and still has to land on the same books.
-    """
+    """Untraced, the compiled row (kernel, idle skip and replay) lands
+    on the reference loop's books exactly: every reported number comes
+    from this row."""
     config = CONFIGS[name]
     results = {
         tag: simulate(config, single_loop_program, **kwargs)
@@ -355,10 +366,10 @@ def test_compiled_enabled_by_default():
 # Generated-program matrix (the fuzz layer feeding the same promise)
 # ----------------------------------------------------------------------
 # A fixed seed slice of generated loop-nest kernels (nested loops,
-# conditionals, integer scalars, pointer-chasing) runs both engines
-# traced.  The wide seeded sweep lives in `repro-sim fuzz` and the CI
-# fuzz job; tier-1 pins these seeds forever so an engine regression on
-# structured workloads fails here, not just nightly.
+# conditionals, integer scalars, pointer-chasing) runs both engines.
+# The wide seeded sweep lives in `repro-sim fuzz` and the CI fuzz job;
+# tier-1 pins these seeds forever so an engine regression on structured
+# workloads fails here, not just nightly.
 GENERATED_SEEDS = (0, 3, 11, 47, 2026)
 
 _GENERATED_CONFIGS = {
@@ -389,36 +400,29 @@ def generated_programs():
 def test_generated_programs_byte_identical(
     seed, config_name, generated_programs, tmp_path
 ):
-    config = _GENERATED_CONFIGS[config_name]()
-    program = generated_programs[seed]
-    runs = {}
-    for tag, kwargs in ENGINES:
-        path = tmp_path / f"{tag}.jsonl"
-        result = simulate_traced(config, program, path, **kwargs)
-        runs[tag] = (result, path)
-    ref_result, ref_path = runs["reference"]
-    for tag in FAST_TAGS:
-        result, path = runs[tag]
-        _compare(
-            f"generated seed {seed} on {config_name}",
-            tag,
-            result,
-            ref_result,
-            path,
-            ref_path,
-        )
+    """Traced, the compiled row runs the reference loop on generated
+    programs too."""
+    _assert_traced_rows_run_the_reference_loop(
+        _GENERATED_CONFIGS[config_name](), generated_programs[seed], tmp_path
+    )
 
 
 @pytest.mark.parametrize("seed", GENERATED_SEEDS)
 def test_generated_programs_identical_untraced(seed, generated_programs):
-    """Untraced, so replay can engage on the generated loop nests too."""
-    config = MachineConfig.pipe("16-16", 128, memory_access_time=6)
+    """Untraced, so the kernel runs and replay can engage on the
+    generated loop nests, on every generated-program machine."""
     program = generated_programs[seed]
-    results = {
-        tag: simulate(config, program, **kwargs) for tag, kwargs in ENGINES
-    }
-    for tag in FAST_TAGS:
-        _compare(f"generated seed {seed} untraced", tag, results[tag], results["reference"])
+    for config_name, make in sorted(_GENERATED_CONFIGS.items()):
+        results = {
+            tag: simulate(make(), program, **kwargs) for tag, kwargs in ENGINES
+        }
+        for tag in FAST_TAGS:
+            _compare(
+                f"generated seed {seed} on {config_name}",
+                tag,
+                results[tag],
+                results["reference"],
+            )
 
 
 # ----------------------------------------------------------------------
@@ -453,26 +457,14 @@ LDQ_CREDIT_PROGRAM = (
 )
 
 
-def _assert_rows_agree(name, config, program, tmp_path):
-    """The compiled row matches the reference row, traced and untraced."""
-    runs = {}
-    for tag, kwargs in ENGINES:
-        path = tmp_path / f"{tag}.jsonl"
-        runs[tag] = (simulate_traced(config, program, path, **kwargs), path)
-    ref_result, ref_path = runs["reference"]
+def _assert_rows_agree(name, config, program):
+    """The compiled row matches the reference row."""
+    reference = simulate(config, program, **ROW["reference"])
     for tag in FAST_TAGS:
-        result, path = runs[tag]
-        _compare(name, tag, result, ref_result, path, ref_path)
-    for tag in FAST_TAGS:
-        _compare(
-            f"{name} untraced",
-            tag,
-            simulate(config, program, **ROW[tag]),
-            simulate(config, program, **ROW["reference"]),
-        )
+        _compare(name, tag, simulate(config, program, **ROW[tag]), reference)
 
 
-def test_ldq_credit_holds_back_the_laq_head(tmp_path):
+def test_ldq_credit_holds_back_the_laq_head():
     """Loads in flight plus LDQ entries never exceed the LDQ capacity:
     with room for two, the third queued load waits at the LAQ head
     until a ``popq`` frees a slot, even though memory could take it."""
@@ -484,7 +476,7 @@ def test_ldq_credit_holds_back_the_laq_head(tmp_path):
         laq_capacity=4,
         ldq_capacity=2,
     )
-    _assert_rows_agree("ldq credit", config, assemble(LDQ_CREDIT_PROGRAM), tmp_path)
+    _assert_rows_agree("ldq credit", config, assemble(LDQ_CREDIT_PROGRAM))
 
 
 #: r6 = 0xF000 (the FPU window): operand A once, twelve back-to-back
@@ -508,7 +500,7 @@ _FRONTEND_MACHINES = {
 
 
 @pytest.mark.parametrize("machine", ["pipe", "conventional"])
-def test_fpu_refuses_trigger_stores(machine, tmp_path, monkeypatch):
+def test_fpu_refuses_trigger_stores(machine, monkeypatch):
     """A divide takes 12 cycles and the FPU's op queue holds 8, so
     ``TimedFpu.can_accept`` refuses trigger stores while the queue is
     full, and the store waits at the SAQ head.  On PIPE the refusals
@@ -529,7 +521,7 @@ def test_fpu_refuses_trigger_stores(machine, tmp_path, monkeypatch):
     # patched on the class, so the machine still gets a kernel
     monkeypatch.setattr(TimedFpu, "can_accept", counting)
     assert kernel_for(Simulator(config, program, **ROW["compiled"])) is not None
-    _assert_rows_agree(f"fpu refusal on {machine}", config, program, tmp_path)
+    _assert_rows_agree(f"fpu refusal on {machine}", config, program)
     if machine == "pipe":
         for tag, kwargs in ENGINES:
             refused.clear()
