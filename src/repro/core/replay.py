@@ -29,16 +29,19 @@ by loop backedge target:
    **engaged**, and the record's counter delta is resolved into a
    *plan* of the nonzero counters it moves (:meth:`StatsBook.plan`).
 3. **Replay.**  On each further signature match the controller replays
-   iterations arithmetically.  Each one is first checked against the
-   next slice of the issue stream, by four guards: no stream end inside
-   the slice, equal branch entries, equal FPU-window membership and FPU
-   address for every data access, and an equal recount of the
-   store/load ordering hazards.  If any differs, live simulation
-   resumes from the untouched boundary state — divergence never needs
-   a rollback.  Otherwise the commit advances the stream cursors,
-   rewrites the queued loads' and stores' addresses from the stream,
-   shifts all timed state by the iteration's deltas (``replay_shift``),
-   and advances every counter by its recorded delta (the plan).
+   a burst of iterations arithmetically.  First the four guards walk a
+   cursor tuple (issued, branch, load, store) along the issue stream,
+   one iteration's slice at a time: no stream end inside the slice,
+   equal branch entries, equal FPU-window membership and FPU address
+   for every data access, and an equal recount of the store/load
+   ordering hazards.  They read only the stream, so the machine stays
+   at its boundary state until one of them fails (or ``max_cycles``
+   stops the walk) — divergence never needs a rollback.  Then one
+   commit applies the ``k`` confirmed iterations at once: it advances
+   the stream cursors by ``k`` slices, rewrites the queued loads' and
+   stores' addresses from the last slice, shifts all timed state by
+   ``k`` times the iteration's deltas (``replay_shift``), and advances
+   every counter by ``k`` times its recorded delta (the plan).
 
 Byte-identity invariants:
 
@@ -60,7 +63,7 @@ gets no kernel) runs without one, so replay never emits trace events.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
+from operator import add
 
 from ..memory.fpu import FPU_BASE, FPU_SIZE
 
@@ -214,13 +217,14 @@ class StatsBook:
                 items.extend((target, key, dv) for key, dv in d)
         return tuple(fields), tuple(items)
 
-    def apply(self, plan: tuple) -> None:
-        """Advance every counter by one iteration, as :meth:`plan` resolved it."""
+    def apply(self, plan: tuple, k: int) -> None:
+        """Advance every counter by ``k`` iterations, as :meth:`plan`
+        resolved one."""
         fields, items = plan
         for obj, name, d in fields:
-            setattr(obj, name, getattr(obj, name) + d)
+            setattr(obj, name, getattr(obj, name) + k * d)
         for target, key, d in items:
-            target[key] = target.get(key, 0) + d
+            target[key] = target.get(key, 0) + k * d
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +240,30 @@ def _fpu_tags(addresses) -> tuple:
     return tuple(a if FPU_BASE <= a < _FPU_END else None for a in addresses)
 
 
+def _saq_windows(events: tuple, queued: int) -> tuple:
+    """Resolve a record's hazard recount into one ``(offset, start, end,
+    count)`` per load.
+
+    At an iteration boundary the SAQ holds the ``queued`` newest stores
+    issued, ``stream.stores[store - queued : store]`` at store cursor
+    ``store``; each push appends the next store and each departure
+    drops the oldest.  So the SAQ the iteration's ``offset``-th load
+    saw is ``stream.stores[store + start : store + end]``, and ``count``
+    is how many of those addresses the record's load matched.
+    """
+    windows = []
+    start, end = -queued, 0
+    for event in events:
+        kind = event[0]
+        if kind == "laq":
+            windows.append((len(windows), start, end, event[2]))
+        elif kind == "saq":
+            end += 1
+        elif kind == "sd":
+            start += 1
+    return tuple(windows)
+
+
 @dataclasses.dataclass(slots=True)
 class _IterationRecord:
     """One memoized loop iteration: its deltas and its stream slice.
@@ -243,8 +271,9 @@ class _IterationRecord:
     ``branches`` is the iteration's slice of the stream's branch entries;
     ``loads`` and ``stores`` tag each data access with its FPU-window
     address (:func:`_fpu_tags`).  Two records *match* when they compare
-    equal; ``plan`` (:meth:`StatsBook.plan` of ``delta``) is bound when
-    the record engages.
+    equal; ``plan`` (:meth:`StatsBook.plan` of ``delta``) and
+    ``windows`` (:func:`_saq_windows` of ``events``) are bound when the
+    record engages.
     """
 
     cycles: int
@@ -257,6 +286,7 @@ class _IterationRecord:
     instructions: int = dataclasses.field(compare=False)
     engageable: bool = dataclasses.field(compare=False)
     plan: tuple | None = dataclasses.field(default=None, compare=False)
+    windows: tuple | None = dataclasses.field(default=None, compare=False)
 
 
 #: loop-state phases
@@ -286,6 +316,17 @@ class _LoopState:
     replayed: int = 0
     replayed_cycles: int = 0
     divergences: int = 0
+
+
+def _cursors(backend) -> tuple:
+    """Where the back-end reads the issue stream: (issued, branch, load,
+    store)."""
+    return (
+        backend.instructions,
+        backend.next_branch,
+        backend.next_load,
+        backend.next_store,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -377,17 +418,11 @@ class ReplayController:
     # ------------------------------------------------------------------
     def _start_recording(self, target: int, now: int, sig: tuple) -> None:
         sim = self.sim
-        backend = sim.backend
         self._recording_target = target
         self._rec_now = now
         self._rec_seq = sim.seq.value
         self._rec_vector = self.book.snapshot()
-        self._rec_cursors = (
-            backend.instructions,
-            backend.next_branch,
-            backend.next_load,
-            backend.next_store,
-        )
+        self._rec_cursors = _cursors(sim.backend)
         self._engine_buf.clear()
         sim.engine.replay_log = self._engine_buf
         self.loops[target].sig = sig
@@ -453,6 +488,9 @@ class ReplayController:
             return
         if state.candidate == record and record.engageable:
             record.plan = self.book.plan(record.delta)
+            # The SAQ is as full as at every boundary the record replays
+            # from: its length is part of the machine signature.
+            record.windows = _saq_windows(record.events, len(self.sim.engine.saq))
             state.record = record
             state.phase = _ENGAGED
             return
@@ -465,88 +503,92 @@ class ReplayController:
     # Replay
     # ------------------------------------------------------------------
     def _burst(self, state: _LoopState, now: int) -> int:
-        """Replay as many iterations as the stream guards confirm."""
+        """Replay as many iterations as the stream guards confirm.
+
+        The guards walk the cursors one iteration at a time without
+        touching the machine; one commit then applies all ``k``
+        iterations they confirmed.
+        """
         record = state.record
         sim = self.sim
         backend = sim.backend
-        max_cycles = sim.config.max_cycles
+        stream = backend.stream
         cycles = record.cycles
-        replayed = 0
-        while now + cycles <= max_cycles:
+        step = (
+            record.instructions,
+            len(record.branches),
+            len(record.loads),
+            len(record.stores),
+        )
+        budget = (sim.config.max_cycles - now) // cycles
+        at = _cursors(backend)
+        k = 0
+        while k < budget:
             if not (
-                self._stream_continues(record, backend)
-                and self._branches_match(record, backend)
-                and self._fpu_accesses_match(record, backend)
-                and self._hazards_match(record, backend)
+                self._stream_continues(record, stream, at)
+                and self._branches_match(record, stream, at)
+                and self._fpu_accesses_match(record, stream, at)
+                and self._hazards_match(record, stream, at)
             ):
                 state.divergences += 1
                 break
-            self._commit(record)
-            now += cycles
-            replayed += 1
-        state.replayed += replayed
-        state.replayed_cycles += replayed * cycles
-        return now
+            at = tuple(map(add, at, step))
+            k += 1
+        if k:
+            self._commit(record, k)
+        state.replayed += k
+        state.replayed_cycles += k * cycles
+        return now + k * cycles
 
-    # The four guards on the next iteration's slice of the issue stream.
-    # Each reads the stream at the back-end's cursors; none mutates the
-    # machine, so a failed guard leaves the boundary state untouched.
-    def _stream_continues(self, record: _IterationRecord, backend) -> bool:
+    # The four guards on one iteration's slice of the issue stream, the
+    # slice that starts at the cursors ``at`` (issued, branch, load,
+    # store).  None mutates the machine, so a failed guard leaves the
+    # boundary state untouched.
+    def _stream_continues(self, record: _IterationRecord, stream, at: tuple) -> bool:
         """No stream end (HALT, an error, an instruction that never
         issues) inside the slice: live issue must reach it."""
-        limit = backend.instructions + record.instructions
-        return not backend.stream.ends_before(limit)
+        return not stream.ends_before(at[0] + record.instructions)
 
-    def _branches_match(self, record: _IterationRecord, backend) -> bool:
+    def _branches_match(self, record: _IterationRecord, stream, at: tuple) -> bool:
         """Every PBR's pc, outcome and target equal the record's: the
         iteration takes the recorded path."""
-        at = backend.next_branch
-        branches = backend.stream.branches[at : at + len(record.branches)]
+        branch = at[1]
+        branches = stream.branches[branch : branch + len(record.branches)]
         return branches == record.branches
 
-    def _fpu_accesses_match(self, record: _IterationRecord, backend) -> bool:
+    def _fpu_accesses_match(self, record: _IterationRecord, stream, at: tuple) -> bool:
         """Every data access is in the FPU window where the record's is,
         at the same FPU address: it is routed to the same unit and, for
         a store, starts the same operation."""
-        loads_at, stores_at = backend.next_load, backend.next_store
-        loads = backend.stream.loads[loads_at : loads_at + len(record.loads)]
-        stores = backend.stream.stores[stores_at : stores_at + len(record.stores)]
+        _issued, _branch, load, store = at
+        loads = stream.loads[load : load + len(record.loads)]
+        stores = stream.stores[store : store + len(record.stores)]
         return _fpu_tags(loads) == record.loads and _fpu_tags(stores) == record.stores
 
-    def _hazards_match(self, record: _IterationRecord, backend) -> bool:
+    def _hazards_match(self, record: _IterationRecord, stream, at: tuple) -> bool:
         """Every load overlaps as many queued store addresses as the
-        record's (the ``ordering_hazards`` counter).  The recorded event
-        order replays the SAQ each load saw: the queued stores, this
-        iteration's pushes, and the recorded departures."""
-        loads, stores = backend.stream.loads, backend.stream.stores
-        loads_at, stores_at = backend.next_load, backend.next_store
-        saq = deque(entry.address for entry in self.sim.engine.saq)
-        for event in record.events:
-            kind = event[0]
-            if kind == "laq":
-                if saq.count(loads[loads_at]) != event[2]:
-                    return False
-                loads_at += 1
-            elif kind == "saq":
-                saq.append(stores[stores_at])
-                stores_at += 1
-            elif kind == "sd":
-                saq.popleft()
+        record's (the ``ordering_hazards`` counter).  The SAQ each load
+        saw is a window of the stream's stores (:func:`_saq_windows`)."""
+        _issued, _branch, load, store = at
+        loads, stores = stream.loads, stream.stores
+        for offset, start, end, count in record.windows:
+            if stores[store + start : store + end].count(loads[load + offset]) != count:
+                return False
         return True
 
-    def _commit(self, record: _IterationRecord) -> None:
-        """Adopt one confirmed iteration into the live machine."""
+    def _commit(self, record: _IterationRecord, k: int) -> None:
+        """Adopt ``k`` confirmed iterations into the live machine."""
         sim = self.sim
         engine = sim.engine
         backend = sim.backend
         stream = backend.stream
-        seqs = record.seqs
-        cycles = record.cycles
-        backend.next_branch += len(record.branches)
-        loads_at = backend.next_load = backend.next_load + len(record.loads)
-        stores_at = backend.next_store = backend.next_store + len(record.stores)
+        seqs = k * record.seqs
+        cycles = k * record.cycles
+        backend.next_branch += k * len(record.branches)
+        loads_at = backend.next_load = backend.next_load + k * len(record.loads)
+        stores_at = backend.next_store = backend.next_store + k * len(record.stores)
         # The queued loads and stores are the newest ones issued: they
-        # take the addresses at the end of this iteration's slice.
+        # take the addresses at the end of the last iteration's slice.
         laq = engine.laq._items
         for entry, address in zip(laq, stream.loads[loads_at - len(laq) : loads_at]):
             entry.address = address
@@ -565,7 +607,7 @@ class ReplayController:
         backend.replay_shift(cycles, seqs)
         sim.seq.value += seqs
         # All counters advance arithmetically by the recorded deltas.
-        self.book.apply(record.plan)
+        self.book.apply(record.plan, k)
 
     # ------------------------------------------------------------------
     # Reporting (the ``profile --engine`` surface)

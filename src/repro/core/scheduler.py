@@ -52,7 +52,7 @@ IDLE: int = 1 << 62
 #: scheduling engine never satisfy a lookup.  Bump on any change to the
 #: accounting of the compiled kernel's idle skip, its loop replay or its
 #: generator.
-ENGINE_REVISION = "skip-1+replay-2+compiled-3"
+ENGINE_REVISION = "skip-1+replay-3+compiled-4"
 
 #: Environment variable forcing the reference loop.
 NO_SKIP_ENV = "REPRO_NO_SKIP"

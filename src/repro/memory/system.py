@@ -100,8 +100,6 @@ class MemorySystem:
         self.stats = MemoryStats()
         self._sources: list[RequestSource] = []
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        #: candidate count of the most recent acceptance conflict
-        self.last_conflict_candidates = 0
 
     def register_source(self, source: RequestSource) -> None:
         self._sources.append(source)
@@ -172,7 +170,6 @@ class MemorySystem:
             return
         if len(candidates) > 1:
             self.stats.acceptance_conflicts += 1
-            self.last_conflict_candidates = len(candidates)
             if self._tracer.enabled:
                 self._tracer.emit("mem", "conflict", candidates=len(candidates))
         candidates.sort(key=lambda item: acceptance_order(item[0], self.priority))
@@ -374,7 +371,6 @@ class MemorySystem:
         with ctx.block("if f_req is not None:"):
             with ctx.block("if e_head is not None:"):
                 ctx.line("mem_stats.acceptance_conflicts += 1")
-                ctx.line("memory.last_conflict_candidates = 2")
                 if spec.instruction_first:
                     cls._emit_fetch_attempt(ctx, busy, data_after=True)
                 else:
@@ -447,9 +443,9 @@ class MemorySystem:
     def state_signature(self, now: int, base_seq: int) -> tuple:
         """Combined fingerprint of the external memory and the timed FPU.
 
-        The facade itself holds no timing state; ``_accepted_this_cycle``
-        and ``last_conflict_candidates`` are always rewritten before
-        their next read, so neither participates.
+        The facade itself holds no timing state; the external memory's
+        ``_accepted_this_cycle`` is always rewritten before its next
+        read, so it does not participate.
         """
         return (
             self.external.state_signature(now, base_seq),

@@ -250,7 +250,6 @@ def __kernel(sim):
         if f_req is not None:
             if e_head is not None:
                 mem_stats.acceptance_conflicts += 1
-                memory.last_conflict_candidates = 2
                 if 61440 <= e_head.address < 61504:
                     request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True)
                     if fpu_can_accept(request, now):

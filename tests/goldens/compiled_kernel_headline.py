@@ -554,7 +554,6 @@ def __kernel(sim):
         if f_req is not None:
             if e_head is not None:
                 mem_stats.acceptance_conflicts += 1
-                memory.last_conflict_candidates = 2
                 if not (61440 <= f_req.address < 61504 or external._accepted_this_cycle or external.in_flight):
                     external_accept(f_req, now)
                     frontend_notify(f_req, now)

@@ -10,7 +10,8 @@ same program reads the first one's issue stream and compiles nothing,
 and each guard replay takes is shown to be load-bearing: with it
 disabled, a program that needs it times wrongly.  That is the four
 guards a replayed iteration passes and the machine-signature equality
-that lets a loop engage and replay.
+that lets a loop engage and replay.  A burst commits once, and that one
+commit of ``k`` iterations equals ``k`` commits of one.
 """
 
 import dataclasses
@@ -29,6 +30,7 @@ from repro.core.simulator import Simulator
 from repro.cpu.functional import FunctionalSimulator
 from repro.kernels.serialize import workload_from_json
 from repro.kernels.suite import build_livermore_program
+from repro.memory.system import MemorySystem
 
 ROW = dict(ENGINES)
 
@@ -41,10 +43,27 @@ def loop_program():
     return build_livermore_program(scale=0.05, loops=(3,))
 
 
+@pytest.fixture(scope="module")
+def suite_program():
+    return build_livermore_program(scale=0.05)
+
+
 CONFIGS = {
     "pipe": MachineConfig.pipe("16-16", 128, memory_access_time=6),
     "conventional": MachineConfig.conventional(128, memory_access_time=16),
     "tib": MachineConfig.tib(memory_access_time=6),
+}
+
+#: the paper's headline machines: conventional and PIPE 16-32 at a 32 B
+#: cache on a 4 B bus, and PIPE 16-16 at 128 B
+HEADLINE = {
+    "conventional-32B": MachineConfig.conventional(
+        32, memory_access_time=6, input_bus_width=4
+    ),
+    "pipe-16-32-32B": MachineConfig.pipe(
+        "16-32", 32, memory_access_time=6, input_bus_width=4
+    ),
+    "pipe-16-16-128B": MachineConfig.pipe("16-16", 128, memory_access_time=6),
 }
 
 
@@ -240,7 +259,7 @@ def test_stats_book_diff_apply_roundtrip(loop_program):
         (id(backend.stalls), "frontend_empty", 3),
         (id(by_source), "icache", 64),
     }
-    book.apply(plan)
+    book.apply(plan, 1)
     doubled = book.snapshot()
     assert book.diff(after, doubled) == delta
     assert backend.instructions == 14
@@ -253,6 +272,11 @@ def test_stats_book_diff_apply_roundtrip(loop_program):
     moved = book.diff(doubled, book.snapshot())
     assert not book.max_deltas_zero(moved)
     assert book.plan(moved) == ((), ())
+    # k iterations at once move each counter by k deltas.
+    book.apply(plan, 3)
+    assert backend.instructions == 35
+    assert backend.stalls["frontend_empty"] == 15
+    assert by_source["icache"] == 320
 
 
 def test_stats_book_flags_moving_max_counters(loop_program):
@@ -421,10 +445,19 @@ scratch: .space {4 * TRIPS}
 """
 
 
-def _outcome(program, row: str):
+#: each guard's program, and the error its run raises (or ``None``)
+GUARD_PROGRAMS = {
+    "_stream_continues": (END_PROGRAM, "ValueError"),
+    "_branches_match": (BRANCH_PROGRAM, None),
+    "_fpu_accesses_match": (FPU_PROGRAM, None),
+    "_hazards_match": (HAZARD_PROGRAM, None),
+}
+
+
+def _outcome(program, row: str, config: MachineConfig = GUARD_MACHINE):
     """The result dict, or the ``(type, message)`` of what the run
     raised, plus the simulator."""
-    sim = Simulator(GUARD_MACHINE, program, **ROW[row])
+    sim = Simulator(config, program, **ROW[row])
     try:
         return sim.run().to_dict(), sim
     except Exception as error:  # noqa: BLE001 — the error is the outcome
@@ -433,12 +466,7 @@ def _outcome(program, row: str):
 
 @pytest.mark.parametrize(
     "guard, source, raises",
-    [
-        ("_stream_continues", END_PROGRAM, "ValueError"),
-        ("_branches_match", BRANCH_PROGRAM, None),
-        ("_fpu_accesses_match", FPU_PROGRAM, None),
-        ("_hazards_match", HAZARD_PROGRAM, None),
-    ],
+    [(guard, *GUARD_PROGRAMS[guard]) for guard in GUARDS],
     ids=GUARDS,
 )
 def test_replay_guard_is_load_bearing(guard, source, raises, monkeypatch):
@@ -461,8 +489,8 @@ def test_replay_guard_is_load_bearing(guard, source, raises, monkeypatch):
 
     check = getattr(ReplayController, guard)
 
-    def overruled(self, record, backend):
-        check(self, record, backend)
+    def overruled(self, record, stream, at):
+        check(self, record, stream, at)
         return True
 
     monkeypatch.setattr(ReplayController, guard, overruled)
@@ -483,3 +511,100 @@ def test_signature_guard_is_load_bearing(monkeypatch):
     problems = check_workload(kernel, arrays, config)
     assert problems and all(problem.startswith("[compiled] ") for problem in problems)
     assert any(problem.startswith("[compiled] cycles ") for problem in problems)
+
+
+def test_saq_windows_follow_the_queue():
+    """Each load's SAQ window, relative to the store cursor: it opens on
+    the ``queued`` stores below the cursor, each push widens it at the
+    top and each departure narrows it at the bottom."""
+    events = (
+        ("laq", 0, 1),
+        ("saq", 1),
+        ("laq", 2, 0),
+        ("sd",),
+        ("sdq", 3),
+        ("laq", 4, 2),
+    )
+    assert replay._saq_windows(events, 2) == (
+        (0, -2, 0, 1),
+        (1, -2, 1, 0),
+        (2, -1, 1, 2),
+    )
+
+
+def test_saq_holds_the_newest_stores_at_every_burst(suite_program, monkeypatch):
+    """The hazard recount's SAQ windows rest on this: at every burst
+    entry the SAQ holds the newest stores issued, in issue order, so
+    its addresses are the stream's stores just below the store cursor."""
+    burst = ReplayController._burst
+    queued = []
+
+    def checked(self, state, now):
+        backend = self.sim.backend
+        saq = [entry.address for entry in self.sim.engine.saq]
+        at = backend.next_store
+        assert saq == list(backend.stream.stores[at - len(saq) : at])
+        queued.append(len(saq))
+        return burst(self, state, now)
+
+    monkeypatch.setattr(ReplayController, "_burst", checked)
+    for name, config in HEADLINE.items():
+        count = len(queued)
+        Simulator(config, suite_program, **ROW["compiled"]).run()
+        assert len(queued) > count, f"{name} never replayed"
+    assert any(queued), "no burst started with a store queued"
+
+
+# ----------------------------------------------------------------------
+# One commit per burst
+# ----------------------------------------------------------------------
+def test_burst_commits_once(suite_program, monkeypatch):
+    """The guards confirm a burst's iterations without moving the
+    machine; one commit then shifts it by all of them: one
+    ``replay_shift`` per burst that replayed anything, by that burst's
+    cycles."""
+    shift = MemorySystem.replay_shift
+    burst = ReplayController._burst
+    shifts = []
+    bursts = []
+
+    def counted_shift(self, cycles, seqs):
+        shifts.append(cycles)
+        shift(self, cycles, seqs)
+
+    def counted_burst(self, state, now):
+        replayed = state.replayed
+        after = burst(self, state, now)
+        if state.replayed > replayed:
+            bursts.append((state.replayed - replayed, after - now))
+        return after
+
+    monkeypatch.setattr(MemorySystem, "replay_shift", counted_shift)
+    monkeypatch.setattr(ReplayController, "_burst", counted_burst)
+    Simulator(HEADLINE["pipe-16-16-128B"], suite_program, **ROW["compiled"]).run()
+    assert max(iterations for iterations, _cycles in bursts) > 1
+    assert shifts == [cycles for _iterations, cycles in bursts]
+
+
+@pytest.mark.parametrize("case", [*HEADLINE, *GUARDS])
+def test_burst_commit_equals_single_commits(case, suite_program, monkeypatch):
+    """Committing a burst's ``k`` iterations at once leaves the machine
+    where ``k`` one-iteration commits do: equal results (or the same
+    error) and equal per-loop replay reports."""
+    if case in HEADLINE:
+        config, program = HEADLINE[case], suite_program
+    else:
+        config, program = GUARD_MACHINE, assemble(GUARD_PROGRAMS[case][0])
+    batched, sim = _outcome(program, "compiled", config)
+    reports = sim.replay_controller.loop_reports()
+    assert sim.replay_controller.replayed_iterations > len(reports)
+    commit = ReplayController._commit
+
+    def single_commits(self, record, k):
+        for _ in range(k):
+            commit(self, record, 1)
+
+    monkeypatch.setattr(ReplayController, "_commit", single_commits)
+    single, sim = _outcome(program, "compiled", config)
+    assert single == batched
+    assert sim.replay_controller.loop_reports() == reports
