@@ -179,13 +179,6 @@ class EngineLoopProfile:
     divergences: int
 
     @property
-    def live_cycles(self) -> int | None:
-        """Approximate cycles spent simulating this loop live."""
-        if self.iteration_cycles is None:
-            return None
-        return self.live_iterations * self.iteration_cycles
-
-    @property
     def replayed_fraction(self) -> float:
         """Share of this loop's iterations that were replayed."""
         total = self.live_iterations + self.replayed_iterations
@@ -215,9 +208,11 @@ def profile_engine(
 
     Each loop backedge target the :class:`~repro.core.replay.ReplayController`
     tracked is mapped back to its benchmark loop, with live vs replayed
-    iteration and cycle counts plus the signature-match statistics
-    (verify failures, restarts, mismatches, divergences) that explain
-    why a loop did or did not engage.
+    iteration and cycle counts plus the statistics that explain why a
+    loop did or did not engage and replay: signature restarts (a
+    recording that did not engage), signature mismatches, divergences,
+    and empty bursts (``verify_failures``: bursts that confirmed no
+    iteration).
     """
     region_map = _RegionMap(regions)
     simulator = Simulator(config, program, skip=True)
@@ -264,7 +259,7 @@ def render_engine_profile(report: EngineProfileReport) -> str:
         )
         troubles = []
         if loop.verify_failures:
-            troubles.append(f"{loop.verify_failures} verify failure(s)")
+            troubles.append(f"{loop.verify_failures} empty burst(s)")
         if loop.signature_restarts:
             troubles.append(f"{loop.signature_restarts} restart(s)")
         if loop.signature_mismatches:

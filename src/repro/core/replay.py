@@ -10,8 +10,8 @@ iteration after iteration, without simulating the cycles in between.
 The machine executes nothing: it reads the program's recorded issue
 stream (:mod:`repro.cpu.stream`), so an iteration is a slice of that
 stream — its PBR outcomes and targets and its data addresses — timed
-on the machine.  The protocol is **record → verify → engage**, keyed
-by loop backedge target:
+on the machine.  The protocol is **record → engage**, keyed by loop
+backedge target:
 
 1. **Record.**  At a backward redirect (a loop backedge) the controller
    fingerprints the whole machine via the components'
@@ -21,22 +21,24 @@ by loop backedge target:
    cycle and sequence-number deltas, the delta of *every* simulation
    counter (see :class:`StatsBook`), the iteration's slice of the issue
    stream (branch entries, and each data access's FPU-window address)
-   and the data-engine event stream.
-2. **Verify.**  The next live iteration is recorded the same way and
-   must reproduce the first record *exactly* — same cycles, same
-   counter deltas, same stream slice, same event shapes — and return
-   the machine to the same signature.  Only then is the loop
-   **engaged**, and the record's counter delta is resolved into a
-   *plan* of the nonzero counters it moves (:meth:`StatsBook.plan`).
-3. **Replay.**  On each further signature match the controller replays
-   a burst of iterations arithmetically.  First the four guards walk a
-   cursor tuple (issued, branch, load, store) along the issue stream,
-   one iteration's slice at a time: no stream end inside the slice,
-   equal branch entries, equal FPU-window membership and FPU address
-   for every data access, and an equal recount of the store/load
-   ordering hazards.  They read only the stream, so the machine stays
-   at its boundary state until one of them fails (or ``max_cycles``
-   stops the walk) — divergence never needs a rollback.  Then one
+   and the data-engine event stream.  When the iteration returns the
+   machine to the signature it started from (and moved no max-style
+   counter), the loop is **engaged**: the counter delta is resolved
+   into a *plan* of the nonzero counters it moves
+   (:meth:`StatsBook.plan`) and the event stream into each load's SAQ
+   window (:func:`_saq_windows`).  Any other outcome records the next
+   iteration instead.
+2. **Replay.**  At that backedge, and on each further signature match,
+   the controller replays a burst of iterations arithmetically.  First
+   the four guards walk a cursor tuple (issued, branch, load, store)
+   along the issue stream, one iteration's slice at a time: no stream
+   end inside the slice, equal branch entries, equal FPU-window
+   membership and FPU address for every data access, and an equal
+   recount of the store/load ordering hazards.  (So the first burst's
+   first step is what checks the record against the next iteration's
+   slice.)  They read only the stream, so the machine stays at its
+   boundary state until one of them fails (or ``max_cycles`` stops the
+   walk) — divergence never needs a rollback.  Then one
    commit applies the ``k`` confirmed iterations at once: it advances
    the stream cursors by ``k`` slices, rewrites the queued loads' and
    stores' addresses from the last slice, shifts all timed state by
@@ -49,8 +51,8 @@ Byte-identity invariants:
   are applied arithmetically, so results match the reference engine
   field for field;
 * max-style counters (queue ``max_occupancy``, LDQ wait high-water)
-  must show a zero delta over the verified iteration, else the loop
-  never engages;
+  must show a zero delta over the recorded iteration, else the loop
+  records again;
 * replay refuses to advance past ``max_cycles``, so timeout and
   deadlock errors report true architectural cycles.
 
@@ -240,7 +242,7 @@ def _fpu_tags(addresses) -> tuple:
     return tuple(a if FPU_BASE <= a < _FPU_END else None for a in addresses)
 
 
-def _saq_windows(events: tuple, queued: int) -> tuple:
+def _saq_windows(events: list, queued: int) -> tuple:
     """Resolve a record's hazard recount into one ``(offset, start, end,
     count)`` per load.
 
@@ -256,7 +258,7 @@ def _saq_windows(events: tuple, queued: int) -> tuple:
     for event in events:
         kind = event[0]
         if kind == "laq":
-            windows.append((len(windows), start, end, event[2]))
+            windows.append((len(windows), start, end, event[1]))
         elif kind == "saq":
             end += 1
         elif kind == "sd":
@@ -270,31 +272,26 @@ class _IterationRecord:
 
     ``branches`` is the iteration's slice of the stream's branch entries;
     ``loads`` and ``stores`` tag each data access with its FPU-window
-    address (:func:`_fpu_tags`).  Two records *match* when they compare
-    equal; ``plan`` (:meth:`StatsBook.plan` of ``delta``) and
-    ``windows`` (:func:`_saq_windows` of ``events``) are bound when the
-    record engages.
+    address (:func:`_fpu_tags`).  ``plan`` (:meth:`StatsBook.plan` of
+    the counter delta) and ``windows`` (:func:`_saq_windows` of the
+    data-engine events) are resolved when the recording closes.
     """
 
     cycles: int
     seqs: int
-    delta: tuple
+    instructions: int
     branches: object  #: an ``array``, compared element by element
     loads: tuple
     stores: tuple
-    events: tuple
-    instructions: int = dataclasses.field(compare=False)
-    engageable: bool = dataclasses.field(compare=False)
-    plan: tuple | None = dataclasses.field(default=None, compare=False)
-    windows: tuple | None = dataclasses.field(default=None, compare=False)
+    plan: tuple
+    windows: tuple
 
 
 #: loop-state phases
-_RECORD, _VERIFY, _ENGAGED, _DEAD = range(4)
+_RECORD, _ENGAGED, _DEAD = range(3)
 
 _PHASE_NAMES = {
     _RECORD: "recording",
-    _VERIFY: "verifying",
     _ENGAGED: "engaged",
     _DEAD: "abandoned",
 }
@@ -306,13 +303,12 @@ class _LoopState:
 
     phase: int = _RECORD
     sig: tuple | None = None
-    candidate: _IterationRecord | None = None
     record: _IterationRecord | None = None
-    fails: int = 0
+    #: bursts that confirmed no iteration
+    empty_bursts: int = 0
     restarts: int = 0
     backedges: int = 0
     sig_mismatches: int = 0
-    recorded: int = 0
     replayed: int = 0
     replayed_cycles: int = 0
     divergences: int = 0
@@ -335,10 +331,9 @@ def _cursors(backend) -> tuple:
 class ReplayController:
     """Memoizes warm loop iterations for one :class:`Simulator` run."""
 
-    #: verify attempts (matching signature, mismatching record) before a
-    #: target is abandoned as unstable
-    VERIFY_LIMIT = 4
-    #: signature changes at a target before it is abandoned
+    #: recordings at a target that end without engaging it (the
+    #: signature changed, or the iteration took no cycles or moved a
+    #: max-style counter) before it is abandoned
     RESTART_LIMIT = 64
     #: iterations longer than this are never memoized (outer loops)
     MAX_ITERATION_INSTRUCTIONS = 2048
@@ -354,7 +349,6 @@ class ReplayController:
         #: the back-end's issue count and stream cursors at the start
         #: of the recording
         self._rec_cursors = (0, 0, 0, 0)
-        self._engine_buf: list = []
 
     # ------------------------------------------------------------------
     # Entry point from the compiled kernel
@@ -383,16 +377,15 @@ class ReplayController:
                 return now
             self._abort_recording()
             return self._burst(state, now)
-        # RECORD / VERIFY
+        # RECORD
         if self._recording_target == target:
-            record, sig = self._finish_recording(now)
-            self._advance(state, record, sig)
+            sig = self._finish_recording(state, now)
         else:
             # Innermost wins: a different target's backedge inside the
             # active recording means a nested loop is hotter.
             self._abort_recording()
             sig = machine_signature(self.sim, now)
-        if state.phase == _ENGAGED and sig == state.sig:
+        if state.phase == _ENGAGED:
             return self._burst(state, now)
         if state.phase != _DEAD:
             self._start_recording(target, now, sig)
@@ -423,8 +416,7 @@ class ReplayController:
         self._rec_seq = sim.seq.value
         self._rec_vector = self.book.snapshot()
         self._rec_cursors = _cursors(sim.backend)
-        self._engine_buf.clear()
-        sim.engine.replay_log = self._engine_buf
+        sim.engine.replay_log = []
         self.loops[target].sig = sig
 
     def _abort_recording(self) -> None:
@@ -433,71 +425,48 @@ class ReplayController:
         self._recording_target = None
         self.sim.engine.replay_log = None
 
-    def _finish_recording(self, now: int) -> tuple:
-        """Close the active recording; returns ``(record|None, end_sig)``."""
+    def _finish_recording(self, state: _LoopState, now: int) -> tuple:
+        """Close the active recording and engage its target when the
+        iteration can be replayed; returns the signature at ``now``."""
         sim = self.sim
         backend = sim.backend
-        raw_events = tuple(sim.engine.replay_log)
+        events = sim.engine.replay_log
         self._abort_recording()
         sig_end = machine_signature(sim, now)
         issued, branches_at, loads_at, stores_at = self._rec_cursors
         instructions = backend.instructions - issued
         if instructions > self.MAX_ITERATION_INSTRUCTIONS:
-            return None, sig_end
+            state.phase = _DEAD
+            return sig_end
         cycles = now - self._rec_now
-        base_seq = self._rec_seq
-        events = tuple(
-            event if event[0] == "sd" else (event[0], event[1] - base_seq) + event[2:]
-            for event in raw_events
-        )
         delta = self.book.diff(self._rec_vector, self.book.snapshot())
+        # The max-field check is the backstop for a signature gap.  A
+        # replayed iteration follows the recorded one's trajectory from
+        # the same signature, and the recording ran live, so that
+        # trajectory's peaks are already in the counters (the plan
+        # leaves max fields out).  A moved max field can change a result
+        # only where the signature misses state that shapes the
+        # trajectory; elsewhere the check costs one more recording.
+        if sig_end != state.sig or cycles <= 0 or not self.book.max_deltas_zero(delta):
+            state.restarts += 1
+            if state.restarts > self.RESTART_LIMIT:
+                state.phase = _DEAD
+            return sig_end
         stream = backend.stream
-        record = _IterationRecord(
+        state.record = _IterationRecord(
             cycles=cycles,
-            seqs=sim.seq.value - base_seq,
-            delta=delta,
+            seqs=sim.seq.value - self._rec_seq,
             instructions=instructions,
             branches=stream.branches[branches_at : backend.next_branch],
             loads=_fpu_tags(stream.loads[loads_at : backend.next_load]),
             stores=_fpu_tags(stream.stores[stores_at : backend.next_store]),
-            events=events,
-            engageable=cycles > 0 and self.book.max_deltas_zero(delta),
+            plan=self.book.plan(delta),
+            # The SAQ is as full as when the recording started: its
+            # length is part of the machine signature.
+            windows=_saq_windows(events, len(sim.engine.saq)),
         )
-        return record, sig_end
-
-    def _advance(self, state: _LoopState, record, sig_end: tuple) -> None:
-        """Move a target's state machine after a recorded iteration."""
-        if record is None:
-            state.phase = _DEAD
-            return
-        state.recorded += 1
-        if state.phase == _RECORD:
-            if sig_end == state.sig:
-                state.candidate = record
-                state.phase = _VERIFY
-            else:
-                state.restarts += 1
-                if state.restarts > self.RESTART_LIMIT:
-                    state.phase = _DEAD
-            return
-        # _VERIFY
-        if sig_end != state.sig:
-            state.restarts += 1
-            state.candidate = None
-            state.phase = _DEAD if state.restarts > self.RESTART_LIMIT else _RECORD
-            return
-        if state.candidate == record and record.engageable:
-            record.plan = self.book.plan(record.delta)
-            # The SAQ is as full as at every boundary the record replays
-            # from: its length is part of the machine signature.
-            record.windows = _saq_windows(record.events, len(self.sim.engine.saq))
-            state.record = record
-            state.phase = _ENGAGED
-            return
-        state.fails += 1
-        state.candidate = record
-        if state.fails >= self.VERIFY_LIMIT:
-            state.phase = _DEAD
+        state.phase = _ENGAGED
+        return sig_end
 
     # ------------------------------------------------------------------
     # Replay
@@ -536,6 +505,8 @@ class ReplayController:
             k += 1
         if k:
             self._commit(record, k)
+        else:
+            state.empty_bursts += 1
         state.replayed += k
         state.replayed_cycles += k * cycles
         return now + k * cycles
@@ -621,16 +592,11 @@ class ReplayController:
                 {
                     "target": target,
                     "phase": _PHASE_NAMES[state.phase],
-                    "backedges": state.backedges,
                     "live_iterations": state.backedges,
                     "replayed_iterations": state.replayed,
                     "iteration_cycles": record.cycles if record else None,
-                    "live_cycles": (
-                        state.backedges * record.cycles if record else None
-                    ),
                     "replayed_cycles": state.replayed_cycles,
-                    "recorded_iterations": state.recorded,
-                    "verify_failures": state.fails,
+                    "verify_failures": state.empty_bursts,
                     "signature_restarts": state.restarts,
                     "signature_mismatches": state.sig_mismatches,
                     "divergences": state.divergences,

@@ -104,10 +104,9 @@ class DataQueueEngine:
         #: whether the request the last poll offered is a store (read by
         #: :meth:`notify_accepted`)
         self._offered_is_store = False
-        #: replay recording: when a list, issue-side pushes append
-        #: ``("laq", seq, hazards)`` / ``("saq", seq)`` / ``("sdq", seq)``
-        #: and store departures append ``("sd",)``, in true temporal
-        #: order
+        #: replay recording: when a list, load and store-address pushes
+        #: append ``("laq", hazards)`` / ``("saq",)`` and store
+        #: departures append ``("sd",)``, in true temporal order
         self.replay_log: list | None = None
 
     # ------------------------------------------------------------------
@@ -121,28 +120,23 @@ class DataQueueEngine:
                 self.stats.ordering_hazards += 1
                 if self._tracer.enabled:
                     self._tracer.emit("engine", "hazard", addr=address)
-        seq = self._next_seq()
-        self.laq.push(_LaqEntry(address=address, seq=seq))
+        self.laq.push(_LaqEntry(address=address, seq=self._next_seq()))
         if self.replay_log is not None:
-            self.replay_log.append(("laq", seq, hazards))
+            self.replay_log.append(("laq", hazards))
         self.stats.loads_issued += 1
         if is_fpu_address(address):
             self.stats.fpu_loads += 1
 
     def push_saq(self, address: int) -> None:
-        seq = self._next_seq()
-        self.saq.push(_SaqEntry(address=address, seq=seq))
+        self.saq.push(_SaqEntry(address=address, seq=self._next_seq()))
         if self.replay_log is not None:
-            self.replay_log.append(("saq", seq))
+            self.replay_log.append(("saq",))
         self.stats.stores_issued += 1
         if is_fpu_address(address):
             self.stats.fpu_stores += 1
 
     def push_sdq(self) -> None:
-        seq = self._next_seq()
-        self.sdq.push(_SdqEntry(seq=seq))
-        if self.replay_log is not None:
-            self.replay_log.append(("sdq", seq))
+        self.sdq.push(_SdqEntry(seq=self._next_seq()))
 
     # ------------------------------------------------------------------
     # Per-cycle update: deliver arrived loads into the LDQ, in order

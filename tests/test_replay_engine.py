@@ -10,8 +10,10 @@ same program reads the first one's issue stream and compiles nothing,
 and each guard replay takes is shown to be load-bearing: with it
 disabled, a program that needs it times wrongly.  That is the four
 guards a replayed iteration passes and the machine-signature equality
-that lets a loop engage and replay.  A burst commits once, and that one
-commit of ``k`` iterations equals ``k`` commits of one.
+that lets a loop engage and replay.  Every headline loop engages on
+its first recording that ends on the signature it started from.  A
+burst commits once, and that one commit of ``k`` iterations equals
+``k`` commits of one.
 """
 
 import dataclasses
@@ -293,20 +295,44 @@ def test_stats_book_flags_moving_max_counters(loop_program):
 # ----------------------------------------------------------------------
 # Controller bookkeeping
 # ----------------------------------------------------------------------
-def test_loop_reports_shape(loop_program):
-    sim = Simulator(CONFIGS["pipe"], loop_program, skip=True)
-    result = sim.run()
-    controller = sim.replay_controller
-    assert isinstance(controller, ReplayController)
-    reports = controller.loop_reports()
-    assert reports, "the loop kernel must produce at least one backedge target"
-    top = reports[0]
-    assert top["phase"] == "engaged"
-    assert top["replayed_cycles"] == controller.replayed_cycles
-    assert top["replayed_cycles"] < result.cycles
-    assert top["iteration_cycles"] * top["replayed_iterations"] == (
-        top["replayed_cycles"]
-    )
+def test_loop_reports_shape(suite_program):
+    """On each headline machine, every loop engages on the first
+    recording that returns the machine to the signature it started from,
+    and bursts at that backedge to the loop's end: two live backedges
+    (one opens the recording, one closes it), plus one per recording
+    that did not engage."""
+    keys = {
+        "target",
+        "phase",
+        "live_iterations",
+        "replayed_iterations",
+        "iteration_cycles",
+        "replayed_cycles",
+        "verify_failures",
+        "signature_restarts",
+        "signature_mismatches",
+        "divergences",
+    }
+    for name, config in HEADLINE.items():
+        sim = Simulator(config, suite_program, skip=True)
+        result = sim.run()
+        controller = sim.replay_controller
+        assert isinstance(controller, ReplayController)
+        reports = controller.loop_reports()
+        assert len(reports) == 14, name
+        for report in reports:
+            assert set(report) == keys
+            assert report["phase"] == "engaged", (name, report)
+            assert report["live_iterations"] == 2 + report["signature_restarts"], (
+                name,
+                report,
+            )
+            assert report["iteration_cycles"] * report["replayed_iterations"] == (
+                report["replayed_cycles"]
+            )
+        assert any(report["signature_restarts"] == 0 for report in reports), name
+        replayed = sum(report["replayed_cycles"] for report in reports)
+        assert replayed == controller.replayed_cycles < result.cycles, name
 
 
 # ----------------------------------------------------------------------
@@ -517,14 +543,7 @@ def test_saq_windows_follow_the_queue():
     """Each load's SAQ window, relative to the store cursor: it opens on
     the ``queued`` stores below the cursor, each push widens it at the
     top and each departure narrows it at the bottom."""
-    events = (
-        ("laq", 0, 1),
-        ("saq", 1),
-        ("laq", 2, 0),
-        ("sd",),
-        ("sdq", 3),
-        ("laq", 4, 2),
-    )
+    events = [("laq", 1), ("saq",), ("laq", 0), ("sd",), ("laq", 2)]
     assert replay._saq_windows(events, 2) == (
         (0, -2, 0, 1),
         (1, -2, 1, 0),
