@@ -30,20 +30,27 @@ backedge target:
    iteration instead.
 2. **Replay.**  At that backedge, and on each further signature match,
    the controller replays a burst of iterations arithmetically.  First
-   the four guards walk a cursor tuple (issued, branch, load, store)
-   along the issue stream, one iteration's slice at a time: no stream
-   end inside the slice, equal branch entries, equal FPU-window
-   membership and FPU address for every data access, and an equal
-   recount of the store/load ordering hazards.  (So the first burst's
-   first step is what checks the record against the next iteration's
-   slice.)  They read only the stream, so the machine stays at its
-   boundary state until one of them fails (or ``max_cycles`` stops the
-   walk) — divergence never needs a rollback.  Then one
-   commit applies the ``k`` confirmed iterations at once: it advances
-   the stream cursors by ``k`` slices, rewrites the queued loads' and
-   stores' addresses from the last slice, shifts all timed state by
-   ``k`` times the iteration's deltas (``replay_shift``), and advances
-   every counter by ``k`` times its recorded delta (the plan).
+   the four guards check the issue stream from a cursor tuple (issued,
+   branch, load, store), a chunk of ``n`` iterations at a time: no
+   stream end inside the chunk, branch entries equal to ``n`` copies of
+   the record's, likewise the FPU tag of every data access (its
+   FPU-window address, else 0), and the store/load ordering hazards
+   the record counted.  Each guard answers for the whole chunk with a
+   slice comparison (for hazards, a ``translate``) over arrays that the
+   stream's pass filled once per program; only a load that met a hazard
+   in the record is recounted one iteration at a time.  The chunk
+   doubles after a confirmed chunk and halves after a failed one, so
+   the walk stops at exactly the first iteration a guard fails.  (So
+   the first burst's first chunk is what checks the record against the
+   next iteration's slice.)  The guards read only the stream, so the
+   machine stays at its boundary state until one of them fails (or
+   ``max_cycles`` stops the walk) — divergence never needs a rollback.
+   Then one commit applies the ``k`` confirmed iterations at once: it
+   advances the stream cursors by ``k`` slices, rewrites the queued
+   loads' and stores' addresses from the last slice, shifts all timed
+   state by ``k`` times the iteration's deltas (``replay_shift``), and
+   advances every counter by ``k`` times its recorded delta (the
+   plan).
 
 Byte-identity invariants:
 
@@ -65,9 +72,8 @@ gets no kernel) runs without one, so replay never emits trace events.
 from __future__ import annotations
 
 import dataclasses
-from operator import add
 
-from ..memory.fpu import FPU_BASE, FPU_SIZE
+from ..cpu.stream import FAR
 
 __all__ = ["ReplayController", "StatsBook", "machine_signature"]
 
@@ -232,16 +238,6 @@ class StatsBook:
 # ----------------------------------------------------------------------
 # Iteration records
 # ----------------------------------------------------------------------
-#: one past the FPU register window
-_FPU_END = FPU_BASE + FPU_SIZE
-
-
-def _fpu_tags(addresses) -> tuple:
-    """Each data address's FPU-window address, or ``None`` outside the
-    window: what timing reads of an address besides its hazards."""
-    return tuple(a if FPU_BASE <= a < _FPU_END else None for a in addresses)
-
-
 def _saq_windows(events: list, queued: int) -> tuple:
     """Resolve a record's hazard recount into one ``(offset, start, end,
     count)`` per load.
@@ -251,7 +247,12 @@ def _saq_windows(events: list, queued: int) -> tuple:
     ``store``; each push appends the next store and each departure
     drops the oldest.  So the SAQ the iteration's ``offset``-th load
     saw is ``stream.stores[store + start : store + end]``, and ``count``
-    is how many of those addresses the record's load matched.
+    is how many of those addresses the record's load matched.  The
+    window ends at the stores issued before the load, so ``count`` is
+    also how many of the load's same-address stores were issued at most
+    ``end - start`` stores before it; for a window narrower than
+    :data:`~repro.cpu.stream.FAR` it is 0 exactly when the stream's
+    ``near`` gap exceeds that.
     """
     windows = []
     start, end = -queued, 0
@@ -266,23 +267,30 @@ def _saq_windows(events: list, queued: int) -> tuple:
     return tuple(windows)
 
 
+#: ``_FARTHER[w]`` holds the ``near`` gap values above ``w``.  Deleting
+#: them from a chunk's gaps leaves the loads with a same-address store
+#: inside a window ``w`` stores wide.  ``_FARTHER[FAR]`` is empty: a
+#: window that wide fails the check (the gaps saturate at ``FAR``).
+_FARTHER = tuple(bytes(range(w + 1, FAR + 1)) for w in range(FAR + 1))
+
+
 @dataclasses.dataclass(slots=True)
 class _IterationRecord:
     """One memoized loop iteration: its deltas and its stream slice.
 
-    ``branches`` is the iteration's slice of the stream's branch entries;
-    ``loads`` and ``stores`` tag each data access with its FPU-window
-    address (:func:`_fpu_tags`).  ``plan`` (:meth:`StatsBook.plan` of
-    the counter delta) and ``windows`` (:func:`_saq_windows` of the
-    data-engine events) are resolved when the recording closes.
+    ``branches``, ``loads`` and ``stores`` are the iteration's slices of
+    the stream's ``branches``, ``load_tags`` and ``store_tags`` arrays.
+    ``plan`` (:meth:`StatsBook.plan` of the counter delta) and
+    ``windows`` (:func:`_saq_windows` of the data-engine events) are
+    resolved when the recording closes.
     """
 
     cycles: int
     seqs: int
     instructions: int
-    branches: object  #: an ``array``, compared element by element
-    loads: tuple
-    stores: tuple
+    branches: object  #: ``array`` slices, compared element by element
+    loads: object
+    stores: object
     plan: tuple
     windows: tuple
 
@@ -458,8 +466,8 @@ class ReplayController:
             seqs=sim.seq.value - self._rec_seq,
             instructions=instructions,
             branches=stream.branches[branches_at : backend.next_branch],
-            loads=_fpu_tags(stream.loads[loads_at : backend.next_load]),
-            stores=_fpu_tags(stream.stores[stores_at : backend.next_store]),
+            loads=stream.load_tags[loads_at : backend.next_load],
+            stores=stream.store_tags[stores_at : backend.next_store],
             plan=self.book.plan(delta),
             # The SAQ is as full as when the recording started: its
             # length is part of the machine signature.
@@ -474,9 +482,12 @@ class ReplayController:
     def _burst(self, state: _LoopState, now: int) -> int:
         """Replay as many iterations as the stream guards confirm.
 
-        The guards walk the cursors one iteration at a time without
-        touching the machine; one commit then applies all ``k``
-        iterations they confirmed.
+        The guards check the cursors' next ``n`` iterations at once
+        without touching the machine.  ``n`` doubles after a confirmed
+        chunk and halves after a failed one, so the walk closes in on
+        the first failing iteration and stops when a one-iteration
+        chunk fails there (the divergence) or the budget is spent.  One
+        commit then applies all ``k`` confirmed iterations.
         """
         record = state.record
         sim = self.sim
@@ -492,17 +503,23 @@ class ReplayController:
         budget = (sim.config.max_cycles - now) // cycles
         at = _cursors(backend)
         k = 0
+        n = 1
         while k < budget:
-            if not (
-                self._stream_continues(record, stream, at)
-                and self._branches_match(record, stream, at)
-                and self._fpu_accesses_match(record, stream, at)
-                and self._hazards_match(record, stream, at)
+            n = min(n, budget - k)
+            if (
+                self._stream_continues(record, stream, at, n)
+                and self._branches_match(record, stream, at, n)
+                and self._fpu_accesses_match(record, stream, at, n)
+                and self._hazards_match(record, stream, at, n)
             ):
+                at = tuple(cursor + n * size for cursor, size in zip(at, step))
+                k += n
+                n *= 2
+            elif n > 1:
+                n //= 2
+            else:
                 state.divergences += 1
                 break
-            at = tuple(map(add, at, step))
-            k += 1
         if k:
             self._commit(record, k)
         else:
@@ -511,40 +528,67 @@ class ReplayController:
         state.replayed_cycles += k * cycles
         return now + k * cycles
 
-    # The four guards on one iteration's slice of the issue stream, the
-    # slice that starts at the cursors ``at`` (issued, branch, load,
-    # store).  None mutates the machine, so a failed guard leaves the
+    # The four guards on the ``n`` iterations' slice of the issue stream
+    # that starts at the cursors ``at`` (issued, branch, load, store).
+    # Each holds for the chunk exactly when it holds for every iteration
+    # in it.  None mutates the machine, so a failed guard leaves the
     # boundary state untouched.
-    def _stream_continues(self, record: _IterationRecord, stream, at: tuple) -> bool:
+    def _stream_continues(
+        self, record: _IterationRecord, stream, at: tuple, n: int
+    ) -> bool:
         """No stream end (HALT, an error, an instruction that never
-        issues) inside the slice: live issue must reach it."""
-        return not stream.ends_before(at[0] + record.instructions)
+        issues) inside the chunk: live issue must reach it."""
+        return not stream.ends_before(at[0] + n * record.instructions)
 
-    def _branches_match(self, record: _IterationRecord, stream, at: tuple) -> bool:
-        """Every PBR's pc, outcome and target equal the record's: the
+    def _branches_match(
+        self, record: _IterationRecord, stream, at: tuple, n: int
+    ) -> bool:
+        """Every PBR's pc, outcome and target equal the record's: each
         iteration takes the recorded path."""
         branch = at[1]
-        branches = stream.branches[branch : branch + len(record.branches)]
-        return branches == record.branches
+        branches = stream.branches[branch : branch + n * len(record.branches)]
+        return branches == record.branches * n
 
-    def _fpu_accesses_match(self, record: _IterationRecord, stream, at: tuple) -> bool:
+    def _fpu_accesses_match(
+        self, record: _IterationRecord, stream, at: tuple, n: int
+    ) -> bool:
         """Every data access is in the FPU window where the record's is,
         at the same FPU address: it is routed to the same unit and, for
         a store, starts the same operation."""
         _issued, _branch, load, store = at
-        loads = stream.loads[load : load + len(record.loads)]
-        stores = stream.stores[store : store + len(record.stores)]
-        return _fpu_tags(loads) == record.loads and _fpu_tags(stores) == record.stores
+        loads, stores = record.loads, record.stores
+        return (
+            stream.load_tags[load : load + n * len(loads)] == loads * n
+            and stream.store_tags[store : store + n * len(stores)] == stores * n
+        )
 
-    def _hazards_match(self, record: _IterationRecord, stream, at: tuple) -> bool:
+    def _hazards_match(
+        self, record: _IterationRecord, stream, at: tuple, n: int
+    ) -> bool:
         """Every load overlaps as many queued store addresses as the
-        record's (the ``ordering_hazards`` counter).  The SAQ each load
-        saw is a window of the stream's stores (:func:`_saq_windows`)."""
+        record's (the ``ordering_hazards`` counter).  A load's SAQ holds
+        the ``end - start`` newest stores issued before it
+        (:func:`_saq_windows`), so a count of 0 needs its nearest
+        same-address store farther back than that: one strided slice of
+        the chunk's ``near`` gaps must be empty once the farther ones
+        are deleted (``bytes.translate``, in C).  A nonzero count is
+        recounted iteration by iteration."""
         _issued, _branch, load, store = at
-        loads, stores = stream.loads, stream.stores
+        loads, stores, near = stream.loads, stream.stores, stream.near
+        per_load, per_store = len(record.loads), len(record.stores)
+        stop = load + n * per_load
         for offset, start, end, count in record.windows:
-            if stores[store + start : store + end].count(loads[load + offset]) != count:
-                return False
+            first = load + offset
+            if count == 0:
+                farther = _FARTHER[min(end - start, FAR)]
+                if near[first:stop:per_load].translate(None, farther):
+                    return False
+                continue
+            for i in range(n):
+                at_store = store + i * per_store
+                window = stores[at_store + start : at_store + end]
+                if window.count(loads[first + i * per_load]) != count:
+                    return False
         return True
 
     def _commit(self, record: _IterationRecord, k: int) -> None:

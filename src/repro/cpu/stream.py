@@ -17,7 +17,14 @@ memory (or starts an FPU operation) once both its address and its data
 have issued.  It records ``branches`` (``pc, taken, target`` for every
 PBR, three words each), the ``loads`` and ``stores`` addresses, and
 ``fpu_at``/``fpu_addr`` (the index of the instruction that starts each
-FPU operation, and its trigger address), all as arrays.  Its path
+FPU operation, and its trigger address), all as arrays.  For replay's
+guards (:mod:`repro.core.replay`) it also records ``load_tags`` and
+``store_tags`` (each access's address inside the FPU window, else 0)
+and, per load, ``near``: how many stores back its nearest same-address
+store was issued, one byte each, saturating at :data:`FAR` (also the
+gap when there is none).  A load's SAQ holds the newest stores issued
+before it, so against an SAQ of ``W < FAR`` stores the load meets no
+ordering hazard exactly when its ``near`` gap exceeds ``W``.  Its path
 follows the timing machine's rule, not the functional simulator's: a
 PBR inside the delay slots of a *not-taken* PBR issues once the first
 resolves, while one inside a *taken* PBR's delay slots never issues.
@@ -39,14 +46,22 @@ from collections import deque
 
 from ..asm.program import WORD_BYTES
 from ..isa.encoding import DecodeError
-from ..memory.fpu import FPU_BASE, FpuCore, is_fpu_address
+from ..memory.fpu import FPU_BASE, FPU_SIZE, FpuCore, is_fpu_address
 from .dispatch import issue_entry
 from .state import ArchState
 
-__all__ = ["CHUNK", "IssueStream", "StreamDesync"]
+__all__ = ["CHUNK", "FAR", "IssueStream", "StreamDesync"]
 
 #: instructions the pass runs per extension
 CHUNK = 4096
+
+#: the ``near`` gap of a load whose nearest same-address store is this
+#: many stores back or more, or that has none
+FAR = 255
+
+#: one past the FPU window: ``push_saq``, run once per store, tests it
+#: inline rather than calling ``is_fpu_address``
+_FPU_END = FPU_BASE + FPU_SIZE
 
 
 class StreamDesync(RuntimeError):
@@ -77,6 +92,9 @@ class IssueStream:
         self.stores = array("I")
         self.fpu_at = array("I")
         self.fpu_addr = array("I")
+        self.load_tags = array("I")
+        self.store_tags = array("I")
+        self.near = bytearray()
         self.length = 0
         self.end: int | None = None
         self.error: Exception | None = None
@@ -88,6 +106,8 @@ class IssueStream:
         self._chain: deque[int] = deque()  #: load values not yet popped
         self._store_addresses: deque[int] = deque()  #: awaiting their data
         self._store_data: deque[int] = deque()  #: awaiting their address
+        #: address -> index of its last store
+        self._last_stores: dict[int, int] = {}
         self._pc = program.entry_point
         #: ``[slots left, target]`` of a taken PBR whose delay slots run
         self._taken: list[int] | None = None
@@ -223,14 +243,22 @@ class IssueStream:
         self._check_address(address)
         if is_fpu_address(address):
             value = self.fpu.read(address)
+            tag = address
         else:
             word = self.memory[address : address + WORD_BYTES]
             value = int.from_bytes(word, "little")
+            tag = 0
         self._chain.append(value)
         self.loads.append(address)
+        self.load_tags.append(tag)
+        last = self._last_stores.get(address)
+        gap = FAR if last is None else len(self.stores) - last
+        self.near.append(gap if gap < FAR else FAR)
 
     def push_saq(self, address: int) -> None:
+        self._last_stores[address] = len(self.stores)
         self.stores.append(address)
+        self.store_tags.append(address if FPU_BASE <= address < _FPU_END else 0)
         self._store_addresses.append(address)
         self._commit_stores()
 

@@ -6,12 +6,15 @@ timing machine sees at each way a stream can end — HALT, an error an
 instruction raises, an instruction no machine can issue — on both
 engine rows; that a machine leaving the stream's path raises instead of
 mistiming; that the stream is compact and travels with its program;
-and that the pass's values are the functional simulator's.
+that the pass's values are the functional simulator's; and that the
+arrays replay's guards read (FPU tags and same-address store gaps)
+match a brute-force recount.
 """
 
 import pickle
 import time
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +23,14 @@ from repro.core.config import MachineConfig
 from repro.core.scheduler import ENGINES
 from repro.core.simulator import DeadlockError, Simulator
 from repro.cpu.functional import FunctionalSimulator
-from repro.cpu.stream import CHUNK, StreamDesync
-from repro.kernels.suite import build_livermore_program, build_livermore_suite
+from repro.cpu.stream import CHUNK, FAR, IssueStream, StreamDesync
+from repro.kernels.serialize import workload_from_json
+from repro.kernels.suite import (
+    build_kernel_suite,
+    build_livermore_program,
+    build_livermore_suite,
+)
+from repro.memory.fpu import is_fpu_address
 
 ROW = dict(ENGINES)
 
@@ -165,8 +174,17 @@ def test_the_stream_is_compact_and_travels():
     program = build_livermore_program(scale=0.05, loops=(3,))
     Simulator(PIPE, program).run()
     stream = program.issue_stream
-    for name in ("branches", "loads", "stores", "fpu_at", "fpu_addr"):
+    for name in (
+        "branches",
+        "loads",
+        "stores",
+        "fpu_at",
+        "fpu_addr",
+        "load_tags",
+        "store_tags",
+    ):
         assert type(getattr(stream, name)) is array, name
+    assert type(stream.near) is bytearray
     assert len(stream.loads) > 0 and stream.end == stream.length - 1
     shipped = pickle.loads(pickle.dumps(program))
     assert shipped.issue_stream.loads == stream.loads
@@ -188,3 +206,45 @@ def test_the_pass_computes_the_functional_simulators_values():
     assert len(stream.fpu_at) == result.fpu_operations > 0
     assert len(stream.loads) == result.loads
     assert len(stream.stores) == result.stores
+
+
+CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
+
+
+def _corpus_program(path: Path):
+    kernel, arrays, _metadata = workload_from_json(path.read_text())
+    return build_kernel_suite([kernel], list(arrays)).program
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_livermore_suite(scale=0.05).program]  # uncached
+    + [lambda path=path: _corpus_program(path) for path in CORPUS],
+    ids=["suite"] + [path.stem for path in CORPUS],
+)
+def test_the_guard_arrays_recount_the_stream(build, monkeypatch):
+    """``load_tags`` and ``store_tags`` hold each access's FPU-window
+    address, else 0; ``near`` holds how many stores back a load's
+    nearest same-address store was issued, up to ``FAR``, recounted
+    here over every store issued before the load."""
+    program = build()
+    issued = []
+    push_laq = IssueStream.push_laq
+
+    def counted(self, address):
+        push_laq(self, address)
+        issued.append(len(self.stores))
+
+    monkeypatch.setattr(IssueStream, "push_laq", counted)
+    stream = program.issue_stream
+    stream.finish()
+    loads, stores = stream.loads.tolist(), stream.stores.tolist()
+    assert len(issued) == len(loads) > 0
+    for name, addresses in (("load_tags", loads), ("store_tags", stores)):
+        tags = [address if is_fpu_address(address) else 0 for address in addresses]
+        assert getattr(stream, name).tolist() == tags, name
+    near = []
+    for address, before in zip(loads, issued):
+        gaps = [before - j for j in range(before - 1, -1, -1) if stores[j] == address]
+        near.append(min(gaps[0], FAR) if gaps else FAR)
+    assert list(stream.near) == near

@@ -10,13 +10,22 @@ same program reads the first one's issue stream and compiles nothing,
 and each guard replay takes is shown to be load-bearing: with it
 disabled, a program that needs it times wrongly.  That is the four
 guards a replayed iteration passes and the machine-signature equality
-that lets a loop engage and replay.  Every headline loop engages on
-its first recording that ends on the signature it started from.  A
-burst commits once, and that one commit of ``k`` iterations equals
-``k`` commits of one.
+that lets a loop engage and replay.  More rows give the FPU guard a
+trip that differs in a load and the hazard guard trips whose counts go
+1 → 0, 2 → 1 and 1 → 2, so its recount of a nonzero count has rows to
+fail as well as its gap check for a count of 0, and that check reads a
+saturated gap as a hazard in a window too wide to tell.  Every
+headline loop engages on its first recording that ends on the signature
+it started from.  A burst confirms, a chunk of iterations at a time,
+exactly the iterations a walk one iteration at a time confirms, in
+O(log k) chunks.  It commits once, and that one commit of ``k``
+iterations equals ``k`` commits of one.
 """
 
 import dataclasses
+import math
+import types
+from array import array
 from pathlib import Path
 
 import pytest
@@ -29,9 +38,12 @@ from repro.core.fuzz import FUZZ_CONFIGS, check_workload
 from repro.core.replay import MAX_FIELDS, ReplayController, StatsBook, machine_signature
 from repro.core.scheduler import ENGINES
 from repro.core.simulator import Simulator
+from repro.cpu.data_engine import DataQueueEngine
 from repro.cpu.functional import FunctionalSimulator
+from repro.cpu.stream import FAR
 from repro.kernels.serialize import workload_from_json
 from repro.kernels.suite import build_livermore_program
+from repro.memory.fpu import is_fpu_address
 from repro.memory.system import MemorySystem
 
 ROW = dict(ENGINES)
@@ -382,11 +394,12 @@ TRIPS = 40
 ODD_TRIP = 30
 
 
-def _table(odd: str, entries: int = TRIPS) -> str:
-    """A ``.word`` list of ``scratch`` addresses, with ``odd`` at
-    :data:`ODD_TRIP`."""
+def _table(odd: str, entries: int = TRIPS, usual: str | None = None) -> str:
+    """A ``.word`` list of ``scratch`` addresses (or of ``usual``), with
+    ``odd`` at :data:`ODD_TRIP`."""
     return ", ".join(
-        odd if trip == ODD_TRIP else f"scratch + {4 * trip}" for trip in range(entries)
+        odd if trip == ODD_TRIP else usual or f"scratch + {4 * trip}"
+        for trip in range(entries)
     )
 
 
@@ -421,10 +434,38 @@ table: .word {_table("0xF000")}
 scratch: .space {4 * TRIPS}
 """
 
-#: each trip queues two stores, then loads from its table entry while
-#: the second store still waits in the SAQ; one entry is that store's
-#: address, an ordering hazard
-HAZARD_PROGRAM = f"""
+#: an FPU operation is started before the loop, and each trip loads
+#: from its table entry; one entry is the FPU's result register, so
+#: that trip's load is routed to the FPU and takes the result
+FPU_LOAD_PROGRAM = f"""
+    li r6, 0x7800
+    slli r6, r6, 1
+    st r6, 0
+    pushq r0
+    st r6, 4
+    pushq r0
+    li r1, 0
+    li r5, {4 * TRIPS}
+    lbr b0, loop
+loop:
+    ld r1, table
+    addi r1, r1, 4
+    popq r2
+    ld r2, 0
+    popq r4
+    sub r3, r1, r5
+    pbrne b0, r3, 1
+    nop
+    halt
+table: .word {_table("0xF020")}
+scratch: .space {4 * TRIPS}
+"""
+
+
+def _hazard_program(table: str) -> str:
+    """Each trip queues two stores, then loads from its ``table`` entry
+    while the second store, to ``spot``, still waits in the SAQ."""
+    return f"""
     li r1, 0
     li r5, {4 * TRIPS}
     lbr b0, loop
@@ -446,9 +487,47 @@ loop:
     halt
 dummy: .word 0
 spot: .word 0
-table: .word {_table("spot", TRIPS + 1)}
+table: .word {table}
 scratch: .space {4 * TRIPS + 4}
 """
+
+
+def _two_hazard_program(table: str) -> str:
+    """Each trip queues two stores behind a load that holds the memory
+    port, the first to ``spot`` and the second to its ``table`` entry,
+    then loads from ``spot`` while both still wait in the SAQ."""
+    return f"""
+    li r1, 0
+    li r5, {4 * TRIPS}
+    lbr b0, loop
+loop:
+    ld r1, table
+    addi r1, r1, 4
+    popq r2
+    ld r0, dummy
+    st r0, spot
+    pushq r1
+    st r2, 0
+    pushq r1
+    ld r0, spot
+    popq r4
+    popq r4
+    sub r3, r1, r5
+    pbrne b0, r3, 1
+    nop
+    halt
+dummy: .word 0
+spot: .word 0
+elsewhere: .word 0
+table: .word {table}
+"""
+
+
+#: one entry is ``spot``, so that trip's load is an ordering hazard
+HAZARD_PROGRAM = _hazard_program(_table("spot", TRIPS + 1))
+#: every entry is ``spot``, for two hazards, but one entry moves the
+#: second store elsewhere, and that trip's load overlaps one store
+TWO_HAZARD_PROGRAM = _two_hazard_program(_table("elsewhere", usual="spot"))
 
 #: each trip stores to its table entry, the data issuing last, in the
 #: delay slot; one entry is unaligned, so that trip's data raises
@@ -479,31 +558,61 @@ GUARD_PROGRAMS = {
     "_hazards_match": (HAZARD_PROGRAM, None),
 }
 
+#: the rows of the load-bearing test: (guard, program, error), one per
+#: guard; an FPU row whose odd trip differs in a load, not a store; and
+#: more hazard rows, named ``-<hazards>-<odd hazards>`` for the most
+#: ordering hazards a recorded load meets and what the odd trip's meets
+#: (the first row's are 0 and 1): the gap check for 0 hazards and the
+#: recount of 1 or 2 have rows to fail
+LOAD_BEARING = {
+    **{guard: (guard, *GUARD_PROGRAMS[guard]) for guard in GUARDS},
+    "_fpu_accesses_match-load": ("_fpu_accesses_match", FPU_LOAD_PROGRAM, None),
+    "_hazards_match-1-0": (
+        "_hazards_match",
+        _hazard_program(_table("scratch", TRIPS + 1, usual="spot")),
+        None,
+    ),
+    "_hazards_match-2-1": ("_hazards_match", TWO_HAZARD_PROGRAM, None),
+    "_hazards_match-1-2": (
+        "_hazards_match",
+        _two_hazard_program(_table("spot", usual="elsewhere")),
+        None,
+    ),
+}
+#: the most hazards a recorded load meets, per hazard row
+RECORDED_HAZARDS = {
+    "_hazards_match": 0,
+    "_hazards_match-1-0": 1,
+    "_hazards_match-2-1": 2,
+    "_hazards_match-1-2": 1,
+}
+
 
 def _outcome(program, row: str, config: MachineConfig = GUARD_MACHINE):
-    """The result dict, or the ``(type, message)`` of what the run
-    raised, plus the simulator."""
+    """The result dict, or the ``(type, message)`` of the error the run
+    raised, plus the simulator.  Those are the errors an instruction
+    raises and the machine's own (a deadlock, a timeout, a desync); any
+    other, such as a test wrapper called with the wrong arguments,
+    propagates."""
     sim = Simulator(config, program, **ROW[row])
     try:
         return sim.run().to_dict(), sim
-    except Exception as error:  # noqa: BLE001 — the error is the outcome
+    except (ValueError, IndexError, RuntimeError) as error:
         return (type(error).__name__, str(error)), sim
 
 
-@pytest.mark.parametrize(
-    "guard, source, raises",
-    [(guard, *GUARD_PROGRAMS[guard]) for guard in GUARDS],
-    ids=GUARDS,
-)
-def test_replay_guard_is_load_bearing(guard, source, raises, monkeypatch):
+@pytest.mark.parametrize("case", list(LOAD_BEARING))
+def test_replay_guard_is_load_bearing(case, monkeypatch):
     """Each guard alone keeps replay from timing its program wrongly.
 
     Guarded, the compiled row replays the loop and matches the
     reference row (the end program raises on both).  With the one guard
     overruled — it still runs, so the stream is still extended, but its
     verdict is ignored — the odd trip is replayed as the recorded one
-    and the rows disagree.
+    and the rows disagree.  Each hazard row's record holds the hazard
+    counts its id names.
     """
+    guard, source, raises = LOAD_BEARING[case]
     program = assemble(source)
     reference, _sim = _outcome(program, "reference")
     if raises is not None:
@@ -512,11 +621,15 @@ def test_replay_guard_is_load_bearing(guard, source, raises, monkeypatch):
     assert guarded == reference
     (top,) = sim.replay_controller.loop_reports()
     assert top["replayed_iterations"] > ODD_TRIP / 2 and top["divergences"] >= 1
+    if case in RECORDED_HAZARDS:
+        (state,) = sim.replay_controller.loops.values()
+        counts = [count for *_window, count in state.record.windows]
+        assert max(counts) == RECORDED_HAZARDS[case]
 
     check = getattr(ReplayController, guard)
 
-    def overruled(self, record, stream, at):
-        check(self, record, stream, at)
+    def overruled(self, record, stream, at, n):
+        check(self, record, stream, at, n)
         return True
 
     monkeypatch.setattr(ReplayController, guard, overruled)
@@ -551,10 +664,31 @@ def test_saq_windows_follow_the_queue():
     )
 
 
+@pytest.mark.parametrize("width", [1, FAR - 1, FAR, FAR + 40])
+def test_a_saturated_gap_clears_only_a_narrower_window(width):
+    """``near`` saturates at ``FAR``, so a load from an address never
+    stored to reads ``FAR``.  A window narrower than that passes the
+    gap check; one as wide or wider cannot tell a far store from none,
+    so it fails it, which stops replay and never mistimes."""
+    stream = types.SimpleNamespace(
+        loads=array("I", [64]), stores=array("I"), near=bytearray([FAR])
+    )
+    record = types.SimpleNamespace(loads=[0], stores=[], windows=((0, -width, 0, 0),))
+    holds = ReplayController._hazards_match(None, record, stream, (0, 0, 0, 0), 1)
+    assert holds == (width < FAR)
+
+
 def test_saq_holds_the_newest_stores_at_every_burst(suite_program, monkeypatch):
-    """The hazard recount's SAQ windows rest on this: at every burst
+    """The hazard guard's SAQ windows rest on this: at every burst
     entry the SAQ holds the newest stores issued, in issue order, so
-    its addresses are the stream's stores just below the store cursor."""
+    its addresses are the stream's stores just below the store cursor.
+
+    So does the window-end invariant that lets it clear a load of
+    hazards from the stream's store gaps: at every load the reference
+    loop pushes, the SAQ's stores to the load's address are its nearest
+    ones, so the engine counts a hazard exactly when the load's ``near``
+    gap is at most the SAQ's length.
+    """
     burst = ReplayController._burst
     queued = []
 
@@ -572,6 +706,124 @@ def test_saq_holds_the_newest_stores_at_every_burst(suite_program, monkeypatch):
         Simulator(config, suite_program, **ROW["compiled"]).run()
         assert len(queued) > count, f"{name} never replayed"
     assert any(queued), "no burst started with a store queued"
+
+    push_laq = DataQueueEngine.push_laq
+    hazards = {}
+
+    # ``stream`` and ``loads`` (the loads pushed so far) are set per run
+    def gapped(self, address):
+        index = loads[0]
+        loads[0] += 1
+        assert stream.loads[index] == address
+        count = sum(entry.address == address for entry in self.saq)
+        assert (count > 0) == (stream.near[index] <= len(self.saq)), (index, count)
+        hazards[count] = hazards.get(count, 0) + 1
+        push_laq(self, address)
+
+    monkeypatch.setattr(DataQueueEngine, "push_laq", gapped)
+    runs = [(config, suite_program) for config in HEADLINE.values()]
+    runs += [
+        (GUARD_MACHINE, assemble(LOAD_BEARING[case][1])) for case in RECORDED_HAZARDS
+    ]
+    for config, program in runs:
+        stream = program.issue_stream
+        loads = [0]
+        _outcome(program, "reference", config)
+        assert loads[0] == len(stream.loads)
+    assert set(hazards) == {0, 1, 2}
+
+
+# ----------------------------------------------------------------------
+# The gallop confirms what a walk one iteration at a time confirms
+# ----------------------------------------------------------------------
+def _walk(record, stream, at: tuple, budget: int) -> int:
+    """How many iterations from the cursors ``at`` pass the four guards
+    checked one iteration at a time, as the walk before the gallop
+    checked them: the FPU tags derived from the addresses, and each
+    load's hazards recounted over its SAQ window of the stream's
+    stores."""
+    issued, branch, load, store = at
+    loads, stores = stream.loads, stream.stores
+    per_branch, per_load, per_store = (
+        len(record.branches),
+        len(record.loads),
+        len(record.stores),
+    )
+
+    def tags(addresses):
+        return [address if is_fpu_address(address) else 0 for address in addresses]
+
+    k = 0
+    while k < budget and not (
+        stream.ends_before(issued + record.instructions)
+        or stream.branches[branch : branch + per_branch] != record.branches
+        or tags(loads[load : load + per_load]) != list(record.loads)
+        or tags(stores[store : store + per_store]) != list(record.stores)
+        or any(
+            stores[store + start : store + end].count(loads[load + offset]) != count
+            for offset, start, end, count in record.windows
+        )
+    ):
+        issued += record.instructions
+        branch += per_branch
+        load += per_load
+        store += per_store
+        k += 1
+    return k
+
+
+def _most_probes(k: int) -> float:
+    """The chunks a burst of ``k`` iterations may probe."""
+    return 4 * math.log2(k + 1) + 4
+
+
+@pytest.mark.parametrize("case", [*HEADLINE, *LOAD_BEARING])
+def test_gallop_stops_where_the_walk_stops(case, suite_program, monkeypatch):
+    """Every burst replays exactly the iterations that a walk one
+    iteration at a time confirms from its entry cursors (:func:`_walk`),
+    and counts a divergence exactly when the walk stops short of the
+    budget; a guard program's odd trip fails inside a chunk.  It probes
+    :func:`_most_probes` chunks at most, and some burst is long enough
+    that the walk's ``k + 1`` checks would be more.  The four guards
+    hold for a chunk from the entry cursors exactly when the walk
+    confirms each of its iterations, at every length up to the
+    walk's and past it."""
+    if case in HEADLINE:
+        config, program = HEADLINE[case], suite_program
+    else:
+        config, program = GUARD_MACHINE, assemble(LOAD_BEARING[case][1])
+    burst = ReplayController._burst
+    checks = [getattr(ReplayController, guard) for guard in GUARDS]
+    stream_continues = ReplayController._stream_continues
+    probes = [0]
+    walked = []
+
+    def counted(self, record, stream, at, n):
+        probes[0] += 1
+        return stream_continues(self, record, stream, at, n)
+
+    def checked(self, state, now):
+        record = state.record
+        stream = self.sim.backend.stream
+        at = _cursors(self.sim)
+        budget = (self.sim.config.max_cycles - now) // record.cycles
+        k = _walk(record, stream, at, budget)
+        for n in range(1, min(k + 2, budget) + 1):
+            holds = all(check(self, record, stream, at, n) for check in checks)
+            assert holds == (n <= k), (k, n)
+        replayed, divergences = state.replayed, state.divergences
+        probes[0] = 0
+        after = burst(self, state, now)
+        assert state.replayed - replayed == k
+        assert state.divergences - divergences == (k < budget)
+        assert probes[0] <= _most_probes(k), (k, probes[0])
+        walked.append(k)
+        return after
+
+    monkeypatch.setattr(ReplayController, "_stream_continues", counted)
+    monkeypatch.setattr(ReplayController, "_burst", checked)
+    _outcome(program, "compiled", config)
+    assert any(k + 1 > _most_probes(k) for k in walked), walked
 
 
 # ----------------------------------------------------------------------
