@@ -5,6 +5,7 @@ the functional simulator, so regressions in the simulator's own speed
 are visible in benchmark history.
 """
 
+import statistics
 import time
 
 import pytest
@@ -108,18 +109,47 @@ _SKIP_CONFIGS = {
 }
 
 
-def _best_of(rounds: int, config, program, engine: str) -> tuple[float, int]:
-    """Min-of-``rounds`` wall time of one simulation on one
-    :data:`~repro.core.scheduler.ENGINES` row, and its cycle count."""
-    best = float("inf")
-    cycles = 0
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = simulate(config, program, **ROW[engine])
-        best = min(best, time.perf_counter() - start)
-        assert result.halted
-        cycles = result.cycles
-    return best, cycles
+def _paired_rounds(rounds: int, config, program) -> tuple[list, list, int]:
+    """Wall times of ``rounds`` simulations on each of the ``compiled``
+    and ``reference`` :data:`~repro.core.scheduler.ENGINES` rows, and
+    the cycle count they agree on.
+
+    The engines alternate round by round (and take turns going first),
+    so a swing in host load lands on both sides of a round's ratio
+    instead of on whichever engine ran during it.  One untimed compiled
+    run first builds the program's issue stream and the kernel, which
+    every later run reuses.
+    """
+    simulate(config, program, **ROW["compiled"])
+    seconds = {"compiled": [], "reference": []}
+    cycles = {}
+    for round_index in range(rounds):
+        order = ("compiled", "reference")
+        for engine in order if round_index % 2 == 0 else order[::-1]:
+            start = time.perf_counter()
+            result = simulate(config, program, **ROW[engine])
+            seconds[engine].append(time.perf_counter() - start)
+            assert result.halted
+            cycles[engine] = result.cycles
+    assert cycles["compiled"] == cycles["reference"], (
+        f"the compiled engine simulated {cycles['compiled']} cycles but "
+        f"the reference loop simulated {cycles['reference']}"
+    )
+    return seconds["compiled"], seconds["reference"], cycles["compiled"]
+
+
+def _ratios(compiled: list, reference: list) -> list:
+    """Per-round speedups: each round's reference time over its compiled
+    time."""
+    return [off / on for on, off in zip(compiled, reference)]
+
+
+def _spread(ratios: list) -> str:
+    """The median per-round ratio with its min-max."""
+    return (
+        f"{statistics.median(ratios):.2f}x "
+        f"[{min(ratios):.2f}-{max(ratios):.2f}]"
+    )
 
 
 def test_idle_skip_speedup(context, benchmark, results_dir):
@@ -129,47 +159,45 @@ def test_idle_skip_speedup(context, benchmark, results_dir):
     its cycles waiting on a single outstanding fill — exactly the
     quiescent spans the compiled engine's idle skip jumps over.  This
     benchmark runs the same configurations on the ``compiled`` and
-    ``reference`` engine rows (min-of-N wall time), checks the cycle
-    counts agree, publishes the per-config table to
+    ``reference`` engine rows, alternating round by round, checks the
+    cycle counts agree, publishes the per-config table to
     ``benchmarks/results/idle_skip.txt``, and enforces the headline
-    claim: >= 3x overall on memory_access_time-dominated configs.
+    claim: a median per-round speedup >= 3x on
+    memory_access_time-dominated configs.
     """
-    rounds = 3
+    rounds = 5
     rows = []
-    headline_on = headline_off = 0.0
+    headline_on = [0.0] * rounds
+    headline_off = [0.0] * rounds
     for name, factory in sorted(_SKIP_CONFIGS.items()):
         config = factory()
-        on_seconds, on_cycles = _best_of(rounds, config, context.program, "compiled")
-        off_seconds, off_cycles = _best_of(
-            rounds, config, context.program, "reference"
-        )
-        assert on_cycles == off_cycles, (
-            f"{name}: the compiled engine simulated {on_cycles} cycles but "
-            f"the reference loop simulated {off_cycles}"
-        )
+        on, off, cycles = _paired_rounds(rounds, config, context.program)
         # The headline claim is about memory-dominated configs; the
         # mat16 row is context showing how the win scales with latency.
         if config.memory_access_time >= 32:
-            headline_on += on_seconds
-            headline_off += off_seconds
-        rows.append((name, on_cycles, on_seconds, off_seconds))
+            headline_on = [a + b for a, b in zip(headline_on, on)]
+            headline_off = [a + b for a, b in zip(headline_off, off)]
+        rows.append((name, cycles, on, off))
 
-    speedup = headline_off / headline_on
+    overall = _ratios(headline_on, headline_off)
+    speedup = statistics.median(overall)
     lines = [
         "Compiled engine (idle-cycle skipping): wall-clock vs the reference loop",
-        f"(workload scale {context.scale}, min of {rounds} runs per cell)",
+        f"(workload scale {context.scale}, {rounds} rounds per cell, the engines",
+        "alternating round by round; times are medians, the speedup is the",
+        "median per-round ratio with its min-max)",
         "",
         f"{'config':<26} {'cycles':>10} {'compiled':>9} {'reference':>9} "
-        f"{'speedup':>8}",
+        f"{'speedup':>22}",
     ]
-    for name, cycles, on_seconds, off_seconds in rows:
+    for name, cycles, on, off in rows:
         lines.append(
-            f"{name:<26} {cycles:>10} {on_seconds:>8.3f}s {off_seconds:>8.3f}s "
-            f"{off_seconds / on_seconds:>7.2f}x"
+            f"{name:<26} {cycles:>10} {statistics.median(on):>8.3f}s "
+            f"{statistics.median(off):>8.3f}s {_spread(_ratios(on, off)):>22}"
         )
     lines += [
         "",
-        f"memory-dominated (mat>=32) speedup: {speedup:.2f}x (target >= 3x)",
+        f"memory-dominated (mat>=32) speedup: {_spread(overall)} (target >= 3x)",
     ]
     text = "\n".join(lines) + "\n"
     print(f"\n{text}")
@@ -213,44 +241,41 @@ def test_warm_replay_speedup(context, benchmark, results_dir):
     every iteration repeats the same cycle-by-cycle evolution, which is
     exactly what the compiled engine's loop replay memoizes.  This
     benchmark runs the same configurations on the ``compiled`` and
-    ``reference`` engine rows (min-of-N wall time), checks the cycle
-    counts agree, publishes the per-config table to
+    ``reference`` engine rows, alternating round by round, checks the
+    cycle counts agree, publishes the per-config table to
     ``benchmarks/results/warm_replay.txt``, and enforces the headline
-    claim: >= 2x on the loop-dominated runs.
+    claim: a median per-round speedup >= 2x on the loop-dominated runs.
     """
-    rounds = 3
+    rounds = 5
     rows = []
-    total_on = total_off = 0.0
+    total_on = [0.0] * rounds
+    total_off = [0.0] * rounds
     for name, factory in sorted(_REPLAY_CONFIGS.items()):
         config = factory()
-        on_seconds, on_cycles = _best_of(rounds, config, context.program, "compiled")
-        off_seconds, off_cycles = _best_of(
-            rounds, config, context.program, "reference"
-        )
-        assert on_cycles == off_cycles, (
-            f"{name}: the compiled engine simulated {on_cycles} cycles but "
-            f"the reference loop simulated {off_cycles}"
-        )
-        total_on += on_seconds
-        total_off += off_seconds
-        rows.append((name, on_cycles, on_seconds, off_seconds))
+        on, off, cycles = _paired_rounds(rounds, config, context.program)
+        total_on = [a + b for a, b in zip(total_on, on)]
+        total_off = [a + b for a, b in zip(total_off, off)]
+        rows.append((name, cycles, on, off))
 
-    speedup = total_off / total_on
+    overall = _ratios(total_on, total_off)
+    speedup = statistics.median(overall)
     lines = [
         "Compiled engine (loop replay): wall-clock vs the reference loop",
-        f"(workload scale {context.scale}, min of {rounds} runs per cell)",
+        f"(workload scale {context.scale}, {rounds} rounds per cell, the engines",
+        "alternating round by round; times are medians, the speedup is the",
+        "median per-round ratio with its min-max)",
         "",
         f"{'config':<26} {'cycles':>10} {'compiled':>10} {'reference':>11} "
-        f"{'speedup':>8}",
+        f"{'speedup':>24}",
     ]
-    for name, cycles, on_seconds, off_seconds in rows:
+    for name, cycles, on, off in rows:
         lines.append(
-            f"{name:<26} {cycles:>10} {on_seconds:>9.3f}s {off_seconds:>10.3f}s "
-            f"{off_seconds / on_seconds:>7.2f}x"
+            f"{name:<26} {cycles:>10} {statistics.median(on):>9.3f}s "
+            f"{statistics.median(off):>10.3f}s {_spread(_ratios(on, off)):>24}"
         )
     lines += [
         "",
-        f"loop-dominated overall speedup: {speedup:.2f}x (target >= 2x)",
+        f"loop-dominated overall speedup: {_spread(overall)} (target >= 2x)",
     ]
     text = "\n".join(lines) + "\n"
     print(f"\n{text}")

@@ -12,20 +12,22 @@ is the reference loop's: :meth:`~repro.core.simulator.Simulator.run`),
 and in which
 
 * configuration constants (``max_cycles``, the deadlock horizon, queue
-  capacities, branch latency, the bus knobs, the FPU window) are folded
-  into integer and string literals, and the acceptance priority into
-  the order the two request sources are tried;
+  capacities, branch latency, the bus knobs, the FPU window, the icache
+  sub-block size, the conventional prefetch policy) are folded into
+  integer and string literals or into which arm is emitted, and the
+  acceptance priority into the order the two request sources are
+  tried;
 * every per-cycle component phase (``memory.begin_cycle``,
   ``engine.update``, ``frontend.update``, ``backend.step``,
   ``frontend.post_issue``, ``memory.end_cycle``) and the idle-skip
   wake scan are flattened into straight-line inlined code: the input
   bus's FPU drain, delivery arbitration and retirement, both sources'
-  polls and the acceptance decision run in the kernel, which builds a
-  data request object only when memory accepts it or the FPU must
-  inspect it, while the cold or once-per-request work they trigger (an
-  FPU result's delivery, the acceptance itself, request callbacks,
-  branch redirects, the icache miss fill) stays a bound call
-  (``docs/COMPILED.md``, "Current inlining frontier");
+  polls, the acceptance, the queue pushes and pops, and the fetch
+  decisions over the instruction cache's residency map run in the
+  kernel, while the once-per-request work they trigger (building a
+  fetch request, a miss's fill, request callbacks, an FPU result's
+  delivery, branch redirects) stays a bound call (``docs/COMPILED.md``,
+  "Current inlining frontier");
 * component objects, bound methods, and queue storage are hoisted into
   locals once per run, outside the hot loop.
 
@@ -63,12 +65,14 @@ sweep workers inherit whatever the parent had compiled.
 
 **Hoisting rule.**  Only objects that are never *rebound* during a run
 may be hoisted into kernel locals: component objects, the queues'
-``_items`` deques (mutated in place, even by replay's commit), the
-issue stream's arrays (they only grow), the stall-counter dict, stats
-objects.  Attributes the replay engine or the components rebind
-(``external.in_flight``, ``fpu._ops_pending``, the back-end's stream
-cursors) are always read through their owner, and no kernel local
-holds one across cycles.
+``_items`` deques (mutated in place, even by replay's commit), the data
+engine's in-flight-load deque, the instruction cache's residency map
+(zeroed in place by ``invalidate_all``), the issue stream's arrays
+(they only grow), the stall-counter dict, stats objects.  Attributes
+the replay engine or the components rebind (``external.in_flight``,
+``fpu._ops_pending``, the back-end's stream cursors, the data engine's
+``replay_log``) are always read through their owner, and no kernel
+local holds one across cycles.
 
 The kernel always runs with idle-cycle skipping and loop replay on;
 ``skip=False`` (:func:`repro.core.scheduler.resolve_engine`) or an
@@ -82,7 +86,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..cpu.backend import Backend, _PendingBranch
-from ..cpu.data_engine import DataQueueEngine
+from ..cpu.data_engine import (
+    DataQueueEngine,
+    _InFlightLoad,
+    _LaqEntry,
+    _SaqEntry,
+    _SdqEntry,
+)
 from ..cpu.dispatch import (
     clear_dispatch_cache,
     dispatch_codegen_stats,
@@ -209,6 +219,12 @@ class KernelSpec:
     memory_pipelined: bool
     instruction_first: bool
     strategy: str
+    #: conventional and PIPE: the icache sub-block size, which maps a
+    #: byte address to its residency-map index
+    sub_block_size: int | None
+    #: conventional only: the prefetch policy's value, which picks the
+    #: one prefetch arm the kernel emits
+    prefetch_policy: str | None
     #: PIPE only: icache line size folded into the IQB-exhaustion guards
     line_size: int | None
     #: PIPE only: IQ byte capacity folded into the transfer loop
@@ -226,6 +242,7 @@ def kernel_spec_for(sim) -> KernelSpec:
     frontend = sim.frontend
     pipe = type(frontend) is PipeFetchUnit
     tib = type(frontend) is TibFetchUnit
+    conventional = type(frontend) is ConventionalFetchUnit
     return KernelSpec(
         max_cycles=config.max_cycles,
         deadlock_cycles=sim.DEADLOCK_CYCLES,
@@ -238,6 +255,8 @@ def kernel_spec_for(sim) -> KernelSpec:
         memory_pipelined=memory.external.pipelined,
         instruction_first=memory.priority is RequestPriority.INSTRUCTION_FIRST,
         strategy=config.fetch_strategy.value,
+        sub_block_size=None if tib else frontend.cache.sub_block_size,
+        prefetch_policy=frontend.prefetch_policy.value if conventional else None,
         line_size=frontend.line_size if pipe else None,
         pipe_iq_size=frontend.iq_size if pipe else None,
         tib_block_size=frontend.block_size if tib else None,
@@ -258,21 +277,24 @@ _BINDINGS: dict[str, str] = {
     "external": "sim.memory.external",
     "fpu": "sim.memory.fpu",
     "bus_width": "sim.memory.input_bus_width",
+    "mem_access": "sim.memory.external.access_time",
+    "fpu_latency": "sim.memory.fpu.trigger_latencies()",
     "engine": "sim.engine",
     "engine_stats": "sim.engine.stats",
+    "in_flight_loads": "sim.engine._in_flight_loads",
     "frontend": "sim.frontend",
     "backend": "sim.backend",
     "clock": "sim.clock",
+    "seq": "sim.seq",
+    "laq": "sim.engine.laq",
+    "ldq": "sim.engine.ldq",
+    "saq": "sim.engine.saq",
+    "sdq": "sim.engine.sdq",
     "laq_items": "sim.engine.laq._items",
     "ldq_items": "sim.engine.ldq._items",
     "saq_items": "sim.engine.saq._items",
     "sdq_items": "sim.engine.sdq._items",
-    "ldq_push": "sim.engine.ldq.push",
     "backend_stalls": "sim.backend.stalls",
-    "ldq_pop": "sim.engine.ldq.pop",
-    "engine_push_laq": "sim.engine.push_laq",
-    "engine_push_saq": "sim.engine.push_saq",
-    "engine_push_sdq": "sim.engine.push_sdq",
     # -- the issue stream: its arrays only grow, in place; ``horizon``
     # is the recorded length ``stream.reach`` last returned (stale, it
     # only costs one more call)
@@ -287,31 +309,27 @@ _BINDINGS: dict[str, str] = {
     "frontend_branch_resolved": "sim.frontend.branch_resolved",
     "frontend_redirect": "sim.frontend.redirect",
     "frontend_halt": "sim.frontend.halt",
-    "frontend_notify": "sim.frontend.notify_accepted",
-    "engine_notify": "sim.engine.notify_accepted",
-    "external_accept": "sim.memory.external.accept",
     "fpu_can_accept": "sim.memory.fpu.can_accept",
-    "fpu_accept": "sim.memory.fpu.accept",
     "fpu_deliver": "sim.memory.fpu.deliver",
     "replay_on_backedge": "sim.replay_controller.on_backedge",
     "replay_check_runaway": "sim.replay_controller.check_runaway",
     # -- frontend-inlining bindings ------------------------------------
-    # The frontends' stats objects and queue/table storage are mutated
-    # in place for the whole run (replay advances counters with setattr
-    # on the same objects), so hoisting them obeys the hoisting rule.
+    # The frontends' stats objects, queue/table storage and the cache's
+    # residency map are mutated in place for the whole run (replay
+    # advances counters with setattr on the same objects), so hoisting
+    # them obeys the hoisting rule.
     "fe_stats": "sim.frontend.stats",
     "icache_stats": "sim.frontend.cache.stats",
-    "icache_unit": "sim.frontend.cache",
-    "cache_probe": "sim.frontend.cache.probe",
+    "residency": "sim.frontend.cache.residency",
+    "fe_block": "sim.frontend.block_size",
+    "fe_image_len": "len(sim.frontend.image)",
+    "fe_tagged": "sim.frontend._tagged_blocks",
     "pipe_iq": "sim.frontend._iq",
     "pipe_clock": "sim.frontend._clock",
     "pd_table": "sim.frontend.predecode._table",
-    "fe_memo": "{}",
-    "res_memo": "{}",
-    "probe_memo": "{}",
-    "frontend_maybe_promote": "sim.frontend._maybe_promote",
     "frontend_promote_starving": "sim.frontend._promote_if_starving",
     "frontend_maybe_request": "sim.frontend._maybe_request",
+    "frontend_issue_request": "sim.frontend._issue_request",
     "frontend_predecode_at": "sim.frontend.predecode.at",
     "frontend_start_fill": "sim.frontend._start_fill",
     # -- instruction-specialized dispatch ------------------------------
@@ -357,6 +375,14 @@ class KernelContext:
         finally:
             self._depth -= 1
 
+    def sub_block(self, address: str) -> str:
+        """The expression for the residency-map index of the sub-block
+        holding byte ``address`` (an expression)."""
+        size = self.spec.sub_block_size
+        if size & (size - 1) == 0:
+            return f"{address} >> {size.bit_length() - 1}"
+        return f"({address}) // {size}"
+
     def need(self, *names: str) -> None:
         for name in names:
             if name not in _BINDINGS:
@@ -377,11 +403,12 @@ class KernelContext:
 # The generator driver
 # ----------------------------------------------------------------------
 def _emit_drain_check(ctx: KernelContext) -> None:
-    ctx.need("laq_items", "saq_items", "sdq_items", "engine", "external", "fpu")
+    ctx.need("laq_items", "saq_items", "sdq_items", "in_flight_loads",
+             "external", "fpu")
     # ``engine.drained and memory.drained``, read field by field
     condition = (
         "backend.halted and not laq_items and not saq_items "
-        "and not sdq_items and not engine._in_flight_loads "
+        "and not sdq_items and not in_flight_loads "
         "and not external.in_flight and not fpu._ops_pending "
         "and not fpu._results_ready and not fpu._result_loads"
     )
@@ -551,6 +578,10 @@ def _kernel_globals() -> dict:
         "K_LOAD": RequestKind.LOAD,
         "K_STORE": RequestKind.STORE,
         "MemoryRequest": MemoryRequest,
+        "LaqEntry": _LaqEntry,
+        "SaqEntry": _SaqEntry,
+        "SdqEntry": _SdqEntry,
+        "InFlightLoad": _InFlightLoad,
         "DecodeError": DecodeError,
     }
 

@@ -36,6 +36,7 @@ from ..frontend.base import FetchUnit
 from ..isa.opcodes import Opcode
 from .data_engine import DataQueueEngine
 from .executor import queue_effects
+from .queues import ArchitecturalQueue
 from .stream import IssueStream
 
 __all__ = ["Backend", "StallReason"]
@@ -63,7 +64,7 @@ class StallReason:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingBranch:
     target: int
     taken: bool
@@ -251,10 +252,10 @@ class Backend:
             "backend", "clock", "backend_stalls", "effects_memo",
             "frontend_note_branch", "frontend_branch_resolved",
             "frontend_redirect", "ldq_items", "laq_items", "saq_items",
-            "sdq_items", "ldq_pop", "engine_push_laq", "engine_push_saq",
-            "engine_push_sdq", "stream", "stream_loads", "stream_stores",
+            "sdq_items", "stream", "stream_loads", "stream_stores",
             "stream_branches", "horizon", "entry_for",
         )
+        engine_cls = ctx.engine_cls
 
         def stall(reason: str) -> None:
             ctx.line(f"backend_stalls[{reason!r}] += 1")
@@ -329,17 +330,19 @@ class Backend:
                         with ctx.block("if index >= horizon:"):
                             ctx.line("horizon = stream.reach(index)")
                         with ctx.block("if entry[1]:"):
-                            ctx.line("ldq_pop()")
+                            ArchitecturalQueue.emit_compiled_pop(ctx, "ldq")
                         with ctx.block("if entry[2]:"):
                             ctx.line("s_at = backend.next_load")
-                            ctx.line("engine_push_laq(stream_loads[s_at])")
+                            ctx.line("s_address = stream_loads[s_at]")
+                            engine_cls.emit_compiled_push_laq(ctx, "s_address")
                             ctx.line("backend.next_load = s_at + 1")
                         with ctx.block("elif entry[3]:"):
                             ctx.line("s_at = backend.next_store")
-                            ctx.line("engine_push_saq(stream_stores[s_at])")
+                            ctx.line("s_address = stream_stores[s_at]")
+                            engine_cls.emit_compiled_push_saq(ctx, "s_address")
                             ctx.line("backend.next_store = s_at + 1")
                         with ctx.block("elif entry[4]:"):
-                            ctx.line("engine_push_sdq()")
+                            engine_cls.emit_compiled_push_sdq(ctx)
                         ctx.line("clock.ticks += 1")
                         frontend_cls.emit_compiled_consume(ctx)
                         ctx.line("backend.instructions = index + 1")
@@ -362,10 +365,9 @@ class Backend:
                                 ctx.line("backend.branches_taken += 1")
                             ctx.line(
                                 "backend._pending = _PendingBranch("
-                                "target=target, taken=taken, "
-                                f"resolve_at=now + "
-                                f"{spec.branch_resolution_latency}, "
-                                "slots_remaining=delay)"
+                                "target, taken, "
+                                f"now + {spec.branch_resolution_latency}, "
+                                "delay)"
                             )
                             ctx.line(
                                 "frontend_note_branch(pc, pc + size, delay, target)"

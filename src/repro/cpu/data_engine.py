@@ -30,33 +30,42 @@ from dataclasses import dataclass, field
 from ..asm.program import WORD_BYTES
 from ..core.scheduler import ProgressClock
 from ..core.trace import NULL_TRACER, Tracer
-from ..memory.fpu import is_fpu_address
+from ..memory.fpu import FPU_BASE, FPU_SIZE, is_fpu_address
 from ..memory.requests import MemoryRequest, RequestKind
 from .queues import ArchitecturalQueue
 
 __all__ = ["DataQueueEngine", "DataEngineStats"]
 
+#: ``is_fpu_address`` of an expression, as kernel source
+_FPU_WINDOW = f"{FPU_BASE} <= {{}} < {FPU_BASE + FPU_SIZE}"
 
-@dataclass
+
+# The queue entries are slotted and built with positional arguments:
+# the compiled kernels build one per data access.
+@dataclass(slots=True)
 class _LaqEntry:
     address: int
     seq: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _SaqEntry:
     address: int
     seq: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _SdqEntry:
     seq: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _InFlightLoad:
     arrived: bool = False
+
+    def arrive(self, now: int) -> None:
+        """The load's ``on_complete``: its data is on chip."""
+        self.arrived = True
 
 
 @dataclass
@@ -120,7 +129,7 @@ class DataQueueEngine:
                 self.stats.ordering_hazards += 1
                 if self._tracer.enabled:
                     self._tracer.emit("engine", "hazard", addr=address)
-        self.laq.push(_LaqEntry(address=address, seq=self._next_seq()))
+        self.laq.push(_LaqEntry(address, self._next_seq()))
         if self.replay_log is not None:
             self.replay_log.append(("laq", hazards))
         self.stats.loads_issued += 1
@@ -128,7 +137,7 @@ class DataQueueEngine:
             self.stats.fpu_loads += 1
 
     def push_saq(self, address: int) -> None:
-        self.saq.push(_SaqEntry(address=address, seq=self._next_seq()))
+        self.saq.push(_SaqEntry(address, self._next_seq()))
         if self.replay_log is not None:
             self.replay_log.append(("saq",))
         self.stats.stores_issued += 1
@@ -136,7 +145,64 @@ class DataQueueEngine:
             self.stats.fpu_stores += 1
 
     def push_sdq(self) -> None:
-        self.sdq.push(_SdqEntry(seq=self._next_seq()))
+        self.sdq.push(_SdqEntry(self._next_seq()))
+
+    # ------------------------------------------------------------------
+    # compiled-kernel lowering of the pushes (repro.core.compiled)
+    # ------------------------------------------------------------------
+    # The back-end's issue emitter calls these after its capacity
+    # checks, so no push can find its queue full.  ``address`` names a
+    # kernel local.
+
+    @classmethod
+    def _emit_next_seq(cls, ctx) -> None:
+        """``e_seq = self._next_seq()`` on the machine's counter."""
+        ctx.need("seq")
+        ctx.line("e_seq = seq.value")
+        ctx.line("seq.value = e_seq + 1")
+
+    @classmethod
+    def _emit_replay_event(cls, ctx, event: str) -> None:
+        """Append ``event`` to ``replay_log`` while replay records;
+        replay rebinds the log, so it is read through the engine."""
+        ctx.line("e_log = engine.replay_log")
+        with ctx.block("if e_log is not None:"):
+            ctx.line(f"e_log.append({event})")
+
+    @classmethod
+    def emit_compiled_push_laq(cls, ctx, address: str) -> None:
+        """Lower :meth:`push_laq`: count the queued stores at the same
+        address, then push the entry."""
+        ctx.need("engine", "engine_stats", "saq_items")
+        ctx.line("e_hz = 0")
+        with ctx.block("for e_entry in saq_items:"):
+            with ctx.block(f"if e_entry.address == {address}:"):
+                ctx.line("e_hz += 1")
+        with ctx.block("if e_hz:"):
+            ctx.line("engine_stats.ordering_hazards += e_hz")
+        cls._emit_next_seq(ctx)
+        ArchitecturalQueue.emit_compiled_push(ctx, "laq", f"LaqEntry({address}, e_seq)")
+        cls._emit_replay_event(ctx, '("laq", e_hz)')
+        ctx.line("engine_stats.loads_issued += 1")
+        with ctx.block(f"if {_FPU_WINDOW.format(address)}:"):
+            ctx.line("engine_stats.fpu_loads += 1")
+
+    @classmethod
+    def emit_compiled_push_saq(cls, ctx, address: str) -> None:
+        """Lower :meth:`push_saq`."""
+        ctx.need("engine", "engine_stats")
+        cls._emit_next_seq(ctx)
+        ArchitecturalQueue.emit_compiled_push(ctx, "saq", f"SaqEntry({address}, e_seq)")
+        cls._emit_replay_event(ctx, '("saq",)')
+        ctx.line("engine_stats.stores_issued += 1")
+        with ctx.block(f"if {_FPU_WINDOW.format(address)}:"):
+            ctx.line("engine_stats.fpu_stores += 1")
+
+    @classmethod
+    def emit_compiled_push_sdq(cls, ctx) -> None:
+        """Lower :meth:`push_sdq`."""
+        cls._emit_next_seq(ctx)
+        ArchitecturalQueue.emit_compiled_push(ctx, "sdq", "SdqEntry(e_seq)")
 
     # ------------------------------------------------------------------
     # Per-cycle update: deliver arrived loads into the LDQ, in order
@@ -159,21 +225,23 @@ class DataQueueEngine:
     def emit_compiled_update(cls, ctx) -> None:
         """Lower :meth:`update` into the kernel.
 
-        The LDQ-full check folds the capacity literal; the push still
-        goes through the queue's bound ``push`` (hoisted in the
-        prologue) so occupancy stats, progress ticks, and trace events
-        stay exactly the reference's.
+        The LDQ-full check folds the capacity literal, so the open-coded
+        push (:meth:`ArchitecturalQueue.emit_compiled_push`) never finds
+        the queue full.
         """
         spec = ctx.spec
-        ctx.need("engine", "engine_stats", "ldq_items", "ldq_push")
-        ctx.line("ifl = engine._in_flight_loads")
-        condition = "ifl and ifl[0].arrived"
+        ctx.need("engine_stats", "in_flight_loads")
+        condition = "in_flight_loads and in_flight_loads[0].arrived"
         if spec.ldq_capacity is not None:
             condition += f" and len(ldq_items) < {spec.ldq_capacity}"
         with ctx.block(f"while {condition}:"):
-            ctx.line("ldq_push(ifl.popleft())")
-        with ctx.block("if len(ifl) > engine_stats.ldq_max_wait_entries:"):
-            ctx.line("engine_stats.ldq_max_wait_entries = len(ifl)")
+            ArchitecturalQueue.emit_compiled_push(
+                ctx, "ldq", "in_flight_loads.popleft()"
+            )
+        with ctx.block(
+            "if len(in_flight_loads) > engine_stats.ldq_max_wait_entries:"
+        ):
+            ctx.line("engine_stats.ldq_max_wait_entries = len(in_flight_loads)")
 
     # ------------------------------------------------------------------
     # Request source (output-bus arbitration)
@@ -228,19 +296,20 @@ class DataQueueEngine:
         Binds ``e_head``: the LAQ head, when the LDQ credit (folded
         capacity literal) allows it, or the SAQ head when the SAQ/SDQ
         pair is ready and older by ``seq``; ``None`` when neither is
-        ready.  ``e_store`` (and ``_offered_is_store``, read by
-        :meth:`notify_accepted`, written exactly as the reference writes
-        it) says which.  No request object is built here: the
+        ready.  ``e_store`` says which; the open-coded
+        :meth:`notify_accepted` reads it in place of
+        ``_offered_is_store``.  No request object is built here: the
         acceptance phase builds one with :meth:`emit_compiled_request`
         only when memory accepts it or ``TimedFpu.can_accept`` must
         inspect it.
         """
         spec = ctx.spec
-        ctx.need("engine", "laq_items", "ldq_items", "saq_items", "sdq_items")
+        ctx.need("in_flight_loads", "laq_items", "ldq_items", "saq_items",
+                 "sdq_items")
         credit = "laq_items"
         if spec.ldq_capacity is not None:
             credit += (
-                " and len(engine._in_flight_loads) + len(ldq_items) "
+                " and len(in_flight_loads) + len(ldq_items) "
                 f"< {spec.ldq_capacity}"
             )
         ctx.line(f"e_head = laq_items[0] if {credit} else None")
@@ -250,21 +319,27 @@ class DataQueueEngine:
         ):
             ctx.line("e_head = saq_items[0]")
             ctx.line("e_store = True")
-            ctx.line("engine._offered_is_store = True")
         with ctx.block("elif e_head is not None:"):
             ctx.line("e_store = False")
-            ctx.line("engine._offered_is_store = False")
 
     @classmethod
     def emit_compiled_request(cls, ctx) -> None:
         """Bind ``request`` to the :class:`MemoryRequest` that
         :meth:`poll_requests` builds for the offered ``e_head``, with
-        the same fields."""
-        ctx.line(
-            "request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, "
-            f"address=e_head.address, size={WORD_BYTES}, seq=e_head.seq, "
-            "demand=True)"
-        )
+        the same fields.  A load's carries the ``on_complete`` that
+        :meth:`notify_accepted` would set: the arrival flag of its new
+        ``e_flight``."""
+        with ctx.block("if e_store:"):
+            ctx.line(
+                f"request = MemoryRequest(K_STORE, e_head.address, {WORD_BYTES}, "
+                "e_head.seq, True)"
+            )
+        with ctx.block("else:"):
+            ctx.line("e_flight = InFlightLoad()")
+            ctx.line(
+                f"request = MemoryRequest(K_LOAD, e_head.address, {WORD_BYTES}, "
+                "e_head.seq, True, None, e_flight.arrive)"
+            )
 
     def notify_accepted(self, request: MemoryRequest, now: int) -> None:
         if self._offered_is_store:
@@ -275,12 +350,24 @@ class DataQueueEngine:
             return
         self.laq.pop()
         flight = _InFlightLoad()
-
-        def on_complete(_now: int, flight=flight) -> None:
-            flight.arrived = True
-
-        request.on_complete = on_complete
+        request.on_complete = flight.arrive
         self._in_flight_loads.append(flight)
+
+    @classmethod
+    def emit_compiled_notify(cls, ctx) -> None:
+        """Lower :meth:`notify_accepted` for the accepted ``e_head``: a
+        store when ``e_store``, else a load whose ``e_flight``
+        :meth:`emit_compiled_request` built.  The kernel knows which
+        from ``e_store``, so it never writes ``_offered_is_store``,
+        which only this method reads."""
+        ctx.need("in_flight_loads")
+        with ctx.block("if e_store:"):
+            ArchitecturalQueue.emit_compiled_pop(ctx, "saq")
+            ArchitecturalQueue.emit_compiled_pop(ctx, "sdq")
+            cls._emit_replay_event(ctx, '("sd",)')
+        with ctx.block("else:"):
+            ArchitecturalQueue.emit_compiled_pop(ctx, "laq")
+            ctx.line("in_flight_loads.append(e_flight)")
 
     # ------------------------------------------------------------------
     def state_signature(self, now: int, base_seq: int) -> tuple:

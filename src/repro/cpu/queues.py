@@ -112,6 +112,33 @@ class ArchitecturalQueue(Generic[T]):
             self._tracer.emit("queue", "pop", queue=self.name, depth=len(self._items))
         return item
 
+    # ------------------------------------------------------------------
+    # compiled-kernel lowering (repro.core.compiled)
+    # ------------------------------------------------------------------
+    # ``queue`` names the kernel binding of one of the data engine's
+    # queues, whose deque is bound as ``{queue}_items``.  The kernel
+    # pushes only after its capacity check and pops only after its
+    # emptiness check, so neither error can arise; the books are kept
+    # as :meth:`push` and :meth:`pop` keep them.
+
+    @classmethod
+    def emit_compiled_push(cls, ctx, queue: str, item: str) -> None:
+        """Lower :meth:`push` of the expression ``item``."""
+        ctx.need(queue, f"{queue}_items", "clock")
+        ctx.line(f"{queue}_items.append({item})")
+        ctx.line("clock.ticks += 1")
+        ctx.line(f"{queue}.total_pushes += 1")
+        with ctx.block(f"if len({queue}_items) > {queue}.max_occupancy:"):
+            ctx.line(f"{queue}.max_occupancy = len({queue}_items)")
+
+    @classmethod
+    def emit_compiled_pop(cls, ctx, queue: str) -> None:
+        """Lower :meth:`pop`, dropping the item."""
+        ctx.need(queue, f"{queue}_items", "clock")
+        ctx.line(f"{queue}.total_pops += 1")
+        ctx.line("clock.ticks += 1")
+        ctx.line(f"{queue}_items.popleft()")
+
     def peek(self) -> T:
         if not self._items:
             raise QueueEmptyError(f"queue {self.name} is empty")

@@ -114,33 +114,149 @@ class ConventionalFetchUnit(FetchUnit):
     # ------------------------------------------------------------------
     # compiled-kernel lowering (repro.core.compiled)
     # ------------------------------------------------------------------
-    # Both per-cycle phases are ``_maybe_promote(); _maybe_request(now)``.
-    # The lowered form folds the helpers' early-out guards and memoizes
-    # the *no-op* outcome of ``_maybe_request`` per ``(pc, cache epoch)``:
-    # when the call at a given pc issued no request, every later call at
-    # the same pc is a provable no-op until the cache mutates (every
-    # mutation bumps ``InstructionCache._epoch``, so residency answers
-    # are constant per epoch; TAGGED's tag-add is idempotent, ON_MISS's
-    # deferred block can only change via a request whose completion bumps
-    # the epoch).  ``next_instruction`` is pure in the same pair and is
-    # memoized the same way.
+    # Both per-cycle phases are ``_maybe_promote(); _maybe_request(now)``,
+    # and at most one of them acts: promotion needs an outstanding
+    # prefetch, a new request needs none.  The lowered form open-codes
+    # both decisions and ``next_instruction`` over the cache's residency
+    # map (``residency``, one byte per sub-block, hoisted: the cache
+    # never rebinds it), with the sub-block size and the prefetch policy
+    # folded from the spec: one emitted arm per policy.  Only building
+    # the request stays a bound call (``_issue_request``, once per
+    # request).
+
+    @classmethod
+    def _emit_head_resident(cls, ctx) -> str:
+        """The condition ``cache.probe(pc, 2)`` for ``f_pc``, whose
+        sub-block is ``f_sb``: an odd pc's parcel may end in the next
+        sub-block."""
+        tail = ctx.sub_block("f_pc + 1")
+        return f"residency[f_sb] and (not f_pc & 1 or residency[{tail}])"
+
+    @classmethod
+    def _emit_tail_resident(cls, ctx, size: str) -> str:
+        """Emit ``f_last``, the last byte's sub-block, and return the
+        condition ``cache.probe(pc, size)`` once the head parcel is
+        known resident: every sub-block up to ``f_last``."""
+        last = ctx.sub_block(f"f_pc + {size} - 1")
+        ctx.line(f"f_last = {last}")
+        return "f_last == f_sb or residency.find(0, f_sb, f_last + 1) < 0"
+
+    @classmethod
+    def _emit_lookup(cls, ctx) -> None:
+        """``f_entry = predecode.at(f_pc)``: the table answers, an unseen
+        pc decodes through the bound method, and bytes that do not
+        decode raise :class:`DecodeError` there, as in the reference."""
+        ctx.line("f_entry = pd_table.get(f_pc) or frontend_predecode_at(f_pc)")
+
+    @classmethod
+    def _emit_resident(cls, ctx) -> None:
+        """``f_hit = _current_instruction_resident()`` for ``f_pc``."""
+        ctx.line(f"f_sb = {ctx.sub_block('f_pc')}")
+        ctx.line(f"f_hit = {cls._emit_head_resident(ctx)}")
+        with ctx.block("if f_hit:"):
+            cls._emit_lookup(ctx)
+            ctx.line(f"f_hit = {cls._emit_tail_resident(ctx, 'f_entry[1]')}")
+
+    @classmethod
+    def _emit_prefetchable(cls, ctx, block: str, then) -> None:
+        """``if _prefetchable(block): then()``: in the image, and not
+        every probed byte resident."""
+        ctx.line(f"f_len = fe_image_len - {block}")
+        with ctx.block("if f_len >= fe_block:"):
+            # the bus width is a multiple of 4, so already even
+            ctx.line("f_len = fe_block")
+        with ctx.block("else:"):
+            ctx.line("f_len -= f_len & 1")
+        first = ctx.sub_block(block)
+        last = ctx.sub_block(f"{block} + f_len - 1")
+        with ctx.block(
+            f"if f_len >= 2 and residency.find(0, {first}, ({last}) + 1) >= 0:"
+        ):
+            then()
+
+    @classmethod
+    def _emit_demand(cls, ctx, miss: str) -> None:
+        """The demand fetch of the block holding the missing byte."""
+        ctx.line(f"f_blk = {miss} - {miss} % fe_block")
+        if ctx.spec.prefetch_policy == PrefetchPolicy.ON_MISS.value:
+            ctx.line("frontend._miss_prefetch_block = f_blk + fe_block")
+        ctx.line(f"frontend_issue_request(f_blk, True, now, {miss})")
+
+    @classmethod
+    def _emit_prefetch(cls, ctx) -> None:
+        """``_choose_prefetch`` for the resident instruction at ``f_pc``
+        (size ``f_size``), in the spec's policy, then its request."""
+        policy = PrefetchPolicy(ctx.spec.prefetch_policy)
+
+        def issue() -> None:
+            ctx.line("frontend_issue_request(f_blk, False, now)")
+
+        if policy is PrefetchPolicy.NONE:
+            ctx.line("pass")
+        elif policy is PrefetchPolicy.ON_MISS:
+            ctx.line("f_blk = frontend._miss_prefetch_block")
+            with ctx.block("if f_blk is not None:"):
+
+                def take() -> None:
+                    ctx.line("frontend._miss_prefetch_block = None")
+                    issue()
+
+                cls._emit_prefetchable(ctx, "f_blk", take)
+        elif policy is PrefetchPolicy.TAGGED:
+            # the first reference to a block prefetches its successor
+            ctx.line("f_blk = f_pc - f_pc % fe_block")
+            with ctx.block("if f_blk not in fe_tagged:"):
+                ctx.line("fe_tagged.add(f_blk)")
+                ctx.line("f_blk += fe_block")
+                cls._emit_prefetchable(ctx, "f_blk", issue)
+        else:  # ALWAYS: the next sequential location, even across lines
+            ctx.line("f_blk = f_pc + f_size")
+            ctx.line("f_blk -= f_blk % fe_block")
+            cls._emit_prefetchable(ctx, "f_blk", issue)
 
     @classmethod
     def _emit_phase(cls, ctx) -> None:
         ctx.need(
-            "frontend", "icache_unit", "fe_memo", "frontend_maybe_promote",
-            "frontend_maybe_request",
+            "frontend", "fe_stats", "clock", "residency", "pd_table",
+            "frontend_predecode_at", "frontend_issue_request", "fe_block",
+            "fe_image_len",
         )
+        if ctx.spec.prefetch_policy == PrefetchPolicy.TAGGED.value:
+            ctx.need("fe_tagged")
         ctx.line("f_req = frontend._request")
         with ctx.block("if f_req is None:"):
+            # ``_maybe_request``
             with ctx.block("if not frontend._halted:"):
                 ctx.line("f_pc = frontend._pc")
-                with ctx.block("if fe_memo.get(f_pc) != icache_unit._epoch:"):
-                    ctx.line("frontend_maybe_request(now)")
-                    with ctx.block("if frontend._request is None:"):
-                        ctx.line("fe_memo[f_pc] = icache_unit._epoch")
+                ctx.line(f"f_sb = {ctx.sub_block('f_pc')}")
+                with ctx.block(f"if {cls._emit_head_resident(ctx)}:"):
+                    cls._emit_lookup(ctx)
+                    ctx.line("f_size = f_entry[1]")
+                    with ctx.block(f"if {cls._emit_tail_resident(ctx, 'f_size')}:"):
+                        cls._emit_prefetch(ctx)
+                    with ctx.block("else:"):
+                        # the miss is on the instruction's tail parcel
+                        ctx.line("f_miss = f_pc + 2")
+                        first = ctx.sub_block("f_miss")
+                        last = ctx.sub_block("f_miss + 1")
+                        with ctx.block(
+                            "while f_miss < f_pc + f_size and "
+                            f"residency.find(0, {first}, ({last}) + 1) < 0:"
+                        ):
+                            ctx.line("f_miss += 2")
+                        cls._emit_demand(ctx, "f_miss")
+                with ctx.block("else:"):
+                    cls._emit_demand(ctx, "f_pc")
         with ctx.block("elif not f_req.demand:"):
-            ctx.line("frontend_maybe_promote()")
+            # ``_maybe_promote``: the pc caught up with the prefetch
+            ctx.line("f_pc = frontend._pc")
+            with ctx.block("if f_req.address == f_pc - f_pc % fe_block:"):
+                cls._emit_resident(ctx)
+                with ctx.block("if not f_hit:"):
+                    ctx.line("f_req.demand = True")
+                    ctx.line("clock.ticks += 1")
+                    ctx.line("frontend._request_is_demand = True")
+                    ctx.line("fe_stats.prefetch_promotions += 1")
 
     @classmethod
     def emit_compiled_update(cls, ctx) -> None:
@@ -152,15 +268,15 @@ class ConventionalFetchUnit(FetchUnit):
 
     @classmethod
     def emit_compiled_next_instruction(cls, ctx) -> None:
-        """``fetched = <next_instruction()>`` memoized per (pc, epoch)."""
-        ctx.need("frontend", "icache_unit", "res_memo", "frontend_next_instruction")
+        """``fetched = next_instruction()``, open-coded."""
+        ctx.need("frontend", "residency", "pd_table", "frontend_predecode_at")
         ctx.line("f_pc = frontend._pc")
-        ctx.line("entry = res_memo.get(f_pc)")
-        with ctx.block("if entry is not None and entry[0] == icache_unit._epoch:"):
-            ctx.line("fetched = entry[1]")
-        with ctx.block("else:"):
-            ctx.line("fetched = frontend_next_instruction()")
-            ctx.line("res_memo[f_pc] = (icache_unit._epoch, fetched)")
+        ctx.line("fetched = None")
+        ctx.line(f"f_sb = {ctx.sub_block('f_pc')}")
+        with ctx.block(f"if {cls._emit_head_resident(ctx)}:"):
+            cls._emit_lookup(ctx)
+            with ctx.block(f"if {cls._emit_tail_resident(ctx, 'f_entry[1]')}:"):
+                ctx.line("fetched = (f_pc, f_entry[0], f_entry[1])")
 
     @classmethod
     def emit_compiled_consume(cls, ctx) -> None:
@@ -257,11 +373,7 @@ class ConventionalFetchUnit(FetchUnit):
         miss_addr: int | None = None,
     ) -> None:
         request = MemoryRequest(
-            kind=RequestKind.IFETCH,
-            address=block_address,
-            size=self.block_size,
-            seq=self._next_seq(),
-            demand=demand,
+            RequestKind.IFETCH, block_address, self.block_size, self._next_seq(), demand
         )
         self._clock.ticks += 1
         if miss_addr is not None:

@@ -15,15 +15,29 @@ study is the paper's reference point for such variations).
 Addresses are byte addresses.  ``set = (address // line_size) % num_sets``
 and ``tag = address // (line_size * num_sets)``; with associativity 1
 this is the classic direct-mapped split.
+
+Residency lives in one flat map, :attr:`InstructionCache.residency`: a
+``bytearray`` with one byte per sub-block of the 64 KiB address space
+(program images end below the FPU window at ``0xF000``), 1 when that
+sub-block is resident.  The ways keep only their tags and LRU stamps;
+evicting a line zeroes its bytes in the map.  A residency test is one
+subscript, or one ``find`` over a range, which is how the compiled
+kernels ask it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..core.trace import NULL_TRACER, Tracer
 
-__all__ = ["CacheStats", "InstructionCache"]
+__all__ = ["ADDRESS_SPACE", "CacheStats", "InstructionCache"]
+
+#: Bytes of instruction address space the residency map covers.
+ADDRESS_SPACE = 1 << 16
+
+_STAMP = attrgetter("stamp")
 
 
 @dataclass
@@ -45,13 +59,13 @@ class CacheStats:
 
 
 class _Way:
-    """One way of one set: a tag plus per-sub-block valid bits."""
+    """One way of one set: a tag and its LRU stamp.  Its line's valid
+    bits are the line's bytes in the residency map."""
 
-    __slots__ = ("tag", "valid", "stamp")
+    __slots__ = ("tag", "stamp")
 
-    def __init__(self, sub_blocks: int):
+    def __init__(self):
         self.tag: int | None = None
-        self.valid = [False] * sub_blocks
         self.stamp = 0  #: LRU timestamp (higher = more recently used)
 
 
@@ -87,15 +101,13 @@ class InstructionCache:
         self.num_lines = size // line_size
         self.sub_blocks_per_line = line_size // sub_block_size
         self._sets: list[list[_Way]] = [
-            [_Way(self.sub_blocks_per_line) for _ in range(associativity)]
-            for _ in range(self.num_sets)
+            [_Way() for _ in range(associativity)] for _ in range(self.num_sets)
         ]
         self._clock = 0
-        # bumped by every ``fill`` and ``invalidate_all``, the only
-        # mutations of the tag/valid arrays: residency answers for an
-        # address are constant while it is unchanged, which lets the
-        # compiled kernels memoize them per epoch
-        self._epoch = 0
+        #: one byte per sub-block of the address space, 1 when resident.
+        #: Never rebound (``invalidate_all`` zeroes it in place): the
+        #: compiled kernels hoist it and index it directly.
+        self.residency = bytearray(ADDRESS_SPACE // sub_block_size)
         self.stats = CacheStats()
         self._tracer = tracer if tracer is not None else NULL_TRACER
 
@@ -124,24 +136,22 @@ class InstructionCache:
 
         Does **not** update statistics or LRU state; use for
         side-effect-free checks (e.g. deciding whether a prefetch is
-        necessary).
+        necessary).  A range that leaves the address space raises
+        :class:`IndexError`, as a kernel's subscript of the map does.
         """
         if nbytes <= 0:
             raise ValueError("nbytes must be positive")
-        position = address
-        end = address + nbytes
-        while position < end:
-            set_index, tag = self._set_and_tag(position)
-            way = self._find_way(set_index, tag)
-            if way is None:
-                return False
-            sub = (position % self.line_size) // self.sub_block_size
-            if not way.valid[sub]:
-                return False
-            position = (
-                position - (position % self.sub_block_size) + self.sub_block_size
+        sub = self.sub_block_size
+        stop = (address + nbytes - 1) // sub + 1
+        self._check_range(address, nbytes, stop)
+        return self.residency.find(0, address // sub, stop) < 0
+
+    def _check_range(self, address: int, nbytes: int, stop: int) -> None:
+        if address < 0 or stop > len(self.residency):
+            raise IndexError(
+                f"[{address:#x}, +{nbytes}) leaves the {ADDRESS_SPACE:#x}-byte "
+                "instruction address space"
             )
-        return True
 
     def lookup(self, address: int, nbytes: int) -> bool:
         """Like :meth:`probe` but counts a hit or a miss and touches LRU."""
@@ -185,32 +195,49 @@ class InstructionCache:
 
         The range must be sub-block aligned.  A fill whose tag is absent
         from the set claims the LRU way (invalidating whatever it held).
+        Each line of the range is written to the map once.
         """
-        if address % self.sub_block_size != 0 or nbytes % self.sub_block_size != 0:
+        sub = self.sub_block_size
+        if address % sub != 0 or nbytes % sub != 0:
             raise ValueError(
                 f"fill [{address:#x}, +{nbytes}) not sub-block aligned "
-                f"(sub-block {self.sub_block_size})"
+                f"(sub-block {sub})"
             )
-        position = address
         end = address + nbytes
+        self._check_range(address, nbytes, end // sub)
+        line_size = self.line_size
+        num_sets = self.num_sets
+        residency = self.residency
+        position = address
         replaced = 0
         while position < end:
-            set_index, tag = self._set_and_tag(position)
-            way = self._find_way(set_index, tag)
-            if way is None:
-                way = min(self._sets[set_index], key=lambda candidate: candidate.stamp)
+            line_number = position // line_size
+            stop = (line_number + 1) * line_size
+            if stop > end:
+                stop = end
+            set_index = line_number % num_sets
+            tag = line_number // num_sets
+            ways = self._sets[set_index]
+            for way in ways:
+                if way.tag == tag:
+                    break
+            else:
+                way = min(ways, key=_STAMP)
                 if way.tag is not None:
                     replaced += 1
+                    per_line = self.sub_blocks_per_line
+                    old = (way.tag * num_sets + set_index) * per_line
+                    residency[old : old + per_line] = bytes(per_line)
                 way.tag = tag
-                way.valid = [False] * self.sub_blocks_per_line
-            sub = (position % self.line_size) // self.sub_block_size
-            way.valid[sub] = True
-            self._clock += 1
+            blocks = (stop - position) // sub
+            residency[position // sub : stop // sub] = b"\x01" * blocks
+            # one LRU tick per sub-block filled
+            self._clock += blocks
             way.stamp = self._clock
-            position += self.sub_block_size
-        self._epoch += 1
-        self.stats.fills += 1
-        self.stats.line_replacements += replaced
+            position = stop
+        stats = self.stats
+        stats.fills += 1
+        stats.line_replacements += replaced
         if self._tracer.enabled:
             self._tracer.emit(
                 "icache", "fill", addr=address, bytes=nbytes, replaced=replaced
@@ -221,32 +248,35 @@ class InstructionCache:
 
         The monotonic LRU clock never recurs, so absolute stamps are
         normalised to their rank within the set — replacement decisions
-        depend only on that relative order.
+        depend only on that relative order.  A way's valid bits are its
+        line's bytes of the residency map.
         """
-        return tuple(
-            tuple(
-                (way.tag, tuple(way.valid))
-                for way in sorted(ways, key=lambda way: way.stamp)
-            )
-            for ways in self._sets
-        )
+        residency = self.residency
+        per_line = self.sub_blocks_per_line
+        num_sets = self.num_sets
+        signature = []
+        for set_index, ways in enumerate(self._sets):
+            entries = []
+            for way in sorted(ways, key=lambda way: way.stamp):
+                tag = way.tag
+                if tag is None:
+                    entries.append(None)
+                else:
+                    base = (tag * num_sets + set_index) * per_line
+                    entries.append((tag, bytes(residency[base : base + per_line])))
+            signature.append(tuple(entries))
+        return tuple(signature)
 
     def invalidate_all(self) -> None:
         """Flush the cache (used between benchmark phases in tests)."""
         for ways in self._sets:
             for way in ways:
                 way.tag = None
-                way.valid = [False] * self.sub_blocks_per_line
                 way.stamp = 0
-        self._epoch += 1
+        residency = self.residency
+        residency[:] = bytes(len(residency))
 
     # ------------------------------------------------------------------
     def resident_bytes(self) -> int:
         """Total bytes currently valid (for occupancy assertions)."""
-        return sum(
-            self.sub_block_size
-            for ways in self._sets
-            for way in ways
-            for valid in way.valid
-            if valid
-        )
+        return self.residency.count(1) * self.sub_block_size

@@ -158,12 +158,10 @@ class PipeFetchUnit(FetchUnit):
     # The lowered phases open-code :meth:`_transfer_to_iq` and the
     # :meth:`_choose_fill` decision with ``line_size``/``iq_size`` as
     # literals.  The cache-resident arm of :meth:`_start_fill` is also
-    # inlined, memoizing positive :meth:`InstructionCache.probe` answers
-    # per residency epoch (every ``fill``/``invalidate_all`` bumps the
-    # cache's ``_epoch``, so probe answers are constant while it is
-    # unchanged, and ``probe`` itself is side-effect free, so a memo miss
-    # simply re-probes).  Off-chip fills
-    # drop to the bound :meth:`_start_fill`, which re-checks everything.
+    # inlined: the line's residency is one ``count`` over its bytes of
+    # the cache's residency map (hoisted: the cache never rebinds it).
+    # Off-chip fills drop to the bound :meth:`_start_fill`, which
+    # re-checks everything, once per request.
 
     @classmethod
     def _emit_predecode_lookup(cls, ctx, pc: str) -> None:
@@ -259,18 +257,16 @@ class PipeFetchUnit(FetchUnit):
     def _emit_start_fill(cls, ctx, start: str) -> None:
         """Inline :meth:`_start_fill`'s cache-resident arm for ``start``.
 
-        Positive probe answers memoize per residency epoch; anything
-        off-chip (or epoch-stale) falls back to the bound method, whose
-        own probe is side-effect free.
+        The line is resident when all of its sub-blocks' bytes in the
+        map are 1; a line outside the map counts short, so the bound
+        method's ``probe`` raises for it, as in the reference.
         """
         line = ctx.spec.line_size
+        blocks = line // ctx.spec.sub_block_size
         ctx.line(f"t_start = {start}")
         ctx.line(f"t_line = t_start - (t_start % {line})")
-        with ctx.block(
-            "if probe_memo.get(t_line) == icache_unit._epoch "
-            f"or cache_probe(t_line, {line}):"
-        ):
-            ctx.line("probe_memo[t_line] = icache_unit._epoch")
+        ctx.line(f"t_sb = {ctx.sub_block('t_line')}")
+        with ctx.block(f"if residency.count(1, t_sb, t_sb + {blocks}) == {blocks}:"):
             ctx.line("icache_stats.hits += 1")
             ctx.line("pipe_clock.ticks += 1")
             ctx.line("frontend._iqb_loaded = True")
@@ -288,10 +284,8 @@ class PipeFetchUnit(FetchUnit):
             "pipe_iq",
             "pipe_clock",
             "pd_table",
-            "probe_memo",
-            "icache_unit",
+            "residency",
             "icache_stats",
-            "cache_probe",
             "frontend_predecode_at",
             "frontend_start_fill",
         )
@@ -493,11 +487,7 @@ class PipeFetchUnit(FetchUnit):
             return  # retry next cycle; no statistics, nothing committed
         demand = not self._iq
         request = MemoryRequest(
-            kind=RequestKind.IFETCH,
-            address=line_addr,
-            size=self.line_size,
-            seq=self._next_seq(),
-            demand=demand,
+            RequestKind.IFETCH, line_addr, self.line_size, self._next_seq(), demand
         )
         self._clock.ticks += 1
         self.cache.record_miss(line_addr, seq=request.seq)

@@ -210,11 +210,7 @@ class TibFetchUnit(FetchUnit):
             return  # stream ran past the code image
         demand = not self._has_instruction()
         request = MemoryRequest(
-            kind=RequestKind.IFETCH,
-            address=block,
-            size=self.block_size,
-            seq=self._next_seq(),
-            demand=demand,
+            RequestKind.IFETCH, block, self.block_size, self._next_seq(), demand
         )
         self._progress.ticks += 1
         request.on_chunk = self._make_chunk_handler(request)

@@ -133,6 +133,19 @@ class ExternalMemory:
     # compiled-kernel lowering (repro.core.compiled)
     # ------------------------------------------------------------------
     @classmethod
+    def emit_compiled_accept(cls, ctx, request: str) -> None:
+        """Lower :meth:`accept` of the local ``request``.  The kernel
+        emits it only where its acceptance phase has found
+        :meth:`can_accept` true, so the check is not repeated."""
+        ctx.need("external", "clock", "mem_access")
+        ctx.line(f"{request}.accepted_at = now")
+        ctx.line(f"{request}.ready_at = now + mem_access")
+        ctx.line(f"external.in_flight.append({request})")
+        ctx.line("external.total_accepted += 1")
+        ctx.line("external._accepted_this_cycle = True")
+        ctx.line("clock.ticks += 1")
+
+    @classmethod
     def emit_compiled_wake(cls, ctx) -> None:
         """Open the idle-skip wake scan: the earliest ``ready_at`` among
         in-flight requests, else ``IDLE``.

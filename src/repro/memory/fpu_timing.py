@@ -70,6 +70,14 @@ class TimedFpu:
             return request.address == FPU_RESULT
         return False
 
+    def trigger_latencies(self) -> dict[int, int]:
+        """Each trigger address's operation latency (the compiled
+        kernels bind this once per run)."""
+        return {
+            address: self.latencies.latency(kind)
+            for address, kind in self._trigger_kinds.items()
+        }
+
     def accept(self, request: MemoryRequest, now: int) -> None:
         request.accepted_at = now
         self._clock.ticks += 1
@@ -158,6 +166,30 @@ class TimedFpu:
     # ------------------------------------------------------------------
     # compiled-kernel lowering (repro.core.compiled)
     # ------------------------------------------------------------------
+    @classmethod
+    def emit_compiled_accept(cls, ctx) -> None:
+        """Lower :meth:`accept` of the engine's ``request``, a store
+        when ``e_store``, which ``can_accept`` has accepted.  A store's
+        trigger latency comes from the ``fpu_latency`` binding
+        (:meth:`trigger_latencies`); ``_ops_pending`` is read through
+        the owner, because :meth:`replay_shift` rebinds it."""
+        ctx.need("fpu", "clock", "fpu_latency")
+        ctx.line("request.accepted_at = now")
+        ctx.line("clock.ticks += 1")
+        with ctx.block("if e_store:"):
+            ctx.line("e_latency = fpu_latency.get(request.address)")
+            with ctx.block("if e_latency is not None:"):
+                ctx.line("e_start = fpu._busy_until")
+                with ctx.block("if e_start < now:"):
+                    ctx.line("e_start = now")
+                ctx.line("fpu._busy_until = e_start + e_latency")
+                ctx.line("fpu._ops_pending.append(e_start + e_latency)")
+                ctx.line("fpu.operations_started += 1")
+            # stores complete at acceptance (no return data)
+            ctx.line("request.completed = True")
+        with ctx.block("else:"):
+            ctx.line("fpu._result_loads.append(request)")
+
     @classmethod
     def emit_compiled_wake(cls, ctx) -> None:
         """Fold the oldest pending operation's completion time into the

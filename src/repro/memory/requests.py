@@ -47,9 +47,12 @@ class RequestPriority(enum.Enum):
     DATA_FIRST = "data_first"  #: Hill's conventional model (§4.1)
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryRequest:
     """One off-chip transaction.
+
+    Slotted, and the compiled kernels build it with positional
+    arguments: one is built per data access that leaves the chip.
 
     ``demand`` distinguishes demand instruction fetches from prefetches;
     it may be *promoted* while the request is in flight (an IQB prefetch

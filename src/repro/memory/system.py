@@ -331,23 +331,16 @@ class MemorySystem:
         the spec (see the comment below).  Each try mirrors
         :meth:`_try_accept` and :meth:`_count_acceptance` for its
         source, with the FPU window and the ``pipelined`` flag folded to
-        literals.  The data request object is built only when the
-        external memory accepts it or ``fpu.can_accept`` must read it.
-        Acceptance itself (``external.accept``, ``fpu.can_accept``,
-        ``fpu.accept``, the sources' ``notify_accepted``) stays a bound
-        call.
+        literals.  The acceptance itself is open-coded too:
+        ``ExternalMemory.accept``, ``TimedFpu.accept`` and the winner's
+        ``notify_accepted`` (every shipped frontend's only sets
+        ``_request_accepted``).  ``fpu.can_accept`` stays a bound call,
+        asked only about a data request in the FPU window, and the data
+        request object is built only when the external memory accepts
+        it or ``fpu.can_accept`` must read it.
         """
         spec = ctx.spec
-        ctx.need(
-            "memory",
-            "mem_stats",
-            "external",
-            "frontend_notify",
-            "engine_notify",
-            "external_accept",
-            "fpu_can_accept",
-            "fpu_accept",
-        )
+        ctx.need("mem_stats", "external", "fpu_can_accept")
         # A frontend's ``poll_requests`` returns ``[]`` with no side
         # effects when no unaccepted request is outstanding.
         with ctx.block(
@@ -367,23 +360,24 @@ class MemorySystem:
         # engine only ``LOAD``/``STORE`` (``_shipped`` guarantees the
         # classes), so ``acceptance_order`` ranks the two by class
         # alone: the fetch first under instruction-first priority, the
-        # data request first under data-first.
-        with ctx.block("if f_req is not None:"):
-            with ctx.block("if e_head is not None:"):
+        # data request first under data-first.  The first to be accepted
+        # clears the other, as the reference returns after one.
+        fetch = ("f_req", cls._emit_fetch_attempt)
+        data = ("e_head", cls._emit_data_attempt)
+        (first, try_first), (second, try_second) = (
+            (fetch, data) if spec.instruction_first else (data, fetch)
+        )
+        with ctx.block(f"if {first} is not None:"):
+            with ctx.block(f"if {second} is not None:"):
                 ctx.line("mem_stats.acceptance_conflicts += 1")
-                if spec.instruction_first:
-                    cls._emit_fetch_attempt(ctx, busy, data_after=True)
-                else:
-                    cls._emit_data_attempt(ctx, busy, fetch_after=True)
-            with ctx.block("else:"):
-                cls._emit_fetch_attempt(ctx, busy)
-        with ctx.block("elif e_head is not None:"):
-            cls._emit_data_attempt(ctx, busy)
+            try_first(ctx, busy, clears=second)
+        with ctx.block(f"if {second} is not None:"):
+            try_second(ctx, busy)
 
     @classmethod
-    def _emit_fetch_attempt(cls, ctx, busy: str, data_after: bool = False) -> None:
-        """Try the frontend's ``f_req``, an instruction fetch, then (with
-        ``data_after``) the engine's request if the fetch is refused.
+    def _emit_fetch_attempt(cls, ctx, busy: str, clears: str = "") -> None:
+        """Try the frontend's ``f_req``, an instruction fetch; on
+        acceptance, clear ``clears``, the source tried after it.
 
         ``TimedFpu.can_accept`` refuses every fetch, so a fetch into the
         FPU window is refused without asking it; any other goes to the
@@ -391,53 +385,48 @@ class MemorySystem:
         """
         window = f"{FPU_BASE} <= f_req.address < {FPU_BASE + FPU_SIZE}"
         with ctx.block(f"if not ({window} or {busy}):"):
-            ctx.line("external_accept(f_req, now)")
-            ctx.line("frontend_notify(f_req, now)")
+            ExternalMemory.emit_compiled_accept(ctx, "f_req")
+            ctx.line("frontend._request_accepted = True")
             ctx.line("mem_stats.output_bus_busy_cycles += 1")
             with ctx.block("if f_req.demand:"):
                 ctx.line("mem_stats.ifetch_demand_accepted += 1")
             with ctx.block("else:"):
                 ctx.line("mem_stats.ifetch_prefetch_accepted += 1")
-        if data_after:
-            with ctx.block("else:"):
-                cls._emit_data_attempt(ctx, busy)
+            if clears:
+                ctx.line(f"{clears} = None")
 
     @classmethod
-    def _emit_data_attempt(cls, ctx, busy: str, fetch_after: bool = False) -> None:
-        """Try the engine's offered ``e_head``, a load or a store, then
-        (with ``fetch_after``) the fetch if the FPU refuses it.
+    def _emit_data_attempt(cls, ctx, busy: str, clears: str = "") -> None:
+        """Try the engine's offered ``e_head``, a load or a store; on
+        acceptance, clear ``clears``, the source tried after it.
 
         In the FPU window the request is built first, because
         ``fpu.can_accept`` reads it; outside it, only once the external
-        memory is known to be free.  A data request refused because
-        that memory is busy needs no fetch attempt after it: a fetch
-        goes only to the same memory, so it would be refused too.
+        memory is known to be free.
         """
         window = f"{FPU_BASE} <= e_head.address < {FPU_BASE + FPU_SIZE}"
         with ctx.block(f"if {window}:"):
             ctx.engine_cls.emit_compiled_request(ctx)
             with ctx.block("if fpu_can_accept(request, now):"):
-                ctx.line("fpu_accept(request, now)")
-                cls._emit_data_books(ctx, fpu=True)
-            if fetch_after:
-                with ctx.block("else:"):
-                    cls._emit_fetch_attempt(ctx, busy)
+                TimedFpu.emit_compiled_accept(ctx)
+                cls._emit_data_books(ctx, "fpu_", clears)
         with ctx.block(f"elif not ({busy}):"):
             ctx.engine_cls.emit_compiled_request(ctx)
-            ctx.line("external_accept(request, now)")
-            cls._emit_data_books(ctx, fpu=False)
+            ExternalMemory.emit_compiled_accept(ctx, "request")
+            cls._emit_data_books(ctx, "", clears)
 
     @classmethod
-    def _emit_data_books(cls, ctx, fpu: bool) -> None:
-        """The engine's notification and the counters after its
-        ``request`` was accepted."""
-        prefix = "fpu_" if fpu else ""
-        ctx.line("engine_notify(request, now)")
+    def _emit_data_books(cls, ctx, prefix: str, clears: str) -> None:
+        """The engine's notification and the counters after its request
+        was accepted."""
+        ctx.engine_cls.emit_compiled_notify(ctx)
         ctx.line("mem_stats.output_bus_busy_cycles += 1")
         with ctx.block("if e_store:"):
             ctx.line(f"mem_stats.{prefix}stores_accepted += 1")
         with ctx.block("else:"):
             ctx.line(f"mem_stats.{prefix}loads_accepted += 1")
+        if clears:
+            ctx.line(f"{clears} = None")
 
     # ------------------------------------------------------------------
     def state_signature(self, now: int, base_seq: int) -> tuple:

@@ -5,47 +5,46 @@ def __kernel(sim):
     external = sim.memory.external
     fpu = sim.memory.fpu
     bus_width = sim.memory.input_bus_width
+    mem_access = sim.memory.external.access_time
+    fpu_latency = sim.memory.fpu.trigger_latencies()
     engine = sim.engine
     engine_stats = sim.engine.stats
+    in_flight_loads = sim.engine._in_flight_loads
     frontend = sim.frontend
     backend = sim.backend
     clock = sim.clock
+    seq = sim.seq
+    laq = sim.engine.laq
+    ldq = sim.engine.ldq
+    saq = sim.engine.saq
+    sdq = sim.engine.sdq
     laq_items = sim.engine.laq._items
     ldq_items = sim.engine.ldq._items
     saq_items = sim.engine.saq._items
     sdq_items = sim.engine.sdq._items
-    ldq_push = sim.engine.ldq.push
     backend_stalls = sim.backend.stalls
-    ldq_pop = sim.engine.ldq.pop
-    engine_push_laq = sim.engine.push_laq
-    engine_push_saq = sim.engine.push_saq
-    engine_push_sdq = sim.engine.push_sdq
     stream = sim.backend.stream
     stream_loads = sim.backend.stream.loads
     stream_stores = sim.backend.stream.stores
     stream_branches = sim.backend.stream.branches
     horizon = 0
     effects_memo = {}
-    frontend_next_instruction = sim.frontend.next_instruction
     frontend_note_branch = sim.frontend.note_branch
     frontend_branch_resolved = sim.frontend.branch_resolved
     frontend_redirect = sim.frontend.redirect
     frontend_halt = sim.frontend.halt
-    frontend_notify = sim.frontend.notify_accepted
-    engine_notify = sim.engine.notify_accepted
-    external_accept = sim.memory.external.accept
     fpu_can_accept = sim.memory.fpu.can_accept
-    fpu_accept = sim.memory.fpu.accept
     fpu_deliver = sim.memory.fpu.deliver
     replay_on_backedge = sim.replay_controller.on_backedge
     replay_check_runaway = sim.replay_controller.check_runaway
     fe_stats = sim.frontend.stats
     icache_stats = sim.frontend.cache.stats
-    icache_unit = sim.frontend.cache
-    fe_memo = {}
-    res_memo = {}
-    frontend_maybe_promote = sim.frontend._maybe_promote
-    frontend_maybe_request = sim.frontend._maybe_request
+    residency = sim.frontend.cache.residency
+    fe_block = sim.frontend.block_size
+    fe_image_len = len(sim.frontend.image)
+    pd_table = sim.frontend.predecode._table
+    frontend_issue_request = sim.frontend._issue_request
+    frontend_predecode_at = sim.frontend.predecode.at
     entry_for = issue_entry
     last_ticks = clock.ticks
     last_progress_at = 0
@@ -104,22 +103,57 @@ def __kernel(sim):
                     external.in_flight = m_live
                     break
         # engine.update(now)
-        ifl = engine._in_flight_loads
-        while ifl and ifl[0].arrived and len(ldq_items) < 8:
-            ldq_push(ifl.popleft())
-        if len(ifl) > engine_stats.ldq_max_wait_entries:
-            engine_stats.ldq_max_wait_entries = len(ifl)
+        while in_flight_loads and in_flight_loads[0].arrived and len(ldq_items) < 8:
+            ldq_items.append(in_flight_loads.popleft())
+            clock.ticks += 1
+            ldq.total_pushes += 1
+            if len(ldq_items) > ldq.max_occupancy:
+                ldq.max_occupancy = len(ldq_items)
+        if len(in_flight_loads) > engine_stats.ldq_max_wait_entries:
+            engine_stats.ldq_max_wait_entries = len(in_flight_loads)
         # frontend.update(now)
         f_req = frontend._request
         if f_req is None:
             if not frontend._halted:
                 f_pc = frontend._pc
-                if fe_memo.get(f_pc) != icache_unit._epoch:
-                    frontend_maybe_request(now)
-                    if frontend._request is None:
-                        fe_memo[f_pc] = icache_unit._epoch
+                f_sb = f_pc >> 2
+                if residency[f_sb] and (not f_pc & 1 or residency[f_pc + 1 >> 2]):
+                    f_entry = pd_table.get(f_pc) or frontend_predecode_at(f_pc)
+                    f_size = f_entry[1]
+                    f_last = f_pc + f_size - 1 >> 2
+                    if f_last == f_sb or residency.find(0, f_sb, f_last + 1) < 0:
+                        f_blk = f_pc + f_size
+                        f_blk -= f_blk % fe_block
+                        f_len = fe_image_len - f_blk
+                        if f_len >= fe_block:
+                            f_len = fe_block
+                        else:
+                            f_len -= f_len & 1
+                        if f_len >= 2 and residency.find(0, f_blk >> 2, (f_blk + f_len - 1 >> 2) + 1) >= 0:
+                            frontend_issue_request(f_blk, False, now)
+                    else:
+                        f_miss = f_pc + 2
+                        while f_miss < f_pc + f_size and residency.find(0, f_miss >> 2, (f_miss + 1 >> 2) + 1) < 0:
+                            f_miss += 2
+                        f_blk = f_miss - f_miss % fe_block
+                        frontend_issue_request(f_blk, True, now, f_miss)
+                else:
+                    f_blk = f_pc - f_pc % fe_block
+                    frontend_issue_request(f_blk, True, now, f_pc)
         elif not f_req.demand:
-            frontend_maybe_promote()
+            f_pc = frontend._pc
+            if f_req.address == f_pc - f_pc % fe_block:
+                f_sb = f_pc >> 2
+                f_hit = residency[f_sb] and (not f_pc & 1 or residency[f_pc + 1 >> 2])
+                if f_hit:
+                    f_entry = pd_table.get(f_pc) or frontend_predecode_at(f_pc)
+                    f_last = f_pc + f_entry[1] - 1 >> 2
+                    f_hit = f_last == f_sb or residency.find(0, f_sb, f_last + 1) < 0
+                if not f_hit:
+                    f_req.demand = True
+                    clock.ticks += 1
+                    frontend._request_is_demand = True
+                    fe_stats.prefetch_promotions += 1
         # backend.step(now)
         if not backend.halted:
             ok = True
@@ -148,12 +182,13 @@ def __kernel(sim):
                             backend.replay_backedge = target
             if ok:
                 f_pc = frontend._pc
-                entry = res_memo.get(f_pc)
-                if entry is not None and entry[0] == icache_unit._epoch:
-                    fetched = entry[1]
-                else:
-                    fetched = frontend_next_instruction()
-                    res_memo[f_pc] = (icache_unit._epoch, fetched)
+                fetched = None
+                f_sb = f_pc >> 2
+                if residency[f_sb] and (not f_pc & 1 or residency[f_pc + 1 >> 2]):
+                    f_entry = pd_table.get(f_pc) or frontend_predecode_at(f_pc)
+                    f_last = f_pc + f_entry[1] - 1 >> 2
+                    if f_last == f_sb or residency.find(0, f_sb, f_last + 1) < 0:
+                        fetched = (f_pc, f_entry[0], f_entry[1])
                 if fetched is None:
                     backend_stalls['frontend_empty'] += 1
                     backend.last_stall_reason = 'frontend_empty'
@@ -183,17 +218,57 @@ def __kernel(sim):
                         if index >= horizon:
                             horizon = stream.reach(index)
                         if entry[1]:
-                            ldq_pop()
+                            ldq.total_pops += 1
+                            clock.ticks += 1
+                            ldq_items.popleft()
                         if entry[2]:
                             s_at = backend.next_load
-                            engine_push_laq(stream_loads[s_at])
+                            s_address = stream_loads[s_at]
+                            e_hz = 0
+                            for e_entry in saq_items:
+                                if e_entry.address == s_address:
+                                    e_hz += 1
+                            if e_hz:
+                                engine_stats.ordering_hazards += e_hz
+                            e_seq = seq.value
+                            seq.value = e_seq + 1
+                            laq_items.append(LaqEntry(s_address, e_seq))
+                            clock.ticks += 1
+                            laq.total_pushes += 1
+                            if len(laq_items) > laq.max_occupancy:
+                                laq.max_occupancy = len(laq_items)
+                            e_log = engine.replay_log
+                            if e_log is not None:
+                                e_log.append(("laq", e_hz))
+                            engine_stats.loads_issued += 1
+                            if 61440 <= s_address < 61504:
+                                engine_stats.fpu_loads += 1
                             backend.next_load = s_at + 1
                         elif entry[3]:
                             s_at = backend.next_store
-                            engine_push_saq(stream_stores[s_at])
+                            s_address = stream_stores[s_at]
+                            e_seq = seq.value
+                            seq.value = e_seq + 1
+                            saq_items.append(SaqEntry(s_address, e_seq))
+                            clock.ticks += 1
+                            saq.total_pushes += 1
+                            if len(saq_items) > saq.max_occupancy:
+                                saq.max_occupancy = len(saq_items)
+                            e_log = engine.replay_log
+                            if e_log is not None:
+                                e_log.append(("saq",))
+                            engine_stats.stores_issued += 1
+                            if 61440 <= s_address < 61504:
+                                engine_stats.fpu_stores += 1
                             backend.next_store = s_at + 1
                         elif entry[4]:
-                            engine_push_sdq()
+                            e_seq = seq.value
+                            seq.value = e_seq + 1
+                            sdq_items.append(SdqEntry(e_seq))
+                            clock.ticks += 1
+                            sdq.total_pushes += 1
+                            if len(sdq_items) > sdq.max_occupancy:
+                                sdq.max_occupancy = len(sdq_items)
                         clock.ticks += 1
                         icache_stats.hits += 1
                         frontend._pc = pc + size
@@ -213,7 +288,7 @@ def __kernel(sim):
                             backend.branches += 1
                             if taken:
                                 backend.branches_taken += 1
-                            backend._pending = _PendingBranch(target=target, taken=taken, resolve_at=now + 2, slots_remaining=delay)
+                            backend._pending = _PendingBranch(target, taken, now + 2, delay)
                             frontend_note_branch(pc, pc + size, delay, target)
                         elif pending is not None:
                             pending.slots_remaining -= 1
@@ -224,12 +299,44 @@ def __kernel(sim):
         if f_req is None:
             if not frontend._halted:
                 f_pc = frontend._pc
-                if fe_memo.get(f_pc) != icache_unit._epoch:
-                    frontend_maybe_request(now)
-                    if frontend._request is None:
-                        fe_memo[f_pc] = icache_unit._epoch
+                f_sb = f_pc >> 2
+                if residency[f_sb] and (not f_pc & 1 or residency[f_pc + 1 >> 2]):
+                    f_entry = pd_table.get(f_pc) or frontend_predecode_at(f_pc)
+                    f_size = f_entry[1]
+                    f_last = f_pc + f_size - 1 >> 2
+                    if f_last == f_sb or residency.find(0, f_sb, f_last + 1) < 0:
+                        f_blk = f_pc + f_size
+                        f_blk -= f_blk % fe_block
+                        f_len = fe_image_len - f_blk
+                        if f_len >= fe_block:
+                            f_len = fe_block
+                        else:
+                            f_len -= f_len & 1
+                        if f_len >= 2 and residency.find(0, f_blk >> 2, (f_blk + f_len - 1 >> 2) + 1) >= 0:
+                            frontend_issue_request(f_blk, False, now)
+                    else:
+                        f_miss = f_pc + 2
+                        while f_miss < f_pc + f_size and residency.find(0, f_miss >> 2, (f_miss + 1 >> 2) + 1) < 0:
+                            f_miss += 2
+                        f_blk = f_miss - f_miss % fe_block
+                        frontend_issue_request(f_blk, True, now, f_miss)
+                else:
+                    f_blk = f_pc - f_pc % fe_block
+                    frontend_issue_request(f_blk, True, now, f_pc)
         elif not f_req.demand:
-            frontend_maybe_promote()
+            f_pc = frontend._pc
+            if f_req.address == f_pc - f_pc % fe_block:
+                f_sb = f_pc >> 2
+                f_hit = residency[f_sb] and (not f_pc & 1 or residency[f_pc + 1 >> 2])
+                if f_hit:
+                    f_entry = pd_table.get(f_pc) or frontend_predecode_at(f_pc)
+                    f_last = f_pc + f_entry[1] - 1 >> 2
+                    f_hit = f_last == f_sb or residency.find(0, f_sb, f_last + 1) < 0
+                if not f_hit:
+                    f_req.demand = True
+                    clock.ticks += 1
+                    frontend._request_is_demand = True
+                    fe_stats.prefetch_promotions += 1
         # memory.end_cycle(now)
         if frontend._request is not None and not frontend._request_accepted:
             if frontend._halted:
@@ -239,76 +346,106 @@ def __kernel(sim):
                 f_req = frontend._request
         else:
             f_req = None
-        e_head = laq_items[0] if laq_items and len(engine._in_flight_loads) + len(ldq_items) < 8 else None
+        e_head = laq_items[0] if laq_items and len(in_flight_loads) + len(ldq_items) < 8 else None
         if saq_items and sdq_items and (e_head is None or e_head.seq > saq_items[0].seq):
             e_head = saq_items[0]
             e_store = True
-            engine._offered_is_store = True
         elif e_head is not None:
             e_store = False
-            engine._offered_is_store = False
-        if f_req is not None:
-            if e_head is not None:
+        if e_head is not None:
+            if f_req is not None:
                 mem_stats.acceptance_conflicts += 1
-                if 61440 <= e_head.address < 61504:
-                    request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True)
-                    if fpu_can_accept(request, now):
-                        fpu_accept(request, now)
-                        engine_notify(request, now)
-                        mem_stats.output_bus_busy_cycles += 1
-                        if e_store:
-                            mem_stats.fpu_stores_accepted += 1
-                        else:
-                            mem_stats.fpu_loads_accepted += 1
-                    else:
-                        if not (61440 <= f_req.address < 61504 or external._accepted_this_cycle or external.in_flight):
-                            external_accept(f_req, now)
-                            frontend_notify(f_req, now)
-                            mem_stats.output_bus_busy_cycles += 1
-                            if f_req.demand:
-                                mem_stats.ifetch_demand_accepted += 1
-                            else:
-                                mem_stats.ifetch_prefetch_accepted += 1
-                elif not (external._accepted_this_cycle or external.in_flight):
-                    request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True)
-                    external_accept(request, now)
-                    engine_notify(request, now)
-                    mem_stats.output_bus_busy_cycles += 1
-                    if e_store:
-                        mem_stats.stores_accepted += 1
-                    else:
-                        mem_stats.loads_accepted += 1
-            else:
-                if not (61440 <= f_req.address < 61504 or external._accepted_this_cycle or external.in_flight):
-                    external_accept(f_req, now)
-                    frontend_notify(f_req, now)
-                    mem_stats.output_bus_busy_cycles += 1
-                    if f_req.demand:
-                        mem_stats.ifetch_demand_accepted += 1
-                    else:
-                        mem_stats.ifetch_prefetch_accepted += 1
-        elif e_head is not None:
             if 61440 <= e_head.address < 61504:
-                request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True)
+                if e_store:
+                    request = MemoryRequest(K_STORE, e_head.address, 4, e_head.seq, True)
+                else:
+                    e_flight = InFlightLoad()
+                    request = MemoryRequest(K_LOAD, e_head.address, 4, e_head.seq, True, None, e_flight.arrive)
                 if fpu_can_accept(request, now):
-                    fpu_accept(request, now)
-                    engine_notify(request, now)
+                    request.accepted_at = now
+                    clock.ticks += 1
+                    if e_store:
+                        e_latency = fpu_latency.get(request.address)
+                        if e_latency is not None:
+                            e_start = fpu._busy_until
+                            if e_start < now:
+                                e_start = now
+                            fpu._busy_until = e_start + e_latency
+                            fpu._ops_pending.append(e_start + e_latency)
+                            fpu.operations_started += 1
+                        request.completed = True
+                    else:
+                        fpu._result_loads.append(request)
+                    if e_store:
+                        saq.total_pops += 1
+                        clock.ticks += 1
+                        saq_items.popleft()
+                        sdq.total_pops += 1
+                        clock.ticks += 1
+                        sdq_items.popleft()
+                        e_log = engine.replay_log
+                        if e_log is not None:
+                            e_log.append(("sd",))
+                    else:
+                        laq.total_pops += 1
+                        clock.ticks += 1
+                        laq_items.popleft()
+                        in_flight_loads.append(e_flight)
                     mem_stats.output_bus_busy_cycles += 1
                     if e_store:
                         mem_stats.fpu_stores_accepted += 1
                     else:
                         mem_stats.fpu_loads_accepted += 1
+                    f_req = None
             elif not (external._accepted_this_cycle or external.in_flight):
-                request = MemoryRequest(kind=K_STORE if e_store else K_LOAD, address=e_head.address, size=4, seq=e_head.seq, demand=True)
-                external_accept(request, now)
-                engine_notify(request, now)
+                if e_store:
+                    request = MemoryRequest(K_STORE, e_head.address, 4, e_head.seq, True)
+                else:
+                    e_flight = InFlightLoad()
+                    request = MemoryRequest(K_LOAD, e_head.address, 4, e_head.seq, True, None, e_flight.arrive)
+                request.accepted_at = now
+                request.ready_at = now + mem_access
+                external.in_flight.append(request)
+                external.total_accepted += 1
+                external._accepted_this_cycle = True
+                clock.ticks += 1
+                if e_store:
+                    saq.total_pops += 1
+                    clock.ticks += 1
+                    saq_items.popleft()
+                    sdq.total_pops += 1
+                    clock.ticks += 1
+                    sdq_items.popleft()
+                    e_log = engine.replay_log
+                    if e_log is not None:
+                        e_log.append(("sd",))
+                else:
+                    laq.total_pops += 1
+                    clock.ticks += 1
+                    laq_items.popleft()
+                    in_flight_loads.append(e_flight)
                 mem_stats.output_bus_busy_cycles += 1
                 if e_store:
                     mem_stats.stores_accepted += 1
                 else:
                     mem_stats.loads_accepted += 1
+                f_req = None
+        if f_req is not None:
+            if not (61440 <= f_req.address < 61504 or external._accepted_this_cycle or external.in_flight):
+                f_req.accepted_at = now
+                f_req.ready_at = now + mem_access
+                external.in_flight.append(f_req)
+                external.total_accepted += 1
+                external._accepted_this_cycle = True
+                clock.ticks += 1
+                frontend._request_accepted = True
+                mem_stats.output_bus_busy_cycles += 1
+                if f_req.demand:
+                    mem_stats.ifetch_demand_accepted += 1
+                else:
+                    mem_stats.ifetch_prefetch_accepted += 1
         now += 1
-        if backend.halted and not laq_items and not saq_items and not sdq_items and not engine._in_flight_loads and not external.in_flight and not fpu._ops_pending and not fpu._results_ready and not fpu._result_loads:
+        if backend.halted and not laq_items and not saq_items and not sdq_items and not in_flight_loads and not external.in_flight and not fpu._ops_pending and not fpu._results_ready and not fpu._result_loads:
             break
         if backend.replay_backedge is not None:
             target = backend.replay_backedge

@@ -13,6 +13,7 @@ PIPE and the conventional configurations so codegen changes are
 reviewed as diffs, not discovered as regressions.
 """
 
+import collections
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,14 @@ from repro.core.scheduler import ENGINES
 from repro.core.simulator import Simulator, simulate
 from repro.core.trace import RingBufferSink, Tracer
 from repro.cpu import dispatch
+from repro.cpu.data_engine import DataQueueEngine
 from repro.cpu.dispatch import issue_entry
+from repro.cpu.queues import ArchitecturalQueue
+from repro.frontend.conventional import ConventionalFetchUnit
+from repro.frontend.icache import InstructionCache
+from repro.kernels.suite import build_livermore_program
+from repro.memory.external import ExternalMemory
+from repro.memory.fpu_timing import TimedFpu
 from tests.test_trace_crosscheck import CONFIGS
 
 GOLDEN = Path(__file__).parent / "goldens" / "compiled_kernel_headline.py"
@@ -255,8 +263,13 @@ class TestFrontendInlining:
         conv = kernel_spec_for(
             _sim(MachineConfig.conventional(128, memory_access_time=6))
         )
-        # the per-epoch memo of the inlined ``_maybe_request`` no-op
-        assert "fe_memo.get(f_pc) != icache_unit._epoch" in generate_source(conv)
+        source = generate_source(conv)
+        # the open-coded residency test over the cache's map replaces
+        # the bound decisions, and only the request build is a call
+        assert "residency[f_sb]" in source
+        assert "frontend_issue_request(" in source
+        for call in ("_maybe_request(", "_maybe_promote(", "next_instruction("):
+            assert call not in source, call
         tib = kernel_spec_for(
             _sim(MachineConfig.tib(memory_access_time=6), tiny_program)
         )
@@ -313,6 +326,79 @@ def _assert_falls_back(strategy, alter, program) -> None:
 #: every machine the differential suites and the fuzzer run
 _SHIPPED = {f"crosscheck-{name}": config for name, config in CONFIGS.items()}
 _SHIPPED.update({f"fuzz-{name}": make() for name, make in FUZZ_CONFIGS.items()})
+
+
+#: methods whose every per-cycle use the kernels open-code
+_OPEN_CODED = (
+    (ArchitecturalQueue, "push"),
+    (ArchitecturalQueue, "pop"),
+    (DataQueueEngine, "push_laq"),
+    (DataQueueEngine, "push_saq"),
+    (DataQueueEngine, "push_sdq"),
+    (DataQueueEngine, "notify_accepted"),
+    (ExternalMemory, "accept"),
+    (TimedFpu, "accept"),
+    (ConventionalFetchUnit, "next_instruction"),
+    (ConventionalFetchUnit, "_maybe_promote"),
+)
+#: methods the kernels call at most once per fetch request
+_PER_REQUEST = (
+    (InstructionCache, "probe"),
+    (ConventionalFetchUnit, "_maybe_request"),
+)
+
+#: the three headline machines (T = 6)
+_HEADLINE = {
+    "conventional 32 B, 4 B bus": lambda: MachineConfig.conventional(
+        32, memory_access_time=6, input_bus_width=4
+    ),
+    "PIPE 16-32 32 B, 4 B bus": lambda: MachineConfig.pipe(
+        "16-32", 32, memory_access_time=6, input_bus_width=4
+    ),
+    "PIPE 16-16 128 B": lambda: MachineConfig.pipe(
+        "16-16", 128, memory_access_time=6
+    ),
+}
+
+
+class TestInliningFrontier:
+    def test_live_path_calls_only_per_request_methods(self, monkeypatch):
+        """The inlining frontier, pinned by call counts.
+
+        Class-level counters wrap each method (patched on the class, so
+        every machine still gets a kernel).  A compiled run of each
+        headline machine calls none of the open-coded methods, and the
+        residency probe and the conventional request decision at most
+        once per fetch request; the reference loop calls every one of
+        them, so the counters do count.
+        """
+        counts = collections.Counter()
+        for cls, name in _OPEN_CODED + _PER_REQUEST:
+            original = getattr(cls, name)
+
+            def counting(*args, _original=original, _key=name, **kwargs):
+                counts[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counting)
+        program = build_livermore_program(scale=0.05)
+        reference_calls = collections.Counter()
+        for machine, make in _HEADLINE.items():
+            counts.clear()
+            sim = Simulator(make(), program, skip=True)
+            assert kernel_for(sim) is not None, machine
+            sim.run()
+            stats = sim.frontend.stats
+            requests = stats.demand_requests + stats.prefetch_requests
+            for _cls, name in _OPEN_CODED:
+                assert counts[name] == 0, (machine, name)
+            for _cls, name in _PER_REQUEST:
+                assert counts[name] <= requests, (machine, name)
+            counts.clear()
+            simulate(make(), program, **dict(ENGINES)["reference"])
+            reference_calls.update(counts)
+        for _cls, name in _OPEN_CODED + _PER_REQUEST:
+            assert reference_calls[name] > 0, name
 
 
 class TestEligibility:

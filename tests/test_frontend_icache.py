@@ -104,37 +104,117 @@ class TestStats:
         assert InstructionCache(64, 16).stats.hit_rate == 0.0
 
 
-class TestAgainstModel:
-    """Property: the cache agrees with a dictionary model of residency."""
+class _ModelCache:
+    """Residency by set: each set's tagged lines, least recently used
+    first, each with its set of resident sub-block numbers."""
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.booleans(),  # fill (True) or probe (False)
-                st.integers(min_value=0, max_value=63),  # sub-block number
-            ),
-            max_size=200,
-        )
-    )
-    def test_model_equivalence(self, operations):
-        line_size, size, sub = 16, 64, 4
-        cache = InstructionCache(size, line_size, sub)
-        lines = size // line_size
-        model: dict[int, set[int]] = {}  # index -> resident absolute sub-blocks
-        tags: dict[int, int] = {}
-        for is_fill, block in operations:
-            address = block * sub
-            index = (address // line_size) % lines
-            tag = address // (line_size * lines)
-            if is_fill:
-                cache.fill(address, sub)
-                if tags.get(index) != tag:
-                    model[index] = set()
-                    tags[index] = tag
-                model[index].add(block)
+    def __init__(self, size: int, line_size: int, sub: int, ways: int):
+        self.line_size, self.sub, self.ways = line_size, sub, ways
+        self.num_sets = size // (line_size * ways)
+        self.sets: dict[int, list[list]] = {i: [] for i in range(self.num_sets)}
+        self.hits = self.misses = 0
+
+    def _entry(self, address: int):
+        line_number = address // self.line_size
+        ways = self.sets[line_number % self.num_sets]
+        tag = line_number // self.num_sets
+        for entry in ways:
+            if entry[0] == tag:
+                return ways, tag, entry
+        return ways, tag, None
+
+    def probe(self, address: int, nbytes: int) -> bool:
+        for byte in range(address, address + nbytes):
+            _ways, _tag, entry = self._entry(byte)
+            if entry is None or byte // self.sub not in entry[1]:
+                return False
+        return True
+
+    def touch(self, address: int) -> None:
+        ways, _tag, entry = self._entry(address)
+        if entry is not None:
+            ways.remove(entry)
+            ways.append(entry)
+
+    def lookup(self, address: int, nbytes: int) -> bool:
+        hit = self.probe(address, nbytes)
+        if hit:
+            self.hits += 1
+            self.touch(address)
+        else:
+            self.misses += 1
+        return hit
+
+    def fill(self, address: int, nbytes: int) -> None:
+        for block in range(address // self.sub, (address + nbytes) // self.sub):
+            ways, tag, entry = self._entry(block * self.sub)
+            if entry is None:
+                if len(ways) == self.ways:
+                    ways.pop(0)  # evict the least recently used line
+                entry = [tag, set()]
             else:
-                expected = tags.get(index) == tag and block in model.get(index, set())
-                assert cache.probe(address, sub) == expected
+                ways.remove(entry)
+            ways.append(entry)
+            entry[1].add(block)
+
+    def resident_bytes(self) -> int:
+        return self.sub * sum(
+            len(entry[1]) for ways in self.sets.values() for entry in ways
+        )
+
+
+_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["fill", "probe", "touch", "lookup"]),
+        st.integers(min_value=0, max_value=255),  # parcel number
+        st.integers(min_value=1, max_value=12),  # length in parcels
+    ),
+    max_size=200,
+)
+
+
+class TestAgainstModel:
+    """Property: the cache agrees with a dictionary model of residency,
+    direct-mapped and set-associative with LRU replacement, for ranges
+    that span several sub-blocks and lines."""
+
+    @given(operations=_OPERATIONS)
+    def test_model_equivalence(self, operations):
+        _check_against_model(1, operations)
+
+    @pytest.mark.parametrize("associativity", [2, 4])
+    @given(operations=_OPERATIONS)
+    def test_set_associative_model_equivalence(self, associativity, operations):
+        _check_against_model(associativity, operations)
+
+
+def _check_against_model(associativity: int, operations) -> None:
+    line_size, size, sub = 16, 64 * associativity, 4
+    cache = InstructionCache(size, line_size, sub, associativity=associativity)
+    model = _ModelCache(size, line_size, sub, associativity)
+    for operation, parcel, parcels in operations:
+        address = parcel * 2
+        if operation == "fill":
+            # sub-block aligned, one to six sub-blocks
+            start = address - address % sub
+            nbytes = sub * (1 + parcels // 2)
+            cache.fill(start, nbytes)
+            model.fill(start, nbytes)
+        elif operation == "probe":
+            assert cache.probe(address, 2 * parcels) == model.probe(
+                address, 2 * parcels
+            )
+        elif operation == "touch":
+            cache.touch(address)
+            model.touch(address)
+        else:
+            assert cache.lookup(address, 2 * parcels) == model.lookup(
+                address, 2 * parcels
+            )
+    assert (cache.stats.hits, cache.stats.misses) == (model.hits, model.misses)
+    assert cache.resident_bytes() == model.resident_bytes()
+    for parcel in range(256):
+        assert cache.probe(parcel * 2, 2) == model.probe(parcel * 2, 2)
 
 
 class TestSetAssociativity:

@@ -35,7 +35,7 @@ import pytest
 from repro.asm import assemble
 from repro.core import simulator as simulator_module
 from repro.core.compiled import compile_stats, kernel_for
-from repro.core.config import MachineConfig
+from repro.core.config import MachineConfig, PrefetchPolicy
 from repro.core.scheduler import ENGINES, skip_enabled_default
 from repro.core.simulator import (
     DeadlockError,
@@ -44,6 +44,7 @@ from repro.core.simulator import (
     simulate,
 )
 from repro.core.trace import JsonLinesSink, Tracer
+from repro.isa.encoding import InstructionFormat
 from repro.kernels.suite import build_livermore_program
 from repro.memory.fpu import FPU_TRIGGER_DIV
 from repro.memory.fpu_timing import TimedFpu
@@ -423,6 +424,58 @@ def test_generated_programs_identical_untraced(seed, generated_programs):
                 results[tag],
                 results["reference"],
             )
+
+
+# ----------------------------------------------------------------------
+# Parcel-format programs
+# ----------------------------------------------------------------------
+# In the parcel format an instruction is 2 or 4 bytes, so a 4-byte one
+# can straddle two sub-blocks.  The conventional kernel's residency
+# test then probes the head parcel and the whole instruction, and a miss
+# on the tail parcel fetches the tail's block.
+_PARCEL = {"instruction_format": InstructionFormat.PARCEL}
+_PARCEL_MACHINES = {
+    "pipe 16-16 128B": lambda: MachineConfig.pipe(
+        "16-16", 128, memory_access_time=6, **_PARCEL
+    ),
+    "pipe 16-32 32B bus 4": lambda: MachineConfig.pipe(
+        "16-32", 32, memory_access_time=6, input_bus_width=4, **_PARCEL
+    ),
+    **{
+        f"conventional 64B {policy.value}": (
+            lambda policy=policy: MachineConfig.conventional(
+                64, memory_access_time=6, prefetch_policy=policy, **_PARCEL
+            )
+        )
+        for policy in PrefetchPolicy
+    },
+    "conventional 64B 2-way": lambda: MachineConfig.conventional(
+        64, memory_access_time=6, cache_associativity=2, **_PARCEL
+    ),
+    "tib": lambda: MachineConfig.tib(memory_access_time=6, **_PARCEL),
+}
+
+
+@pytest.fixture(scope="module")
+def parcel_program():
+    program = build_livermore_program(
+        fmt=InstructionFormat.PARCEL, scale=0.05, loops=(1, 3, 7)
+    )
+    # the rows exercise a 4-byte instruction across a sub-block boundary
+    assert any(
+        address % 4 == 2 and program.predecoded.at(address)[1] == 4
+        for address, _instruction in program.layout
+    )
+    return program
+
+
+@pytest.mark.parametrize("machine", sorted(_PARCEL_MACHINES))
+def test_parcel_programs_identical_untraced(machine, parcel_program):
+    """Untraced, the compiled row matches the reference row on a
+    parcel-format program: cycles and the whole stats dict."""
+    _assert_rows_agree(
+        f"parcel program on {machine}", _PARCEL_MACHINES[machine](), parcel_program
+    )
 
 
 # ----------------------------------------------------------------------
