@@ -1,9 +1,18 @@
 """One module per paper experiment (tables, figures, claims, ablations).
 
-Each experiment module exposes ``run(context) -> ExperimentReport``.
-:class:`ExperimentContext` carries the benchmark program and memoises
-sweeps so experiments that share parameter points (e.g. Figure 5b and
-Figure 6a) do not re-simulate them.
+Each experiment module exposes ``points(context)``, the ``(program,
+config)`` points its ``run`` reads, built from the same constants, and
+``run(context) -> ExperimentReport``, which reads their results from
+the :class:`ExperimentContext`'s memo and resolves nothing itself.
+:meth:`ExperimentContext.resolve` fills the memo through
+:func:`repro.core.sweep.resolve_points`, one fan-out per call: ``repro-sim
+report`` resolves the union of every experiment's points
+(:func:`experiment_points`) before it renders any, and
+:func:`run_experiment` resolves its own experiment's points, which after
+a report's union are all in the memo already.  Experiments that share
+points (Figure 5b and Figure 6a, say) share their results.  A point that
+``run`` reads and ``points`` leaves out raises :class:`KeyError`; it is
+never simulated on the side.
 
 Registry:
 
@@ -26,21 +35,28 @@ Registry:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import ModuleType
+from typing import Iterable, Sequence
 
 from ...asm.program import Program
 from ...core.config import PAPER_CACHE_SIZES, MachineConfig
 from ...core.resilience import FaultPolicy
 from ...core.results import SimulationResult
 from ...core.simcache import SimulationCache
-from ...core.sweep import SweepSeries, resolve_points, run_cache_sweep
+from ...core.sweep import (
+    Point,
+    SweepSeries,
+    resolve_points,
+    sweep_points,
+    sweep_series,
+)
 from ..claims import ClaimCheck
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentContext",
     "ExperimentReport",
-    "get_experiment",
+    "experiment_points",
     "run_experiment",
 ]
 
@@ -64,13 +80,14 @@ class ExperimentReport:
 
 @dataclass
 class ExperimentContext:
-    """Shared state across experiments: the program plus a sweep memo.
+    """Shared state across experiments: the program plus a result memo.
 
-    ``jobs``, ``cache`` and ``policy`` flow into every sweep and every
-    simulation an experiment routes through :meth:`simulate` /
-    :meth:`simulate_many`, giving the whole report parallel fan-out,
+    ``jobs``, ``cache``, ``policy`` and ``skip`` flow into every fan-out
+    :meth:`resolve` makes, giving the whole report parallel fan-out,
     content-addressed result reuse and one fault policy (and one fault
     report) without each experiment module knowing about any of them.
+    The memo holds each resolved point's result for as long as the
+    context lives: one command.
     """
 
     program: Program
@@ -80,63 +97,73 @@ class ExperimentContext:
     jobs: int = 1  #: worker processes for independent simulation points
     cache: SimulationCache | None = None  #: content-addressed result store
     policy: FaultPolicy = field(default_factory=FaultPolicy)  #: fault policy
-    _sweeps: dict[tuple, list[SweepSeries]] = field(default_factory=dict)
+    skip: bool = True  #: False simulates on the reference loop (--no-skip)
+    #: resolved results by program identity and machine
+    _memo: dict[tuple[int, MachineConfig], SimulationResult] = field(
+        default_factory=dict, repr=False
+    )
+    #: the memo's programs, kept alive so that their ids stay theirs
+    _programs: dict[int, Program] = field(default_factory=dict, repr=False)
 
-    def sweep(
-        self,
-        memory_access_time: int,
-        input_bus_width: int,
-        memory_pipelined: bool = False,
-        **extra,
-    ) -> list[SweepSeries]:
-        key = (
-            memory_access_time,
-            input_bus_width,
-            memory_pipelined,
-            tuple(sorted(extra.items())),
-            tuple(self.cache_sizes),
-        )
-        if key not in self._sweeps:
-            self._sweeps[key] = run_cache_sweep(
-                self.program,
-                cache_sizes=self.cache_sizes,
-                jobs=self.jobs,
-                cache=self.cache,
-                policy=self.policy,
-                memory_access_time=memory_access_time,
-                input_bus_width=input_bus_width,
-                memory_pipelined=memory_pipelined,
-                **extra,
-            )
-        return self._sweeps[key]
-
-    # ------------------------------------------------------------------
-    # The experiments' ad-hoc points, through the same resolver as sweeps
-    # ------------------------------------------------------------------
-    def simulate(
-        self, config: MachineConfig, program: Program | None = None
-    ) -> SimulationResult:
-        """One simulation point, resolved like :meth:`simulate_many`."""
-        return self.simulate_many([config], program)[0]
-
-    def simulate_many(
-        self, configs: Sequence[MachineConfig], program: Program | None = None
-    ) -> list[SimulationResult]:
-        """Independent points through :func:`~repro.core.sweep.resolve_points`.
-
-        Results come back in ``configs`` order, identical to simulating
-        each point serially.
-        """
-        return resolve_points(
-            program or self.program,
-            configs,
+    def resolve(self, points: Iterable[Point]) -> None:
+        """Resolve the points not yet in the memo, in one fan-out."""
+        missing = [
+            (program, config)
+            for program, config in points
+            if (id(program), config) not in self._memo
+        ]
+        if not missing:
+            return
+        results = resolve_points(
+            missing,
             jobs=self.jobs,
             cache=self.cache,
             policy=self.policy,
+            skip=self.skip,
+        )
+        for (program, config), result in zip(missing, results):
+            self._programs[id(program)] = program
+            self._memo[id(program), config] = result
+
+    def result(
+        self, config: MachineConfig, program: Program | None = None
+    ) -> SimulationResult:
+        """A resolved point's result (``program``: the context's own)."""
+        program = self.program if program is None else program
+        try:
+            return self._memo[id(program), config]
+        except KeyError:
+            raise KeyError(
+                f"{config.label()} is not among the resolved points: "
+                "the experiment's points() must list it"
+            ) from None
+
+    def results(self, configs: Iterable[MachineConfig]) -> list[SimulationResult]:
+        """:meth:`result` of each config, on the context's program."""
+        return [self.result(config) for config in configs]
+
+    def sweep_points(self, *sweeps: dict) -> list[Point]:
+        """The points of each sweep (a dict of :meth:`sweep` overrides)."""
+        return [
+            (self.program, config)
+            for overrides in sweeps
+            for _label, curve in sweep_points(self.cache_sizes, **overrides)
+            for _size, config in curve
+        ]
+
+    def sweep(self, **overrides) -> list[SweepSeries]:
+        """The five curves over the context's cache sizes at one memory
+        design point (``memory_access_time``, ``input_bus_width``, ...),
+        from the memo."""
+        points = sweep_points(self.cache_sizes, **overrides)
+        return sweep_series(
+            points,
+            [self.result(config) for _label, curve in points for _, config in curve],
         )
 
 
-def get_experiment(experiment_id: str) -> Callable[[ExperimentContext], ExperimentReport]:
+def _experiment(experiment_id: str) -> ModuleType:
+    """The module of one experiment; :class:`KeyError` for an unknown id."""
     from . import (
         ablations,
         associativity,
@@ -153,18 +180,18 @@ def get_experiment(experiment_id: str) -> Callable[[ExperimentContext], Experime
     )
 
     registry = {
-        "table1": table1.run,
-        "table2": table2.run,
-        "figure4": figure4.run,
-        "figure5": figure5.run,
-        "figure6": figure6.run,
-        "headline": headline.run,
-        "ablations": ablations.run,
-        "hill": hill.run,
-        "tib": tib.run,
-        "queues": queues.run,
-        "assoc": associativity.run,
-        "delays": delays.run,
+        "table1": table1,
+        "table2": table2,
+        "figure4": figure4,
+        "figure5": figure5,
+        "figure6": figure6,
+        "headline": headline,
+        "ablations": ablations,
+        "hill": hill,
+        "tib": tib,
+        "queues": queues,
+        "assoc": associativity,
+        "delays": delays,
     }
     return registry[experiment_id]
 
@@ -185,6 +212,19 @@ EXPERIMENTS = (
 )
 
 
+def experiment_points(
+    experiment_ids: Iterable[str], context: ExperimentContext
+) -> list[Point]:
+    """Every point the experiments read, in order, repeats included."""
+    return [
+        point
+        for experiment_id in experiment_ids
+        for point in _experiment(experiment_id).points(context)
+    ]
+
+
 def run_experiment(experiment_id: str, context: ExperimentContext) -> ExperimentReport:
-    """Run one experiment by id against a shared context."""
-    return get_experiment(experiment_id)(context)
+    """Run one experiment by id: resolve its points, then render it."""
+    experiment = _experiment(experiment_id)
+    context.resolve(experiment.points(context))
+    return experiment.run(context)

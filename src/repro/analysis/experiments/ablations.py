@@ -33,11 +33,62 @@ class AblationRow:
     cycles: int
 
 
+#: A: one sweep per intermediate memory access time, 8-byte bus
+_ACCESS_TIMES = {t: {"memory_access_time": t, "input_bus_width": 8} for t in (2, 3)}
+#: B: per cache size, true prefetch and then guaranteed execution only
+_FETCH_POLICIES = {
+    size: tuple(
+        MachineConfig.pipe(
+            "16-16", size, memory_access_time=6, input_bus_width=8,
+            true_prefetch=policy,
+        )
+        for policy in (True, False)
+    )
+    for size in (32, 128)
+}
+#: C: instruction-first, then data-first priority
+_PRIORITIES = (
+    MachineConfig.pipe("16-16", 128, memory_access_time=6, input_bus_width=8),
+    MachineConfig.pipe(
+        "16-16", 128, memory_access_time=6, input_bus_width=8,
+        priority=RequestPriority.DATA_FIRST,
+    ),
+)
+#: D: one machine per instruction format, each on its own program
+_FORMATS = {
+    fmt: MachineConfig.pipe(
+        "16-16", 128, memory_access_time=6, input_bus_width=8,
+        instruction_format=fmt,
+    )
+    for fmt in (InstructionFormat.FIXED32, InstructionFormat.PARCEL)
+}
+
+
+def _program(context: ExperimentContext, fmt: InstructionFormat):
+    """The context's program in ``fmt``: the parcel-format one is
+    assembled separately, at the same workload scale."""
+    if fmt is InstructionFormat.FIXED32:
+        return context.program
+    return cached_livermore_suite(fmt=fmt, scale=context.scale).program
+
+
+def points(context: ExperimentContext) -> list:
+    return (
+        context.sweep_points(*_ACCESS_TIMES.values())
+        + [
+            (context.program, config)
+            for machines in (*_FETCH_POLICIES.values(), _PRIORITIES)
+            for config in machines
+        ]
+        + [(_program(context, fmt), config) for fmt, config in _FORMATS.items()]
+    )
+
+
 def _ablation_a(context: ExperimentContext) -> tuple[list[AblationRow], list[ClaimCheck]]:
     rows: list[AblationRow] = []
     checks: list[ClaimCheck] = []
-    for access_time in (2, 3):
-        series = context.sweep(memory_access_time=access_time, input_bus_width=8)
+    for access_time, memory in _ACCESS_TIMES.items():
+        series = context.sweep(**memory)
         curves = by_label(series)
         conv = curves["conventional"].as_dict()
         # T=2 sits in the transition from the T=1 regime, so we check the
@@ -71,18 +122,9 @@ def _ablation_a(context: ExperimentContext) -> tuple[list[AblationRow], list[Cla
 def _ablation_b(context: ExperimentContext) -> tuple[list[AblationRow], list[ClaimCheck]]:
     rows: list[AblationRow] = []
     checks: list[ClaimCheck] = []
-    for size in (32, 128):
+    for size, machines in _FETCH_POLICIES.items():
         true_prefetch, guaranteed = (
-            result.cycles
-            for result in context.simulate_many(
-                [
-                    MachineConfig.pipe(
-                        "16-16", size, memory_access_time=6, input_bus_width=8,
-                        true_prefetch=policy,
-                    )
-                    for policy in (True, False)
-                ]
-            )
+            result.cycles for result in context.results(machines)
         )
         rows.append(AblationRow(f"fetch policy @{size}B", "true prefetch", true_prefetch))
         rows.append(AblationRow(f"fetch policy @{size}B", "guaranteed only", guaranteed))
@@ -100,18 +142,7 @@ def _ablation_b(context: ExperimentContext) -> tuple[list[AblationRow], list[Cla
 def _ablation_c(context: ExperimentContext) -> tuple[list[AblationRow], list[ClaimCheck]]:
     rows: list[AblationRow] = []
     instruction_first, data_first = (
-        result.cycles
-        for result in context.simulate_many(
-            [
-                MachineConfig.pipe(
-                    "16-16", 128, memory_access_time=6, input_bus_width=8
-                ),
-                MachineConfig.pipe(
-                    "16-16", 128, memory_access_time=6, input_bus_width=8,
-                    priority=RequestPriority.DATA_FIRST,
-                ),
-            ]
-        )
+        result.cycles for result in context.results(_PRIORITIES)
     )
     rows.append(AblationRow("priority", "instruction first", instruction_first))
     rows.append(AblationRow("priority", "data first", data_first))
@@ -129,27 +160,12 @@ def _ablation_c(context: ExperimentContext) -> tuple[list[AblationRow], list[Cla
 
 
 def _ablation_d(context: ExperimentContext) -> tuple[list[AblationRow], list[ClaimCheck]]:
-    # The parcel-format program must be assembled separately at the same
-    # workload scale the context's fixed-32 program used.
-    parcel_program = cached_livermore_suite(
-        fmt=InstructionFormat.PARCEL, scale=context.scale
-    ).program
-    fixed_program = context.program
     rows: list[AblationRow] = []
     results = {}
-    for fmt_name, program, fmt in (
-        ("fixed32", fixed_program, InstructionFormat.FIXED32),
-        ("parcel", parcel_program, InstructionFormat.PARCEL),
-    ):
-        cycles = context.simulate(
-            MachineConfig.pipe(
-                "16-16", 128, memory_access_time=6, input_bus_width=8,
-                instruction_format=fmt,
-            ),
-            program=program,
-        ).cycles
-        results[fmt_name] = cycles
-        rows.append(AblationRow("format", fmt_name, cycles))
+    for fmt, config in _FORMATS.items():
+        cycles = context.result(config, _program(context, fmt)).cycles
+        results[fmt.value] = cycles
+        rows.append(AblationRow("format", fmt.value, cycles))
     checks = [
         ClaimCheck(
             figure="ablation D",

@@ -16,23 +16,31 @@ _MEMORY = {"memory_access_time": 6, "input_bus_width": 8}
 _WAYS = (1, 2, 4)
 _SIZES = (64, 128)
 
+#: each ``(strategy, cache size, ways)``'s machine
+_MACHINES = {
+    key: machine
+    for size in _SIZES
+    for ways in _WAYS
+    for key, machine in (
+        (
+            ("PIPE 16-16", size, ways),
+            MachineConfig.pipe("16-16", size, cache_associativity=ways, **_MEMORY),
+        ),
+        (
+            ("conventional", size, ways),
+            MachineConfig.conventional(size, cache_associativity=ways, **_MEMORY),
+        ),
+    )
+}
+
+
+def points(context: ExperimentContext) -> list:
+    return [(context.program, config) for config in _MACHINES.values()]
+
 
 def run(context: ExperimentContext) -> ExperimentReport:
-    points: list[tuple[str, int, int]] = []
-    configs: list[MachineConfig] = []
-    for size in _SIZES:
-        for ways in _WAYS:
-            points.append(("PIPE 16-16", size, ways))
-            configs.append(
-                MachineConfig.pipe("16-16", size, cache_associativity=ways, **_MEMORY)
-            )
-            points.append(("conventional", size, ways))
-            configs.append(
-                MachineConfig.conventional(size, cache_associativity=ways, **_MEMORY)
-            )
     table: dict[tuple[str, int, int], int] = {
-        point: result.cycles
-        for point, result in zip(points, context.simulate_many(configs))
+        key: context.result(config).cycles for key, config in _MACHINES.items()
     }
 
     lines = [

@@ -19,6 +19,13 @@ from ...core.config import MachineConfig
 from ..claims import ClaimCheck
 from . import ExperimentContext, ExperimentReport
 
+#: a 512-byte cache and 1-cycle memory, so fetch never limits
+_MACHINE = MachineConfig.pipe("16-16", 512, memory_access_time=1)
+
+
+def points(context: ExperimentContext) -> list:
+    return [(context.program, _MACHINE)]
+
 
 def run(context: ExperimentContext) -> ExperimentReport:
     program = context.program
@@ -29,9 +36,7 @@ def run(context: ExperimentContext) -> ExperimentReport:
     ]
     static_avg = sum(pbr_delays) / len(pbr_delays) if pbr_delays else 0.0
 
-    result = context.simulate(
-        MachineConfig.pipe("16-16", 512, memory_access_time=1)
-    )
+    result = context.result(_MACHINE)
     unresolved = result.stalls.get("branch_unresolved", 0)
 
     histogram: dict[int, int] = {}

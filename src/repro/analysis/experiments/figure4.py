@@ -12,13 +12,20 @@ Paper findings reproduced here (section 6):
 from __future__ import annotations
 
 from ..claims import check_figure4a, check_figure4b
-from ..figures import render_figure
+from ..figures import FIGURES, render_figure
 from . import ExperimentContext, ExperimentReport
+
+_PANELS = ("4a", "4b")
+
+
+def points(context: ExperimentContext) -> list:
+    return context.sweep_points(*(FIGURES[panel].overrides() for panel in _PANELS))
 
 
 def run(context: ExperimentContext) -> ExperimentReport:
-    series_4a = context.sweep(memory_access_time=1, input_bus_width=4)
-    series_4b = context.sweep(memory_access_time=1, input_bus_width=8)
+    series_4a, series_4b = (
+        context.sweep(**FIGURES[panel].overrides()) for panel in _PANELS
+    )
     checks = check_figure4a(series_4a) + check_figure4b(series_4b)
     text = "\n\n".join(
         [

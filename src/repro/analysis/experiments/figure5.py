@@ -13,13 +13,20 @@ Paper findings reproduced here (section 6):
 from __future__ import annotations
 
 from ..claims import check_figure5
-from ..figures import render_figure
+from ..figures import FIGURES, render_figure
 from . import ExperimentContext, ExperimentReport
+
+_PANELS = ("5a", "5b")
+
+
+def points(context: ExperimentContext) -> list:
+    return context.sweep_points(*(FIGURES[panel].overrides() for panel in _PANELS))
 
 
 def run(context: ExperimentContext) -> ExperimentReport:
-    series_5a = context.sweep(memory_access_time=6, input_bus_width=4)
-    series_5b = context.sweep(memory_access_time=6, input_bus_width=8)
+    series_5a, series_5b = (
+        context.sweep(**FIGURES[panel].overrides()) for panel in _PANELS
+    )
     checks = check_figure5(series_5b, series_narrow_bus=series_5a, figure="5b")
     checks += check_figure5(series_5a, figure="5a")
     text = "\n\n".join(

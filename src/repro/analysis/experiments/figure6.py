@@ -11,16 +11,21 @@ are the best performers at this memory speed (the reverse of Figure 4).
 from __future__ import annotations
 
 from ..claims import check_figure6, check_line_size_reversal
-from ..figures import render_figure
+from ..figures import FIGURES, render_figure
 from . import ExperimentContext, ExperimentReport
+
+#: the two panels, then Figure 4a's fast memory for the line-size reversal
+_PANELS = ("6a", "6b", "4a")
+
+
+def points(context: ExperimentContext) -> list:
+    return context.sweep_points(*(FIGURES[panel].overrides() for panel in _PANELS))
 
 
 def run(context: ExperimentContext) -> ExperimentReport:
-    series_6a = context.sweep(memory_access_time=6, input_bus_width=8)
-    series_6b = context.sweep(
-        memory_access_time=6, input_bus_width=8, memory_pipelined=True
+    series_6a, series_6b, series_fast = (
+        context.sweep(**FIGURES[panel].overrides()) for panel in _PANELS
     )
-    series_fast = context.sweep(memory_access_time=1, input_bus_width=4)
     checks = check_figure6(series_6a, series_6b)
     checks += check_line_size_reversal(series_fast, series_6b)
     text = "\n\n".join(

@@ -11,9 +11,15 @@ from __future__ import annotations
 from ..claims import by_label, check_headline
 from . import ExperimentContext, ExperimentReport
 
+_MEMORY = {"memory_access_time": 6, "input_bus_width": 4}
+
+
+def points(context: ExperimentContext) -> list:
+    return context.sweep_points(_MEMORY)
+
 
 def run(context: ExperimentContext) -> ExperimentReport:
-    series = context.sweep(memory_access_time=6, input_bus_width=4)
+    series = context.sweep(**_MEMORY)
     checks = check_headline(series)
     curves = by_label(series)
     conv = curves["conventional"].as_dict()

@@ -9,6 +9,8 @@ none) across cache sizes and checks that ranking on our workload.
 
 from __future__ import annotations
 
+import functools
+
 from ...core.config import MachineConfig, PrefetchPolicy
 from ..claims import ClaimCheck
 from . import ExperimentContext, ExperimentReport
@@ -16,23 +18,33 @@ from . import ExperimentContext, ExperimentReport
 _MEMORY = {"memory_access_time": 6, "input_bus_width": 8}
 
 
-def run(context: ExperimentContext) -> ExperimentReport:
-    points = [
-        (policy, size)
+@functools.lru_cache(maxsize=8)
+def _machines(cache_sizes: tuple[int, ...]) -> tuple:
+    """Each ``(policy, cache size)`` with its machine, built once per
+    process."""
+    return tuple(
+        (
+            (policy, size),
+            MachineConfig.conventional(size, prefetch_policy=policy, **_MEMORY),
+        )
         for policy in PrefetchPolicy
-        for size in context.cache_sizes
-    ]
-    results = context.simulate_many(
-        [
-            MachineConfig.conventional(size, prefetch_policy=policy, **_MEMORY)
-            for policy, size in points
-        ]
+        for size in cache_sizes
     )
+
+
+def points(context: ExperimentContext) -> list:
+    return [
+        (context.program, config)
+        for _point, config in _machines(tuple(context.cache_sizes))
+    ]
+
+
+def run(context: ExperimentContext) -> ExperimentReport:
     cycles: dict[PrefetchPolicy, dict[int, int]] = {
         policy: {} for policy in PrefetchPolicy
     }
-    for (policy, size), result in zip(points, results):
-        cycles[policy][size] = result.cycles
+    for (policy, size), config in _machines(tuple(context.cache_sizes)):
+        cycles[policy][size] = context.result(config).cycles
 
     lines = [
         "Hill's prefetch strategies on the conventional cache "

@@ -21,20 +21,19 @@ _IQ_SIZES = (4, 8, 16, 32)
 _IQB_SIZES = (16, 32, 64)
 _CACHE = 128
 
+_BASE = MachineConfig.pipe("16-16", _CACHE, **_MEMORY)
+_IQ = {size: _BASE.with_overrides(iq_size=size) for size in _IQ_SIZES}
+_IQB = {size: _BASE.with_overrides(iqb_size=size) for size in _IQB_SIZES}
+
+
+def points(context: ExperimentContext) -> list:
+    return [(context.program, config) for config in (*_IQ.values(), *_IQB.values())]
+
 
 def run(context: ExperimentContext) -> ExperimentReport:
-    base = MachineConfig.pipe("16-16", _CACHE, **_MEMORY)
-    configs = [base.with_overrides(iq_size=size) for size in _IQ_SIZES] + [
-        base.with_overrides(iqb_size=size) for size in _IQB_SIZES
-    ]
-    results = context.simulate_many(configs)
-    iq_cycles = {
-        size: result.cycles
-        for size, result in zip(_IQ_SIZES, results[: len(_IQ_SIZES)])
-    }
+    iq_cycles = {size: context.result(config).cycles for size, config in _IQ.items()}
     iqb_cycles = {
-        size: result.cycles
-        for size, result in zip(_IQB_SIZES, results[len(_IQ_SIZES) :])
+        size: context.result(config).cycles for size, config in _IQB.items()
     }
 
     lines = [

@@ -15,6 +15,10 @@ from ..tables import render_table1, table1_rows
 from . import ExperimentContext, ExperimentReport
 
 
+def points(context: ExperimentContext) -> list:
+    return []  # static: the assembled program's inner-loop sizes
+
+
 def run(context: ExperimentContext) -> ExperimentReport:
     suite = context.suite
     if not isinstance(suite, LivermoreSuite):

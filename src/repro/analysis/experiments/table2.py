@@ -19,6 +19,10 @@ _PAPER_TABLE2 = {
 }
 
 
+def points(context: ExperimentContext) -> list:
+    return []  # static: the presets themselves
+
+
 def run(context: ExperimentContext) -> ExperimentReport:
     checks = []
     for name, (line, iq, iqb) in _PAPER_TABLE2.items():

@@ -18,6 +18,14 @@ _MEMORY = {"memory_access_time": 6, "input_bus_width": 8}
 #: TIB geometries swept: (entries, bytes per entry) → total buffer bytes.
 _TIB_SHAPES = ((2, 16), (4, 16), (8, 16), (8, 32))
 
+_TIBS = {shape: MachineConfig.tib(*shape, **_MEMORY) for shape in _TIB_SHAPES}
+#: the caches the TIB is measured against, by report row
+_CACHES = {
+    "conventional 32B cache": MachineConfig.conventional(32, **_MEMORY),
+    "conventional 128B cache": MachineConfig.conventional(128, **_MEMORY),
+    "PIPE 16-16, 32B cache": MachineConfig.pipe("16-16", 32, **_MEMORY),
+}
+
 
 def _ifetch_traffic(result) -> int:
     return (
@@ -26,19 +34,18 @@ def _ifetch_traffic(result) -> int:
     )
 
 
+def points(context: ExperimentContext) -> list:
+    return [
+        (context.program, config)
+        for config in (*_TIBS.values(), *_CACHES.values())
+    ]
+
+
 def run(context: ExperimentContext) -> ExperimentReport:
     rows: list[tuple[str, int, int, str]] = []
-    configs = [
-        MachineConfig.tib(entries, entry_bytes, **_MEMORY)
-        for entries, entry_bytes in _TIB_SHAPES
-    ] + [
-        MachineConfig.conventional(32, **_MEMORY),
-        MachineConfig.conventional(128, **_MEMORY),
-        MachineConfig.pipe("16-16", 32, **_MEMORY),
-    ]
-    results = context.simulate_many(configs)
-    tib_results = dict(zip(_TIB_SHAPES, results[: len(_TIB_SHAPES)]))
-    conventional_small, conventional_big, pipe_small = results[len(_TIB_SHAPES) :]
+    tib_results = {shape: context.result(config) for shape, config in _TIBS.items()}
+    cache_results = context.results(_CACHES.values())
+    conventional_small, conventional_big, pipe_small = cache_results
     for (entries, entry_bytes), result in tib_results.items():
         rows.append(
             (
@@ -48,11 +55,7 @@ def run(context: ExperimentContext) -> ExperimentReport:
                 f"{result.ipc:.3f}",
             )
         )
-    for label, result in (
-        ("conventional 32B cache", conventional_small),
-        ("conventional 128B cache", conventional_big),
-        ("PIPE 16-16, 32B cache", pipe_small),
-    ):
+    for label, result in zip(_CACHES, cache_results):
         rows.append((label, result.cycles, _ifetch_traffic(result), f"{result.ipc:.3f}"))
 
     lines = [

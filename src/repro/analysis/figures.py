@@ -77,8 +77,10 @@ def run_figure(
     jobs: int | None = 1,
     cache: SimulationCache | None = None,
     policy: FaultPolicy | None = None,
+    skip: bool = True,
 ) -> list[SweepSeries]:
-    """Run the sweep behind one figure panel."""
+    """Run the sweep behind one figure panel (``skip=False``: on the
+    reference loop)."""
     spec = FIGURES[figure_id]
     return run_cache_sweep(
         program,
@@ -86,6 +88,7 @@ def run_figure(
         jobs=jobs,
         cache=cache,
         policy=policy,
+        skip=skip,
         **spec.overrides(),
     )
 

@@ -20,10 +20,14 @@ processes (default: ``REPRO_JOBS`` or the CPU count) and use a
 content-addressed result cache under ``.repro_cache/`` (bypass with
 ``--no-cache``; relocate with ``--cache-dir`` or ``REPRO_CACHE_DIR``).
 
-``report`` runs the experiments one after another in this process;
-each sweep or list of points resolves through
-:func:`repro.core.sweep.resolve_points`, which fans its cache misses out
-over the ``--jobs`` workers.
+``report`` first lists every point its experiments read and resolves
+them all through :func:`repro.core.sweep.resolve_points`: one cache
+lookup per distinct point, then one fan-out of the misses over one pool
+of ``--jobs`` workers, forked once this process has run each program's
+issue stream.  Only then does it render the experiments, one after
+another, from those results; ``experiment`` does the same for its one
+experiment.  ``--no-skip`` (before the subcommand) runs every point on
+the reference loop; it reaches pool workers with their programs.
 
 Every sweep runs under one fault policy, set by the resilience options
 ``--timeout`` and ``--max-retries``: a point whose worker crashed or
@@ -38,7 +42,8 @@ writes it as JSON.  ``--inject-faults SPEC`` arms the deterministic
 fault injectors (see :mod:`repro.core.faults`) to rehearse exactly
 those recoveries; a malformed spec is a usage error.  A point that
 stays broken ends the run with status 1 and one stderr line naming its
-machine.
+machine.  When the pool keeps dying, the serial fallback finishes the
+rest of the command in this process.
 """
 
 from __future__ import annotations
@@ -46,10 +51,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
-from .analysis.experiments import EXPERIMENTS, ExperimentContext, run_experiment
+from .analysis.experiments import (
+    EXPERIMENTS,
+    ExperimentContext,
+    experiment_points,
+    run_experiment,
+)
 from .analysis.figures import FIGURES, render_figure, run_figure
 from .analysis.tables import (
     render_series_csv,
@@ -61,7 +70,6 @@ from .core import faults
 from .core.config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
 from .core.parallel import resolve_jobs
 from .core.resilience import DEFAULT_MAX_RETRIES, FaultPolicy, SweepPointError
-from .core.scheduler import NO_SKIP_ENV
 from .core.simcache import SimulationCache
 from .core.simulator import simulate, simulate_traced
 from .core.trace import TraceMetrics
@@ -220,7 +228,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(render_trace_summary(TraceMetrics.from_dict(result.trace_metrics)))
         print(f"trace written : {args.trace_out}")
     else:
-        result = simulate(config, suite.program)
+        result = simulate(config, suite.program, skip=not args.no_skip)
         print(result.summary())
     return 0
 
@@ -264,6 +272,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             jobs=resolve_jobs(args.jobs),
             cache=_make_cache(args),
             policy=policy,
+            skip=not args.no_skip,
         )
     finally:
         _finish_policy(args, policy)
@@ -275,19 +284,20 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _make_context(
-    scale: float,
+    args: argparse.Namespace,
     jobs: int,
     cache: SimulationCache | None,
     policy: FaultPolicy,
 ) -> ExperimentContext:
-    suite = cached_livermore_suite(scale=scale)
+    suite = cached_livermore_suite(scale=args.scale)
     return ExperimentContext(
         program=suite.program,
         suite=suite,
-        scale=scale,
+        scale=args.scale,
         jobs=jobs,
         cache=cache,
         policy=policy,
+        skip=not args.no_skip,
     )
 
 
@@ -328,9 +338,7 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     policy = _make_policy(args)
-    context = _make_context(
-        args.scale, resolve_jobs(args.jobs), _make_cache(args), policy
-    )
+    context = _make_context(args, resolve_jobs(args.jobs), _make_cache(args), policy)
     try:
         report = run_experiment(args.name, context)
     finally:
@@ -351,12 +359,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     print()
     failed = False
-    # The experiments run one after another in this process and each
-    # sweep or point list fans its misses out over `jobs` workers.  The
-    # context's sweep memo shares whole sweeps between experiments, and
-    # the result cache shares single points.
-    context = _make_context(args.scale, jobs, cache, policy)
+    # Every experiment's points first, in one fan-out over one pool; the
+    # experiments then render one after another from the context's
+    # memo, which dies with this command.
+    context = _make_context(args, jobs, cache, policy)
     try:
+        context.resolve(experiment_points(EXPERIMENTS, context))
         for experiment_id in EXPERIMENTS:
             report = run_experiment(experiment_id, context)
             print(f"{'=' * 70}")
@@ -432,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the reference cycle-by-cycle loop instead of the "
         "compiled engine (no idle-cycle skipping, no loop replay; results "
-        "are identical; equivalent to REPRO_NO_SKIP=1)",
+        "are identical), in this process and in every sweep worker",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -600,11 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    previous = os.environ.get(NO_SKIP_ENV)
-    if args.no_skip:
-        # Via the environment so parallel sweep workers inherit it too;
-        # restored on return, so the flag lasts one command.
-        os.environ[NO_SKIP_ENV] = "1"
     try:
         return args.func(args)
     except SweepPointError as error:
@@ -616,11 +619,6 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return 1
-    finally:
-        if previous is None:
-            os.environ.pop(NO_SKIP_ENV, None)
-        else:
-            os.environ[NO_SKIP_ENV] = previous
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -278,3 +278,42 @@ class MachineConfig:
             f"{'p' if self.memory_pipelined else ''} bus={self.input_bus_width}B"
         )
         return f"{shape} cache={self.icache_size}B {memory}"
+
+    def label(self) -> str:
+        """:meth:`describe`, plus each field it leaves out whose value
+        differs from the strategy's preset: a name no other machine
+        shares (``... priority=data_first`` for a data-first PIPE
+        machine).  A preset machine's label is its description."""
+        shown = _DESCRIBED[self.fetch_strategy]
+        preset = _PRESETS[self.fetch_strategy]
+        extras = [
+            f"{name}={value}"
+            for name, value in self.to_dict().items()
+            if name not in shown and value != preset[name]
+        ]
+        return " ".join([self.describe(), *extras])
+
+
+#: the fields :meth:`MachineConfig.describe` prints, per strategy
+_DESCRIBED = {
+    strategy: {
+        "fetch_strategy",
+        "icache_size",
+        "memory_access_time",
+        "memory_pipelined",
+        "input_bus_width",
+        *shape,
+    }
+    for strategy, shape in (
+        (FetchStrategy.PIPE, ("line_size", "iq_size", "iqb_size")),
+        (FetchStrategy.CONVENTIONAL, ("line_size",)),
+        (FetchStrategy.TIB, ("tib_entries", "tib_entry_bytes")),
+    )
+}
+
+#: each strategy's preset machine, as :meth:`MachineConfig.to_dict` gives it
+_PRESETS = {
+    FetchStrategy.PIPE: MachineConfig.pipe().to_dict(),
+    FetchStrategy.CONVENTIONAL: MachineConfig.conventional().to_dict(),
+    FetchStrategy.TIB: MachineConfig.tib().to_dict(),
+}

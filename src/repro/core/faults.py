@@ -25,8 +25,8 @@ scratch directory — the retry of a killed point must succeed, not die
 again forever.
 
 The active plan travels through the ``REPRO_FAULT_PLAN`` environment
-variable (as the CLI's engine switches do), so sweep worker processes
-inherit it without any explicit plumbing.
+variable, so sweep worker processes inherit it without any explicit
+plumbing.
 """
 
 from __future__ import annotations

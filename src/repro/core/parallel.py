@@ -14,7 +14,11 @@ and reports each point through ``on_result`` as it completes.  On top
 of it, :func:`parallel_map` is ``[fn(item) for item in items]`` that
 raises one :class:`~repro.core.resilience.SweepPointError` naming every
 failed item once all the others have settled, and
-:func:`simulate_many` runs sweep points against one program through it.
+:func:`simulate_many` runs ``(program, config)`` points through it.  A
+command makes one such call for all of its points
+(:func:`repro.core.sweep.resolve_points`), so it builds one pool, and
+when that pool keeps dying the serial fallback finishes the rest of the
+command.
 
 Job-count resolution, in priority order: an explicit ``jobs`` argument
 (the ``--jobs`` CLI flag), the ``REPRO_JOBS`` environment variable,
@@ -24,10 +28,12 @@ pickled, a pool that keeps dying — falls back to serial.  Results always
 come back in submission order, so parallel runs are bit-identical to
 serial ones.
 
-The benchmark program is shipped to each worker once (pool initializer)
-rather than once per point; workers then receive only the small
-:class:`MachineConfig` per task.  Where workers are forked (Linux),
-they also inherit the parent's in-process codegen caches.
+The distinct programs and the engine choice (``skip``) reach each
+worker once, as the pool initializer's arguments; a task carries only a
+program's slot and a small :class:`MachineConfig`.  Where workers are
+forked (Linux), those arguments are not pickled at all: the workers
+inherit the programs, with the issue streams the parent ran before the
+fork, and the parent's in-process codegen caches.
 """
 
 from __future__ import annotations
@@ -152,7 +158,9 @@ def sweep_map(
 
     Returns ``(values, failed)``: values in input order (``None`` where
     a point failed) and the failed points' final exceptions by index.
-    ``on_result(index, value)`` fires as each point completes.  The map
+    ``on_result(index, value)`` fires once for each completed point; on
+    a pool it fires after the idle workers have their next points, so
+    a slow callback (a cache store) leaves no worker waiting.  The map
     runs under ``policy`` (``None``: a fresh :class:`FaultPolicy`), and
     every recovery is recorded in its report against ``labels[index]``:
 
@@ -250,6 +258,24 @@ def sweep_map(
                 "pool", "pool_respawn", detail=reason, attempt=pool_failures
             )
 
+        def refill() -> None:
+            """Keep at most `jobs` points in flight, so submission time
+            approximates start time and per-point deadlines mean what
+            they say."""
+            while pending and len(in_flight) < jobs:
+                index = pending.popleft()
+                if settled(index):
+                    continue
+                try:
+                    future = pool.submit(fn, items[index])
+                except _POOL_ERRORS as exc:
+                    pending.appendleft(index)
+                    respawn(f"submit failed ({type(exc).__name__}: {exc})")
+                    return
+                in_flight[future] = index
+                if timeout is not None:
+                    deadlines[future] = time.monotonic() + timeout
+
         try:
             while pending or in_flight:
                 if pool is None:
@@ -264,22 +290,7 @@ def sweep_map(
                             f"cannot spawn workers ({type(exc).__name__}: {exc})"
                         )
                         raise _GoSerial from None
-                # Keep at most `jobs` points in flight so submission
-                # time approximates start time and per-point deadlines
-                # mean what they say.
-                while pending and len(in_flight) < jobs:
-                    index = pending.popleft()
-                    if settled(index):
-                        continue
-                    try:
-                        future = pool.submit(fn, items[index])
-                    except _POOL_ERRORS as exc:
-                        pending.appendleft(index)
-                        respawn(f"submit failed ({type(exc).__name__}: {exc})")
-                        break
-                    in_flight[future] = index
-                    if timeout is not None:
-                        deadlines[future] = time.monotonic() + timeout
+                refill()
                 if not in_flight:
                     continue
                 wait_for = None
@@ -318,37 +329,49 @@ def sweep_map(
                     # is charged however the wakeup raced the breakage.
                     done = wait(set(in_flight)).done
                 crash: BaseException | None = None
-                for future in done:
-                    index = in_flight.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        value = future.result()
-                    except BrokenExecutor as exc:
-                        crash = exc
-                        if charge(
-                            index,
-                            exc,
-                            "worker_crash",
-                            f"worker died ({type(exc).__name__}: {exc})",
-                        ):
-                            pending.append(index)
-                    except Exception as exc:  # noqa: BLE001 — per-point boundary
-                        if _cannot_travel(exc, items[index]):
-                            go_serial(f"{type(exc).__name__}: {exc}")
-                            raise _GoSerial from None
-                        charge(index, exc)
+                completed: list[int] = []
+                try:
+                    for future in done:
+                        index = in_flight.pop(future)
+                        deadlines.pop(future, None)
+                        try:
+                            value = future.result()
+                        except BrokenExecutor as exc:
+                            crash = exc
+                            if charge(
+                                index,
+                                exc,
+                                "worker_crash",
+                                f"worker died ({type(exc).__name__}: {exc})",
+                            ):
+                                pending.append(index)
+                        except Exception as exc:  # noqa: BLE001 — per-point boundary
+                            if _cannot_travel(exc, items[index]):
+                                go_serial(f"{type(exc).__name__}: {exc}")
+                                raise _GoSerial from None
+                            charge(index, exc)
+                        else:
+                            results[index] = value
+                            completed.append(index)
+                            # Progress resets the failure budget: the
+                            # limit guards against a pool that *cannot*
+                            # make progress, not against many
+                            # recoverable deaths spread across a long
+                            # sweep.
+                            pool_failures = 0
+                    if crash is not None:
+                        respawn(
+                            f"worker process died mid-point "
+                            f"({type(crash).__name__}: {crash})"
+                        )
                     else:
-                        deliver(index, value)
-                        # Progress resets the failure budget: the limit
-                        # guards against a pool that *cannot* make
-                        # progress, not against many recoverable deaths
-                        # spread across a long sweep.
-                        pool_failures = 0
-                if crash is not None:
-                    respawn(
-                        f"worker process died mid-point "
-                        f"({type(crash).__name__}: {crash})"
-                    )
+                        # The workers get their next points before
+                        # on_result (a cache store) runs for these.
+                        refill()
+                finally:
+                    if on_result is not None:
+                        for index in completed:
+                            on_result(index, results[index])
         except _GoSerial:
             pass
         finally:
@@ -413,52 +436,58 @@ def parallel_map(
 
 
 # ----------------------------------------------------------------------
-# Simulation fan-out: the program lives in each worker, configs travel.
+# Simulation fan-out: the programs live in each worker, configs travel.
 # ----------------------------------------------------------------------
-_worker_program: Program | None = None
+_worker_programs: tuple[Program, ...] = ()
+_worker_skip = True
 
 
-def _init_simulation_worker(program: Program) -> None:
-    global _worker_program
-    _worker_program = program
+def _init_simulation_worker(programs: tuple[Program, ...], skip: bool) -> None:
+    global _worker_programs, _worker_skip
+    _worker_programs = programs
+    _worker_skip = skip
 
 
-def _simulate_point(config: MachineConfig) -> SimulationResult:
+def _simulate_point(task: tuple[int, MachineConfig]) -> SimulationResult:
     """Worker body: any armed fault injectors, then the point."""
     from .simulator import simulate  # late: the simulator is heavy
 
-    program = _worker_program
-    assert program is not None, "worker initialized without a program"
+    slot, config = task
+    program = _worker_programs[slot]
     if faults.active_plan() is not None:
         key = result_key(config, program)
         faults.maybe_kill_worker(key)
         faults.maybe_hang_point(key)
-    return simulate(config, program)
+    return simulate(config, program, skip=_worker_skip)
 
 
 def simulate_many(
-    program: Program,
-    configs: Sequence[MachineConfig],
+    points: Sequence[tuple[Program, MachineConfig]],
     jobs: int | None = None,
     on_result: Callable[[int, SimulationResult], None] | None = None,
     policy: FaultPolicy | None = None,
+    skip: bool = True,
 ) -> list[SimulationResult]:
-    """Simulate every config against ``program``, fanned out over workers.
+    """Simulate every ``(program, config)`` point, fanned out over workers.
 
-    Results are returned in ``configs`` order and are bit-identical to
+    Results are returned in ``points`` order and are bit-identical to
     running the same list serially; ``on_result(index, result)`` fires
-    as each point completes.  Each point is labelled by its machine,
-    ``config.describe()``, in ``policy``'s report and in the
+    as each point completes.  ``skip=False`` runs the reference loop
+    instead of the compiled engine.  The distinct programs and ``skip``
+    reach the workers once, in the pool's initializer; a task is a
+    program's slot and a config.  Each point is labelled by its
+    machine, ``config.label()``, in ``policy``'s report and in the
     :class:`SweepPointError` raised once every point has settled.
     """
-    configs = list(configs)
+    programs = tuple({id(program): program for program, _ in points}.values())
+    slots = {id(program): slot for slot, program in enumerate(programs)}
     return parallel_map(
         _simulate_point,
-        configs,
+        [(slots[id(program)], config) for program, config in points],
         jobs=jobs,
         initializer=_init_simulation_worker,
-        initargs=(program,),
+        initargs=(programs, skip),
         on_result=on_result,
-        labels=[config.describe() for config in configs],
+        labels=[config.label() for _program, config in points],
         policy=policy,
     )

@@ -11,7 +11,7 @@ The simulator has two engines, the two rows of :data:`ENGINES`:
   the reference loop's.  It runs untraced only: a run with an enabled
   tracer takes the reference loop on either row.
 
-``skip=False``, ``REPRO_NO_SKIP=1`` or ``--no-skip`` selects the
+``skip=False`` (``--no-skip`` on the command line) selects the
 reference loop; :func:`resolve_engine` reads the switches.
 
 The kernel's idle-cycle skipping rests on two pieces defined here:
@@ -31,17 +31,13 @@ The kernel's idle-cycle skipping rests on two pieces defined here:
 
 from __future__ import annotations
 
-import os
-
 __all__ = [
     "ENGINES",
     "ENGINE_REVISION",
     "IDLE",
-    "NO_SKIP_ENV",
     "ProgressClock",
     "SeqCounter",
     "resolve_engine",
-    "skip_enabled_default",
 ]
 
 #: The compiled kernel's wake-scan sentinel: no timed event is pending,
@@ -54,9 +50,6 @@ IDLE: int = 1 << 62
 #: generator.
 ENGINE_REVISION = "skip-1+replay-5+compiled-5"
 
-#: Environment variable forcing the reference loop.
-NO_SKIP_ENV = "REPRO_NO_SKIP"
-
 #: The two engines, slowest first, as ``(name, Simulator kwargs)``.
 #: Both produce byte-identical results (the differential matrix pins
 #: this).
@@ -66,12 +59,6 @@ ENGINES: tuple[tuple[str, dict], ...] = (
 )
 
 
-def skip_enabled_default() -> bool:
-    """The compiled engine is the default unless ``REPRO_NO_SKIP`` is set."""
-    value = os.environ.get(NO_SKIP_ENV, "").strip().lower()
-    return value not in ("1", "true", "yes")
-
-
 def resolve_engine(
     skip: bool | None = None,
     replay: bool | None = None,
@@ -79,7 +66,7 @@ def resolve_engine(
 ) -> bool:
     """True when one run uses the compiled engine, False for the reference loop.
 
-    ``skip`` decides, and an unset ``skip`` follows ``REPRO_NO_SKIP``.
+    ``skip`` decides; unset, it selects the compiled engine.
     ``replay`` and ``compiled`` are kept only so that ``False`` still
     selects the reference loop; ``True`` selects nothing.  An explicit
     ``True`` beside an explicit ``False`` raises :class:`ValueError`.
@@ -92,9 +79,7 @@ def resolve_engine(
             f"{on[0]}=True needs the compiled engine, "
             f"which {off[0]}=False turns off"
         )
-    if off:
-        return False
-    return skip_enabled_default() if skip is None else True
+    return not off
 
 
 class ProgressClock:

@@ -48,9 +48,9 @@ stay identical to the reference loop (the differential matrix pins it):
 A traced run (an enabled :class:`~repro.core.trace.Tracer`) runs the
 reference loop, and so does a machine whose components are not exactly
 the shipped classes (a test stub, a subclass, a monkeypatched method):
-either gets no kernel and no replay controller.  ``skip=False``,
-``REPRO_NO_SKIP=1`` or ``--no-skip`` selects the reference loop for
-every machine (:func:`~repro.core.scheduler.resolve_engine`).
+either gets no kernel and no replay controller.  ``skip=False``
+(``--no-skip``) selects the reference loop for every machine
+(:func:`~repro.core.scheduler.resolve_engine`).
 """
 
 from __future__ import annotations
@@ -399,8 +399,7 @@ def simulate(
     """Build a machine for ``config`` and run ``program`` to completion.
 
     ``skip=False`` selects the reference loop (default: the compiled
-    engine, unless ``REPRO_NO_SKIP`` says otherwise); ``replay=False``
-    and ``compiled=False`` select it too (see
+    engine); ``replay=False`` and ``compiled=False`` select it too (see
     :func:`~repro.core.scheduler.resolve_engine`), and so does an
     enabled ``tracer``.  Results are identical on both engines.
     """

@@ -9,11 +9,14 @@ exercised in test_paper_shapes.py.
 
 import pytest
 
+from repro.analysis import experiments
 from repro.analysis.experiments import (
     EXPERIMENTS,
     ExperimentContext,
+    experiment_points,
     run_experiment,
 )
+from repro.core.config import PAPER_CACHE_SIZES
 from repro.core.resilience import FaultPolicy
 from repro.core.simcache import result_key
 
@@ -64,8 +67,8 @@ class TestExperimentPlumbing:
             run_experiment("figure9", context)
 
     def test_supervisor_covers_ad_hoc_points(self, tiny_suite, monkeypatch):
-        """``simulate_many`` (queues) and ``simulate`` (delays) run under
-        the context's fault policy: every point they simulate goes
+        """The ad-hoc points of queues (seven machines) and delays (one)
+        are simulated under the context's fault policy: every point goes
         through the sweep path with it, and the reports match a context
         with a default policy."""
         from repro.core import simulator, sweep
@@ -79,10 +82,10 @@ class TestExperimentPlumbing:
             simulated.append(result_key(config, program))
             return real_simulate(config, program, **engine)
 
-        def simulate_many(program, configs, policy=None, **options):
+        def simulate_many(points, policy=None, **options):
             assert policy is policed_context.policy
-            covered.extend(result_key(config, program) for config in configs)
-            return real_simulate_many(program, configs, policy=policy, **options)
+            covered.extend(result_key(config, program) for program, config in points)
+            return real_simulate_many(points, policy=policy, **options)
 
         def fresh_context(policy):
             return ExperimentContext(
@@ -110,13 +113,64 @@ class TestExperimentPlumbing:
         assert len(set(simulated)) > 0
         assert policed_context.policy.report.clean
 
-    def test_sweep_memoisation(self, context):
-        """Two experiments sharing a parameter point reuse the sweep."""
-        before = dict(context._sweeps)
-        series_one = context.sweep(memory_access_time=6, input_bus_width=8)
-        series_two = context.sweep(memory_access_time=6, input_bus_width=8)
-        assert series_one is series_two
-        assert len(context._sweeps) == len(before) + 1
+    def test_sweep_memoisation(self, context, monkeypatch):
+        """Two experiments sharing a parameter point share its results:
+        points already in the memo make no second fan-out, and every
+        read of the sweep gets the same result objects."""
+        memory = {"memory_access_time": 6, "input_bus_width": 8}
+        context.resolve(context.sweep_points(memory))
+
+        def fan_out(*args, **kwargs):
+            raise AssertionError("a resolved point was resolved again")
+
+        monkeypatch.setattr(experiments, "resolve_points", fan_out)
+        context.resolve(context.sweep_points(memory))
+        series_one = context.sweep(**memory)
+        series_two = context.sweep(**memory)
+        assert [s.cycles for s in series_one] == [s.cycles for s in series_two]
+        for one, two in zip(series_one, series_two):
+            assert all(a is b for a, b in zip(one.results, two.results))
+
+    def test_a_point_missing_from_the_list_raises(self, tiny_suite, monkeypatch):
+        """``run`` reads only the memo: a point that ``points`` left out
+        raises, naming its machine, and is not simulated on the side."""
+        from repro.analysis.experiments import tib
+        from repro.core import sweep
+
+        fan_outs = []
+        real_simulate_many = sweep.simulate_many
+
+        def simulate_many(points, **options):
+            fan_outs.append(len(points))
+            return real_simulate_many(points, **options)
+
+        monkeypatch.setattr(sweep, "simulate_many", simulate_many)
+        listed = tib.points
+        monkeypatch.setattr(tib, "points", lambda context: listed(context)[:-1])
+        context = ExperimentContext(
+            program=tiny_suite.program, suite=tiny_suite, scale=0.03
+        )
+        with pytest.raises(KeyError, match="PIPE 16-16 line=16 cache=32B T=6 bus=8B"):
+            run_experiment("tib", context)
+        assert fan_outs == [6]
+
+    def test_every_report_point_has_its_own_label(self, small_suite):
+        """The report's distinct points have distinct labels, so one
+        fault report for the whole report names each machine apart."""
+        context = ExperimentContext(
+            program=small_suite.program,
+            cache_sizes=PAPER_CACHE_SIZES,
+            suite=small_suite,
+            scale=0.10,
+        )
+        distinct = {
+            (id(program), config): config
+            for program, config in experiment_points(EXPERIMENTS, context)
+        }
+        labels = {config.label() for config in distinct.values()}
+        assert len(labels) == len(distinct) == 211
+        # the one-line description alone leaves out what tells them apart
+        assert len({config.describe() for config in distinct.values()}) < 211
 
 
 class TestHeadlineExperiment:

@@ -1,15 +1,22 @@
 """Tests for the repro-sim command-line interface."""
 
+import gc
 import json
+import multiprocessing
 import os
 
 import pytest
 
-from repro import cli
 from repro.cli import build_parser, main
 from repro.core.faults import FaultPlan
-from repro.core.scheduler import NO_SKIP_ENV, skip_enabled_default
+from repro.core.results import SimulationResult
 from repro.core.simcache import SimulationCache
+from repro.core.simulator import Simulator
+from repro.isa.encoding import InstructionFormat
+from repro.kernels.suite import cached_livermore_suite
+
+#: the report's distinct points: 7 sweeps of 25, and 36 ad-hoc points
+REPORT_POINTS = 211
 
 
 class TestParser:
@@ -35,27 +42,55 @@ class TestParser:
 
 
 class TestNoSkip:
-    @pytest.mark.parametrize("before", [None, "0"], ids=["unset", "set"])
+    @pytest.mark.parametrize("before", [None, "1"], ids=["unset", "set"])
     def test_no_skip_lasts_one_command(self, before, monkeypatch, capsys):
-        """``--no-skip`` selects the reference loop while its command
-        runs (through the environment, so pool workers inherit it) and
-        leaves the environment as it found it."""
+        """``--no-skip`` selects the reference loop for its own command
+        only and leaves the environment alone; the retired
+        ``REPRO_NO_SKIP``, set or not, selects nothing."""
         if before is None:
-            monkeypatch.delenv(NO_SKIP_ENV, raising=False)
+            monkeypatch.delenv("REPRO_NO_SKIP", raising=False)
         else:
-            monkeypatch.setenv(NO_SKIP_ENV, before)
-        during = []
-        table = cli._cmd_table
+            monkeypatch.setenv("REPRO_NO_SKIP", before)
+        engines = []
+        run = Simulator.run
 
-        def spy(args):
-            during.append(skip_enabled_default())
-            return table(args)
+        def spy(sim):
+            engines.append(sim.skip)
+            return run(sim)
 
-        monkeypatch.setattr(cli, "_cmd_table", spy)
-        assert main(["--no-skip", "table", "2"]) == 0
-        assert during == [False]
-        assert os.environ.get(NO_SKIP_ENV) == before
-        assert skip_enabled_default() is True
+        monkeypatch.setattr(Simulator, "run", spy)
+        argv = ["run", "--scale", "0.03", "--cache", "64"]
+        assert main(["--no-skip", *argv]) == 0
+        assert main(argv) == 0
+        assert engines == [False, True]
+        assert os.environ.get("REPRO_NO_SKIP") == before
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched module reaches pool workers only by fork",
+    )
+    def test_no_skip_reaches_pool_workers(self, monkeypatch, tmp_path, capsys):
+        """``--no-skip`` travels with a ``--jobs 2`` sweep's pool: here
+        building a kernel fails its point, on the workers too, and the
+        flagged sweep runs all five points there without one."""
+        from repro.core import simulator
+
+        def kernel_for(sim):
+            raise AssertionError("a compiled kernel was built")
+
+        monkeypatch.setattr(simulator, "kernel_for", kernel_for)
+        faults = tmp_path / "faults.json"
+        argv = [
+            "figure", "4b", "--scale", "0.03", "--sizes", "32", "--no-plot",
+            "--jobs", "2", "--no-cache", "--fault-report", str(faults),
+        ]
+        assert main(["--no-skip", *argv]) == 0
+        # no serial fallback: the pool's workers ran every point
+        assert json.loads(faults.read_text())["counts"] == {}
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert json.loads(faults.read_text())["counts"] == {"gave_up": 5}
+        assert "a compiled kernel was built" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -379,6 +414,97 @@ class TestResilienceCli:
     def test_run_without_injection_has_no_rung_banner(self, capsys):
         assert main(["run", "--scale", "0.03", "--cache", "64"]) == 0
         assert "engine rung" not in capsys.readouterr().out
+
+
+def _live_results() -> int:
+    return sum(isinstance(obj, SimulationResult) for obj in gc.get_objects())
+
+
+@pytest.fixture(scope="module")
+def report_runs(tmp_path_factory):
+    """A cold ``report --jobs 2`` into a fresh cache, then a warm one,
+    with every pool call and cache lookup recorded."""
+    from repro.core import parallel
+
+    cache_dir = tmp_path_factory.mktemp("report-cache")
+    argv = ["report", "--scale", "0.03", "--jobs", "2", "--cache-dir", str(cache_dir)]
+    programs = [
+        cached_livermore_suite(fmt=fmt, scale=0.03).program
+        for fmt in InstructionFormat
+    ]
+    for program in programs:
+        program._issue_stream = None  # built before the fork, or not at all
+    runs = {}
+    sweep_map = parallel.sweep_map
+    lookup = SimulationCache.lookup
+    with pytest.MonkeyPatch.context() as patch:
+
+        def spy_sweep_map(fn, items, **options):
+            items = list(items)
+            pooled, _skip = options["initargs"]
+            runs["calls"].append(
+                {
+                    "items": len(items),
+                    "programs": len(pooled),
+                    "streams": [program.issue_stream.end for program in programs],
+                }
+            )
+            return sweep_map(fn, items, **options)
+
+        def spy_lookup(self, config, program):
+            runs["lookups"] += 1
+            return lookup(self, config, program)
+
+        patch.setattr(parallel, "sweep_map", spy_sweep_map)
+        patch.setattr(SimulationCache, "lookup", spy_lookup)
+        for run in ("cold", "warm"):
+            runs["calls"], runs["lookups"] = [], 0
+            gc.collect()
+            baseline = _live_results()
+            gc.disable()  # what the report leaves for the collector stays put
+            try:
+                code = main(argv)
+                returned = _live_results()
+            finally:
+                gc.enable()
+            gc.collect()
+            runs[run] = {
+                "code": code,
+                "calls": runs["calls"],
+                "lookups": runs["lookups"],
+                "results": (baseline, returned, _live_results()),
+            }
+    return runs
+
+
+class TestOneFanOut:
+    """A report lists every experiment's points, resolves them in one
+    fan-out over one pool, and only then renders."""
+
+    def test_cold_report_makes_one_pool_call(self, report_runs):
+        cold = report_runs["cold"]
+        assert cold["code"] == 0
+        (call,) = cold["calls"]
+        assert call["items"] == REPORT_POINTS
+        assert call["programs"] == 2  # the fixed-32 and the parcel program
+        assert cold["lookups"] == REPORT_POINTS
+
+    def test_streams_are_finished_before_the_fork(self, report_runs):
+        (call,) = report_runs["cold"]["calls"]
+        assert None not in call["streams"]
+
+    def test_warm_report_looks_each_point_up_once(self, report_runs):
+        warm = report_runs["warm"]
+        assert warm["code"] == 0
+        assert warm["calls"] == []
+        assert warm["lookups"] == REPORT_POINTS
+
+    @pytest.mark.parametrize("run", ["cold", "warm"])
+    def test_report_leaves_no_result_to_the_collector(self, report_runs, run):
+        """The memo dies with the command, by reference counting: no
+        cycle keeps a result alive after ``main`` returns."""
+        baseline, returned, collected = report_runs[run]["results"]
+        assert returned == collected == baseline
 
 
 class TestTrace:

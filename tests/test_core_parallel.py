@@ -135,8 +135,9 @@ class TestSimulateMany:
             MachineConfig.pipe("32-32", 128, **memory),
             MachineConfig.conventional(128, **memory),
         ]
-        serial = simulate_many(tiny_program, configs, jobs=1)
-        parallel = simulate_many(tiny_program, configs, jobs=2)
+        points = [(tiny_program, config) for config in configs]
+        serial = simulate_many(points, jobs=1)
+        parallel = simulate_many(points, jobs=2)
         assert [r.cycles for r in serial] == [r.cycles for r in parallel]
         assert serial == parallel
 
@@ -150,8 +151,9 @@ class TestSimulateMany:
             MachineConfig.pipe("16-16", 64, memory_access_time=8, input_bus_width=8),
             MachineConfig.pipe("16-16", 256, **memory),
         ]
-        serial = simulate_many(tiny_program, configs, jobs=1)
-        pooled = simulate_many(tiny_program, configs, jobs=2)
+        points = [(tiny_program, config) for config in configs]
+        serial = simulate_many(points, jobs=1)
+        pooled = simulate_many(points, jobs=2)
         assert pooled == serial
 
     def test_results_align_with_configs(self, tiny_program):
@@ -159,7 +161,7 @@ class TestSimulateMany:
             MachineConfig.conventional(size, memory_access_time=1)
             for size in (32, 64, 128)
         ]
-        results = simulate_many(tiny_program, configs, jobs=2)
+        results = simulate_many([(tiny_program, config) for config in configs], jobs=2)
         for config, result in zip(configs, results):
             assert result.config == config
             assert result == simulate(config, tiny_program)

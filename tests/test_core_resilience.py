@@ -106,7 +106,8 @@ def _supervised(
 def _simulate_under_policy(program, configs, jobs, **limits):
     """Every config through ``simulate_many``; the results and the report."""
     policy = FaultPolicy(**limits)
-    return simulate_many(program, configs, jobs=jobs, policy=policy), policy.report
+    points = [(program, config) for config in configs]
+    return simulate_many(points, jobs=jobs, policy=policy), policy.report
 
 
 class TestFaultReport:
@@ -247,7 +248,7 @@ class TestSupervisedSimulateMany:
                 128, memory_access_time=6, input_bus_width=8
             ),
         ]
-        plain = simulate_many(tiny_program, configs, jobs=1)
+        plain = simulate_many([(tiny_program, config) for config in configs], jobs=1)
         pooled, report = _simulate_under_policy(
             tiny_program, configs, jobs=2, timeout=120.0
         )
@@ -256,7 +257,7 @@ class TestSupervisedSimulateMany:
 
     def test_pool_matches_serial_across_sizes_and_latencies(self, tiny_program):
         configs = _size_latency_matrix()
-        serial = simulate_many(tiny_program, configs, jobs=1)
+        serial = simulate_many([(tiny_program, config) for config in configs], jobs=1)
         pooled, report = _simulate_under_policy(tiny_program, configs, jobs=2)
         assert pooled == serial
         assert report.clean
@@ -268,7 +269,7 @@ class TestSupervisedSimulateMany:
         configs = _size_latency_matrix()
         # worker_kill only fires inside pool workers, so the serial
         # reference is safe to compute after arming.
-        serial = simulate_many(tiny_program, configs, jobs=1)
+        serial = simulate_many([(tiny_program, config) for config in configs], jobs=1)
         faults.activate(faults.FaultPlan(seed=11, worker_kill=1.0))
         try:
             survived, report = _simulate_under_policy(
@@ -334,7 +335,7 @@ class TestFastPathFailsLoudly:
 
         configs = [_pipe().with_overrides(icache_size=size) for size in sizes]
         (label, exc), = excinfo.value.failures
-        assert label == configs[1].describe()
+        assert label == configs[1].label()
         assert label == "PIPE 16-16 line=16 cache=64B T=6 bus=8B"
         assert isinstance(exc, RuntimeError) and "fast-path bug" in str(exc)
         # The completed points are in the cache as they finished; the

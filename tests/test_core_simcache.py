@@ -29,7 +29,7 @@ def _pipe(**overrides) -> MachineConfig:
 
 def _resolve(config, program, cache):
     """One point through the resolver: cache lookup, else simulate and store."""
-    (result,) = resolve_points(program, [config], cache=cache)
+    (result,) = resolve_points([(program, config)], cache=cache)
     return result
 
 

@@ -126,7 +126,9 @@ class TestResolvePoints:
         monkeypatch.setattr(simulator, "simulate", failing)
         cache = SimulationCache(tmp_path)
         with pytest.raises(SweepPointError, match="third point fails"):
-            resolve_points(tiny_program, configs, jobs=1, cache=cache)
+            resolve_points(
+                [(tiny_program, config) for config in configs], jobs=1, cache=cache
+            )
         stored = [cache.lookup(config, tiny_program) for config in configs]
         assert stored[2] is None
         for config, result in zip(configs[:2], stored):
@@ -157,9 +159,11 @@ class TestResolvePoints:
         monkeypatch.setattr(simulator, "simulate", failing)
         cache = SimulationCache(tmp_path)
         with pytest.raises(SweepPointError) as excinfo:
-            resolve_points(tiny_program, configs, jobs=2, cache=cache)
+            resolve_points(
+                [(tiny_program, config) for config in configs], jobs=2, cache=cache
+            )
         ((label, exc),) = excinfo.value.failures
-        assert label == doomed.describe() == "PIPE 16-16 line=16 cache=64B T=1 bus=8B"
+        assert label == doomed.label() == "PIPE 16-16 line=16 cache=64B T=1 bus=8B"
         assert isinstance(exc, RuntimeError) and "second point fails" in str(exc)
         for config in configs:
             stored = cache.lookup(config, tiny_program)

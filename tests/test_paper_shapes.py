@@ -21,15 +21,27 @@ from repro.analysis.experiments import ExperimentContext
 
 CACHE_SIZES = (32, 128, 512)
 
+#: the memory design points the checks below sweep
+SWEEPS = (
+    {"memory_access_time": 1, "input_bus_width": 4},
+    {"memory_access_time": 6, "input_bus_width": 4},
+    {"memory_access_time": 6, "input_bus_width": 8},
+    {"memory_access_time": 6, "input_bus_width": 8, "memory_pipelined": True},
+)
+
 
 @pytest.fixture(scope="module")
 def context(small_suite):
-    return ExperimentContext(
+    """A context whose memo holds every sweep below, resolved in one
+    fan-out (a sweep reads only the memo, as the experiments do)."""
+    context = ExperimentContext(
         program=small_suite.program,
         cache_sizes=CACHE_SIZES,
         suite=small_suite,
         scale=0.10,
     )
+    context.resolve(context.sweep_points(*SWEEPS))
+    return context
 
 
 class TestFigure4Shapes:

@@ -11,15 +11,12 @@ matrix ``test_trace_crosscheck`` sweeps (all Table II PIPE points,
 Hill's prefetch policies, the TIB machine, and the ablation knobs), and
 pins down the satellite guarantees: errors raised mid-skip, mid-replay,
 or inside a compiled kernel report the true architectural cycle, and
-the switches select exactly one engine: ``skip=False`` /
-``REPRO_NO_SKIP`` (and ``replay=False`` or ``compiled=False``) runs the
-reference loop.
+the switches select exactly one engine: ``skip=False`` (and
+``replay=False`` or ``compiled=False``) runs the reference loop, and
+no environment variable selects one.
 
 Every engine comparison names its rows from
-:data:`repro.core.scheduler.ENGINES`, the switch tests set
-``REPRO_NO_SKIP`` when they are about it, and it is cleared before
-every test, so no result here depends on the environment the suite
-runs in.
+:data:`repro.core.scheduler.ENGINES`.
 
 On mismatch a cycles-diff report is written to
 ``test-reports/cycles-diff.txt`` (override the directory with
@@ -36,7 +33,7 @@ from repro.asm import assemble
 from repro.core import simulator as simulator_module
 from repro.core.compiled import compile_stats, kernel_for
 from repro.core.config import MachineConfig, PrefetchPolicy
-from repro.core.scheduler import ENGINES, skip_enabled_default
+from repro.core.scheduler import ENGINES
 from repro.core.simulator import (
     DeadlockError,
     SimulationTimeout,
@@ -55,12 +52,6 @@ ROW = dict(ENGINES)
 
 #: the fast-path rows compared against the reference row
 FAST_TAGS = ("compiled",)
-
-
-@pytest.fixture(autouse=True)
-def _no_engine_env(monkeypatch):
-    """Tests about ``REPRO_NO_SKIP`` set it themselves."""
-    monkeypatch.delenv("REPRO_NO_SKIP", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -278,30 +269,26 @@ def test_deadlock_in_compiled_kernel_matches_reference_cycle(monkeypatch):
 # ----------------------------------------------------------------------
 # Engine switches: each one selects exactly its engine
 # ----------------------------------------------------------------------
-_SELECTIONS = [pytest.param(kwargs, {}, tag, id=tag) for tag, kwargs in ENGINES] + [
-    pytest.param({"skip": False}, {}, "reference", id="skip=False"),
-    pytest.param({}, {"REPRO_NO_SKIP": "1"}, "reference", id="REPRO_NO_SKIP"),
-    pytest.param({"replay": False}, {}, "reference", id="replay=False"),
-    pytest.param({"compiled": False}, {}, "reference", id="compiled=False"),
+_SELECTIONS = [pytest.param(kwargs, tag, id=tag) for tag, kwargs in ENGINES] + [
+    pytest.param({"skip": False}, "reference", id="skip=False"),
+    pytest.param({"replay": False}, "reference", id="replay=False"),
+    pytest.param({"compiled": False}, "reference", id="compiled=False"),
     # the reference check of the repository benchmark (e2ebench) makes
     # exactly this call
     pytest.param(
         {"skip": False, "replay": False, "compiled": False},
-        {},
         "reference",
         id="all-switches-off",
     ),
 ]
 
 
-@pytest.mark.parametrize("kwargs, env, engine", _SELECTIONS)
+@pytest.mark.parametrize("kwargs, engine", _SELECTIONS)
 def test_switches_nest_into_exactly_one_engine(
-    kwargs, env, engine, single_loop_program, monkeypatch
+    kwargs, engine, single_loop_program, monkeypatch
 ):
     """The reference loop runs no kernel and no replay controller; the
     compiled engine runs both."""
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     kernels = []
     real_kernel_for = simulator_module.kernel_for
 
@@ -333,15 +320,15 @@ def test_explicit_engine_above_a_disabled_one_raises(kwargs):
         Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"), **kwargs)
 
 
-def test_no_skip_env_var_disables_skipping(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_SKIP", "1")
-    assert skip_enabled_default() is False
-    sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
-    assert sim.skip is False
-
-
 def test_skip_enabled_by_default():
-    assert skip_enabled_default() is True
+    sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
+    assert sim.skip is True
+
+
+def test_no_environment_variable_selects_the_engine(monkeypatch):
+    """``skip`` is the only switch: the retired ``REPRO_NO_SKIP`` is
+    inert, whatever its value."""
+    monkeypatch.setenv("REPRO_NO_SKIP", "1")
     sim = Simulator(MachineConfig.pipe("16-16", 128), assemble("halt"))
     assert sim.skip is True
 
