@@ -25,9 +25,9 @@ and in which
   polls, the acceptance, the queue pushes and pops, and the fetch
   decisions over the instruction cache's residency map run in the
   kernel, while the once-per-request work they trigger (building a
-  fetch request, a miss's fill, request callbacks, an FPU result's
-  delivery, branch redirects) stays a bound call (``docs/COMPILED.md``,
-  "Current inlining frontier");
+  fetch request, a miss's fill, a fetch's chunks and completion, an
+  FPU result's delivery, branch redirects) stays a bound call
+  (``docs/COMPILED.md``, "Current inlining frontier");
 * component objects, bound methods, and queue storage are hoisted into
   locals once per run, outside the hot loop.
 
@@ -86,13 +86,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..cpu.backend import Backend, _PendingBranch
-from ..cpu.data_engine import (
-    DataQueueEngine,
-    _InFlightLoad,
-    _LaqEntry,
-    _SaqEntry,
-    _SdqEntry,
-)
+from ..cpu.data_engine import DataQueueEngine
 from ..cpu.dispatch import (
     clear_dispatch_cache,
     dispatch_codegen_stats,
@@ -163,9 +157,9 @@ def _shipped(sim) -> bool:
 
     Every component must be exactly the class its emitters mirror, with
     no instance attribute shadowing one of that class's methods, and
-    the memory must poll the frontend, then the engine (the order the
-    inlined acceptance phase assumes).  A machine that fails runs the
-    reference loop.
+    the memory's two request sources must be the simulator's own
+    frontend and engine (the inlined phases read them through ``sim``).
+    A machine that fails runs the reference loop.
     """
     frontend = sim.frontend
     engine = sim.engine
@@ -188,9 +182,8 @@ def _shipped(sim) -> bool:
         and _exactly(memory, MemorySystem)
         and _exactly(memory.external, ExternalMemory)
         and _exactly(memory.fpu, TimedFpu)
-        and len(memory._sources) == 2
-        and memory._sources[0] is frontend
-        and memory._sources[1] is engine
+        and memory.frontend is frontend
+        and memory.engine is engine
     )
 
 
@@ -309,6 +302,8 @@ _BINDINGS: dict[str, str] = {
     "frontend_branch_resolved": "sim.frontend.branch_resolved",
     "frontend_redirect": "sim.frontend.redirect",
     "frontend_halt": "sim.frontend.halt",
+    "frontend_fetch_chunk": "sim.frontend.fetch_chunk",
+    "frontend_fetch_complete": "sim.frontend.fetch_complete",
     "fpu_can_accept": "sim.memory.fpu.can_accept",
     "fpu_deliver": "sim.memory.fpu.deliver",
     "replay_on_backedge": "sim.replay_controller.on_backedge",
@@ -577,11 +572,8 @@ def _kernel_globals() -> dict:
         "_PendingBranch": _PendingBranch,
         "K_LOAD": RequestKind.LOAD,
         "K_STORE": RequestKind.STORE,
+        "K_IFETCH": RequestKind.IFETCH,
         "MemoryRequest": MemoryRequest,
-        "LaqEntry": _LaqEntry,
-        "SaqEntry": _SaqEntry,
-        "SdqEntry": _SdqEntry,
-        "InFlightLoad": _InFlightLoad,
         "DecodeError": DecodeError,
     }
 

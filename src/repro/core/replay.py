@@ -347,6 +347,8 @@ class ReplayController:
     MAX_ITERATION_INSTRUCTIONS = 2048
 
     def __init__(self, sim):
+        #: the machine, until its run ends (:meth:`Simulator.run` then
+        #: drops it; the reports below read only ``loops``)
         self.sim = sim
         self.book = StatsBook(sim)
         self.loops: dict[int, _LoopState] = {}
@@ -614,8 +616,11 @@ class ReplayController:
         ):
             entry.address = address
             entry.seq += seqs
-        for entry in engine.sdq._items:
-            entry.seq += seqs
+        # The SDQ's entries are plain seqs, shifted in place: kernels
+        # hoist the deque, so it is never rebound.
+        sdq = engine.sdq._items
+        for index in range(len(sdq)):
+            sdq[index] += seqs
         # Shift every absolute time/seq in the timing skeleton.
         sim.memory.replay_shift(cycles, seqs)
         sim.frontend.replay_shift(cycles, seqs)

@@ -48,7 +48,7 @@ IDLE: int = 1 << 62
 #: scheduling engine never satisfy a lookup.  Bump on any change to the
 #: accounting of the compiled kernel's idle skip, its loop replay or its
 #: generator.
-ENGINE_REVISION = "skip-1+replay-5+compiled-5"
+ENGINE_REVISION = "skip-1+replay-5+compiled-6"
 
 #: The two engines, slowest first, as ``(name, Simulator kwargs)``.
 #: Both produce byte-identical results (the differential matrix pins

@@ -138,7 +138,7 @@ class Simulator:
         self.skip = resolve_engine(skip, replay, compiled)
         #: the controller of the most recent :meth:`run` (``None`` when
         #: it ran the reference loop); the engine profiler reads its
-        #: reports
+        #: reports, which outlive the run
         self.replay_controller: ReplayController | None = None
         self.clock = ProgressClock()
         clock = self.clock
@@ -154,15 +154,6 @@ class Simulator:
             sub_block_size=config.sub_block_size,
             associativity=config.cache_associativity,
             tracer=tracer,
-        )
-        self.memory = MemorySystem(
-            access_time=config.memory_access_time,
-            pipelined=config.memory_pipelined,
-            input_bus_width=config.input_bus_width,
-            priority=config.priority,
-            fpu_latencies=config.fpu_latencies,
-            tracer=tracer,
-            clock=clock,
         )
         # All frontends share the program's predecoded-instruction
         # table, so the decode work for a hot loop is paid once per
@@ -228,10 +219,17 @@ class Simulator:
             tracer=tracer,
             clock=clock,
         )
-        # Arbitration polls sources in registration order; order is
-        # irrelevant because priority is decided per request.
-        self.memory.register_source(self.frontend)
-        self.memory.register_source(self.engine)
+        self.memory = MemorySystem(
+            access_time=config.memory_access_time,
+            pipelined=config.memory_pipelined,
+            input_bus_width=config.input_bus_width,
+            priority=config.priority,
+            frontend=self.frontend,
+            engine=self.engine,
+            fpu_latencies=config.fpu_latencies,
+            tracer=tracer,
+            clock=clock,
+        )
 
     # ------------------------------------------------------------------
     #: cycles of zero progress (no issue, no bus traffic) before the run
@@ -251,8 +249,15 @@ class Simulator:
         if kernel is None:
             self.replay_controller = None
             return self._collect(self._run_loop())
-        self.replay_controller = ReplayController(self)
-        return self._collect(kernel(self))
+        controller = self.replay_controller = ReplayController(self)
+        try:
+            cycles = kernel(self)
+        finally:
+            # The controller's reports read only its loop states.  Its
+            # back-reference is the machine's one cycle: dropped, a
+            # finished machine is freed by reference counting.
+            controller.sim = None
+        return self._collect(cycles)
 
     def _run_loop(self) -> int:
         """The reference loop; returns the final architectural cycle.

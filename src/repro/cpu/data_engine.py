@@ -1,25 +1,27 @@
 """The data-queue engine: LAQ/LDQ/SAQ/SDQ and their memory interface.
 
 This is the timing-side owner of PIPE's architectural data queues (paper
-section 3.1.2) and a request source for the memory system:
+section 3.1.2) and the memory system's data request source:
 
-* a **load** instruction pushes its effective address on the LAQ at
+* a **load** instruction pushes its :class:`MemoryRequest` on the LAQ at
   issue; the engine offers the LAQ head to output-bus arbitration (with
-  a credit check so outstanding loads can never overflow the LDQ); the
-  data returns over the input bus and the load enters the LDQ *in
-  program order*;
-* a **store** leaves the chip when both the SAQ head (address) and the
-  SDQ head (data) are present and the pair wins arbitration;
+  a credit check so outstanding loads can never overflow the LDQ); once
+  accepted the request waits in flight until its data has returned over
+  the input bus (``completed``), then enters the LDQ *in program order*;
+* a **store** pushes its request on the SAQ at issue and leaves the chip
+  when both the SAQ head (address) and the SDQ head (data) are present
+  and the pair wins arbitration;
 * loads and stores are offered oldest-first, so a load can never bypass
   an older store at the memory interface.
 
-The engine holds no values.  Addresses come from the program's issue
-stream (:mod:`repro.cpu.stream`), whose functional pass computed every
-value once; the queues hold addresses, sequence numbers and arrival
-flags, and decide only *when* the LDQ head becomes poppable.  The
-paper's performance effects (queue pressure, bus competition between
-I-fetch and D-fetch) are all timing effects, which this engine models
-in full.
+Each data access is one request object, from issue to retirement: what
+the LAQ or SAQ holds is what the output bus is offered.  The engine
+holds no values.  Addresses come from the program's issue stream
+(:mod:`repro.cpu.stream`), whose functional pass computed every value
+once; the SDQ holds only its entries' sequence numbers.  The engine
+decides only *when* the LDQ head becomes poppable.  The paper's
+performance effects (queue pressure, bus competition between I-fetch
+and D-fetch) are all timing effects, which this engine models in full.
 """
 
 from __future__ import annotations
@@ -38,34 +40,6 @@ __all__ = ["DataQueueEngine", "DataEngineStats"]
 
 #: ``is_fpu_address`` of an expression, as kernel source
 _FPU_WINDOW = f"{FPU_BASE} <= {{}} < {FPU_BASE + FPU_SIZE}"
-
-
-# The queue entries are slotted and built with positional arguments:
-# the compiled kernels build one per data access.
-@dataclass(slots=True)
-class _LaqEntry:
-    address: int
-    seq: int
-
-
-@dataclass(slots=True)
-class _SaqEntry:
-    address: int
-    seq: int
-
-
-@dataclass(slots=True)
-class _SdqEntry:
-    seq: int
-
-
-@dataclass(slots=True)
-class _InFlightLoad:
-    arrived: bool = False
-
-    def arrive(self, now: int) -> None:
-        """The load's ``on_complete``: its data is on chip."""
-        self.arrived = True
 
 
 @dataclass
@@ -96,23 +70,22 @@ class DataQueueEngine:
         tracer = self._tracer
         clock = clock if clock is not None else ProgressClock()
         self._clock = clock
-        self.laq: ArchitecturalQueue[_LaqEntry] = ArchitecturalQueue(
+        self.laq: ArchitecturalQueue[MemoryRequest] = ArchitecturalQueue(
             "LAQ", laq_capacity, tracer=tracer, clock=clock
         )
-        self.ldq: ArchitecturalQueue[_InFlightLoad] = ArchitecturalQueue(
+        self.ldq: ArchitecturalQueue[MemoryRequest] = ArchitecturalQueue(
             "LDQ", ldq_capacity, tracer=tracer, clock=clock
         )
-        self.saq: ArchitecturalQueue[_SaqEntry] = ArchitecturalQueue(
+        self.saq: ArchitecturalQueue[MemoryRequest] = ArchitecturalQueue(
             "SAQ", saq_capacity, tracer=tracer, clock=clock
         )
-        self.sdq: ArchitecturalQueue[_SdqEntry] = ArchitecturalQueue(
+        #: store data holds no value: an entry is its sequence number
+        self.sdq: ArchitecturalQueue[int] = ArchitecturalQueue(
             "SDQ", sdq_capacity, tracer=tracer, clock=clock
         )
-        self._in_flight_loads: deque[_InFlightLoad] = deque()
+        #: accepted loads, oldest first, until their data is on chip
+        self._in_flight_loads: deque[MemoryRequest] = deque()
         self.stats = DataEngineStats()
-        #: whether the request the last poll offered is a store (read by
-        #: :meth:`notify_accepted`)
-        self._offered_is_store = False
         #: replay recording: when a list, load and store-address pushes
         #: append ``("laq", hazards)`` / ``("saq",)`` and store
         #: departures append ``("sd",)``, in true temporal order
@@ -123,13 +96,15 @@ class DataQueueEngine:
     # ------------------------------------------------------------------
     def push_laq(self, address: int) -> None:
         hazards = 0
-        for entry in self.saq:
-            if entry.address == address:
+        for store in self.saq:
+            if store.address == address:
                 hazards += 1
                 self.stats.ordering_hazards += 1
                 if self._tracer.enabled:
                     self._tracer.emit("engine", "hazard", addr=address)
-        self.laq.push(_LaqEntry(address, self._next_seq()))
+        self.laq.push(
+            MemoryRequest(RequestKind.LOAD, address, WORD_BYTES, self._next_seq())
+        )
         if self.replay_log is not None:
             self.replay_log.append(("laq", hazards))
         self.stats.loads_issued += 1
@@ -137,7 +112,9 @@ class DataQueueEngine:
             self.stats.fpu_loads += 1
 
     def push_saq(self, address: int) -> None:
-        self.saq.push(_SaqEntry(address, self._next_seq()))
+        self.saq.push(
+            MemoryRequest(RequestKind.STORE, address, WORD_BYTES, self._next_seq())
+        )
         if self.replay_log is not None:
             self.replay_log.append(("saq",))
         self.stats.stores_issued += 1
@@ -145,7 +122,7 @@ class DataQueueEngine:
             self.stats.fpu_stores += 1
 
     def push_sdq(self) -> None:
-        self.sdq.push(_SdqEntry(self._next_seq()))
+        self.sdq.push(self._next_seq())
 
     # ------------------------------------------------------------------
     # compiled-kernel lowering of the pushes (repro.core.compiled)
@@ -172,7 +149,7 @@ class DataQueueEngine:
     @classmethod
     def emit_compiled_push_laq(cls, ctx, address: str) -> None:
         """Lower :meth:`push_laq`: count the queued stores at the same
-        address, then push the entry."""
+        address, then push the load's request."""
         ctx.need("engine", "engine_stats", "saq_items")
         ctx.line("e_hz = 0")
         with ctx.block("for e_entry in saq_items:"):
@@ -181,7 +158,9 @@ class DataQueueEngine:
         with ctx.block("if e_hz:"):
             ctx.line("engine_stats.ordering_hazards += e_hz")
         cls._emit_next_seq(ctx)
-        ArchitecturalQueue.emit_compiled_push(ctx, "laq", f"LaqEntry({address}, e_seq)")
+        ArchitecturalQueue.emit_compiled_push(
+            ctx, "laq", f"MemoryRequest(K_LOAD, {address}, {WORD_BYTES}, e_seq)"
+        )
         cls._emit_replay_event(ctx, '("laq", e_hz)')
         ctx.line("engine_stats.loads_issued += 1")
         with ctx.block(f"if {_FPU_WINDOW.format(address)}:"):
@@ -192,7 +171,9 @@ class DataQueueEngine:
         """Lower :meth:`push_saq`."""
         ctx.need("engine", "engine_stats")
         cls._emit_next_seq(ctx)
-        ArchitecturalQueue.emit_compiled_push(ctx, "saq", f"SaqEntry({address}, e_seq)")
+        ArchitecturalQueue.emit_compiled_push(
+            ctx, "saq", f"MemoryRequest(K_STORE, {address}, {WORD_BYTES}, e_seq)"
+        )
         cls._emit_replay_event(ctx, '("saq",)')
         ctx.line("engine_stats.stores_issued += 1")
         with ctx.block(f"if {_FPU_WINDOW.format(address)}:"):
@@ -202,7 +183,7 @@ class DataQueueEngine:
     def emit_compiled_push_sdq(cls, ctx) -> None:
         """Lower :meth:`push_sdq`."""
         cls._emit_next_seq(ctx)
-        ArchitecturalQueue.emit_compiled_push(ctx, "sdq", "SdqEntry(e_seq)")
+        ArchitecturalQueue.emit_compiled_push(ctx, "sdq", "e_seq")
 
     # ------------------------------------------------------------------
     # Per-cycle update: deliver arrived loads into the LDQ, in order
@@ -210,7 +191,7 @@ class DataQueueEngine:
     def update(self, now: int) -> None:
         while (
             self._in_flight_loads
-            and self._in_flight_loads[0].arrived
+            and self._in_flight_loads[0].completed
             and not self.ldq.is_full
         ):
             self.ldq.push(self._in_flight_loads.popleft())
@@ -231,7 +212,7 @@ class DataQueueEngine:
         """
         spec = ctx.spec
         ctx.need("engine_stats", "in_flight_loads")
-        condition = "in_flight_loads and in_flight_loads[0].arrived"
+        condition = "in_flight_loads and in_flight_loads[0].completed"
         if spec.ldq_capacity is not None:
             condition += f" and len(ldq_items) < {spec.ldq_capacity}"
         with ctx.block(f"while {condition}:"):
@@ -257,37 +238,16 @@ class DataQueueEngine:
 
         Head-of-line, program order: the LAQ head and the SAQ/SDQ pair
         compete by sequence number, so memory always sees data requests
-        in issue order.
+        in issue order.  The offered request is the queue head itself.
         """
-        load_entry = None
+        load = None
         if not self.laq.is_empty and self._load_credit_available():
-            load_entry = self.laq.peek()
-        store_ready = not self.saq.is_empty and not self.sdq.is_empty
-        if load_entry is not None and store_ready:
-            if load_entry.seq > self.saq.peek().seq:
-                load_entry = None  # the store is older
-        elif load_entry is None and not store_ready:
-            return []
-        if load_entry is not None:
-            request = MemoryRequest(
-                kind=RequestKind.LOAD,
-                address=load_entry.address,
-                size=WORD_BYTES,
-                seq=load_entry.seq,
-                demand=True,
-            )
-            self._offered_is_store = False
-        else:
-            saq_head = self.saq.peek()
-            request = MemoryRequest(
-                kind=RequestKind.STORE,
-                address=saq_head.address,
-                size=WORD_BYTES,
-                seq=saq_head.seq,
-                demand=True,
-            )
-            self._offered_is_store = True
-        return [request]
+            load = self.laq.peek()
+        if not self.saq.is_empty and not self.sdq.is_empty:
+            store = self.saq.peek()
+            if load is None or load.seq > store.seq:
+                return [store]  # older than any ready load
+        return [] if load is None else [load]
 
     @classmethod
     def emit_compiled_poll(cls, ctx) -> None:
@@ -297,11 +257,8 @@ class DataQueueEngine:
         capacity literal) allows it, or the SAQ head when the SAQ/SDQ
         pair is ready and older by ``seq``; ``None`` when neither is
         ready.  ``e_store`` says which; the open-coded
-        :meth:`notify_accepted` reads it in place of
-        ``_offered_is_store``.  No request object is built here: the
-        acceptance phase builds one with :meth:`emit_compiled_request`
-        only when memory accepts it or ``TimedFpu.can_accept`` must
-        inspect it.
+        :meth:`notify_accepted` reads it in place of the request's
+        ``kind``.
         """
         spec = ctx.spec
         ctx.need("in_flight_loads", "laq_items", "ldq_items", "saq_items",
@@ -322,44 +279,22 @@ class DataQueueEngine:
         with ctx.block("elif e_head is not None:"):
             ctx.line("e_store = False")
 
-    @classmethod
-    def emit_compiled_request(cls, ctx) -> None:
-        """Bind ``request`` to the :class:`MemoryRequest` that
-        :meth:`poll_requests` builds for the offered ``e_head``, with
-        the same fields.  A load's carries the ``on_complete`` that
-        :meth:`notify_accepted` would set: the arrival flag of its new
-        ``e_flight``."""
-        with ctx.block("if e_store:"):
-            ctx.line(
-                f"request = MemoryRequest(K_STORE, e_head.address, {WORD_BYTES}, "
-                "e_head.seq, True)"
-            )
-        with ctx.block("else:"):
-            ctx.line("e_flight = InFlightLoad()")
-            ctx.line(
-                f"request = MemoryRequest(K_LOAD, e_head.address, {WORD_BYTES}, "
-                "e_head.seq, True, None, e_flight.arrive)"
-            )
-
     def notify_accepted(self, request: MemoryRequest, now: int) -> None:
-        if self._offered_is_store:
+        """The offered queue head won arbitration: a store leaves the
+        SAQ/SDQ pair, a load moves from the LAQ to the in-flight loads."""
+        if request.kind is RequestKind.STORE:
             self.saq.pop()
             self.sdq.pop()
             if self.replay_log is not None:
                 self.replay_log.append(("sd",))
             return
-        self.laq.pop()
-        flight = _InFlightLoad()
-        request.on_complete = flight.arrive
-        self._in_flight_loads.append(flight)
+        self._in_flight_loads.append(self.laq.pop())
 
     @classmethod
     def emit_compiled_notify(cls, ctx) -> None:
         """Lower :meth:`notify_accepted` for the accepted ``e_head``: a
-        store when ``e_store``, else a load whose ``e_flight``
-        :meth:`emit_compiled_request` built.  The kernel knows which
-        from ``e_store``, so it never writes ``_offered_is_store``,
-        which only this method reads."""
+        store when ``e_store``, else a load, which moves from the LAQ to
+        the in-flight loads."""
         ctx.need("in_flight_loads")
         with ctx.block("if e_store:"):
             ArchitecturalQueue.emit_compiled_pop(ctx, "saq")
@@ -367,7 +302,7 @@ class DataQueueEngine:
             cls._emit_replay_event(ctx, '("sd",)')
         with ctx.block("else:"):
             ArchitecturalQueue.emit_compiled_pop(ctx, "laq")
-            ctx.line("in_flight_loads.append(e_flight)")
+            ctx.line("in_flight_loads.append(e_head)")
 
     # ------------------------------------------------------------------
     def state_signature(self, now: int, base_seq: int) -> tuple:
@@ -375,16 +310,16 @@ class DataQueueEngine:
 
         Addresses are data (they stride across iterations, and replay
         rewrites them from the issue stream); what must recur is the
-        *shape*: occupancies, arrival flags, and each entry's age
-        relative to the sequence allocator, which drives load-vs-store
-        ordering at output-bus arbitration.
+        *shape*: occupancies, the in-flight loads' arrival flags, and
+        each entry's age relative to the sequence allocator, which
+        drives load-vs-store ordering at output-bus arbitration.
         """
         return (
             self.ldq.state_signature(),
-            tuple(flight.arrived for flight in self._in_flight_loads),
-            tuple(entry.seq - base_seq for entry in self.laq),
-            tuple(entry.seq - base_seq for entry in self.saq),
-            tuple(entry.seq - base_seq for entry in self.sdq),
+            tuple(load.completed for load in self._in_flight_loads),
+            tuple(load.seq - base_seq for load in self.laq),
+            tuple(store.seq - base_seq for store in self.saq),
+            tuple(seq - base_seq for seq in self.sdq),
         )
 
     # ------------------------------------------------------------------

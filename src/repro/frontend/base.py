@@ -15,6 +15,10 @@ cycle, in this order:
 4. the memory system polls :meth:`poll_requests` during output-bus
    arbitration.
 
+At the start of each cycle the memory system hands the unit each input-
+bus transfer of its fetches (:meth:`fetch_chunk`) and each fetch it
+retired (:meth:`fetch_complete`).
+
 Fetch units also expose per-strategy statistics via :attr:`FetchStats`.
 """
 
@@ -52,12 +56,15 @@ class FetchUnit(abc.ABC):
     #: the outstanding off-chip fetch, if any (subclasses rebind these)
     _request: MemoryRequest | None = None
     _request_accepted: bool = False
+    #: a redirect abandoned the outstanding fetch (PIPE, TIB): its bytes
+    #: still arrive, but no longer feed the instruction stream
+    _request_discarded: bool = False
 
     @classmethod
     def emit_compiled_poll(cls, ctx) -> None:
         """Emit the ``poll_requests`` body into a compiled kernel.
 
-        All three shipped frontends share this poll machine verbatim:
+        All three shipped frontends share :meth:`poll_requests`:
         withdraw the outstanding request after HALT, otherwise offer it.
         Binds ``f_req``, the offered request or ``None``.  The kernel
         only reaches this code when an unaccepted request is outstanding
@@ -113,6 +120,7 @@ class FetchUnit(abc.ABC):
             request.seq - base_seq,
             self._request_accepted,
             request.delivered_bytes,
+            self._request_discarded,
         )
 
     def replay_shift(self, cycles: int, seqs: int) -> None:
@@ -169,14 +177,44 @@ class FetchUnit(abc.ABC):
         """Issue reached the delay boundary of a taken branch."""
 
     # -- memory request source ----------------------------------------------
-    @abc.abstractmethod
     def poll_requests(self, now: int) -> list[MemoryRequest]:
-        """Offer at most one fetch request for output-bus arbitration.
+        """Offer at most one fetch request for output-bus arbitration:
+        the outstanding one, until it is accepted or HALT withdraws it.
 
         Returns ``[]`` with no side effects when no unaccepted request
         is outstanding: the compiled kernels skip the call then.
         """
+        if self._halted and self._request is not None and not self._request_accepted:
+            if self._tracer.enabled:
+                self._tracer.emit(
+                    "fetch", "cancel", seq=self._request.seq, reason="halt"
+                )
+            self._request = None  # withdraw the unaccepted request
+        if self._request is not None and not self._request_accepted:
+            return [self._request]
+        return []
 
-    @abc.abstractmethod
     def notify_accepted(self, request: MemoryRequest, now: int) -> None:
         """A polled request won arbitration this cycle."""
+        self._request_accepted = True
+
+    @abc.abstractmethod
+    def fetch_chunk(
+        self, request: MemoryRequest, offset: int, nbytes: int, now: int
+    ) -> None:
+        """``nbytes`` of ``request``'s data, from ``offset``, arrived
+        over the input bus."""
+
+    def fetch_complete(self, request: MemoryRequest, now: int) -> None:
+        """The memory delivered ``request``'s last byte.
+
+        A redirect-discarded request already traced its "cancel"; its
+        bytes still drain, but the request's terminal event must stay
+        unique.
+        """
+        discarded = self._request is request and self._request_discarded
+        if self._tracer.enabled and not discarded:
+            self._tracer.emit("fetch", "complete", seq=request.seq)
+        if self._request is request:
+            self._request = None
+            self._request_discarded = False

@@ -378,8 +378,6 @@ class ConventionalFetchUnit(FetchUnit):
         self._clock.ticks += 1
         if miss_addr is not None:
             self.cache.record_miss(miss_addr, seq=request.seq)
-        request.on_chunk = self._make_chunk_handler(request)
-        request.on_complete = self._make_complete_handler(request)
         if demand:
             self.stats.demand_requests += 1
         else:
@@ -397,39 +395,15 @@ class ConventionalFetchUnit(FetchUnit):
         self._request_accepted = False
         self._request_is_demand = demand
 
-    def _make_chunk_handler(self, request: MemoryRequest):
-        def handler(offset: int, nbytes: int, now: int) -> None:
-            self.cache.fill(request.address + offset, nbytes)
-            # A freshly-filled block is unreferenced again (tagged prefetch).
-            self._tagged_blocks.discard(self._block_address(request.address + offset))
-
-        return handler
-
-    def _make_complete_handler(self, request: MemoryRequest):
-        def handler(now: int) -> None:
-            if self._tracer.enabled:
-                self._tracer.emit("fetch", "complete", seq=request.seq)
-            if self._request is request:
-                self._request = None
-
-        return handler
-
     # ------------------------------------------------------------------
     # Memory request plumbing
     # ------------------------------------------------------------------
-    def poll_requests(self, now: int) -> list[MemoryRequest]:
-        if self._halted and self._request is not None and not self._request_accepted:
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    "fetch", "cancel", seq=self._request.seq, reason="halt"
-                )
-            self._request = None  # withdraw the unaccepted request
-        if self._request is not None and not self._request_accepted:
-            return [self._request]
-        return []
-
-    def notify_accepted(self, request: MemoryRequest, now: int) -> None:
-        self._request_accepted = True
+    def fetch_chunk(
+        self, request: MemoryRequest, offset: int, nbytes: int, now: int
+    ) -> None:
+        self.cache.fill(request.address + offset, nbytes)
+        # A freshly-filled block is unreferenced again (tagged prefetch).
+        self._tagged_blocks.discard(self._block_address(request.address + offset))
 
     # ------------------------------------------------------------------
     # Decoder interface

@@ -28,9 +28,10 @@ Operation:
 
 Timing conventions: on-chip work (cache lookup, IQB→IQ transfer) is free
 within a cycle; all waiting comes from the memory system.  The unit is
-driven by :meth:`update` (pre-issue) and :meth:`post_issue`, and offers
-off-chip requests through the :class:`repro.memory.system.RequestSource`
-protocol.
+driven by :meth:`update` (pre-issue) and :meth:`post_issue`; it offers
+off-chip requests to the memory system (:meth:`poll_requests`), which
+hands it their bytes (:meth:`fetch_chunk`) and their completion
+(:meth:`fetch_complete`).
 """
 
 from __future__ import annotations
@@ -491,8 +492,6 @@ class PipeFetchUnit(FetchUnit):
         )
         self._clock.ticks += 1
         self.cache.record_miss(line_addr, seq=request.seq)
-        request.on_chunk = self._make_chunk_handler(request)
-        request.on_complete = self._make_complete_handler(request)
         if demand:
             self.stats.demand_requests += 1
         else:
@@ -534,43 +533,14 @@ class PipeFetchUnit(FetchUnit):
     # ------------------------------------------------------------------
     # Memory request plumbing
     # ------------------------------------------------------------------
-    def poll_requests(self, now: int) -> list[MemoryRequest]:
-        if self._halted and self._request is not None and not self._request_accepted:
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    "fetch", "cancel", seq=self._request.seq, reason="halt"
-                )
-            self._request = None  # withdraw the unaccepted request
-        if self._request is not None and not self._request_accepted:
-            return [self._request]
-        return []
-
-    def notify_accepted(self, request: MemoryRequest, now: int) -> None:
-        self._request_accepted = True
-
-    def _make_chunk_handler(self, request: MemoryRequest):
-        def handler(offset: int, nbytes: int, now: int) -> None:
-            # Arriving bytes always fill the cache; they extend the IQB
-            # only if this request is still the one feeding it.
-            self.cache.fill(request.address + offset, nbytes)
-            if self._request is request and not self._request_discarded:
-                self._iqb_valid_end = request.address + offset + nbytes
-
-        return handler
-
-    def _make_complete_handler(self, request: MemoryRequest):
-        def handler(now: int) -> None:
-            # A redirect-discarded request already traced its "cancel";
-            # the line still drains into the cache, but the request's
-            # terminal event must stay unique.
-            discarded = self._request is request and self._request_discarded
-            if self._tracer.enabled and not discarded:
-                self._tracer.emit("fetch", "complete", seq=request.seq)
-            if self._request is request:
-                self._request = None
-                self._request_discarded = False
-
-        return handler
+    def fetch_chunk(
+        self, request: MemoryRequest, offset: int, nbytes: int, now: int
+    ) -> None:
+        # Arriving bytes always fill the cache; they extend the IQB only
+        # if this request is still the one feeding it.
+        self.cache.fill(request.address + offset, nbytes)
+        if self._request is request and not self._request_discarded:
+            self._iqb_valid_end = request.address + offset + nbytes
 
     # ------------------------------------------------------------------
     # Decoder interface
@@ -642,7 +612,6 @@ class PipeFetchUnit(FetchUnit):
         IQ entries reduce to ``(pc, size)`` — the image is immutable, so
         the pc determines the instruction."""
         branch = self._branch
-        base = self._request_signature(base_seq)
         return (
             self._halted,
             tuple((pc, size) for pc, _instruction, size in self._iq),
@@ -652,7 +621,7 @@ class PipeFetchUnit(FetchUnit):
             self._iqb_base,
             self._iqb_read_pc,
             self._iqb_valid_end,
-            None if base is None else base + (self._request_discarded,),
+            self._request_signature(base_seq),
             self._span_pc,
             None
             if branch is None

@@ -99,6 +99,7 @@ class TibFetchUnit(FetchUnit):
         self._valid_end = entry_point
         self._request: MemoryRequest | None = None
         self._request_accepted = False
+        self._request_discarded = False  #: abandoned by a redirect
 
         self._entries = [_TibEntry() for _ in range(tib_entries)]
         self._clock = 0
@@ -213,8 +214,6 @@ class TibFetchUnit(FetchUnit):
             RequestKind.IFETCH, block, self.block_size, self._next_seq(), demand
         )
         self._progress.ticks += 1
-        request.on_chunk = self._make_chunk_handler(request)
-        request.on_complete = self._make_complete_handler(request)
         if demand:
             self.stats.demand_requests += 1
         else:
@@ -231,25 +230,15 @@ class TibFetchUnit(FetchUnit):
         self._request = request
         self._request_accepted = False
 
-    def _make_chunk_handler(self, request: MemoryRequest):
-        def handler(offset: int, nbytes: int, now: int) -> None:
-            if self._request is not request:
-                return  # stale wrong-path stream data
-            arrived_end = request.address + offset + nbytes
-            if arrived_end > self._valid_end:
-                self._valid_end = arrived_end
-            self._feed_fill_entry()
-
-        return handler
-
-    def _make_complete_handler(self, request: MemoryRequest):
-        def handler(now: int) -> None:
-            if self._tracer.enabled:
-                self._tracer.emit("fetch", "complete", seq=request.seq)
-            if self._request is request:
-                self._request = None
-
-        return handler
+    def fetch_chunk(
+        self, request: MemoryRequest, offset: int, nbytes: int, now: int
+    ) -> None:
+        if self._request is not request or self._request_discarded:
+            return  # stale wrong-path stream data
+        arrived_end = request.address + offset + nbytes
+        if arrived_end > self._valid_end:
+            self._valid_end = arrived_end
+        self._feed_fill_entry()
 
     # ------------------------------------------------------------------
     # TIB management
@@ -282,23 +271,6 @@ class TibFetchUnit(FetchUnit):
         if entry.valid_bytes >= self.entry_bytes:
             entry.filling = False
             self._fill_entry = None
-
-    # ------------------------------------------------------------------
-    # Memory request plumbing
-    # ------------------------------------------------------------------
-    def poll_requests(self, now: int) -> list[MemoryRequest]:
-        if self._halted and self._request is not None and not self._request_accepted:
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    "fetch", "cancel", seq=self._request.seq, reason="halt"
-                )
-            self._request = None  # withdraw the unaccepted request
-        if self._request is not None and not self._request_accepted:
-            return [self._request]
-        return []
-
-    def notify_accepted(self, request: MemoryRequest, now: int) -> None:
-        self._request_accepted = True
 
     # ------------------------------------------------------------------
     # Decoder interface
@@ -382,22 +354,12 @@ class TibFetchUnit(FetchUnit):
                 self._tracer.emit("tib", "alloc", target=target)
         # The in-flight sequential request (if any) belongs to the old
         # path; its data must not extend the new stream.
-        if self._request is not None and not self._request_accepted:
+        if self._request is not None:
             if self._tracer.enabled:
                 self._tracer.emit(
                     "fetch", "cancel", seq=self._request.seq, reason="redirect"
                 )
-            self._request = None  # withdraw before acceptance
-        elif self._request is not None:
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    "fetch", "cancel", seq=self._request.seq, reason="redirect"
-                )
-            self._request.on_chunk = None
-            request = self._request
-
-            def forget(now: int, request=request) -> None:
-                if self._request is request:
-                    self._request = None
-
-            self._request.on_complete = forget
+            if self._request_accepted:
+                self._request_discarded = True  # its bytes still arrive
+            else:
+                self._request = None  # withdraw before acceptance

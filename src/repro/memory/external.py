@@ -77,9 +77,11 @@ class ExternalMemory:
             and request.remaining_bytes > 0
         ]
 
-    def retire_finished(self, now: int) -> None:
-        """Complete stores whose write finished and fully-delivered reads."""
+    def retire_finished(self, now: int) -> list[MemoryRequest]:
+        """Complete stores whose write finished and fully-delivered
+        reads; returns the requests retired, oldest first."""
         still_flying: list[MemoryRequest] = []
+        retired: list[MemoryRequest] = []
         for request in self.in_flight:
             if request.kind == RequestKind.STORE:
                 done = request.ready_at is not None and now >= request.ready_at
@@ -88,11 +90,11 @@ class ExternalMemory:
             if done:
                 request.completed = True
                 self._clock.ticks += 1
-                if request.on_complete is not None:
-                    request.on_complete(now)
+                retired.append(request)
             else:
                 still_flying.append(request)
         self.in_flight = still_flying
+        return retired
 
     # ------------------------------------------------------------------
     def state_signature(self, now: int, base_seq: int) -> tuple:
@@ -100,8 +102,8 @@ class ExternalMemory:
 
         Instruction-fetch addresses recur in a steady-state loop and are
         kept verbatim; data addresses stride and are excluded (the replay
-        engine re-derives them functionally).  ``on_chunk``/``on_complete``
-        presence distinguishes an abandoned fetch from a live one.
+        engine rewrites them from the issue stream).  Whether a fetch is
+        abandoned is the frontend's state (``_request_discarded``).
         """
         return tuple(
             (
@@ -114,8 +116,6 @@ class ExternalMemory:
                 None if request.ready_at is None else request.ready_at - now,
                 request.delivered_bytes,
                 request.completed,
-                request.on_chunk is None,
-                request.on_complete is None,
             )
             for request in self.in_flight
         )

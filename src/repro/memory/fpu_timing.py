@@ -91,8 +91,6 @@ class TimedFpu:
                 self.operations_started += 1
             # Stores complete at acceptance (no return data).
             request.completed = True
-            if request.on_complete is not None:
-                request.on_complete(now)
             return
         if request.kind == RequestKind.LOAD:
             self._result_loads.append(request)
@@ -122,10 +120,6 @@ class TimedFpu:
         request.completed = True
         self.results_delivered += 1
         self._clock.ticks += 1
-        if request.on_chunk is not None:
-            request.on_chunk(0, request.size, now)
-        if request.on_complete is not None:
-            request.on_complete(now)
         return request
 
     # ------------------------------------------------------------------
@@ -168,16 +162,16 @@ class TimedFpu:
     # ------------------------------------------------------------------
     @classmethod
     def emit_compiled_accept(cls, ctx) -> None:
-        """Lower :meth:`accept` of the engine's ``request``, a store
+        """Lower :meth:`accept` of the engine's ``e_head``, a store
         when ``e_store``, which ``can_accept`` has accepted.  A store's
         trigger latency comes from the ``fpu_latency`` binding
         (:meth:`trigger_latencies`); ``_ops_pending`` is read through
         the owner, because :meth:`replay_shift` rebinds it."""
         ctx.need("fpu", "clock", "fpu_latency")
-        ctx.line("request.accepted_at = now")
+        ctx.line("e_head.accepted_at = now")
         ctx.line("clock.ticks += 1")
         with ctx.block("if e_store:"):
-            ctx.line("e_latency = fpu_latency.get(request.address)")
+            ctx.line("e_latency = fpu_latency.get(e_head.address)")
             with ctx.block("if e_latency is not None:"):
                 ctx.line("e_start = fpu._busy_until")
                 with ctx.block("if e_start < now:"):
@@ -186,9 +180,9 @@ class TimedFpu:
                 ctx.line("fpu._ops_pending.append(e_start + e_latency)")
                 ctx.line("fpu.operations_started += 1")
             # stores complete at acceptance (no return data)
-            ctx.line("request.completed = True")
+            ctx.line("e_head.completed = True")
         with ctx.block("else:"):
-            ctx.line("fpu._result_loads.append(request)")
+            ctx.line("fpu._result_loads.append(e_head)")
 
     @classmethod
     def emit_compiled_wake(cls, ctx) -> None:

@@ -1,9 +1,13 @@
 """Memory request objects and arbitration priorities.
 
-Every off-chip transaction is a :class:`MemoryRequest`.  Requests are
-*polled* from request sources (the data-queue engine and the instruction
-fetch frontend) by the memory system's output-bus arbiter, then delivered
-back over the input bus.
+Every off-chip transaction is one :class:`MemoryRequest`, and nothing
+calls back through it.  The memory system's output-bus arbiter *polls*
+requests from its two sources, the instruction-fetch frontend and the
+data-queue engine; a data access's request is the one its LAQ or SAQ
+entry has held since issue.  The input bus then fills in
+``delivered_bytes`` and ``completed``: the memory system hands an
+instruction fetch's bytes and its completion to the frontend, and the
+engine reads a load's ``completed`` as its arrival.
 
 Two priority decisions exist, and the paper describes both:
 
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
 
 __all__ = [
     "MemoryRequest",
@@ -52,17 +55,15 @@ class MemoryRequest:
     """One off-chip transaction.
 
     Slotted, and the compiled kernels build it with positional
-    arguments: one is built per data access that leaves the chip.
+    arguments: one is built per data access, at issue.
 
     ``demand`` distinguishes demand instruction fetches from prefetches;
     it may be *promoted* while the request is in flight (an IQB prefetch
     becomes demand once the IQ drains), which raises its return-bus
     priority live.
 
-    ``on_chunk(offset, nbytes, now)`` fires for every input-bus transfer
-    of this request's data; ``on_complete(now)`` fires once, when the
-    last byte has been delivered (for stores: when the memory has
-    finished the write).
+    ``completed`` turns true once, when the last byte has been delivered
+    (for stores: when the memory has finished the write).
     """
 
     kind: RequestKind
@@ -70,8 +71,6 @@ class MemoryRequest:
     size: int
     seq: int
     demand: bool = True
-    on_chunk: Callable[[int, int, int], None] | None = None
-    on_complete: Callable[[int], None] | None = None
 
     # -- in-flight bookkeeping (owned by the memory system) -------------
     accepted_at: int | None = field(default=None, compare=False)

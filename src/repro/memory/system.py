@@ -16,16 +16,21 @@ Per simulated cycle the simulator calls, in order:
    data-first, a configuration knob), skipping requests whose target
    cannot accept this cycle (e.g. a busy non-pipelined memory).
 
-Request *sources* register with the system and are polled each acceptance
-phase; this keeps back-pressure natural: a request that is not accepted
-simply stays at the head of its source (the LAQ, the SAQ/SDQ pair, or the
-frontend's fetch logic).
+The system has two request sources, named by role: the instruction-fetch
+``frontend`` and the data-queue ``engine``.  Both are polled each
+acceptance phase; this keeps back-pressure natural: a request that is not
+accepted simply stays at the head of its source (the LAQ, the SAQ/SDQ
+pair, or the frontend's fetch logic).  Nothing calls back through a
+request: the input bus hands an instruction fetch's bytes to
+``frontend.fetch_chunk`` and its completion to ``frontend.fetch_complete``,
+chosen by the request's kind, and the engine reads a load's
+``completed`` as its arrival.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 from ..core.scheduler import ProgressClock
 from ..core.trace import NULL_TRACER, Tracer
@@ -42,19 +47,11 @@ from .requests import (
     return_tier,
 )
 
-__all__ = ["MemorySystem", "MemoryStats", "RequestSource"]
+if TYPE_CHECKING:
+    from ..cpu.data_engine import DataQueueEngine
+    from ..frontend.base import FetchUnit
 
-
-class RequestSource(Protocol):
-    """Anything that can offer memory requests for acceptance."""
-
-    def poll_requests(self, now: int) -> list[MemoryRequest]:
-        """Candidate requests this cycle (each source usually offers 0-1)."""
-        ...
-
-    def notify_accepted(self, request: MemoryRequest, now: int) -> None:
-        """Called when one of this source's candidates won arbitration."""
-        ...
+__all__ = ["MemorySystem", "MemoryStats"]
 
 
 @dataclass
@@ -83,10 +80,16 @@ class MemorySystem:
         pipelined: bool,
         input_bus_width: int,
         priority: RequestPriority,
+        *,
+        frontend: FetchUnit,
+        engine: DataQueueEngine,
         fpu_latencies: FpuLatencies | None = None,
         tracer: Tracer | None = None,
         clock: ProgressClock | None = None,
     ):
+        """``frontend`` and ``engine`` are the two request sources; the
+        frontend also receives every instruction fetch's bytes and
+        completion."""
         if input_bus_width < 4:
             raise ValueError("input bus must be at least 4 bytes wide")
         clock = clock if clock is not None else ProgressClock()
@@ -98,11 +101,9 @@ class MemorySystem:
         self.input_bus_width = input_bus_width
         self.priority = priority
         self.stats = MemoryStats()
-        self._sources: list[RequestSource] = []
+        self.frontend = frontend
+        self.engine = engine
         self._tracer = tracer if tracer is not None else NULL_TRACER
-
-    def register_source(self, source: RequestSource) -> None:
-        self._sources.append(source)
 
     # ------------------------------------------------------------------
     # Input bus (deliveries) — call first each cycle
@@ -111,7 +112,9 @@ class MemorySystem:
         self.external.begin_cycle(now)
         self.fpu.begin_cycle(now)
         self._deliver_one(now)
-        self.external.retire_finished(now)
+        for request in self.external.retire_finished(now):
+            if request.kind is RequestKind.IFETCH:
+                self.frontend.fetch_complete(request, now)
 
     def _deliver_one(self, now: int) -> None:
         candidates: list[tuple[tuple, str, MemoryRequest]] = []
@@ -152,8 +155,8 @@ class MemorySystem:
                     offset=offset,
                     bytes=transferred,
                 )
-            if request.on_chunk is not None:
-                request.on_chunk(offset, transferred, now)
+            if request.kind is RequestKind.IFETCH:
+                self.frontend.fetch_chunk(request, offset, transferred, now)
         self.stats.input_bus_busy_cycles += 1
         self.stats.input_bus_bytes += transferred
         self._clock.ticks += 1
@@ -162,8 +165,8 @@ class MemorySystem:
     # Output bus (acceptances) — call last each cycle
     # ------------------------------------------------------------------
     def end_cycle(self, now: int) -> None:
-        candidates: list[tuple[MemoryRequest, RequestSource]] = []
-        for source in self._sources:
+        candidates: list[tuple[MemoryRequest, FetchUnit | DataQueueEngine]] = []
+        for source in (self.frontend, self.engine):
             for request in source.poll_requests(now):
                 candidates.append((request, source))
         if not candidates:
@@ -233,12 +236,15 @@ class MemorySystem:
         load competes at ``(1, accepted_at, seq)``; it wins only with a
         strictly smaller key, as the reference's stable sort lists it
         last.  The FPU delivery itself still calls ``TimedFpu.deliver``
-        (once per result).  ``retire_finished`` follows.  The input-bus
-        width is a prologue binding, not a spec field, so a config
-        family keeps one kernel source.
+        (once per result), and an instruction fetch's chunk goes to the
+        bound ``frontend.fetch_chunk``.  ``retire_finished`` follows,
+        handing each retired fetch to the bound
+        ``frontend.fetch_complete``.  The input-bus width is a prologue
+        binding, not a spec field, so a config family keeps one kernel
+        source.
         """
         ctx.need("external", "fpu", "clock", "mem_stats", "fpu_deliver",
-                 "bus_width")
+                 "bus_width", "frontend_fetch_chunk", "frontend_fetch_complete")
         ctx.line("external._accepted_this_cycle = False")
         ctx.line("m_flight = external.in_flight")
         with ctx.block("if m_flight:"):
@@ -280,8 +286,8 @@ class MemorySystem:
                 with ctx.block("if m_bytes > bus_width:"):
                     ctx.line("m_bytes = bus_width")
                 ctx.line("m_best.delivered_bytes = m_offset + m_bytes")
-                with ctx.block("if m_best.on_chunk is not None:"):
-                    ctx.line("m_best.on_chunk(m_offset, m_bytes, now)")
+                with ctx.block("if m_best.kind is K_IFETCH:"):
+                    ctx.line("frontend_fetch_chunk(m_best, m_offset, m_bytes, now)")
                 cls._emit_delivery_books(ctx)
             # ``retire_finished``.  Stores retire at ``ready_at``, reads
             # once fully delivered.  ``in_flight`` is rebound only when
@@ -299,10 +305,8 @@ class MemorySystem:
                         with ctx.block(f"if {done}:"):
                             ctx.line("request.completed = True")
                             ctx.line("clock.ticks += 1")
-                            with ctx.block(
-                                "if request.on_complete is not None:"
-                            ):
-                                ctx.line("request.on_complete(now)")
+                            with ctx.block("if request.kind is K_IFETCH:"):
+                                ctx.line("frontend_fetch_complete(request, now)")
                         with ctx.block("else:"):
                             ctx.line("m_live.append(request)")
                     ctx.line("external.in_flight = m_live")
@@ -335,9 +339,8 @@ class MemorySystem:
         ``ExternalMemory.accept``, ``TimedFpu.accept`` and the winner's
         ``notify_accepted`` (every shipped frontend's only sets
         ``_request_accepted``).  ``fpu.can_accept`` stays a bound call,
-        asked only about a data request in the FPU window, and the data
-        request object is built only when the external memory accepts
-        it or ``fpu.can_accept`` must read it.
+        asked only about a data request in the FPU window.  The engine's
+        ``e_head`` is the request itself, built when the access issued.
         """
         spec = ctx.spec
         ctx.need("mem_stats", "external", "fpu_can_accept")
@@ -400,19 +403,16 @@ class MemorySystem:
         """Try the engine's offered ``e_head``, a load or a store; on
         acceptance, clear ``clears``, the source tried after it.
 
-        In the FPU window the request is built first, because
-        ``fpu.can_accept`` reads it; outside it, only once the external
-        memory is known to be free.
+        In the FPU window ``fpu.can_accept`` decides; outside it, the
+        external memory accepts when it is free.
         """
         window = f"{FPU_BASE} <= e_head.address < {FPU_BASE + FPU_SIZE}"
         with ctx.block(f"if {window}:"):
-            ctx.engine_cls.emit_compiled_request(ctx)
-            with ctx.block("if fpu_can_accept(request, now):"):
+            with ctx.block("if fpu_can_accept(e_head, now):"):
                 TimedFpu.emit_compiled_accept(ctx)
                 cls._emit_data_books(ctx, "fpu_", clears)
         with ctx.block(f"elif not ({busy}):"):
-            ctx.engine_cls.emit_compiled_request(ctx)
-            ExternalMemory.emit_compiled_accept(ctx, "request")
+            ExternalMemory.emit_compiled_accept(ctx, "e_head")
             cls._emit_data_books(ctx, "", clears)
 
     @classmethod

@@ -33,6 +33,8 @@ def __kernel(sim):
     frontend_branch_resolved = sim.frontend.branch_resolved
     frontend_redirect = sim.frontend.redirect
     frontend_halt = sim.frontend.halt
+    frontend_fetch_chunk = sim.frontend.fetch_chunk
+    frontend_fetch_complete = sim.frontend.fetch_complete
     fpu_can_accept = sim.memory.fpu.can_accept
     fpu_deliver = sim.memory.fpu.deliver
     replay_on_backedge = sim.replay_controller.on_backedge
@@ -85,8 +87,8 @@ def __kernel(sim):
                 if m_bytes > bus_width:
                     m_bytes = bus_width
                 m_best.delivered_bytes = m_offset + m_bytes
-                if m_best.on_chunk is not None:
-                    m_best.on_chunk(m_offset, m_bytes, now)
+                if m_best.kind is K_IFETCH:
+                    frontend_fetch_chunk(m_best, m_offset, m_bytes, now)
                 mem_stats.input_bus_busy_cycles += 1
                 mem_stats.input_bus_bytes += m_bytes
                 clock.ticks += 1
@@ -97,14 +99,14 @@ def __kernel(sim):
                         if (request.ready_at is not None and request.ready_at <= now) if request.kind is K_STORE else request.delivered_bytes == request.size:
                             request.completed = True
                             clock.ticks += 1
-                            if request.on_complete is not None:
-                                request.on_complete(now)
+                            if request.kind is K_IFETCH:
+                                frontend_fetch_complete(request, now)
                         else:
                             m_live.append(request)
                     external.in_flight = m_live
                     break
         # engine.update(now)
-        while in_flight_loads and in_flight_loads[0].arrived and len(ldq_items) < 8:
+        while in_flight_loads and in_flight_loads[0].completed and len(ldq_items) < 8:
             ldq_items.append(in_flight_loads.popleft())
             clock.ticks += 1
             ldq.total_pushes += 1
@@ -349,7 +351,7 @@ def __kernel(sim):
                                 engine_stats.ordering_hazards += e_hz
                             e_seq = seq.value
                             seq.value = e_seq + 1
-                            laq_items.append(LaqEntry(s_address, e_seq))
+                            laq_items.append(MemoryRequest(K_LOAD, s_address, 4, e_seq))
                             clock.ticks += 1
                             laq.total_pushes += 1
                             if len(laq_items) > laq.max_occupancy:
@@ -366,7 +368,7 @@ def __kernel(sim):
                             s_address = stream_stores[s_at]
                             e_seq = seq.value
                             seq.value = e_seq + 1
-                            saq_items.append(SaqEntry(s_address, e_seq))
+                            saq_items.append(MemoryRequest(K_STORE, s_address, 4, e_seq))
                             clock.ticks += 1
                             saq.total_pushes += 1
                             if len(saq_items) > saq.max_occupancy:
@@ -381,7 +383,7 @@ def __kernel(sim):
                         elif entry[4]:
                             e_seq = seq.value
                             seq.value = e_seq + 1
-                            sdq_items.append(SdqEntry(e_seq))
+                            sdq_items.append(e_seq)
                             clock.ticks += 1
                             sdq.total_pushes += 1
                             if len(sdq_items) > sdq.max_occupancy:
@@ -608,16 +610,11 @@ def __kernel(sim):
                 e_head = None
         if e_head is not None:
             if 61440 <= e_head.address < 61504:
-                if e_store:
-                    request = MemoryRequest(K_STORE, e_head.address, 4, e_head.seq, True)
-                else:
-                    e_flight = InFlightLoad()
-                    request = MemoryRequest(K_LOAD, e_head.address, 4, e_head.seq, True, None, e_flight.arrive)
-                if fpu_can_accept(request, now):
-                    request.accepted_at = now
+                if fpu_can_accept(e_head, now):
+                    e_head.accepted_at = now
                     clock.ticks += 1
                     if e_store:
-                        e_latency = fpu_latency.get(request.address)
+                        e_latency = fpu_latency.get(e_head.address)
                         if e_latency is not None:
                             e_start = fpu._busy_until
                             if e_start < now:
@@ -625,9 +622,9 @@ def __kernel(sim):
                             fpu._busy_until = e_start + e_latency
                             fpu._ops_pending.append(e_start + e_latency)
                             fpu.operations_started += 1
-                        request.completed = True
+                        e_head.completed = True
                     else:
-                        fpu._result_loads.append(request)
+                        fpu._result_loads.append(e_head)
                     if e_store:
                         saq.total_pops += 1
                         clock.ticks += 1
@@ -642,21 +639,16 @@ def __kernel(sim):
                         laq.total_pops += 1
                         clock.ticks += 1
                         laq_items.popleft()
-                        in_flight_loads.append(e_flight)
+                        in_flight_loads.append(e_head)
                     mem_stats.output_bus_busy_cycles += 1
                     if e_store:
                         mem_stats.fpu_stores_accepted += 1
                     else:
                         mem_stats.fpu_loads_accepted += 1
             elif not (external._accepted_this_cycle or external.in_flight):
-                if e_store:
-                    request = MemoryRequest(K_STORE, e_head.address, 4, e_head.seq, True)
-                else:
-                    e_flight = InFlightLoad()
-                    request = MemoryRequest(K_LOAD, e_head.address, 4, e_head.seq, True, None, e_flight.arrive)
-                request.accepted_at = now
-                request.ready_at = now + mem_access
-                external.in_flight.append(request)
+                e_head.accepted_at = now
+                e_head.ready_at = now + mem_access
+                external.in_flight.append(e_head)
                 external.total_accepted += 1
                 external._accepted_this_cycle = True
                 clock.ticks += 1
@@ -674,7 +666,7 @@ def __kernel(sim):
                     laq.total_pops += 1
                     clock.ticks += 1
                     laq_items.popleft()
-                    in_flight_loads.append(e_flight)
+                    in_flight_loads.append(e_head)
                 mem_stats.output_bus_busy_cycles += 1
                 if e_store:
                     mem_stats.stores_accepted += 1

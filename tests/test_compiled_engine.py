@@ -36,6 +36,7 @@ from repro.cpu import dispatch
 from repro.cpu.data_engine import DataQueueEngine
 from repro.cpu.dispatch import issue_entry
 from repro.cpu.queues import ArchitecturalQueue
+from repro.frontend.base import FetchUnit
 from repro.frontend.conventional import ConventionalFetchUnit
 from repro.frontend.icache import InstructionCache
 from repro.kernels.suite import build_livermore_program
@@ -345,6 +346,7 @@ _OPEN_CODED = (
 _PER_REQUEST = (
     (InstructionCache, "probe"),
     (ConventionalFetchUnit, "_maybe_request"),
+    (FetchUnit, "fetch_complete"),
 )
 
 #: the three headline machines (T = 6)
@@ -368,9 +370,9 @@ class TestInliningFrontier:
         Class-level counters wrap each method (patched on the class, so
         every machine still gets a kernel).  A compiled run of each
         headline machine calls none of the open-coded methods, and the
-        residency probe and the conventional request decision at most
-        once per fetch request; the reference loop calls every one of
-        them, so the counters do count.
+        residency probe, the conventional request decision and the
+        fetch completion at most once per fetch request; the reference
+        loop calls every one of them, so the counters do count.
         """
         counts = collections.Counter()
         for cls, name in _OPEN_CODED + _PER_REQUEST:

@@ -1,9 +1,14 @@
 """Integration tests of the cycle-level simulator as a whole."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.asm import assemble
 from repro.core.config import FetchStrategy, MachineConfig
+from repro.core.fuzz import FUZZ_CONFIGS
+from repro.core.scheduler import ENGINES
 from repro.core.simulator import (
     DeadlockError,
     SimulationTimeout,
@@ -154,3 +159,27 @@ class TestResultReporting:
         result = simulate(MachineConfig.pipe("16-16", 128), assemble(LOOP))
         assert 0 < result.ipc <= 1.0
         assert result.cpi == pytest.approx(1.0 / result.ipc)
+
+
+class TestRelease:
+    @pytest.mark.parametrize("engine", [tag for tag, _kwargs in ENGINES])
+    @pytest.mark.parametrize("machine", sorted(FUZZ_CONFIGS))
+    def test_finished_machine_is_freed_by_reference_counting(
+        self, machine, engine, tiny_program
+    ):
+        """No reference cycle keeps a finished machine alive, so it does
+        not wait for the cyclic collector; the replay controller's
+        reports still answer after the run has released it."""
+        gc.disable()
+        try:
+            sim = Simulator(
+                FUZZ_CONFIGS[machine](), tiny_program, **dict(ENGINES)[engine]
+            )
+            sim.run()
+            if sim.replay_controller is not None:
+                assert sim.replay_controller.loop_reports()
+            refs = [weakref.ref(obj) for obj in (sim, sim.frontend, sim.cache)]
+            del sim
+            assert [ref() is None for ref in refs] == [True, True, True]
+        finally:
+            gc.enable()

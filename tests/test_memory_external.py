@@ -58,18 +58,15 @@ class TestAcceptance:
 class TestCompletion:
     def test_read_completes_when_fully_delivered(self):
         memory = ExternalMemory(access_time=1, pipelined=False)
-        completions = []
         request = make_request(size=8)
-        request.on_complete = completions.append
         memory.begin_cycle(0)
         memory.accept(request, 0)
         request.delivered_bytes = 4
-        memory.retire_finished(1)
+        assert memory.retire_finished(1) == []
         assert not request.completed
         request.delivered_bytes = 8
-        memory.retire_finished(2)
+        assert memory.retire_finished(2) == [request]
         assert request.completed
-        assert completions == [2]
         assert memory.in_flight == []
 
     def test_store_completes_after_access_time(self):

@@ -70,14 +70,13 @@ class TestDelivery:
         fpu = make_fpu()
         fpu.accept(store(FPU_TRIGGER_ADD), 0)
         load = result_load()
-        chunks = []
-        load.on_chunk = lambda off, n, now: chunks.append((off, n, now))
         fpu.accept(load, 1)
         fpu.begin_cycle(4)
+        assert not load.completed
         delivered = fpu.deliver(4)
         assert delivered is load
         assert load.completed
-        assert chunks == [(0, 4, 4)]
+        assert load.delivered_bytes == 4
         assert fpu.results_delivered == 1
 
     def test_idle_property(self):

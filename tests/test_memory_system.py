@@ -13,10 +13,11 @@ from repro.memory.requests import (
 from repro.memory.system import MemorySystem
 
 
-class OneShotSource:
-    """A request source that offers a fixed queue of requests."""
+class FakeEngine:
+    """The data request source: offers a fixed queue of requests, one a
+    cycle, oldest first."""
 
-    def __init__(self, requests):
+    def __init__(self, requests=()):
         self.pending = list(requests)
         self.accepted = []
 
@@ -26,6 +27,22 @@ class OneShotSource:
     def notify_accepted(self, request, now):
         self.pending.remove(request)
         self.accepted.append((request, now))
+
+
+class FakeFrontend(FakeEngine):
+    """The fetch request source, which also records the bytes and the
+    completions the memory system hands it."""
+
+    def __init__(self, requests=()):
+        super().__init__(requests)
+        self.chunks = []
+        self.completions = []
+
+    def fetch_chunk(self, request, offset, nbytes, now):
+        self.chunks.append((offset, nbytes, now))
+
+    def fetch_complete(self, request, now):
+        self.completions.append((request, now))
 
 
 def load(seq, address=0x100):
@@ -38,14 +55,32 @@ def ifetch(seq, demand=True, address=0x200, size=16):
     )
 
 
-def make_system(priority=RequestPriority.INSTRUCTION_FIRST, access_time=2,
+def make_system(frontend=None, engine=None,
+                priority=RequestPriority.INSTRUCTION_FIRST, access_time=2,
                 pipelined=False, width=8):
     return MemorySystem(
         access_time=access_time,
         pipelined=pipelined,
         input_bus_width=width,
         priority=priority,
+        frontend=frontend if frontend is not None else FakeFrontend(),
+        engine=engine if engine is not None else FakeEngine(),
     )
+
+
+def step(system, cycles, loads=()):
+    """Run ``cycles``; returns the cycles in which each of ``loads``
+    received its data (the memory hands a load's bytes to no one: the
+    engine reads ``delivered_bytes`` and ``completed``)."""
+    arrivals = [[] for _ in loads]
+    for now in cycles:
+        before = [load.delivered_bytes for load in loads]
+        system.begin_cycle(now)
+        for arrived, load, had in zip(arrivals, loads, before):
+            if load.delivered_bytes != had:
+                arrived.append(now)
+        system.end_cycle(now)
+    return arrivals
 
 
 class TestAcceptanceOrder:
@@ -89,163 +124,129 @@ class TestReturnTiers:
 
 class TestOutputBus:
     def test_one_acceptance_per_cycle(self):
-        system = make_system()
-        source = OneShotSource([ifetch(0), load(1)])
-        system.register_source(source)
-        system.begin_cycle(0)
-        system.end_cycle(0)
-        assert len(source.accepted) == 1
+        frontend, engine = FakeFrontend([ifetch(0)]), FakeEngine([load(1)])
+        system = make_system(frontend, engine)
+        step(system, range(1))
+        assert len(frontend.accepted) + len(engine.accepted) == 1
 
     def test_priority_decides_winner(self):
-        system = make_system(priority=RequestPriority.INSTRUCTION_FIRST)
-        data_source = OneShotSource([load(0)])
-        fetch_source = OneShotSource([ifetch(1)])
-        system.register_source(data_source)
-        system.register_source(fetch_source)
-        system.begin_cycle(0)
-        system.end_cycle(0)
-        assert fetch_source.accepted and not data_source.accepted
+        """The priority picks the winner, not the order the memory polls
+        its sources in (the frontend first)."""
+        for priority, fetch_wins in (
+            (RequestPriority.INSTRUCTION_FIRST, True),
+            (RequestPriority.DATA_FIRST, False),
+        ):
+            frontend, engine = FakeFrontend([ifetch(1)]), FakeEngine([load(0)])
+            system = make_system(frontend, engine, priority=priority)
+            step(system, range(1))
+            assert bool(frontend.accepted) is fetch_wins
+            assert bool(engine.accepted) is not fetch_wins
 
     def test_blocked_target_lets_lower_priority_through(self):
         """With non-pipelined memory busy, an FPU store may still be
         accepted even if a higher-priority ifetch is waiting."""
-        system = make_system(access_time=10)
-        system.begin_cycle(0)
-        system.end_cycle(0)
-        fetch_source = OneShotSource([ifetch(0)])
-        system.register_source(fetch_source)
-        system.begin_cycle(1)
-        system.end_cycle(1)  # accepted; memory now busy
-        assert fetch_source.accepted
-        fetch_source2 = OneShotSource([ifetch(2)])
-        fpu_source = OneShotSource(
-            [MemoryRequest(kind=RequestKind.STORE, address=FPU_TRIGGER_MUL,
-                           size=4, seq=3)]
-        )
-        system.register_source(fetch_source2)
-        system.register_source(fpu_source)
-        system.begin_cycle(2)
-        system.end_cycle(2)
-        assert fpu_source.accepted
-        assert not fetch_source2.accepted
+        frontend, engine = FakeFrontend(), FakeEngine()
+        system = make_system(frontend, engine, access_time=10)
+        step(system, range(1))
+        frontend.pending = [ifetch(0)]
+        step(system, range(1, 2))  # accepted; memory now busy
+        assert frontend.accepted
+        second = ifetch(2)
+        frontend.pending = [second]
+        engine.pending = [
+            MemoryRequest(kind=RequestKind.STORE, address=FPU_TRIGGER_MUL,
+                          size=4, seq=3)
+        ]
+        step(system, range(2, 3))
+        assert engine.accepted
+        assert frontend.pending == [second]
 
 
 class TestInputBus:
     def test_chunked_line_delivery(self):
-        system = make_system(access_time=2, width=8)
-        chunks = []
         request = ifetch(0, size=16)
-        request.on_chunk = lambda off, n, now: chunks.append((off, n, now))
-        source = OneShotSource([request])
-        system.register_source(source)
-        for now in range(8):
-            system.begin_cycle(now)
-            system.end_cycle(now)
+        frontend = FakeFrontend([request])
+        system = make_system(frontend, access_time=2, width=8)
+        step(system, range(8))
         # accepted at 0, ready at 2: transfers of 8 bytes at cycles 2, 3
-        assert chunks == [(0, 8, 2), (8, 8, 3)]
+        assert frontend.chunks == [(0, 8, 2), (8, 8, 3)]
         assert request.completed
+        assert frontend.completions == [(request, 3)]
 
     def test_narrow_bus_doubles_transfers(self):
-        system = make_system(access_time=1, width=4)
-        chunks = []
-        request = ifetch(0, size=16)
-        request.on_chunk = lambda off, n, now: chunks.append((off, n))
-        system.register_source(OneShotSource([request]))
-        for now in range(8):
-            system.begin_cycle(now)
-            system.end_cycle(now)
-        assert chunks == [(0, 4), (4, 4), (8, 4), (12, 4)]
+        frontend = FakeFrontend([ifetch(0, size=16)])
+        system = make_system(frontend, access_time=1, width=4)
+        step(system, range(8))
+        assert [(offset, nbytes) for offset, nbytes, _now in frontend.chunks] == [
+            (0, 4), (4, 4), (8, 4), (12, 4)
+        ]
 
     def test_demand_return_beats_prefetch(self):
-        system = make_system(access_time=1, pipelined=True, width=8)
-        deliveries = []
         prefetch = ifetch(0, demand=False, size=8, address=0x40)
         demand = load(1)
-        prefetch.on_chunk = lambda off, n, now: deliveries.append(("prefetch", now))
-        demand.on_chunk = lambda off, n, now: deliveries.append(("load", now))
-        system.register_source(OneShotSource([prefetch]))
-        system.register_source(OneShotSource([demand]))
+        frontend, engine = FakeFrontend([prefetch]), FakeEngine([demand])
+        system = make_system(frontend, engine, access_time=1, pipelined=True,
+                             width=8)
         # both accepted in consecutive cycles (one output bus)
-        for now in range(6):
-            system.begin_cycle(now)
-            system.end_cycle(now)
+        (load_times,) = step(system, range(6), loads=[demand])
         # prefetch accepted at 0 (ready at 1), load accepted at 1 (ready 2).
         # At cycle 2 both have data: the load (tier 0) wins the bus.
-        assert ("load", 2) in deliveries
-        prefetch_times = [t for kind, t in deliveries if kind == "prefetch"]
+        assert load_times == [2]
+        prefetch_times = [now for _offset, _nbytes, now in frontend.chunks]
         assert min(prefetch_times) > 2 or prefetch_times[0] == 1
 
     def test_one_transfer_per_cycle(self):
-        system = make_system(access_time=1, pipelined=True)
-        times = []
         first, second = load(0), load(1, address=0x300)
-        first.on_chunk = lambda off, n, now: times.append(now)
-        second.on_chunk = lambda off, n, now: times.append(now)
-        system.register_source(OneShotSource([first]))
-        system.register_source(OneShotSource([second]))
-        for now in range(6):
-            system.begin_cycle(now)
-            system.end_cycle(now)
+        system = make_system(engine=FakeEngine([first, second]), access_time=1,
+                             pipelined=True)
+        arrivals = step(system, range(6), loads=[first, second])
+        times = [now for arrived in arrivals for now in arrived]
+        assert len(times) == 2
         assert len(times) == len(set(times))  # never two in one cycle
 
 
 class TestFpuPath:
     def test_fpu_result_between_demand_and_prefetch(self):
         """FPU results rank below demand loads but above prefetches."""
-        system = make_system(access_time=1, pipelined=True, width=8)
-        order = []
         # Start an FPU op completing at ~4.
         trigger = MemoryRequest(kind=RequestKind.STORE, address=FPU_TRIGGER_MUL,
                                 size=4, seq=0)
         fpu_load = MemoryRequest(kind=RequestKind.LOAD, address=FPU_RESULT,
                                  size=4, seq=1)
-        fpu_load.on_chunk = lambda off, n, now: order.append(("fpu", now))
         prefetch = ifetch(2, demand=False, size=8)
-        prefetch.on_chunk = lambda off, n, now: order.append(("prefetch", now))
+        frontend, engine = FakeFrontend(), FakeEngine([trigger, fpu_load])
+        system = make_system(frontend, engine, access_time=1, pipelined=True,
+                             width=8)
         # Delay the prefetch's readiness so it conflicts with the FPU result.
-        sources = [OneShotSource([trigger]), OneShotSource([fpu_load])]
-        for source in sources:
-            system.register_source(source)
-        late = OneShotSource([])
-        system.register_source(late)
-        for now in range(3):
-            system.begin_cycle(now)
-            system.end_cycle(now)
-        late.pending = [prefetch]
-        for now in range(3, 10):
-            system.begin_cycle(now)
-            system.end_cycle(now)
-        fpu_time = [t for kind, t in order if kind == "fpu"][0]
-        prefetch_time = [t for kind, t in order if kind == "prefetch"][0]
+        (early,) = step(system, range(3), loads=[fpu_load])
+        frontend.pending = [prefetch]
+        (late,) = step(system, range(3, 10), loads=[fpu_load])
+        fpu_time = (early + late)[0]
+        prefetch_time = frontend.chunks[0][2]
         assert fpu_time < prefetch_time
+        assert fpu_load.completed
 
     def test_drained(self):
-        system = make_system()
+        system = make_system(engine=FakeEngine([load(0)]))
         assert system.drained
-        source = OneShotSource([load(0)])
-        system.register_source(source)
-        system.begin_cycle(0)
-        system.end_cycle(0)
+        step(system, range(1))
         assert not system.drained
-        for now in range(1, 6):
-            system.begin_cycle(now)
-            system.end_cycle(now)
+        step(system, range(1, 6))
         assert system.drained
 
 
 class TestStats:
     def test_acceptance_counters(self):
-        system = make_system(pipelined=True)
-        requests = [
+        engine = FakeEngine([
             load(0),
             MemoryRequest(kind=RequestKind.STORE, address=0x10, size=4, seq=1),
+        ])
+        frontend = FakeFrontend([
             ifetch(2, demand=True),
             ifetch(3, demand=False, address=0x80),
-        ]
-        system.register_source(OneShotSource(requests))
-        for now in range(20):
-            system.begin_cycle(now)
-            system.end_cycle(now)
+        ])
+        system = make_system(frontend, engine, pipelined=True)
+        step(system, range(20))
         stats = system.stats
         assert stats.loads_accepted == 1
         assert stats.stores_accepted == 1
